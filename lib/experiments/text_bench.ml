@@ -10,9 +10,9 @@
    scan plan's rows. A churn phase then removes rows (their head tokens
    must stop matching — staleness must never resurrect), overwrites
    surviving rows' text through the store hook (old text must miss, new
-   text must hit from the pending log), forces a merge-rebuild and
-   re-verifies parity, so a bench run is also the text-index self-check
-   workload. *)
+   text must hit from the pending tail or a sealed run), forces a
+   merge-rebuild and re-verifies parity, so a bench run is also the
+   text-index self-check workload. *)
 
 open Smc_util
 module Q = Smc_query
@@ -174,17 +174,25 @@ let run ?(rows = 1_000_000) () =
         vf "removed row %d still matches its head token" k)
     !removed;
   let updated = ref [] in
+  let max_runs = ref 0 in
   let i = ref 1 in
   while !i < rows do
     (* Skip the removed stride (multiples of 97): stores need a live row. *)
     if !i mod 97 <> 0 then begin
       store_string docs ftxt refs.(!i) (Printf.sprintf "%s %s" (upd_token !i) marker);
-      updated := !i :: !updated
+      updated := !i :: !updated;
+      max_runs := max !max_runs (T.stats tix).T.runs
     end;
     i := !i + 199
   done;
-  (* New text must hit straight from the pending log; the old head token
-     must read as a miss (the arena entry went stale via the re-check). *)
+  (* Every rewrite appends once per word of the column (six for Str 42),
+     so even the smoke corpus's ~250 rewrites cross several seals of the
+     pending tail and merge runs before the forced rebuild below; if runs
+     never appeared, the run path went untested. *)
+  if !max_runs = 0 then vf "churn phase never sealed a run (the run path went unexercised)";
+  (* New text must hit from the pending tail or a sealed run; the old head
+     token must read as a miss (the arena entry went stale via the
+     re-check). *)
   List.iter
     (fun k ->
       if not (T.contains_match tix T.Prefix (upd_token k)) then

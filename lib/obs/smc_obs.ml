@@ -92,7 +92,7 @@ let c_srv_requests = 71 (* request frames decoded *)
 let c_srv_replies = 72 (* requests answered with an ok frame *)
 let c_srv_errors = 73 (* requests answered with an error frame *)
 let c_srv_shed = 74 (* requests shed by admission control *)
-let c_txt_adds = 75 (* rows appended to text-index pending logs *)
+let c_txt_adds = 75 (* rows appended to text-index pending tails *)
 let c_txt_removes = 76 (* row removals observed by text indexes *)
 let c_txt_probes = 77 (* text-index probe operations *)
 let c_txt_candidates = 78 (* candidate sightings surfaced by probes *)
@@ -101,7 +101,7 @@ let c_txt_stale = 80 (* candidates whose ref no longer resolved *)
 let c_txt_misses = 81 (* live candidates whose current text no longer matches *)
 let c_txt_dups = 82 (* candidates suppressed by per-probe deduplication *)
 let c_txt_rebuilds = 83 (* suffix-array merge-rebuilds *)
-let c_txt_dropped = 84 (* entries dropped (stale/dead) by rebuilds *)
+let c_txt_dropped = 84 (* dead refs dropped by rebuilds, seals and merges *)
 let c_mv_builds = 85 (* materialized-view full builds (attach + invalidation recovery) *)
 let c_mv_adds = 86 (* +delta applications from row adds *)
 let c_mv_removes = 87 (* -delta applications from row removes *)

@@ -1,6 +1,7 @@
 (* Off-heap suffix-array text index (see sa_index.mli for the contract).
 
-   Storage: one published [store] value holds everything a probe needs —
+   Storage is log-structured in levels. Each [level] is a complete,
+   immutable suffix-array index over a set of rows —
 
      arena    : byte arena of NUL-terminated entry texts, back to back
      ent_ref  : packed indirect reference per entry
@@ -9,20 +10,28 @@
      sa       : absolute arena offsets of every suffix, sorted
                 lexicographically (suffixes end at their entry's NUL, so
                 none crosses an entry boundary)
-     pending  : packed refs appended by write hooks since the last rebuild
+
+   — and one published [store] value holds everything a probe needs: the
+   [base] level (built by full rebuilds), the sealed [runs] (newest
+   first), and a short [pending] tail of packed refs appended by write
+   hooks since the last seal. When the tail reaches [run_size] refs it is
+   sealed into a new run, and runs merge like a binary counter (the newest
+   absorbs the one below while it is at least as large), so there are
+   O(log) runs and a probe pays two binary searches per level plus a scan
+   of fewer than [run_size] tail refs.
 
    The arrays are private off-heap Bigarrays: not runtime blocks, not
    registered with the block registry, so the structural audit is
    unaffected and a rebuild drops the old store without any free protocol.
 
-   The pending log lives INSIDE the store record on purpose: plain OCaml
-   mutable fields give no cross-field ordering, so a probe reading a
-   separate [t.pending] could pair a pre-rebuild array with a post-rebuild
-   (emptied) log and miss rows live all along. With the log in the record,
-   the single [t.store <- ...] write is the only publication point — a
-   lock-free probe snapshots one consistent (array, log) pair, complete
-   under bag semantics. Appending to the log publishes a new record that
-   shares the arrays.
+   The runs and the tail live INSIDE the store record on purpose: plain
+   OCaml mutable fields give no cross-field ordering, so a probe reading a
+   separate [t.pending] could pair a pre-seal run list with a post-seal
+   (emptied) tail and miss rows live all along. With everything in the
+   record, the single [t.store <- ...] write is the only publication point
+   — a lock-free probe snapshots one consistent (levels, tail) set,
+   complete under bag semantics. Appending to the tail publishes a new
+   record that shares the levels.
 
    Probes never trust the arena: a candidate's text is re-extracted from
    the live row (inside the probe's critical section, after incarnation
@@ -36,7 +45,7 @@ type op = Prefix | Substring | Substring_ci
 type byte_ba = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type store = {
+type level = {
   arena : byte_ba;
   ent_ref : int_ba;
   ent_off : int_ba;
@@ -44,9 +53,17 @@ type store = {
   n_entries : int;
   sa : int_ba;
   n_sa : int;
-  pending : int list; (* newest first *)
+}
+
+type store = {
+  base : level;
+  runs : level list; (* newest first *)
+  pending : int list; (* newest first, fewer than [run_size] after maintenance *)
   n_pending : int;
 }
+
+(* Tail length that triggers a seal: bounds the linear part of every probe. *)
+let run_size = 256
 
 type t = {
   name : string;
@@ -54,9 +71,8 @@ type t = {
   field : Layout.field;
   col_name : string;
   churn_limit : int option;
-  lock : Mutex.t; (* serialises appends and rebuilds *)
+  lock : Mutex.t; (* serialises appends, seals, merges and rebuilds *)
   mutable store : store;
-  stale_seen : int Atomic.t; (* probe sightings of stale entries since last rebuild *)
   dead_pending : int Atomic.t; (* removes since last rebuild *)
   obs : Smc_obs.t;
 }
@@ -64,7 +80,7 @@ type t = {
 let int_ba n : int_ba = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 let byte_ba n : byte_ba = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout n
 
-let empty_store =
+let empty_level =
   {
     arena = byte_ba 0;
     ent_ref = int_ba 0;
@@ -73,9 +89,15 @@ let empty_store =
     n_entries = 0;
     sa = int_ba 0;
     n_sa = 0;
-    pending = [];
-    n_pending = 0;
   }
+
+let empty_store = { base = empty_level; runs = []; pending = []; n_pending = 0 }
+
+let iter_levels s f =
+  f s.base;
+  List.iter f s.runs
+
+let run_entries s = List.fold_left (fun acc lv -> acc + lv.n_entries) 0 s.runs
 
 let name t = t.name
 let collection t = t.coll
@@ -113,7 +135,7 @@ let text_contains ~needle s =
 
 (* ASCII case folding, byte-wise: [A-Z] -> [a-z], everything else verbatim
    (same contract as the query layer's ContainsCI). The arena stores folded
-   bytes — see [rebuild_locked] — so one suffix array serves both the
+   bytes — see [build_level] — so one suffix array serves both the
    case-sensitive and case-insensitive operators: searching with a folded
    needle yields every position where the folded text matches, a superset
    of the case-sensitive matches, and the live-text re-check against the
@@ -157,15 +179,16 @@ let compare_suffixes (arena : byte_ba) a b =
     let rec go i =
       let ca = Bigarray.Array1.unsafe_get arena (a + i) in
       let cb = Bigarray.Array1.unsafe_get arena (b + i) in
-      if ca <> cb then compare ca cb else if ca = 0 then 0 else go (i + 1)
+      if ca <> cb then ca - cb else if ca = 0 then 0 else go (i + 1)
     in
     go 0
   end
 
 (* Suffix vs needle, in the needle-truncated order the range search uses:
-   -1 when the suffix's first bytes sort below the needle (including the
-   suffix running out at its NUL), 0 when the needle is a prefix of the
-   suffix, +1 when they sort above. *)
+   negative when the suffix's first bytes sort below the needle (including
+   the suffix running out at its NUL), 0 when the needle is a prefix of the
+   suffix, positive when they sort above. Bytes are 0..255, so their
+   difference carries the sign. *)
 let compare_suffix_needle (arena : byte_ba) off needle =
   let n = String.length needle in
   let rec go j =
@@ -173,29 +196,39 @@ let compare_suffix_needle (arena : byte_ba) off needle =
     else
       let c = Bigarray.Array1.unsafe_get arena (off + j) in
       let nc = Char.code (String.unsafe_get needle j) in
-      if c <> nc then compare c nc else go (j + 1)
+      if c <> nc then c - nc else go (j + 1)
   in
   go 0
 
 (* First index in [0, n) whose suffix compares >= (resp. >) the needle. *)
-let search_bound s needle ~upper =
-  let lo = ref 0 and hi = ref s.n_sa in
+let search_bound lv needle ~upper =
+  let lo = ref 0 and hi = ref lv.n_sa in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let c = compare_suffix_needle s.arena (Bigarray.Array1.unsafe_get s.sa mid) needle in
+    let c = compare_suffix_needle lv.arena (Bigarray.Array1.unsafe_get lv.sa mid) needle in
     if c < 0 || (upper && c = 0) then lo := mid + 1 else hi := mid
   done;
   !lo
 
 (* Entry owning an arena offset: greatest e with ent_off.(e) <= off
    (offsets are ascending by construction). *)
-let entry_of_offset s off =
-  let lo = ref 0 and hi = ref (s.n_entries - 1) in
+let entry_of_offset lv off =
+  let lo = ref 0 and hi = ref (lv.n_entries - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
-    if Bigarray.Array1.unsafe_get s.ent_off mid <= off then lo := mid else hi := mid - 1
+    if Bigarray.Array1.unsafe_get lv.ent_off mid <= off then lo := mid else hi := mid - 1
   done;
   !lo
+
+(* Calls [f off e] for every suffix of [lv] that starts with the (folded)
+   needle: its arena offset and owning entry. *)
+let iter_range lv needle f =
+  let lo = search_bound lv needle ~upper:false in
+  let hi = search_bound lv needle ~upper:true in
+  for i = lo to hi - 1 do
+    let off = Bigarray.Array1.unsafe_get lv.sa i in
+    f off (entry_of_offset lv off)
+  done
 
 (* ---- probes -------------------------------------------------------- *)
 
@@ -214,9 +247,7 @@ let probe t op needle ~f =
           Hashtbl.add seen packed ();
           let r = Smc.Ref.of_packed packed in
           match Smc.Collection.deref_opt t.coll r with
-          | None ->
-            Atomic.incr t.stale_seen;
-            Smc_obs.incr obs Smc_obs.c_txt_stale
+          | None -> Smc_obs.incr obs Smc_obs.c_txt_stale
           | Some (blk, slot) ->
             if matches op needle (Smc.Field.get_string t.field blk slot) then begin
               Smc_obs.incr obs Smc_obs.c_txt_hits;
@@ -228,25 +259,25 @@ let probe t op needle ~f =
       if String.length needle = 0 then
         (* Every row matches the empty needle; walk entries, not suffixes
            (an empty-text entry has no suffix at all). *)
-        for e = 0 to s.n_entries - 1 do
-          candidate (Bigarray.Array1.unsafe_get s.ent_ref e)
-        done
+        iter_levels s (fun lv ->
+            for e = 0 to lv.n_entries - 1 do
+              candidate (Bigarray.Array1.unsafe_get lv.ent_ref e)
+            done)
       else begin
         (* The arena is case-folded, so the range search always runs on the
            folded needle; for case-sensitive operators that widens the
            candidate range (folded matches ⊇ exact matches) and the
-           live-text re-check above narrows it back. *)
+           live-text re-check above narrows it back. A row can own entries
+           in several levels (old text in the base, new text in a run);
+           [seen] makes the later sightings dups. *)
         let folded = String.map lower_byte needle in
-        let lo = search_bound s folded ~upper:false in
-        let hi = search_bound s folded ~upper:true in
-        for i = lo to hi - 1 do
-          let off = Bigarray.Array1.unsafe_get s.sa i in
-          let e = entry_of_offset s off in
-          (* A Prefix probe only accepts the suffix that starts the entry;
-             interior suffixes witness containment, not prefixhood. *)
-          if op <> Prefix || Bigarray.Array1.unsafe_get s.ent_off e = off then
-            candidate (Bigarray.Array1.unsafe_get s.ent_ref e)
-        done
+        iter_levels s (fun lv ->
+            iter_range lv folded (fun off e ->
+                (* A Prefix probe only accepts the suffix that starts the
+                   entry; interior suffixes witness containment, not
+                   prefixhood. *)
+                if op <> Prefix || Bigarray.Array1.unsafe_get lv.ent_off e = off then
+                  candidate (Bigarray.Array1.unsafe_get lv.ent_ref e)))
       end;
       List.iter candidate s.pending)
 
@@ -303,9 +334,7 @@ let top_k_similar t ~k query =
           Hashtbl.add seen packed ();
           let r = Smc.Ref.of_packed packed in
           match Smc.Collection.deref_opt t.coll r with
-          | None ->
-            Atomic.incr t.stale_seen;
-            Smc_obs.incr obs Smc_obs.c_txt_stale
+          | None -> Smc_obs.incr obs Smc_obs.c_txt_stale
           | Some (blk, slot) ->
             let score = score_of frags (Smc.Field.get_string t.field blk slot) in
             if score > 0 then begin
@@ -318,12 +347,9 @@ let top_k_similar t ~k query =
       List.iter
         (fun g ->
           let g = String.map lower_byte g in
-          let lo = search_bound s g ~upper:false in
-          let hi = search_bound s g ~upper:true in
-          for i = lo to hi - 1 do
-            let off = Bigarray.Array1.unsafe_get s.sa i in
-            candidate (Bigarray.Array1.unsafe_get s.ent_ref (entry_of_offset s off))
-          done)
+          iter_levels s (fun lv ->
+              iter_range lv g (fun _off e ->
+                  candidate (Bigarray.Array1.unsafe_get lv.ent_ref e))))
         frags;
       List.iter candidate s.pending);
   let ranked =
@@ -337,32 +363,27 @@ let top_k_similar t ~k query =
   in
   take k ranked
 
-(* ---- rebuild ------------------------------------------------------- *)
+(* ---- levels: build, rebuild, seal, merge ---------------------------- *)
 
-let churn_limit t s = match t.churn_limit with Some l -> l | None -> max 64 (s.n_entries / 4)
+let churn_limit t s =
+  match t.churn_limit with Some l -> l | None -> max 64 (s.base.n_entries / 4)
 
-(* Merge-rebuild: fold the pending log into the array, dropping entries
-   whose row died or whose text moved on. Candidates are the old entries
-   plus the log (deduplicated); each survivor's text is re-extracted from
-   the live row inside the critical section. The fresh store — arena,
-   tables, sorted suffix array — is FULLY populated before the [t.store]
-   assignment: that single write is the publication point, so a lock-free
-   probe snapshots either the old store (complete) or the new one
-   (complete), never a half-built array. The old arrays stay alive for any
-   in-flight probe that already snapshotted them. *)
-let rebuild_locked t =
-  let s = t.store in
-  (* Drain churn counters up front (exchange, not a trailing reset):
-     increments landing mid-rebuild carry over to the next trigger instead
-     of being lost. *)
-  ignore (Atomic.exchange t.stale_seen 0 : int);
-  ignore (Atomic.exchange t.dead_pending 0 : int);
-  let cand = Hashtbl.create (max 64 (s.n_entries + s.n_pending)) in
-  for e = 0 to s.n_entries - 1 do
-    let p = Bigarray.Array1.unsafe_get s.ent_ref e in
-    if not (Hashtbl.mem cand p) then Hashtbl.replace cand p ()
-  done;
-  List.iter (fun p -> if not (Hashtbl.mem cand p) then Hashtbl.replace cand p ()) s.pending;
+let add_entries cand lv =
+  for e = 0 to lv.n_entries - 1 do
+    Hashtbl.replace cand (Bigarray.Array1.unsafe_get lv.ent_ref e) ()
+  done
+
+(* The one level builder — full rebuilds, seals and merges all come
+   through here. [cand] is a deduplicated set of packed refs; each
+   survivor's text is re-extracted from the live row inside a critical
+   section, and dead refs are dropped (counted as [txt_dropped]). The
+   level — arena, tables, sorted suffix array — is FULLY populated before
+   it is returned; the caller's single [t.store] assignment is the
+   publication point, so a lock-free probe snapshots either the old store
+   (complete) or the new one (complete), never a half-built array. The
+   old arrays stay alive for any in-flight probe that already
+   snapshotted them. *)
+let build_level t cand =
   let live = ref [] in
   let n_live = ref 0 and bytes = ref 0 and dropped = ref 0 in
   Smc.Collection.with_read t.coll (fun () ->
@@ -400,7 +421,8 @@ let rebuild_locked t =
   let n_sa = !bytes in
   (* Sort a heap scratch array (Array.sort over a Bigarray would box every
      swap through the comparator anyway), then blit into the off-heap
-     array the store publishes. *)
+     array the level publishes. Merge sort, not the stdlib's heap sort:
+     suffix comparisons are byte loops, and it makes about half as many. *)
   let scratch = Array.make n_sa 0 in
   let si = ref 0 in
   for e = 0 to n - 1 do
@@ -410,44 +432,86 @@ let rebuild_locked t =
       incr si
     done
   done;
-  Array.sort (fun a b -> compare_suffixes arena a b) scratch;
+  Array.stable_sort (fun a b -> compare_suffixes arena a b) scratch;
   let sa = int_ba n_sa in
   for i = 0 to n_sa - 1 do
     Bigarray.Array1.unsafe_set sa i (Array.unsafe_get scratch i)
   done;
-  t.store <-
-    { arena; ent_ref; ent_off; ent_len; n_entries = n; sa; n_sa; pending = []; n_pending = 0 };
   Smc_obs.add t.obs Smc_obs.c_txt_dropped !dropped;
+  { arena; ent_ref; ent_off; ent_len; n_entries = n; sa; n_sa }
+
+(* Full merge-rebuild: every level and the tail fold into a fresh base,
+   dropping entries whose row died or whose text moved on. *)
+let rebuild_locked t =
+  let s = t.store in
+  (* Drain the removal counter up front (exchange, not a trailing reset):
+     increments landing mid-rebuild carry over to the next trigger instead
+     of being lost. *)
+  ignore (Atomic.exchange t.dead_pending 0 : int);
+  let cand = Hashtbl.create (max 64 (s.base.n_entries + run_entries s + s.n_pending)) in
+  iter_levels s (add_entries cand);
+  List.iter (fun p -> Hashtbl.replace cand p ()) s.pending;
+  t.store <- { base = build_level t cand; runs = []; pending = []; n_pending = 0 };
   Smc_obs.incr t.obs Smc_obs.c_txt_rebuilds
 
+(* Seal the tail into a run, then carry like a binary counter: while the
+   newest run holds at least as many entries as the one below it, rebuild
+   the two as one. Run sizes therefore grow strictly toward the oldest and
+   there are O(log (entries / run_size)) of them. Re-extracting texts on a
+   merge is what drops dead rows and superseded texts from runs. *)
+let seal_locked t =
+  let s = t.store in
+  let cand = Hashtbl.create (2 * s.n_pending) in
+  List.iter (fun p -> Hashtbl.replace cand p ()) s.pending;
+  let rec carry run = function
+    | below :: older when run.n_entries >= below.n_entries ->
+      let cand = Hashtbl.create (run.n_entries + below.n_entries) in
+      add_entries cand run;
+      add_entries cand below;
+      carry (build_level t cand) older
+    | runs -> run :: runs
+  in
+  let run = build_level t cand in
+  let runs = if run.n_entries = 0 then s.runs else carry run s.runs in
+  t.store <- { s with runs; pending = []; n_pending = 0 }
+
+(* [churn_limit] counts what is not folded into the base: the tail, the
+   runs' entries, and removals since the last rebuild. *)
 let maintain_locked t =
   let s = t.store in
-  if s.n_pending + Atomic.get t.dead_pending > churn_limit t s then rebuild_locked t
+  if s.n_pending + run_entries s + Atomic.get t.dead_pending > churn_limit t s then
+    rebuild_locked t
+  else if s.n_pending >= run_size then seal_locked t
 
 let rebuild t = locked t (fun () -> rebuild_locked t)
 let maintain t = locked t (fun () -> maintain_locked t)
 
 (* ---- maintenance hooks --------------------------------------------- *)
 
-(* Appending publishes a new store record sharing the arrays — the single
+(* Appending publishes a new store record sharing the levels — the single
    publication point again. The ref alone is logged (no text): the probe
    re-extracts the live text anyway, so a pending entry is always exactly
    as fresh as the row itself. *)
-let append_pending_locked t packed =
+let push_pending_locked t packed =
   let s = t.store in
   t.store <- { s with pending = packed :: s.pending; n_pending = s.n_pending + 1 };
-  Smc_obs.incr t.obs Smc_obs.c_txt_adds;
+  Smc_obs.incr t.obs Smc_obs.c_txt_adds
+
+let append_pending_locked t packed =
+  push_pending_locked t packed;
   maintain_locked t
 
+(* The liveness check takes its own critical section so that a seal or
+   merge triggered by this append runs outside it. *)
 let on_add t r _blk _slot =
   locked t (fun () ->
-      Smc.Collection.with_read t.coll (fun () ->
-          (* removed before we got the lock → nothing to index *)
-          if Smc.Collection.deref_opt t.coll r <> None then
-            append_pending_locked t (Smc.Ref.to_packed r)))
+      (* removed before we got the lock → nothing to index *)
+      if Smc.Collection.with_read t.coll (fun () -> Smc.Collection.mem t.coll r) then
+        append_pending_locked t (Smc.Ref.to_packed r))
 
 (* Removal is O(1): entries go stale by incarnation and are dropped by the
-   next rebuild. No text extraction — the row is already gone. *)
+   next merge or rebuild that covers their level. No text extraction — the
+   row is already gone. *)
 let on_remove t _r =
   Atomic.incr t.dead_pending;
   Smc_obs.incr t.obs Smc_obs.c_txt_removes
@@ -477,7 +541,6 @@ let attach ?churn_limit ~name ~column coll =
       churn_limit;
       lock = Mutex.create ();
       store = empty_store;
-      stale_seen = Atomic.make 0;
       dead_pending = Atomic.make 0;
       obs = coll.Smc.Collection.rt.Runtime.obs;
     }
@@ -485,8 +548,8 @@ let attach ?churn_limit ~name ~column coll =
   (* Hooks first (rejects direct mode / duplicate names before any work),
      then the bulk load; attach is a quiescent-point operation so no add
      can slip between the two. The load stages every live row through the
-     pending log and runs one merge-rebuild — the same path incremental
-     maintenance takes. *)
+     pending tail and runs one full rebuild — the same level builder
+     incremental maintenance uses. *)
   Smc.Collection.attach_index coll
     {
       Smc.Collection.ih_name = name;
@@ -497,10 +560,7 @@ let attach ?churn_limit ~name ~column coll =
   locked t (fun () ->
       Smc.Collection.iter coll ~f:(fun blk slot ->
           let r = Smc.Collection.ref_of_slot coll blk slot in
-          let s = t.store in
-          t.store <-
-            { s with pending = Smc.Ref.to_packed r :: s.pending; n_pending = s.n_pending + 1 };
-          Smc_obs.incr t.obs Smc_obs.c_txt_adds);
+          push_pending_locked t (Smc.Ref.to_packed r));
       rebuild_locked t);
   t
 
@@ -512,6 +572,7 @@ type stats = {
   entries : int;
   suffixes : int;
   pending : int;
+  runs : int;
   arena_bytes : int;
   memory_words : int;
 }
@@ -519,78 +580,117 @@ type stats = {
 let stats t =
   let s = t.store in
   let words_of_bytes b = (b + 7) / 8 in
+  let entries = ref 0 and suffixes = ref 0 and bytes = ref 0 and words = ref 0 in
+  iter_levels s (fun lv ->
+      let arena = Bigarray.Array1.dim lv.arena in
+      entries := !entries + lv.n_entries;
+      suffixes := !suffixes + lv.n_sa;
+      bytes := !bytes + arena;
+      words := !words + words_of_bytes arena + (3 * lv.n_entries) + lv.n_sa);
   {
-    entries = s.n_entries;
-    suffixes = s.n_sa;
+    entries = !entries;
+    suffixes = !suffixes;
     pending = s.n_pending;
-    arena_bytes = Bigarray.Array1.dim s.arena;
-    memory_words =
-      words_of_bytes (Bigarray.Array1.dim s.arena)
-      + (3 * s.n_entries) + s.n_sa;
+    runs = List.length s.runs;
+    arena_bytes = !bytes;
+    memory_words = !words;
   }
+
+let arena_text lv e =
+  let o = Bigarray.Array1.get lv.ent_off e and l = Bigarray.Array1.get lv.ent_len e in
+  String.init l (fun j -> Char.chr (Bigarray.Array1.get lv.arena (o + j)))
 
 let audit t =
   let s = t.store in
   let violations = ref [] in
   let bad fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  (* entry tables: offsets ascending, back to back, NUL-terminated *)
-  let expect_off = ref 0 in
-  for e = 0 to s.n_entries - 1 do
-    let o = Bigarray.Array1.get s.ent_off e and l = Bigarray.Array1.get s.ent_len e in
-    if o <> !expect_off then
-      bad "text index %s entry %d: offset %d, expected %d" t.name e o !expect_off;
-    if l < 0 then bad "text index %s entry %d: negative length %d" t.name e l;
-    if o + l < Bigarray.Array1.dim s.arena && Bigarray.Array1.get s.arena (o + l) <> 0 then
-      bad "text index %s entry %d: missing NUL terminator" t.name e;
-    expect_off := o + l + 1
-  done;
-  (* suffix array: right size, sorted, covers each suffix exactly once *)
-  let total = ref 0 in
-  for e = 0 to s.n_entries - 1 do
-    total := !total + Bigarray.Array1.get s.ent_len e
-  done;
-  if s.n_sa <> !total then
-    bad "text index %s: suffix array has %d offsets but entries hold %d bytes" t.name s.n_sa
-      !total;
-  let marks = Bytes.make (Bigarray.Array1.dim s.arena) '\000' in
-  for i = 0 to s.n_sa - 1 do
-    let off = Bigarray.Array1.get s.sa i in
-    if off < 0 || off >= Bigarray.Array1.dim s.arena then
-      bad "text index %s sa[%d]: offset %d outside the arena" t.name i off
-    else begin
-      if Bytes.get marks off <> '\000' then
-        bad "text index %s sa[%d]: offset %d listed twice" t.name i off;
-      Bytes.set marks off '\001';
-      if Bigarray.Array1.get s.arena off = 0 then
-        bad "text index %s sa[%d]: offset %d points at a terminator" t.name i off
-    end;
-    if i > 0 && compare_suffixes s.arena (Bigarray.Array1.get s.sa (i - 1)) off > 0 then
-      bad "text index %s: suffix array out of order at %d" t.name i
-  done;
-  (* every live row findable: in the pending log, or an entry whose arena
-     text equals the row's current text (a live row whose arena text went
-     stale must be pending — the store hook guarantees it) *)
-  let by_ref = Hashtbl.create (max 16 s.n_entries) in
-  for e = 0 to s.n_entries - 1 do
-    Hashtbl.replace by_ref (Bigarray.Array1.get s.ent_ref e) e
-  done;
+  let levels = List.mapi (fun i lv -> (Printf.sprintf "run %d" i, lv)) s.runs in
+  let levels = ("base", s.base) :: levels in
+  let audit_level (lname, lv) =
+    (* entry tables: offsets ascending, back to back, NUL-terminated *)
+    let expect_off = ref 0 in
+    for e = 0 to lv.n_entries - 1 do
+      let o = Bigarray.Array1.get lv.ent_off e and l = Bigarray.Array1.get lv.ent_len e in
+      if o <> !expect_off then
+        bad "text index %s %s entry %d: offset %d, expected %d" t.name lname e o !expect_off;
+      if l < 0 then bad "text index %s %s entry %d: negative length %d" t.name lname e l;
+      if o + l < Bigarray.Array1.dim lv.arena && Bigarray.Array1.get lv.arena (o + l) <> 0 then
+        bad "text index %s %s entry %d: missing NUL terminator" t.name lname e;
+      expect_off := o + l + 1
+    done;
+    (* suffix array: right size, sorted, covers each suffix exactly once *)
+    let total = ref 0 in
+    for e = 0 to lv.n_entries - 1 do
+      total := !total + Bigarray.Array1.get lv.ent_len e
+    done;
+    if lv.n_sa <> !total then
+      bad "text index %s %s: suffix array has %d offsets but entries hold %d bytes" t.name
+        lname lv.n_sa !total;
+    let marks = Bytes.make (Bigarray.Array1.dim lv.arena) '\000' in
+    for i = 0 to lv.n_sa - 1 do
+      let off = Bigarray.Array1.get lv.sa i in
+      if off < 0 || off >= Bigarray.Array1.dim lv.arena then
+        bad "text index %s %s sa[%d]: offset %d outside the arena" t.name lname i off
+      else begin
+        if Bytes.get marks off <> '\000' then
+          bad "text index %s %s sa[%d]: offset %d listed twice" t.name lname i off;
+        Bytes.set marks off '\001';
+        if Bigarray.Array1.get lv.arena off = 0 then
+          bad "text index %s %s sa[%d]: offset %d points at a terminator" t.name lname i off
+      end;
+      if i > 0 && compare_suffixes lv.arena (Bigarray.Array1.get lv.sa (i - 1)) off > 0 then
+        bad "text index %s %s: suffix array out of order at %d" t.name lname i
+    done;
+    let by_ref = Hashtbl.create (max 16 lv.n_entries) in
+    for e = 0 to lv.n_entries - 1 do
+      Hashtbl.replace by_ref (Bigarray.Array1.get lv.ent_ref e) e
+    done;
+    (lname, lv, by_ref)
+  in
+  let indexed = List.map audit_level levels in
+  (* level shape: a maintained tail is shorter than a run, and the carry
+     leaves run sizes strictly growing toward the oldest *)
+  if s.n_pending <> List.length s.pending then
+    bad "text index %s: pending count %d but the tail holds %d refs" t.name s.n_pending
+      (List.length s.pending);
+  if s.n_pending >= run_size then
+    bad "text index %s: tail of %d refs was not sealed (run size %d)" t.name s.n_pending
+      run_size;
+  ignore
+    (List.fold_left
+       (fun newer lv ->
+         if lv.n_entries <= newer then
+           bad "text index %s: run of %d entries below a newer run of %d" t.name lv.n_entries
+             newer;
+         lv.n_entries)
+       (-1) s.runs
+      : int);
+  (* every live row findable: in the pending tail, or an entry in some
+     level whose arena text equals the row's current text (a live row
+     whose every arena text went stale must be pending — the store hook
+     guarantees it) *)
   let pend = Hashtbl.create (max 16 s.n_pending) in
   List.iter (fun p -> Hashtbl.replace pend p ()) s.pending;
-  let arena_text e =
-    let o = Bigarray.Array1.get s.ent_off e and l = Bigarray.Array1.get s.ent_len e in
-    String.init l (fun j -> Char.chr (Bigarray.Array1.get s.arena (o + j)))
-  in
   Smc.Collection.iter t.coll ~f:(fun blk slot ->
       let r = Smc.Collection.ref_of_slot t.coll blk slot in
       let p = Smc.Ref.to_packed r in
       if not (Hashtbl.mem pend p) then begin
-        match Hashtbl.find_opt by_ref p with
-        | None -> bad "text index %s: live row %d is neither indexed nor pending" t.name p
-        | Some e ->
-          (* the arena stores case-folded bytes; compare folded forms *)
-          let cur = Smc.Field.get_string t.field blk slot in
-          if not (String.equal (arena_text e) (String.map lower_byte cur)) then
-            bad "text index %s entry %d: arena text %S stale for live row (now %S, not pending)"
-              t.name e (arena_text e) cur
+        (* the arena stores case-folded bytes; compare folded forms *)
+        let cur = Smc.Field.get_string t.field blk slot in
+        let folded = String.map lower_byte cur in
+        let entries =
+          List.filter_map
+            (fun (lname, lv, by_ref) ->
+              Option.map (fun e -> (lname, lv, e)) (Hashtbl.find_opt by_ref p))
+            indexed
+        in
+        match entries with
+        | [] -> bad "text index %s: live row %d is neither indexed nor pending" t.name p
+        | (lname, lv, e) :: _ ->
+          let fresh (_, lv, e) = String.equal (arena_text lv e) folded in
+          if not (List.exists fresh entries) then
+            bad
+              "text index %s %s entry %d: arena text %S stale for live row (now %S, not pending)"
+              t.name lname e (arena_text lv e) cur
       end);
   List.rev !violations

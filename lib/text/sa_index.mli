@@ -17,14 +17,21 @@
     against the probe predicate. A removed or overwritten row's arena entry
     therefore reads as stale/miss and can never resurrect.
 
-    Maintenance is log-structured: [add]s and column [store]s append the
-    row's reference to a pending log that probes scan linearly (checking
-    the live text directly); removals only bump a churn counter. When churn
-    crosses a threshold a merge-rebuild collects the still-live entries,
-    re-extracts their current text, and builds a complete fresh
-    arena + suffix array which is published with a single store-field
-    write — the fully-populate-before-swap rule, so lock-free probes see
-    either the old store or the new one, never a half-built array.
+    Maintenance is log-structured in levels: a [base] level built by full
+    rebuilds, a few sealed runs (each a complete arena + suffix array of
+    the same shape), and a short pending tail. [add]s and column [store]s
+    append the row's reference to the tail; removals only bump a churn
+    counter. When the tail reaches a fixed run size (256 refs) it is
+    sealed into a new run, and runs merge like a binary counter — while
+    the newest run is at least as large as the one below, the two are
+    rebuilt as one — so there are O(log) runs and a probe costs
+    [O(levels · |needle| · log suffixes + tail)]: two binary searches per
+    level plus a scan of fewer than 256 tail refs (checking the live text
+    directly). When churn crosses a threshold a full merge-rebuild folds
+    every level and the tail into a fresh base. Every level is built
+    complete before a single store-field write publishes the record that
+    holds it — the fully-populate-before-swap rule, so lock-free probes
+    see either the old store or the new one, never a half-built array.
 
     Concurrency: one writer at a time (internal mutex); probes are
     lock-free and may run concurrently with writers under bag semantics —
@@ -49,8 +56,9 @@ val attach : ?churn_limit:int -> name:string -> column:string -> Smc.Collection.
     quiescent-point operation (no concurrent mutators during the bulk
     load). Raises [Invalid_argument] on direct-mode collections, duplicate
     index names, or a column that is not a string field. [churn_limit]
-    overrides the pending+dead threshold that triggers a merge-rebuild
-    (default [max 64 (entries / 4)]). *)
+    overrides the threshold on entries not yet folded into the base
+    (tail refs plus run entries) plus removals that triggers a full
+    merge-rebuild (default [max 64 (base entries / 4)]). *)
 
 val detach : t -> unit
 (** Unregisters the maintenance hooks; further probes see a frozen
@@ -64,10 +72,10 @@ val column : t -> string
 
 val probe : t -> op -> string -> f:(Smc.Ref.t -> Smc_offheap.Block.t -> int -> unit) -> unit
 (** Yields every live row whose column text matches [(op, needle)], inside
-    one epoch critical section. Candidates come from the suffix-array
-    range and from the pending log, deduplicated per probe (a row with
-    several matching suffixes, or present in both the array and the log,
-    is emitted once); each is incarnation-validated and its text
+    one epoch critical section. Candidates come from each level's
+    suffix-array range and from the pending tail, deduplicated per probe (a
+    row with several matching suffixes, or present in several levels and
+    the tail, is emitted once); each is incarnation-validated and its text
     re-extracted and re-tested before emission. Bag semantics; emission
     order is unspecified. *)
 
@@ -87,31 +95,34 @@ val top_k_similar : t -> k:int -> string -> (Smc.Ref.t * int) list
 (** {1 Maintenance and introspection} *)
 
 val rebuild : t -> unit
-(** Forces a merge-rebuild now (pending log folded in, stale entries
-    dropped, fresh suffix array published). Writer-serialised; probes
+(** Forces a full merge-rebuild now (runs and pending tail folded into a
+    fresh base, stale entries dropped). Writer-serialised; probes
     racing the swap finish against the old store. *)
 
 val maintain : t -> unit
-(** Runs the churn check (and a rebuild if over threshold) — what the
-    write hooks do on every append. Useful after remove-heavy phases,
-    since removals alone never take the writer lock. *)
+(** Runs the churn check (a full rebuild if over threshold, else a seal
+    if the tail is full) — what the write hooks do on every append.
+    Useful after remove-heavy phases, since removals alone never take
+    the writer lock. *)
 
 type stats = {
-  entries : int;  (** arena entries (may include stale ones) *)
-  suffixes : int;  (** suffix-array size = total indexed bytes *)
-  pending : int;  (** refs in the pending log awaiting merge *)
-  arena_bytes : int;
-  memory_words : int;  (** off-heap words across arena + tables + array *)
+  entries : int;  (** arena entries over all levels (may include stale ones) *)
+  suffixes : int;  (** suffix-array sizes = total indexed bytes, all levels *)
+  pending : int;  (** refs in the pending tail awaiting a seal *)
+  runs : int;  (** sealed runs besides the base level *)
+  arena_bytes : int;  (** over all levels *)
+  memory_words : int;  (** off-heap words across arenas + tables + arrays *)
 }
 
 val stats : t -> stats
 
 val audit : t -> string list
-(** Structural invariant sweep; call only at a quiescent point. Checks the
-    suffix array is sorted and covers exactly the arena's suffixes, the
-    entry tables are mutually consistent, and every live row of the
-    collection is findable — its reference is in the pending log, or its
-    arena entry's text equals its current column text. (A live row whose
-    arena text went stale {e must} therefore be in the pending log: the
-    store hook guarantees it.) Returns violation descriptions, [[]] when
-    clean. *)
+(** Structural invariant sweep; call only at a quiescent point. Checks,
+    per level, that the suffix array is sorted and covers exactly the
+    arena's suffixes and the entry tables are mutually consistent; that
+    the tail is shorter than a run and run sizes grow toward the oldest;
+    and that every live row of the collection is findable — its reference
+    is in the pending tail, or some level's entry for it holds its current
+    column text. (A live row whose arena texts all went stale {e must}
+    therefore be pending: the store hook guarantees it.) Returns violation
+    descriptions, [[]] when clean. *)

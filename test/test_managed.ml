@@ -97,22 +97,28 @@ let test_dict_concurrent () =
   check Alcotest.int "values intact" (n_domains * (per * (per - 1) / 2)) sum
 
 (* Domains add and remove on interleaved key ranges: stripes of every shard
-   are hit by every domain, so shard locks are genuinely contended. *)
+   are hit by every domain, so shard locks are genuinely contended. Alcotest
+   is not domain-safe, so each domain returns its count of failed own-key
+   removes and the main domain checks them after the join. *)
 let test_dict_contended_add_remove () =
   let d = Concurrent_dictionary.create () in
   let n_domains = 4 and per = 2_000 in
   let domains =
     List.init n_domains (fun i ->
         Domain.spawn (fun () ->
+            let failed = ref 0 in
             for j = 0 to per - 1 do
               let key = (j * n_domains) + i in
               Concurrent_dictionary.add d ~key (key * 7);
-              if j land 1 = 0 then
-                check Alcotest.bool "remove own key" true
-                  (Concurrent_dictionary.remove d ~key)
-            done))
+              if j land 1 = 0 && not (Concurrent_dictionary.remove d ~key) then incr failed
+            done;
+            !failed))
   in
-  List.iter Domain.join domains;
+  List.iteri
+    (fun i dom ->
+      check Alcotest.int (Printf.sprintf "domain %d: every own-key remove succeeded" i) 0
+        (Domain.join dom))
+    domains;
   (* Even j removed, odd j survived. *)
   check Alcotest.int "survivors" (n_domains * per / 2) (Concurrent_dictionary.length d);
   Concurrent_dictionary.iter d ~f:(fun key v ->

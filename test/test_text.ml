@@ -174,6 +174,238 @@ let test_attach_detach () =
   check Alcotest.bool "detached index is frozen" false
     (T.contains_match ix T.Substring "post-detach")
 
+(* ---- levels: seals, merges, and probes racing them ------------------ *)
+
+(* Sa_index seals its pending tail into a run at this many refs (a private
+   constant of the index; maintenance keeps the tail below it). *)
+let run_size = 256
+
+let model_tokens =
+  [| "alpha"; "Bravo"; "chaRLie"; "delta"; "ECHO"; "wolf"; "were"; "ray"; "burst"; "ab" |]
+
+(* Seals and merges observed from outside: a seal resets the tail, and a
+   seal that does not grow the run count by one carried into a merge. *)
+type level_watch = { mutable seals : int; mutable merges : int; mutable last : T.stats }
+
+let watch ix = { seals = 0; merges = 0; last = T.stats ix }
+
+let observe w ix =
+  let st = T.stats ix in
+  if st.T.pending < w.last.T.pending then begin
+    w.seals <- w.seals + 1;
+    w.merges <- w.merges + max 0 (w.last.T.runs + 1 - st.T.runs)
+  end;
+  w.last <- st
+
+let brute_match op needle s =
+  let fold = String.lowercase_ascii in
+  let n = String.length needle and h = String.length s in
+  let contains needle s =
+    let rec go i = i + n <= h && (String.sub s i n = needle || go (i + 1)) in
+    go 0
+  in
+  match op with
+  | T.Prefix -> n <= h && String.sub s 0 n = needle
+  | T.Substring -> contains needle s
+  | T.Substring_ci -> contains (fold needle) (fold s)
+
+let brute_top_k live ~k query =
+  let n = String.length query in
+  let frags =
+    if n < 3 then [ query ]
+    else List.sort_uniq compare (List.init (n - 2) (fun i -> String.sub query i 3))
+  in
+  Hashtbl.fold
+    (fun p s acc ->
+      let score = List.length (List.filter (fun g -> brute_match T.Substring g s) frags) in
+      if score > 0 then (p, score) :: acc else acc)
+    live []
+  |> List.sort (fun (pa, sa) (pb, sb) -> if sa <> sb then compare sb sa else compare pa pb)
+  |> List.filteri (fun i _ -> i < k)
+
+let check_against_model ~phase ix live =
+  let expect op needle =
+    Hashtbl.fold (fun p s acc -> if brute_match op needle s then p :: acc else acc) live []
+    |> List.sort compare
+  in
+  let got op needle =
+    List.sort compare (List.map Smc.Ref.to_packed (T.probe_refs ix op needle))
+  in
+  let live_texts = Hashtbl.fold (fun _ s acc -> s :: acc) live [] in
+  let needles =
+    [ ""; "a"; "al"; "wolf"; "WOLF"; "ra"; "Bravo e"; "zzz"; "keep" ]
+    @ List.filteri (fun i _ -> i mod 17 = 0) live_texts
+    @ List.filter_map
+        (fun s -> if String.length s > 6 then Some (String.sub s 2 4) else None)
+        (List.filteri (fun i _ -> i mod 23 = 0) live_texts)
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun needle ->
+          check (Alcotest.list Alcotest.int)
+            (Printf.sprintf "%s: probe %S row for row" phase needle)
+            (expect op needle) (got op needle))
+        needles)
+    [ T.Prefix; T.Substring; T.Substring_ci ];
+  List.iter
+    (fun q ->
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+        (Printf.sprintf "%s: top_k_similar %S" phase q)
+        (brute_top_k live ~k:7 q)
+        (List.map (fun (r, sc) -> (Smc.Ref.to_packed r, sc)) (T.top_k_similar ix ~k:7 q)))
+    [ "alpha wolf"; "ab"; "chaRLie ray" ];
+  check (Alcotest.list Alcotest.string) (phase ^ ": audit clean") [] (T.audit ix);
+  check Alcotest.bool (phase ^ ": tail below the run size") true
+    ((T.stats ix).T.pending < run_size)
+
+let test_seal_merge_model () =
+  let rt = Smc_offheap.Runtime.create () in
+  let coll, fid, ftxt, refs = mk_coll rt fixture_texts in
+  (* far above anything this test appends: every fold below is a seal or a
+     merge, never a full rebuild *)
+  let ix = T.attach ~churn_limit:1_000_000 ~name:"by_txt" ~column:"txt" coll in
+  let live = Hashtbl.create 256 in
+  List.iteri (fun i s -> Hashtbl.replace live (Smc.Ref.to_packed refs.(i)) s) fixture_texts;
+  let handles = ref (Array.to_list refs) in
+  let prng = Smc_util.Prng.create ~seed:1311L () in
+  let text () =
+    String.concat " "
+      (List.init (1 + Smc_util.Prng.int prng 3) (fun _ ->
+           model_tokens.(Smc_util.Prng.int prng (Array.length model_tokens))))
+  in
+  let w = watch ix in
+  let add s =
+    let r =
+      Smc.Collection.add coll ~init:(fun blk slot ->
+          Smc.Field.set_int fid blk slot 0;
+          Smc.Field.set_string ftxt blk slot s)
+    in
+    Hashtbl.replace live (Smc.Ref.to_packed r) s;
+    handles := r :: !handles;
+    observe w ix;
+    r
+  in
+  let restore r s =
+    store_string coll ftxt r s;
+    Hashtbl.replace live (Smc.Ref.to_packed r) s;
+    observe w ix
+  in
+  let pick () =
+    let hs = Array.of_list !handles in
+    hs.(Smc_util.Prng.int prng (Array.length hs))
+  in
+  let phase i =
+    for _ = 1 to 150 do
+      let d = Smc_util.Prng.int prng 10 in
+      if d < 5 || Hashtbl.length live < 10 then ignore (add (text ()) : Smc.Ref.t)
+      else if d < 8 then restore (pick ()) (text ())
+      else begin
+        let r = pick () in
+        check Alcotest.bool "remove a live handle" true (Smc.Collection.remove coll r);
+        Hashtbl.remove live (Smc.Ref.to_packed r);
+        handles := List.filter (fun h -> not (Smc.Ref.equal h r)) !handles;
+        observe w ix
+      end
+    done;
+    check_against_model ~phase:(Printf.sprintf "phase %d" i) ix live
+  in
+  (* Drive appends until the tail has been sealed [n] more times. *)
+  let seal_times n =
+    let target = w.seals + n in
+    while w.seals < target do
+      ignore (add (text ()) : Smc.Ref.t)
+    done
+  in
+  for i = 1 to 6 do
+    phase i
+  done;
+  (* A row whose old text was sealed into a run, then re-stored: its old
+     text must miss, its new text hit once — also once the new text is
+     sealed too and both levels hold an entry for it. *)
+  let r = add "keepold row" in
+  seal_times 1;
+  restore r "keepnew row";
+  let once phase =
+    check Alcotest.int (phase ^ ": old text misses") 0
+      (List.length (T.probe_refs ix T.Substring "keepold"));
+    check (Alcotest.list Alcotest.int) (phase ^ ": new text emitted once")
+      [ Smc.Ref.to_packed r ]
+      (List.map Smc.Ref.to_packed (T.probe_refs ix T.Substring "keepnew"));
+    check (Alcotest.list Alcotest.int) (phase ^ ": shared prefix emitted once")
+      [ Smc.Ref.to_packed r ]
+      (List.map Smc.Ref.to_packed (T.probe_refs ix T.Prefix "keep"))
+  in
+  once "re-stored, new text pending";
+  seal_times 1;
+  once "re-stored, new text sealed";
+  check_against_model ~phase:"after re-store" ix live;
+  check Alcotest.bool (Printf.sprintf "at least 4 seals (saw %d)" w.seals) true (w.seals >= 4);
+  check Alcotest.bool (Printf.sprintf "at least 2 merges (saw %d)" w.merges) true
+    (w.merges >= 2);
+  check Alcotest.bool "runs still unfolded (no full rebuild)" true ((T.stats ix).T.runs > 0)
+
+(* Probe-vs-seal race: one writer domain appends across many seal and
+   merge boundaries (adding rows, rewriting and removing some of its own)
+   while the main domain probes rows that are live throughout — the bulk-
+   loaded ones and every writer row already published as a keeper. Each
+   seal or merge publishes a new store; a probe must see either the old
+   one or the new one, and both hold every keeper. Misses are counted, and
+   checked only after the join. *)
+let test_probe_seal_race () =
+  let rt = Smc_offheap.Runtime.create () in
+  let base_texts = List.init 200 (Printf.sprintf "base%05d row") in
+  let coll, fid, ftxt, _ = mk_coll rt base_texts in
+  let ix = T.attach ~churn_limit:1_000_000 ~name:"by_txt" ~column:"txt" coll in
+  let keeper j = Printf.sprintf "keep%06d" j in
+  let n_writes = 4_000 in
+  let published = Atomic.make 0 (* keepers 0 .. published-1 are in the index *) in
+  let max_runs = Atomic.make 0 in
+  let writer =
+    Domain.spawn (fun () ->
+        for j = 0 to n_writes - 1 do
+          ignore
+            (Smc.Collection.add coll ~init:(fun blk slot ->
+                 Smc.Field.set_int fid blk slot j;
+                 Smc.Field.set_string ftxt blk slot (keeper j ^ " stays"))
+              : Smc.Ref.t);
+          Atomic.set published (j + 1);
+          let churn =
+            Smc.Collection.add coll ~init:(fun blk slot ->
+                Smc.Field.set_int fid blk slot (-j);
+                Smc.Field.set_string ftxt blk slot (Printf.sprintf "churn%06d" j))
+          in
+          if j land 1 = 0 then store_string coll ftxt churn (Printf.sprintf "moved%06d" j)
+          else ignore (Smc.Collection.remove coll churn : bool);
+          let runs = (T.stats ix).T.runs in
+          if runs > Atomic.get max_runs then Atomic.set max_runs runs
+        done)
+  in
+  let misses = Atomic.make 0 and probes = ref 0 in
+  let prng = Smc_util.Prng.create ~seed:77L () in
+  while Atomic.get published < n_writes do
+    let n = Atomic.get published in
+    let needle =
+      if n = 0 || Smc_util.Prng.int prng 4 = 0 then
+        Printf.sprintf "base%05d" (Smc_util.Prng.int prng 200)
+      else keeper (Smc_util.Prng.int prng n)
+    in
+    if not (T.contains_match ix T.Substring needle) then Atomic.incr misses;
+    incr probes
+  done;
+  Domain.join writer;
+  check Alcotest.int "no probe missed a row live throughout the seals and merges" 0
+    (Atomic.get misses);
+  check Alcotest.bool "the prober ran" true (!probes > 0);
+  check Alcotest.bool "the writer crossed several seals into merged runs" true
+    (Atomic.get max_runs >= 2);
+  check (Alcotest.list Alcotest.string) "audit clean after the race" [] (T.audit ix);
+  for j = 0 to n_writes - 1 do
+    if not (T.contains_match ix T.Substring (keeper j)) then
+      Alcotest.failf "keeper %d missing at the quiescent point" j
+  done
+
 (* ---- planner -------------------------------------------------------- *)
 
 let mk_src ?(with_text = true) rt texts =
@@ -439,6 +671,9 @@ let () =
           Alcotest.test_case "churn limit forces merges" `Quick test_churn_rebuild;
           Alcotest.test_case "top-k similarity" `Quick test_top_k_similar;
           Alcotest.test_case "attach/detach" `Quick test_attach_detach;
+          Alcotest.test_case "seals and merges match a brute-force model" `Quick
+            test_seal_merge_model;
+          Alcotest.test_case "probes racing seals and merges" `Quick test_probe_seal_race;
         ] );
       ( "planner",
         [
