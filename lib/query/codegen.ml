@@ -16,8 +16,9 @@
    left-to-right, since OCaml literals evaluate right-to-left), same
    hash-table/ordering structures — so results are bit-identical to Fuse,
    including raises. Two details keep the plugin decoupled from any one
-   collection: scans and index probes enter as a closure array, and
-   constants as a [Value.t array], both indexed by emission order. The
+   collection: every leaf enters as a closure ([Plan.leaf_rows]: the scan,
+   or the probe with its key, needle or view bound) in a closure array,
+   and constants as a [Value.t array], both indexed by emission order. The
    compiled function is cached by the digest of its source, so plans that
    differ only in constants or in the collection they scan share one
    plugin.
@@ -35,14 +36,6 @@ type compiled_fn =
   unit
 
 exception Unsupported of string
-
-(* Pipeline leaves, in emission order — the host builds the [sources]
-   closure array from these with the exact closures Fuse would use. *)
-type leaf =
-  | L_scan of Source.t
-  | L_probe of Source.index_info * Value.t
-  | L_text of Source.text_info * Smc_text.Sa_index.op * string
-  | L_view of Source.matview_info
 
 let indent n = String.make (2 * n) ' '
 
@@ -140,47 +133,15 @@ let render plan =
   in
   let rec emit plan depth k =
     match plan with
-    | Plan.Scan src ->
-      let i = add_leaf (L_scan src) in
+    | Plan.Scan _ | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ ->
+      (* Every leaf enters as a host closure ([Plan.leaf_rows]): a scan, or
+         a probe with its key, needle or view already bound. The rendered
+         source never sees which, so plans differing only in probe
+         constants share one compiled plugin. *)
+      let i = add_leaf (Plan.leaf_rows plan) in
       let row = fresh "row" in
-      line depth "(* scan %s: valid slots in block order, one epoch critical" src.Source.name;
-      line depth "   section per block on the batch path *)";
-      line depth "Array.get sources %d (fun %s ->" i row;
-      k (depth + 1) row;
-      line (depth + 1) "());";
-      ignore (Plan.schema plan)
-    | Plan.IndexScan { src; index; value } ->
-      let i = add_leaf (L_probe (index, value)) in
-      let row = fresh "row" in
-      line depth "(* index scan %s.%s via %s: off-heap hash probe, hits" src.Source.name
-        index.Source.ix_column index.Source.ix_name;
-      line depth "   incarnation-validated and re-checked structurally *)";
-      line depth "Array.get sources %d (fun %s ->" i row;
-      k (depth + 1) row;
-      line (depth + 1) "());"
-    | Plan.TextScan { src; text; op; needle } ->
-      (* The needle rides in the leaf closure, not the rendered source:
-         plans differing only in needle share one compiled plugin, exactly
-         like L_probe constants. *)
-      let i = add_leaf (L_text (text, op, needle)) in
-      let row = fresh "row" in
-      line depth "(* text scan %s.%s via %s (%s): suffix-array probe, hits"
-        src.Source.name text.Source.tx_column text.Source.tx_name
-        (match op with
-        | Smc_text.Sa_index.Prefix -> "prefix"
-        | Smc_text.Sa_index.Substring -> "substring"
-        | Smc_text.Sa_index.Substring_ci -> "substring-ci");
-      line depth "   incarnation-validated and text-re-checked *)";
-      line depth "Array.get sources %d (fun %s ->" i row;
-      k (depth + 1) row;
-      line (depth + 1) "());"
-    | Plan.ViewRead { src; matview } ->
-      (* The maintained view result is a host-side closure like the other
-         leaves; only the view's identity shapes the rendered plan. *)
-      let i = add_leaf (L_view matview) in
-      let row = fresh "row" in
-      line depth "(* view read %s.%s: maintained aggregate groups, O(groups) *)"
-        src.Source.name matview.Source.mv_name;
+      line depth "(* leaf: rows of (%s) pushed by the host *)"
+        (String.concat ", " (Array.to_list (Plan.schema plan)));
       line depth "Array.get sources %d (fun %s ->" i row;
       k (depth + 1) row;
       line (depth + 1) "());"
@@ -556,26 +517,7 @@ let cache_lock = Mutex.create ()
 
 type outcome = Native of string | Fallback of string
 
-let rec plan_obs plan =
-  let src_obs (s : Source.t) = s.Source.obs in
-  match plan with
-  | Plan.Scan s -> src_obs s
-  | Plan.IndexScan { src; _ } | Plan.TextScan { src; _ } | Plan.ViewRead { src; _ } ->
-    src_obs src
-  | Plan.Where (_, p) | Plan.Select (_, p) | Plan.OrderBy (_, p) | Plan.Limit (_, p)
-  | Plan.Distinct p ->
-    plan_obs p
-  | Plan.GroupBy { input; _ } -> plan_obs input
-  | Plan.HashJoin { left; right; _ } -> (
-    match plan_obs left with Some o -> Some o | None -> plan_obs right)
-  | Plan.IndexJoin { left; src; _ } -> (
-    match plan_obs left with Some o -> Some o | None -> src_obs src)
-
-let leaf_closure = function
-  | L_scan src -> src.Source.scan
-  | L_probe (index, value) -> fun emit -> index.Source.ix_probe value emit
-  | L_text (text, op, needle) -> fun emit -> text.Source.tx_probe op needle emit
-  | L_view matview -> matview.Source.mv_read
+let plan_obs plan = List.find_map (fun s -> s.Source.obs) (Plan.sources plan)
 
 let prepare plan =
   let obs = plan_obs plan in
@@ -604,7 +546,7 @@ let prepare plan =
     (match fetch () with
      | Ok (fn, hit) ->
        bump (if hit then Smc_obs.c_cg_cache_hits else Smc_obs.c_cg_compiles);
-       let sources = Array.of_list (List.map leaf_closure leaves) in
+       let sources = Array.of_list leaves in
        ((fun f -> fn sources consts f), Native digest)
      | Error reason ->
        bump Smc_obs.c_cg_fallbacks;
@@ -619,11 +561,5 @@ let collect plan =
   run plan ~f:(fun row -> out := row :: !out);
   List.rev !out
 
-let rec operator_count = function
-  | Plan.Scan _ | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ -> 1
-  | Plan.Where (_, p) | Plan.Select (_, p) | Plan.OrderBy (_, p) | Plan.Limit (_, p)
-  | Plan.Distinct p ->
-    1 + operator_count p
-  | Plan.GroupBy { input; _ } -> 1 + operator_count input
-  | Plan.HashJoin { left; right; _ } -> 1 + operator_count left + operator_count right
-  | Plan.IndexJoin { left; _ } -> 1 + operator_count left
+let rec operator_count plan =
+  List.fold_left (fun n p -> n + operator_count p) 1 (Plan.children plan)

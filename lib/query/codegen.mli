@@ -10,8 +10,8 @@
     [Dynlink.loadfile_private], and receives the query function back through
     {!Codegen_abi}. Compiled plans are cached by the digest of their source,
     so re-running a plan shape (even over a different collection, or with
-    different constants — both enter as runtime arguments) reuses the
-    plugin.
+    different constants or probe keys — all enter as runtime arguments)
+    reuses the plugin.
 
     Results are bit-identical to {!Fuse.collect}: the emitted code
     transliterates {!Expr.compile}, {!Aggregate.compile} and {!Fuse}'s
@@ -34,9 +34,12 @@ exception Unsupported of string
 
 val to_ocaml_source : Plan.t -> string
 (** The complete plugin module for the plan: scalar helper prelude, the
-    [query] function (scans and index probes abstracted as a closure
-    array, constants as a [Value.t array]), and the {!Codegen_abi}
-    registration keyed by the source digest. *)
+    [query] function (every leaf abstracted as a closure — the
+    {!Plan.leaf_rows} push of a scan, or of an index, text or view probe
+    with its key bound — in a closure array, constants as a
+    [Value.t array]), and the {!Codegen_abi} registration keyed by the
+    source digest. Plans that differ only in a probe's key or needle
+    render identically. *)
 
 val available : unit -> bool
 (** Whether the compiled path can work in this process: native code,

@@ -5,11 +5,7 @@ let group_key key_fns row = List.map (fun f -> f row) key_fns
    fused pipeline. *)
 let rec compile plan =
   match plan with
-  | Plan.Scan src -> src.Source.scan
-  | Plan.IndexScan { index; value; _ } -> fun emit -> index.Source.ix_probe value emit
-  | Plan.TextScan { text; op; needle; _ } ->
-    fun emit -> text.Source.tx_probe op needle emit
-  | Plan.ViewRead { matview; _ } -> fun emit -> matview.Source.mv_read emit
+  | Plan.Scan _ | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ -> Plan.leaf_rows plan
   | Plan.Where (pred, input) ->
     let upstream = compile input in
     let test = Expr.compile_pred ~schema:(Plan.schema input) pred in
@@ -34,29 +30,15 @@ let rec compile plan =
             (Hashtbl.find_all table (group_key lkeys l)))
   | Plan.IndexJoin { left; src; index; left_col } ->
     (* Index nested-loop join: the probe side fuses straight into the
-       index lookup; there is no build phase to pipeline-break on. Left
-       keys the index cannot hold (Null, decimals, booleans) still join
-       under HashJoin's structural equality, so they route through a hash
-       table built lazily on first such key — per run, since the compiled
-       pipeline may execute more than once. *)
+       keyed probe; there is no build phase to pipeline-break on. The
+       probe is made per run, since the compiled pipeline may execute
+       more than once. *)
     let lkey = Expr.compile ~schema:(Plan.schema left) (Expr.Col left_col) in
-    let ci = Source.column_index src index.Source.ix_column in
+    let keyed = Source.keyed_probe src index in
     let probe = compile left in
     fun emit ->
-      let fallback =
-        lazy
-          (let tbl = Hashtbl.create 1024 in
-           src.Source.scan (fun r -> Hashtbl.add tbl r.(ci) r);
-           tbl)
-      in
-      probe (fun l ->
-          let k = lkey l in
-          if index.Source.ix_accepts k then
-            index.Source.ix_probe k (fun r -> emit (Array.append l r))
-          else
-            List.iter
-              (fun r -> emit (Array.append l r))
-              (Hashtbl.find_all (Lazy.force fallback) k))
+      let keyed = keyed () in
+      probe (fun l -> keyed (lkey l) (fun r -> emit (Array.append l r)))
   | Plan.GroupBy { keys; aggs; input } ->
     let schema = Plan.schema input in
     let key_fns = List.map (fun (_, e) -> Expr.compile ~schema e) keys in

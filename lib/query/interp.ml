@@ -6,45 +6,11 @@ let group_key key_fns row = List.map (fun f -> f row) key_fns
 
 let rec open_cursor plan =
   match plan with
-  | Plan.Scan src ->
-    (* Pull adapter over the push source: materialise the base rows. *)
+  | Plan.Scan _ | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ ->
+    (* Pull adapter over the leaf's push (a scan, or a probe in one
+       critical section): materialise its rows, then drain them. *)
     let rows = ref [] in
-    src.Source.scan (fun row -> rows := row :: !rows);
-    let remaining = ref (List.rev !rows) in
-    fun () ->
-      (match !remaining with
-      | [] -> None
-      | row :: rest ->
-        remaining := rest;
-        Some row)
-  | Plan.IndexScan { index; value; _ } ->
-    (* Pull adapter over the index probe, mirroring the Scan adapter: the
-       probe (one critical section, incarnation-validated hits) fills the
-       row list the cursor drains. *)
-    let rows = ref [] in
-    index.Source.ix_probe value (fun row -> rows := row :: !rows);
-    let remaining = ref (List.rev !rows) in
-    fun () ->
-      (match !remaining with
-      | [] -> None
-      | row :: rest ->
-        remaining := rest;
-        Some row)
-  | Plan.TextScan { text; op; needle; _ } ->
-    (* Same pull adapter over the suffix-array probe. *)
-    let rows = ref [] in
-    text.Source.tx_probe op needle (fun row -> rows := row :: !rows);
-    let remaining = ref (List.rev !rows) in
-    fun () ->
-      (match !remaining with
-      | [] -> None
-      | row :: rest ->
-        remaining := rest;
-        Some row)
-  | Plan.ViewRead { matview; _ } ->
-    (* Same pull adapter over the maintained view result. *)
-    let rows = ref [] in
-    matview.Source.mv_read (fun row -> rows := row :: !rows);
+    Plan.leaf_rows plan (fun row -> rows := row :: !rows);
     let remaining = ref (List.rev !rows) in
     fun () ->
       (match !remaining with
@@ -107,20 +73,10 @@ let rec open_cursor plan =
     in
     pull
   | Plan.IndexJoin { left; src; index; left_col } ->
-    (* Index nested-loop join: no build phase — each left row probes the
-       attached index, one critical section per probe. Left keys the
-       index cannot hold (Null, decimals, booleans) still join under
-       HashJoin's structural equality — e.g. Null matches Null — so they
-       route through a hash table built lazily, only if such a key
-       actually appears. *)
+    (* Index nested-loop join: no build phase — each left row runs the
+       keyed probe, one critical section per probe. *)
     let lkey = Expr.compile ~schema:(Plan.schema left) (Expr.Col left_col) in
-    let ci = Source.column_index src index.Source.ix_column in
-    let fallback =
-      lazy
-        (let tbl = Hashtbl.create 1024 in
-         src.Source.scan (fun r -> Hashtbl.add tbl r.(ci) r);
-         tbl)
-    in
+    let probe = Source.keyed_probe src index () in
     let lnext = open_cursor left in
     let pending = ref [] in
     let current_left = ref None in
@@ -135,13 +91,9 @@ let rec open_cursor plan =
         | None -> None
         | Some l ->
           current_left := Some l;
-          let k = lkey l in
-          (if index.Source.ix_accepts k then begin
-             let matches = ref [] in
-             index.Source.ix_probe k (fun r -> matches := r :: !matches);
-             pending := List.rev !matches
-           end
-           else pending := Hashtbl.find_all (Lazy.force fallback) k);
+          let matches = ref [] in
+          probe (lkey l) (fun r -> matches := r :: !matches);
+          pending := List.rev !matches;
           pull ())
     in
     pull

@@ -49,6 +49,28 @@ let rec schema = function
   | HashJoin { left; right; _ } -> joined_schema (schema left) (schema right)
   | IndexJoin { left; src; _ } -> joined_schema (schema left) src.Source.schema
 
+(* What a leaf does, in one place: the scan, or the probe bound to its
+   argument. Engines run every leaf through this push instead of knowing
+   one access path from another. *)
+let leaf_rows = function
+  | Scan src -> src.Source.scan
+  | IndexScan { index; value; _ } -> index.Source.ix_probe value
+  | TextScan { text; op; needle; _ } -> text.Source.tx_probe op needle
+  | ViewRead { matview; _ } -> matview.Source.mv_read
+  | _ -> invalid_arg "Plan.leaf_rows: not a leaf"
+
+let children = function
+  | Scan _ | IndexScan _ | TextScan _ | ViewRead _ -> []
+  | Where (_, p) | Select (_, p) | OrderBy (_, p) | Limit (_, p) | Distinct p -> [ p ]
+  | GroupBy { input; _ } -> [ input ]
+  | HashJoin { left; right; _ } -> [ left; right ]
+  | IndexJoin { left; _ } -> [ left ]
+
+let rec sources = function
+  | Scan src | IndexScan { src; _ } | TextScan { src; _ } | ViewRead { src; _ } -> [ src ]
+  | IndexJoin { left; src; _ } -> sources left @ [ src ]
+  | p -> List.concat_map sources (children p)
+
 (* Eager column validation: unknown references fail at plan construction,
    naming the operator and the input schema, instead of surfacing as an
    [Expr.compile] error deep inside Interp/Fuse at run time. *)

@@ -2,13 +2,18 @@
 
     The structure mirrors the LINQ operator set used by the paper's TPC-H
     adaptation: scans over collections, predicate filters, projections,
-    equi hash joins, grouped aggregation, ordering, and limits — plus two
-    physical index access paths ([IndexScan], [IndexJoin]) that {!Planner}
-    introduces over sources advertising attached hash indexes. A plan can
-    be evaluated by {!Interp} (pull-based Volcano iterators — the
-    LINQ-to-objects comparison point) or {!Fuse} (a fused push pipeline —
-    the query-compilation analogue), and rendered as imperative source by
-    {!Codegen}.
+    equi hash joins, grouped aggregation, ordering, and limits — plus the
+    physical access paths {!Planner} introduces over sources that advertise
+    them: [IndexScan] and [IndexJoin] over attached hash indexes,
+    [TextScan] over attached suffix-array text indexes, and [ViewRead] over
+    maintained aggregate views. A plan can be evaluated by {!Interp}
+    (pull-based Volcano iterators — the LINQ-to-objects comparison point),
+    {!Fuse} (a fused push pipeline — the query-compilation analogue) or
+    {!Vector} (column batches through typed kernels), and compiled to
+    native code by {!Codegen}. Engines do not tell one access path from
+    another: every leaf runs through {!leaf_rows} (only {!Vector} keeps a
+    batch path for [Scan]), and every [IndexJoin] probe through
+    {!Source.keyed_probe}.
 
     The smart constructors validate column references eagerly: an unknown
     column in a predicate, projection, grouping, or ordering raises
@@ -65,6 +70,19 @@ type t =
 val schema : t -> string array
 (** Output column names. Raises [Invalid_argument] on name collisions in a
     join's combined schema. *)
+
+val leaf_rows : t -> (Value.t array -> unit) -> unit
+(** The row push of a leaf: a [Scan]'s full scan, or the probe of an
+    [IndexScan]/[TextScan]/[ViewRead] bound to its argument. Each call of
+    the result re-runs the scan or probe. Raises [Invalid_argument] on a
+    non-leaf node. *)
+
+val children : t -> t list
+(** Direct sub-plans, left to right ([IndexJoin]'s right side is a source,
+    not a sub-plan). Leaves have none. *)
+
+val sources : t -> Source.t list
+(** Every source the plan reads, left to right, with repeats. *)
 
 val scan : Source.t -> t
 

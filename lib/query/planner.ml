@@ -33,33 +33,26 @@ let text_const = function
    across value types; a column/index association that violates the
    [Source.of_smc] agreement contract). *)
 let rewrite_where pred src =
-  let rec find_eq = function
-    | [] -> None
-    | e :: rest ->
-      (match eq_const e with
-      | Some (c, v) ->
-        (match Source.find_index src c with
-        | Some index when index.Source.ix_accepts v ->
-          Some (Plan.IndexScan { src; index; value = v })
-        | _ -> find_eq rest)
-      | None -> find_eq rest)
+  let eq e =
+    match eq_const e with
+    | Some (c, v) ->
+      (match Source.find_index src c with
+      | Some index when index.Source.ix_accepts v ->
+        Some (Plan.IndexScan { src; index; value = v })
+      | _ -> None)
+    | None -> None
   in
-  let rec find_text = function
-    | [] -> None
-    | e :: rest ->
-      (match text_const e with
-      | Some (c, op, needle) ->
-        (match Source.find_text src c with
-        | Some text -> Some (Plan.TextScan { src; text; op; needle })
-        | None -> find_text rest)
-      | None -> find_text rest)
+  let text e =
+    match text_const e with
+    | Some (c, op, needle) ->
+      Option.map (fun text -> Plan.TextScan { src; text; op; needle }) (Source.find_text src c)
+    | None -> None
   in
   let cs = conjuncts pred in
   (* Equality probes first: a hash/suffix tie would be rare, and the
      equality path is the more selective one when both apply. *)
-  match (match find_eq cs with Some b -> Some b | None -> find_text cs) with
-  | None -> None
-  | Some base -> Some (Plan.Where (pred, base))
+  let base = match List.find_map eq cs with Some _ as b -> b | None -> List.find_map text cs in
+  Option.map (fun base -> Plan.Where (pred, base)) base
 
 (* A [GroupBy] whose shape is exactly a view's reified plan — same keys,
    same aggregates, same filter (or no filter), over a bare scan of the
@@ -116,13 +109,6 @@ let rec choose_access_paths plan =
   | Plan.Distinct p -> Plan.Distinct (choose_access_paths p)
 
 let rec uses_index = function
-  | Plan.IndexScan _ | Plan.IndexJoin _ | Plan.TextScan _ | Plan.ViewRead _ -> true
   | Plan.Scan _ -> false
-  | Plan.Where (_, p)
-  | Plan.Select (_, p)
-  | Plan.OrderBy (_, p)
-  | Plan.Limit (_, p)
-  | Plan.Distinct p ->
-    uses_index p
-  | Plan.GroupBy { input; _ } -> uses_index input
-  | Plan.HashJoin { left; right; _ } -> uses_index left || uses_index right
+  | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ | Plan.IndexJoin _ -> true
+  | p -> List.exists uses_index (Plan.children p)

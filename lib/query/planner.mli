@@ -1,7 +1,9 @@
 (** Access-path selection over logical plans.
 
-    Sources built with [Source.of_smc ~indexes] advertise attached hash
-    indexes; this pass lowers the plan shapes they can answer onto them:
+    Sources built with [Source.of_smc] advertise attached hash indexes
+    ([~indexes]), suffix-array text indexes ([~text_indexes]) and
+    maintained aggregate views ([~matviews]); this pass lowers the plan
+    shapes they can answer onto them:
 
     - [Where (col = const, Scan src)] — including an eligible equality
       conjunct inside an [And] tree — becomes {!Plan.IndexScan} when
@@ -20,7 +22,15 @@
       skipping the build phase entirely. The executors preserve
       HashJoin's structural-equality semantics: probed rows are re-checked
       against the left key, and left keys the index cannot hold (Null,
-      decimals, booleans) fall back to a lazily built hash table.
+      decimals, booleans) fall back to a lazily built hash table
+      ({!Source.keyed_probe});
+    - a [GroupBy (keys, aggs, Scan src)] or
+      [GroupBy (keys, aggs, Where (pred, Scan src))] whose keys,
+      aggregates and filter are structurally equal to a view [src]
+      advertises becomes {!Plan.ViewRead}, which reads the maintained
+      groups instead of re-aggregating. The match runs on the original
+      input, before any lower rewrite, and is exact: a differently
+      spelled but equivalent query does not match.
 
     The pass is explicit: callers opt in per plan, so the same logical
     plan can be run both ways and compared. Rewrites preserve the bag of
@@ -30,5 +40,6 @@
 val choose_access_paths : Plan.t -> Plan.t
 
 val uses_index : Plan.t -> bool
-(** Whether any index access path appears in the plan (test/bench
-    diagnostic). *)
+(** Whether any access path other than a plain scan appears in the plan
+    ([IndexScan], [IndexJoin], [TextScan] or [ViewRead]); a test/bench
+    diagnostic. *)

@@ -307,29 +307,31 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
     in
     go 0
   in
+  (* Claims are checked where they are made: an index attached to another
+     collection would make IndexScan/IndexJoin/TextScan silently answer
+     from the wrong rows. The wrong-column half of the contract can't be
+     checked structurally, but the probe-side value re-checks below keep
+     it from ever emitting a non-matching row. Returns the column's
+     position in the schema. *)
+  let attached ~what ~name owner col =
+    if owner != coll then
+      invalid_arg
+        (Printf.sprintf "Source.of_smc: %s %S is attached to collection %S, not %S" what
+           name owner.Smc.Collection.name coll.Smc.Collection.name);
+    match schema_pos col with
+    | Some i -> i
+    | None ->
+      invalid_arg
+        (Printf.sprintf
+           "Source.of_smc: %s %S declared on column %S, which is not in the source schema"
+           what name col)
+  in
   let indexes =
     List.map
       (fun (col, ix) ->
-        (* A mispaired association would make IndexScan/IndexJoin silently
-           answer from the wrong collection; reject it here, where the
-           claim is made. The wrong-column half of the contract can't be
-           checked structurally, but the probe-side value re-check below
-           keeps it from ever emitting a non-matching row. *)
-        if Smc_index.Hash_index.collection ix != coll then
-          invalid_arg
-            (Printf.sprintf
-               "Source.of_smc: index %S is attached to collection %S, not %S"
-               (Smc_index.Hash_index.name ix)
-               (Smc_index.Hash_index.collection ix).Smc.Collection.name
-               coll.Smc.Collection.name);
         let ci =
-          match schema_pos col with
-          | Some i -> i
-          | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Source.of_smc: index %S declared on column %S, which is not in the source schema"
-                 (Smc_index.Hash_index.name ix) col)
+          attached ~what:"index" ~name:(Smc_index.Hash_index.name ix)
+            (Smc_index.Hash_index.collection ix) col
         in
         let kind = Smc_index.Hash_index.key_kind ix in
         {
@@ -356,25 +358,9 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
   let texts =
     List.map
       (fun (col, tx) ->
-        (* Same claims-checked-where-made discipline as [indexes]: a text
-           index attached to a different collection would silently answer
-           from the wrong rows. *)
-        if Smc_text.Sa_index.collection tx != coll then
-          invalid_arg
-            (Printf.sprintf
-               "Source.of_smc: text index %S is attached to collection %S, not %S"
-               (Smc_text.Sa_index.name tx)
-               (Smc_text.Sa_index.collection tx).Smc.Collection.name
-               coll.Smc.Collection.name);
         let ci =
-          match schema_pos col with
-          | Some i -> i
-          | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Source.of_smc: text index %S declared on column %S, which is not in the \
-                  source schema"
-                 (Smc_text.Sa_index.name tx) col)
+          attached ~what:"text index" ~name:(Smc_text.Sa_index.name tx)
+            (Smc_text.Sa_index.collection tx) col
         in
         {
           tx_name = Smc_text.Sa_index.name tx;
@@ -453,6 +439,23 @@ let find_index t col =
   List.find_opt (fun ix -> String.equal ix.ix_column col) t.indexes
 
 let find_text t col = List.find_opt (fun tx -> String.equal tx.tx_column col) t.texts
+
+(* IndexJoin's probe. Left keys the index cannot hold (Null, decimals,
+   booleans) still join under HashJoin's structural equality — Null
+   matches Null — so they route through a hash table over the scan, built
+   only if such a key actually appears, once per call of the unit. *)
+let keyed_probe src index =
+  let ci = column_index src index.ix_column in
+  fun () ->
+    let fallback =
+      lazy
+        (let tbl = Hashtbl.create 1024 in
+         src.scan (fun r -> Hashtbl.add tbl r.(ci) r);
+         tbl)
+    in
+    fun k emit ->
+      if index.ix_accepts k then index.ix_probe k emit
+      else List.iter emit (Hashtbl.find_all (Lazy.force fallback) k)
 
 (* Matching a [GroupBy] shape against an advertised view is structural:
    Expr.t is a pure data AST, so OCaml's polymorphic equality decides

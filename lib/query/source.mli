@@ -160,6 +160,15 @@ val find_index : t -> string -> index_info option
 val find_text : t -> string -> text_info option
 (** The advertised text access path over the given column, if any. *)
 
+val keyed_probe : t -> index_info -> unit -> Value.t -> (Value.t array -> unit) -> unit
+(** [keyed_probe src index ()] is one run's [IndexJoin] probe: it pushes
+    every row of [src] whose indexed column structurally equals the key,
+    exactly the rows a single-key [HashJoin] would match. Keys the index
+    accepts go through [ix_probe]; any other key (Null, decimals,
+    booleans) is looked up in a hash table over [src]'s scan, built on the
+    first such key and kept for the rest of the run. Raises [Not_found]
+    before the unit when the index column is not in [src]'s schema. *)
+
 val find_matview :
   t ->
   keys:(string * Expr.t) list ->

@@ -596,53 +596,17 @@ let rec compile ~batch_rows ~need plan : pipe =
             src.Source.scan emit
     in
     { schema = src.Source.schema; kinds = src.Source.kinds; run; obs = src.Source.obs }
-  | Plan.IndexScan { src; index; value } ->
-    (* Probe hits arrive boxed from the index path, so the batch is all
-       [K_any] and residual predicates above this node route through the
-       fallback filter — semantics-exact by construction. *)
-    let ncols = Array.length src.Source.schema in
-    {
-      schema = src.Source.schema;
-      kinds = all_any ncols;
-      run =
-        (fun emit ->
-          batches_of ~ncols ~rows:batch_rows
-            (fun push -> index.Source.ix_probe value push)
-            emit);
-      obs = src.Source.obs;
-    }
-  | Plan.TextScan { src; text; op; needle } ->
-    (* Same re-batching shape as IndexScan: suffix-array hits arrive as
-       boxed rows, so the batch is all [K_any] and the residual predicate
-       runs through the fallback filter. *)
-    let ncols = Array.length src.Source.schema in
-    {
-      schema = src.Source.schema;
-      kinds = all_any ncols;
-      run =
-        (fun emit ->
-          batches_of ~ncols ~rows:batch_rows
-            (fun push -> text.Source.tx_probe op needle push)
-            emit);
-      obs = src.Source.obs;
-    }
-  | Plan.ViewRead { src; matview } ->
-    (* Maintained view rows arrive boxed (one row per group), re-batched
-       like probe leaves; result sets are small, so the all-[K_any] batch
-       costs nothing measurable. *)
-    let schema =
-      Array.of_list
-        (List.map fst matview.Source.mv_keys @ List.map fst matview.Source.mv_aggs)
-    in
+  | Plan.IndexScan { src; _ } | Plan.TextScan { src; _ } | Plan.ViewRead { src; _ } ->
+    (* Probe hits and view groups arrive as boxed rows, so the batch is
+       all [K_any] and residual predicates above this node route through
+       the fallback filter — semantics-exact by construction. *)
+    let schema = Plan.schema plan in
     let ncols = Array.length schema in
+    let rows = Plan.leaf_rows plan in
     {
       schema;
       kinds = all_any ncols;
-      run =
-        (fun emit ->
-          batches_of ~ncols ~rows:batch_rows
-            (fun push -> matview.Source.mv_read push)
-            emit);
+      run = (fun emit -> batches_of ~ncols ~rows:batch_rows rows emit);
       obs = src.Source.obs;
     }
   | Plan.Where (pred, input) ->
@@ -872,26 +836,14 @@ let rec compile ~batch_rows ~need plan : pipe =
   | Plan.IndexJoin { left; src; index; left_col } ->
     let lp = compile ~batch_rows ~need:All left in
     let li = resolve lp.schema left_col in
-    let ci = Source.column_index src index.Source.ix_column in
+    let keyed = Source.keyed_probe src index in
     let schema = Plan.schema plan in
     let ncols = Array.length schema in
     let run emit =
       batches_of ~ncols ~rows:batch_rows
         (fun push ->
-          let fallback =
-            lazy
-              (let tbl = Hashtbl.create 1024 in
-               src.Source.scan (fun r -> Hashtbl.add tbl r.(ci) r);
-               tbl)
-          in
-          rows_of lp (fun l ->
-              let k = l.(li) in
-              if index.Source.ix_accepts k then
-                index.Source.ix_probe k (fun r -> push (Array.append l r))
-              else
-                List.iter
-                  (fun r -> push (Array.append l r))
-                  (Hashtbl.find_all (Lazy.force fallback) k)))
+          let keyed = keyed () in
+          rows_of lp (fun l -> keyed l.(li) (fun r -> push (Array.append l r))))
         emit
     in
     { schema; kinds = all_any ncols; run; obs = first_obs lp.obs src.Source.obs }

@@ -401,6 +401,8 @@ let test_index_join_key_semantics () =
     (sorted_rows (Interp.collect rewritten));
   check rows_testable "fused index join agrees" expect
     (sorted_rows (Fuse.collect rewritten));
+  check rows_testable "vectorized index join agrees" expect
+    (sorted_rows (Vector.collect rewritten));
   (* the point-probe path re-checks types too: an Int constant shares the
      date-keyed index's key word but not the column value *)
   check Alcotest.int "index_scan Date const hits" 1
@@ -508,6 +510,20 @@ let test_codegen_renders () =
   check rows_testable "fallback path still answers" (Interp.collect ij)
     (Codegen.collect ij)
 
+let test_codegen_shares_probe_plugins () =
+  (* Probe keys ride in the leaf closures, not in the rendered source:
+     point lookups that differ only in their key must share one plugin. *)
+  let coll, fk, fv, _refs = mk_ikv 8 in
+  let ix = H.attach ~name:"cg_eq" ~key:(H.Int_key (Smc.Field.get_int fk)) coll in
+  let src = Source.of_smc coll ~indexes:[ ("k", ix) ] ~columns:(ikv_columns fk fv) in
+  let probe k = Plan.index_scan src ~column:"k" ~value:(Value.Int k) in
+  check Alcotest.string "same plugin source for different keys"
+    (Codegen.to_ocaml_source (probe 3))
+    (Codegen.to_ocaml_source (probe 5));
+  check rows_testable "each key still gets its own rows"
+    [ [| Value.Int 5; Value.Int 35 |] ]
+    (Codegen.collect (probe 5))
+
 let qtest ?(count = 50) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
@@ -562,5 +578,9 @@ let () =
           Alcotest.test_case "plan validation" `Quick test_plan_validation;
         ] );
       ( "codegen",
-        [ Alcotest.test_case "renders" `Quick test_codegen_renders ] );
+        [
+          Alcotest.test_case "renders" `Quick test_codegen_renders;
+          Alcotest.test_case "probe keys share a plugin" `Quick
+            test_codegen_shares_probe_plugins;
+        ] );
     ]

@@ -486,6 +486,18 @@ let test_equality_wins () =
   | Plan.Where (_, Plan.IndexScan _) -> ()
   | _ -> Alcotest.fail "equality conjunct must win over the text conjunct")
 
+let test_needles_share_a_plugin () =
+  (* The needle rides in the leaf closure, not in the rendered source:
+     substring probes that differ only in their needle share one plugin. *)
+  let rt = Smc_offheap.Runtime.create () in
+  let src, _, _, _, _ = mk_src rt fixture_texts in
+  let probe needle = Plan.text_scan src ~column:"txt" ~op:T.Substring ~needle in
+  check Alcotest.string "same plugin source for different needles"
+    (Codegen.to_ocaml_source (probe "wolf"))
+    (Codegen.to_ocaml_source (probe "alpha"));
+  check Alcotest.int "wolf rows" 3 (List.length (Codegen.collect (probe "wolf")));
+  check Alcotest.int "alpha rows" 2 (List.length (Codegen.collect (probe "alpha")))
+
 (* ---- four-engine parity --------------------------------------------- *)
 
 let all_engines name plan =
@@ -679,6 +691,8 @@ let () =
         [
           Alcotest.test_case "Contains/StartsWith routing" `Quick test_planner_rewrites;
           Alcotest.test_case "equality conjunct wins" `Quick test_equality_wins;
+          Alcotest.test_case "needles share a compiled plugin" `Quick
+            test_needles_share_a_plugin;
         ] );
       ( "parity",
         [
