@@ -41,16 +41,23 @@ let meta_int k v = add_meta k (string_of_int v)
 let meta_bool k v = add_meta k (string_of_bool v)
 
 (* The commit the binary ran from: SMC_GIT_REV when the caller knows best
-   (CI), otherwise read from .git found upward of the cwd — no subprocess. *)
+   (CI), otherwise read from .git found upward of the cwd — no subprocess.
+   A branch ref is a loose .git/<ref> file until `git pack-refs`/`git gc`
+   moves it into .git/packed-refs, so both are consulted. *)
 let git_rev () =
   match Sys.getenv_opt "SMC_GIT_REV" with
   | Some r -> r
   | None ->
-    let read_line_of f =
-      try
-        let ic = open_in f in
-        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> String.trim (input_line ic))
-      with _ -> ""
+    let with_file f k = try In_channel.with_open_text f k with _ -> "" in
+    let read_line_of f = with_file f (fun ic -> String.trim (input_line ic)) in
+    let packed_ref gitdir target =
+      with_file (Filename.concat gitdir "packed-refs") (fun ic ->
+          let rec find () =
+            match String.split_on_char ' ' (String.trim (input_line ic)) with
+            | [ rev; name ] when String.equal name target -> rev
+            | _ -> find ()
+          in
+          find ())
     in
     let rec find_git dir =
       let cand = Filename.concat dir ".git" in
@@ -59,19 +66,21 @@ let git_rev () =
         let parent = Filename.dirname dir in
         if String.equal parent dir then None else find_git parent
     in
-    (match find_git (Sys.getcwd ()) with
-    | None -> "unknown"
-    | Some gitdir ->
-      let head = read_line_of (Filename.concat gitdir "HEAD") in
-      let prefix = "ref: " in
-      let n = String.length prefix in
-      if String.length head > n && String.equal (String.sub head 0 n) prefix then
-        let target = String.sub head n (String.length head - n) in
-        (match read_line_of (Filename.concat gitdir target) with
-        | "" -> "unknown"
-        | rev -> rev)
-      else if String.equal head "" then "unknown"
-      else head)
+    let rev =
+      match find_git (Sys.getcwd ()) with
+      | None -> ""
+      | Some gitdir ->
+        let head = read_line_of (Filename.concat gitdir "HEAD") in
+        let prefix = "ref: " in
+        if String.starts_with ~prefix head then
+          let n = String.length prefix in
+          let target = String.sub head n (String.length head - n) in
+          match read_line_of (Filename.concat gitdir target) with
+          | "" -> packed_ref gitdir target
+          | rev -> rev
+        else head
+    in
+    if String.equal rev "" then "unknown" else rev
 
 let write_json name file =
   let tables = List.rev !collected in
@@ -187,11 +196,20 @@ let run_qscale sf quick domain_counts =
   let sf = if quick then Float.min sf 0.01 else sf in
   print_table (E.Query_scaling.table (E.Query_scaling.run ~sf ~domain_counts ()))
 
+(* The self-checking drivers below (and [run_stats]) return every
+   violation they found, parity mismatches included: print the run's
+   table, then any violation is fatal. *)
+let checked table violations =
+  print_table table;
+  if violations <> [] then begin
+    prerr_endline (Smc_check.Audit.report violations);
+    exit 1
+  end
+
 (* Indexed vs full-scan access paths, doubling as the index self-check
-   workload: the experiment verifies indexed plans return the scan plans'
-   exact rows, churns keys to exercise staleness, and finishes with the
-   index audit plus the runtime audit/balance sweeps — violations are
-   fatal, like [run_stats]. *)
+   workload: indexed plans must return the scan plans' exact rows, key
+   churn exercises staleness, and the index audit plus the runtime
+   audit/balance sweeps close the run. *)
 let run_index quick rows sf =
   meta_bool "quick" quick;
   meta_int "rows" rows;
@@ -199,121 +217,62 @@ let run_index quick rows sf =
   let rows = if quick then min rows 50_000 else rows in
   let sf = if quick then Float.min sf 0.005 else sf in
   let points, violations = E.Index_paths.run ~rows ~sf () in
-  print_table (E.Index_paths.table points);
-  List.iter
-    (fun (p : E.Index_paths.point) ->
-      if not p.E.Index_paths.identical then
-        prerr_endline ("index plan result mismatch: " ^ p.E.Index_paths.case))
-    points;
-  if
-    violations <> []
-    || List.exists (fun (p : E.Index_paths.point) -> not p.E.Index_paths.identical) points
-  then begin
-    prerr_endline (Smc_check.Audit.report violations);
-    exit 1
-  end
+  checked (E.Index_paths.table points) violations
 
 (* Text access paths, doubling as the suffix-array self-check workload:
-   the experiment verifies TextScan plans return the scan plans' exact
-   rows on all four engines, gates the high-selectivity probe on a
-   speedup floor, churns rows through remove/store/rebuild, and finishes
-   with the text-index audit plus the runtime audit/balance sweeps —
-   violations are fatal, like [run_index]. *)
+   TextScan plans must return the scan plans' exact rows on all four
+   engines, the high-selectivity probe must clear a speedup floor, and
+   rows churn through remove/store/rebuild before the text-index audit
+   plus the runtime audit/balance sweeps. *)
 let run_text quick rows =
   meta_bool "quick" quick;
   meta_int "rows" rows;
   let rows = if quick then min rows 50_000 else rows in
   let points, violations = E.Text_bench.run ~rows () in
-  print_table (E.Text_bench.table points);
-  List.iter
-    (fun (p : E.Text_bench.point) ->
-      if not p.E.Text_bench.identical then
-        prerr_endline
-          (Printf.sprintf "text plan result mismatch: %s/%s" p.E.Text_bench.case
-             p.E.Text_bench.engine))
-    points;
-  if
-    violations <> []
-    || List.exists (fun (p : E.Text_bench.point) -> not p.E.Text_bench.identical) points
-  then begin
-    prerr_endline (Smc_check.Audit.report violations);
-    exit 1
-  end
+  checked (E.Text_bench.table points) violations
 
-(* Materialized views, doubling as the view-maintenance self-check: the
-   experiment verifies ViewRead plans return the GroupBy scan plans' exact
-   rows on all four engines after every churn phase (bare ops,
-   transactional batches, a WAL crash-recovery replay into a fresh view),
-   gates the repeated-read workload on a speedup floor, and finishes with
-   the view audit plus the runtime audit/balance sweeps on both runtimes —
-   violations are fatal, like [run_index]. *)
+(* Materialized views, doubling as the view-maintenance self-check:
+   ViewRead plans must return the GroupBy scan plans' exact rows on all
+   four engines after every churn phase (bare ops, transactional batches,
+   a WAL crash-recovery replay into a fresh view), the repeated-read
+   workload must clear a speedup floor, and the view audit plus the
+   runtime audit/balance sweeps run on both runtimes. *)
 let run_matview quick rows =
   meta_bool "quick" quick;
   meta_int "rows" rows;
   let rows = if quick then min rows 50_000 else rows in
   let points, violations = E.Matview_bench.run ~rows () in
-  print_table (E.Matview_bench.table points);
-  List.iter
-    (fun (p : E.Matview_bench.point) ->
-      if not p.E.Matview_bench.identical then
-        prerr_endline
-          (Printf.sprintf "view plan result mismatch: %s/%s" p.E.Matview_bench.phase
-             p.E.Matview_bench.engine))
-    points;
-  if
-    violations <> []
-    || List.exists (fun (p : E.Matview_bench.point) -> not p.E.Matview_bench.identical) points
-  then begin
-    prerr_endline (Smc_check.Audit.report violations);
-    exit 1
-  end
+  checked (E.Matview_bench.table points) violations
 
 (* Persistence throughput, doubling as the durability self-check: the
    recovered collection must pass the full audit sweep and answer Q1/Q6
-   bit-identically to the original — violations are fatal, like
-   [run_index]. Artifacts default to a temporary directory and are removed
-   afterwards; pass --dir to keep the .smcsnap/.wal files. *)
+   bit-identically to the original. Artifacts default to a temporary
+   directory and are removed afterwards; pass --dir to keep the
+   .smcsnap/.wal files. *)
 let run_persist quick sf dir =
   meta_bool "quick" quick;
   meta_num "sf" sf;
   let sf = if quick then Float.min sf 0.01 else sf in
   let points, violations = E.Persist_bench.run ~sf ?dir () in
-  print_table (E.Persist_bench.table points);
-  if violations <> [] then begin
-    prerr_endline (Smc_check.Audit.report violations);
-    exit 1
-  end
+  checked (E.Persist_bench.table points) violations
 
 (* Four-engine Q1/Q6 comparison, doubling as the vectorized/compiled-path
    self-check: every engine must answer bit-identically to Volcano and the
-   run ends with the audit + counter-balance sweep — any violation
-   (including a parity mismatch) is fatal, like [run_index]. *)
+   run ends with the audit + counter-balance sweep. *)
 let run_vectorized quick sf =
   meta_bool "quick" quick;
   meta_num "sf" sf;
   let sf = if quick then Float.min sf 0.02 else sf in
   let points, violations = E.Vector_bench.run ~sf () in
-  print_table (E.Vector_bench.table points);
-  List.iter
-    (fun (p : E.Vector_bench.point) ->
-      if not p.E.Vector_bench.identical then
-        prerr_endline
-          (Printf.sprintf "vectorized: %s/%s result mismatch" p.E.Vector_bench.query
-             p.E.Vector_bench.engine))
-    points;
-  if violations <> [] then begin
-    prerr_endline (Smc_check.Audit.report violations);
-    exit 1
-  end
+  checked (E.Vector_bench.table points) violations
 
 (* Sharded scaling sweep, doubling as the sharding self-check: every shard
    count must answer the probe queries on all four engines bit-identically
    to an unsharded collection, restore must reproduce the live rows (WAL
    tails included), and every shard runtime must pass the audit + balance
-   sweeps plus the coordinator's shard/request partitions — violations are
-   fatal, like [run_index]. Speedups vs the 1-shard baseline are reported
-   in the table; commit throughput scales with overlapped per-shard log
-   syncs, so the WALs run with sync=Always. *)
+   sweeps plus the coordinator's shard/request partitions. Speedups vs the
+   1-shard baseline are reported in the table; commit throughput scales
+   with overlapped per-shard log syncs, so the WALs run with sync=Always. *)
 let run_shard quick shard_counts dir =
   meta_bool "quick" quick;
   add_meta "shards"
@@ -321,15 +280,15 @@ let run_shard quick shard_counts dir =
   let txns = if quick then 96 else 240 in
   meta_int "txns" txns;
   let points, violations = E.Shard_bench.run ~shard_counts ~txns ?dir () in
-  print_table (E.Shard_bench.table points);
-  if violations <> [] then begin
-    prerr_endline (Smc_check.Audit.report violations);
-    exit 1
-  end
+  checked (E.Shard_bench.table points) violations
 
+(* The whole battery. Fig 8 and the ablations run at no more than their
+   own subcommands' default scale factor (0.02); --quick also trims the
+   qscale sweep to 1 and 2 domains. *)
 let run_all sf quick =
   meta_num "sf" sf;
   meta_bool "quick" quick;
+  let small_sf = Float.min sf 0.02 in
   (* Compact between figures: off-heap Bigarrays of dropped databases are
      only returned to the OS on finalisation. *)
   let seq fs = List.iter (fun f -> f (); Gc.compact ()) fs in
@@ -337,7 +296,7 @@ let run_all sf quick =
     [
       (fun () -> run_fig6 quick);
       (fun () -> run_fig7 quick);
-      (fun () -> run_fig8 sf quick);
+      (fun () -> run_fig8 small_sf quick);
       (fun () -> run_fig9 quick);
       (fun () -> run_fig10 sf quick);
       (fun () -> run_fig11 sf);
@@ -345,9 +304,9 @@ let run_all sf quick =
       (fun () -> run_fig13 sf);
       (fun () -> run_linq sf);
       (fun () -> run_ext sf);
-      (fun () -> run_qscale sf quick [ 1; 2; 4; 8 ]);
+      (fun () -> run_qscale sf quick (if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ]));
       (fun () -> run_vectorized quick sf);
-      (fun () -> run_ablations sf);
+      (fun () -> run_ablations small_sf);
     ]
 
 (* A self-checking observability workload: populate a lineitem collection,
@@ -377,13 +336,9 @@ let run_stats quick =
   let violations =
     Smc_check.Audit.check_once rt ~contexts @ Smc_check.Obs_check.check rt ~contexts
   in
-  print_table
-    (Smc_obs.to_table ~title:"obs counters"
-       (Smc_obs.snapshot rt.Smc_offheap.Runtime.obs));
-  if violations <> [] then begin
-    prerr_endline (Smc_check.Audit.report violations);
-    exit 1
-  end
+  checked
+    (Smc_obs.to_table ~title:"obs counters" (Smc_obs.snapshot rt.Smc_offheap.Runtime.obs))
+    violations
 
 (* Commands evaluate to a thunk so the [--json]/[--stats] wrapper can
    bracket the whole run with collection and artifact writing. *)

@@ -33,9 +33,7 @@ let make_lineitem g : Smc_tpch.Row.lineitem =
   }
 
 let timed_domains threads body =
-  let t0 = Unix.gettimeofday () in
-  Workload.domains_run threads body;
-  (Unix.gettimeofday () -. t0) *. 1000.0
+  Timing.time_ms (fun () -> Workload.domains_run threads body)
 
 let pure_alloc ~batch ~threads ~per_thread =
   let sinks = Array.make threads [||] in

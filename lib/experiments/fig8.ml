@@ -3,19 +3,20 @@ open Smc_util
 type point = { variant : string; threads : int; streams_per_min : float }
 
 let measure ops ~lock ~threads ~pairs_per_thread ~batch =
-  let t0 = Unix.gettimeofday () in
-  Workload.domains_run threads (fun i ->
-      let prng = Prng.create ~seed:(Int64.of_int (i + 17)) () in
-      for _ = 1 to pairs_per_thread do
-        match lock with
-        | Some m ->
-          Mutex.lock m;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock m)
-            (fun () -> Smc_tpch.Refresh.run_stream_pair ops ~prng ~batch)
-        | None -> Smc_tpch.Refresh.run_stream_pair ops ~prng ~batch
-      done);
-  let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+  let ms =
+    Timing.time_ms (fun () ->
+        Workload.domains_run threads (fun i ->
+            let prng = Prng.create ~seed:(Int64.of_int (i + 17)) () in
+            for _ = 1 to pairs_per_thread do
+              match lock with
+              | Some m ->
+                Mutex.lock m;
+                Fun.protect
+                  ~finally:(fun () -> Mutex.unlock m)
+                  (fun () -> Smc_tpch.Refresh.run_stream_pair ops ~prng ~batch)
+              | None -> Smc_tpch.Refresh.run_stream_pair ops ~prng ~batch
+            done))
+  in
   let streams = float_of_int (2 * pairs_per_thread * threads) in
   streams /. (ms /. 60_000.0)
 

@@ -46,20 +46,17 @@ let measure_spikes ~batch ~units =
          noise-robust estimate of the blocking-collection duration. *)
       let full_ms = ref infinity in
       let q1 = units / 4 and q2 = units / 2 and q3 = 3 * units / 4 in
-      let start = Unix.gettimeofday () in
-      for u = 0 to units - 1 do
-        let t0 = Unix.gettimeofday () in
-        churn_unit window g (u * 200);
-        let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        if dt > !max_ms then max_ms := dt;
-        if u = q1 || u = q2 || u = q3 then begin
-          let t1 = Unix.gettimeofday () in
-          Gc.major ();
-          let gc_ms = (Unix.gettimeofday () -. t1) *. 1000.0 in
-          if gc_ms < !full_ms then full_ms := gc_ms
-        end
-      done;
-      let total = (Unix.gettimeofday () -. start) *. 1000.0 in
+      let total =
+        Timing.time_ms (fun () ->
+            for u = 0 to units - 1 do
+              let dt = Timing.time_ms (fun () -> churn_unit window g (u * 200)) in
+              if dt > !max_ms then max_ms := dt;
+              if u = q1 || u = q2 || u = q3 then begin
+                let gc_ms = Timing.time_ms Gc.major in
+                if gc_ms < !full_ms then full_ms := gc_ms
+              end
+            done)
+      in
       ignore (Sys.opaque_identity window);
       (!max_ms, !full_ms, total))
 

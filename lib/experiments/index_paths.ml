@@ -224,7 +224,15 @@ let run_tpch ~sf =
 let run ?(rows = 1_000_000) ?(sf = 0.01) () =
   let syn_points, syn_violations = run_synthetic ~rows in
   let tpch_points, tpch_violations = run_tpch ~sf in
-  (syn_points @ tpch_points, syn_violations @ tpch_violations)
+  let points = syn_points @ tpch_points in
+  let mismatches =
+    List.filter_map
+      (fun p ->
+        if p.identical then None
+        else Some (Printf.sprintf "index plan result mismatch: %s/%s" p.case p.engine))
+      points
+  in
+  (points, mismatches @ syn_violations @ tpch_violations)
 
 let table points =
   let t =

@@ -132,6 +132,8 @@ let run ?(rows = 1_000_000) ?dir () =
         let scan_rows = collect scan_plan and view_rows = collect view_plan in
         let scan_ms = median_ms (fun () -> collect scan_plan) in
         let view_ms = median_ms (fun () -> collect view_plan) in
+        let identical = same_rows scan_rows view_rows in
+        if not identical then vf "view plan result mismatch: %s/%s" phase engine;
         points :=
           {
             phase;
@@ -140,7 +142,7 @@ let run ?(rows = 1_000_000) ?dir () =
             scan_ms;
             view_ms;
             speedup = (if view_ms > 0.0 then scan_ms /. view_ms else infinity);
-            identical = same_rows scan_rows view_rows;
+            identical;
           }
           :: !points)
       engines

@@ -13,7 +13,8 @@
     recovered view bit-for-bit against the live one. Finishes with
     {!Smc_check.Matview_check}, {!Smc_check.Audit} and
     {!Smc_check.Obs_check} sweeps over both runtimes: the returned
-    violations list is empty iff every invariant held. *)
+    violations list (parity mismatches included) is empty iff every
+    invariant held. *)
 
 type point = {
   phase : string;

@@ -150,6 +150,9 @@ let run ?(rows = 1_000_000) () =
           ~scan_plan:mix_plan ~idx_plan:(indexed mix_plan);
       ]
   in
+  List.iter
+    (fun p -> if not p.identical then vf "text plan result mismatch: %s/%s" p.case p.engine)
+    points;
   (* The high-selectivity gate: a needle hitting ~1/10k rows must beat the
      full scan by a wide margin. The floor scales down with the corpus —
      at smoke sizes the scan is only a few hundred microseconds. *)

@@ -1,11 +1,10 @@
-let now_ns () =
-  Int64.of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Monotonic_clock.now ()
 
 let time_it f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_ns () in
   let result = f () in
-  let t1 = Unix.gettimeofday () in
-  (result, (t1 -. t0) *. 1000.0)
+  let t1 = now_ns () in
+  (result, Int64.to_float (Int64.sub t1 t0) /. 1e6)
 
 let time_ms f = snd (time_it f)
 

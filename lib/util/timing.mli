@@ -1,11 +1,12 @@
-(** Wall-clock timing helpers for the benchmark harness. *)
+(** Monotonic-clock timing helpers for the experiment drivers (CLOCK_MONOTONIC
+    via [bechamel.monotonic_clock], so wall-clock steps never skew a figure). *)
 
 val now_ns : unit -> int64
 (** Monotonic clock reading in nanoseconds. *)
 
 val time_it : (unit -> 'a) -> 'a * float
 (** [time_it f] runs [f ()] and returns its result together with the elapsed
-    wall-clock time in milliseconds. *)
+    monotonic time in milliseconds. *)
 
 val time_ms : (unit -> unit) -> float
 (** Elapsed milliseconds of running the thunk once. *)

@@ -1,14 +1,17 @@
 (* CLI contract of the bench harness: unknown subcommands and flags must
    exit non-zero with a usage message that lists every subcommand, so a
-   typo'd bench invocation in CI can never silently pass. The binary under
-   test is handed in via SMC_BENCH_EXE (see test/dune). *)
+   typo'd bench invocation in CI can never silently pass; --json artifacts
+   must name the commit they ran from. The binary under test is the first
+   command-line argument (see test/dune); the rest go to Alcotest. *)
 
 let check = Alcotest.check
 
-let exe =
-  match Sys.getenv_opt "SMC_BENCH_EXE" with
-  | Some e -> e
-  | None -> Alcotest.fail "SMC_BENCH_EXE not set (run via dune)"
+let exe, alcotest_argv =
+  match Array.to_list Sys.argv with
+  | self :: bin :: rest ->
+    let bin = if Filename.is_relative bin then Filename.concat (Sys.getcwd ()) bin else bin in
+    (bin, Array.of_list (self :: rest))
+  | _ -> failwith "usage: test_cli.exe PATH_TO_SMC_BENCH [alcotest args]"
 
 (* Run the binary, returning (exit code, combined stdout+stderr). *)
 let run_bench args =
@@ -43,7 +46,8 @@ let contains_sub ~sub s =
 let subcommands =
   [
     "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12"; "fig13"; "linq"; "ext";
-    "qscale"; "ablations"; "stats"; "index"; "text"; "matview"; "persist"; "all";
+    "qscale"; "ablations"; "stats"; "index"; "text"; "matview"; "persist"; "vectorized";
+    "shard"; "all";
   ]
 
 let test_unknown_subcommand () =
@@ -72,8 +76,44 @@ let test_help_lists_persist () =
   check Alcotest.int "help exits zero" 0 code;
   check Alcotest.bool "help lists persist" true (contains_sub ~sub:"persist" text)
 
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
+(* A checkout after `git gc`/`git pack-refs` has no loose .git/refs/heads
+   file: HEAD names a branch whose commit is only in .git/packed-refs. The
+   --json artifact must still record that commit, not "unknown". *)
+let test_git_rev_packed_refs () =
+  let dir = Filename.temp_dir "smc_cli_git" "" in
+  let git = Filename.concat dir ".git" in
+  let rev = "0123456789abcdef0123456789abcdef01234567" in
+  let write f text =
+    Out_channel.with_open_bin (Filename.concat git f) (fun oc -> output_string oc text)
+  in
+  Sys.mkdir git 0o755;
+  write "HEAD" "ref: refs/heads/main\n";
+  write "packed-refs"
+    (Printf.sprintf
+       "# pack-refs with: peeled fully-peeled sorted \n\
+        fedcba9876543210fedcba9876543210fedcba98 refs/heads/other\n\
+        %s refs/heads/main\n"
+       rev);
+  let json = Filename.concat dir "fig12.json" in
+  let cleanup () =
+    List.iter
+      (fun f -> try Sys.remove f with Sys_error _ -> ())
+      [ Filename.concat git "HEAD"; Filename.concat git "packed-refs"; json ];
+    List.iter (fun d -> try Sys.rmdir d with Sys_error _ -> ()) [ git; dir ]
+  in
+  Fun.protect ~finally:cleanup (fun () ->
+      let cmd =
+        Printf.sprintf "cd %s && env -u SMC_GIT_REV %s fig12 --sf 0.001 --json %s > /dev/null 2>&1"
+          (Filename.quote dir) (Filename.quote exe) (Filename.quote json)
+      in
+      check Alcotest.bool "fig12 exits zero" true (Unix.system cmd = Unix.WEXITED 0);
+      check Alcotest.bool "artifact records the packed ref's commit" true
+        (contains_sub ~sub:(Printf.sprintf "\"git_rev\":\"%s\"" rev) (read_file json)))
+
 let () =
-  Alcotest.run "cli"
+  Alcotest.run ~argv:alcotest_argv "cli"
     [
       ( "smc_bench",
         [
@@ -81,5 +121,6 @@ let () =
           Alcotest.test_case "unknown flag rejected" `Quick test_unknown_flag;
           Alcotest.test_case "missing command rejected" `Quick test_missing_command;
           Alcotest.test_case "--help lists persist" `Quick test_help_lists_persist;
+          Alcotest.test_case "git_rev from packed-refs" `Quick test_git_rev_packed_refs;
         ] );
     ]
