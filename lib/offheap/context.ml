@@ -639,14 +639,13 @@ let claim_group claims g =
   in
   go ()
 
-let group_claimed claims g = List.memq g (Atomic.get claims)
-
 (* Block-access protocol of §5.2: the claiming enumeration processes the
    whole group — either pre-relocation under the group's query counter
    (waiting phase) or post-relocation from the target block. An aborted
-   group reverts to plain source scanning. *)
-let scan_group g ~scan =
-  let scan_sources () = Array.iter scan g.Block.sources in
+   group reverts to plain source scanning. [skip] names sources whose rows
+   the enumeration has already counted. *)
+let scan_group ?(skip = fun _ -> false) g ~scan =
+  let scan_sources () = Array.iter (fun s -> if not (skip s) then scan s) g.Block.sources in
   let rec attempt () =
     let state = Atomic.get g.Block.g_state in
     if state = Block.group_done then scan g.Block.g_target
@@ -689,11 +688,41 @@ let scan_view_element ~claims blk ~scan =
 let iter_blocks_scanned ?(wrap = fun f -> f ()) t ~scan =
   let { v_blocks = blocks; v_n = n } = t.view in
   let claims = no_claims () in
+  (* Group fields change while the snapshot is walked (§5.2). A group
+     formed after the walk began may have sources the walk already scanned
+     on their own; a block of a group may already be covered by a group
+     claimed earlier; a done group's target and an aborted group's sources
+     no longer name their group. So the walk skips the rows it has
+     counted: those of blocks earlier in its snapshot and of blocks covered
+     by the groups it claimed. A group formed during the walk cannot start
+     moving while the walk holds one critical section (the pass waits out
+     its epoch), so its sources still hold their rows. Blocks are keyed by
+     their registry id, which is never reused. *)
+  let covered = Hashtbl.create 8 in
+  let is_covered b = Hashtbl.length covered > 0 && Hashtbl.mem covered b.Block.id in
+  let position =
+    lazy
+      (let h = Hashtbl.create n in
+       for j = 0 to n - 1 do
+         Hashtbl.replace h blocks.(j).Block.id j
+       done;
+       h)
+  in
+  let earlier i b =
+    match Hashtbl.find_opt (Lazy.force position) b.Block.id with Some j -> j < i | None -> false
+  in
   for i = 0 to n - 1 do
     let blk = blocks.(i) in
     match blk.Block.group with
-    | Some g -> if not (group_claimed claims g) then wrap (fun () -> scan_view_element ~claims blk ~scan)
-    | None -> if not blk.Block.dead then wrap (fun () -> scan blk)
+    | Some g ->
+      if claim_group claims g then begin
+        let members = g.Block.g_target :: Array.to_list g.Block.sources in
+        let counted = List.filter (fun b -> is_covered b || earlier i b) members in
+        List.iter (fun b -> Hashtbl.replace covered b.Block.id ()) members;
+        if not (List.memq g.Block.g_target counted) then
+          wrap (fun () -> scan_group g ~scan ~skip:(fun s -> List.memq s counted))
+      end
+    | None -> if (not blk.Block.dead) && not (is_covered blk) then wrap (fun () -> scan blk)
   done
 
 let iter_valid t ~f = iter_blocks_scanned t ~scan:(fun blk -> scan_block blk ~f)

@@ -35,7 +35,6 @@ val default_rows : int
 
 val kind_of_vec : vec -> kind
 val vec_len : vec -> int
-val make_vec : kind -> int -> vec
 
 val char_str : int -> string
 (** 1-char string for a byte code, from the shared table (no allocation). *)

@@ -1,35 +1,38 @@
-(* Query-plan → compiled native code, via source emission + Dynlink.
+(* Query-plan → compiled native code, via source emission + Dynlink: the
+   staging the paper does in the C# compiler, run at runtime (see
+   codegen.mli for the contract).
 
-   The paper's system modifies the C# compiler to expand LINQ queries over
-   SMCs into generated imperative functions. Here the same staging runs at
-   runtime: a plan is rendered to a self-contained OCaml module — the fused
-   loop nest {!Fuse} would execute, but with predicates, projections, key
-   extraction and aggregate updates emitted as direct code instead of
-   closure chains — compiled with [ocamlopt -shared] against the host
-   build's own .cmi files, and loaded into the running process with
-   [Dynlink.loadfile_private]. The plugin hands its query function back
-   through {!Codegen_abi}, typed by structure ([compiled_fn]).
+   Rendering passes continuations over the plan: each operator emits its
+   code inside its upstream loop body, and blocking operators split the
+   nest into phases. A [Scan] leaf emits one loop per column chunk
+   ({!Source.batches}): it binds the typed arrays of the columns its body
+   reads (which is the scan's column mask) and runs the body over row
+   [i]. A fresh chunk's selection is the identity, so there is no
+   selection vector. Expressions render as [tx], a kind plus unboxed and
+   boxed code, so Int/Dec/Date/Char operands stay words and a [Value.t]
+   is built only where the plan needs one or an operand has no typed
+   form. Probe leaves push boxed rows ([Plan.leaf_rows]).
 
-   Exactness: the emitted code transliterates {!Expr.compile},
-   {!Aggregate.compile} and {!Fuse.compile} case by case — same [Value]
-   operations, same evaluation order (list/array literals are let-bound
-   left-to-right, since OCaml literals evaluate right-to-left), same
-   hash-table/ordering structures — so results are bit-identical to Fuse,
-   including raises. Two details keep the plugin decoupled from any one
-   collection: every leaf enters as a closure ([Plan.leaf_rows]: the scan,
-   or the probe with its key, needle or view bound) in a closure array,
-   and constants as a [Value.t array], both indexed by emission order. The
-   compiled function is cached by the digest of its source, so plans that
-   differ only in constants or in the collection they scan share one
-   plugin.
+   Exactness: bit-identical to Fuse, raises included. Typed code is
+   emitted only where it computes what [Value] would; everything else
+   transliterates {!Expr.compile}, {!Aggregate.compile} and
+   {!Fuse.compile} case by case, in the same evaluation order (keys and
+   projections are let-bound left to right, since OCaml literals evaluate
+   right to left).
+
+   Sharing: leaves enter as closure arrays and constants (needles
+   included) as a [Value.t array]. The source holds column and constant
+   kinds but not collection identity or constant values, and plugins are
+   cached by its digest.
 
    Fallback rules (docs/vectorized.md): bytecode hosts, a missing
    toolchain, unlocatable .cmi directories, compile or load failures, and
-   the one unsupported operator (IndexJoin — its per-row probe does not fit
-   the uniform scan ABI) all fall back to {!Fuse}, reported in
-   [prepare]'s outcome and counted under [cg_fallbacks]. *)
+   IndexJoin (its per-row probe does not fit the leaf ABI) fall back to
+   {!Fuse}, reported in [prepare]'s outcome and counted under
+   [cg_fallbacks]. *)
 
 type compiled_fn =
+  ((Batch.t -> unit) -> unit) array ->
   ((Value.t array -> unit) -> unit) array ->
   Value.t array ->
   (Value.t array -> unit) ->
@@ -38,6 +41,55 @@ type compiled_fn =
 exception Unsupported of string
 
 let indent n = String.make (2 * n) ' '
+
+(* An emitted expression: its static kind, its code in that kind's
+   unboxed form (an int word for Int/Dec/Date/Char, a bool, a string; the
+   [Value.t] itself for [K_any]) and its boxed [Value.t] code. Both are
+   lazy: forcing a scan column's code is what marks the column as read,
+   and forcing a constant's code is what binds its unboxed form. *)
+type tx = { k : Batch.kind; code : string Lazy.t; boxed : string Lazy.t }
+
+(* A row in the loop nest: one [tx] per column, plus the variable that
+   holds it as a [Value.t array], once one exists. *)
+type row = { cols : tx array; var : string option }
+
+let kind_name = function
+  | Batch.K_int -> "int"
+  | Batch.K_dec -> "dec"
+  | Batch.K_date -> "date"
+  | Batch.K_bool -> "bool"
+  | Batch.K_char -> "char"
+  | Batch.K_str -> "str"
+  | Batch.K_any -> "val"
+
+let box_code k c =
+  match k with
+  | Batch.K_char -> Printf.sprintf "(V.Str (B.char_str %s))" c
+  | Batch.K_any -> c
+  | Batch.K_int | Batch.K_dec | Batch.K_date | Batch.K_bool | Batch.K_str ->
+    Printf.sprintf "(V.%s %s)" (String.capitalize_ascii (kind_name k)) c
+
+let typed k code = { k; code; boxed = lazy (box_code k (Lazy.force code)) }
+let word k s = typed k (Lazy.from_val s)
+let boxed s = { k = Batch.K_any; code = Lazy.from_val s; boxed = Lazy.from_val s }
+let code t = Lazy.force t.code
+let box t = Lazy.force t.boxed
+
+let boxed_row var n =
+  let col j = boxed (Printf.sprintf "(Array.get %s %d)" var j) in
+  { cols = Array.init n col; var = Some var }
+
+let int_like = function
+  | Batch.K_int | Batch.K_dec | Batch.K_date | Batch.K_char -> true
+  | Batch.K_bool | Batch.K_str | Batch.K_any -> false
+
+let kind_of_value = function
+  | Value.Int _ -> Batch.K_int
+  | Value.Dec _ -> Batch.K_dec
+  | Value.Date _ -> Batch.K_date
+  | Value.Bool _ -> Batch.K_bool
+  | Value.Str _ -> Batch.K_str
+  | Value.Null -> Batch.K_any
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
@@ -49,9 +101,20 @@ let indent n = String.make (2 * n) ' '
    Convention: continuations emit ';'-terminated statements, and each
    binder closes its block with an explicit [()]. *)
 let render plan =
-  let buf = Buffer.create 4096 in
+  let buf = ref (Buffer.create 4096) in
   let line depth fmt =
-    Printf.ksprintf (fun s -> Buffer.add_string buf (indent depth ^ s ^ "\n")) fmt
+    Printf.ksprintf (fun s -> Buffer.add_string !buf (indent depth ^ s ^ "\n")) fmt
+  in
+  (* The lines [f] renders, kept aside: a chunk loop binds only the
+     columns its body reads, and a group table's module depends on its
+     key kinds — both known once the body is rendered. *)
+  let capture f =
+    let saved = !buf in
+    buf := Buffer.create 1024;
+    f ();
+    let s = Buffer.contents !buf in
+    buf := saved;
+    s
   in
   let fresh =
     let n = ref 0 in
@@ -59,24 +122,73 @@ let render plan =
       incr n;
       Printf.sprintf "%s%d" prefix !n
   in
-  let leaves = ref [] and nleaves = ref 0 in
-  let add_leaf l =
-    let i = !nleaves in
-    incr nleaves;
-    leaves := l :: !leaves;
-    i
+  let collector () =
+    let items = ref [] and n = ref 0 in
+    ( (fun v ->
+        let i = !n in
+        incr n;
+        items := v :: !items;
+        i),
+      fun () -> List.rev !items )
   in
-  let consts = ref [] and nconsts = ref 0 in
-  let add_const v =
-    let i = !nconsts in
-    incr nconsts;
-    consts := v :: !consts;
-    i
-  in
+  let add_scan, scans = collector () in
+  let add_probe, probes = collector () in
+  let add_const, consts = collector () in
+  let add_bind, binds = collector () in
   let limit_exns = ref [] in
-  (* Scalar expression over row variable [row]: same Value operations, in
-     the same shapes, as the closures Expr.compile builds — so evaluation
-     order and raises match. *)
+  (* A constant is read from [consts]; its unboxed form, when typed code
+     asks for it, is bound once at entry — so the constant's kind is in
+     the source, and its value is not. *)
+  let const v =
+    let i = add_const v in
+    let boxed = Lazy.from_val (Printf.sprintf "(Array.get consts %d)" i) in
+    match kind_of_value v with
+    | Batch.K_any -> { k = Batch.K_any; code = boxed; boxed }
+    | k ->
+      let code =
+        lazy
+          (let var = Printf.sprintf "k%d" i in
+           ignore
+             (add_bind
+                (Printf.sprintf
+                   "let %s = (match Array.get consts %d with V.%s x -> x | _ -> assert false) in"
+                   var i (String.capitalize_ascii (kind_name k)))
+               : int);
+           var)
+      in
+      { k; code; boxed }
+  in
+  let dec t = if t.k = Batch.K_int then Printf.sprintf "(D.of_int %s)" (code t) else code t in
+  let truth t =
+    if t.k = Batch.K_bool then code t else Printf.sprintf "(V.to_bool %s)" (box t)
+  in
+  let str t =
+    match t.k with
+    | Batch.K_str -> code t
+    | Batch.K_char -> Printf.sprintf "(B.char_str %s)" (code t)
+    | _ -> Printf.sprintf "(str_of %s)" (box t)
+  in
+  let bool fmt = Printf.ksprintf (word Batch.K_bool) fmt in
+  (* [Value.compare a b op 0], on words where both kinds have one order:
+     same-kind Int/Dec/Date/Char (byte order = 1-char [String.compare]),
+     Int against Dec through [D.of_int], strings and chars through
+     [String.compare], bools. Any other pair boxes, so it raises when
+     [Value.compare] would. *)
+  let compare_tx op a b =
+    let gen f ca cb = bool "(%s %s %s %s 0)" f ca cb op in
+    match (a.k, b.k) with
+    | Batch.K_int, Batch.K_int
+    | Batch.K_dec, Batch.K_dec
+    | Batch.K_date, Batch.K_date
+    | Batch.K_char, Batch.K_char ->
+      bool "((%s : int) %s %s)" (code a) op (code b)
+    | (Batch.K_int | Batch.K_dec), (Batch.K_int | Batch.K_dec) ->
+      bool "((%s : int) %s %s)" (dec a) op (dec b)
+    | (Batch.K_str | Batch.K_char), (Batch.K_str | Batch.K_char) ->
+      gen "String.compare" (str a) (str b)
+    | Batch.K_bool, Batch.K_bool -> gen "Bool.compare" (code a) (code b)
+    | _ -> gen "V.compare" (box a) (box b)
+  in
   let rec gx schema row e =
     let g e = gx schema row e in
     let resolve name =
@@ -88,15 +200,34 @@ let render plan =
       in
       go 0
     in
-    let cmp op a b = Printf.sprintf "(V.Bool (V.compare %s %s %s 0))" (g a) (g b) op in
+    (* [Value.arith]'s domain: Int op Int stays Int, any Dec makes it Dec *)
+    let arith name op a b =
+      let ta = g a and tb = g b in
+      match (ta.k, tb.k) with
+      | Batch.K_int, Batch.K_int ->
+        word Batch.K_int (Printf.sprintf "(%s %s %s)" (code ta) op (code tb))
+      | (Batch.K_int | Batch.K_dec), (Batch.K_int | Batch.K_dec) ->
+        word Batch.K_dec (Printf.sprintf "(D.%s %s %s)" name (dec ta) (dec tb))
+      | _ -> boxed (Printf.sprintf "(V.%s %s %s)" name (box ta) (box tb))
+    in
+    let cmp op a b = compare_tx op (g a) (g b) in
+    let text f arg a needle =
+      let ta = g a in
+      bool "(E.%s ~%s:%s %s)" f arg (code (const (Value.Str needle))) (str ta)
+    in
     match e with
-    | Expr.Col name -> Printf.sprintf "(Array.get %s %d)" row (resolve name)
-    | Expr.Const v -> Printf.sprintf "(Array.get consts %d)" (add_const v)
-    | Expr.Add (a, b) -> Printf.sprintf "(V.add %s %s)" (g a) (g b)
-    | Expr.Sub (a, b) -> Printf.sprintf "(V.sub %s %s)" (g a) (g b)
-    | Expr.Mul (a, b) -> Printf.sprintf "(V.mul %s %s)" (g a) (g b)
-    | Expr.Div (a, b) -> Printf.sprintf "(V.div %s %s)" (g a) (g b)
-    | Expr.Neg a -> Printf.sprintf "(V.neg %s)" (g a)
+    | Expr.Col name -> row.cols.(resolve name)
+    | Expr.Const v -> const v
+    | Expr.Add (a, b) -> arith "add" "+" a b
+    | Expr.Sub (a, b) -> arith "sub" "-" a b
+    | Expr.Mul (a, b) -> arith "mul" "*" a b
+    | Expr.Div (a, b) -> arith "div" "/" a b
+    | Expr.Neg a ->
+      let ta = g a in
+      (match ta.k with
+      | Batch.K_int -> word Batch.K_int (Printf.sprintf "(- %s)" (code ta))
+      | Batch.K_dec -> word Batch.K_dec (Printf.sprintf "(D.neg %s)" (code ta))
+      | _ -> boxed (Printf.sprintf "(V.neg %s)" (box ta)))
     | Expr.Eq (a, b) -> cmp "=" a b
     | Expr.Ne (a, b) -> cmp "<>" a b
     | Expr.Lt (a, b) -> cmp "<" a b
@@ -104,21 +235,22 @@ let render plan =
     | Expr.Gt (a, b) -> cmp ">" a b
     | Expr.Ge (a, b) -> cmp ">=" a b
     | Expr.And (a, b) ->
-      Printf.sprintf "(V.Bool (V.to_bool %s && V.to_bool %s))" (g a) (g b)
+      let ta = g a and tb = g b in
+      bool "(%s && %s)" (truth ta) (truth tb)
     | Expr.Or (a, b) ->
-      Printf.sprintf "(V.Bool (V.to_bool %s || V.to_bool %s))" (g a) (g b)
-    | Expr.Not a -> Printf.sprintf "(V.Bool (not (V.to_bool %s)))" (g a)
+      let ta = g a and tb = g b in
+      bool "(%s || %s)" (truth ta) (truth tb)
+    | Expr.Not a -> bool "(not %s)" (truth (g a))
     | Expr.Between (x, lo, hi) ->
+      let tx = g x and tlo = g lo and thi = g hi in
       let v = fresh "bv" in
-      Printf.sprintf
-        "(let %s = %s in V.Bool (V.compare %s %s >= 0 && V.compare %s %s <= 0))"
-        v (g x) v (g lo) v (g hi)
-    | Expr.Contains (a, needle) ->
-      Printf.sprintf "(V.Bool (string_contains ~needle:%S (str_of %s)))" needle (g a)
-    | Expr.ContainsCI (a, needle) ->
-      Printf.sprintf "(V.Bool (string_contains_ci ~needle:%S (str_of %s)))" needle (g a)
-    | Expr.StartsWith (a, prefix) ->
-      Printf.sprintf "(V.Bool (starts_with %S (str_of %s)))" prefix (g a)
+      let tv = word tx.k v in
+      bool "(let %s = %s in %s && %s)" v (code tx)
+        (code (compare_tx ">=" tv tlo))
+        (code (compare_tx "<=" tv thi))
+    | Expr.Contains (a, needle) -> text "string_contains" "needle" a needle
+    | Expr.ContainsCI (a, needle) -> text "string_contains_ci" "needle" a needle
+    | Expr.StartsWith (a, prefix) -> text "string_starts_with" "prefix" a prefix
   in
   (* Ordered [Value.t list] literal: let-bound so effects (raises) run
      left-to-right like List.map over compiled key functions. *)
@@ -126,42 +258,86 @@ let render plan =
     match exprs with
     | [] -> "[]"
     | _ ->
-      let bound = List.map (fun e -> (fresh "kv", gx schema row e)) exprs in
+      let bound = List.map (fun e -> (fresh "kv", box (gx schema row e))) exprs in
       Printf.sprintf "(%s[%s])"
         (String.concat "" (List.map (fun (v, src) -> Printf.sprintf "let %s = %s in " v src) bound))
         (String.concat "; " (List.map fst bound))
   in
+  let materialize d row =
+    match row.var with
+    | Some v -> v
+    | None ->
+      let v = fresh "row" in
+      line d "let %s = [| %s |] in" v
+        (String.concat "; " (Array.to_list (Array.map box row.cols)));
+      v
+  in
   let rec emit plan depth k =
     match plan with
-    | Plan.Scan _ | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ ->
-      (* Every leaf enters as a host closure ([Plan.leaf_rows]): a scan, or
-         a probe with its key, needle or view already bound. The rendered
-         source never sees which, so plans differing only in probe
+    | Plan.Scan src ->
+      let kinds = src.Source.kinds in
+      let used = Array.make (Array.length kinds) false in
+      let i = add_scan (src, used) in
+      let bt = fresh "bt" and r = fresh "i" in
+      let var c = Printf.sprintf "%s_c%d" bt c in
+      let cols =
+        Array.mapi
+          (fun c kind ->
+            typed kind
+              (lazy
+                (used.(c) <- true;
+                 Printf.sprintf "(Array.unsafe_get %s %s)" (var c) r)))
+          kinds
+      in
+      line depth "(* leaf: column chunks of (%s) *)"
+        (String.concat ", "
+           (Array.to_list
+              (Array.mapi (fun c name -> name ^ ":" ^ kind_name kinds.(c)) src.Source.schema)));
+      line depth "Array.get scans %d (fun %s ->" i bt;
+      let body = capture (fun () -> k (depth + 2) { cols; var = None }) in
+      Array.iteri
+        (fun c read ->
+          if read then
+            line (depth + 1)
+              "let %s = (match Array.unsafe_get %s.B.cols %d with B.V_%s a -> a | _ -> assert false) in"
+              (var c) bt c (kind_name kinds.(c)))
+        used;
+      line (depth + 1) "for %s = 0 to %s.B.len - 1 do" r bt;
+      Buffer.add_string !buf body;
+      line (depth + 2) "()";
+      line (depth + 1) "done);"
+    | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ ->
+      (* A probe enters as a host closure ([Plan.leaf_rows]) with its key,
+         needle or view already bound, so plans differing only in probe
          constants share one compiled plugin. *)
-      let i = add_leaf (Plan.leaf_rows plan) in
+      let schema = Plan.schema plan in
+      let i = add_probe (Plan.leaf_rows plan) in
       let row = fresh "row" in
       line depth "(* leaf: rows of (%s) pushed by the host *)"
-        (String.concat ", " (Array.to_list (Plan.schema plan)));
-      line depth "Array.get sources %d (fun %s ->" i row;
-      k (depth + 1) row;
+        (String.concat ", " (Array.to_list schema));
+      line depth "Array.get probes %d (fun %s ->" i row;
+      k (depth + 1) (boxed_row row (Array.length schema));
       line (depth + 1) "());"
     | Plan.Where (pred, input) ->
       let schema = Plan.schema input in
       emit input depth (fun d row ->
-          line d "if V.to_bool %s then begin" (gx schema row pred);
+          line d "if %s then begin" (truth (gx schema row pred));
           k (d + 1) row;
           line (d + 1) "()";
           line d "end;")
     | Plan.Select (cols, input) ->
       let schema = Plan.schema input in
       emit input depth (fun d row ->
-          let out = fresh "proj" in
-          let bound = List.map (fun (_, e) -> (fresh "pv", gx schema row e)) cols in
-          line d "let %s = (%s[| %s |]) in" out
-            (String.concat ""
-               (List.map (fun (v, src) -> Printf.sprintf "let %s = %s in " v src) bound))
-            (String.concat "; " (List.map fst bound));
-          k d out)
+          let cols =
+            List.map
+              (fun (_, e) ->
+                let t = gx schema row e in
+                let v = fresh "pv" in
+                line d "let %s = %s in" v (code t);
+                word t.k v)
+              cols
+          in
+          k d { cols = Array.of_list cols; var = None })
     | Plan.HashJoin { left; right; on } ->
       let lschema = Plan.schema left and rschema = Plan.schema right in
       let lkeys = List.map (fun (lc, _) -> Expr.Col lc) on in
@@ -169,97 +345,157 @@ let render plan =
       let table = fresh "join_tbl" in
       line depth "let %s = Hashtbl.create 1024 in" table;
       emit right depth (fun d row ->
-          line d "Hashtbl.add %s %s %s;" table (glist rschema row rkeys) row);
+          let r = materialize d row in
+          line d "Hashtbl.add %s %s %s;" table (glist rschema row rkeys) r);
       emit left depth (fun d lrow ->
+          let l = materialize d lrow in
           let m = fresh "matched" and out = fresh "row" in
           line d "List.iter";
           line (d + 1) "(fun %s ->" m;
-          line (d + 2) "let %s = Array.append %s %s in" out lrow m;
-          k (d + 2) out;
+          line (d + 2) "let %s = Array.append %s %s in" out l m;
+          k (d + 2) (boxed_row out (Array.length lschema + Array.length rschema));
           line (d + 2) "())";
           line (d + 1) "(Hashtbl.find_all %s %s);" table (glist lschema lrow lkeys))
     | Plan.IndexJoin _ ->
       (* The per-left-row keyed probe (with its ix_accepts split and lazy
-         hash fallback) does not fit the uniform scan closure ABI. *)
+         hash fallback) does not fit the leaf closure ABI. *)
       raise (Unsupported "IndexJoin is not compiled; executed by Fuse")
     | Plan.GroupBy { keys; aggs; input } ->
       let schema = Plan.schema input in
       let na = List.length aggs in
+      let ns = fresh "ns" and ws = fresh "ws" and accs = fresh "accs" in
       let groups = fresh "groups" and order = fresh "order" in
-      let counts = fresh "counts" and accs = fresh "accs" in
-      line depth "let %s = Hashtbl.create 256 in" groups;
-      line depth "let %s = ref [] in" order;
-      emit input depth (fun d row ->
-          let key = fresh "key" in
-          line d "let %s = %s in" key (glist schema row (List.map snd keys));
-          line d "let (%s, %s) =" counts accs;
-          line (d + 1) "match Hashtbl.find_opt %s %s with" groups key;
-          line (d + 1) "| Some c -> c";
-          line (d + 1) "| None ->";
-          line (d + 2) "let c = (Array.make %d 0, Array.make %d V.Null) in" na na;
-          line (d + 2) "Hashtbl.add %s %s c;" groups key;
-          line (d + 2) "%s := %s :: !%s;" order key order;
-          line (d + 2) "c";
-          line d "in";
-          (* per-agg updates transliterate Aggregate.compile's cells *)
-          List.iteri
-            (fun j (_, agg) ->
-              let acc = Printf.sprintf "(Array.get %s %d)" accs j in
-              let cnt = Printf.sprintf "(Array.get %s %d)" counts j in
-              match agg with
-              | Plan.Count -> line d "Array.set %s %d (%s + 1);" counts j cnt
-              | Plan.Sum e ->
-                line d "(let v = %s in" (gx schema row e);
-                line d " Array.set %s %d (if %s = V.Null then v else V.add %s v));" accs j
-                  acc acc
-              | Plan.Min e ->
-                line d "(let v = %s in" (gx schema row e);
-                line d " if %s = V.Null || V.compare v %s < 0 then Array.set %s %d v);" acc
-                  acc accs j
-              | Plan.Max e ->
-                line d "(let v = %s in" (gx schema row e);
-                line d " if %s = V.Null || V.compare v %s > 0 then Array.set %s %d v);" acc
-                  acc accs j
-              | Plan.Avg e ->
-                line d "(let v = %s in" (gx schema row e);
-                line d " Array.set %s %d (%s + 1);" counts j cnt;
-                line d " Array.set %s %d (if %s = V.Null then v else V.add %s v));" accs j
-                  acc acc)
-            aggs)
-      ;
-      let key = fresh "key" and out = fresh "row" in
-      let finish =
-        List.mapi
-          (fun j (_, agg) ->
-            let acc = Printf.sprintf "(Array.get %s %d)" accs j in
-            let cnt = Printf.sprintf "(Array.get %s %d)" counts j in
-            match agg with
-            | Plan.Count -> Printf.sprintf "(V.Int %s)" cnt
-            | Plan.Sum _ | Plan.Min _ | Plan.Max _ -> acc
-            | Plan.Avg _ ->
-              Printf.sprintf "(if %s = 0 then V.Null else V.div (promote_dec %s) (V.Int %s))"
-                cnt acc cnt)
-          aggs
+      (* Per group: [ns] counts, [ws] the typed cells' words, [accs]
+         Aggregate's boxed cells for the rest. A typed cell never sees
+         Null, so Aggregate's first-value transition is a plain word sum,
+         and Min/Max only need to know whether a value came. *)
+      let cell arr j = Printf.sprintf "(Array.unsafe_get %s %d)" arr j in
+      let typed_cells = Array.make na None in
+      let update d row j (_, agg) =
+        let count d = line d "Array.unsafe_set %s %d (%s + 1);" ns j (cell ns j) in
+        (* binds the operand as [v]: its word when [ok] admits its kind *)
+        let value e ok =
+          let t = gx schema row e in
+          let typed = if ok t.k then Some t.k else None in
+          typed_cells.(j) <- typed;
+          line d "(let v = %s in" (if typed = None then box t else code t);
+          typed
+        in
+        match agg with
+        | Plan.Count -> count d
+        | Plan.Sum e | Plan.Avg e ->
+          let typed = value e (fun k -> k = Batch.K_int || k = Batch.K_dec) in
+          (match agg with Plan.Avg _ -> count (d + 1) | _ -> ());
+          (match typed with
+          | Some k ->
+            line (d + 1) "Array.unsafe_set %s %d (%s %s v));" ws j
+              (if k = Batch.K_dec then "D.add" else "Int.add")
+              (cell ws j)
+          | None ->
+            line (d + 1) "Array.unsafe_set %s %d (if %s = V.Null then v else V.add %s v));" accs
+              j (cell accs j) (cell accs j))
+        | Plan.Min e | Plan.Max e ->
+          let op = match agg with Plan.Min _ -> "<" | _ -> ">" in
+          if value e int_like <> None then begin
+            line (d + 1) "if %s = 0 || v %s %s then Array.unsafe_set %s %d v;" (cell ns j) op
+              (cell ws j) ws j;
+            line (d + 1) "Array.unsafe_set %s %d 1);" ns j
+          end
+          else
+            line (d + 1) "if %s = V.Null || V.compare v %s %s 0 then Array.unsafe_set %s %d v);"
+              (cell accs j) (cell accs j) op accs j
       in
+      let finish j (_, agg) =
+        let n = cell ns j and w = cell ws j and acc = cell accs j in
+        match (agg, typed_cells.(j)) with
+        | Plan.Count, _ -> Printf.sprintf "(V.Int %s)" n
+        | Plan.Sum _, Some k -> box_code k w
+        | (Plan.Min _ | Plan.Max _), Some k ->
+          Printf.sprintf "(if %s = 0 then V.Null else %s)" n (box_code k w)
+        | (Plan.Sum _ | Plan.Min _ | Plan.Max _), None -> acc
+        | Plan.Avg _, typed ->
+          Printf.sprintf "(if %s = 0 then V.Null else V.div (promote_dec %s) (V.Int %s))" n
+            (match typed with Some k -> box_code k w | None -> acc)
+            n
+      in
+      (* The group table: none for a global aggregate, an unboxed int key
+         for int-like keys (each position's kind is fixed and boxing is
+         injective per kind, so equal words mean equal boxed keys; up to
+         eight char keys pack into one int), Fuse's boxed key list
+         otherwise. Its module is known once the keys are rendered. *)
+      let create = ref "ref None" in
+      let loop =
+        capture (fun () ->
+            emit input depth (fun d row ->
+                let kts =
+                  List.map
+                    (fun (_, e) ->
+                      let t = gx schema row e in
+                      let v = fresh "kv" in
+                      line d "let %s = %s in" v (code t);
+                      word t.k v)
+                    keys
+                in
+                let boxed_key = Printf.sprintf "[%s]" (String.concat "; " (List.map box kts)) in
+                let words = List.map code kts in
+                let table, unboxed =
+                  match words with
+                  | [] -> (None, None)
+                  | _ when not (List.for_all (fun t -> int_like t.k) kts) -> (Some "Hashtbl", None)
+                  | [ w ] -> (Some "IH", Some w)
+                  | w :: rest
+                    when List.for_all (fun t -> t.k = Batch.K_char) kts && List.length kts <= 8 ->
+                    (Some "IH", Some (List.fold_left (Printf.sprintf "((%s lsl 8) lor %s)") w rest))
+                  | _ ->
+                    (Some "Hashtbl", Some (Printf.sprintf "[| %s |]" (String.concat "; " words)))
+                in
+                let kvar = fresh "key" in
+                line d "let %s = %s in" kvar (Option.value unboxed ~default:boxed_key);
+                line d "let (%s, %s, %s) =" ns ws accs;
+                (match table with
+                | None -> line (d + 1) "match !%s with" groups
+                | Some m ->
+                  create := m ^ ".create 256";
+                  line (d + 1) "match %s.find_opt %s %s with" m groups kvar);
+                line (d + 1) "| Some (_, c) -> c";
+                line (d + 1) "| None ->";
+                line (d + 2)
+                  "let g = (%s, (Array.make %d 0, Array.make %d 0, Array.make %d V.Null)) in"
+                  (if unboxed = None then kvar else boxed_key)
+                  na na na;
+                (match table with
+                | None -> line (d + 2) "%s := Some g;" groups
+                | Some m -> line (d + 2) "%s.add %s %s g;" m groups kvar);
+                line (d + 2) "%s := g :: !%s;" order order;
+                line (d + 2) "snd g";
+                line d "in";
+                List.iteri (update d row) aggs))
+      in
+      line depth "let %s = %s in" groups !create;
+      line depth "let %s = ref [] in" order;
+      Buffer.add_string !buf loop;
+      let key = fresh "key" and out = fresh "row" in
       line depth "List.iter";
-      line (depth + 1) "(fun %s ->" key;
-      line (depth + 2) "let (%s, %s) = Hashtbl.find %s %s in" counts accs groups key;
+      line (depth + 1) "(fun (%s, (%s, %s, %s)) ->" key ns ws accs;
       line (depth + 2) "let %s = Array.of_list (%s @ [ %s ]) in" out key
-        (String.concat "; " finish);
-      k (depth + 2) out;
+        (String.concat "; " (List.mapi finish aggs));
+      k (depth + 2) (boxed_row out (List.length keys + na));
       line (depth + 2) "())";
       line (depth + 1) "(List.rev !%s);" order
     | Plan.OrderBy (specs, input) ->
       let schema = Plan.schema input in
+      let n = Array.length schema in
       let rows = fresh "sorted" and cmp = fresh "cmp" in
       line depth "let %s = ref [] in" rows;
-      emit input depth (fun d row -> line d "%s := %s :: !%s;" rows row rows);
+      emit input depth (fun d row -> line d "%s := %s :: !%s;" rows (materialize d row) rows);
       line depth "let %s a b =" cmp;
       let rec gen_cmp specs d =
         match specs with
         | [] -> line d "0"
         | (e, dir) :: rest ->
-          line d "let c = V.compare %s %s in" (gx schema "a" e) (gx schema "b" e);
+          line d "let c = V.compare %s %s in"
+            (box (gx schema (boxed_row "a" n) e))
+            (box (gx schema (boxed_row "b" n) e));
           (match dir with Plan.Asc -> () | Plan.Desc -> line d "let c = -c in");
           line d "if c <> 0 then c";
           line d "else begin";
@@ -271,18 +507,19 @@ let render plan =
       let out = fresh "row" in
       line depth "List.iter";
       line (depth + 1) "(fun %s ->" out;
-      k (depth + 2) out;
+      k (depth + 2) (boxed_row out n);
       line (depth + 2) "())";
       line (depth + 1) "(List.stable_sort %s (List.rev !%s));" cmp rows
     | Plan.Distinct input ->
       let seen = fresh "seen" in
       line depth "let %s = Hashtbl.create 256 in" seen;
       emit input depth (fun d row ->
+          let r = materialize d row in
           let key = fresh "dkey" in
-          line d "let %s = Array.to_list %s in" key row;
+          line d "let %s = Array.to_list %s in" key r;
           line d "if not (Hashtbl.mem %s %s) then begin" seen key;
           line (d + 1) "Hashtbl.add %s %s ();" seen key;
-          k (d + 1) row;
+          k (d + 1) { row with var = Some r };
           line (d + 1) "()";
           line d "end;")
     | Plan.Limit (n, input) ->
@@ -300,14 +537,19 @@ let render plan =
       line (depth + 1) "()";
       line depth "with %s -> ());" exn
   in
-  emit plan 1 (fun d row -> line d "__emit %s;" row);
-  line 1 "()";
-  (Buffer.contents buf, List.rev !leaves, Array.of_list (List.rev !consts), List.rev !limit_exns)
+  let body =
+    capture (fun () -> emit plan 1 (fun d row -> line d "__emit %s;" (materialize d row)))
+  in
+  let entry = String.concat "" (List.map (fun b -> indent 1 ^ b ^ "\n") (binds ())) in
+  ( entry ^ body ^ indent 1 ^ "()\n",
+    scans (),
+    probes (),
+    Array.of_list (consts ()),
+    List.rev !limit_exns )
 
-(* Full plugin module around a rendered body. The prelude transliterates
-   the scalar helpers the emitted expressions rely on (Expr's string ops,
-   Aggregate's Avg promotion); everything else resolves against the host's
-   own smc_query units through their .cmi files. *)
+(* Full plugin module around a rendered body. The two prelude helpers are
+   Aggregate's Avg promotion and Expr's string coercion; everything else
+   resolves against the host's own units through their .cmi files. *)
 let assemble ~digest ~limit_exns body =
   let b = Buffer.create 8192 in
   let add s = Buffer.add_string b (s ^ "\n") in
@@ -320,56 +562,18 @@ let assemble ~digest ~limit_exns body =
      and may not be linked into the host executable; reference the real
      (mangled) units, whose implementations are always present *)
   add "module V = Smc_query__Value";
+  add "module B = Smc_query__Batch";
+  add "module E = Smc_query__Expr";
+  add "module D = Smc_decimal__Decimal";
+  add "module IH = Hashtbl.Make (struct type t = int let equal = Int.equal let hash = Hashtbl.hash end)";
   add "";
-  add "let promote_dec = function V.Int x -> V.Dec (Smc_decimal__Decimal.of_int x) | v -> v";
-  add "";
-  add "let string_contains ~needle haystack =";
-  add "  let n = String.length needle and h = String.length haystack in";
-  add "  if n = 0 then true";
-  add "  else begin";
-  add "    let at i =";
-  add "      let rec go j =";
-  add "        j >= n";
-  add "        || (String.unsafe_get haystack (i + j) = String.unsafe_get needle j && go (j + 1))";
-  add "      in";
-  add "      go 0";
-  add "    in";
-  add "    let rec go i = i + n <= h && (at i || go (i + 1)) in";
-  add "    go 0";
-  add "  end";
-  add "";
-  add "let lower_byte c =";
-  add "  if c >= 'A' && c <= 'Z' then Char.unsafe_chr (Char.code c + 32) else c";
-  add "";
-  add "let string_contains_ci ~needle haystack =";
-  add "  let n = String.length needle and h = String.length haystack in";
-  add "  if n = 0 then true";
-  add "  else begin";
-  add "    let at i =";
-  add "      let rec go j =";
-  add "        j >= n";
-  add "        || (lower_byte (String.unsafe_get haystack (i + j))";
-  add "              = lower_byte (String.unsafe_get needle j)";
-  add "           && go (j + 1))";
-  add "      in";
-  add "      go 0";
-  add "    in";
-  add "    let rec go i = i + n <= h && (at i || go (i + 1)) in";
-  add "    go 0";
-  add "  end";
-  add "";
-  add "let starts_with prefix s =";
-  add "  let n = String.length prefix in";
-  add "  String.length s >= n";
-  add "  &&";
-  add "  let rec go j = j >= n || (String.unsafe_get s j = String.unsafe_get prefix j && go (j + 1)) in";
-  add "  go 0";
-  add "";
+  add "let promote_dec = function V.Int x -> V.Dec (D.of_int x) | v -> v";
   add "let str_of = function V.Str s -> s | v -> V.to_string v";
   add "";
   List.iter (fun e -> add (Printf.sprintf "exception %s" e)) limit_exns;
   if limit_exns <> [] then add "";
-  add "let query (sources : ((V.t array -> unit) -> unit) array)";
+  add "let query (scans : ((B.t -> unit) -> unit) array)";
+  add "    (probes : ((V.t array -> unit) -> unit) array)";
   add "    (consts : V.t array) (__emit : V.t array -> unit) : unit =";
   Buffer.add_string b body;
   add "";
@@ -377,7 +581,7 @@ let assemble ~digest ~limit_exns body =
   Buffer.contents b
 
 let to_ocaml_source plan =
-  let body, _, _, limit_exns = render plan in
+  let body, _, _, _, limit_exns = render plan in
   let digest = Digest.to_hex (Digest.string body) in
   assemble ~digest ~limit_exns body
 
@@ -459,8 +663,6 @@ let toolchain =
               Error
                 "cannot locate the build's .cmi directories (set SMC_CG_INCLUDE)"))
 
-let available () = match Lazy.force toolchain with Ok _ -> true | Error _ -> false
-
 let read_file path =
   try
     let ic = open_in_bin path in
@@ -527,7 +729,7 @@ let prepare plan =
   | exception Unsupported reason ->
     bump Smc_obs.c_cg_fallbacks;
     ((fun f -> Fuse.run plan ~f), Fallback reason)
-  | body, leaves, consts, limit_exns ->
+  | body, scans, probes, consts, limit_exns ->
     let digest = Digest.to_hex (Digest.string body) in
     let fetch () =
       Mutex.lock cache_lock;
@@ -546,8 +748,15 @@ let prepare plan =
     (match fetch () with
      | Ok (fn, hit) ->
        bump (if hit then Smc_obs.c_cg_cache_hits else Smc_obs.c_cg_compiles);
-       let sources = Array.of_list leaves in
-       ((fun f -> fn sources consts f), Native digest)
+       (* each scan fills only the columns its chunk loop reads *)
+       let scans =
+         Array.of_list
+           (List.map
+              (fun (src, used) -> Source.batches src ~rows:Batch.default_rows ~cols:used)
+              scans)
+       in
+       let probes = Array.of_list probes in
+       ((fun f -> fn scans probes consts f), Native digest)
      | Error reason ->
        bump Smc_obs.c_cg_fallbacks;
        ((fun f -> Fuse.run plan ~f), Fallback reason))

@@ -1,28 +1,38 @@
 (** Query-plan → compiled native code, via source emission + Dynlink.
 
     The paper's system modifies the C# compiler to expand LINQ queries over
-    SMCs into generated imperative functions. This module performs the same
-    staging at runtime: {!to_ocaml_source} renders the fused loop nest
-    {!Fuse} would execute — predicates, projections, group keys and
-    aggregate updates inlined as direct code, not closure chains — as a
-    self-contained OCaml module; {!prepare} compiles it with
-    [ocamlopt -shared] against the host build's .cmi files, loads it with
-    [Dynlink.loadfile_private], and receives the query function back through
-    {!Codegen_abi}. Compiled plans are cached by the digest of their source,
-    so re-running a plan shape (even over a different collection, or with
-    different constants or probe keys — all enter as runtime arguments)
-    reuses the plugin.
+    SMCs into generated imperative functions that operate directly on the
+    collection's memory blocks. This module performs the same staging at
+    runtime: {!to_ocaml_source} renders the plan as a self-contained OCaml
+    module; {!prepare} compiles it with [ocamlopt -shared] against the host
+    build's .cmi files, loads it with [Dynlink.loadfile_private], and
+    receives the query function back through {!Codegen_abi}.
 
-    Results are bit-identical to {!Fuse.collect}: the emitted code
-    transliterates {!Expr.compile}, {!Aggregate.compile} and {!Fuse}'s
-    operator loops case by case, preserving evaluation order and raises.
-    When compilation is impossible — bytecode host, no [ocamlopt] on PATH,
-    unlocatable .cmi directories, a compile/load failure, or an [IndexJoin]
-    in the plan (its keyed per-row probe does not fit the scan-closure
-    ABI) — execution silently falls back to {!Fuse} and the outcome says
-    why. Requests, compiles, cache hits and fallbacks are counted under the
-    plan's source runtime ([cg_*] counters; every request lands in exactly
-    one of the other three buckets).
+    A [Scan] leaf enters the plugin as a batch source ({!Source.batches},
+    filling only the columns the plan reads), and the emitted code is one
+    fused loop per column chunk: filters, projections, group keys and
+    aggregate updates run as straight-line code over unboxed Int, Dec,
+    Date and Char words, int-like group keys hash as one unboxed key, and
+    a [Value.t] is built only for output rows, new groups' keys, join and
+    sort inputs, and operands with no typed form. Probe leaves
+    ([IndexScan]/[TextScan]/[ViewRead]) enter as their {!Plan.leaf_rows}
+    row pushes. Compiled plans are cached by the digest of their source,
+    which holds the scanned columns' kinds and the kinds of constants but
+    not collection identity, constant values, substring needles or probe
+    keys — so re-running a plan shape over another collection with the
+    same column kinds, or with other constants, reuses the plugin.
+
+    Results are bit-identical to {!Fuse.collect}, raises included: typed
+    code is emitted only where it computes exactly what {!Value} would,
+    and everything else transliterates {!Expr.compile},
+    {!Aggregate.compile} and {!Fuse}'s operator loops case by case, in
+    the same evaluation order. When compilation is impossible — bytecode
+    host, no [ocamlopt] on PATH, unlocatable .cmi directories, a
+    compile/load failure, or an [IndexJoin] in the plan (its keyed per-row
+    probe does not fit the leaf ABI) — execution falls back to {!Fuse} and
+    the outcome says why. Requests, compiles, cache hits and fallbacks are
+    counted under the plan's source runtime ([cg_*] counters; every
+    request lands in exactly one of the other three buckets).
 
     Environment knobs: [SMC_CG_OCAMLOPT] (compiler path), [SMC_CG_INCLUDE]
     (colon-separated extra [-I] dirs), [SMC_CG_TMPDIR] (scratch dir),
@@ -33,17 +43,13 @@ exception Unsupported of string
     cover (IndexJoin). {!prepare}/{!run} catch it and fall back. *)
 
 val to_ocaml_source : Plan.t -> string
-(** The complete plugin module for the plan: scalar helper prelude, the
-    [query] function (every leaf abstracted as a closure — the
-    {!Plan.leaf_rows} push of a scan, or of an index, text or view probe
-    with its key bound — in a closure array, constants as a
-    [Value.t array]), and the {!Codegen_abi} registration keyed by the
-    source digest. Plans that differ only in a probe's key or needle
-    render identically. *)
-
-val available : unit -> bool
-(** Whether the compiled path can work in this process: native code,
-    [ocamlopt] found, .cmi directories located. *)
+(** The complete plugin module for the plan: a two-helper prelude, the
+    [query] function (scan leaves as an array of batch sources, probe
+    leaves as an array of row pushes, constants as a [Value.t array]),
+    and the {!Codegen_abi} registration keyed by the source digest. Plans
+    that differ only in constant values, probe keys or needles, or in
+    collections whose scanned columns have the same kinds, render
+    identically. *)
 
 type outcome =
   | Native of string  (** executed by a Dynlink-loaded plugin; plan digest *)

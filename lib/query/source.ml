@@ -413,19 +413,13 @@ let of_array ~name ~schema rows =
     matviews = [];
   }
 
-let of_fun ~name ~schema scan =
-  let schema = Array.of_list schema in
-  {
-    name;
-    schema;
-    kinds = Array.map (fun _ -> Batch.K_any) schema;
-    scan;
-    scan_batches = None;
-    obs = None;
-    indexes = [];
-    texts = [];
-    matviews = [];
-  }
+let batches src ~rows ?cols emit =
+  match src.scan_batches with
+  | Some sb -> sb ~rows ?cols emit
+  | None ->
+    let push, flush = Batch.rebatcher ~ncols:(Array.length src.schema) ~rows ~emit in
+    src.scan push;
+    flush ()
 
 let column_index t col =
   let rec go i =

@@ -62,8 +62,9 @@ type t = {
   scan : (Value.t array -> unit) -> unit;  (** push a full scan *)
   scan_batches : (rows:int -> ?cols:bool array -> (Batch.t -> unit) -> unit) option;
       (** push the scan as reused column chunks of ≤ [rows] rows (the loan
-          contract of {!Batch}); [None] when the source has no batch path
-          and the vectorized engine must re-batch the row scan. [cols]
+          contract of {!Batch}), each with the identity selection; [None]
+          when the source has no batch path and consumers re-batch the row
+          scan ({!batches}). [cols]
           (indexed like [schema]) marks the columns the consumer will read:
           unmarked columns keep their storage in the batch but are not
           filled — their contents are unspecified. Omitted = fill all. *)
@@ -149,7 +150,13 @@ val extract_column : column -> Smc_offheap.Block.t -> int -> Value.t
 
 val of_array : name:string -> schema:string list -> Value.t array array -> t
 
-val of_fun : name:string -> schema:string list -> ((Value.t array -> unit) -> unit) -> t
+val batches : t -> rows:int -> ?cols:bool array -> (Batch.t -> unit) -> unit
+(** The scan as column chunks of ≤ [rows] rows: [scan_batches] when the
+    source has one, else [scan] re-packed by {!Batch.rebatcher} into boxed
+    chunks. Either way each chunk's selection is the identity (its live
+    rows are [0 .. len-1]) and the {!Batch} loan contract holds. [cols]
+    as in [scan_batches]. How the vectorized and compiled engines read a
+    [Scan] leaf. *)
 
 val column_index : t -> string -> int
 (** Raises [Not_found]. *)

@@ -580,21 +580,12 @@ let agg_columns = function
 let rec compile ~batch_rows ~need plan : pipe =
   match plan with
   | Plan.Scan src ->
-    let run =
-      match src.Source.scan_batches with
-      | Some sb ->
-        let mask =
-          match need with
-          | All -> None
-          | Only cols ->
-            Some (Array.map (fun c -> List.mem c cols) src.Source.schema)
-        in
-        fun emit -> sb ~rows:batch_rows ?cols:mask emit
-      | None ->
-        fun emit ->
-          batches_of ~ncols:(Array.length src.Source.schema) ~rows:batch_rows
-            src.Source.scan emit
+    let mask =
+      match need with
+      | All -> None
+      | Only cols -> Some (Array.map (fun c -> List.mem c cols) src.Source.schema)
     in
+    let run emit = Source.batches src ~rows:batch_rows ?cols:mask emit in
     { schema = src.Source.schema; kinds = src.Source.kinds; run; obs = src.Source.obs }
   | Plan.IndexScan { src; _ } | Plan.TextScan { src; _ } | Plan.ViewRead { src; _ } ->
     (* Probe hits and view groups arrive as boxed rows, so the batch is

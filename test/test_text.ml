@@ -496,7 +496,33 @@ let test_needles_share_a_plugin () =
     (Codegen.to_ocaml_source (probe "wolf"))
     (Codegen.to_ocaml_source (probe "alpha"));
   check Alcotest.int "wolf rows" 3 (List.length (Codegen.collect (probe "wolf")));
-  check Alcotest.int "alpha rows" 2 (List.length (Codegen.collect (probe "alpha")))
+  check Alcotest.int "alpha rows" 2 (List.length (Codegen.collect (probe "alpha")));
+  (* The planned shape keeps the whole predicate as a residual [Where]
+     above the probe; its needle is a constant too, so the plugin is
+     still shared. *)
+  let obs = rt.Smc_offheap.Runtime.obs in
+  let hits () = Smc_obs.get (Smc_obs.snapshot obs) Smc_obs.c_cg_cache_hits in
+  List.iter
+    (fun (name, pred) ->
+      let planned needle = Planner.choose_access_paths Plan.(where (pred needle) (scan src)) in
+      check Alcotest.bool (name ^ " is planned to a text probe") true
+        (Planner.uses_index (planned "wolf"));
+      check Alcotest.string
+        (name ^ ": same plugin source for different needles")
+        (Codegen.to_ocaml_source (planned "wolf"))
+        (Codegen.to_ocaml_source (planned "alpha"));
+      ignore (Codegen.collect (planned "wolf") : Value.t array list);
+      let before = hits () in
+      check rows_testable (name ^ ": second needle still gets its own rows")
+        (Fuse.collect (planned "alpha"))
+        (Codegen.collect (planned "alpha"));
+      if Dynlink.is_native then
+        check Alcotest.int (name ^ ": second needle hits the plugin cache") (before + 1) (hits ()))
+    [
+      ("Contains", fun n -> Expr.Contains (Expr.Col "txt", n));
+      ("ContainsCI", fun n -> Expr.ContainsCI (Expr.Col "txt", n));
+      ("StartsWith", fun n -> Expr.StartsWith (Expr.Col "txt", n));
+    ]
 
 (* ---- four-engine parity --------------------------------------------- *)
 

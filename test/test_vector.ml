@@ -23,9 +23,17 @@ let rows_testable =
               rows)))
     (List.equal (fun a b -> Array.for_all2 Value.equal a b))
 
+(* On a native host a compiled plan must run natively: when it cannot,
+   fail with the reason instead of passing on the Fuse fallback. *)
+let require_native plan =
+  if Dynlink.is_native then
+    match snd (Codegen.prepare plan) with
+    | Codegen.Native _ -> ()
+    | Codegen.Fallback reason -> Alcotest.fail ("compiled plan fell back to Fuse: " ^ reason)
+
 (* Every engine, plus the vectorized engine at adversarial chunk sizes:
    1 (each row its own batch) and 3 (chunk boundaries misaligned with
-   blocks). All five must agree exactly. *)
+   blocks). All six must agree exactly. *)
 let check_parity name plan =
   let reference = Interp.collect plan in
   check rows_testable (name ^ ": fuse = volcano") reference (Fuse.collect plan);
@@ -38,6 +46,8 @@ let check_parity name plan =
     (name ^ ": vector[3] = volcano")
     reference
     (Vector.collect ~batch_rows:3 plan);
+  require_native plan;
+  check rows_testable (name ^ ": compiled = volcano") reference (Codegen.collect plan);
   reference
 
 (* ------------------------------------------------------------------ *)
@@ -425,6 +435,120 @@ let test_vec_counters () =
   check (Alcotest.list Alcotest.string) "obs invariants hold" []
     (Smc_check.Obs_check.check rt ~contexts:[ coll.Smc.Collection.ctx ])
 
+(* ------------------------------------------------------------------ *)
+(* Compiled plans: Scan leaves enter the plugin as typed column chunks,
+   and every result must equal Fuse's (same rows, same order, the same
+   exception when Fuse raises). *)
+
+let outcome collect plan =
+  match collect plan with rows -> Ok rows | exception e -> Error (Printexc.to_string e)
+
+let check_compiled name plan =
+  require_native plan;
+  check
+    (Alcotest.result rows_testable Alcotest.string)
+    (name ^ ": compiled = fuse")
+    (outcome Fuse.collect plan) (outcome Codegen.collect plan)
+
+(* Shapes the parity tests above do not run: two packed char keys, every
+   typed aggregate cell, the other key tables, Date sums, raises, global
+   aggregates over empty input, and the typed compare and string cases. *)
+let compiled_plans src =
+  let w pred = Plan.(where pred (scan src)) in
+  let gb keys aggs input = Plan.group_by ~keys ~aggs input in
+  let col c = (c, Expr.Col c) in
+  Plan.
+    [
+      ( "q1-shape (packed char keys)",
+        gb
+          [ col "c"; col "kc" ]
+          [
+            ("sum_d", Sum (Expr.Col "d"));
+            ("sum_k", Sum (Expr.Col "k"));
+            ("disc", Sum Expr.(Mul (Col "d", Sub (dec "1.00", Col "d"))));
+            ("n", Count);
+            ("avg_k", Avg (Expr.Col "k"));
+            ("avg_d", Avg (Expr.Col "d"));
+            ("min_dt", Min (Expr.Col "dt"));
+            ("max_c", Max (Expr.Col "c"));
+            ("min_d", Min (Expr.Col "d"));
+          ]
+          (w Expr.(Le (Col "dt", Const (Value.Date 10060)))) );
+      ("date key", gb [ col "dt" ] [ ("n", Count); ("mx", Max (Expr.Col "k")) ] (scan src));
+      ( "boxed cells",
+        gb [ col "opt" ] [ ("so", Sum (Expr.Col "opt")); ("ao", Avg (Expr.Col "opt")) ] (scan src) );
+      ("bool key", gb [ col "b" ] [ ("n", Count); ("mn", Min (Expr.Col "b")) ] (scan src));
+      ( "select then group",
+        gb [ col "c" ]
+          [ ("x", Sum (Expr.Col "x")); ("y", Max (Expr.Col "y")) ]
+          (select
+             [ col "c"; ("x", Expr.(Mul (Col "d", int 2))); ("y", Expr.(Neg (Col "k"))) ]
+             (scan src)) );
+      ("date sum, one row", gb [] [ ("s", Sum (Expr.Col "dt")) ] (w Expr.(Eq (Col "k", int 1))));
+      ("date sum raises", gb [] [ ("s", Sum (Expr.Col "dt")) ] (scan src));
+      ("arith type error", select [ ("x", Expr.(Add (Col "dt", int 1))) ] (scan src));
+      ("compare type error", w Expr.(Lt (Col "dt", int 5)));
+      ("int div by zero", select [ ("q", Expr.(Div (Col "k", Sub (Col "k", Col "k")))) ] (scan src));
+      ("dec div by zero", select [ ("q", Expr.(Div (Col "d", dec "0.00"))) ] (scan src));
+      ("empty, no keys", gb [] [ ("n", Count); ("s", Sum (Expr.Col "d")) ] (w Expr.(Lt (Col "k", int 0))));
+      ("dec vs int const", w Expr.(Lt (Col "d", int 5)));
+      ("int vs dec col", w Expr.(Lt (Col "k", Col "d")));
+      ("between mixed", w Expr.(Between (Col "k", int 10, dec "40.50")));
+      ("str lt", w Expr.(Lt (Col "s", str "n01")));
+      ("char vs str col", w Expr.(Ge (Col "s", Col "c")));
+      ("bool col", w Expr.(Col "b"));
+      ("contains_ci", w (Expr.ContainsCI (Expr.Col "s", "N01")));
+      ("char contains", w (Expr.Contains (Expr.Col "c", "B")));
+      ("int contains", w (Expr.Contains (Expr.Col "k", "7")));
+    ]
+
+let test_compiled_parity () =
+  List.iter
+    (fun (cname, placement, mode) ->
+      let _rt, coll = build ~placement ~mode ~n:100 () in
+      (* a second char column, so packed keys see two distinct bytes *)
+      let src = Source.of_smc coll ~columns:(columns @ [ ("kc", Source.C_char fk) ]) in
+      List.iter (fun (n, p) -> check_compiled (cname ^ " " ^ n) p) (compiled_plans src))
+    configs
+
+let test_compiled_sharing () =
+  (* A shape no other test compiles, so the first prepare is a miss. *)
+  let plan src =
+    Plan.(
+      group_by
+        ~keys:[ ("c", Expr.Col "c") ]
+        ~aggs:[ ("s", Sum Expr.(Sub (Mul (Col "d", Col "k"), Col "k"))) ]
+        (where Expr.(Ge (Col "k", int 3)) (scan src)))
+  in
+  let rt1, c1 = build ~placement:Block.Row ~mode:Context.Indirect ~n:40 () in
+  let rt2, c2 = build ~placement:Block.Columnar ~mode:Context.Direct ~n:50 () in
+  let src1 = Source.of_smc c1 ~columns and src2 = Source.of_smc c2 ~columns in
+  let counter rt c = Smc_obs.get (Smc_obs.snapshot rt.Smc_offheap.Runtime.obs) c in
+  check Alcotest.string "same kinds, same source" (Codegen.to_ocaml_source (plan src1))
+    (Codegen.to_ocaml_source (plan src2));
+  if Dynlink.is_native then begin
+    let compiles = counter rt1 Smc_obs.c_cg_compiles in
+    check_compiled "first collection" (plan src1);
+    check Alcotest.int "compiled once" (compiles + 1) (counter rt1 Smc_obs.c_cg_compiles);
+    let hits = counter rt2 Smc_obs.c_cg_cache_hits in
+    check_compiled "second collection" (plan src2);
+    check Alcotest.bool "second collection hits the cache" true
+      (counter rt2 Smc_obs.c_cg_cache_hits > hits);
+    check Alcotest.int "and compiles nothing" 0 (counter rt2 Smc_obs.c_cg_compiles)
+  end;
+  (* "d" read as a computed (K_any) column: different typed code *)
+  let src3 =
+    Source.of_smc c2
+      ~columns:
+        (List.map
+           (fun (n, c) ->
+             if n = "d" then (n, Source.C_fn (Source.extract_column c)) else (n, c))
+           columns)
+  in
+  check Alcotest.bool "a kind change changes the source" false
+    (Codegen.to_ocaml_source (plan src1) = Codegen.to_ocaml_source (plan src3));
+  check_compiled "kind change" (plan src3)
+
 let () =
   let qc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vector"
@@ -446,5 +570,10 @@ let () =
           qc "snapshot view frontier" test_view_frontier;
           qc "parallel batch scan" test_parallel_batch_scan;
           qc "filter counters balance" test_vec_counters;
+        ] );
+      ( "compiled",
+        [
+          qc "compiled = fuse on typed shapes" test_compiled_parity;
+          qc "plugins shared by column kinds" test_compiled_sharing;
         ] );
     ]
