@@ -1,27 +1,16 @@
 open Smc_offheap
 
-type index_hook = {
-  ih_name : string;
-  ih_on_add : Ref.t -> Block.t -> int -> unit;
-  ih_on_remove : Ref.t -> unit;
-  ih_on_store : Ref.t -> word:int -> unit;
-}
+(* One published mutation. Adds carry their location so a log can serialise
+   the slot image; every firing point runs while that location is stable. *)
+type op =
+  | Add of Ref.t * Block.t * int
+  | Remove of Ref.t
+  | Store of Ref.t * int * int
 
-(* One published mutation of a committed transaction, handed to the WAL
-   hook as a batch so the log frames the whole transaction atomically. Adds
-   carry their location for slot-image serialisation (the batch is emitted
-   inside the commit's critical section, so locations are stable). *)
-type logged_op =
-  | L_add of Ref.t * Block.t * int
-  | L_remove of Ref.t
-  | L_store of Ref.t * int * int
-
-type wal_hook = {
-  wh_name : string;
-  wh_on_add : Ref.t -> Block.t -> int -> unit;
-  wh_on_remove : Ref.t -> unit;
-  wh_on_store : Ref.t -> word:int -> value:int -> unit;
-  wh_on_txn : txn_id:int -> logged_op list -> unit;
+type subscriber = {
+  name : string;
+  on_op : op -> unit;
+  on_commit : (txn_id:int -> op list -> unit) option;
 }
 
 type t = {
@@ -29,15 +18,24 @@ type t = {
   layout : Layout.t;
   ctx : Context.t;
   rt : Runtime.t;
-  mutable hooks : index_hook list;
-  mutable view_names : string list;
-  mutable wal : wal_hook option;
+  mutable subs : subscriber list;
   txn_lock : Mutex.t;
 }
 
 let create rt ~name ~layout ?placement ?mode ?slots_per_block ?reclaim_threshold () =
   let ctx = Context.create rt ~layout ?placement ?mode ?slots_per_block ?reclaim_threshold () in
-  { name; layout; ctx; rt; hooks = []; view_names = []; wal = None; txn_lock = Mutex.create () }
+  { name; layout; ctx; rt; subs = []; txn_lock = Mutex.create () }
+
+(* The one firing path: [op] goes to every subscriber's [on_op] in
+   attachment order — inside a commit only to those without [on_commit],
+   which take the whole batch from [commit_prepared] instead. Callers test
+   [t.subs != []] first, so an unwatched mutation builds no op. *)
+let publish ?(in_commit = false) t op =
+  List.iter
+    (fun s -> if not (in_commit && Option.is_some s.on_commit) then s.on_op op)
+    t.subs
+
+let batched t = List.exists (fun s -> Option.is_some s.on_commit) t.subs
 
 let add t ~init =
   let packed = Context.alloc t.ctx in
@@ -45,40 +43,25 @@ let add t ~init =
   (match Context.resolve t.ctx packed with
   | Some (blk, slot) ->
       init blk slot;
-      (match t.hooks with
-      | [] -> ()
-      | hooks -> List.iter (fun h -> h.ih_on_add r blk slot) hooks);
-      (match t.wal with None -> () | Some w -> w.wh_on_add r blk slot)
+      if t.subs != [] then publish t (Add (r, blk, slot))
   | None -> assert false (* a freshly allocated object cannot be dead *));
   r
 
 let remove t r =
-  match t.wal with
-  | None ->
-    let removed = Context.free t.ctx (Ref.to_packed r) in
-    (if removed then
-       match t.hooks with
-       | [] -> ()
-       | hooks -> List.iter (fun h -> h.ih_on_remove r) hooks);
-    removed
-  | Some w ->
-    (* Pin the epoch across free + log append: while this domain stays in
-       a critical section the freed slot cannot clear its grace period, so
-       no other domain can recycle the entry and log a later incarnation's
-       Add before this Remove record lands — replay order stays sound. *)
-    let em = t.rt.Runtime.epoch in
-    Epoch.enter_critical em;
-    Fun.protect
-      ~finally:(fun () -> Epoch.exit_critical em)
-      (fun () ->
-        let removed = Context.free t.ctx (Ref.to_packed r) in
-        if removed then begin
-          (match t.hooks with
-          | [] -> ()
-          | hooks -> List.iter (fun h -> h.ih_on_remove r) hooks);
-          w.wh_on_remove r
-        end;
-        removed)
+  (* With a batch subscriber (a log) attached, pin the epoch across free +
+     append: while this domain stays in a critical section the freed slot
+     cannot clear its grace period, so no other domain can recycle the
+     entry and log a later incarnation's Add before this Remove record
+     lands — replay order stays sound. *)
+  let pin = batched t in
+  let em = t.rt.Runtime.epoch in
+  if pin then Epoch.enter_critical em;
+  Fun.protect
+    ~finally:(fun () -> if pin then Epoch.exit_critical em)
+    (fun () ->
+      let removed = Context.free t.ctx (Ref.to_packed r) in
+      if removed && t.subs != [] then publish t (Remove r);
+      removed)
 
 let store t r ~word ~value =
   if word < 0 || word >= t.layout.Layout.slot_words then
@@ -104,95 +87,39 @@ let store t r ~word ~value =
                first committer still wins *)
             Context.stamp_write blk slot ~csn;
             Block.set_word blk ~slot ~word value;
-            (match t.hooks with
-            | [] -> ()
-            | hooks -> List.iter (fun h -> h.ih_on_store r ~word) hooks);
-            (match t.wal with None -> () | Some w -> w.wh_on_store r ~word ~value);
+            if t.subs != [] then publish t (Store (r, word, value));
             Smc_obs.incr t.rt.Runtime.obs Smc_obs.c_bare_stores))
 
-let attach_index t hook =
-  (match t.ctx.Context.mode with
-  | Context.Direct ->
-      invalid_arg
-        (Printf.sprintf
-           "Collection.attach_index: collection %S uses direct references; \
-            indexes require indirect mode (refs stable across compaction)"
-           t.name)
-  | Context.Indirect -> ());
-  if List.exists (fun h -> String.equal h.ih_name hook.ih_name) t.hooks then
+let subscribe t (s : subscriber) =
+  if t.ctx.Context.mode = Context.Direct then
     invalid_arg
-      (Printf.sprintf "Collection.attach_index: index %S already attached to %S" hook.ih_name
+      (Printf.sprintf
+         "Collection.subscribe: collection %S uses direct references; subscribers \
+          (indexes, views, logs) require indirect mode (refs stable across compaction)"
          t.name);
-  t.hooks <- hook :: t.hooks
-
-let detach_index t name =
-  if List.exists (String.equal name) t.view_names then
+  if List.exists (fun (x : subscriber) -> String.equal x.name s.name) t.subs then
     invalid_arg
-      (Printf.sprintf "Collection.detach_index: %S is a materialized view on %S (use \
-                       detach_view)" name t.name);
-  if not (List.exists (fun h -> String.equal h.ih_name name) t.hooks) then
-    invalid_arg
-      (Printf.sprintf "Collection.detach_index: no index %S attached to %S" name t.name);
-  t.hooks <- List.filter (fun h -> not (String.equal h.ih_name name)) t.hooks
-
-let index_names t =
-  List.rev
-    (List.filter_map
-       (fun h ->
-         if List.exists (String.equal h.ih_name) t.view_names then None else Some h.ih_name)
-       t.hooks)
-
-(* Materialized views ride the same hook registry as indexes — same firing
-   points, same exactly-once contract — but are tracked by name so the two
-   attachment namespaces cannot detach each other's hooks. *)
-let attach_view t hook =
-  (match t.ctx.Context.mode with
-  | Context.Direct ->
-      invalid_arg
-        (Printf.sprintf
-           "Collection.attach_view: collection %S uses direct references; \
-            views require indirect mode (refs stable across compaction)"
-           t.name)
-  | Context.Indirect -> ());
-  if List.exists (fun h -> String.equal h.ih_name hook.ih_name) t.hooks then
-    invalid_arg
-      (Printf.sprintf "Collection.attach_view: hook %S already attached to %S" hook.ih_name
+      (Printf.sprintf "Collection.subscribe: subscriber %S already attached to %S" s.name
          t.name);
-  t.hooks <- hook :: t.hooks;
-  t.view_names <- hook.ih_name :: t.view_names
+  t.subs <- t.subs @ [ s ]
 
-let detach_view t name =
-  if not (List.exists (String.equal name) t.view_names) then
+let unsubscribe t name =
+  let named (s : subscriber) = String.equal s.name name in
+  if not (List.exists named t.subs) then
     invalid_arg
-      (Printf.sprintf "Collection.detach_view: no view %S attached to %S" name t.name);
-  t.view_names <- List.filter (fun n -> not (String.equal n name)) t.view_names;
-  t.hooks <- List.filter (fun h -> not (String.equal h.ih_name name)) t.hooks
+      (Printf.sprintf "Collection.unsubscribe: no subscriber %S attached to %S" name t.name);
+  t.subs <- List.filter (fun s -> not (named s)) t.subs
 
-let view_hook_names t = List.rev t.view_names
+let subscribers t = List.map (fun (s : subscriber) -> s.name) t.subs
 
-let attach_wal t hook =
-  (match t.ctx.Context.mode with
-  | Context.Direct ->
-      invalid_arg
-        (Printf.sprintf
-           "Collection.attach_wal: collection %S uses direct references; \
-            WAL capture requires indirect mode (logged refs must stay \
-            stable across compaction)"
-           t.name)
-  | Context.Indirect -> ());
-  (match t.wal with
-  | Some w ->
-      invalid_arg
-        (Printf.sprintf "Collection.attach_wal: WAL %S already attached to %S" w.wh_name t.name)
-  | None -> ());
-  t.wal <- Some hook
-
-let detach_wal t =
-  match t.wal with
-  | None -> invalid_arg (Printf.sprintf "Collection.detach_wal: no WAL attached to %S" t.name)
-  | Some _ -> t.wal <- None
-
-let wal_name t = Option.map (fun w -> w.wh_name) t.wal
+let publish_replay t =
+  if batched t then
+    invalid_arg
+      (Printf.sprintf
+         "Collection.publish_replay: %S has a subscriber with on_commit attached; replayed \
+          ops would bypass its log"
+         t.name);
+  fun op -> publish t op
 
 let deref_opt t r = Context.resolve t.ctx (Ref.to_packed r)
 
@@ -238,8 +165,8 @@ let limbo_count t = Context.stats_limbo t.ctx
    one unit: write-write conflicts are validated against the staging-time
    CSN frontier (first committer wins), the whole batch is published under
    the collection's transaction lock with a single commit CSN — so snapshot
-   views observe all of it or none of it — and the attached WAL receives
-   the batch as one [wh_on_txn] call, framed so recovery replays it
+   views observe all of it or none of it — and a subscribed WAL receives
+   the batch as one [on_commit] call, framed so recovery replays it
    atomically.
 
    The transaction lock is deliberately separate from the context lock:
@@ -273,7 +200,7 @@ let txn t =
   (* Transactions lean on the indirection layer twice over: commit-time
      validation resolves staged references, and copy-on-write stores swing
      entries to updated copies. Direct mode has neither (same restriction
-     as WAL attachment). *)
+     as subscribing). *)
   if t.ctx.Context.mode <> Context.Indirect then
     invalid_arg
       (Printf.sprintf "Collection.txn: %S uses direct references; transactions need indirect \
@@ -334,10 +261,28 @@ let validate_locked tx =
       | S_store (r, _, _) -> check r "store")
     tx.tx_ops
 
+(* Applies the staged batch in staging order. Per-op subscribers hear each
+   op as it lands; the ops are also collected (only when anyone listens)
+   for the batch subscribers, which [commit_prepared] calls once. *)
 let apply_locked tx ~csn =
   let t = tx.tx_coll in
   let ctx = t.ctx in
-  let adds = ref [] and logged = ref [] in
+  let adds = ref [] and ops = ref [] in
+  let emit op =
+    publish ~in_commit:true t op;
+    ops := op :: !ops
+  in
+  let vanished () =
+    (* Validation saw the row alive moments ago inside this same critical
+       section; only a concurrent bare [remove] can have killed it since.
+       That interleaving voids the atomicity contract, so fail loudly
+       rather than publish half a batch. *)
+    failwith
+      (Printf.sprintf
+         "Collection.commit: reference vanished between validation and apply in %S \
+          (concurrent bare remove of a transactionally-written row)"
+         t.name)
+  in
   List.iter
     (fun op ->
       match op with
@@ -347,37 +292,21 @@ let apply_locked tx ~csn =
         (match Context.resolve ctx packed with
         | Some (blk, slot) ->
           init blk slot;
-          List.iter (fun h -> h.ih_on_add r blk slot) t.hooks;
           adds := r :: !adds;
-          logged := L_add (r, blk, slot) :: !logged
+          if t.subs != [] then emit (Add (r, blk, slot))
         | None -> assert false)
       | S_remove r ->
-        if not (Context.free ~csn ctx (Ref.to_packed r)) then
-          (* Validation saw the row alive moments ago inside this same
-             critical section; only a concurrent bare [remove] can have
-             killed it since. That interleaving voids the atomicity
-             contract, so fail loudly rather than publish half a batch. *)
-          failwith
-            (Printf.sprintf
-               "Collection.commit: reference vanished between validation and apply in %S \
-                (concurrent bare remove of a transactionally-written row)"
-               t.name);
-        List.iter (fun h -> h.ih_on_remove r) t.hooks;
-        logged := L_remove r :: !logged
+        if not (Context.free ~csn ctx (Ref.to_packed r)) then vanished ();
+        if t.subs != [] then emit (Remove r)
       | S_store (r, word, value) ->
         (* Copy-on-write: the updated row is published in a fresh slot and
            the old copy retired to limbo with death stamp [csn], so open
            snapshot views keep reading the pre-commit payload. *)
         if not (Context.store_versioned ctx (Ref.to_packed r) ~csn ~word ~value) then
-          failwith
-            (Printf.sprintf
-               "Collection.commit: reference vanished between validation and apply in %S \
-                (concurrent bare remove of a transactionally-written row)"
-               t.name);
-        List.iter (fun h -> h.ih_on_store r ~word) t.hooks;
-        logged := L_store (r, word, value) :: !logged)
+          vanished ();
+        if t.subs != [] then emit (Store (r, word, value)))
     (List.rev tx.tx_ops);
-  (List.rev !adds, List.rev !logged)
+  (List.rev !adds, List.rev !ops)
 
 (* ---- Two-phase commit primitives --------------------------------------
    [prepare] runs the first half of a commit — take the transaction lock,
@@ -435,9 +364,11 @@ let commit_prepared pr =
     ~finally:(fun () -> finish_prepared pr)
     (fun () ->
       let csn = Context.next_csn t.ctx in
-      let adds, logged = apply_locked tx ~csn in
+      let adds, ops = apply_locked tx ~csn in
       Runtime.fire_txn_hook t.rt Runtime.Txn_applied;
-      (match t.wal with None -> () | Some w -> w.wh_on_txn ~txn_id:csn logged);
+      List.iter
+        (fun s -> match s.on_commit with Some f -> f ~txn_id:csn ops | None -> ())
+        t.subs;
       Runtime.fire_txn_hook t.rt Runtime.Txn_logged;
       obs_incr t Smc_obs.c_txn_commits;
       adds)

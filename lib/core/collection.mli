@@ -9,63 +9,51 @@
     Storage knobs mirror the paper's variants: row vs columnar placement
     (§4.1) and indirect vs direct reference mode (§6). *)
 
-type index_hook = {
-  ih_name : string;
-  ih_on_add : Ref.t -> Smc_offheap.Block.t -> int -> unit;
-      (** Fired by {!add} after the object's fields are initialised, with
-          the new reference and its current location. *)
-  ih_on_remove : Ref.t -> unit;
-      (** Fired by {!remove} after a successful free. The reference already
-          reads as null; maintenance must be deferred (lazy staleness). *)
-  ih_on_store : Ref.t -> word:int -> unit;
-      (** Fired after a published word store to a live row — by the bare
-          {!store} inside its critical section, and by commit for each
-          staged {!stage_store} (after the copy-on-write swing; the ref
-          keeps its identity). Value-indexing structures use this to mark
-          the row's old entry stale and re-key the new payload; key-at-add
-          indexes (hash) ignore it. *)
-}
-(** Incremental-maintenance callbacks for an attached secondary index
-    ([Smc_index] builds these; the collection layer only fires them). *)
+(** Every structure kept in step with the collection's mutations — hash and
+    text indexes, materialized views, a write-ahead log — is a
+    {!subscriber}, registered in one ordered list with {!subscribe}. Each
+    published mutation reaches each subscriber exactly once, as one {!op}:
 
-type logged_op =
-  | L_add of Ref.t * Smc_offheap.Block.t * int
-  | L_remove of Ref.t
-  | L_store of Ref.t * int * int
-      (** One published mutation of a committed transaction, in commit
-          order. Adds carry their location for slot-image serialisation;
-          the batch is handed over inside the commit's critical section, so
-          locations are stable while the hook runs. *)
+    - a bare {!add} publishes [Add] after [init] has set the fields;
+    - a bare {!remove} publishes [Remove] after a successful free (the
+      reference already reads as null, so maintenance must be deferred —
+      lazy staleness); a dead remove publishes nothing;
+    - a bare {!store} publishes [Store] after the stamped in-place write,
+      inside its critical section;
+    - a commit ({!commit}, {!commit_prepared}) publishes its ops in staging
+      order. A subscriber with [on_commit = None] gets one [on_op] per op
+      while the batch is applied; a subscriber with [on_commit] gets no
+      [on_op] calls for it and one [on_commit] call with the whole batch
+      after it is applied, inside the commit's critical section — a log
+      frames it so recovery applies all or none. Staging, {!abort},
+      {!prepare} and {!abort_prepared} publish nothing;
+    - recovery ({!publish_replay}) publishes each replayed op to [on_op].
 
-type wal_hook = {
-  wh_name : string;
-  wh_on_add : Ref.t -> Smc_offheap.Block.t -> int -> unit;
-      (** Fired by {!add} after field init and index hooks, with the new
-          reference and its location — the WAL serialises the slot image. *)
-  wh_on_remove : Ref.t -> unit;
-      (** Fired by {!remove} after a successful free. *)
-  wh_on_store : Ref.t -> word:int -> value:int -> unit;
-      (** Fired by the bare {!store} after the stamped in-place write,
-          inside its critical section. *)
-  wh_on_txn : txn_id:int -> logged_op list -> unit;
-      (** Fired once per committed transaction with the whole batch, inside
-          the commit critical section — the WAL frames it atomically
-          ([Txn_begin]/[Txn_commit]) so recovery applies all or none. *)
+    Subscribers fire in attachment order, on the mutating domain, while the
+    op's location is stable. *)
+
+type op =
+  | Add of Ref.t * Smc_offheap.Block.t * int
+      (** the new reference and its location (for slot-image capture) *)
+  | Remove of Ref.t
+  | Store of Ref.t * int * int  (** reference, word offset, value *)
+
+type subscriber = {
+  name : string;  (** unique among the collection's subscribers *)
+  on_op : op -> unit;
+  on_commit : (txn_id:int -> op list -> unit) option;
+      (** when present, a commit's ops arrive here as one batch instead of
+          through [on_op]; attaching one also makes {!remove} pin the epoch
+          across free + publish, so no other domain can recycle the entry
+          and publish a later incarnation's [Add] first *)
 }
-(** Redo-logging callbacks for an attached write-ahead log ([Smc_persist]
-    builds these; the collection layer only fires them). At most one WAL
-    may be attached at a time. *)
 
 type t = {
   name : string;
   layout : Smc_offheap.Layout.t;
   ctx : Smc_offheap.Context.t;
   rt : Smc_offheap.Runtime.t;
-  mutable hooks : index_hook list;
-  mutable view_names : string list;
-      (** hook names registered through {!attach_view} (newest first) —
-          the same registry as indexes, partitioned by name *)
-  mutable wal : wal_hook option;
+  mutable subs : subscriber list;  (** in attachment order *)
   txn_lock : Mutex.t;
       (** serialises transaction commits and view-frontier reads; never
           held together with the context lock *)
@@ -89,7 +77,7 @@ val add : t -> init:(Smc_offheap.Block.t -> int -> unit) -> Ref.t
 
 val remove : t -> Ref.t -> bool
 (** Frees the object; [false] if the reference was already null/dead.
-    Attached index hooks fire only on a successful free. *)
+    Subscribers hear of it only on a successful free. *)
 
 val store : t -> Ref.t -> word:int -> value:int -> unit
 (** Single-word in-place store, stamped with its own fresh CSN under the
@@ -100,59 +88,34 @@ val store : t -> Ref.t -> word:int -> value:int -> unit
     in place (same slot; no copy-on-write), so open snapshot views whose
     frontier predates it will still read the new payload — single-word
     writes are atomic, views stay word-consistent but not frozen, which is
-    the documented contract for all bare mutations. Fires the WAL store
-    hook. Raises {!Smc_offheap.Constants.Null_reference} if the reference
+    the documented contract for all bare mutations. Publishes a [Store]
+    op. Raises {!Smc_offheap.Constants.Null_reference} if the reference
     is null or dead, [Invalid_argument] if [word] is outside the layout.
     Do not store to indexed key fields — index entries are keyed at add
     time. *)
 
-val attach_index : t -> index_hook -> unit
-(** Registers an index's maintenance hooks so {!add}/{!remove} keep it
-    current incrementally. Attachment is a quiescent-point operation: no
-    concurrent [add]/[remove] may run while the hook list changes (probes
-    may). Raises [Invalid_argument] for a duplicate index name, or when the
-    collection uses {!Smc_offheap.Context.Direct} references — indexes store
-    [Ref.t]s and rely on indirect mode keeping them stable across
-    compaction, so relocation never needs index patching. *)
+val subscribe : t -> subscriber -> unit
+(** Appends a subscriber; from now on every published mutation reaches it.
+    A quiescent-point operation: no concurrent mutation may run while the
+    list changes (probes may). Raises [Invalid_argument] for a duplicate
+    name, or when the collection uses {!Smc_offheap.Context.Direct}
+    references — subscribers hold [Ref.t]s and rely on indirect mode
+    keeping them stable across compaction. *)
 
-val detach_index : t -> string -> unit
-(** Unregisters the named index's hooks (quiescent-point operation).
-    Raises [Invalid_argument] if no such index is attached. *)
+val unsubscribe : t -> string -> unit
+(** Removes the named subscriber (quiescent-point operation). Raises
+    [Invalid_argument] if no such subscriber is attached. *)
 
-val index_names : t -> string list
-(** Names of currently attached indexes, in attachment order. Hooks
-    registered through {!attach_view} are excluded. *)
+val subscribers : t -> string list
+(** Names of the attached subscribers, in attachment order. *)
 
-val attach_view : t -> index_hook -> unit
-(** Registers a materialized view's maintenance hooks. Views share the
-    index hook registry — every mutation path that fires index hooks fires
-    view hooks at the same points, exactly once per published op — but are
-    tracked by name in a separate namespace: {!detach_index} refuses to
-    remove a view and vice versa. Same quiescent-point and indirect-mode
-    requirements as {!attach_index}; raises [Invalid_argument] on a
-    duplicate hook name (across indexes and views). *)
-
-val detach_view : t -> string -> unit
-(** Unregisters the named view's hooks (quiescent-point operation).
-    Raises [Invalid_argument] if no such view is attached. *)
-
-val view_hook_names : t -> string list
-(** Names of currently attached materialized views, in attachment order. *)
-
-val attach_wal : t -> wal_hook -> unit
-(** Registers a write-ahead log's redo callbacks so every {!add}/{!remove}
-    is captured. Attachment is a quiescent-point operation. Raises
-    [Invalid_argument] when a WAL is already attached, or when the
-    collection uses {!Smc_offheap.Context.Direct} references — the log
-    records [Ref.t]s and relies on indirect mode keeping them stable
-    across compaction. *)
-
-val detach_wal : t -> unit
-(** Unregisters the attached WAL's callbacks (quiescent-point operation).
-    Raises [Invalid_argument] if no WAL is attached. *)
-
-val wal_name : t -> string option
-(** Name of the currently attached WAL, if any. *)
+val publish_replay : t -> op -> unit
+(** [publish_replay t] is recovery's firing point: apply a replayed op to
+    the collection, then hand it to [publish_replay t], which fires every
+    subscriber's [on_op] — so structures subscribed before a replay stay
+    current through it. The partial application raises [Invalid_argument]
+    when a subscriber with [on_commit] is attached: replay does not log,
+    so that subscriber's log would silently diverge from the collection. *)
 
 val deref : t -> Ref.t -> Smc_offheap.Block.t * int
 (** Current location of the object. Raises
@@ -212,7 +175,7 @@ val compact : t -> ?occupancy_threshold:float -> unit -> Smc_offheap.Compaction.
     write-write conflicts are validated against the staging-time CSN
     frontier (first committer wins), the batch is published under the
     collection's transaction lock with a single commit CSN — snapshot views
-    see all of it or none of it — and an attached WAL logs it as one framed
+    see all of it or none of it — and a subscribed WAL logs it as one framed
     batch that recovery replays atomically.
 
     Bare {!add}/{!remove} calls are their own single-op units, each with
@@ -240,7 +203,7 @@ val txn : t -> txn
 (** Opens a transaction whose conflict frontier is the current CSN.
     Raises [Invalid_argument] on direct-mode collections — validation and
     copy-on-write stores need the indirection layer (same restriction as
-    WAL attachment). *)
+    subscribing). *)
 
 val stage_add : txn -> init:(Smc_offheap.Block.t -> int -> unit) -> unit
 (** Stages an allocation; [init] runs at commit on the fresh slot. *)
@@ -259,8 +222,8 @@ val stage_store : txn -> Ref.t -> word:int -> value:int -> unit
     time. *)
 
 val commit : txn -> txn_result
-(** Validates and publishes the batch, fires index hooks per op and the WAL
-    hook once, and closes the transaction. *)
+(** Validates and publishes the batch (see {!subscriber} for how
+    subscribers hear of it), and closes the transaction. *)
 
 val abort : txn -> unit
 (** Discards the staged batch and closes the transaction. *)
@@ -297,9 +260,9 @@ val prepare : txn -> prepared option
     counted ([commit] would have returned [Conflict]). *)
 
 val commit_prepared : prepared -> Ref.t list
-(** Publishes the prepared batch (apply + index hooks + one framed WAL
-    batch), releases the locks, and returns the staged adds' references in
-    staging order. *)
+(** Publishes the prepared batch (apply, then the subscribers' per-op and
+    batch deliveries), releases the locks, and returns the staged adds'
+    references in staging order. *)
 
 val abort_prepared : prepared -> unit
 (** Releases the locks without publishing anything — the coordinator's

@@ -274,24 +274,30 @@ let locked t f =
 
 (* ---- maintenance hooks -------------------------------------------- *)
 
-(* The add hook re-resolves the reference inside the critical section
-   rather than trusting the (blk, slot) the collection passed: the row may
-   have been relocated by a concurrent compaction since init ran, and the
-   ref — stable in indirect mode — is the durable name. *)
-let on_add t r _blk _slot =
-  locked t (fun () ->
-      Smc.Collection.with_read t.coll (fun () ->
-          match Smc.Collection.deref_opt t.coll r with
-          | None -> () (* removed before we got the lock; nothing to index *)
-          | Some (blk, slot) ->
-              let w = key_word t.spec (extract t.spec blk slot) in
-              maintain_locked t;
-              insert_locked t w (Smc.Ref.to_packed r);
-              Smc_obs.incr t.obs Smc_obs.c_idx_inserts))
-
-(* Removal is O(1): the entry goes stale by incarnation and is purged
-   lazily. No key extraction — the row is already gone. *)
-let on_remove t _r = Atomic.incr t.dead_pending
+let on_op t : Smc.Collection.op -> unit = function
+  | Add (r, _, _) ->
+    (* Re-resolve the reference inside the critical section rather than
+       trusting the published (blk, slot): the row may have been relocated
+       by a concurrent compaction since init ran, and the ref — stable in
+       indirect mode — is the durable name. *)
+    locked t (fun () ->
+        Smc.Collection.with_read t.coll (fun () ->
+            match Smc.Collection.deref_opt t.coll r with
+            | None -> () (* removed before we got the lock; nothing to index *)
+            | Some (blk, slot) ->
+                let w = key_word t.spec (extract t.spec blk slot) in
+                maintain_locked t;
+                insert_locked t w (Smc.Ref.to_packed r);
+                Smc_obs.incr t.obs Smc_obs.c_idx_inserts))
+  | Remove _ ->
+    (* O(1): the entry goes stale by incarnation and is purged lazily. No
+       key extraction — the row is already gone. *)
+    Atomic.incr t.dead_pending
+  | Store _ ->
+    (* Keys live in fields written once at add time (the documented
+       contract: do not store to indexed key fields), so stores never
+       re-key an entry. *)
+    ()
 
 let sweep t = locked t (fun () -> sweep_locked t)
 let rebuild t = locked t (fun () -> rebuild_locked t)
@@ -317,19 +323,10 @@ let attach ?(initial_capacity = chunk_buckets) ?(max_load = 0.7) ~name ~key coll
       obs = coll.Smc.Collection.rt.Runtime.obs;
     }
   in
-  (* Registers hooks first (rejects direct mode / duplicate names before
-     any work), then bulk-loads; attach is a quiescent-point operation so
-     no add can slip between the two. *)
-  Smc.Collection.attach_index coll
-    {
-      Smc.Collection.ih_name = name;
-      ih_on_add = on_add t;
-      ih_on_remove = on_remove t;
-      (* Keys live in fields written once at add time (the documented
-         contract: do not store to indexed key fields), so stores never
-         re-key an entry. *)
-      ih_on_store = (fun _ ~word:_ -> ());
-    };
+  (* Subscribes first (rejects direct mode / duplicate names before any
+     work), then bulk-loads; attach is a quiescent-point operation so no
+     add can slip between the two. *)
+  Smc.Collection.subscribe coll { name; on_op = on_op t; on_commit = None };
   locked t (fun () ->
       Smc.Collection.iter coll ~f:(fun blk slot ->
           let r = Smc.Collection.ref_of_slot t.coll blk slot in
@@ -339,7 +336,7 @@ let attach ?(initial_capacity = chunk_buckets) ?(max_load = 0.7) ~name ~key coll
           Smc_obs.incr t.obs Smc_obs.c_idx_inserts));
   t
 
-let detach t = Smc.Collection.detach_index t.coll t.name
+let detach t = Smc.Collection.unsubscribe t.coll t.name
 
 (* ---- introspection -------------------------------------------------- *)
 

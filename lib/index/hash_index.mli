@@ -40,16 +40,17 @@ val attach :
   key:key_spec ->
   Smc.Collection.t ->
   t
-(** Creates the index, bulk-loads every live row, and registers
-    maintenance hooks via {!Smc.Collection.attach_index} so subsequent
+(** Creates the index, bulk-loads every live row, and subscribes it
+    to the collection ({!Smc.Collection.subscribe}) so subsequent
     [add]/[remove] maintain it incrementally. A quiescent-point operation
     (no concurrent mutators during the bulk load). Raises
-    [Invalid_argument] on direct-mode collections or duplicate names.
+    [Invalid_argument] on direct-mode collections or a name another
+    subscriber holds.
     [initial_capacity] is rounded up to a power of two (default 4096);
     [max_load] defaults to [0.7]. *)
 
 val detach : t -> unit
-(** Unregisters the maintenance hooks. The index stops tracking the
+(** Unsubscribes the index. The index stops tracking the
     collection; further probes are allowed but see a frozen (increasingly
     stale) view. Quiescent-point operation. *)
 

@@ -229,7 +229,7 @@ let guarded t f =
         touch_frontier t
       end)
 
-let on_add t r _blk _slot =
+let on_add t r =
   guarded t (fun () ->
       let p = Smc.Ref.to_packed r in
       if not (Hashtbl.mem t.contribs p) then
@@ -253,7 +253,7 @@ let on_remove t r =
         apply_contribution t ~dir:(-1) con;
         applied_delta t Smc_obs.c_mv_removes)
 
-let on_store t r ~word:_ =
+let on_store t r =
   guarded t (fun () ->
       let p = Smc.Ref.to_packed r in
       let old = Hashtbl.find_opt t.contribs p in
@@ -482,20 +482,23 @@ let attach ~name:vname coll ~columns ~keys ~aggs ?where () =
       obs = coll.Smc.Collection.rt.Runtime.obs;
     }
   in
-  (* Hooks first (rejects direct mode / duplicate names before any work),
-     then the initial build; attach is a quiescent-point operation so no
-     mutation slips between the two. *)
-  Smc.Collection.attach_view coll
+  (* Subscribe first (rejects direct mode / duplicate names before any
+     work), then the initial build; attach is a quiescent-point operation so
+     no mutation slips between the two. *)
+  Smc.Collection.subscribe coll
     {
-      Smc.Collection.ih_name = vname;
-      ih_on_add = on_add t;
-      ih_on_remove = on_remove t;
-      ih_on_store = on_store t;
+      name = vname;
+      on_op =
+        (function
+        | Add (r, _, _) -> on_add t r
+        | Remove r -> on_remove t r
+        | Store (r, _, _) -> on_store t r);
+      on_commit = None;
     };
   locked t (fun () -> ignore (build_locked t : bool));
   t
 
-let detach t = Smc.Collection.detach_view t.coll t.vname
+let detach t = Smc.Collection.unsubscribe t.coll t.vname
 
 let info t =
   {

@@ -5,9 +5,9 @@
     against a collection, and keeps the result up to date from mutation
     deltas instead of re-aggregating the scan on every read: an added row
     applies a +delta to its group, a removed row a −delta, an in-place
-    store a remove+add pair. Maintenance rides the same hook registry as
-    indexes ({!Smc.Collection.attach_view}), so every mutation path that
-    keeps indexes current — bare ops, transactional commit, WAL replay
+    store a remove+add pair. The view is a per-op
+    {!Smc.Collection.subscriber}, like an index, so every mutation path
+    that keeps indexes current — bare ops, transactional commit, WAL replay
     ({!val:Smc_persist.Snapshot.replay_wal}) — keeps views current too, at
     the same exactly-once firing points.
 
@@ -48,17 +48,18 @@ val attach :
   ?where:Smc_query.Expr.t ->
   unit ->
   t
-(** Registers the view's maintenance hooks and runs the initial build (one
+(** Subscribes the view to the collection and runs the initial build (one
     scan). [columns] is the same typed spec the advertising
     {!Smc_query.Source.of_smc} uses — extraction agrees by construction.
     Attachment is a quiescent-point operation (no concurrent mutations),
-    like index attachment. Raises [Invalid_argument] on a duplicate hook
+    like index attachment. Raises [Invalid_argument] on a duplicate subscriber
     name, a direct-mode collection, or an expression naming a column
     outside [columns]. If existing rows are outside the invertible algebra
     the view attaches {e invalid} (reads fall back; see module doc). *)
 
 val detach : t -> unit
-(** Unregisters the hooks (quiescent-point operation). *)
+(** Unsubscribes the view (quiescent-point operation). Raises
+    [Invalid_argument] if it is not attached. *)
 
 val name : t -> string
 val collection : t -> Smc.Collection.t

@@ -45,10 +45,6 @@ val run :
     [max_wait_spins] bounds each phase-boundary wait. Must not be called
     from inside a critical section of the same runtime. *)
 
-val run_if_requested : Context.t -> report option
-(** Runs a pass iff {!Context.request_compaction} was called since the last
-    pass. *)
-
 val daemon :
   poll_contexts:(unit -> Context.t list) ->
   stop:bool Atomic.t ->

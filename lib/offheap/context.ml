@@ -792,13 +792,22 @@ let scan_block_batch ?csn blk ~start ~sel =
     done);
   (!k, !slot)
 
-(* Drive [scan_block_batch] over a whole view snapshot. [on_batch blk count]
-   sees the first [count] entries of [sel] filled with surviving slots of
-   [blk]; it must consume (or copy) them before returning — the buffer is
-   reused for the next batch. [wrap] delimits each view element exactly as
-   in [iter_blocks_scanned]. *)
-let iter_batches ?csn ?wrap t ~sel ~on_batch =
-  iter_blocks_scanned ?wrap t ~scan:(fun blk ->
+(* The §4 amortization the vectorized engine is built on: drive
+   [scan_block_batch] over a whole view snapshot with one epoch critical
+   section per view element (block or whole compaction group), every batch
+   of that element — gather *and* the caller's column fill — inside it.
+   [on_batch blk count] sees the first [count] entries of [sel] filled with
+   surviving slots of [blk]; it must consume (or copy) them before
+   returning — the buffer is reused for the next batch. Compare
+   [iter_valid_per_block], which pays the same critical section per block
+   but still a closure call per row. *)
+let iter_valid_batches ?csn t ~sel ~on_batch =
+  let epoch = t.rt.Runtime.epoch in
+  let wrap body =
+    Epoch.enter_critical epoch;
+    Fun.protect ~finally:(fun () -> Epoch.exit_critical epoch) body
+  in
+  iter_blocks_scanned ~wrap t ~scan:(fun blk ->
       let n = blk.Block.nslots in
       let start = ref 0 in
       while !start < n do
@@ -806,19 +815,6 @@ let iter_batches ?csn ?wrap t ~sel ~on_batch =
         if count > 0 then on_batch blk count;
         start := next
       done)
-
-(* The §4 amortization the vectorized engine is built on: one epoch critical
-   section per view element (block or whole compaction group), with every
-   batch of that element — gather *and* the caller's column fill — inside
-   it. Compare [iter_valid_per_block], which pays the same critical section
-   per block but still a closure call per row. *)
-let iter_valid_batches ?csn t ~sel ~on_batch =
-  let epoch = t.rt.Runtime.epoch in
-  let wrap body =
-    Epoch.enter_critical epoch;
-    Fun.protect ~finally:(fun () -> Epoch.exit_critical epoch) body
-  in
-  iter_batches ?csn ~wrap t ~sel ~on_batch
 
 let add_direct_referrer t ~from field =
   with_lock t (fun () -> t.direct_referrers <- (from, field) :: t.direct_referrers)

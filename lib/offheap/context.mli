@@ -184,18 +184,12 @@ val scan_block_batch : ?csn:int -> Block.t -> start:int -> sel:sel -> int * int
     where the following batch must [start] ([= nslots] when the block is
     exhausted). No group handling; call inside a critical section. *)
 
-val iter_batches :
-  ?csn:int -> ?wrap:((unit -> unit) -> unit) -> t -> sel:sel -> on_batch:(Block.t -> int -> unit) -> unit
-(** Drive {!scan_block_batch} over the published view under the §5.2 group
-    protocol. [on_batch blk count] must consume the first [count] entries of
-    [sel] before returning — the buffer is reused. Without [?wrap], call
-    inside a critical section; [wrap] delimits each view element as in the
-    per-block enumerators. *)
-
 val iter_valid_batches : ?csn:int -> t -> sel:sel -> on_batch:(Block.t -> int -> unit) -> unit
-(** {!iter_batches} with one fresh epoch critical section per view element,
-    covering every batch of that element — gather {e and} the caller's
-    column fill. The batch-at-a-time analogue of {!iter_valid_per_block}:
+(** Drives {!scan_block_batch} over the published view under the §5.2
+    group protocol. [on_batch blk count] must consume the first [count]
+    entries of [sel] before returning — the buffer is reused. One fresh
+    epoch critical section per view element covers every batch of that
+    element — gather {e and} the caller's column fill. The batch-at-a-time analogue of {!iter_valid_per_block}:
     the critical-section cost is paid once per block rather than once per
     row. Must be called {e outside} any critical section unless [?csn] is
     given (a snapshot view already holds its own pin, and critical sections
@@ -256,9 +250,6 @@ val add_direct_referrer : t -> from:t -> Layout.field -> unit
 val perform_relocation : t -> int -> Block.relocation -> Block.t -> unit
 (** Moves one object to its relocation target; idempotent; must hold the
     entry's stripe lock. Exposed for the compaction driver. *)
-
-val mark_reloc_failed : Block.t -> int -> unit
-(** Marks a slot's pending relocation failed (bail-out path). *)
 
 val effective_quarantine_limit : t -> int
 (** The incarnation bound at which this context quarantines slots: the

@@ -81,6 +81,3 @@ let fire_txn_hook t phase = match t.on_txn_phase with None -> () | Some f -> f p
 let tid t = Epoch.thread_id t.epoch
 
 let with_entry_lock t entry f = Smc_util.Striped_lock.with_lock t.locks entry f
-
-let with_slot_lock t ~block ~slot f =
-  Smc_util.Striped_lock.with_lock t.locks ((block lsl 20) lxor slot) f

@@ -72,6 +72,3 @@ val tid : t -> int
 
 val with_entry_lock : t -> int -> (unit -> 'a) -> 'a
 (** Serialises read-modify-write on indirection entry [entry]. *)
-
-val with_slot_lock : t -> block:int -> slot:int -> (unit -> 'a) -> 'a
-(** Serialises read-modify-write on a block slot's incarnation word. *)

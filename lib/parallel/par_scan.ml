@@ -142,9 +142,3 @@ let fold_batches_par ?pool ?domains ?csn ctx ~sel_cap ~init ~on_batch ~combine =
       ~combine:(fun (a, sel) (b, _) -> (combine a b, sel))
   in
   acc
-
-let iter_hoisted_par ?pool ?domains ?csn ctx ~on_block =
-  fold_hoisted_par ?pool ?domains ?csn ctx
-    ~init:(fun () -> ())
-    ~on_block:(fun () blk -> on_block blk)
-    ~combine:(fun () () -> ())

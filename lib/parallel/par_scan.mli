@@ -56,10 +56,6 @@ val fold_hoisted_par :
     block and returns the per-slot body, closed over the worker's private
     accumulator and the block's hoisted raw state. *)
 
-val iter_hoisted_par :
-  ?pool:Pool.t -> ?domains:int -> ?csn:int -> Context.t -> on_block:(Block.t -> int -> unit) -> unit
-(** Hoisted iteration without accumulators; [on_block] must be domain-safe. *)
-
 val fold_batches_par :
   ?pool:Pool.t ->
   ?domains:int ->

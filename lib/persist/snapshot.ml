@@ -566,6 +566,7 @@ let fixup_refs ~(ctx : Context.t) (layout : Layout.t) map =
    sitting in the free stores, which at this point only hold entries the
    replay itself minted and discarded (all above the reservation). *)
 let replay_wal (coll : Smc.Collection.t) ~path ~cut =
+  let publish = Smc.Collection.publish_replay coll in
   let rt = coll.Smc.Collection.rt in
   let ctx = coll.Smc.Collection.ctx in
   let layout = coll.Smc.Collection.layout in
@@ -614,13 +615,9 @@ let replay_wal (coll : Smc.Collection.t) ~path ~cut =
       Indirection.set_inc_word ind entry (inc land Constants.inc_mask);
       (* Same firing point as the live add path: fields initialised, the
          logged identity rewired. [restore] replays before any index is
-         reattached, so there the list is empty; a caller that attaches
-         hooks first (view replay-on-recovery) sees each op exactly once. *)
-      (match coll.Smc.Collection.hooks with
-      | [] -> ()
-      | hooks ->
-        let r = Smc.Ref.of_packed (Constants.pack_ref ~entry ~inc) in
-        List.iter (fun h -> h.Smc.Collection.ih_on_add r blk slot) hooks)
+         reattached, so there nothing listens; a caller that subscribes
+         first (view replay-on-recovery) sees each op exactly once. *)
+      publish (Add (Smc.Ref.of_packed (Constants.pack_ref ~entry ~inc), blk, slot))
   in
   let apply_remove ~lsn entry inc =
     let packed = Constants.pack_ref ~entry ~inc in
@@ -643,11 +640,7 @@ let replay_wal (coll : Smc.Collection.t) ~path ~cut =
         Smc_obs.incr rt.Runtime.obs Smc_obs.c_slot_recycles
       end;
       (* After the free, like the live remove path (lazy staleness). *)
-      (match coll.Smc.Collection.hooks with
-      | [] -> ()
-      | hooks ->
-        let r = Smc.Ref.of_packed packed in
-        List.iter (fun h -> h.Smc.Collection.ih_on_remove r) hooks)
+      publish (Remove (Smc.Ref.of_packed packed))
   in
   let apply_store ~lsn entry inc word value =
     let packed = Constants.pack_ref ~entry ~inc in
@@ -658,11 +651,7 @@ let replay_wal (coll : Smc.Collection.t) ~path ~cut =
       if word < 0 || word >= sw then
         Pio.corrupt "%s: record %d stores outside the layout (word %d)" what lsn word;
       Block.set_word blk ~slot ~word value;
-      (match coll.Smc.Collection.hooks with
-      | [] -> ()
-      | hooks ->
-        let r = Smc.Ref.of_packed packed in
-        List.iter (fun h -> h.Smc.Collection.ih_on_store r ~word) hooks)
+      publish (Store (Smc.Ref.of_packed packed, word, value))
   in
   let applied = ref 0 in
   let apply_op ~lsn record =
@@ -764,7 +753,7 @@ let seed_free_entries (rt : Runtime.t) (ctx : Context.t) =
     done
   end
 
-let reattach_indexes (coll : Smc.Collection.t) m =
+let rebuild_indexes (coll : Smc.Collection.t) m =
   List.map
     (fun (name, column) ->
       let f =
@@ -863,7 +852,7 @@ let restore ?wal ~path () =
     | Some wpath -> replay_wal coll ~path:wpath ~cut:m.wal_lsn
   in
   seed_free_entries rt coll.Smc.Collection.ctx;
-  let indexes = reattach_indexes coll m in
+  let indexes = rebuild_indexes coll m in
   {
     r_rt = rt;
     r_coll = coll;

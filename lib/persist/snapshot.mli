@@ -85,12 +85,15 @@ val replay_wal : Smc.Collection.t -> path:string -> cut:int -> int * int
     the log's base) over the collection, applying bare records directly
     and transaction frames atomically on their commit record — an
     unterminated or orphaned frame is discarded as a unit. Every applied
-    op fires the collection's attached index/view hooks exactly once, at
-    the same points as the live mutation paths, so maintenance structures
-    attached {e before} the replay stay current through it; {!restore}
-    replays before reattaching indexes, so its replay fires none. Returns
+    op reaches each of the collection's subscribers exactly once
+    ({!Smc.Collection.publish_replay}), at the same points as the live
+    mutation paths, so maintenance structures subscribed {e before} the
+    replay stay current through it; {!restore} replays before reattaching
+    indexes, so its replay publishes to no one. Returns
     [(applied, torn_dropped)]. Raises {!Pio.Corrupt} on mid-log corruption
-    or a snapshot/log gap. Single-threaded recovery use only: no
+    or a snapshot/log gap, and [Invalid_argument] (before reading the log)
+    when a subscriber with [on_commit] — a WAL — is attached: replay does
+    not log, so that log would silently miss every replayed op. Single-threaded recovery use only: no
     concurrent mutators, probes or compaction. *)
 
 val restore : ?wal:string -> path:string -> unit -> restored

@@ -99,46 +99,40 @@ let close t =
         t.closed <- true
       end)
 
-let add_payload (coll : Smc.Collection.t) r blk slot =
-  let packed = Smc.Ref.to_packed r in
+(* One record body per op: opcode, the reference's entry and incarnation,
+   then an add's slot image (word count + words) or a store's word and
+   value. Bare records and transaction bodies share it. *)
+let payload (coll : Smc.Collection.t) (op : Smc.Collection.op) =
   let sw = coll.Smc.Collection.layout.Layout.slot_words in
-  let payload = Buffer.create (32 + (8 * sw)) in
-  Pio.add_int payload op_add;
-  Pio.add_int payload (Constants.ref_entry packed);
-  Pio.add_int payload (Constants.ref_inc packed);
-  Pio.add_int payload sw;
-  for w = 0 to sw - 1 do
-    Pio.add_int payload (Block.get_word blk ~slot ~word:w)
-  done;
-  payload
-
-let remove_payload r =
+  let code, r, size =
+    match op with
+    | Add (r, _, _) -> (op_add, r, 32 + (8 * sw))
+    | Remove r -> (op_remove, r, 32)
+    | Store (r, _, _) -> (op_store, r, 48)
+  in
   let packed = Smc.Ref.to_packed r in
-  let payload = Buffer.create 32 in
-  Pio.add_int payload op_remove;
+  let payload = Buffer.create size in
+  Pio.add_int payload code;
   Pio.add_int payload (Constants.ref_entry packed);
   Pio.add_int payload (Constants.ref_inc packed);
+  (match op with
+  | Add (_, blk, slot) ->
+    Pio.add_int payload sw;
+    for w = 0 to sw - 1 do
+      Pio.add_int payload (Block.get_word blk ~slot ~word:w)
+    done
+  | Remove _ -> ()
+  | Store (_, word, value) ->
+    Pio.add_int payload word;
+    Pio.add_int payload value);
   payload
-
-let store_payload r ~word ~value =
-  let packed = Smc.Ref.to_packed r in
-  let payload = Buffer.create 48 in
-  Pio.add_int payload op_store;
-  Pio.add_int payload (Constants.ref_entry packed);
-  Pio.add_int payload (Constants.ref_inc packed);
-  Pio.add_int payload word;
-  Pio.add_int payload value;
-  payload
-
-let log_add t coll r blk slot = append t (add_payload coll r blk slot)
-let log_remove t r = append t (remove_payload r)
 
 let log_store t (coll : Smc.Collection.t) r ~word ~value =
   if not (Smc.Collection.mem coll r) then
     invalid_arg "Wal.log_store: reference is null or dead";
   if word < 0 || word >= coll.Smc.Collection.layout.Layout.slot_words then
     invalid_arg "Wal.log_store: word offset outside the layout";
-  append t (store_payload r ~word ~value)
+  append t (payload coll (Store (r, word, value)))
 
 (* A committed transaction's batch: Txn_begin (carrying the declared op
    count), the body records, Txn_commit — appended under ONE mutex hold, so
@@ -156,14 +150,7 @@ let log_txn t (coll : Smc.Collection.t) ~txn_id ops =
       Pio.add_int header txn_id;
       Pio.add_int header (List.length ops);
       append_locked t header;
-      List.iter
-        (fun (op : Smc.Collection.logged_op) ->
-          append_locked t
-            (match op with
-            | Smc.Collection.L_add (r, blk, slot) -> add_payload coll r blk slot
-            | Smc.Collection.L_remove r -> remove_payload r
-            | Smc.Collection.L_store (r, word, value) -> store_payload r ~word ~value))
-        ops;
+      List.iter (fun op -> append_locked t (payload coll op)) ops;
       let footer = Buffer.create 16 in
       Pio.add_int footer op_txn_commit;
       Pio.add_int footer txn_id;
@@ -171,19 +158,17 @@ let log_txn t (coll : Smc.Collection.t) ~txn_id ops =
       apply_policy_locked t)
 
 let attach t (coll : Smc.Collection.t) =
-  Smc.Collection.attach_wal coll
+  (* The collection publishes bare ops inside their critical sections with
+     the row alive, so [on_op] skips log_store's liveness precheck. *)
+  Smc.Collection.subscribe coll
     {
-      Smc.Collection.wh_name = t.name;
-      wh_on_add = (fun r blk slot -> log_add t coll r blk slot);
-      wh_on_remove = (fun r -> log_remove t r);
-      (* the collection fires this inside the store's critical section with
-         the row alive, so skip log_store's liveness precheck *)
-      wh_on_store = (fun r ~word ~value -> append t (store_payload r ~word ~value));
-      wh_on_txn = (fun ~txn_id ops -> log_txn t coll ~txn_id ops);
+      name = t.name;
+      on_op = (fun op -> append t (payload coll op));
+      on_commit = Some (fun ~txn_id ops -> log_txn t coll ~txn_id ops);
     };
   t.obs <- Some coll.Smc.Collection.rt.Runtime.obs
 
-let detach _t coll = Smc.Collection.detach_wal coll
+let detach t coll = Smc.Collection.unsubscribe coll t.name
 
 (* ------------------------------------------------------------------ *)
 (* Recovery *)

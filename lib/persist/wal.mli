@@ -9,8 +9,8 @@
     collection exactly — entry indices and incarnations are reproduced
     verbatim, so references stored inside objects keep resolving.
 
-    Committed transactions arrive through the [wh_on_txn] hook as one
-    batch and are framed atomically: a [Txn_begin] record carrying the
+    Committed transactions arrive through the subscriber's [on_commit] as
+    one batch and are framed atomically: a [Txn_begin] record carrying the
     declared op count, the body records (same wire format as bare ops), and
     a [Txn_commit] record — all appended under one mutex hold, so neither a
     bare record nor a snapshot cut can land inside the frame. Replay
@@ -18,7 +18,8 @@
     commit record; an unterminated frame — crash before the commit record
     reached disk — is discarded as a unit.
 
-    Records are captured through {!Smc.Collection.attach_wal} hooks, so
+    Records are captured by subscribing to the collection
+    ({!Smc.Collection.subscribe}), so
     they may be appended from any domain; a mutex serialises appends.
     Group commit: records accumulate in the channel buffer and are flushed
     and [fsync]ed in batches under the {!sync_policy} — [Every n] is the
@@ -45,11 +46,15 @@ val create : ?sync:sync_policy -> ?base:int -> path:string -> name:string -> uni
     one with [~base:(lsn old)]. Default [sync] is [Every 256]. *)
 
 val attach : t -> Smc.Collection.t -> unit
-(** Registers redo hooks via {!Smc.Collection.attach_wal} so every
-    [add]/[remove] is captured. Raises [Invalid_argument] on direct-mode
-    collections or when the collection already has a WAL. *)
+(** Subscribes the log to the collection under the log's {!name}, so every
+    [add]/[remove]/[store] and every committed batch is captured. Raises
+    [Invalid_argument] on direct-mode collections or when a subscriber of
+    that name is already attached. *)
 
 val detach : t -> Smc.Collection.t -> unit
+(** Unsubscribes this log (by its {!name}); other subscribers, including
+    other logs, stay attached. Raises [Invalid_argument] if this log is not
+    attached to the collection. *)
 
 val log_store : t -> Smc.Collection.t -> Smc.Ref.t -> word:int -> value:int -> unit
 (** Logs an in-place store of logical word [word] of the object behind the

@@ -501,29 +501,28 @@ let append_pending_locked t packed =
   push_pending_locked t packed;
   maintain_locked t
 
-(* The liveness check takes its own critical section so that a seal or
-   merge triggered by this append runs outside it. *)
-let on_add t r _blk _slot =
-  locked t (fun () ->
-      (* removed before we got the lock → nothing to index *)
-      if Smc.Collection.with_read t.coll (fun () -> Smc.Collection.mem t.coll r) then
-        append_pending_locked t (Smc.Ref.to_packed r))
-
-(* Removal is O(1): entries go stale by incarnation and are dropped by the
-   next merge or rebuild that covers their level. No text extraction — the
-   row is already gone. *)
-let on_remove t _r =
-  Atomic.incr t.dead_pending;
-  Smc_obs.incr t.obs Smc_obs.c_txt_removes
-
-(* A store re-keys the row iff it hit the indexed column's words. The ref
-   keeps its identity across the write (including the transactional
-   copy-on-write path), so the old arena entry goes stale through the
-   probe's text re-check, and the pending append makes the new text
-   findable. *)
-let on_store t r ~word =
-  if word >= t.field.Layout.word && word < t.field.Layout.word + t.field.Layout.words then
-    locked t (fun () -> append_pending_locked t (Smc.Ref.to_packed r))
+let on_op t : Smc.Collection.op -> unit = function
+  | Add (r, _, _) ->
+    (* The liveness check takes its own critical section so that a seal or
+       merge triggered by this append runs outside it. *)
+    locked t (fun () ->
+        (* removed before we got the lock → nothing to index *)
+        if Smc.Collection.with_read t.coll (fun () -> Smc.Collection.mem t.coll r) then
+          append_pending_locked t (Smc.Ref.to_packed r))
+  | Remove _ ->
+    (* O(1): entries go stale by incarnation and are dropped by the next
+       merge or rebuild that covers their level. No text extraction — the
+       row is already gone. *)
+    Atomic.incr t.dead_pending;
+    Smc_obs.incr t.obs Smc_obs.c_txt_removes
+  | Store (r, word, _) ->
+    (* Re-keys the row iff the store hit the indexed column's words. The
+       ref keeps its identity across the write (including the
+       transactional copy-on-write path), so the old arena entry goes stale
+       through the probe's text re-check, and the pending append makes the
+       new text findable. *)
+    if word >= t.field.Layout.word && word < t.field.Layout.word + t.field.Layout.words then
+      locked t (fun () -> append_pending_locked t (Smc.Ref.to_packed r))
 
 (* ---- lifecycle ------------------------------------------------------ *)
 
@@ -545,18 +544,12 @@ let attach ?churn_limit ~name ~column coll =
       obs = coll.Smc.Collection.rt.Runtime.obs;
     }
   in
-  (* Hooks first (rejects direct mode / duplicate names before any work),
-     then the bulk load; attach is a quiescent-point operation so no add
-     can slip between the two. The load stages every live row through the
-     pending tail and runs one full rebuild — the same level builder
+  (* Subscribe first (rejects direct mode / duplicate names before any
+     work), then the bulk load; attach is a quiescent-point operation so no
+     add can slip between the two. The load stages every live row through
+     the pending tail and runs one full rebuild — the same level builder
      incremental maintenance uses. *)
-  Smc.Collection.attach_index coll
-    {
-      Smc.Collection.ih_name = name;
-      ih_on_add = on_add t;
-      ih_on_remove = on_remove t;
-      ih_on_store = on_store t;
-    };
+  Smc.Collection.subscribe coll { name; on_op = on_op t; on_commit = None };
   locked t (fun () ->
       Smc.Collection.iter coll ~f:(fun blk slot ->
           let r = Smc.Collection.ref_of_slot coll blk slot in
@@ -564,7 +557,7 @@ let attach ?churn_limit ~name ~column coll =
       rebuild_locked t);
   t
 
-let detach t = Smc.Collection.detach_index t.coll t.name
+let detach t = Smc.Collection.unsubscribe t.coll t.name
 
 (* ---- introspection -------------------------------------------------- *)
 

@@ -51,17 +51,17 @@ type t
 
 val attach : ?churn_limit:int -> name:string -> column:string -> Smc.Collection.t -> t
 (** Creates the index over the named [Str] column, bulk-loads every live
-    row, and registers maintenance hooks via {!Smc.Collection.attach_index}
+    row, and subscribes it to the collection ({!Smc.Collection.subscribe})
     so subsequent [add]/[remove]/[store] maintain it incrementally. A
     quiescent-point operation (no concurrent mutators during the bulk
-    load). Raises [Invalid_argument] on direct-mode collections, duplicate
-    index names, or a column that is not a string field. [churn_limit]
-    overrides the threshold on entries not yet folded into the base
-    (tail refs plus run entries) plus removals that triggers a full
+    load). Raises [Invalid_argument] on direct-mode collections, a name
+    another subscriber holds, or a column that is not a string field.
+    [churn_limit] overrides the threshold on entries not yet folded into
+    the base (tail refs plus run entries) plus removals that triggers a full
     merge-rebuild (default [max 64 (base entries / 4)]). *)
 
 val detach : t -> unit
-(** Unregisters the maintenance hooks; further probes see a frozen
+(** Unsubscribes the index; further probes see a frozen
     (increasingly stale) view. Quiescent-point operation. *)
 
 val name : t -> string

@@ -114,12 +114,6 @@ type t = {
   lineitem_refs : Smc.Ref.t array;  (** aligned with the dataset's lineitem array *)
 }
 
-val region_fields : region_fields
-val nation_fields : nation_fields
-val supplier_fields : supplier_fields
-val part_fields : part_fields
-val partsupp_fields : partsupp_fields
-val customer_fields : customer_fields
 val order_fields : order_fields
 val lineitem_fields : lineitem_fields
 

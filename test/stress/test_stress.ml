@@ -687,8 +687,9 @@ let txt_store_text coll (f : Layout.field) r s =
     words
 
 (* Same handle discipline as [ix_writer_round], plus a store arm: flipping
-   a live row's text generation drives the [ih_on_store] hook (old arena
-   text must go stale, the new text must surface via the pending log). *)
+   a live row's text generation publishes [Store] ops to the index (old
+   arena text must go stale, the new text must surface via the pending
+   log). *)
 let txt_writer_round coll fkey ftxt st gens prng ops errs =
   for _ = 1 to ops do
     let d = Smc_util.Prng.int prng 100 in

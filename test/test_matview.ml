@@ -448,18 +448,17 @@ let test_invalidation_and_revalidation () =
 
 (* ---- WAL replay ------------------------------------------------------ *)
 
-(* Counting hook: the exactly-once regression instrument for satellite
-   audits — each mutation path must fire each kind exactly once per
-   published op. *)
+(* Counting subscriber: the exactly-once regression instrument for
+   satellite audits — each mutation path must publish each op exactly once
+   to each subscriber. *)
 type counts = { mutable adds : int; mutable removes : int; mutable stores : int }
 
-let counting_hook cnt name =
-  {
-    C.ih_name = name;
-    ih_on_add = (fun _ _ _ -> cnt.adds <- cnt.adds + 1);
-    ih_on_remove = (fun _ -> cnt.removes <- cnt.removes + 1);
-    ih_on_store = (fun _ ~word:_ -> cnt.stores <- cnt.stores + 1);
-  }
+let count cnt : C.op -> unit = function
+  | C.Add _ -> cnt.adds <- cnt.adds + 1
+  | C.Remove _ -> cnt.removes <- cnt.removes + 1
+  | C.Store _ -> cnt.stores <- cnt.stores + 1
+
+let counting_sub cnt name = { C.name; on_op = count cnt; on_commit = None }
 
 let test_wal_replay_rebuilds_view () =
   (* Live collection A logs its ops; a fresh collection B attaches a view
@@ -491,7 +490,7 @@ let test_wal_replay_rebuilds_view () =
   let _rtB, collB = make () in
   let mv = attach_kvd collB in
   let cnt = { adds = 0; removes = 0; stores = 0 } in
-  C.attach_index collB (counting_hook cnt "replay_counter");
+  C.subscribe collB (counting_sub cnt "replay_counter");
   let applied, torn = Snapshot.replay_wal collB ~path:wal_path ~cut:(-1) in
   check Alcotest.int "no torn tail" 0 torn;
   check Alcotest.int "all logged ops applied" 7 applied;
@@ -507,94 +506,132 @@ let test_wal_replay_rebuilds_view () =
   check rows_testable "replayed view matches the live result" (scratch collA)
     (view_rows mv)
 
-(* ---- exactly-once hook firing per mutation path ---------------------- *)
+(* ---- exactly-once delivery per mutation path ------------------------ *)
 
+(* The two subscriber shapes side by side: a per-op one (an index's or a
+   view's) and one with [on_commit] (a log's). Every path must reach each
+   exactly once per published op; a commit reaches the batch subscriber as
+   one batch in staging order and never through [on_op]. *)
 let test_hooks_fire_exactly_once () =
   let _rt, coll = make () in
   let cnt = { adds = 0; removes = 0; stores = 0 } in
-  C.attach_index coll (counting_hook cnt "counter");
-  (* Bare paths. *)
+  let bare = { adds = 0; removes = 0; stores = 0 } in
+  let batches = ref [] in
+  C.subscribe coll (counting_sub cnt "counter");
+  C.subscribe coll
+    {
+      C.name = "log";
+      on_op = count bare;
+      on_commit = Some (fun ~txn_id ops -> batches := (txn_id, ops) :: !batches);
+    };
+  let both what expect f =
+    check Alcotest.int (what ^ " (per-op subscriber)") expect (f cnt);
+    check Alcotest.int (what ^ " (batch subscriber)") expect (f bare)
+  in
+  let reset () =
+    List.iter
+      (fun c ->
+        c.adds <- 0;
+        c.removes <- 0;
+        c.stores <- 0)
+      [ cnt; bare ]
+  in
+  let word = fv.Layout.word in
+  (* Bare paths reach both subscribers through [on_op]. *)
   let r = add_row coll 1 10 in
-  check Alcotest.int "bare add fires once" 1 cnt.adds;
-  C.store coll r ~word:fv.Layout.word ~value:11;
-  check Alcotest.int "bare store fires once" 1 cnt.stores;
+  both "bare add fires once" 1 (fun c -> c.adds);
+  C.store coll r ~word ~value:11;
+  both "bare store fires once" 1 (fun c -> c.stores);
   ignore (C.remove coll r);
-  check Alcotest.int "bare remove fires once" 1 cnt.removes;
+  both "bare remove fires once" 1 (fun c -> c.removes);
   (* Double remove of a dead ref fires nothing. *)
   check Alcotest.bool "second remove is a no-op" false (C.remove coll r);
-  check Alcotest.int "dead remove fires no hook" 1 cnt.removes;
-  (* Transactional path: one firing per staged op, none before commit. *)
+  both "dead remove fires nothing" 1 (fun c -> c.removes);
+  check Alcotest.int "bare ops hand over no batch" 0 (List.length !batches);
+  (* Transactional path: one per-op firing per staged op, none before
+     commit; the batch subscriber gets the batch instead. *)
   let keep = add_row coll 2 20 in
   let keep2 = add_row coll 3 30 in
-  cnt.adds <- 0;
-  cnt.removes <- 0;
-  cnt.stores <- 0;
+  reset ();
   let tx = C.txn coll in
   C.stage_add tx ~init:(fun blk slot ->
       Smc.Field.set_int fk blk slot 4;
       Smc.Field.set_int fv blk slot 40;
       Smc.Field.set_dec fd blk slot D.zero);
-  C.stage_store tx keep ~word:fv.Layout.word ~value:21;
+  C.stage_store tx keep ~word ~value:21;
   C.stage_remove tx keep2;
-  check Alcotest.int "staging fires nothing" 0 (cnt.adds + cnt.removes + cnt.stores);
-  (match C.commit tx with
-  | C.Committed _ -> ()
-  | C.Conflict -> Alcotest.fail "unexpected Conflict");
+  both "staging fires nothing" 0 (fun c -> c.adds + c.removes + c.stores);
+  let added =
+    match C.commit tx with
+    | C.Committed [ a ] -> a
+    | C.Committed _ -> Alcotest.fail "one staged add, one ref"
+    | C.Conflict -> Alcotest.fail "unexpected Conflict"
+  in
   check Alcotest.int "txn commit: one add firing" 1 cnt.adds;
   check Alcotest.int "txn commit: one store firing" 1 cnt.stores;
   check Alcotest.int "txn commit: one remove firing" 1 cnt.removes;
+  check Alcotest.int "txn commit: no per-op calls to the batch subscriber" 0
+    (bare.adds + bare.removes + bare.stores);
+  let same a b = Smc.Ref.equal a b in
+  let first_id =
+    match !batches with
+    | [ (id, [ C.Add (a, _, _); C.Store (s, w, v); C.Remove d ]) ]
+      when same a added && same s keep && w = word && v = 21 && same d keep2 ->
+      id
+    | _ -> Alcotest.fail "txn commit: exactly one batch, in staging order"
+  in
   (* Aborts fire nothing. *)
   let tx2 = C.txn coll in
-  C.stage_store tx2 keep ~word:fv.Layout.word ~value:22;
+  C.stage_store tx2 keep ~word ~value:22;
   C.abort tx2;
   check Alcotest.int "abort fires nothing" 1 cnt.stores;
+  check Alcotest.int "abort hands over no batch" 1 (List.length !batches);
   (* Two-phase path: fires at commit_prepared, never at prepare or
      abort_prepared. *)
-  cnt.adds <- 0;
-  cnt.stores <- 0;
+  reset ();
   let tx3 = C.txn coll in
-  C.stage_store tx3 keep ~word:fv.Layout.word ~value:23;
+  C.stage_store tx3 keep ~word ~value:23;
   (match C.prepare tx3 with
   | None -> Alcotest.fail "prepare must validate"
   | Some p ->
     check Alcotest.int "prepare fires nothing" 0 cnt.stores;
+    check Alcotest.int "prepare hands over no batch" 1 (List.length !batches);
     ignore (C.commit_prepared p : Smc.Ref.t list));
   check Alcotest.int "commit_prepared: one store firing" 1 cnt.stores;
+  check Alcotest.int "commit_prepared: no per-op calls to the batch subscriber" 0
+    bare.stores;
+  (match !batches with
+  | [ (id, [ C.Store (s, w, 23) ]); _ ] when same s keep && w = word && id > first_id -> ()
+  | _ -> Alcotest.fail "commit_prepared: exactly one batch, under a later txn id");
   let tx4 = C.txn coll in
-  C.stage_store tx4 keep ~word:fv.Layout.word ~value:24;
+  C.stage_store tx4 keep ~word ~value:24;
   (match C.prepare tx4 with
   | None -> Alcotest.fail "prepare must validate"
   | Some p -> C.abort_prepared p);
-  check Alcotest.int "abort_prepared fires nothing" 1 cnt.stores
+  check Alcotest.int "abort_prepared fires nothing" 1 cnt.stores;
+  check Alcotest.int "abort_prepared hands over no batch" 2 (List.length !batches)
 
 (* ---- namespaces ------------------------------------------------------ *)
 
-let test_view_index_namespaces () =
+let test_subscriber_names () =
   let _rt, coll = make () in
   ignore (add_row coll 1 10);
   let mv = attach_kvd coll in
-  check (Alcotest.list Alcotest.string) "view listed" [ "mv_k" ]
-    (C.view_hook_names coll);
-  check (Alcotest.list Alcotest.string) "views excluded from index names" []
-    (C.index_names coll);
-  (match C.detach_index coll "mv_k" with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "detach_index must refuse a view name");
-  (* A name collision across the namespaces is still a collision — the
-     registry is shared. *)
+  check (Alcotest.list Alcotest.string) "view listed" [ "mv_k" ] (C.subscribers coll);
+  (* Views, indexes and logs share one registry, so a name a view holds is
+     taken. *)
   let cnt = { adds = 0; removes = 0; stores = 0 } in
-  (match C.attach_index coll (counting_hook cnt "mv_k") with
+  (match C.subscribe coll (counting_sub cnt "mv_k") with
   | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "attach_index must reject a name a view holds");
+  | () -> Alcotest.fail "subscribe must reject a name a view holds");
   MV.detach mv;
-  check (Alcotest.list Alcotest.string) "view gone after detach" []
-    (C.view_hook_names coll);
+  check (Alcotest.list Alcotest.string) "view gone after detach" [] (C.subscribers coll);
   (* A detached view is frozen: mutations no longer reach it. *)
   let frozen = (MV.stats mv).MV.st_contributions in
   ignore (add_row coll 1 99);
   check Alcotest.int "detached view no longer maintained" frozen
     (MV.stats mv).MV.st_contributions;
-  (match C.detach_view coll "mv_k" with
+  (match C.unsubscribe coll "mv_k" with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "double detach must be rejected")
 
@@ -655,7 +692,7 @@ let () =
         [
           Alcotest.test_case "exactly-once per mutation path" `Quick
             test_hooks_fire_exactly_once;
-          Alcotest.test_case "view/index namespaces" `Quick test_view_index_namespaces;
+          Alcotest.test_case "view/index namespaces" `Quick test_subscriber_names;
         ] );
       ( "gates",
         [ Alcotest.test_case "Matview_check + Obs_check" `Quick test_check_gates ] );

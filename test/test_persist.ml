@@ -219,6 +219,50 @@ let test_wal_rejects_direct_mode () =
       (contains_sub ~sub:"direct references" msg));
   Wal.close wal
 
+(* Replay applies ops without logging them, so a collection with a log
+   attached would end up with a log that diverges from it: refuse before
+   touching anything, and run once the log is detached. *)
+let test_replay_rejects_attached_log () =
+  let _rt, src = make_persons () in
+  let src_path = tmp ".wal" in
+  let src_wal = Wal.create ~path:src_path ~name:"src" () in
+  Wal.attach src_wal src;
+  ignore (churn src ~n:60 : (int * Smc.Ref.t) list);
+  Wal.close src_wal;
+  let _rt, dst = make_persons () in
+  let dst_wal = Wal.create ~path:(tmp ".wal") ~name:"dst" () in
+  Wal.attach dst_wal dst;
+  let lsn0 = Wal.lsn dst_wal in
+  (match Snapshot.replay_wal dst ~path:src_path ~cut:(-1) with
+  | _ -> Alcotest.fail "replay must refuse a collection with a log attached"
+  | exception Invalid_argument _ -> ());
+  check Alcotest.int "nothing applied" 0 (Smc.Collection.count dst);
+  check Alcotest.int "attached log untouched" lsn0 (Wal.lsn dst_wal);
+  Wal.detach dst_wal dst;
+  let applied, _torn = Snapshot.replay_wal dst ~path:src_path ~cut:(-1) in
+  check Alcotest.bool "replay runs once the log is detached" true (applied > 0);
+  check (Alcotest.list Alcotest.int) "row multiset identical" (ages src) (ages dst);
+  Wal.close dst_wal
+
+let test_wal_detach_names_its_log () =
+  let _rt, persons = make_persons () in
+  let attached = Wal.create ~path:(tmp ".wal") ~name:"attached" () in
+  let other = Wal.create ~path:(tmp ".wal") ~name:"other" () in
+  Wal.attach attached persons;
+  (match Wal.detach other persons with
+  | () -> Alcotest.fail "detaching a log that is not attached must raise"
+  | exception Invalid_argument _ -> ());
+  let lsn0 = Wal.lsn attached in
+  let r = add_person persons ~name:"x" ~age:1 in
+  ignore (Smc.Collection.remove persons r : bool);
+  check Alcotest.int "the attached log keeps logging" (lsn0 + 2) (Wal.lsn attached);
+  check Alcotest.int "the other log saw nothing" 0 (Wal.lsn other);
+  Wal.detach attached persons;
+  ignore (add_person persons ~name:"y" ~age:2);
+  check Alcotest.int "a detached log stops logging" (lsn0 + 2) (Wal.lsn attached);
+  Wal.close attached;
+  Wal.close other
+
 (* ------------------------------------------------------------------ *)
 (* Crash recovery *)
 
@@ -421,6 +465,9 @@ let () =
           Alcotest.test_case "replay from empty snapshot" `Quick
             test_wal_replay_from_empty_snapshot;
           Alcotest.test_case "direct mode rejected" `Quick test_wal_rejects_direct_mode;
+          Alcotest.test_case "replay refuses an attached log" `Quick
+            test_replay_rejects_attached_log;
+          Alcotest.test_case "detach names its own log" `Quick test_wal_detach_names_its_log;
         ] );
       ( "crash recovery",
         [

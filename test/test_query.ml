@@ -323,15 +323,15 @@ let test_index_attach_detach () =
   let coll, fk, _fv, _refs = mk_ikv 8 in
   let ix = H.attach ~name:"by_k" ~key:(H.Int_key (Smc.Field.get_int fk)) coll in
   check (Alcotest.list Alcotest.string) "registered" [ "by_k" ]
-    (Smc.Collection.index_names coll);
+    (Smc.Collection.subscribers coll);
   Alcotest.check_raises "duplicate name rejected"
     (Invalid_argument
-       "Collection.attach_index: index \"by_k\" already attached to \"ikv\"")
+       "Collection.subscribe: subscriber \"by_k\" already attached to \"ikv\"")
     (fun () ->
       ignore (H.attach ~name:"by_k" ~key:(H.Int_key (Smc.Field.get_int fk)) coll : H.t));
   H.detach ix;
   check (Alcotest.list Alcotest.string) "deregistered" []
-    (Smc.Collection.index_names coll);
+    (Smc.Collection.subscribers coll);
   (* after detach the name is free again *)
   let ix2 = H.attach ~name:"by_k" ~key:(H.Int_key (Smc.Field.get_int fk)) coll in
   check Alcotest.bool "re-attached index answers probes" true
