@@ -1,4 +1,5 @@
-(** Shared aggregate-state machinery for the two plan evaluators. *)
+(** Boxed aggregate cells: the Volcano engine's ({!Interp}) and the
+    materialized views' aggregate state. *)
 
 type cell
 

@@ -1,4 +1,5 @@
-(* Column chunks for the vectorized engine (docs/vectorized.md).
+(* Column chunks, as the vectorized, fused and compiled engines read a scan
+   (docs/vectorized.md).
 
    A batch is a loan: operators receive it, read or refine it, and must not
    retain it past the emit callback — producers reuse the same storage for
@@ -37,15 +38,6 @@ type t = { cols : vec array; sel : sel; mutable len : int }
 
 let default_rows = 1024
 
-let kind_of_vec = function
-  | V_int _ -> K_int
-  | V_dec _ -> K_dec
-  | V_date _ -> K_date
-  | V_bool _ -> K_bool
-  | V_char _ -> K_char
-  | V_str _ -> K_str
-  | V_val _ -> K_any
-
 (* Shared 1-char string table: boxing a Char column must not allocate a
    fresh string per row. Structural equality with [Value.Str] stays exact. *)
 let char_strings = Array.init 256 (fun c -> String.make 1 (Char.chr c))
@@ -60,12 +52,6 @@ let box_vec v i =
   | V_char a -> Value.Str (char_str (Array.unsafe_get a i))
   | V_str a -> Value.Str (Array.unsafe_get a i)
   | V_val a -> Array.unsafe_get a i
-
-let vec_len = function
-  | V_int a | V_dec a | V_date a | V_char a -> Array.length a
-  | V_bool a -> Array.length a
-  | V_str a -> Array.length a
-  | V_val a -> Array.length a
 
 let make_vec kind cap =
   match kind with

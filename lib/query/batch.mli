@@ -1,4 +1,5 @@
-(** Column chunks for the vectorized engine.
+(** Column chunks, as the vectorized, fused and compiled engines read a
+    scan.
 
     A batch holds one ~1024-row chunk of a plan's intermediate result as an
     array of column vectors plus a {e selection vector}: an int Bigarray
@@ -32,9 +33,6 @@ type t = { cols : vec array; sel : sel; mutable len : int }
 
 val default_rows : int
 (** Chunk capacity used by the engine: 1024. *)
-
-val kind_of_vec : vec -> kind
-val vec_len : vec -> int
 
 val char_str : int -> string
 (** 1-char string for a byte code, from the shared table (no allocation). *)

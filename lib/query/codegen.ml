@@ -444,7 +444,7 @@ let render plan =
                   | _ when not (List.for_all (fun t -> int_like t.k) kts) -> (Some "Hashtbl", None)
                   | [ w ] -> (Some "IH", Some w)
                   | w :: rest
-                    when List.for_all (fun t -> t.k = Batch.K_char) kts && List.length kts <= 8 ->
+                    when List.for_all (fun t -> t.k = Batch.K_char) kts && List.length kts <= 7 ->
                     (Some "IH", Some (List.fold_left (Printf.sprintf "((%s lsl 8) lor %s)") w rest))
                   | _ ->
                     (Some "Hashtbl", Some (Printf.sprintf "[| %s |]" (String.concat "; " words)))

@@ -1,33 +1,108 @@
+module K = Kernel
+
+(* A compiled subplan, in the form its producer makes: column chunks read
+   one position at a time, or boxed rows. [Chunks (kinds, run)]: [run push]
+   calls [push bt] once per chunk and the function it returns once per
+   position of the chunk, in order — one closure chain per row, with no
+   selection vector and no column-at-a-time pass. A scan makes chunks, and
+   filters, projections and limits keep the form of their input; probe
+   leaves, joins, sorts, distinct and group-by make rows. *)
+type stage =
+  | Chunks of Batch.kind array * ((Batch.t -> int -> unit) -> unit)
+  | Rows of ((Value.t array -> unit) -> unit)
+
 let group_key key_fns row = List.map (fun f -> f row) key_fns
+
+(* Boxing happens here only: at the inputs of joins, sorts and distinct,
+   and at the final emit. *)
+let rows = function
+  | Rows produce -> produce
+  | Chunks (_, run) -> fun emit -> run (fun bt i -> emit (Batch.row bt i))
+
+(* A row producer under a GroupBy: each row becomes a one-row chunk of
+   boxed columns, which the group table reads through its scalar
+   fallback. *)
+let chunks ncols = function
+  | Chunks (kinds, run) -> (kinds, run)
+  | Rows produce ->
+    let kinds = Array.make ncols Batch.K_any in
+    let run push =
+      let b = Batch.create ~kinds ~cap:1 in
+      Batch.set_identity b 1;
+      let cells =
+        Array.map (function Batch.V_val a -> a | _ -> assert false) b.Batch.cols
+      in
+      produce (fun row ->
+          Array.iteri (fun c a -> a.(0) <- row.(c)) cells;
+          push b 0)
+    in
+    (kinds, run)
 
 (* Compile the plan to a function that pushes every result row into [emit].
    Compilation happens once; running the returned closure executes the
-   fused pipeline. *)
-let rec compile plan =
+   fused pipeline. [need] is the set of columns the operators above read,
+   which is the column mask a scan fills. *)
+let rec compile ~need plan =
+  let input_rows input = rows (compile ~need:K.All input) in
   match plan with
-  | Plan.Scan _ | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ -> Plan.leaf_rows plan
-  | Plan.Where (pred, input) ->
-    let upstream = compile input in
-    let test = Expr.compile_pred ~schema:(Plan.schema input) pred in
-    fun emit -> upstream (fun row -> if test row then emit row)
-  | Plan.Select (cols, input) ->
-    let upstream = compile input in
+  | Plan.Scan src ->
+    let cols = K.scan_mask src need in
+    Chunks
+      ( src.Source.kinds,
+        fun push ->
+          Source.batches src ~rows:Batch.default_rows ?cols (fun bt ->
+              let push = push bt in
+              for i = 0 to bt.Batch.len - 1 do
+                push i
+              done) )
+  | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ -> Rows (Plan.leaf_rows plan)
+  | Plan.Where (pred, input) -> (
     let schema = Plan.schema input in
-    let fns = Array.of_list (List.map (fun (_, e) -> Expr.compile ~schema e) cols) in
-    fun emit -> upstream (fun row -> emit (Array.map (fun f -> f row) fns))
+    match compile ~need:(K.need_union need (Expr.columns pred)) input with
+    | Rows upstream ->
+      let test = Expr.compile_pred ~schema pred in
+      Rows (fun emit -> upstream (fun row -> if test row then emit row))
+    | Chunks (kinds, run) ->
+      let test = K.compile_test ~schema ~kinds pred in
+      Chunks
+        ( kinds,
+          fun push ->
+            run (fun bt ->
+                let test = test bt and push = push bt in
+                fun i -> if test i then push i) ))
+  | Plan.Select (cols, input) -> (
+    let schema = Plan.schema input in
+    match compile ~need:(K.select_need cols) input with
+    | Rows upstream ->
+      let fns = Array.of_list (List.map (fun (_, e) -> Expr.compile ~schema e) cols) in
+      Rows (fun emit -> upstream (fun row -> emit (Array.map (fun f -> f row) fns)))
+    | Chunks (kinds, run) ->
+      let out_kinds, write = K.compile_select ~schema ~kinds (List.map snd cols) in
+      Chunks
+        ( out_kinds,
+          fun push ->
+            let out = Batch.create ~kinds:out_kinds ~cap:Batch.default_rows in
+            Batch.set_identity out Batch.default_rows;
+            let write = write out in
+            run (fun bt ->
+                let write = write bt and push = push out in
+                fun i ->
+                  write i;
+                  push i) ))
   | Plan.HashJoin { left; right; on } ->
     let lschema = Plan.schema left and rschema = Plan.schema right in
     let lkeys = List.map (fun (lc, _) -> Expr.compile ~schema:lschema (Expr.Col lc)) on in
     let rkeys = List.map (fun (_, rc) -> Expr.compile ~schema:rschema (Expr.Col rc)) on in
-    let build = compile right in
-    let probe = compile left in
-    fun emit ->
-      let table = Hashtbl.create 1024 in
-      build (fun row -> Hashtbl.add table (group_key rkeys row) row);
-      probe (fun l ->
-          List.iter
-            (fun r -> emit (Array.append l r))
-            (Hashtbl.find_all table (group_key lkeys l)))
+    let build = input_rows right in
+    let probe = input_rows left in
+    Rows
+      (fun emit ->
+        let table = Hashtbl.create 1024 in
+        build (fun row -> Hashtbl.add table (group_key rkeys row) row);
+        probe (fun l ->
+            List.iter
+              (fun r -> emit (Array.append l r))
+              (Hashtbl.find_all table (group_key lkeys l))))
   | Plan.IndexJoin { left; src; index; left_col } ->
     (* Index nested-loop join: the probe side fuses straight into the
        keyed probe; there is no build phase to pipeline-break on. The
@@ -35,42 +110,27 @@ let rec compile plan =
        more than once. *)
     let lkey = Expr.compile ~schema:(Plan.schema left) (Expr.Col left_col) in
     let keyed = Source.keyed_probe src index in
-    let probe = compile left in
-    fun emit ->
-      let keyed = keyed () in
-      probe (fun l -> keyed (lkey l) (fun r -> emit (Array.append l r)))
+    let probe = input_rows left in
+    Rows
+      (fun emit ->
+        let keyed = keyed () in
+        probe (fun l -> keyed (lkey l) (fun r -> emit (Array.append l r))))
   | Plan.GroupBy { keys; aggs; input } ->
-    let schema = Plan.schema input in
-    let key_fns = List.map (fun (_, e) -> Expr.compile ~schema e) keys in
-    let compiled = List.map (fun (_, a) -> Aggregate.compile ~schema a) aggs in
-    let upstream = compile input in
-    fun emit ->
-      let groups = Hashtbl.create 256 in
-      let order = ref [] in
-      upstream (fun row ->
-          let key = group_key key_fns row in
-          let cells =
-            match Hashtbl.find_opt groups key with
-            | Some cells -> cells
-            | None ->
-              let cells = List.map (fun (fresh, _, _) -> fresh ()) compiled in
-              Hashtbl.add groups key cells;
-              order := key :: !order;
-              cells
-          in
-          List.iter2 (fun (_, update, _) cell -> update cell row) compiled cells);
-      List.iter
-        (fun key ->
-          let cells = Hashtbl.find groups key in
-          let finished =
-            List.map2 (fun (_, _, finish) cell -> finish cell) compiled cells
-          in
-          emit (Array.of_list (key @ finished)))
-        (List.rev !order)
+    let ncols = Array.length (Plan.schema input) in
+    let kinds, run = chunks ncols (compile ~need:(K.group_need keys aggs) input) in
+    let table =
+      K.group_table ~schema:(Plan.schema input) ~kinds ~keys:(List.map snd keys)
+        ~aggs:(List.map snd aggs)
+    in
+    Rows
+      (fun emit ->
+        let groups = table () in
+        run groups.K.add;
+        groups.K.iter emit)
   | Plan.OrderBy (specs, input) ->
     let schema = Plan.schema input in
     let fns = List.map (fun (e, d) -> (Expr.compile ~schema e, d)) specs in
-    let upstream = compile input in
+    let upstream = input_rows input in
     let compare_rows a b =
       let rec go = function
         | [] -> 0
@@ -81,37 +141,50 @@ let rec compile plan =
       in
       go fns
     in
-    fun emit ->
-      let rows = ref [] in
-      upstream (fun row -> rows := row :: !rows);
-      List.iter emit (List.stable_sort compare_rows (List.rev !rows))
+    Rows
+      (fun emit ->
+        let rows = ref [] in
+        upstream (fun row -> rows := row :: !rows);
+        List.iter emit (List.stable_sort compare_rows (List.rev !rows)))
   | Plan.Distinct input ->
-    let upstream = compile input in
-    fun emit ->
-      let seen = Hashtbl.create 256 in
-      upstream (fun row ->
-          let key = Array.to_list row in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            emit row
-          end)
-  | Plan.Limit (n, input) ->
-    let upstream = compile input in
-    fun emit ->
+    let upstream = input_rows input in
+    Rows
+      (fun emit ->
+        let seen = Hashtbl.create 256 in
+        upstream (fun row ->
+            let key = Array.to_list row in
+            if not (Hashtbl.mem seen key) then begin
+              Hashtbl.add seen key ();
+              emit row
+            end))
+  | Plan.Limit (n, input) -> (
+    (* No early termination in a push pipeline without exceptions; use one
+       locally, which is how push engines implement LIMIT. *)
+    let limited body =
       let taken = ref 0 in
-      (* No early termination in a push pipeline without exceptions; use one
-         locally, which is how push engines implement LIMIT. *)
       let exception Done in
-      (try
-         upstream (fun row ->
-             if !taken < n then begin
-               emit row;
-               incr taken;
-               if !taken >= n then raise Done
-             end)
-       with Done -> ())
+      let take push =
+        if !taken < n then begin
+          push ();
+          incr taken;
+          if !taken >= n then raise Done
+        end
+      in
+      try body take with Done -> ()
+    in
+    match compile ~need input with
+    | Rows upstream ->
+      Rows (fun emit -> limited (fun take -> upstream (fun row -> take (fun () -> emit row))))
+    | Chunks (kinds, run) ->
+      Chunks
+        ( kinds,
+          fun push ->
+            limited (fun take ->
+                run (fun bt ->
+                    let push = push bt in
+                    fun i -> take (fun () -> push i))) ))
 
-let run plan ~f = (compile plan) f
+let run plan ~f = rows (compile ~need:K.All plan) f
 
 let collect plan =
   let out = ref [] in

@@ -11,9 +11,10 @@
     {!Fuse} (a fused push pipeline — the query-compilation analogue) or
     {!Vector} (column batches through typed kernels), and compiled to
     native code by {!Codegen}. Engines do not tell one access path from
-    another: every leaf runs through {!leaf_rows} ({!Vector} and
-    {!Codegen} read a [Scan] as column chunks through {!Source.batches}
-    instead), and every [IndexJoin] probe through {!Source.keyed_probe}.
+    another: every leaf runs through {!leaf_rows} ({!Fuse}, {!Vector}
+    and {!Codegen} read a [Scan] as column chunks through
+    {!Source.batches} instead), and every [IndexJoin] probe through
+    {!Source.keyed_probe}.
 
     The smart constructors validate column references eagerly: an unknown
     column in a predicate, projection, grouping, or ordering raises

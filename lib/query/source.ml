@@ -149,6 +149,14 @@ let key_of_value kind v =
   | `Str, Value.Str s -> Some (Smc_index.Hash_index.K_str s)
   | _ -> None
 
+let column_index schema col =
+  let rec go i =
+    if i >= Array.length schema then None
+    else if String.equal schema.(i) col then Some i
+    else go (i + 1)
+  in
+  go 0
+
 (* The parallel knob: [domains] ≥ 2 extracts rows with a block-partitioned
    parallel scan (each worker builds a private row list, lists are spliced
    on the caller) and pushes them to [emit] sequentially — consumers stay
@@ -203,12 +211,16 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
       | Some v -> Smc.Collection.view_iter v ~f:(fun blk slot -> emit (extract blk slot))
       | None -> Smc.Collection.iter coll ~f:(fun blk slot -> emit (extract blk slot))
   in
-  (* Batch scan: whole column chunks are gathered per block inside one
-     epoch critical section ([Context.iter_valid_batches]) — the
-     per-element critical-section and validation cost of the row path is
-     paid once per ~1024 rows. The emitted batch is reused (loan
-     contract); the parallel path materializes per-worker batches instead
-     and hands them to [emit] sequentially, in unspecified order.
+  (* Batch scan: whole column chunks are gathered block by block
+     ([Context.iter_valid_batches]) inside one epoch critical section for
+     the whole walk, the same §4 whole-query granularity as the row scan.
+     A compaction group that forms mid-walk therefore cannot complete
+     before the walk ends: the walk never meets a source whose rows moved
+     to a target outside its snapshot, nor re-counts a scanned source's
+     rows through that target. The per-element validation cost of the
+     row path is paid once per ~1024 rows. The emitted batch is reused
+     (loan contract); the parallel path materializes per-worker batches
+     instead and hands them to [emit] sequentially, in unspecified order.
 
      The fill order follows the placement. Row-placed blocks interleave a
      slot's words in one cache line, so filling column-by-column would
@@ -294,18 +306,11 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
       let b = Batch.create ~kinds ~cap in
       let fill = make_fill b mask in
       let slots = Context.make_sel cap in
-      Context.iter_valid_batches ?csn ctx ~sel:slots ~on_batch:(fun blk n ->
-          fill blk slots n;
-          emit b)
+      Smc.Collection.with_read coll (fun () ->
+          Context.iter_valid_batches ?csn ctx ~sel:slots ~on_batch:(fun blk n ->
+              fill blk slots n;
+              emit b))
     end
-  in
-  let schema_pos col =
-    let rec go i =
-      if i >= Array.length schema then None
-      else if String.equal schema.(i) col then Some i
-      else go (i + 1)
-    in
-    go 0
   in
   (* Claims are checked where they are made: an index attached to another
      collection would make IndexScan/IndexJoin/TextScan silently answer
@@ -318,7 +323,7 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
       invalid_arg
         (Printf.sprintf "Source.of_smc: %s %S is attached to collection %S, not %S" what
            name owner.Smc.Collection.name coll.Smc.Collection.name);
-    match schema_pos col with
+    match column_index schema col with
     | Some i -> i
     | None ->
       invalid_arg
@@ -421,14 +426,6 @@ let batches src ~rows ?cols emit =
     src.scan push;
     flush ()
 
-let column_index t col =
-  let rec go i =
-    if i >= Array.length t.schema then raise Not_found
-    else if String.equal t.schema.(i) col then i
-    else go (i + 1)
-  in
-  go 0
-
 let find_index t col =
   List.find_opt (fun ix -> String.equal ix.ix_column col) t.indexes
 
@@ -439,7 +436,7 @@ let find_text t col = List.find_opt (fun tx -> String.equal tx.tx_column col) t.
    matches Null — so they route through a hash table over the scan, built
    only if such a key actually appears, once per call of the unit. *)
 let keyed_probe src index =
-  let ci = column_index src index.ix_column in
+  let ci = Option.get (column_index src.schema index.ix_column) in
   fun () ->
     let fallback =
       lazy

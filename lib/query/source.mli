@@ -101,8 +101,8 @@ val of_smc :
 (** Scans the collection inside one critical section, extracting the named
     columns from each valid slot. The batch path ([scan_batches]) gathers
     surviving slots per block with {!Smc_offheap.Context.scan_block_batch}
-    and fills whole column chunks inside one epoch critical section per
-    block. With [?domains] ≥ 2 the extraction runs
+    and fills whole column chunks, block by block, inside one epoch
+    critical section for the whole walk. With [?domains] ≥ 2 the extraction runs
     as a block-partitioned parallel scan ({!Smc_parallel.Par_scan}) and the
     rows are pushed to the consumer sequentially afterwards — downstream
     operators never see concurrency, but row order across blocks becomes
@@ -155,11 +155,8 @@ val batches : t -> rows:int -> ?cols:bool array -> (Batch.t -> unit) -> unit
     source has one, else [scan] re-packed by {!Batch.rebatcher} into boxed
     chunks. Either way each chunk's selection is the identity (its live
     rows are [0 .. len-1]) and the {!Batch} loan contract holds. [cols]
-    as in [scan_batches]. How the vectorized and compiled engines read a
-    [Scan] leaf. *)
-
-val column_index : t -> string -> int
-(** Raises [Not_found]. *)
+    as in [scan_batches]. How the vectorized, fused and compiled engines
+    read a [Scan] leaf. *)
 
 val find_index : t -> string -> index_info option
 (** The advertised access path keyed on the given column, if any. *)

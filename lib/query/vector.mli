@@ -4,19 +4,21 @@
     (Volcano), {!Fuse} and {!Codegen}: operators process column chunks
     ({!Batch.t}, default 1024 rows) instead of a per-row closure chain.
     Sources with a batch path ({!Source.t.scan_batches}) fill unboxed
-    column chunks straight from the off-heap blocks — one epoch critical
-    section per block — and filters refine the chunk's selection vector
-    with branchless loops; row-only sources and row-at-a-time operators
-    (joins, sorts, distinct, index probes) are bridged through a
-    re-batcher, so every plan the other engines accept runs here too.
+    column chunks straight from the off-heap blocks — inside one epoch
+    critical section for the whole walk — and filters refine the chunk's
+    selection vector with branchless loops; row-only sources and
+    row-at-a-time operators (joins, sorts, distinct, index probes) are
+    bridged through a re-batcher, so every plan the other engines accept
+    runs here too.
 
-    Results are bit-identical to {!Fuse.collect} on the same plan, in the
-    same row order: typed kernels are used only where they provably
-    reproduce the scalar {!Value}/{!Expr}/{!Aggregate} semantics
-    (including raises), and everything else falls back to the scalar code
-    evaluated over the batch. The only visible difference: a plan that
-    raises mid-scan may raise at a different row of a chunk, because
-    sub-expressions evaluate column-by-column.
+    Results are bit-identical to {!Interp.collect} on the same plan, in
+    the same row order: the typed code ({!Kernel}, shared with {!Fuse}) is
+    used only where it provably reproduces the scalar
+    {!Value}/{!Expr}/{!Aggregate} semantics (including raises), and
+    everything else falls back to the scalar code evaluated over the
+    batch. The only visible difference: a plan that raises mid-scan may
+    raise at a different row of a chunk, because a filter's conjuncts
+    evaluate chunk by chunk.
 
     Filter selectivity is observable via the [vec_filter_rows_*] counters;
     batch production via [vec_batches]/[vec_batch_rows] (see

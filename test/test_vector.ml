@@ -345,12 +345,12 @@ let test_error_parity () =
   in
   let plan = Plan.(where Expr.(Gt (Col "a", int 0)) (scan src)) in
   let exn_of f = match f () with _ -> None | exception e -> Some (Printexc.to_string e) in
-  let fuse = exn_of (fun () -> Fuse.collect plan) in
+  let volcano = exn_of (fun () -> Interp.collect plan) in
   let vec = exn_of (fun () -> Vector.collect plan) in
-  check Alcotest.bool "fuse raises" true (fuse <> None);
+  check Alcotest.bool "volcano raises" true (volcano <> None);
   check
     Alcotest.(option string)
-    "same exception" fuse vec;
+    "same exception" volcano vec;
   (* division by zero through the typed kernel *)
   let kv =
     Source.of_array ~name:"z" ~schema:[ "a" ] [| [| Value.Int 4 |]; [| Value.Int 0 |] |]
@@ -359,7 +359,7 @@ let test_error_parity () =
   check
     Alcotest.(option string)
     "div-by-zero parity"
-    (exn_of (fun () -> Fuse.collect dplan))
+    (exn_of (fun () -> Interp.collect dplan))
     (exn_of (fun () -> Vector.collect dplan))
 
 (* ------------------------------------------------------------------ *)
@@ -412,6 +412,74 @@ let test_parallel_batch_scan () =
               (where Expr.(Gt (Col "k", int 5)) (scan src)))
       in
       check rows_testable "parallel aggregate agrees" (agg seq) (agg par))
+
+(* ------------------------------------------------------------------ *)
+(* A sequential batch walk is one critical section: a compaction group
+   formed while the walk is inside its first block cannot complete before
+   the walk ends. If it could, the walk would reach the group's remaining
+   sources after their rows moved to a target outside its snapshot (and
+   lose them), or count the rows of the source it already scanned a second
+   time through the target. *)
+
+let wait_until ~ms cond =
+  let deadline = Int64.add (Smc_util.Timing.now_ns ()) (Int64.of_int (ms * 1_000_000)) in
+  while (not (cond ())) && Int64.compare (Smc_util.Timing.now_ns ()) deadline < 0 do
+    Domain.cpu_relax ()
+  done
+
+let test_midwalk_compaction () =
+  let rt = Smc_offheap.Runtime.create () in
+  let coll =
+    Smc.Collection.create rt ~name:"walk" ~layout ~placement:Block.Row ~mode:Context.Indirect
+      ~slots_per_block:16 ()
+  in
+  let refs =
+    Array.init (16 * 8) (fun i ->
+        Smc.Collection.add coll ~init:(fun blk slot -> Smc.Field.set_int fk blk slot i))
+  in
+  let homes = Array.map (fun r -> fst (Smc.Collection.deref coll r)) refs in
+  let blocks =
+    Array.fold_left (fun acc b -> if List.memq b acc then acc else b :: acc) [] homes
+    |> List.rev |> Array.of_list
+  in
+  check Alcotest.int "eight blocks" 8 (Array.length blocks);
+  (* Compaction groups its candidates three at a time in snapshot order.
+     Thinning blocks 0, 4 and 5 makes one group of exactly those: formed
+     while the walk is inside block 0, with two members still ahead. *)
+  List.iter
+    (fun b ->
+      let kept = ref 0 in
+      Array.iteri
+        (fun i r ->
+          if homes.(i) == blocks.(b) then
+            if !kept < 3 then incr kept else ignore (Smc.Collection.remove coll r : bool))
+        refs)
+    [ 0; 4; 5 ];
+  let expected = Smc.Collection.count coll in
+  let completed = Atomic.make false in
+  let src = Source.of_smc coll ~columns:[ ("k", Source.C_int fk) ] in
+  let counted = ref 0 and chunks = ref 0 and compactor = ref None in
+  Smc_check.Chaos.with_compaction_hook rt
+    ~hook:(fun phase -> if phase = Smc_offheap.Runtime.Phase_completed then Atomic.set completed true)
+    (fun () ->
+      Source.batches src ~rows:Batch.default_rows (fun bt ->
+          counted := !counted + bt.Batch.len;
+          incr chunks;
+          if !chunks = 1 then begin
+            (* paused inside block 0: compact on another domain *)
+            compactor := Some (Domain.spawn (fun () -> Smc.Collection.compact coll ()));
+            wait_until ~ms:300 (fun () -> Atomic.get completed)
+          end
+          else if !chunks <= 4 then
+            (* Blocks 1-3: give a compaction that is not held back by the
+               walk time to complete before the walk reaches block 4. *)
+            wait_until ~ms:100 (fun () -> Atomic.get completed)));
+  let report = Option.map Domain.join !compactor in
+  check Alcotest.bool "compaction formed the group" true
+    (match report with Some r -> r.Smc_offheap.Compaction.groups_formed >= 1 | None -> false);
+  check Alcotest.int "walk counted every live row once" expected !counted;
+  let rows = Vector.collect (Plan.scan src) in
+  check Alcotest.int "a walk after the compaction agrees" expected (List.length rows)
 
 (* ------------------------------------------------------------------ *)
 (* Observability: filter counters balance *)
@@ -549,6 +617,159 @@ let test_compiled_sharing () =
     (Codegen.to_ocaml_source (plan src1) = Codegen.to_ocaml_source (plan src3));
   check_compiled "kind change" (plan src3)
 
+(* ------------------------------------------------------------------ *)
+(* Fuse reads Scan leaves as column chunks and runs the typed kernels it
+   shares with Vector one row at a time. Volcano shares neither, so every
+   Fuse result must equal Volcano's: the same rows in the same order, or
+   the same exception. *)
+
+let check_fuse name plan =
+  check
+    (Alcotest.result rows_testable Alcotest.string)
+    (name ^ ": fuse = volcano")
+    (outcome Interp.collect plan) (outcome Fuse.collect plan)
+
+let fuse_plans src =
+  let w pred = Plan.(where pred (scan src)) in
+  let gb keys aggs input = Plan.group_by ~keys ~aggs input in
+  let col c = (c, Expr.Col c) in
+  let aggs =
+    Plan.
+      [
+        ("n", Count);
+        ("sum_d", Sum (Expr.Col "d"));
+        ("avg_k", Avg (Expr.Col "k"));
+        ("min_dt", Min (Expr.Col "dt"));
+        ("max_s", Max (Expr.Col "s"));
+        ("sum_opt", Sum (Expr.Col "opt"));
+      ]
+  in
+  let day n = Expr.Const (Value.Date n) in
+  Plan.
+    [
+      ("int const vs dec col", w Expr.(Lt (Col "d", int 5)));
+      ("dec const vs int col", w Expr.(Ge (Col "k", dec "40.50")));
+      ("const on the left", w Expr.(Gt (int 30, Col "k")));
+      ("int col vs dec col", w Expr.(Le (Col "k", Col "d")));
+      ("date compare", w Expr.(Le (Col "dt", day 10040)));
+      ("date between", w Expr.(Between (Col "dt", day 10010, day 10050)));
+      ("char vs str const", w Expr.(Eq (Col "c", str "B")));
+      ("char vs longer str", w Expr.(Lt (Col "c", str "Bz")));
+      ("char vs char col", w Expr.(Ne (Col "c", Col "kc")));
+      ("null const", w Expr.(Gt (Col "k", Const Value.Null)));
+      ("null const on the left", w Expr.(Le (Const Value.Null, Col "d")));
+      ("str compare", w Expr.(Ge (Col "s", str "n10")));
+      ("str contains", w (Expr.Contains (Expr.Col "s", "01")));
+      ("str starts with", w (Expr.StartsWith (Expr.Col "s", "n0")));
+      ("char contains", w (Expr.Contains (Expr.Col "c", "C")));
+      ("char contains empty", w (Expr.Contains (Expr.Col "c", "")));
+      ("char contains longer", w (Expr.Contains (Expr.Col "c", "CC")));
+      ("c_fn compare", w Expr.(Gt (Col "opt", int 50)));
+      ("c_fn arithmetic raises", select [ ("x", Expr.(Add (Col "opt", Col "k"))) ] (scan src));
+      ("compare type error", w Expr.(Lt (Col "dt", int 5)));
+      ( "unused select column divides by zero",
+        gb [ col "k2" ] [ ("n", Count) ]
+          (select
+             [ ("k2", Expr.Col "k"); ("z", Expr.(Div (Col "k", Sub (Col "k", Col "k")))) ]
+             (scan src)) );
+      ( "and guards a raise",
+        w Expr.(And (Gt (Col "k", int 1000), Lt (Col "dt", int 5))) );
+      ( "and raises past its guard",
+        w Expr.(And (Gt (Col "k", int 50), Lt (Col "dt", int 5))) );
+      ("between guards a raise", w Expr.(Between (Col "k", int 1000, Col "s")));
+      ( "between raises its operand first",
+        w Expr.(Between (Add (Col "dt", int 1), Div (Col "k", Sub (Col "k", Col "k")), int 5)) );
+      ("between mixed kinds", w Expr.(Between (Col "k", int 10, dec "40.50")));
+      ("date sum, one row", gb [] [ ("s", Sum (Expr.Col "dt")) ] (w Expr.(Eq (Col "k", int 1))));
+      ("date sum raises", gb [] [ ("s", Sum (Expr.Col "dt")) ] (scan src));
+      ("char-packed keys", gb [ col "c"; col "kc" ] aggs (w Expr.(Ne (Col "opt", int 0))));
+      ("int-array keys", gb [ col "c"; col "dt" ] aggs (scan src));
+      ("boxed keys", gb [ col "s"; col "opt" ] aggs (scan src));
+      ("zero-key aggregate", gb [] aggs (scan src));
+      ("empty input, keys", gb [ col "c" ] aggs (w Expr.(Lt (Col "k", int 0))));
+      ("empty input, no keys", gb [] aggs (w Expr.(Lt (Col "k", int 0))));
+      ( "filter over select",
+        where
+          Expr.(Gt (Col "x", dec "10.00"))
+          (select [ col "c"; ("x", Expr.(Mul (Col "d", int 2))); ("y", Expr.(Neg (Col "k"))) ]
+             (scan src)) );
+      ("limit over filter", limit 7 (w Expr.(Ge (Col "k", int 20))));
+      ( "filter over group",
+        where
+          Expr.(Gt (Col "n", int 10))
+          (gb [ col "c" ] [ ("n", Count); ("mx", Max (Expr.Col "d")) ] (scan src)) );
+      ( "group over sort",
+        gb [ col "c" ] aggs (order_by [ (Expr.Col "k", Desc) ] (w Expr.(Gt (Col "k", int 10)))) );
+      ("limit over group", limit 2 (gb [ col "c" ] [ ("n", Count) ] (scan src)));
+      ( "select over join",
+        select
+          [ ("k", Expr.Col "k"); ("sum", Expr.(Add (Col "d", Col "k2"))) ]
+          (join ~on:[ ("c", "c2") ] (w Expr.(Lt (Col "k", int 9)))
+             (select [ ("c2", Expr.Col "c"); ("k2", Expr.Col "k") ] (scan src))) );
+    ]
+
+let test_fuse_parity () =
+  List.iter
+    (fun (cname, placement, mode) ->
+      let _rt, coll = build ~placement ~mode ~n:100 () in
+      let src = Source.of_smc coll ~columns:(columns @ [ ("kc", Source.C_char fk) ]) in
+      List.iter (fun (n, p) -> check_fuse (cname ^ " " ^ n) p) (fuse_plans src);
+      let raised = function Error _ -> true | Ok _ -> false in
+      List.iter
+        (fun (n, expect) ->
+          check Alcotest.bool (cname ^ " " ^ n) expect
+            (raised (outcome Fuse.collect (List.assoc n (fuse_plans src)))))
+        [
+          ("unused select column divides by zero", true);
+          ("and guards a raise", false);
+          ("and raises past its guard", true);
+          ("between guards a raise", false);
+          ("date sum, one row", false);
+          ("date sum raises", true);
+        ])
+    configs;
+  (* Eight char keys: 8 × 8 bits do not fit a 63-bit int, so packing them
+     would merge groups whose first key differs only in bit 7 and whose
+     other keys agree (k = 2 and k = 130 here). *)
+  let _rt, coll = build ~placement:Block.Row ~mode:Context.Indirect ~n:300 () in
+  let src =
+    Source.of_smc coll ~columns:[ ("kc", Source.C_char fk); ("even", Source.C_char fb) ]
+  in
+  let keys =
+    ("kc", Expr.Col "kc") :: List.init 7 (fun j -> (Printf.sprintf "e%d" j, Expr.Col "even"))
+  in
+  let plan = Plan.(group_by ~keys ~aggs:[ ("n", Count) ] (scan src)) in
+  let reference = check_parity "eight char keys" plan in
+  check_fuse "eight char keys" plan;
+  check Alcotest.int "eight char keys: one group per first key"
+    (List.length (List.sort_uniq compare (List.map (fun r -> r.(0)) reference)))
+    (List.length reference);
+  (* a source with no batch path: boxed chunks, every kernel on its
+     scalar fallback *)
+  let src =
+    Source.of_array ~name:"mixed" ~schema:[ "a"; "b" ]
+      [|
+        [| Value.Int 1; Value.Str "x" |];
+        [| Value.Null; Value.Str "y" |];
+        [| Value.Int 3; Value.Str "x" |];
+        [| Value.Dec (D.of_string "2.50"); Value.Str "z" |];
+      |]
+  in
+  List.iter
+    (fun (n, p) -> check_fuse ("of_array " ^ n) p)
+    Plan.
+      [
+        ("filter", where Expr.(Gt (Col "a", int 1)) (scan src));
+        ("contains", where (Expr.Contains (Expr.Col "b", "x")) (scan src));
+        ( "group",
+          group_by
+            ~keys:[ ("b", Expr.Col "b") ]
+            ~aggs:[ ("n", Count); ("s", Sum (Expr.Col "a")); ("mx", Max (Expr.Col "a")) ]
+            (scan src) );
+        ("arithmetic raises", select [ ("x", Expr.(Add (Col "a", Col "b"))) ] (scan src));
+        ("limit", limit 2 (scan src));
+      ]
+
 let () =
   let qc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vector"
@@ -571,6 +792,8 @@ let () =
           qc "parallel batch scan" test_parallel_batch_scan;
           qc "filter counters balance" test_vec_counters;
         ] );
+      ("fuse", [ qc "fuse = volcano on typed shapes" test_fuse_parity ]);
+      ("walk", [ qc "compaction formed mid-walk" test_midwalk_compaction ]);
       ( "compiled",
         [
           qc "compiled = fuse on typed shapes" test_compiled_parity;
