@@ -84,6 +84,11 @@ let check (rt : Runtime.t) ~(contexts : Context.t list) =
     eq "vectorized-filter balance (rows in = rows kept + rows dropped)"
       (g Smc_obs.c_vec_filter_rows_in)
       (g Smc_obs.c_vec_filter_rows_kept + g Smc_obs.c_vec_filter_rows_dropped);
+    (* A full-block chunk is one of the batch scan's chunks, counted in
+       both. *)
+    if g Smc_obs.c_vec_full_batches > g Smc_obs.c_vec_batches then
+      vf out "full-block chunks (%d) exceed batch-scan chunks (%d)"
+        (g Smc_obs.c_vec_full_batches) (g Smc_obs.c_vec_batches);
     (* Every compiled-plan request is resolved exactly one way: a fresh
        compile, a cache hit, or a fallback to the Fuse engine. *)
     eq "compiled-plan outcome balance (requests = compiles + cache hits + fallbacks)"

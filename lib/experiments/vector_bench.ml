@@ -1,6 +1,9 @@
 (* Four-engine comparison on TPC-H Q1/Q6: the tagged-value Volcano
    interpreter, the fused push pipeline, the vectorized batch engine and
-   the Dynlink-compiled plan — same plans, same SMC lineitem source.
+   the Dynlink-compiled plan — same plans, same SMC lineitem source. A
+   [Fill] row per query times the source's batch scan alone, with the
+   query's column mask and no consumer: the floor every batch engine pays.
+   Every row is the median of [samples] runs, with the spread printed.
 
    The run is also a correctness gate: every engine's rows must be
    bit-identical (Value.equal, same order) to the Volcano reference, the
@@ -15,16 +18,29 @@ module V = Smc_query.Value
 
 type point = {
   query : string;  (** ["Q1"] | ["Q6"] *)
-  engine : string;  (** ["Volcano"] | ["Fuse"] | ["Vector"] | ["Compiled"] *)
+  engine : string;  (** ["Fill"] | ["Volcano"] | ["Fuse"] | ["Vector"] | ["Compiled"] *)
   ms : float;  (** median wall time; [nan] when the engine was skipped *)
+  iqr_ms : float;  (** spread: 75th minus 25th percentile of the samples *)
   krows_s : float;  (** source rows per second through the plan *)
   vs_fuse : float;  (** throughput relative to Fuse (>1 = faster); [nan] when skipped *)
   identical : bool;  (** rows bit-identical to the Volcano reference *)
   note : string;  (** compile outcome, skip reason, or [""] *)
 }
 
-let median_ms f =
-  Stats.median (Timing.repeat ~warmup:1 3 (fun () -> ignore (Sys.opaque_identity (f ()))))
+let samples = 7
+
+let time_ms f =
+  let xs = Timing.repeat ~warmup:1 samples (fun () -> ignore (Sys.opaque_identity (f ()))) in
+  (Stats.median xs, Stats.percentile xs 75.0 -. Stats.percentile xs 25.0)
+
+(* The column mask Vector's [Scan] leaf reads under the Q1/Q6 shape
+   (GroupBy over Where over Scan). *)
+let rec scan_mask need = function
+  | Q.Plan.GroupBy { keys; aggs; input } -> scan_mask (Q.Kernel.group_need keys aggs) input
+  | Q.Plan.Where (pred, input) ->
+    scan_mask (Q.Kernel.need_union need (Q.Expr.columns pred)) input
+  | Q.Plan.Scan src -> Q.Kernel.scan_mask src need
+  | _ -> None
 
 let rows_equal a b =
   List.length a = List.length b
@@ -43,13 +59,14 @@ let run ?(sf = 0.1) () =
   let bench query plan =
     let reference = Q.Interp.collect plan in
     if reference = [] then note_violation "%s: empty reference result" query;
-    let fuse_ms = median_ms (fun () -> Q.Fuse.collect plan) in
-    let emit engine ms identical note =
+    let fuse_ms, _ = time_ms (fun () -> Q.Fuse.collect plan) in
+    let emit engine (ms, iqr_ms) identical note =
       points :=
         {
           query;
           engine;
           ms;
+          iqr_ms;
           krows_s = (if Float.is_nan ms then Float.nan else float rows /. ms);
           vs_fuse = (if Float.is_nan ms then Float.nan else fuse_ms /. ms);
           identical;
@@ -60,8 +77,17 @@ let run ?(sf = 0.1) () =
     in
     let timed engine f note =
       let identical = rows_equal reference (f ()) in
-      emit engine (median_ms f) identical note
+      emit engine (time_ms f) identical note
     in
+    let mask = scan_mask Q.Kernel.All plan in
+    let fill () = Q.Source.batches src ~rows:Q.Batch.default_rows ?cols:mask ignore in
+    emit "Fill" (time_ms fill) true
+      (match mask with
+      | Some m ->
+        Printf.sprintf "scan_batches, %d of %d columns"
+          (Array.fold_left (fun n b -> if b then n + 1 else n) 0 m)
+          (Array.length m)
+      | None -> "scan_batches, all columns");
     timed "Volcano" (fun () -> Q.Interp.collect plan) "";
     timed "Fuse" (fun () -> Q.Fuse.collect plan) "";
     timed "Vector" (fun () -> Q.Vector.collect plan) "";
@@ -78,7 +104,7 @@ let run ?(sf = 0.1) () =
     | _, Q.Codegen.Fallback reason ->
       (* Report the skip explicitly rather than timing the Fuse fallback as
          if it were compiled code. *)
-      emit "Compiled" Float.nan true (Printf.sprintf "skipped: %s" reason))
+      emit "Compiled" (Float.nan, Float.nan) true (Printf.sprintf "skipped: %s" reason))
   in
   bench "Q6" (Linq_vs_compiled.q6_plan src);
   bench "Q1" (Linq_vs_compiled.q1_plan src);
@@ -99,8 +125,11 @@ let run ?(sf = 0.1) () =
 
 let table points =
   let t =
-    Table.create ~title:"Vectorized batch engine vs Volcano/Fuse/Compiled (TPC-H)"
-      ~columns:[ "query"; "engine"; "ms"; "krows/s"; "vs Fuse"; "identical"; "note" ]
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "Vectorized batch engine vs Volcano/Fuse/Compiled (TPC-H, median of %d)" samples)
+      ~columns:[ "query"; "engine"; "ms"; "IQR ms"; "krows/s"; "vs Fuse"; "identical"; "note" ]
   in
   List.iter
     (fun p ->
@@ -109,6 +138,7 @@ let table points =
           p.query;
           p.engine;
           (if Float.is_nan p.ms then "-" else Printf.sprintf "%.2f" p.ms);
+          (if Float.is_nan p.iqr_ms then "-" else Printf.sprintf "%.2f" p.iqr_ms);
           (if Float.is_nan p.ms then "-" else Printf.sprintf "%.0f" p.krows_s);
           (if Float.is_nan p.vs_fuse then "-" else Printf.sprintf "%.2fx" p.vs_fuse);
           (if p.identical then "yes" else "NO");

@@ -111,6 +111,7 @@ let c_mv_reads = 90 (* view read operations *)
 let c_mv_hits = 91 (* reads served entirely from maintained state *)
 let c_mv_rescans = 92 (* reads that re-derived dirty groups by bounded re-scan *)
 let c_mv_invalidations = 93 (* whole-view invalidations (non-incrementalizable delta) *)
+let c_vec_full_batches = 94 (* vec_batches chunks of full blocks, read without the directory *)
 
 let all =
   [|
@@ -171,6 +172,7 @@ let all =
     ("bare_stores", c_bare_stores);
     ("vec_batches", c_vec_batches);
     ("vec_batch_rows", c_vec_batch_rows);
+    ("vec_full_batches", c_vec_full_batches);
     ("vec_filter_rows_in", c_vec_filter_rows_in);
     ("vec_filter_rows_kept", c_vec_filter_rows_kept);
     ("vec_filter_rows_dropped", c_vec_filter_rows_dropped);

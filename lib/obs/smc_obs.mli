@@ -66,6 +66,7 @@ val c_txn_view_closes : int
 val c_bare_stores : int
 val c_vec_batches : int
 val c_vec_batch_rows : int
+val c_vec_full_batches : int
 val c_vec_filter_rows_in : int
 val c_vec_filter_rows_kept : int
 val c_vec_filter_rows_dropped : int

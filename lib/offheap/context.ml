@@ -757,64 +757,103 @@ let iter_valid_hoisted t ~on_block =
           body slot
       done)
 
-(* Batch-at-a-time enumeration (ROADMAP item 4): gather the surviving slot
-   indices of a block into a selection vector — an int Bigarray, the
-   convention shared with [Smc_query.Batch] — so a vectorized consumer can
-   fill whole column chunks per batch instead of paying a closure call (and,
-   on the per-block path, a critical-section entry plus incarnation
-   validation) per element. The gather loop is branchless: every candidate
-   slot is written at the output cursor, which advances only when the slot
-   survives the directory (or CSN-visibility) test. *)
+(* Batch-at-a-time enumeration: one pass per column chunk. [fill_block]
+   walks a block in chunks of at most [dim slots] rows; each chunk is one
+   loop that tests a slot and copies the wanted words of that slot at the
+   output cursor, which advances only when the slot survives the directory
+   (or CSN-visibility) test — branchless, so a cut slot is simply
+   overwritten by the next one. Row and Columnar blocks share the loop
+   through one address form: word [w] of slot [s] sits at
+   [s * stride + w * wstride], with (stride, wstride) = (slot_words, 1)
+   for Row and (1, nslots) for Columnar; [offs] holds each wanted word's
+   [w * wstride], hoisted out of the loop.
+
+   A block whose [valid_count] equals [nslots] at chunk entry skips the
+   directory: its chunk is a plain column-strided copy of the slot range.
+   That is safe because [alloc] flips the directory before it increments
+   the count and [retire_slot] decrements the count before it retires the
+   slot, so a full count means every slot was valid at that instant. A row
+   removed after it stays in limbo, words intact, until the caller's
+   critical section ends — the same guarantee the per-slot directory read
+   gives. Snapshot reads ([?csn]) always test visibility per slot. *)
 type sel = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let make_sel cap = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 cap)
 
-let scan_block_batch ?csn blk ~start ~sel =
-  let cap = Bigarray.Array1.dim sel in
-  let n = blk.Block.nslots in
-  let k = ref 0 in
-  let slot = ref start in
-  (match csn with
-  | None ->
-    let dir = blk.Block.dir in
-    while !k < cap && !slot < n do
-      let s = !slot in
-      Bigarray.Array1.unsafe_set sel !k s;
-      k := !k + Bool.to_int (Constants.dir_state (Bigarray.Array1.unsafe_get dir s) = state_valid);
-      slot := s + 1
-    done
-  | Some csn ->
-    while !k < cap && !slot < n do
-      let s = !slot in
-      Bigarray.Array1.unsafe_set sel !k s;
-      k := !k + Bool.to_int (slot_visible_at blk s ~csn);
-      slot := s + 1
-    done);
-  (!k, !slot)
+type chunk = {
+  slots : sel;
+  words : int array;
+  masks : int array;
+  mutable dsts : int array array;
+}
 
-(* The §4 amortization the vectorized engine is built on: drive
-   [scan_block_batch] over a whole view snapshot with one epoch critical
-   section per view element (block or whole compaction group), every batch
-   of that element — gather *and* the caller's column fill — inside it.
-   [on_batch blk count] sees the first [count] entries of [sel] filled with
-   surviving slots of [blk]; it must consume (or copy) them before
-   returning — the buffer is reused for the next batch. Compare
-   [iter_valid_per_block], which pays the same critical section per block
-   but still a closure call per row. *)
-let iter_valid_batches ?csn t ~sel ~on_batch =
-  let epoch = t.rt.Runtime.epoch in
-  let wrap body =
-    Epoch.enter_critical epoch;
-    Fun.protect ~finally:(fun () -> Epoch.exit_critical epoch) body
+let fill_chunk ?csn t blk ~start c =
+  let cap = Bigarray.Array1.dim c.slots in
+  let n = blk.Block.nslots in
+  let data = blk.Block.data in
+  let slots = c.slots and masks = c.masks and dsts = c.dsts in
+  let nw = Array.length c.words in
+  let stride, offs =
+    match blk.Block.placement with
+    | Block.Row -> (blk.Block.layout.Layout.slot_words, c.words)
+    | Block.Columnar -> (1, Array.map (fun w -> w * n) c.words)
   in
-  iter_blocks_scanned ~wrap t ~scan:(fun blk ->
-      let n = blk.Block.nslots in
-      let start = ref 0 in
-      while !start < n do
-        let count, next = scan_block_batch ?csn blk ~start:!start ~sel in
-        if count > 0 then on_batch blk count;
-        start := next
-      done)
+  if Option.is_none csn && Atomic.get blk.Block.valid_count = n then begin
+    let m = min cap (n - start) in
+    for i = 0 to m - 1 do
+      Bigarray.Array1.unsafe_set slots i (start + i)
+    done;
+    for w = 0 to nw - 1 do
+      let dst = Array.unsafe_get dsts w and mask = Array.unsafe_get masks w in
+      let base = (start * stride) + Array.unsafe_get offs w in
+      for i = 0 to m - 1 do
+        Array.unsafe_set dst i (Bigarray.Array1.unsafe_get data (base + (i * stride)) land mask)
+      done
+    done;
+    obs_incr t Smc_obs.c_vec_full_batches;
+    (m, start + m)
+  end
+  else begin
+    let dir = blk.Block.dir in
+    let k = ref 0 and s = ref start in
+    while !k < cap && !s < n do
+      let i = !s and kk = !k in
+      Bigarray.Array1.unsafe_set slots kk i;
+      let base = i * stride in
+      for w = 0 to nw - 1 do
+        Array.unsafe_set (Array.unsafe_get dsts w) kk
+          (Bigarray.Array1.unsafe_get data (base + Array.unsafe_get offs w)
+          land Array.unsafe_get masks w)
+      done;
+      let live =
+        match csn with
+        | None -> Constants.dir_state (Bigarray.Array1.unsafe_get dir i) = state_valid
+        | Some csn -> slot_visible_at blk i ~csn
+      in
+      k := kk + Bool.to_int live;
+      s := i + 1
+    done;
+    (!k, !s)
+  end
+
+let fill_block ?csn t blk c ~on_batch =
+  let n = blk.Block.nslots in
+  let start = ref 0 in
+  while !start < n do
+    let count, next = fill_chunk ?csn t blk ~start:!start c in
+    if count > 0 then begin
+      obs_incr t Smc_obs.c_vec_batches;
+      Smc_obs.add t.rt.Runtime.obs Smc_obs.c_vec_batch_rows count;
+      on_batch blk count
+    end;
+    start := next
+  done
+
+(* The sequential batch walk: [fill_block] over a whole view snapshot
+   under the §5.2 group protocol. The caller's critical section covers the
+   whole walk (see the interface). *)
+let iter_valid_batches ?csn t c ~on_batch =
+  iter_blocks_scanned t ~scan:(fun blk -> fill_block ?csn t blk c ~on_batch)
 
 let add_direct_referrer t ~from field =
   with_lock t (fun () -> t.direct_referrers <- (from, field) :: t.direct_referrers)

@@ -163,11 +163,11 @@ val iter_valid_hoisted : t -> on_block:(Block.t -> int -> unit) -> unit
 
 (** {2 Batch-at-a-time enumeration}
 
-    The vectorized engine's scan primitive: surviving slot indices are
-    gathered into a {e selection vector} (an int Bigarray), up to its
-    capacity per batch, and the consumer fills whole column chunks from it —
-    amortizing per-element costs (closure calls; on {!iter_valid_batches},
-    critical-section entries) across ~1024 rows. See docs/vectorized.md. *)
+    The vectorized engine's scan primitive: a block is read as column
+    chunks of up to [dim slots] rows, each chunk in {e one} pass that tests
+    a slot and copies its wanted words together — amortizing per-element
+    costs (closure calls, critical-section entries) across ~1024 rows. See
+    docs/vectorized.md. *)
 
 type sel = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Selection vector: slot (or batch-row) indices, live prefix only. *)
@@ -175,25 +175,45 @@ type sel = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 val make_sel : int -> sel
 (** [make_sel cap] allocates a selection vector for [cap] entries (≥ 1). *)
 
-val scan_block_batch : ?csn:int -> Block.t -> start:int -> sel:sel -> int * int
-(** Branchless gather of surviving slots of one block into [sel], beginning
-    at slot [start], at most [dim sel] of them. Survival means directory
-    state [valid], or visibility at the [?csn] frontier when given (same
-    semantics as {!scan_block} / {!scan_block_at}). Returns
-    [(count, next)]: [count] entries of [sel] are filled, and [next] is
-    where the following batch must [start] ([= nslots] when the block is
-    exhausted). No group handling; call inside a critical section. *)
+type chunk = {
+  slots : sel;  (** receives the slot index of each filled row; its [dim] is the chunk size *)
+  words : int array;  (** word offset (in the layout) of each wanted word column *)
+  masks : int array;  (** per word column: [0xFF] for a 1-byte char field, [-1] otherwise *)
+  mutable dsts : int array array;
+      (** per word column: destination, at least [dim slots] long; may be
+          swapped between batches *)
+}
+(** What one chunk fill writes: row [i] of a filled chunk is slot
+    [slots.{i}], and [dsts.(w).(i)] is its word [words.(w)] [land]
+    [masks.(w)]. *)
 
-val iter_valid_batches : ?csn:int -> t -> sel:sel -> on_batch:(Block.t -> int -> unit) -> unit
-(** Drives {!scan_block_batch} over the published view under the §5.2
-    group protocol. [on_batch blk count] must consume the first [count]
-    entries of [sel] before returning — the buffer is reused. One fresh
-    epoch critical section per view element covers every batch of that
-    element — gather {e and} the caller's column fill. The batch-at-a-time analogue of {!iter_valid_per_block}:
-    the critical-section cost is paid once per block rather than once per
-    row. Must be called {e outside} any critical section unless [?csn] is
-    given (a snapshot view already holds its own pin, and critical sections
-    nest). *)
+val fill_block :
+  ?csn:int -> t -> Block.t -> chunk -> on_batch:(Block.t -> int -> unit) -> unit
+(** Reads one block as chunks: for each chunk with [count] > 0 surviving
+    rows, fills the first [count] entries of [chunk.slots] and of every
+    [chunk.dsts] column and calls [on_batch blk count], which must consume
+    them before returning (the buffers are reused unless it swaps
+    [chunk.dsts]). Survival means directory state [valid], or visibility
+    at the [?csn] frontier when given (same semantics as {!scan_block} /
+    {!scan_block_at}).
+
+    Each chunk is one branchless pass that writes every slot's index and
+    words at the output cursor and advances the cursor by the survival
+    test. Without [?csn], a chunk of a block whose [valid_count] is
+    [nslots] at chunk entry skips the directory and copies the slot range
+    column by column ([alloc] flips the directory before counting a slot,
+    [free] uncounts it before retiring it, so a full count means every
+    slot was valid at that instant; counted in [vec_full_batches]). Counts
+    [vec_batches] and [vec_batch_rows]. No group handling; call inside a
+    critical section, which keeps a row removed mid-chunk in limbo with
+    its words intact. *)
+
+val iter_valid_batches : ?csn:int -> t -> chunk -> on_batch:(Block.t -> int -> unit) -> unit
+(** {!fill_block} over every block of the published view, under the §5.2
+    group protocol. Call inside a critical section that covers the whole
+    walk (a snapshot view's pin, with [?csn], counts): the walk opens none
+    of its own, so a compaction group formed mid-walk cannot complete
+    before the walk ends. *)
 
 (** {2 Parallel-enumeration support}
 

@@ -123,22 +123,12 @@ let fold_hoisted_par ?pool ?domains ?csn ctx ~init ~on_block ~combine =
         done)
     ~combine
 
-(* Batched parallel enumeration: each worker owns a private selection
-   vector and drives [Context.scan_block_batch] over the view elements it
-   draws — the parallel analogue of [Context.iter_valid_batches], with the
-   same per-element critical-section granularity supplied by [drive]. *)
-let fold_batches_par ?pool ?domains ?csn ctx ~sel_cap ~init ~on_batch ~combine =
-  let acc, _ =
-    drive ?pool ?domains ctx
-      ~init:(fun () -> (init (), Context.make_sel sel_cap))
-      ~scan:(fun (acc, sel) blk ->
-        let n = blk.Block.nslots in
-        let start = ref 0 in
-        while !start < n do
-          let count, next = Context.scan_block_batch ?csn blk ~start:!start ~sel in
-          if count > 0 then on_batch acc blk sel count;
-          start := next
-        done)
-      ~combine:(fun (a, sel) (b, _) -> (combine a b, sel))
-  in
-  acc
+(* Batched parallel enumeration: each worker fills its own
+   [Context.chunk] ([chunk acc]) with [Context.fill_block] over the view
+   elements it draws — the parallel analogue of
+   [Context.iter_valid_batches], with the per-element critical sections
+   supplied by [drive]. *)
+let fold_batches_par ?pool ?domains ?csn ctx ~init ~chunk ~on_batch ~combine =
+  drive ?pool ?domains ctx ~init
+    ~scan:(fun acc blk -> Context.fill_block ?csn ctx blk (chunk acc) ~on_batch:(on_batch acc))
+    ~combine

@@ -61,14 +61,15 @@ val fold_batches_par :
   ?domains:int ->
   ?csn:int ->
   Context.t ->
-  sel_cap:int ->
   init:(unit -> 'acc) ->
-  on_batch:('acc -> Block.t -> Context.sel -> int -> unit) ->
+  chunk:('acc -> Context.chunk) ->
+  on_batch:('acc -> Block.t -> int -> unit) ->
   combine:('acc -> 'acc -> 'acc) ->
   'acc
 (** Parallel analogue of {!Smc_offheap.Context.iter_valid_batches}: each
-    worker owns a private selection vector of [sel_cap] entries and calls
-    [on_batch acc blk sel count] for every batch of the view elements it
-    draws, inside that element's critical section. [on_batch] must consume
-    the first [count] entries of [sel] before returning — the buffer is the
-    worker's and is reused for its next batch. *)
+    worker runs {!Smc_offheap.Context.fill_block} into its own chunk
+    ([chunk acc], which must not be shared between accumulators) over the
+    view elements it draws, inside that element's critical section, and
+    calls [on_batch acc blk count] for every filled chunk. [on_batch] must
+    consume the chunk's first [count] rows before returning, or swap the
+    chunk's [dsts] for fresh arrays. *)

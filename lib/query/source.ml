@@ -88,34 +88,10 @@ let extractor_of_column = function
 
 let extract_column = extractor_of_column
 
-(* Dense word gather, placement arithmetic hoisted out of the loop — the
-   paper's direct block access, amortized over a whole selection. *)
-let fill_words blk ~word slots n (dst : int array) =
-  let data = blk.Block.data in
-  match blk.Block.placement with
-  | Block.Row ->
-    let sw = blk.Block.layout.Layout.slot_words in
-    for i = 0 to n - 1 do
-      let s = Bigarray.Array1.unsafe_get slots i in
-      Array.unsafe_set dst i (Bigarray.Array1.unsafe_get data ((s * sw) + word))
-    done
-  | Block.Columnar ->
-    let base = word * blk.Block.nslots in
-    for i = 0 to n - 1 do
-      let s = Bigarray.Array1.unsafe_get slots i in
-      Array.unsafe_set dst i (Bigarray.Array1.unsafe_get data (base + s))
-    done
-
+(* The columns [Context.fill_block] does not write: one gather per column
+   through the slot indices the same pass recorded. *)
 let fill_column col vec blk slots n =
   match (col, vec) with
-  | C_int f, Batch.V_int dst | C_dec f, Batch.V_dec dst | C_date f, Batch.V_date dst ->
-    fill_words blk ~word:f.Layout.word slots n dst
-  | C_char f, Batch.V_char dst ->
-    let word = f.Layout.word in
-    for i = 0 to n - 1 do
-      let s = Bigarray.Array1.unsafe_get slots i in
-      Array.unsafe_set dst i (Block.get_word blk ~slot:s ~word land 0xFF)
-    done
   | C_bool f, Batch.V_bool dst ->
     let word = f.Layout.word in
     for i = 0 to n - 1 do
@@ -132,7 +108,7 @@ let fill_column col vec blk slots n =
       let s = Bigarray.Array1.unsafe_get slots i in
       Array.unsafe_set dst i (fn blk s)
     done
-  | _ -> assert false (* storage was created from [kind_of_column] *)
+  | _ -> assert false (* word columns are filled by [Context.fill_block] *)
 
 (* Constant values the planner may route through an index of the given key
    kind. The conversion mirrors the key encoding: ints and dates (epoch
@@ -211,104 +187,80 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
       | Some v -> Smc.Collection.view_iter v ~f:(fun blk slot -> emit (extract blk slot))
       | None -> Smc.Collection.iter coll ~f:(fun blk slot -> emit (extract blk slot))
   in
-  (* Batch scan: whole column chunks are gathered block by block
-     ([Context.iter_valid_batches]) inside one epoch critical section for
-     the whole walk, the same §4 whole-query granularity as the row scan.
-     A compaction group that forms mid-walk therefore cannot complete
-     before the walk ends: the walk never meets a source whose rows moved
-     to a target outside its snapshot, nor re-counts a scanned source's
-     rows through that target. The per-element validation cost of the
-     row path is paid once per ~1024 rows. The emitted batch is reused
-     (loan contract); the parallel path materializes per-worker batches
-     instead and hands them to [emit] sequentially, in unspecified order.
-
-     The fill order follows the placement. Row-placed blocks interleave a
-     slot's words in one cache line, so filling column-by-column would
-     re-stream the whole block once per column; instead one pass over the
-     selection gathers every wanted word-backed column per slot. Columnar
-     blocks store each word contiguously, so there the per-column passes
-     are the streaming-friendly order. [mask] (from the consumer's
+  (* Batch scan: one [Context.fill_block] pass per chunk writes the slot
+     indices and every wanted word-backed column (Int/Dec/Date, Char
+     masked to its byte); Bool/Str/[C_fn] columns are then gathered through
+     the slot indices that pass recorded. [mask] (from the consumer's
      [?cols]) drops the columns the plan never reads — unfilled columns
-     keep their storage but their contents are unspecified. *)
-  let make_fill b mask =
+     keep their storage but their contents are unspecified.
+
+     The sequential walk runs inside one epoch critical section
+     ([Smc.Collection.with_read]), the same §4 whole-query granularity as
+     the row scan: a compaction group that forms mid-walk cannot complete
+     before the walk ends, so the walk never meets a source whose rows
+     moved to a target outside its snapshot, nor re-counts a scanned
+     source's rows through that target. The emitted batch is reused (loan
+     contract). The parallel path fills a fresh batch per chunk in each
+     worker and hands the batches to [emit] sequentially, in unspecified
+     order. *)
+  let scan_batches ~rows ?cols:mask emit =
+    let cap = max rows 1 in
     let want c = match mask with None -> true | Some m -> m.(c) in
-    let int_dst c =
-      match b.Batch.cols.(c) with
-      | Batch.V_int a | Batch.V_dec a | Batch.V_date a | Batch.V_char a -> a
-      | _ -> assert false
-    in
-    let wordsl = ref [] and othersl = ref [] in
+    let word_cols = ref [] and others = ref [] in
     Array.iteri
       (fun c col ->
         if want c then
           match col with
-          | C_int f | C_dec f | C_date f ->
-            wordsl := (int_dst c, f.Layout.word, false) :: !wordsl
-          | C_char f -> wordsl := (int_dst c, f.Layout.word, true) :: !wordsl
-          | C_bool _ | C_str _ | C_fn _ -> othersl := c :: !othersl)
+          | C_int f | C_dec f | C_date f -> word_cols := (c, f.Layout.word, -1) :: !word_cols
+          | C_char f -> word_cols := (c, f.Layout.word, 0xFF) :: !word_cols
+          | C_bool _ | C_str _ | C_fn _ -> others := c :: !others)
       cols;
-    let words = Array.of_list (List.rev !wordsl) in
-    let others = Array.of_list (List.rev !othersl) in
-    let nw = Array.length words in
-    fun blk slots n ->
-      (match blk.Block.placement with
-      | Block.Row ->
-        let data = blk.Block.data in
-        let sw = blk.Block.layout.Layout.slot_words in
-        for i = 0 to n - 1 do
-          let s = Bigarray.Array1.unsafe_get slots i in
-          let base = s * sw in
-          for w = 0 to nw - 1 do
-            let dst, word, is_char = Array.unsafe_get words w in
-            let v = Bigarray.Array1.unsafe_get data (base + word) in
-            Array.unsafe_set dst i (if is_char then v land 0xFF else v)
-          done
-        done
-      | Block.Columnar ->
-        let data = blk.Block.data in
-        let ns = blk.Block.nslots in
-        for w = 0 to nw - 1 do
-          let dst, word, is_char = Array.unsafe_get words w in
-          let base = word * ns in
-          if is_char then
-            for i = 0 to n - 1 do
-              let s = Bigarray.Array1.unsafe_get slots i in
-              Array.unsafe_set dst i (Bigarray.Array1.unsafe_get data (base + s) land 0xFF)
-            done
-          else
-            for i = 0 to n - 1 do
-              let s = Bigarray.Array1.unsafe_get slots i in
-              Array.unsafe_set dst i (Bigarray.Array1.unsafe_get data (base + s))
-            done
-        done);
-      Array.iter (fun c -> fill_column cols.(c) b.Batch.cols.(c) blk slots n) others;
-      Batch.set_identity b n;
-      Smc_obs.incr obs Smc_obs.c_vec_batches;
-      Smc_obs.add obs Smc_obs.c_vec_batch_rows n
-  in
-  let scan_batches ~rows ?cols:mask emit =
-    let cap = max rows 1 in
+    let word_cols = Array.of_list (List.rev !word_cols) and others = List.rev !others in
+    let dsts b =
+      Array.map
+        (fun (c, _, _) ->
+          match b.Batch.cols.(c) with
+          | Batch.V_int a | Batch.V_dec a | Batch.V_date a | Batch.V_char a -> a
+          | _ -> assert false)
+        word_cols
+    in
+    let new_chunk b =
+      {
+        Context.slots = Context.make_sel cap;
+        words = Array.map (fun (_, w, _) -> w) word_cols;
+        masks = Array.map (fun (_, _, m) -> m) word_cols;
+        dsts = dsts b;
+      }
+    in
+    let finish b chunk blk n =
+      List.iter (fun c -> fill_column cols.(c) b.Batch.cols.(c) blk chunk.Context.slots n) others;
+      Batch.set_identity b n
+    in
     if parallel then begin
       let per_worker =
-        Smc_parallel.Par_scan.fold_batches_par ?pool ?domains ?csn ctx ~sel_cap:cap
-          ~init:(fun () -> ref [])
-          ~on_batch:(fun acc blk slots n ->
-            let b = Batch.create ~kinds ~cap:n in
-            make_fill b mask blk slots n;
-            acc := b :: !acc)
-          ~combine:(fun a b ->
+        Smc_parallel.Par_scan.fold_batches_par ?pool ?domains ?csn ctx
+          ~init:(fun () ->
+            let b = Batch.create ~kinds ~cap in
+            (ref [], ref b, new_chunk b))
+          ~chunk:(fun (_, _, chunk) -> chunk)
+          ~on_batch:(fun (out, cur, chunk) blk n ->
+            finish !cur chunk blk n;
+            out := !cur :: !out;
+            cur := Batch.create ~kinds ~cap;
+            chunk.Context.dsts <- dsts !cur)
+          ~combine:(fun (a, cur, chunk) (b, _, _) ->
             a := List.rev_append !b !a;
-            a)
+            (a, cur, chunk))
       in
-      List.iter emit !per_worker
+      let out, _, _ = per_worker in
+      List.iter emit !out
     end
     else begin
       let b = Batch.create ~kinds ~cap in
-      let fill = make_fill b mask in
-      let slots = Context.make_sel cap in
+      let chunk = new_chunk b in
       Smc.Collection.with_read coll (fun () ->
-          Context.iter_valid_batches ?csn ctx ~sel:slots ~on_batch:(fun blk n ->
-              fill blk slots n;
+          Context.iter_valid_batches ?csn ctx chunk ~on_batch:(fun blk n ->
+              finish b chunk blk n;
               emit b))
     end
   in

@@ -99,10 +99,12 @@ val of_smc :
   columns:(string * column) list ->
   t
 (** Scans the collection inside one critical section, extracting the named
-    columns from each valid slot. The batch path ([scan_batches]) gathers
-    surviving slots per block with {!Smc_offheap.Context.scan_block_batch}
-    and fills whole column chunks, block by block, inside one epoch
-    critical section for the whole walk. With [?domains] ≥ 2 the extraction runs
+    columns from each valid slot. The batch path ([scan_batches]) fills
+    column chunks with {!Smc_offheap.Context.fill_block}, one pass per
+    chunk that tests each slot and copies its Int/Dec/Date/Char words
+    (Bool, string and [C_fn] columns are then gathered through the slot
+    indices that pass wrote), inside one epoch critical section for the
+    whole walk. With [?domains] ≥ 2 the extraction runs
     as a block-partitioned parallel scan ({!Smc_parallel.Par_scan}) and the
     rows are pushed to the consumer sequentially afterwards — downstream
     operators never see concurrency, but row order across blocks becomes

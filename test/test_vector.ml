@@ -482,6 +482,230 @@ let test_midwalk_compaction () =
   check Alcotest.int "a walk after the compaction agrees" expected (List.length rows)
 
 (* ------------------------------------------------------------------ *)
+(* The batch scan's chunk fill against the row path: every chunk must hold
+   exactly the rows [Collection.iter] (or [view_iter]) visits, in the same
+   order, with each wanted column equal to [Source.extract_column]. Blocks
+   hold 32 slots; the fixtures leave blocks 0 and 2 full (the fill skips
+   their directory) and, when holed, remove rows from blocks 1 and 3. The
+   char column stores words with bits above the byte, and bytes ≥ 0x80, so
+   a fill that forgets the byte mask shows up in the raw chunk. *)
+
+let fill_nslots = 32
+
+let build_fill ~placement ~mode ~holed () =
+  let rt = Smc_offheap.Runtime.create () in
+  let coll =
+    Smc.Collection.create rt ~name:"fill" ~layout ~placement ~mode ~slots_per_block:fill_nslots ()
+  in
+  let refs =
+    Array.init (4 * fill_nslots) (fun i ->
+        Smc.Collection.add coll ~init:(fun blk slot ->
+            Smc.Field.set_int fk blk slot i;
+            Smc.Field.set_dec fd blk slot (D.of_int (i - 50));
+            Smc.Field.set_date fdt blk slot (9000 + i);
+            Smc.Field.set_int fc blk slot (0x5a00 lor (((i * 37) + 0x80) land 0xFF));
+            Smc.Field.set_bool fb blk slot (i mod 3 = 1);
+            Smc.Field.set_string fs blk slot (Printf.sprintf "s%d" i)))
+  in
+  let homes = Array.map (fun r -> fst (Smc.Collection.deref coll r)) refs in
+  let blocks =
+    Array.fold_left (fun acc b -> if List.memq b acc then acc else b :: acc) [] homes
+    |> List.rev |> Array.of_list
+  in
+  check Alcotest.int "four blocks" 4 (Array.length blocks);
+  if holed then
+    Array.iteri
+      (fun i r ->
+        if i mod 5 = 0 && (homes.(i) == blocks.(1) || homes.(i) == blocks.(3)) then
+          ignore (Smc.Collection.remove coll r : bool))
+      refs;
+  (rt, coll, refs)
+
+(* A char chunk holds the masked byte; compare it raw, as an Int. *)
+let fill_value col v =
+  match (col, v) with
+  | Source.C_char _, Value.Str s -> Value.Int (Char.code s.[0])
+  | _ -> v
+
+let chunk_value vec i =
+  match vec with Batch.V_char a -> Value.Int a.(i) | v -> Batch.box_vec v i
+
+let check_fill name ~expected src ~rows ~mask =
+  let want c = match mask with None -> true | Some m -> m.(c) in
+  let got = ref [] in
+  Source.batches src ~rows ?cols:mask (fun b ->
+      if b.Batch.len > rows then Alcotest.failf "%s: chunk of %d rows > %d" name b.Batch.len rows;
+      for i = 0 to b.Batch.len - 1 do
+        let r = Bigarray.Array1.get b.Batch.sel i in
+        let row = ref [] in
+        Array.iteri (fun c vec -> if want c then row := chunk_value vec r :: !row) b.Batch.cols;
+        got := Array.of_list (List.rev !row) :: !got
+      done);
+  let expected =
+    List.map
+      (fun row -> Array.of_list (List.filteri (fun c _ -> want c) (Array.to_list row)))
+      expected
+  in
+  check rows_testable name expected (List.rev !got)
+
+let masks =
+  let n = List.length columns in
+  let only names = Some (Array.of_list (List.map (fun (c, _) -> List.mem c names) columns)) in
+  [
+    ("all", None);
+    ("words", only [ "k"; "c"; "dt" ]);
+    ("non-words", only [ "b"; "s"; "opt" ]);
+    ("mixed", only [ "d"; "b"; "c"; "opt" ]);
+    ("none", Some (Array.make n false));
+  ]
+
+let expected_rows iter =
+  let cols = Array.of_list (List.map snd columns) in
+  let out = ref [] in
+  iter (fun blk slot ->
+      out := Array.map (fun col -> fill_value col (Source.extract_column col blk slot)) cols :: !out);
+  List.rev !out
+
+let fill_configs ~holed f =
+  List.iter
+    (fun (cname, placement, mode) ->
+      let rt, coll, refs = build_fill ~placement ~mode ~holed () in
+      f (Printf.sprintf "%s%s" cname (if holed then " holed" else " full")) rt coll refs)
+    configs
+
+let counter rt c = Smc_obs.get (Smc_obs.snapshot rt.Smc_offheap.Runtime.obs) c
+
+(* Chunks of 1 and 7 rows, one larger than a block, and the default. *)
+let check_fills name ~expected src =
+  List.iter
+    (fun rows ->
+      List.iter
+        (fun (mname, mask) ->
+          check_fill (Printf.sprintf "%s rows=%d mask=%s" name rows mname) ~expected src ~rows ~mask)
+        masks)
+    [ 1; 7; 50; 1024 ]
+
+let test_fill_parity () =
+  List.iter
+    (fun holed ->
+      fill_configs ~holed (fun cname rt coll _refs ->
+          let expected = expected_rows (fun f -> Smc.Collection.iter coll ~f) in
+          check Alcotest.int (cname ^ " live rows")
+            ((4 * fill_nslots) - if holed then 12 else 0)
+            (List.length expected);
+          let full0 = counter rt Smc_obs.c_vec_full_batches in
+          check_fills cname ~expected (Source.of_smc coll ~columns);
+          check Alcotest.bool (cname ^ ": full blocks skipped the directory") true
+            (counter rt Smc_obs.c_vec_full_batches > full0);
+          check (Alcotest.list Alcotest.string) (cname ^ ": obs invariants hold") []
+            (Smc_check.Obs_check.check rt ~contexts:[ coll.Smc.Collection.ctx ])))
+    [ false; true ]
+
+(* Under a snapshot view every chunk tests visibility per slot: rows
+   removed after the frontier stay in the chunks, rows added after it stay
+   out, and no chunk takes the full-block path. *)
+let test_fill_view () =
+  fill_configs ~holed:false (fun cname rt coll refs ->
+      Smc.Collection.with_view coll (fun view ->
+          let expected = expected_rows (fun f -> Smc.Collection.view_iter view ~f) in
+          Array.iteri
+            (fun i r -> if i mod 7 = 3 then ignore (Smc.Collection.remove coll r : bool))
+            refs;
+          ignore
+            (Smc.Collection.add coll ~init:(fun blk slot -> Smc.Field.set_int fk blk slot (-1))
+              : Smc.Ref.t);
+          check Alcotest.int (cname ^ " view rows") (4 * fill_nslots) (List.length expected);
+          let full0 = counter rt Smc_obs.c_vec_full_batches in
+          check_fills (cname ^ " view") ~expected (Source.of_smc ~view coll ~columns);
+          check Alcotest.int (cname ^ ": view chunks test every slot") full0
+            (counter rt Smc_obs.c_vec_full_batches)))
+
+(* The parallel walk fills the same chunks, per worker, in any order. *)
+let test_fill_parallel () =
+  let pool = Smc_parallel.Pool.create ~size:1 () in
+  Fun.protect
+    ~finally:(fun () -> Smc_parallel.Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun holed ->
+          fill_configs ~holed (fun cname _rt coll _refs ->
+              let seq = Source.of_smc coll ~columns in
+              let par = Source.of_smc ~pool ~domains:2 coll ~columns in
+              let sorted src rows =
+                List.sort Stdlib.compare (Vector.collect ~batch_rows:rows (Plan.scan src))
+              in
+              List.iter
+                (fun rows ->
+                  check rows_testable
+                    (Printf.sprintf "%s parallel rows=%d" cname rows)
+                    (sorted seq rows) (sorted par rows))
+                [ 1; 7; 1024 ]))
+        [ false; true ])
+
+(* ------------------------------------------------------------------ *)
+(* A full block's chunks skip the directory, so they rely on the walk's
+   critical section: a row removed after the walk began stays in limbo,
+   words intact, until the walk ends. Pause a walk in its first chunk,
+   remove rows from the full blocks ahead of it on another domain and add
+   new ones, then let it finish: it may or may not see each removed row,
+   but every row it emits was live when it began, none twice. *)
+
+let test_midwalk_removals () =
+  List.iter
+    (fun placement ->
+      let rt = Smc_offheap.Runtime.create () in
+      let coll =
+        Smc.Collection.create rt ~name:"walkfull" ~layout ~placement ~mode:Context.Indirect
+          ~slots_per_block:16 ()
+      in
+      let refs =
+        Array.init (16 * 8) (fun i ->
+            Smc.Collection.add coll ~init:(fun blk slot -> Smc.Field.set_int fk blk slot i))
+      in
+      let before = Smc.Collection.count coll in
+      let src = Source.of_smc coll ~columns:[ ("k", Source.C_int fk) ] in
+      let full0 = counter rt Smc_obs.c_vec_full_batches in
+      let seen = Array.make (Array.length refs) 0 and chunks = ref 0 and after = ref 0 in
+      Source.batches src ~rows:5 (fun bt ->
+          (match bt.Batch.cols.(0) with
+          | Batch.V_int ks ->
+            for i = 0 to bt.Batch.len - 1 do
+              let k = ks.(Bigarray.Array1.get bt.Batch.sel i) in
+              if k < 0 || k >= Array.length seen then Alcotest.failf "emitted k = %d" k;
+              seen.(k) <- seen.(k) + 1
+            done
+          | _ -> Alcotest.fail "k is not an int chunk");
+          incr chunks;
+          if !chunks = 1 then
+            (* Paused inside block 0: thin the rest of block 0 and blocks
+               2-7, then add rows, which would land in recycled slots of
+               those blocks if the walk did not hold back the epoch. *)
+            Domain.join
+              (Domain.spawn (fun () ->
+                   Array.iteri
+                     (fun i r ->
+                       if (i >= 32 && i mod 3 = 0) || (i >= 10 && i < 16 && i mod 2 = 0) then
+                         ignore (Smc.Collection.remove coll r : bool))
+                     refs;
+                   after := Smc.Collection.count coll;
+                   for j = 0 to 63 do
+                     ignore
+                       (Smc.Collection.add coll ~init:(fun blk slot ->
+                            Smc.Field.set_int fk blk slot (1000 + j))
+                         : Smc.Ref.t)
+                   done)));
+      let after = !after in
+      let emitted = Array.fold_left ( + ) 0 seen in
+      let what = match placement with Block.Row -> "row" | Block.Columnar -> "columnar" in
+      check Alcotest.bool (what ^ ": removals ran") true (after < before);
+      check Alcotest.bool (what ^ ": full blocks were read without the directory") true
+        (counter rt Smc_obs.c_vec_full_batches > full0);
+      check Alcotest.bool (what ^ ": no row twice") true (Array.for_all (fun n -> n <= 1) seen);
+      if emitted < after || emitted > before then
+        Alcotest.failf "%s: emitted %d rows, outside [%d, %d]" what emitted after before)
+    [ Block.Row; Block.Columnar ]
+
+(* ------------------------------------------------------------------ *)
 (* Observability: filter counters balance *)
 
 let test_vec_counters () =
@@ -793,7 +1017,17 @@ let () =
           qc "filter counters balance" test_vec_counters;
         ] );
       ("fuse", [ qc "fuse = volcano on typed shapes" test_fuse_parity ]);
-      ("walk", [ qc "compaction formed mid-walk" test_midwalk_compaction ]);
+      ( "fill",
+        [
+          qc "chunks = row path" test_fill_parity;
+          qc "chunks under a snapshot view" test_fill_view;
+          qc "parallel chunks" test_fill_parallel;
+        ] );
+      ( "walk",
+        [
+          qc "compaction formed mid-walk" test_midwalk_compaction;
+          qc "removals in full blocks mid-walk" test_midwalk_removals;
+        ] );
       ( "compiled",
         [
           qc "compiled = fuse on typed shapes" test_compiled_parity;
