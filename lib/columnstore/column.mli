@@ -19,8 +19,6 @@ type t =
   | Ints of { enc : int_encoding; length : int; seg_min : int array; seg_max : int array }
   | Strs of { dict : string array; codes : int array }
 
-val segment_size : int
-
 val encode_ints : int array -> t
 (** Picks the smallest of raw / RLE / dictionary encodings. *)
 

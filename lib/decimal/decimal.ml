@@ -7,10 +7,6 @@ let one = scale
 let of_int n = n * scale
 let of_cents c = c * (scale / 100)
 
-let of_float f =
-  let scaled = f *. float_of_int scale in
-  int_of_float (Float.round scaled)
-
 let to_float t = float_of_int t /. float_of_int scale
 
 let add = ( + )

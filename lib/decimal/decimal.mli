@@ -27,9 +27,6 @@ val of_int : int -> t
 val of_cents : int -> t
 (** Hundredths (TPC-H native money granularity) to decimal. *)
 
-val of_float : float -> t
-(** Rounded to the nearest representable value; for test input only. *)
-
 val to_float : t -> float
 
 val of_string : string -> t

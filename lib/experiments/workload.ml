@@ -67,8 +67,3 @@ let domains_run n body =
     let domains = List.init n (fun i -> Domain.spawn (fun () -> body i)) in
     List.iter Domain.join domains
   end
-
-let with_gc_settings ~minor_heap_words ~space_overhead f =
-  let saved = Gc.get () in
-  Gc.set { saved with Gc.minor_heap_size = minor_heap_words; space_overhead };
-  Fun.protect ~finally:(fun () -> Gc.set saved) f

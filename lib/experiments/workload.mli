@@ -28,6 +28,3 @@ val scan_sum : Smc.Collection.t -> int
 
 val domains_run : int -> (int -> unit) -> unit
 (** [domains_run n body] runs [body i] on [n] domains and joins them. *)
-
-val with_gc_settings : minor_heap_words:int -> space_overhead:int -> (unit -> 'a) -> 'a
-(** Temporarily overrides GC parameters (the batch/interactive analogue). *)

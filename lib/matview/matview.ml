@@ -305,7 +305,10 @@ let build_locked t =
 (* One block-order scan re-deriving every dirty Min/Max cell of the given
    groups — bounded: only dirty groups' cells are recomputed, and the
    fold is exactly the engines' (first strict improvement wins, so ties
-   resolve to the first row in block order). *)
+   resolve to the first row in block order). The walk folds the applied
+   contributions, not the live rows: a row made valid whose add delta is
+   still waiting on [t.lock] has none yet, and folding it here as well as
+   from its delta would count an extremum twice. *)
 let rescan_locked t dirty =
   let targets = Hashtbl.create (List.length dirty) in
   List.iter
@@ -316,16 +319,18 @@ let rescan_locked t dirty =
       Hashtbl.replace targets g.g_key g)
     dirty;
   Smc.Collection.iter t.coll ~f:(fun blk slot ->
-      let row = extract_row t blk slot in
-      if passes t row then
-        match Hashtbl.find_opt targets (eval_key t row) with
+      let p = Smc.Ref.to_packed (Smc.Collection.ref_of_slot t.coll blk slot) in
+      match Hashtbl.find_opt t.contribs p with
+      | None -> ()
+      | Some con -> (
+        match Hashtbl.find_opt targets con.c_key with
         | None -> ()
         | Some g ->
           Array.iteri
             (fun i c ->
               match c with
               | C_mm m when m.dirty ->
-                let v = (Option.get t.agg_fns.(i)) row in
+                let v = con.c_vals.(i) in
                 if m.n_ext = 0 then begin
                   m.cur <- v;
                   m.n_ext <- 1
@@ -338,7 +343,7 @@ let rescan_locked t dirty =
                   end
                   else if cmp = 0 && v = m.cur then m.n_ext <- m.n_ext + 1
               | _ -> ())
-            g.g_cells);
+            g.g_cells));
   List.iter
     (fun g ->
       Array.iter (function C_mm m -> m.dirty <- false | _ -> ()) g.g_cells)

@@ -35,8 +35,6 @@ type report = {
   aborted : bool;  (** whole pass abandoned at an epoch boundary *)
 }
 
-val empty_report : report
-
 val run :
   Context.t -> ?occupancy_threshold:float -> ?max_wait_spins:int -> unit -> report
 (** Runs one compaction pass over the context. [occupancy_threshold]

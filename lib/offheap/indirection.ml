@@ -168,9 +168,3 @@ let iter_free t ~f =
         f cache.items.(i)
       done)
     t.caches
-
-let free_total t =
-  Mutex.lock t.free_lock;
-  let n = t.free_count in
-  Mutex.unlock t.free_lock;
-  Array.fold_left (fun acc cache -> acc + cache.count) n t.caches

@@ -61,6 +61,3 @@ val iter_free : t -> f:(int -> unit) -> unit
     plus per-thread caches). Only meaningful at a quiescent point — an
     invariant sweep uses it to prove no free entry is still reachable from a
     slot back-pointer. *)
-
-val free_total : t -> int
-(** Audit accessor: number of entries currently sitting in free stores. *)

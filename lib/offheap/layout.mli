@@ -51,8 +51,6 @@ val field : t -> string -> field
 
 val field_opt : t -> string -> field option
 
-val words_of_type : field_type -> int
-
 val str_bytes_per_word : int
 (** 7: string bytes packed per 63-bit word. *)
 

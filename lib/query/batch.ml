@@ -85,17 +85,28 @@ let iter_rows t ~f =
 
 (* Re-batcher: pack boxed rows back into [V_val] batches so row-at-a-time
    operators (joins, sorts, index probes) can keep feeding vectorized
-   consumers. The returned batch is reused across emits — same loan
+   consumers. The store starts at 16 rows and doubles up to [rows], so a
+   probe that yields a handful of rows allocates a handful of minor-heap
+   slots, not [ncols * rows] on the major heap. The batch wrapping the
+   store is built at the first emit and reused across emits — same loan
    contract as every other producer. *)
 let rebatcher ~ncols ~rows ~emit =
-  let cap = max rows 1 in
-  let store = Array.init ncols (fun _ -> Array.make cap Value.Null) in
-  let b =
-    { cols = Array.map (fun a -> V_val a) store; sel = Context.make_sel cap; len = 0 }
-  in
+  let rows = max rows 1 in
+  let cap = ref (min rows 16) in
+  let store = ref (Array.init ncols (fun _ -> Array.make !cap Value.Null)) in
+  let batch = ref None in
   let n = ref 0 in
   let flush () =
     if !n > 0 then begin
+      let b =
+        match !batch with
+        | Some b -> b
+        | None ->
+          let cols = Array.map (fun a -> V_val a) !store in
+          let b = { cols; sel = Context.make_sel !cap; len = 0 } in
+          batch := Some b;
+          b
+      in
       (* re-identity every emit: a downstream filter may have compacted
          [sel] in place on the previous loan of this same batch *)
       set_identity b !n;
@@ -105,10 +116,23 @@ let rebatcher ~ncols ~rows ~emit =
   in
   let push (row : Value.t array) =
     let i = !n in
+    if i = !cap then begin
+      (* only below [rows]: a full store at [rows] was flushed *)
+      let c = min rows (2 * i) in
+      let grow a =
+        let a' = Array.make c Value.Null in
+        Array.blit a 0 a' 0 i;
+        a'
+      in
+      store := Array.map grow !store;
+      cap := c;
+      batch := None
+    end;
+    let store = !store in
     for c = 0 to ncols - 1 do
       Array.unsafe_set (Array.unsafe_get store c) i (Array.unsafe_get row c)
     done;
     n := i + 1;
-    if !n = cap then flush ()
+    if !n = rows then flush ()
   in
   (push, flush)

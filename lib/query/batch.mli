@@ -56,6 +56,7 @@ val iter_rows : t -> f:(Value.t array -> unit) -> unit
 val rebatcher :
   ncols:int -> rows:int -> emit:(t -> unit) -> (Value.t array -> unit) * (unit -> unit)
 (** [rebatcher ~ncols ~rows ~emit] returns [(push, flush)]: [push] packs
-    boxed rows into reused [V_val] batches of [rows] capacity, emitting
-    each full chunk; [flush] emits the final partial chunk. How
-    row-at-a-time operators keep feeding vectorized consumers. *)
+    boxed rows into a reused [V_val] batch, emitting each chunk of [rows]
+    rows; [flush] emits the final partial chunk. The storage starts at 16
+    rows and doubles up to [rows], so a short stream allocates little.
+    How row-at-a-time operators keep feeding vectorized consumers. *)

@@ -295,9 +295,7 @@ let rec compile ~batch_rows ~need plan : pipe =
     in
     { up with run }
 
-let default_batch_rows = Batch.default_rows
-
-let run ?(batch_rows = default_batch_rows) plan ~f =
+let run ?(batch_rows = Batch.default_rows) plan ~f =
   let p = compile ~batch_rows:(max batch_rows 1) ~need:K.All plan in
   rows_of p f
 

@@ -24,12 +24,9 @@
     batch production via [vec_batches]/[vec_batch_rows] (see
     docs/observability.md). *)
 
-val default_batch_rows : int
-(** = {!Batch.default_rows}. *)
-
 val run : ?batch_rows:int -> Plan.t -> f:(Value.t array -> unit) -> unit
 (** Evaluate the plan, pushing each result row. [batch_rows] (default
-    {!default_batch_rows}, clamped to ≥ 1) sets the chunk capacity —
+    {!Batch.default_rows}, clamped to ≥ 1) sets the chunk capacity —
     exercise 1 to force single-row chunks in tests. *)
 
 val collect : ?batch_rows:int -> Plan.t -> Value.t array list

@@ -209,8 +209,6 @@ let start ?(max_inflight = 64) ?pool ~path shard =
   t.accept_d <- Some (Domain.spawn (fun () -> accept_loop t));
   t
 
-let socket_path t = t.path
-
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
     (* Closing the listener does not wake a thread already parked in

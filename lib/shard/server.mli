@@ -31,8 +31,6 @@ val start : ?max_inflight:int -> ?pool:Smc_parallel.Pool.t -> path:string -> Sha
     on the accept domain (sequentially — fine for tests and single-core
     machines, the frames and counters are identical). *)
 
-val socket_path : t -> string
-
 val stop : t -> unit
 (** Closes the listener, joins the accept domain, and awaits the
     connection handlers — clients should disconnect first, or [stop]

@@ -236,7 +236,6 @@ type view = C.view array
 
 let view t = Array.of_list (C.snapshot_views (Array.to_list t.colls))
 let close_view v = Array.iter C.close_view v
-let shard_view v i = v.(i)
 
 let with_view t f =
   let v = view t in

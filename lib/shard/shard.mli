@@ -106,9 +106,6 @@ val view : t -> view
 val close_view : view -> unit
 val with_view : t -> (view -> 'a) -> 'a
 
-val shard_view : view -> int -> Smc.Collection.view
-(** Shard [i]'s member view, e.g. for per-shard view iteration. *)
-
 (** {2 Fan-out queries} *)
 
 val fold :

@@ -3,8 +3,8 @@
     A frame is a 4-byte little-endian payload length followed by the
     payload; a payload is a 1-byte opcode followed by 8-byte little-endian
     integer fields (error payloads carry message bytes instead). Frames
-    are capped at {!max_frame} bytes. See docs/sharding.md for the full
-    frame catalogue. *)
+    are capped at 1 MiB. See docs/sharding.md for the full frame
+    catalogue. *)
 
 exception Protocol_error of string
 (** Malformed frame or payload: implausible length, truncated fields,
@@ -34,8 +34,6 @@ type reply =
   | Shed
       (** admission control refused the request — the server is at its
           in-flight cap; back off and retry *)
-
-val max_frame : int
 
 val write_frame : Unix.file_descr -> Bytes.t -> unit
 val read_frame : Unix.file_descr -> Bytes.t option

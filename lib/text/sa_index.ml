@@ -7,9 +7,9 @@
      ent_ref  : packed indirect reference per entry
      ent_off  : arena byte offset of each entry's first byte (ascending)
      ent_len  : entry text length in bytes (NUL excluded)
-     sa       : absolute arena offsets of every suffix, sorted
-                lexicographically (suffixes end at their entry's NUL, so
-                none crosses an entry boundary)
+     sa       : [(entry lsl 32) lor arena offset] of every suffix, sorted
+                lexicographically by suffix (suffixes end at their entry's
+                NUL, so none crosses an entry boundary)
 
    — and one published [store] value holds everything a probe needs: the
    [base] level (built by full rebuilds), the sealed [runs] (newest
@@ -200,23 +200,18 @@ let compare_suffix_needle (arena : byte_ba) off needle =
   in
   go 0
 
+(* A suffix word carries its owning entry above its arena offset, so a
+   candidate costs no lookup; [build_level] bounds both halves. *)
+let sa_off w = w land 0xFFFF_FFFF
+let sa_entry w = w lsr 32
+
 (* First index in [0, n) whose suffix compares >= (resp. >) the needle. *)
 let search_bound lv needle ~upper =
   let lo = ref 0 and hi = ref lv.n_sa in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let c = compare_suffix_needle lv.arena (Bigarray.Array1.unsafe_get lv.sa mid) needle in
+    let c = compare_suffix_needle lv.arena (sa_off (Bigarray.Array1.unsafe_get lv.sa mid)) needle in
     if c < 0 || (upper && c = 0) then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* Entry owning an arena offset: greatest e with ent_off.(e) <= off
-   (offsets are ascending by construction). *)
-let entry_of_offset lv off =
-  let lo = ref 0 and hi = ref (lv.n_entries - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if Bigarray.Array1.unsafe_get lv.ent_off mid <= off then lo := mid else hi := mid - 1
   done;
   !lo
 
@@ -226,8 +221,8 @@ let iter_range lv needle f =
   let lo = search_bound lv needle ~upper:false in
   let hi = search_bound lv needle ~upper:true in
   for i = lo to hi - 1 do
-    let off = Bigarray.Array1.unsafe_get lv.sa i in
-    f off (entry_of_offset lv off)
+    let w = Bigarray.Array1.unsafe_get lv.sa i in
+    f (sa_off w) (sa_entry w)
   done
 
 (* ---- probes -------------------------------------------------------- *)
@@ -398,6 +393,8 @@ let build_level t cand =
             bytes := !bytes + String.length text)
         cand);
   let n = !n_live in
+  if !bytes + n >= 1 lsl 32 || n >= 1 lsl 30 then
+    invalid_arg "Sa_index: a level holds < 2^32 arena bytes and < 2^30 entries";
   let arena = byte_ba (!bytes + n) in
   let ent_ref = int_ba n and ent_off = int_ba n and ent_len = int_ba n in
   let off = ref 0 in
@@ -428,11 +425,11 @@ let build_level t cand =
   for e = 0 to n - 1 do
     let o = Bigarray.Array1.unsafe_get ent_off e in
     for j = 0 to Bigarray.Array1.unsafe_get ent_len e - 1 do
-      scratch.(!si) <- o + j;
+      scratch.(!si) <- (e lsl 32) lor (o + j);
       incr si
     done
   done;
-  Array.stable_sort (fun a b -> compare_suffixes arena a b) scratch;
+  Array.stable_sort (fun a b -> compare_suffixes arena (sa_off a) (sa_off b)) scratch;
   let sa = int_ba n_sa in
   for i = 0 to n_sa - 1 do
     Bigarray.Array1.unsafe_set sa i (Array.unsafe_get scratch i)
@@ -621,8 +618,8 @@ let audit t =
         lname lv.n_sa !total;
     let marks = Bytes.make (Bigarray.Array1.dim lv.arena) '\000' in
     for i = 0 to lv.n_sa - 1 do
-      let off = Bigarray.Array1.get lv.sa i in
-      if off < 0 || off >= Bigarray.Array1.dim lv.arena then
+      let off = sa_off lv.sa.{i} and e = sa_entry lv.sa.{i} in
+      if off >= Bigarray.Array1.dim lv.arena then
         bad "text index %s %s sa[%d]: offset %d outside the arena" t.name lname i off
       else begin
         if Bytes.get marks off <> '\000' then
@@ -631,7 +628,10 @@ let audit t =
         if Bigarray.Array1.get lv.arena off = 0 then
           bad "text index %s %s sa[%d]: offset %d points at a terminator" t.name lname i off
       end;
-      if i > 0 && compare_suffixes lv.arena (Bigarray.Array1.get lv.sa (i - 1)) off > 0 then
+      let o = if e < lv.n_entries then Bigarray.Array1.get lv.ent_off e else max_int in
+      if off < o || off >= o + Bigarray.Array1.get lv.ent_len e then
+        bad "text index %s %s sa[%d]: entry %d does not own offset %d" t.name lname i e off;
+      if i > 0 && compare_suffixes lv.arena (sa_off lv.sa.{i - 1}) off > 0 then
         bad "text index %s %s: suffix array out of order at %d" t.name lname i
     done;
     let by_ref = Hashtbl.create (max 16 lv.n_entries) in

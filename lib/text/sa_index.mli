@@ -118,8 +118,9 @@ val stats : t -> stats
 
 val audit : t -> string list
 (** Structural invariant sweep; call only at a quiescent point. Checks,
-    per level, that the suffix array is sorted and covers exactly the
-    arena's suffixes and the entry tables are mutually consistent; that
+    per level, that the suffix array is sorted, covers exactly the
+    arena's suffixes, and names in each word the entry that owns its
+    offset, and that the entry tables are mutually consistent; that
     the tail is shorter than a run and run sizes grow toward the oldest;
     and that every live row of the collection is findable — its reference
     is in the pending tail, or some level's entry for it holds its current

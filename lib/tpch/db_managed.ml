@@ -1,30 +1,8 @@
 module V = Smc_managed.Vector
 module CD = Smc_managed.Concurrent_dictionary
-module CB = Smc_managed.Concurrent_bag
-
-type backing =
-  | Vectors of {
-      lineitems : Row.lineitem V.t;
-      orders : Row.order V.t;
-      customers : Row.customer V.t;
-      partsupps : Row.partsupp V.t;
-    }
-  | Dicts of {
-      lineitems : Row.lineitem CD.t;
-      orders : Row.order CD.t;
-      customers : Row.customer CD.t;
-      partsupps : Row.partsupp CD.t;
-    }
-  | Bags of {
-      lineitems : Row.lineitem CB.t;
-      orders : Row.order CB.t;
-      customers : Row.customer CB.t;
-      partsupps : Row.partsupp CB.t;
-    }
 
 type t = {
   kind : string;
-  backing : backing;
   iter_lineitems : (Row.lineitem -> unit) -> unit;
   iter_orders : (Row.order -> unit) -> unit;
   iter_customers : (Row.customer -> unit) -> unit;
@@ -43,7 +21,6 @@ let of_vectors (ds : Row.dataset) =
   and partsupps = vec ds.Row.partsupps in
   {
     kind = "list";
-    backing = Vectors { lineitems; orders; customers; partsupps };
     iter_lineitems = (fun f -> V.iter lineitems ~f);
     iter_orders = (fun f -> V.iter orders ~f);
     iter_customers = (fun f -> V.iter customers ~f);
@@ -62,34 +39,8 @@ let of_dicts (ds : Row.dataset) =
   and partsupps = dict (fun i _ -> i) ds.Row.partsupps in
   {
     kind = "dict";
-    backing = Dicts { lineitems; orders; customers; partsupps };
     iter_lineitems = (fun f -> CD.iter lineitems ~f:(fun _ x -> f x));
     iter_orders = (fun f -> CD.iter orders ~f:(fun _ x -> f x));
     iter_customers = (fun f -> CD.iter customers ~f:(fun _ x -> f x));
     iter_partsupps = (fun f -> CD.iter partsupps ~f:(fun _ x -> f x));
   }
-
-let of_bags (ds : Row.dataset) =
-  let bag arr =
-    let b = CB.create () in
-    Array.iter (fun x -> CB.add b x) arr;
-    b
-  in
-  let lineitems = bag ds.Row.lineitems
-  and orders = bag ds.Row.orders
-  and customers = bag ds.Row.customers
-  and partsupps = bag ds.Row.partsupps in
-  {
-    kind = "bag";
-    backing = Bags { lineitems; orders; customers; partsupps };
-    iter_lineitems = (fun f -> CB.iter lineitems ~f);
-    iter_orders = (fun f -> CB.iter orders ~f);
-    iter_customers = (fun f -> CB.iter customers ~f);
-    iter_partsupps = (fun f -> CB.iter partsupps ~f);
-  }
-
-let lineitem_count t =
-  match t.backing with
-  | Vectors { lineitems; _ } -> V.length lineitems
-  | Dicts { lineitems; _ } -> CD.length lineitems
-  | Bags { lineitems; _ } -> CB.length lineitems

@@ -1,32 +1,11 @@
 (** TPC-H stored in managed (garbage-collected) collections — the paper's
     baselines. One wrapper type exposes enumeration over whichever backing
     collection is used, so the compiled queries in {!Q_managed} run
-    unchanged against [List<T>]-style vectors, [ConcurrentDictionary] or
-    [ConcurrentBag] analogues. *)
-
-type backing =
-  | Vectors of {
-      lineitems : Row.lineitem Smc_managed.Vector.t;
-      orders : Row.order Smc_managed.Vector.t;
-      customers : Row.customer Smc_managed.Vector.t;
-      partsupps : Row.partsupp Smc_managed.Vector.t;
-    }
-  | Dicts of {
-      lineitems : Row.lineitem Smc_managed.Concurrent_dictionary.t;
-      orders : Row.order Smc_managed.Concurrent_dictionary.t;
-      customers : Row.customer Smc_managed.Concurrent_dictionary.t;
-      partsupps : Row.partsupp Smc_managed.Concurrent_dictionary.t;
-    }
-  | Bags of {
-      lineitems : Row.lineitem Smc_managed.Concurrent_bag.t;
-      orders : Row.order Smc_managed.Concurrent_bag.t;
-      customers : Row.customer Smc_managed.Concurrent_bag.t;
-      partsupps : Row.partsupp Smc_managed.Concurrent_bag.t;
-    }
+    unchanged against [List<T>]-style vectors or [ConcurrentDictionary]
+    analogues. *)
 
 type t = {
-  kind : string;  (** "list" / "dict" / "bag" *)
-  backing : backing;
+  kind : string;  (** "list" / "dict" *)
   iter_lineitems : (Row.lineitem -> unit) -> unit;
   iter_orders : (Row.order -> unit) -> unit;
   iter_customers : (Row.customer -> unit) -> unit;
@@ -35,6 +14,3 @@ type t = {
 
 val of_vectors : Row.dataset -> t
 val of_dicts : Row.dataset -> t
-val of_bags : Row.dataset -> t
-
-val lineitem_count : t -> int

@@ -21,5 +21,3 @@ val to_string : t -> string
 val add_days : t -> int -> t
 val add_months : t -> int -> t
 (** Adds calendar months, clamping the day to the target month's length. *)
-
-val is_leap_year : int -> bool

@@ -18,11 +18,6 @@ let add_rowf t fmt =
     (fun s -> add_row t (List.map String.trim (String.split_on_char '|' s)))
     fmt
 
-let cell_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
-  else if Float.abs x >= 100.0 then Printf.sprintf "%.1f" x
-  else Printf.sprintf "%.3f" x
-
 let to_string t =
   let rows = List.rev t.rows in
   let all = t.columns :: rows in

@@ -19,6 +19,3 @@ val to_json : t -> string
 (** The table as one JSON object [{"title", "columns", "rows"}], cells as
     the same strings {!to_string} renders — for machine-readable benchmark
     artifacts. *)
-
-val cell_float : float -> string
-(** Standard float formatting used across benches. *)

@@ -285,6 +285,44 @@ let test_minmax_dirty_rescan () =
   ignore (C.remove coll lo);
   assert_parity "after losing the min" coll mv
 
+(* A row is valid in the collection before its add delta reaches the
+   view: subscribers fire in attachment order, so one attached before the
+   view and parked on a latch holds the delta back while the row is
+   already visible to a scan. A read that re-scans a dirty group in that
+   window must not fold the row, or its delta folds it a second time and
+   the extremum's multiplicity is off by one: removing the true extremum
+   then leaves a stale max. *)
+let test_rescan_skips_parked_add () =
+  let _rt, coll = make () in
+  ignore (add_row coll 1 10);
+  let mid = add_row coll 1 50 in
+  let armed = Atomic.make false and parked = Atomic.make false in
+  let release = Atomic.make false in
+  let latch : C.op -> unit = function
+    | C.Add _ when Atomic.get armed ->
+      Atomic.set parked true;
+      while not (Atomic.get release) do
+        Domain.cpu_relax ()
+      done
+    | _ -> ()
+  in
+  C.subscribe coll { C.name = "latch"; on_op = latch; on_commit = None };
+  let mv = attach_kvd coll in
+  ignore (C.remove coll mid);
+  check Alcotest.int "unique max removal dirties the group" 1
+    (MV.stats mv).MV.st_dirty_groups;
+  Atomic.set armed true;
+  let adder = Domain.spawn (fun () -> add_row coll 1 99) in
+  while not (Atomic.get parked) do
+    Domain.cpu_relax ()
+  done;
+  (* 99 is valid; its view delta is parked behind the latch *)
+  ignore (view_rows mv);
+  Atomic.set release true;
+  let top = Domain.join adder in
+  ignore (C.remove coll top);
+  assert_parity "true extremum removed after a parked add" coll mv
+
 let test_sum_tag_fidelity () =
   (* A computed column that yields Int on some rows and Dec on others: the
      maintained sum must carry the same type tag as a from-scratch fold —
@@ -674,6 +712,7 @@ let () =
         [
           Alcotest.test_case "incremental churn parity" `Quick test_incremental_churn;
           Alcotest.test_case "min/max dirty re-scan" `Quick test_minmax_dirty_rescan;
+          Alcotest.test_case "re-scan skips a parked add" `Quick test_rescan_skips_parked_add;
           Alcotest.test_case "sum type-tag fidelity" `Quick test_sum_tag_fidelity;
         ] );
       ( "transactions",

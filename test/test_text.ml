@@ -276,6 +276,12 @@ let test_seal_merge_model () =
            model_tokens.(Smc_util.Prng.int prng (Array.length model_tokens))))
   in
   let w = watch ix in
+  (* audit after every step: the packed suffix words, the entry tables and
+     the level shape hold through each append, seal and merge *)
+  let step () =
+    observe w ix;
+    check (Alcotest.list Alcotest.string) "audit clean after the step" [] (T.audit ix)
+  in
   let add s =
     let r =
       Smc.Collection.add coll ~init:(fun blk slot ->
@@ -284,13 +290,13 @@ let test_seal_merge_model () =
     in
     Hashtbl.replace live (Smc.Ref.to_packed r) s;
     handles := r :: !handles;
-    observe w ix;
+    step ();
     r
   in
   let restore r s =
     store_string coll ftxt r s;
     Hashtbl.replace live (Smc.Ref.to_packed r) s;
-    observe w ix
+    step ()
   in
   let pick () =
     let hs = Array.of_list !handles in
@@ -306,7 +312,7 @@ let test_seal_merge_model () =
         check Alcotest.bool "remove a live handle" true (Smc.Collection.remove coll r);
         Hashtbl.remove live (Smc.Ref.to_packed r);
         handles := List.filter (fun h -> not (Smc.Ref.equal h r)) !handles;
-        observe w ix
+        step ()
       end
     done;
     check_against_model ~phase:(Printf.sprintf "phase %d" i) ix live

@@ -994,6 +994,143 @@ let test_fuse_parity () =
         ("limit", limit 2 (scan src));
       ]
 
+(* ------------------------------------------------------------------ *)
+(* The re-batcher: probe leaves and row-at-a-time operators feed batch
+   consumers through it. Its store starts small and doubles up to [rows],
+   so the chunk sizes, the row order and the loan contract are checked at
+   every growth step and boundary. *)
+
+let numbered n = List.init n (fun i -> [| Value.Int i; Value.Str (string_of_int i) |])
+
+let rebatch ~rows ~n ?(on_batch = fun _ -> ()) () =
+  let got = ref [] and sizes = ref [] in
+  let push, flush =
+    Batch.rebatcher ~ncols:2 ~rows ~emit:(fun bt ->
+        sizes := bt.Batch.len :: !sizes;
+        Batch.iter_rows bt ~f:(fun r -> got := r :: !got);
+        on_batch bt)
+  in
+  List.iter push (numbered n);
+  flush ();
+  (List.rev !got, List.rev !sizes)
+
+let test_rebatcher_chunks () =
+  List.iter
+    (fun rows ->
+      List.iter
+        (fun n ->
+          let name = Printf.sprintf "rows=%d n=%d" rows n in
+          let got, sizes = rebatch ~rows ~n () in
+          check rows_testable (name ^ ": every row, in order") (numbered n) got;
+          check Alcotest.int (name ^ ": batches") ((n + rows - 1) / rows) (List.length sizes);
+          List.iteri
+            (fun i len ->
+              check Alcotest.bool
+                (Printf.sprintf "%s: batch %d holds 1..%d rows (%d)" name i rows len)
+                true
+                (len >= 1 && len <= rows))
+            sizes)
+        [ 0; 1; 16; 17; rows; rows + 1; 3 * rows ])
+    [ 1; 7; 1024 ]
+
+(* A filter downstream compacts [sel] in place on its loan; the next loan
+   of the same storage, or of a grown one, must still carry every row. *)
+let test_rebatcher_loans () =
+  let keep_odd bt =
+    let k = ref 0 in
+    for i = 0 to bt.Batch.len - 1 do
+      Bigarray.Array1.set bt.Batch.sel !k (Bigarray.Array1.get bt.Batch.sel i);
+      if i mod 2 = 1 then incr k
+    done;
+    bt.Batch.len <- !k
+  in
+  let got, sizes = rebatch ~rows:4 ~n:13 ~on_batch:keep_odd () in
+  check rows_testable "rows=4: every loan whole" (numbered 13) got;
+  check (Alcotest.list Alcotest.int) "rows=4: chunk sizes" [ 4; 4; 4; 1 ] sizes;
+  (* flushes mid-stream, then the store grows past the loaned batch *)
+  let got = ref [] in
+  let push, flush =
+    Batch.rebatcher ~ncols:2 ~rows:1024 ~emit:(fun bt ->
+        Batch.iter_rows bt ~f:(fun r -> got := r :: !got);
+        keep_odd bt)
+  in
+  let rows = numbered 100 in
+  List.iteri
+    (fun i r ->
+      push r;
+      if i = 19 || i = 59 then flush ())
+    rows;
+  flush ();
+  check rows_testable "rows=1024: loans across growth" rows (List.rev !got)
+
+(* Probe leaves reach Vector through the re-batcher: IndexScan, TextScan
+   and ViewRead with 0, 1, 17 and more than [Batch.default_rows] hits must
+   match Volcano on every engine, with and without a residual filter. *)
+let test_probe_leaves () =
+  let n = 1100 in
+  let rt = Smc_offheap.Runtime.create () in
+  let probe_layout =
+    Smc_offheap.Layout.create ~name:"probe"
+      [
+        ("k", Smc_offheap.Layout.Int); ("g", Smc_offheap.Layout.Int); ("s", Smc_offheap.Layout.Str 20);
+      ]
+  in
+  let pk = Smc.Field.int probe_layout "k" and pg = Smc.Field.int probe_layout "g" in
+  let ps = Smc.Field.str probe_layout "s" in
+  let coll = Smc.Collection.create rt ~name:"probe" ~layout:probe_layout ~slots_per_block:64 () in
+  (* g = 1 on one row, 2 on 17 rows, 3 on the rest; no row has g = 0 *)
+  let group i = if i = 0 then 1 else if i <= 17 then 2 else 3 in
+  let text i = [| ""; "solo row"; "seventeen row"; "bulk row" |].(group i) in
+  for i = 0 to n - 1 do
+    ignore
+      (Smc.Collection.add coll ~init:(fun blk slot ->
+           Smc.Field.set_int pk blk slot i;
+           Smc.Field.set_int pg blk slot (group i);
+           Smc.Field.set_string ps blk slot (text i))
+        : Smc.Ref.t)
+  done;
+  let hix =
+    Smc_index.Hash_index.attach ~name:"by_g" ~key:(Int_key (Smc.Field.get_int pg)) coll
+  in
+  let tix = Smc_text.Sa_index.attach ~name:"by_s" ~column:"s" coll in
+  let cols = [ ("k", Source.C_int pk); ("g", Source.C_int pg); ("s", Source.C_str ps) ] in
+  let keys = [ ("k", Expr.Col "k") ] in
+  let aggs = [ ("n", Plan.Count); ("sg", Plan.Sum (Expr.Col "g")) ] in
+  let view_aggs = List.map (fun (a, agg) -> (a, Plan.view_agg_of_agg agg)) aggs in
+  (* one view per g: 0, 1, 17 and n - 18 groups *)
+  let wheres = List.init 4 (fun g -> Some Expr.(Eq (Col "g", int g))) in
+  let views =
+    List.mapi
+      (fun i where ->
+        Smc_matview.Matview.attach ~name:(Printf.sprintf "v%d" i) coll ~columns:cols ~keys
+          ~aggs:view_aggs ?where ())
+      wheres
+  in
+  let src =
+    Source.of_smc coll ~columns:cols ~indexes:[ ("g", hix) ] ~text_indexes:[ ("s", tix) ]
+      ~matviews:(List.map Smc_matview.Matview.info views)
+  in
+  let residual = Expr.(Gt (Col "k", int 5)) in
+  List.iteri
+    (fun g hits ->
+      let leaves =
+        [
+          ("index", Plan.index_scan src ~column:"g" ~value:(Value.Int g));
+          ( "text",
+            Plan.text_scan src ~column:"s" ~op:Smc_text.Sa_index.Substring
+              ~needle:[| "absent"; "solo"; "seventeen"; "bulk" |].(g) );
+          ("view", Plan.view_read src ~keys ~aggs ~where:(List.nth wheres g));
+        ]
+      in
+      List.iter
+        (fun (kind, leaf) ->
+          let name = Printf.sprintf "%s, %d hits" kind hits in
+          let rows = check_parity name leaf in
+          check Alcotest.int (name ^ ": hit count") hits (List.length rows);
+          ignore (check_parity (name ^ " + residual") (Plan.where residual leaf)))
+        leaves)
+    [ 0; 1; 17; n - 18 ]
+
 let () =
   let qc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vector"
@@ -1032,5 +1169,11 @@ let () =
         [
           qc "compiled = fuse on typed shapes" test_compiled_parity;
           qc "plugins shared by column kinds" test_compiled_sharing;
+        ] );
+      ( "rebatcher",
+        [
+          qc "chunk sizes and row order" test_rebatcher_chunks;
+          qc "loans survive a compacting filter" test_rebatcher_loans;
+          qc "probe leaves = volcano" test_probe_leaves;
         ] );
     ]
