@@ -89,6 +89,11 @@ let check (rt : Runtime.t) ~(contexts : Context.t list) =
     if g Smc_obs.c_vec_full_batches > g Smc_obs.c_vec_batches then
       vf out "full-block chunks (%d) exceed batch-scan chunks (%d)"
         (g Smc_obs.c_vec_full_batches) (g Smc_obs.c_vec_batches);
+    (* A walk reads a target range for a source only once that source's
+       group completed, so ranges cannot be counted without groups. *)
+    if g Smc_obs.c_walk_moved_ranges > 0 && g Smc_obs.c_groups_formed = 0 then
+      vf out "walks read %d moved ranges but no compaction group was formed"
+        (g Smc_obs.c_walk_moved_ranges);
     (* Every compiled-plan request is resolved exactly one way: a fresh
        compile, a cache hit, or a fallback to the Fuse engine. *)
     eq "compiled-plan outcome balance (requests = compiles + cache hits + fallbacks)"

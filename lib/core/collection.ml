@@ -38,13 +38,12 @@ let publish ?(in_commit = false) t op =
 let batched t = List.exists (fun s -> Option.is_some s.on_commit) t.subs
 
 let add t ~init =
-  let packed = Context.alloc t.ctx in
+  let packed = Context.alloc ~init t.ctx in
   let r = Ref.of_packed packed in
-  (match Context.resolve t.ctx packed with
-  | Some (blk, slot) ->
-      init blk slot;
-      if t.subs != [] then publish t (Add (r, blk, slot))
-  | None -> assert false (* a freshly allocated object cannot be dead *));
+  (if t.subs != [] then
+     match Context.resolve t.ctx packed with
+     | Some (blk, slot) -> publish t (Add (r, blk, slot))
+     | None -> assert false (* a freshly allocated object cannot be dead *));
   r
 
 let remove t r =
@@ -136,7 +135,9 @@ let with_read t f =
 
 let iter t ~f = with_read t (fun () -> Context.iter_valid t.ctx ~f)
 
-let iter_per_block t ~f = Context.iter_valid_per_block t.ctx ~f
+let iter_per_block t ~f =
+  Context.walk (Context.walk_start t.ctx) Context.Per_element ~scan:(fun blk lo hi ->
+      Context.scan_slots blk ~lo ~hi ~f)
 
 let iter_scan t ~on_block = with_read t (fun () -> Context.iter_valid_hoisted t.ctx ~on_block)
 
@@ -287,14 +288,13 @@ let apply_locked tx ~csn =
     (fun op ->
       match op with
       | S_add init ->
-        let packed = Context.alloc ~csn ctx in
+        let packed = Context.alloc ~csn ~init ctx in
         let r = Ref.of_packed packed in
-        (match Context.resolve ctx packed with
-        | Some (blk, slot) ->
-          init blk slot;
-          adds := r :: !adds;
-          if t.subs != [] then emit (Add (r, blk, slot))
-        | None -> assert false)
+        adds := r :: !adds;
+        if t.subs != [] then (
+          match Context.resolve ctx packed with
+          | Some (blk, slot) -> emit (Add (r, blk, slot))
+          | None -> assert false)
       | S_remove r ->
         if not (Context.free ~csn ctx (Ref.to_packed r)) then vanished ();
         if t.subs != [] then emit (Remove r)

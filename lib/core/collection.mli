@@ -73,7 +73,11 @@ val create :
 val add : t -> init:(Smc_offheap.Block.t -> int -> unit) -> Ref.t
 (** Allocates an object (zeroed), runs [init] on its (block, slot) to set
     the fields, and returns a reference. Maps directly onto the memory
-    manager's alloc, as §2 prescribes. *)
+    manager's alloc, as §2 prescribes: [init] runs inside
+    {!Smc_offheap.Context.alloc}, before the slot turns valid, so no
+    enumeration or snapshot view emits a row whose [init] has not
+    returned. If [init] raises, nothing is added and the exception
+    propagates. *)
 
 val remove : t -> Ref.t -> bool
 (** Frees the object; [false] if the reference was already null/dead.
@@ -137,11 +141,14 @@ val iter : t -> f:(Smc_offheap.Block.t -> int -> unit) -> unit
 val iter_per_block : t -> f:(Smc_offheap.Block.t -> int -> unit) -> unit
 (** Like {!iter} but with one critical section per memory block instead of
     one for the whole enumeration — §4's alternative granularity, keeping
-    grace periods short so reclamation can progress during long scans. *)
+    grace periods short so reclamation can progress during long scans. The
+    same rows are visited: a row live for the whole enumeration is visited
+    exactly once even when compaction moves it mid-scan. *)
 
 val iter_scan : t -> on_block:(Smc_offheap.Block.t -> int -> unit) -> unit
-(** Block-hoisted enumeration: [on_block blk] is evaluated once per block,
-    and the resulting closure runs for each valid slot. Compiled queries use
+(** Block-hoisted enumeration: [on_block blk] is evaluated once per
+    scanned slot range (a whole block, or a compaction source's range of
+    its target), and the resulting closure runs for each valid slot. Compiled queries use
     this to hoist the block's raw arrays and field offsets out of the slot
     loop — the paper's direct pointer access to the collection's memory
     blocks. *)

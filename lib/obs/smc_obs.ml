@@ -112,6 +112,7 @@ let c_mv_hits = 91 (* reads served entirely from maintained state *)
 let c_mv_rescans = 92 (* reads that re-derived dirty groups by bounded re-scan *)
 let c_mv_invalidations = 93 (* whole-view invalidations (non-incrementalizable delta) *)
 let c_vec_full_batches = 94 (* vec_batches chunks of full blocks, read without the directory *)
+let c_walk_moved_ranges = 95 (* target ranges enumerations scanned for completed sources *)
 
 let all =
   [|
@@ -142,6 +143,7 @@ let all =
     ("groups_skipped", c_groups_skipped);
     ("objects_moved", c_objects_moved);
     ("blocks_retired", c_blocks_retired);
+    ("walk_moved_ranges", c_walk_moved_ranges);
     ("reloc_helps", c_reloc_helps);
     ("reloc_bails", c_reloc_bails);
     ("pool_tasks", c_pool_tasks);

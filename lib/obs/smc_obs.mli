@@ -36,6 +36,7 @@ val c_groups_formed : int
 val c_groups_skipped : int
 val c_objects_moved : int
 val c_blocks_retired : int
+val c_walk_moved_ranges : int
 val c_reloc_helps : int
 val c_reloc_bails : int
 val c_pool_tasks : int

@@ -40,6 +40,8 @@ and t = {
   mutable dead : bool;
   mutable reloc : reloc_list option;
   mutable group : group option;
+  mutable moved_in : int;
+  mutable sources_gone : int;
 }
 
 let group_pending = 0
@@ -77,6 +79,8 @@ let create ~id ~layout ~placement ~nslots =
     dead = false;
     reloc = None;
     group = None;
+    moved_in = 0;
+    sources_gone = max_int;
   }
 
 let word_index t ~slot ~word =

@@ -64,7 +64,18 @@ and t = {
   mutable queued_ready : int;  (** epoch at which queued reclamation is safe *)
   mutable dead : bool;  (** emptied by compaction; skipped by enumerators *)
   mutable reloc : reloc_list option;
+      (** kept once the block's group completes: each source's relocations
+          fill one contiguous slot range of the target, which is where an
+          enumeration finds the source's rows *)
   mutable group : group option;
+      (** also kept on a completed source, so a walk that meets it can tell
+          its rows moved *)
+  mutable moved_in : int;
+      (** as a compaction target: slots [\[0, moved_in)] are its sources'
+          relocation ranges; 0 for other blocks *)
+  mutable sources_gone : int;
+      (** as a compaction target: the view generation from which its
+          sources are gone from the context view ([max_int] until then) *)
 }
 
 val group_pending : int

@@ -36,7 +36,7 @@ let compactor_owner = max_int
 let select_candidates (ctx : Context.t) threshold =
   let result = ref [] in
   Mutex.lock ctx.lock;
-  let { Context.v_blocks; v_n } = ctx.Context.view in
+  let { Context.v_blocks; v_n; _ } = ctx.Context.view in
   for i = v_n - 1 downto 0 do
     let blk = v_blocks.(i) in
     if
@@ -116,6 +116,7 @@ let form_groups (ctx : Context.t) candidates group_size =
           }
         in
         target.Block.group <- Some g;
+        target.Block.moved_in <- !next_slot;
         Array.iter (fun (src : Block.t) -> src.Block.group <- Some g) sources;
         Context.publish_block ctx target;
         groups := g :: !groups
@@ -284,17 +285,23 @@ let fixup_direct_pointers (ctx : Context.t) compacted =
 
 (* Drop dead blocks from the context's enumeration view. A fresh array is
    built and published atomically: concurrent enumerators keep their old
-   snapshot (where dead blocks are skipped via the group protocol). *)
+   snapshot, where a completed source still accounts for its range of the
+   target. From the new generation on, the target accounts for all its
+   slots — recorded before the view is published. *)
 let prune_dead (ctx : Context.t) =
   Mutex.lock ctx.lock;
-  let { Context.v_blocks; v_n } = ctx.Context.view in
+  let { Context.v_blocks; v_n; v_gen } = ctx.Context.view in
   let live = ref [] in
   for i = v_n - 1 downto 0 do
     let blk = v_blocks.(i) in
     if not blk.Block.dead then live := blk :: !live
+    else
+      match blk.Block.group with
+      | Some g when g.Block.g_target != blk -> g.Block.g_target.Block.sources_gone <- v_gen + 1
+      | _ -> ()
   done;
   let fresh = Array.of_list !live in
-  ctx.Context.view <- { Context.v_blocks = fresh; v_n = Array.length fresh };
+  ctx.Context.view <- { Context.v_blocks = fresh; v_n = Array.length fresh; v_gen = v_gen + 1 };
   Mutex.unlock ctx.lock
 
 let run_pass (ctx : Context.t) ?(occupancy_threshold = 0.3) ?(max_wait_spins = 50_000_000) () =
@@ -422,18 +429,17 @@ let run_pass (ctx : Context.t) ?(occupancy_threshold = 0.3) ?(max_wait_spins = 5
           let can_retire =
             ctx.Context.mode = Context.Indirect || ctx.Context.direct_referrers <> []
           in
-          List.iter
-            (fun (g : Block.group) ->
-              Array.iter
-                (fun (src : Block.t) ->
-                  src.Block.reloc <- None;
-                  src.Block.group <- None;
-                  if can_retire then begin
+          (* Completed sources keep [reloc] and [group]: an enumeration
+             whose view still holds one finds its rows through them. *)
+          if can_retire then
+            List.iter
+              (fun (g : Block.group) ->
+                Array.iter
+                  (fun (src : Block.t) ->
                     Registry.retire rt.Runtime.registry src.Block.id;
-                    incr retired
-                  end)
-                g.Block.sources)
-            !completed;
+                    incr retired)
+                  g.Block.sources)
+              !completed;
           prune_dead ctx;
           {
             candidates = n_candidates;

@@ -7,8 +7,8 @@ type mode = Indirect | Direct
    once and work off a consistent (array, count) pair even while appends or
    pruning run concurrently. Appends may reuse the array (slots beyond
    [v_n] are invisible to holders of the old view); pruning always builds a
-   fresh array. *)
-type view = { v_blocks : Block.t array; v_n : int }
+   fresh array and bumps the generation [v_gen]. *)
+type view = { v_blocks : Block.t array; v_n : int; v_gen : int }
 
 type t = {
   id : int;
@@ -47,7 +47,7 @@ let create rt ~layout ?(placement = Block.Row) ?(mode = Indirect) ?(slots_per_bl
     slots_per_block;
     reclaim_threshold;
     lock = Mutex.create ();
-    view = { v_blocks = [||]; v_n = 0 };
+    view = { v_blocks = [||]; v_n = 0; v_gen = 0 };
     rq_front = [];
     rq_back = [];
     local_block = Array.make max_threads None;
@@ -67,7 +67,7 @@ let stamp_write blk slot ~csn =
   Bigarray.Array1.unsafe_set blk.Block.csn_write slot csn
 
 let append_block_locked t blk =
-  let { v_blocks; v_n } = t.view in
+  let { v_blocks; v_n; v_gen } = t.view in
   let v_blocks =
     if v_n = Array.length v_blocks then begin
       let next = Array.make (max 8 (2 * Array.length v_blocks)) blk in
@@ -77,7 +77,7 @@ let append_block_locked t blk =
     else v_blocks
   in
   v_blocks.(v_n) <- blk;
-  t.view <- { v_blocks; v_n = v_n + 1 }
+  t.view <- { v_blocks; v_n = v_n + 1; v_gen }
 
 let obs_incr t c = Smc_obs.incr t.rt.Runtime.obs c
 
@@ -234,7 +234,7 @@ let scan_for_slot t tid blk =
   go n blk.Block.scan_pos
   end
 
-let rec alloc ?csn t =
+let rec alloc ?csn ?init t =
   Runtime.fire_alloc_hook t.rt;
   let tid = Runtime.tid t.rt in
   let blk =
@@ -248,7 +248,7 @@ let rec alloc ?csn t =
   match scan_for_slot t tid blk with
   | None ->
     release_local t tid blk;
-    alloc ?csn t
+    alloc ?csn ?init t
   | Some slot ->
     let ind = t.rt.Runtime.ind in
     Block.clear_slot_words blk ~slot;
@@ -261,6 +261,19 @@ let rec alloc ?csn t =
     let entry = Indirection.alloc ind ~tid in
     Indirection.set_ptr ind entry (pack_ptr ~block:blk.Block.id ~slot);
     Bigarray.Array1.unsafe_set blk.Block.backptr slot entry;
+    (* The row is built before the flip, so [state_valid] means "built":
+       no enumeration can emit it half-initialised. A failed [init] hands
+       the slot and the entry back as if never allocated. *)
+    (match init with
+    | None -> ()
+    | Some init -> (
+      try init blk slot
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Bigarray.Array1.unsafe_set blk.Block.backptr slot Constants.null_ref;
+        Block.set_dir_entry blk slot (dir_entry ~state:state_free ~stamp:0);
+        Indirection.free ind ~tid entry;
+        Printexc.raise_with_backtrace e bt));
     Block.set_dir_entry blk slot (dir_entry ~state:state_valid ~stamp:0);
     ignore (Atomic.fetch_and_add blk.Block.valid_count 1 : int);
     obs_incr t Smc_obs.c_allocs;
@@ -591,13 +604,6 @@ let indirect_ref_of_slot t blk slot =
     pack_ref ~entry ~inc
   end
 
-let scan_block blk ~f =
-  let n = blk.Block.nslots in
-  for slot = 0 to n - 1 do
-    if Constants.dir_state (Bigarray.Array1.unsafe_get blk.Block.dir slot) = state_valid then
-      f blk slot
-  done
-
 (* Snapshot visibility at CSN frontier [csn]: a valid row is visible when it
    was born at or before the frontier; a limbo/quarantined row is still
    visible when it was born before and died after — removal stamps
@@ -613,169 +619,148 @@ let slot_visible_at blk slot ~csn =
     && Bigarray.Array1.unsafe_get blk.Block.csn_write slot > csn
   else false
 
-let scan_block_at blk ~csn ~f =
-  let n = blk.Block.nslots in
-  for slot = 0 to n - 1 do
-    if slot_visible_at blk slot ~csn then f blk slot
-  done
+let scan_slots ?csn blk ~lo ~hi ~f =
+  match csn with
+  | None ->
+    let dir = blk.Block.dir in
+    for slot = lo to hi - 1 do
+      if Constants.dir_state (Bigarray.Array1.unsafe_get dir slot) = state_valid then f blk slot
+    done
+  | Some csn ->
+    for slot = lo to hi - 1 do
+      if slot_visible_at blk slot ~csn then f blk slot
+    done
 
-(* Compaction-group claim tickets (§5.2). An enumeration — sequential or
-   partitioned across domains — must process each group exactly once and as
-   a whole. The ticket is a CAS-maintained list of claimed groups shared by
-   every worker of one enumeration: the first worker to reach any member of
-   a group wins the claim and scans the whole group; everyone else skips
-   the group's blocks. Groups are few (compaction forms a handful at a
-   time), so a list is cheaper than a hash table here. *)
-type claims = Block.group list Atomic.t
+(* The §5.2 block walk. Every enumerator — sequential or parallel, whole
+   walk or one critical section per element, row, hoisted, batch or
+   snapshot-file — is this one loop over one view snapshot.
 
-let no_claims () = Atomic.make []
+   Compaction moves a source's rows into one contiguous slot range of its
+   target ([form_groups]), and a completed source keeps its group and
+   relocation list. So the walk never needs to treat a group as a unit:
+   each view position accounts for its own block's rows wherever they are
+   now — in the block itself, or in the block's range of its target,
+   followed through later compactions of that target. A target in the
+   view accounts only for the slots its sources do not own, while those
+   sources are still in the view ([moved_in], [sources_gone]). The
+   positions' shares partition the rows, so a row live for the whole walk
+   is emitted exactly once at either granularity and with any number of
+   workers, with nothing shared between positions but the dispenser.
 
-let claim_group claims g =
+   A block without a group (or whose group aborted) is scanned in place:
+   a group formed after the caller's critical section began cannot move
+   rows until that section ends. A source of a pending group is scanned
+   in place under the group's query counter, which holds the group out of
+   its moving state (§5.2); a moving group is waited out. *)
+type granularity = Whole_walk | Per_element
+
+type walk = { w_ctx : t; w_view : view; w_next : int Atomic.t }
+
+let walk_start t = { w_ctx = t; w_view = t.view; w_next = Atomic.make 0 }
+
+(* Relocations of [rl] whose source slot is below [slot]; relocation lists
+   are in source-slot order. *)
+let relocs_below (rl : Block.reloc_list) slot =
+  let rec go l h =
+    if l >= h then l
+    else
+      let m = (l + h) / 2 in
+      if rl.Block.relocs.(m).Block.from_slot < slot then go (m + 1) h else go l m
+  in
+  go 0 (Array.length rl.Block.relocs)
+
+let rec scan_range t blk lo hi ~scan =
+  match blk.Block.group with
+  | Some g when g.Block.g_target != blk && lo < hi ->
+    let state = Atomic.get g.Block.g_state in
+    if state = Block.group_pending then begin
+      ignore (Atomic.fetch_and_add g.Block.g_queries 1 : int);
+      let release () = ignore (Atomic.fetch_and_add g.Block.g_queries (-1) : int) in
+      if Atomic.get g.Block.g_state = Block.group_pending then
+        Fun.protect ~finally:release (fun () -> scan blk lo hi)
+      else begin
+        release ();
+        scan_range t blk lo hi ~scan
+      end
+    end
+    else if state = Block.group_moving then begin
+      Domain.cpu_relax ();
+      scan_range t blk lo hi ~scan
+    end
+    else if state = Block.group_done then begin
+      match blk.Block.reloc with
+      | None -> ()
+      | Some rl ->
+        let a = relocs_below rl lo and b = relocs_below rl hi in
+        if a < b then begin
+          let r = rl.Block.relocs.(a) in
+          obs_incr t Smc_obs.c_walk_moved_ranges;
+          scan_range t r.Block.target r.Block.to_slot (r.Block.to_slot + b - a) ~scan
+        end
+    end
+    else scan blk lo hi (* aborted: the source kept its rows *)
+  | _ -> if lo < hi && not blk.Block.dead then scan blk lo hi
+
+let walk w granularity ~scan =
+  let t = w.w_ctx and { v_blocks; v_n; v_gen } = w.w_view in
+  let epoch = t.rt.Runtime.epoch in
   let rec go () =
-    let seen = Atomic.get claims in
-    if List.memq g seen then false
-    else if Atomic.compare_and_set claims seen (g :: seen) then true
-    else go ()
+    let i = Atomic.fetch_and_add w.w_next 1 in
+    if i < v_n then begin
+      let blk = v_blocks.(i) in
+      let lo = if v_gen < blk.Block.sources_gone then blk.Block.moved_in else 0 in
+      (match granularity with
+      | Whole_walk -> scan_range t blk lo blk.Block.nslots ~scan
+      | Per_element ->
+        Epoch.enter_critical epoch;
+        Fun.protect
+          ~finally:(fun () -> Epoch.exit_critical epoch)
+          (fun () -> scan_range t blk lo blk.Block.nslots ~scan));
+      go ()
+    end
   in
   go ()
 
-(* Block-access protocol of §5.2: the claiming enumeration processes the
-   whole group — either pre-relocation under the group's query counter
-   (waiting phase) or post-relocation from the target block. An aborted
-   group reverts to plain source scanning. [skip] names sources whose rows
-   the enumeration has already counted. *)
-let scan_group ?(skip = fun _ -> false) g ~scan =
-  let scan_sources () = Array.iter (fun s -> if not (skip s) then scan s) g.Block.sources in
-  let rec attempt () =
-    let state = Atomic.get g.Block.g_state in
-    if state = Block.group_done then scan g.Block.g_target
-    else if state = Block.group_moving then begin
-      let rec wait () =
-        let s = Atomic.get g.Block.g_state in
-        if s = Block.group_moving then begin
-          Domain.cpu_relax ();
-          wait ()
-        end
-        else s
-      in
-      if wait () = Block.group_done then scan g.Block.g_target else scan_sources ()
-    end
-    else if state = Block.group_pending then begin
-      ignore (Atomic.fetch_and_add g.Block.g_queries 1 : int);
-      if Atomic.get g.Block.g_state <> Block.group_pending then begin
-        ignore (Atomic.fetch_and_add g.Block.g_queries (-1) : int);
-        attempt ()
-      end
-      else
-        Fun.protect
-          ~finally:(fun () -> ignore (Atomic.fetch_and_add g.Block.g_queries (-1) : int))
-          scan_sources
-    end
-    else scan_sources () (* aborted *)
-  in
-  attempt ()
+let iter_valid t ~f =
+  walk (walk_start t) Whole_walk ~scan:(fun blk lo hi -> scan_slots blk ~lo ~hi ~f)
 
-(* One element of a view snapshot, under the claim protocol: grouped blocks
-   go through the ticket, ungrouped live blocks are scanned directly. *)
-let scan_view_element ~claims blk ~scan =
-  match blk.Block.group with
-  | Some g -> if claim_group claims g then scan_group g ~scan
-  | None -> if not blk.Block.dead then scan blk
+let iter_visible t ~csn ~f =
+  walk (walk_start t) Whole_walk ~scan:(fun blk lo hi -> scan_slots ~csn blk ~lo ~hi ~f)
 
-(* [wrap] delimits each independently-consistent unit of the enumeration: a
-   single live block, or a whole compaction group (whose members must be
-   processed in the same thread-local epoch, §5.2). *)
-let iter_blocks_scanned ?(wrap = fun f -> f ()) t ~scan =
-  let { v_blocks = blocks; v_n = n } = t.view in
-  let claims = no_claims () in
-  (* Group fields change while the snapshot is walked (§5.2). A group
-     formed after the walk began may have sources the walk already scanned
-     on their own; a block of a group may already be covered by a group
-     claimed earlier; a done group's target and an aborted group's sources
-     no longer name their group. So the walk skips the rows it has
-     counted: those of blocks earlier in its snapshot and of blocks covered
-     by the groups it claimed. A group formed during the walk cannot start
-     moving while the walk holds one critical section (the pass waits out
-     its epoch), so its sources still hold their rows. Blocks are keyed by
-     their registry id, which is never reused. *)
-  let covered = Hashtbl.create 8 in
-  let is_covered b = Hashtbl.length covered > 0 && Hashtbl.mem covered b.Block.id in
-  let position =
-    lazy
-      (let h = Hashtbl.create n in
-       for j = 0 to n - 1 do
-         Hashtbl.replace h blocks.(j).Block.id j
-       done;
-       h)
-  in
-  let earlier i b =
-    match Hashtbl.find_opt (Lazy.force position) b.Block.id with Some j -> j < i | None -> false
-  in
-  for i = 0 to n - 1 do
-    let blk = blocks.(i) in
-    match blk.Block.group with
-    | Some g ->
-      if claim_group claims g then begin
-        let members = g.Block.g_target :: Array.to_list g.Block.sources in
-        let counted = List.filter (fun b -> is_covered b || earlier i b) members in
-        List.iter (fun b -> Hashtbl.replace covered b.Block.id ()) members;
-        if not (List.memq g.Block.g_target counted) then
-          wrap (fun () -> scan_group g ~scan ~skip:(fun s -> List.memq s counted))
-      end
-    | None -> if (not blk.Block.dead) && not (is_covered blk) then wrap (fun () -> scan blk)
-  done
-
-let iter_valid t ~f = iter_blocks_scanned t ~scan:(fun blk -> scan_block blk ~f)
-
-let iter_visible t ~csn ~f = iter_blocks_scanned t ~scan:(fun blk -> scan_block_at blk ~csn ~f)
-
-(* §4: the query compiler chooses the critical-section granularity — the
-   whole query (default; allows holding raw pointers in intermediates) or a
-   single memory block (shorter grace periods, so the memory manager can
-   advance epochs and reclaim concurrently with long enumerations). Each
-   block — or whole compaction group — is scanned in its own critical
-   section here. *)
-let iter_valid_per_block t ~f =
-  let epoch = t.rt.Runtime.epoch in
-  let wrap body =
-    Epoch.enter_critical epoch;
-    Fun.protect ~finally:(fun () -> Epoch.exit_critical epoch) body
-  in
-  iter_blocks_scanned ~wrap t ~scan:(fun blk -> scan_block blk ~f)
-
-(* Block-hoisted enumeration: [on_block] runs once per block and returns the
-   per-slot body, so generated-style query code can hoist the block's raw
-   data array, placement arithmetic and field offsets out of the loop —
-   direct pointer access into the block, as in the paper's §4 listing. *)
+(* Block-hoisted enumeration: [on_block] runs once per scanned range and
+   returns the per-slot body, so generated-style query code can hoist the
+   block's raw data array, placement arithmetic and field offsets out of
+   the loop — direct pointer access into the block, as in the paper's §4
+   listing. *)
 let iter_valid_hoisted t ~on_block =
-  iter_blocks_scanned t ~scan:(fun blk ->
+  walk (walk_start t) Whole_walk ~scan:(fun blk lo hi ->
       let body = on_block blk in
       let dir = blk.Block.dir in
-      let n = blk.Block.nslots in
-      for slot = 0 to n - 1 do
+      for slot = lo to hi - 1 do
         if Constants.dir_state (Bigarray.Array1.unsafe_get dir slot) = state_valid then
           body slot
       done)
 
 (* Batch-at-a-time enumeration: one pass per column chunk. [fill_block]
-   walks a block in chunks of at most [dim slots] rows; each chunk is one
-   loop that tests a slot and copies the wanted words of that slot at the
-   output cursor, which advances only when the slot survives the directory
-   (or CSN-visibility) test — branchless, so a cut slot is simply
-   overwritten by the next one. Row and Columnar blocks share the loop
-   through one address form: word [w] of slot [s] sits at
+   walks a slot range in chunks of at most [dim slots] rows; each chunk is
+   one loop that tests a slot and copies the wanted words of that slot at
+   the output cursor, which advances only when the slot survives the
+   directory (or CSN-visibility) test — branchless, so a cut slot is
+   simply overwritten by the next one. Row and Columnar blocks share the
+   loop through one address form: word [w] of slot [s] sits at
    [s * stride + w * wstride], with (stride, wstride) = (slot_words, 1)
    for Row and (1, nslots) for Columnar; [offs] holds each wanted word's
    [w * wstride], hoisted out of the loop.
 
    A block whose [valid_count] equals [nslots] at chunk entry skips the
    directory: its chunk is a plain column-strided copy of the slot range.
-   That is safe because [alloc] flips the directory before it increments
-   the count and [retire_slot] decrements the count before it retires the
-   slot, so a full count means every slot was valid at that instant. A row
-   removed after it stays in limbo, words intact, until the caller's
-   critical section ends — the same guarantee the per-slot directory read
-   gives. Snapshot reads ([?csn]) always test visibility per slot. *)
+   That is safe because [alloc] flips the directory (after [init] built
+   the row) before it increments the count and [retire_slot] decrements
+   the count before it retires the slot, so a full count means every slot
+   held a built row at that instant. A row removed after it stays in
+   limbo, words intact, until the caller's critical section ends — the
+   same guarantee the per-slot directory read gives. Snapshot reads
+   ([?csn]) always test visibility per slot. *)
 type sel = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let make_sel cap = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 cap)
@@ -787,7 +772,7 @@ type chunk = {
   mutable dsts : int array array;
 }
 
-let fill_chunk ?csn t blk ~start c =
+let fill_chunk ?csn t blk ~start ~hi c =
   let cap = Bigarray.Array1.dim c.slots in
   let n = blk.Block.nslots in
   let data = blk.Block.data in
@@ -799,7 +784,7 @@ let fill_chunk ?csn t blk ~start c =
     | Block.Columnar -> (1, Array.map (fun w -> w * n) c.words)
   in
   if Option.is_none csn && Atomic.get blk.Block.valid_count = n then begin
-    let m = min cap (n - start) in
+    let m = min cap (hi - start) in
     for i = 0 to m - 1 do
       Bigarray.Array1.unsafe_set slots i (start + i)
     done;
@@ -816,7 +801,7 @@ let fill_chunk ?csn t blk ~start c =
   else begin
     let dir = blk.Block.dir in
     let k = ref 0 and s = ref start in
-    while !k < cap && !s < n do
+    while !k < cap && !s < hi do
       let i = !s and kk = !k in
       Bigarray.Array1.unsafe_set slots kk i;
       let base = i * stride in
@@ -836,11 +821,10 @@ let fill_chunk ?csn t blk ~start c =
     (!k, !s)
   end
 
-let fill_block ?csn t blk c ~on_batch =
-  let n = blk.Block.nslots in
-  let start = ref 0 in
-  while !start < n do
-    let count, next = fill_chunk ?csn t blk ~start:!start c in
+let fill_block ?csn t blk ~lo ~hi c ~on_batch =
+  let start = ref lo in
+  while !start < hi do
+    let count, next = fill_chunk ?csn t blk ~start:!start ~hi c in
     if count > 0 then begin
       obs_incr t Smc_obs.c_vec_batches;
       Smc_obs.add t.rt.Runtime.obs Smc_obs.c_vec_batch_rows count;
@@ -849,17 +833,11 @@ let fill_block ?csn t blk c ~on_batch =
     start := next
   done
 
-(* The sequential batch walk: [fill_block] over a whole view snapshot
-   under the §5.2 group protocol. The caller's critical section covers the
-   whole walk (see the interface). *)
-let iter_valid_batches ?csn t c ~on_batch =
-  iter_blocks_scanned t ~scan:(fun blk -> fill_block ?csn t blk c ~on_batch)
-
 let add_direct_referrer t ~from field =
   with_lock t (fun () -> t.direct_referrers <- (from, field) :: t.direct_referrers)
 
 let fold_live_blocks t ~init ~f =
-  let { v_blocks = blocks; v_n = n } = t.view in
+  let { v_blocks = blocks; v_n = n; _ } = t.view in
   let acc = ref init in
   for i = 0 to n - 1 do
     let blk = blocks.(i) in

@@ -18,14 +18,23 @@
     ({!Constants.pack_direct}) resolved against the slot's incarnation word,
     with tombstone forwarding after compaction.
 
-    The context also implements the block-access side of compaction (§5.2):
-    enumeration processes all blocks of a compaction group consecutively,
-    either pre-relocation (holding the group's query counter as a read lock)
-    or post-relocation (reading the target block). *)
+    The context also implements the block-access side of compaction (§5.2)
+    in one block walk ({!walk}) that every enumerator runs, sequential or
+    parallel, at either of §4's critical-section granularities. Each
+    position of the walk's view snapshot accounts for its own block's rows
+    wherever they are now: in place (a source of a pending group under the
+    group's query counter, which holds the group out of its moving state),
+    or — once the block's group completed — in the one contiguous slot
+    range of the target its rows were moved to, followed through later
+    compactions of that target. A target in the same view accounts only
+    for the slots its sources do not own. The positions' shares partition
+    the rows, so a row live for the whole walk is emitted exactly once even
+    when a group forms and completes mid-walk. *)
 
 type mode = Indirect | Direct
 
-type view = { v_blocks : Block.t array; v_n : int }
+type view = { v_blocks : Block.t array; v_n : int; v_gen : int }
+(** [v_gen] counts the prunes that published the view (see {!walk}). *)
 
 type t = {
   id : int;
@@ -65,12 +74,15 @@ val create :
 (** Defaults: [Row] placement, [Indirect] mode, 4096 slots per block,
     0.05 reclamation threshold (the paper's pick from Figure 6). *)
 
-val alloc : ?csn:int -> t -> int
+val alloc : ?csn:int -> ?init:(Block.t -> int -> unit) -> t -> int
 (** Allocates a slot, wires its indirection entry and back-pointer, zeroes
-    the object words and returns a packed indirect reference. The caller
-    (the collection layer's [add]) initialises fields through it. The row's
-    birth CSN is [csn] when given (transaction commit), else a fresh
-    {!next_csn} — stamped before the slot turns valid. *)
+    the object words, runs [init blk slot] to build the row, and only then
+    turns the slot valid: an enumeration never emits a row [init] has not
+    finished. If [init] raises, the slot and the entry go back as if never
+    allocated and the exception propagates. Returns a packed indirect
+    reference. The row's birth CSN is [csn] when given (transaction
+    commit), else a fresh {!next_csn} — stamped before the slot turns
+    valid. *)
 
 val free : ?csn:int -> t -> int -> bool
 (** Frees the object behind a packed indirect reference: bumps the
@@ -117,14 +129,10 @@ val store_versioned : t -> int -> csn:int -> word:int -> value:int -> bool
 val slot_visible_at : Block.t -> int -> csn:int -> bool
 (** Whether the slot holds a row visible at frontier [csn]. *)
 
-val scan_block_at : Block.t -> csn:int -> f:(Block.t -> int -> unit) -> unit
-(** Apply [f] to every slot of one block visible at [csn] (no group
-    handling) — the snapshot-view counterpart of {!scan_block}. *)
-
 val iter_visible : t -> csn:int -> f:(Block.t -> int -> unit) -> unit
-(** Enumerates every slot visible at frontier [csn], honouring the
-    compaction group protocol. Call inside a critical section that was
-    entered before the frontier was read. *)
+(** Enumerates every slot visible at frontier [csn]: a {!Whole_walk}
+    {!walk}. Call inside a critical section that was entered before the
+    frontier was read. *)
 
 val resolve : t -> int -> (Block.t * int) option
 (** Current (block, slot) behind a packed indirect reference, or [None] if
@@ -146,20 +154,53 @@ val indirect_ref_of_slot : t -> Block.t -> int -> int
     does when yielding [ObjRef]s). *)
 
 val iter_valid : t -> f:(Block.t -> int -> unit) -> unit
-(** Enumerates every valid slot block-by-block, honouring the compaction
-    group protocol. Call inside a critical section. Bag semantics: objects
-    added or removed concurrently may or may not be observed. *)
-
-val iter_valid_per_block : t -> f:(Block.t -> int -> unit) -> unit
-(** Like {!iter_valid} but entering a fresh critical section per block (per
-    compaction group where one exists) — §4's other critical-section
-    granularity, which keeps grace periods short during long enumerations.
-    Must be called {e outside} any critical section. *)
+(** Enumerates every valid slot block-by-block: a {!Whole_walk} {!walk}.
+    Call inside a critical section. Bag semantics: objects added or removed
+    concurrently may or may not be observed; every other one is visited
+    exactly once. *)
 
 val iter_valid_hoisted : t -> on_block:(Block.t -> int -> unit) -> unit
-(** Like {!iter_valid}, but [on_block] runs once per block and returns the
-    per-slot body — query code hoists raw block state out of the slot loop
-    (the paper's direct block access). *)
+(** Like {!iter_valid}, but [on_block] runs once per scanned slot range
+    (usually a whole block) and returns the per-slot body — query code
+    hoists raw block state out of the slot loop (the paper's direct block
+    access). *)
+
+(** {2 The block walk} *)
+
+type granularity =
+  | Whole_walk
+      (** the caller holds one critical section across the whole walk; the
+          walk opens none *)
+  | Per_element
+      (** the walk opens one critical section per view element — §4's
+          per-block granularity, which keeps grace periods short during long
+          enumerations (call it outside any critical section to get them) *)
+
+type walk
+(** One enumeration: a view snapshot and an atomic position dispenser. *)
+
+val walk_start : t -> walk
+(** Snapshots the published view. Share the result across workers to
+    partition one enumeration among them. *)
+
+val walk : walk -> granularity -> scan:(Block.t -> int -> int -> unit) -> unit
+(** Draws view positions from the dispenser until none is left and calls
+    [scan blk lo hi] for every slot range [\[lo, hi)] that holds the drawn
+    blocks' rows: the block itself ([0, nslots), or for a compaction target
+    whose sources are in the same view, the slots they do not own), or the
+    range of a compaction target its rows were moved to (counted in
+    [walk_moved_ranges]). Several domains may run [walk] on one {!walk};
+    each position is drawn by exactly one of them. Whatever the
+    granularity and however many workers share the walk, a row live for
+    the whole enumeration is passed to exactly one [scan] call, once, and
+    [scan] sees no other rows but ones added or removed concurrently (bag
+    semantics). [scan] filters the range's slots itself ({!scan_slots},
+    {!fill_block}). *)
+
+val scan_slots :
+  ?csn:int -> Block.t -> lo:int -> hi:int -> f:(Block.t -> int -> unit) -> unit
+(** Applies [f] to every valid slot in [\[lo, hi)], or with [?csn] to every
+    slot visible at that frontier ({!slot_visible_at}). *)
 
 (** {2 Batch-at-a-time enumeration}
 
@@ -188,14 +229,20 @@ type chunk = {
     [masks.(w)]. *)
 
 val fill_block :
-  ?csn:int -> t -> Block.t -> chunk -> on_batch:(Block.t -> int -> unit) -> unit
-(** Reads one block as chunks: for each chunk with [count] > 0 surviving
+  ?csn:int ->
+  t ->
+  Block.t ->
+  lo:int ->
+  hi:int ->
+  chunk ->
+  on_batch:(Block.t -> int -> unit) ->
+  unit
+(** Reads slots [\[lo, hi)] of one block as chunks: for each chunk with [count] > 0 surviving
     rows, fills the first [count] entries of [chunk.slots] and of every
     [chunk.dsts] column and calls [on_batch blk count], which must consume
     them before returning (the buffers are reused unless it swaps
     [chunk.dsts]). Survival means directory state [valid], or visibility
-    at the [?csn] frontier when given (same semantics as {!scan_block} /
-    {!scan_block_at}).
+    at the [?csn] frontier when given (same semantics as {!scan_slots}).
 
     Each chunk is one branchless pass that writes every slot's index and
     words at the output cursor and advances the cursor by the survival
@@ -204,46 +251,9 @@ val fill_block :
     column by column ([alloc] flips the directory before counting a slot,
     [free] uncounts it before retiring it, so a full count means every
     slot was valid at that instant; counted in [vec_full_batches]). Counts
-    [vec_batches] and [vec_batch_rows]. No group handling; call inside a
-    critical section, which keeps a row removed mid-chunk in limbo with
-    its words intact. *)
-
-val iter_valid_batches : ?csn:int -> t -> chunk -> on_batch:(Block.t -> int -> unit) -> unit
-(** {!fill_block} over every block of the published view, under the §5.2
-    group protocol. Call inside a critical section that covers the whole
-    walk (a snapshot view's pin, with [?csn], counts): the walk opens none
-    of its own, so a compaction group formed mid-walk cannot complete
-    before the walk ends. *)
-
-(** {2 Parallel-enumeration support}
-
-    A parallel query partitions one view snapshot across worker domains.
-    Each worker processes view elements inside its own epoch critical
-    section (one per block, so grace periods stay short); compaction groups
-    are claimed through a shared {!claims} ticket so a group is handled by
-    exactly one worker and never split (§5.2). The actual domain pool and
-    partitioning live in [Smc_parallel]; these are the protocol pieces it
-    builds on (also used by the sequential enumerators above). *)
-
-type claims
-(** Shared claim ticket for the compaction groups met by one enumeration. *)
-
-val no_claims : unit -> claims
-(** Fresh ticket; create one per enumeration and share it across workers. *)
-
-val claim_group : claims -> Block.group -> bool
-(** Atomically claim a group; [true] for exactly one caller per group. *)
-
-val scan_view_element : claims:claims -> Block.t -> scan:(Block.t -> unit) -> unit
-(** Process one element of a view snapshot under the §5.2 protocol: a live
-    ungrouped block is scanned directly; the first worker to reach any
-    member of a compaction group claims the whole group and scans it
-    (pre-relocation under the query counter, or post-relocation from the
-    target); members of an already-claimed group are skipped. Call inside a
-    critical section. *)
-
-val scan_block : Block.t -> f:(Block.t -> int -> unit) -> unit
-(** Apply [f] to every valid slot of one block (no group handling). *)
+    [vec_batches] and [vec_batch_rows]. No group handling — pass it as a
+    {!walk}'s [scan]; call inside a critical section, which keeps a row
+    removed mid-chunk in limbo with its words intact. *)
 
 val reclaim_queue_blocks : t -> Block.t list
 (** Snapshot of the reclamation queue, oldest first. Callers must hold the

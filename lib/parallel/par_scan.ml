@@ -1,14 +1,13 @@
 (* Parallel block enumeration (§5.2 of the paper).
 
-   One enumeration takes a single snapshot of the context's published block
-   view and partitions it across workers through an atomic index dispenser
-   — dynamic (work-stealing-ish) assignment, so a worker that drew dense
-   blocks does not stall the others. Every view element is processed inside
+   One enumeration is one [Context.walk]: a single snapshot of the
+   context's published block view, drawn position by position from an
+   atomic dispenser — dynamic assignment, so a worker that drew dense
+   blocks does not stall the others. Every position is processed inside
    its own epoch critical section (the paper's per-block critical-section
    granularity from §4: grace periods stay short, so the memory manager can
-   advance epochs and reclaim concurrently with a long parallel scan), and
-   compaction groups are claimed through a shared [Context.claims] ticket:
-   exactly one worker scans a group, as a whole, pre- or post-relocation.
+   advance epochs and reclaim concurrently with a long parallel scan). The
+   walk itself keeps compaction consistent; see [Context.walk].
 
    Results combine per-worker: each worker folds into a private accumulator
    made by [init ()], and the caller combines them once every worker is
@@ -16,52 +15,30 @@
 
 open Smc_offheap
 
-let with_block_critical epoch body =
-  Epoch.enter_critical epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit_critical epoch) body
-
-(* The shared worker skeleton: pull view indices from [next] until the
-   snapshot is exhausted, processing each element under the claim protocol
-   in its own critical section. [scan] receives whole blocks. *)
+(* The shared worker skeleton: every worker runs the same walk; [scan acc]
+   receives the slot ranges of the positions the worker draws. *)
 let drive ?pool ?(domains = 0) (ctx : Context.t) ~init ~scan ~combine =
-  let { Context.v_blocks = blocks; v_n = n } = ctx.Context.view in
-  let epoch = ctx.Context.rt.Runtime.epoch in
+  let w = Context.walk_start ctx in
   let obs = ctx.Context.rt.Runtime.obs in
   Smc_obs.incr obs Smc_obs.c_par_scans;
-  let claims = Context.no_claims () in
-  let run_worker next acc =
+  let run_worker acc =
     Smc_obs.incr obs Smc_obs.c_par_workers;
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        let blk = blocks.(i) in
-        (* Skip work that needs no critical section at all. *)
-        (match blk.Block.group with
-        | None when blk.Block.dead -> ()
-        | _ ->
-          with_block_critical epoch (fun () ->
-              Context.scan_view_element ~claims blk ~scan:(fun b -> scan acc b)));
-        go ()
-      end
-    in
-    go ()
+    Context.walk w Context.Per_element ~scan:(scan acc)
   in
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let workers = if domains <= 0 then Pool.size pool + 1 else Pool.effective_workers pool ~requested:domains in
-  if workers <= 1 || n <= 1 then begin
-    (* Sequential fast path: no dispenser, no pool round-trip. *)
+  if workers <= 1 || ctx.Context.view.Context.v_n <= 1 then begin
+    (* Sequential fast path: no pool round-trip. *)
     let acc = init () in
-    let next = Atomic.make 0 in
-    run_worker next acc;
+    run_worker acc;
     acc
   end
   else begin
-    let next = Atomic.make 0 in
     let results = Array.make workers None in
-    Pool.run pool ~workers (fun w ->
+    Pool.run pool ~workers (fun i ->
         let acc = init () in
-        run_worker next acc;
-        results.(w) <- Some acc);
+        run_worker acc;
+        results.(i) <- Some acc);
     let acc = ref None in
     Array.iter
       (function
@@ -79,56 +56,43 @@ let drive ?pool ?(domains = 0) (ctx : Context.t) ~init ~scan ~combine =
    [Collection.snapshot_view]. The view's owning domain holds the epoch
    pin for the scan's whole duration, so visible limbo rows cannot be
    recycled under any worker. *)
-let scan_slots ?csn blk ~f =
-  match csn with
-  | None -> Context.scan_block blk ~f
-  | Some csn -> Context.scan_block_at blk ~csn ~f
-
 let fold_valid_par ?pool ?domains ?csn ctx ~init ~f ~combine =
   let r =
     drive ?pool ?domains ctx
       ~init:(fun () -> ref (init ()))
-      ~scan:(fun r blk -> scan_slots ?csn blk ~f:(fun b slot -> r := f !r b slot))
+      ~scan:(fun r blk lo hi -> Context.scan_slots ?csn blk ~lo ~hi ~f:(fun b slot -> r := f !r b slot))
       ~combine:(fun a b ->
         a := combine !a !b;
         a)
   in
   !r
 
-let iter_valid_par ?pool ?domains ?csn ctx ~f =
-  drive ?pool ?domains ctx
-    ~init:(fun () -> ())
-    ~scan:(fun () blk -> scan_slots ?csn blk ~f)
-    ~combine:(fun () () -> ())
-
-(* Block-hoisted parallel enumeration: [on_block] runs once per block in
-   the owning worker and returns the per-slot body closed over the worker's
-   private accumulator and the block's raw state — the parallel analogue of
-   [Context.iter_valid_hoisted]. *)
+(* Block-hoisted parallel enumeration: [on_block] runs once per scanned
+   range in the owning worker and returns the per-slot body closed over the
+   worker's private accumulator and the block's raw state — the parallel
+   analogue of [Context.iter_valid_hoisted]. *)
 let fold_hoisted_par ?pool ?domains ?csn ctx ~init ~on_block ~combine =
   drive ?pool ?domains ctx ~init
-    ~scan:(fun acc blk ->
+    ~scan:(fun acc blk lo hi ->
       let body = on_block acc blk in
       match csn with
       | None ->
         let dir = blk.Block.dir in
-        let nslots = blk.Block.nslots in
-        for slot = 0 to nslots - 1 do
+        for slot = lo to hi - 1 do
           if Constants.dir_state (Bigarray.Array1.unsafe_get dir slot) = Constants.state_valid
           then body slot
         done
       | Some csn ->
-        for slot = 0 to blk.Block.nslots - 1 do
+        for slot = lo to hi - 1 do
           if Context.slot_visible_at blk slot ~csn then body slot
         done)
     ~combine
 
 (* Batched parallel enumeration: each worker fills its own
-   [Context.chunk] ([chunk acc]) with [Context.fill_block] over the view
-   elements it draws — the parallel analogue of
-   [Context.iter_valid_batches], with the per-element critical sections
-   supplied by [drive]. *)
+   [Context.chunk] ([chunk acc]) with [Context.fill_block] over the ranges
+   it draws — the parallel form of the sequential batch walk. *)
 let fold_batches_par ?pool ?domains ?csn ctx ~init ~chunk ~on_batch ~combine =
   drive ?pool ?domains ctx ~init
-    ~scan:(fun acc blk -> Context.fill_block ?csn ctx blk (chunk acc) ~on_batch:(on_batch acc))
+    ~scan:(fun acc blk lo hi ->
+      Context.fill_block ?csn ctx blk ~lo ~hi (chunk acc) ~on_batch:(on_batch acc))
     ~combine

@@ -1,11 +1,13 @@
 (** Parallel block enumeration over a memory context (§5.2).
 
-    One call takes a single snapshot of the context's published block view
-    and partitions it across the pool's worker domains (plus the caller)
-    through an atomic index dispenser. Each view element is processed
-    inside its own epoch critical section — §4's per-block granularity, so
-    grace periods stay short while the scan runs — and compaction groups
-    are claimed atomically so exactly one worker scans a group, whole.
+    One call is one {!Smc_offheap.Context.walk} shared by the pool's worker
+    domains (plus the caller): a single snapshot of the context's published
+    block view, partitioned through the walk's atomic position dispenser.
+    Each position is processed inside its own epoch critical section —
+    §4's per-block granularity ({!Smc_offheap.Context.Per_element}), so
+    grace periods stay short while the scan runs. The walk keeps every row
+    live for the whole scan counted exactly once even when a compaction
+    group forms and completes mid-scan.
 
     Accumulation is strictly per-worker: [init ()] makes a private
     accumulator in each worker, [combine] merges them on the calling domain
@@ -37,11 +39,6 @@ val fold_valid_par :
   combine:('acc -> 'acc -> 'acc) ->
   'acc
 
-val iter_valid_par :
-  ?pool:Pool.t -> ?domains:int -> ?csn:int -> Context.t -> f:(Block.t -> int -> unit) -> unit
-(** [f] runs concurrently in several domains — it must be domain-safe
-    (e.g. accumulate into atomics). Prefer {!fold_valid_par}. *)
-
 val fold_hoisted_par :
   ?pool:Pool.t ->
   ?domains:int ->
@@ -52,8 +49,8 @@ val fold_hoisted_par :
   combine:('acc -> 'acc -> 'acc) ->
   'acc
 (** Parallel analogue of {!Smc_offheap.Context.iter_valid_hoisted}:
-    [on_block acc blk] runs once per block in the worker that drew the
-    block and returns the per-slot body, closed over the worker's private
+    [on_block acc blk] runs once per scanned slot range (usually a whole
+    block) in the worker that drew it and returns the per-slot body, closed over the worker's private
     accumulator and the block's hoisted raw state. *)
 
 val fold_batches_par :
@@ -66,10 +63,10 @@ val fold_batches_par :
   on_batch:('acc -> Block.t -> int -> unit) ->
   combine:('acc -> 'acc -> 'acc) ->
   'acc
-(** Parallel analogue of {!Smc_offheap.Context.iter_valid_batches}: each
-    worker runs {!Smc_offheap.Context.fill_block} into its own chunk
-    ([chunk acc], which must not be shared between accumulators) over the
-    view elements it draws, inside that element's critical section, and
+(** The parallel batch walk: each worker runs
+    {!Smc_offheap.Context.fill_block} into its own chunk ([chunk acc],
+    which must not be shared between accumulators) over the slot ranges it
+    draws, inside that position's critical section, and
     calls [on_batch acc blk count] for every filled chunk. [on_batch] must
     consume the chunk's first [count] rows before returning, or swap the
     chunk's [dsts] for fresh arrays. *)

@@ -264,16 +264,19 @@ let direct_patches ~(ctx : Context.t) (blk : Block.t) self_refs =
     List.rev !patches
   end
 
-let serialize_block ~(ctx : Context.t) buf (blk : Block.t) self_refs =
+(* Slots outside [owned] are written free: their rows belong to another
+   block's share of the walk. *)
+let serialize_block ~(ctx : Context.t) buf (blk : Block.t) ~owned self_refs =
   Buffer.clear buf;
   let n = blk.Block.nslots in
-  let dir = blk.Block.dir
-  and backptr = blk.Block.backptr
+  let backptr = blk.Block.backptr
   and slot_inc = blk.Block.slot_inc
   and data = blk.Block.data in
+  let free = Constants.dir_entry ~state:Constants.state_free ~stamp:0 in
+  let dir s = if owned s then BA1.unsafe_get blk.Block.dir s else free in
   let valid = ref 0 and quar = ref 0 in
   for s = 0 to n - 1 do
-    let st = Constants.dir_state (BA1.unsafe_get dir s) in
+    let st = Constants.dir_state (dir s) in
     if st = Constants.state_valid then incr valid
     else if st = Constants.state_quarantined then incr quar
   done;
@@ -282,10 +285,10 @@ let serialize_block ~(ctx : Context.t) buf (blk : Block.t) self_refs =
   Pio.add_int buf !valid;
   Pio.add_int buf !quar;
   for s = 0 to n - 1 do
-    Pio.add_int buf (BA1.unsafe_get dir s)
+    Pio.add_int buf (dir s)
   done;
   for s = 0 to n - 1 do
-    Pio.add_int buf (BA1.unsafe_get backptr s)
+    Pio.add_int buf (if owned s then BA1.unsafe_get backptr s else Constants.null_ref)
   done;
   for s = 0 to n - 1 do
     Pio.add_int buf (BA1.unsafe_get slot_inc s land lnot Constants.flags_mask)
@@ -397,17 +400,26 @@ let write ?wal ?(indexes = []) ~path (coll : Smc.Collection.t) =
   ignore (Pio.write_section oc ibuf : int);
   let blocks = ref 0 and rows = ref 0 and quar = ref 0 in
   let bbuf = Buffer.create (1 lsl 16) in
-  let claims = Context.no_claims () in
-  let scan blk =
-    let v, q = serialize_block ~ctx bbuf blk self_refs in
-    ignore (Pio.write_section oc bbuf : int);
-    incr blocks;
-    rows := !rows + v;
-    quar := !quar + q
-  in
-  for i = 0 to view.Context.v_n - 1 do
-    Context.scan_view_element ~claims view.Context.v_blocks.(i) ~scan
-  done;
+  (* The walk can hand a block over in several slot ranges (a compaction
+     target and its sources' ranges of it); each block is written once,
+     holding the rows of its ranges. *)
+  let ranges = Hashtbl.create 64 and order = ref [] in
+  Context.walk (Context.walk_start ctx) Context.Whole_walk ~scan:(fun blk lo hi ->
+      match Hashtbl.find_opt ranges blk.Block.id with
+      | Some r -> r := (lo, hi) :: !r
+      | None ->
+        Hashtbl.add ranges blk.Block.id (ref [ (lo, hi) ]);
+        order := blk :: !order);
+  List.iter
+    (fun blk ->
+      let rs = !(Hashtbl.find ranges blk.Block.id) in
+      let owned s = List.exists (fun (lo, hi) -> lo <= s && s < hi) rs in
+      let v, q = serialize_block ~ctx bbuf blk ~owned self_refs in
+      ignore (Pio.write_section oc bbuf : int);
+      incr blocks;
+      rows := !rows + v;
+      quar := !quar + q)
+    (List.rev !order);
   let m = { base with block_count = !blocks; row_count = !rows; quarantined = !quar } in
   let end_pos = pos_out oc in
   seek_out oc manifest_pos;
@@ -527,7 +539,7 @@ let fixup_refs ~(ctx : Context.t) (layout : Layout.t) map =
   let self = self_ref_fields layout in
   let remap_self = ctx.Context.mode = Context.Direct && self <> [] in
   if foreign <> [] || remap_self then begin
-    let { Context.v_blocks; v_n } = ctx.Context.view in
+    let { Context.v_blocks; v_n; _ } = ctx.Context.view in
     for i = 0 to v_n - 1 do
       let blk = v_blocks.(i) in
       let dir = blk.Block.dir in
@@ -738,7 +750,7 @@ let seed_free_entries (rt : Runtime.t) (ctx : Context.t) =
   if cap > 0 then begin
     let state = Bytes.make cap '\000' in
     Indirection.iter_free ind ~f:(fun e -> if e >= 0 && e < cap then Bytes.set state e '\001');
-    let { Context.v_blocks; v_n } = ctx.Context.view in
+    let { Context.v_blocks; v_n; _ } = ctx.Context.view in
     for i = 0 to v_n - 1 do
       let blk = v_blocks.(i) in
       if not blk.Block.dead then

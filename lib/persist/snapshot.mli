@@ -20,9 +20,10 @@
     Consistency contract: {!write} is a {e mutator-quiescent} operation on
     the snapshotted collection — same contract as the invariant audit.
     Concurrent readers are fine; in indirect mode concurrent {e
-    compaction} is also fine (blocks are claimed through the §5.2 group
-    protocol, and references are entry-stable so relocation does not
-    invalidate stored ref fields). Direct mode additionally requires a
+    compaction} is also fine (the image is written through the §5.2 block
+    walk, which hands each row over once even as compaction moves it, and
+    references are entry-stable so relocation does not invalidate stored
+    ref fields). Direct mode additionally requires a
     compaction-quiescent point, because stored direct pointers are
     canonicalised (tombstones collapsed) as the image is written.
 

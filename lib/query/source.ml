@@ -194,12 +194,10 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
      [?cols]) drops the columns the plan never reads — unfilled columns
      keep their storage but their contents are unspecified.
 
-     The sequential walk runs inside one epoch critical section
-     ([Smc.Collection.with_read]), the same §4 whole-query granularity as
-     the row scan: a compaction group that forms mid-walk cannot complete
-     before the walk ends, so the walk never meets a source whose rows
-     moved to a target outside its snapshot, nor re-counts a scanned
-     source's rows through that target. The emitted batch is reused (loan
+     The sequential batch walk is [Context.walk] at the same §4
+     whole-query granularity as the row scan: one epoch critical section
+     ([Smc.Collection.with_read]) around the whole walk, [fill_block] over
+     each slot range it hands over. The emitted batch is reused (loan
      contract). The parallel path fills a fresh batch per chunk in each
      worker and hands the batches to [emit] sequentially, in unspecified
      order. *)
@@ -258,10 +256,13 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
     else begin
       let b = Batch.create ~kinds ~cap in
       let chunk = new_chunk b in
+      let on_batch blk n =
+        finish b chunk blk n;
+        emit b
+      in
       Smc.Collection.with_read coll (fun () ->
-          Context.iter_valid_batches ?csn ctx chunk ~on_batch:(fun blk n ->
-              finish b chunk blk n;
-              emit b))
+          Context.walk (Context.walk_start ctx) Context.Whole_walk ~scan:(fun blk lo hi ->
+              Context.fill_block ?csn ctx blk ~lo ~hi chunk ~on_batch))
     end
   in
   (* Claims are checked where they are made: an index attached to another

@@ -209,9 +209,9 @@ let q1 ?(unsafe = false) db =
 (* Q1 — parallel: the unsafe kernel run over a block-partitioned parallel
    scan. Every worker domain folds into its own flat accumulator region —
    no sharing, no atomics on the hot path — and the regions are merged
-   element-wise on the calling domain once all workers finished. Blocks are
-   claimed through the §5.2 group protocol and each is scanned inside its
-   own epoch critical section. *)
+   element-wise on the calling domain once all workers finished. The
+   workers share one §5.2 block walk and scan each block inside its own
+   epoch critical section. *)
 
 let q1_groups = 512
 

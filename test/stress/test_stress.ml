@@ -1514,6 +1514,310 @@ let test_matview_churn () =
   Alcotest.(check bool) "view populated" true ((MV.stats mv).MV.st_groups > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Enumeration linearizability: a seeded property. Each trial fills a
+   small collection (keys 1..n, each row carrying [check = 3k + 1], so a
+   zeroed or half-built row is recognisable), thins about half its blocks
+   so compaction has candidates, and runs one enumerator while one
+   disturbance races it:
+   - a compaction pass paused at one phase boundary until the walk has
+     made some progress;
+   - compaction passes under an epoch gate that refuses every advance
+     until the walk has made some progress;
+   - a domain making bare adds or removes.
+   The enumerators take turns: the walk at both granularities, alone and
+   shared by 2 workers; Source.batches on Row, Columnar and Direct
+   collections, sequential or on 2 workers; and a snapshot view's
+   view_iter. Each must emit every row live for the whole walk exactly
+   once, no row that was never live during it, and no zeroed or half-built
+   row; a view emits exactly the rows at its frontier. The sequential
+   enumerators dawdle a little per range so disturbances land mid-walk.
+   Over the run, walks must have read moved rows through a target
+   ([walk_moved_ranges]) — the range path is exercised, not just
+   compiled. *)
+(* ------------------------------------------------------------------ *)
+
+let en_layout = Layout.create ~name:"stress_enum" [ ("key", Layout.Int); ("check", Layout.Int) ]
+let en_key = Smc.Field.int en_layout "key"
+let en_check = Smc.Field.int en_layout "check"
+let en_slots = 16
+
+type enumerator =
+  | Walk of Context.granularity * int (* workers *)
+  | Batches of Block.placement * Context.mode
+  | View_iter
+
+let enumerators =
+  [|
+    Walk (Context.Per_element, 1);
+    Walk (Context.Whole_walk, 1);
+    Walk (Context.Per_element, 2);
+    Walk (Context.Whole_walk, 2);
+    Batches (Block.Row, Context.Indirect);
+    Batches (Block.Columnar, Context.Indirect);
+    Batches (Block.Row, Context.Direct);
+    View_iter;
+  |]
+
+let enumerator_name = function
+  | Walk (g, w) ->
+    Printf.sprintf "walk %s x%d" (if g = Context.Whole_walk then "whole" else "per-element") w
+  | Batches (p, m) ->
+    Printf.sprintf "batches %s/%s"
+      (if p = Block.Row then "row" else "columnar")
+      (if m = Context.Indirect then "indirect" else "direct")
+  | View_iter -> "view_iter"
+
+let spin_us us =
+  let stop = Int64.add (Smc_util.Timing.now_ns ()) (Int64.of_int (us * 1000)) in
+  while Int64.compare (Smc_util.Timing.now_ns ()) stop < 0 do
+    Domain.cpu_relax ()
+  done
+
+(* Wait (bounded) until [cond] holds; disturbances never block a walk for
+   good. *)
+let await ~ms cond =
+  let stop = Int64.add (Smc_util.Timing.now_ns ()) (Int64.of_int (ms * 1_000_000)) in
+  while (not (cond ())) && Int64.compare (Smc_util.Timing.now_ns ()) stop < 0 do
+    Domain.cpu_relax ()
+  done
+
+let en_phases =
+  Runtime.
+    [|
+      ("selected", Phase_selected);
+      ("frozen", Phase_frozen);
+      ("waiting", Phase_waiting);
+      ("moving", Phase_moving);
+      ("completed", Phase_completed);
+    |]
+
+let enumeration_trial pool trial moved =
+  let prng = Smc_util.Prng.create ~seed:(subseed (20_000 + trial)) () in
+  let enum = enumerators.(trial mod Array.length enumerators) in
+  let placement, mode =
+    match enum with
+    | Batches (p, m) -> (p, m)
+    | Walk _ | View_iter ->
+      Smc_util.Prng.pick prng
+        [|
+          (Block.Row, Context.Indirect);
+          (Block.Columnar, Context.Indirect);
+          (Block.Row, Context.Direct);
+        |]
+  in
+  let rt = Runtime.create () in
+  let coll =
+    Smc.Collection.create rt ~name:"stress_enum" ~layout:en_layout ~placement ~mode
+      ~slots_per_block:en_slots ()
+  in
+  let ctx = coll.Smc.Collection.ctx in
+  let init ?(build_us = 0) k blk slot =
+    Smc.Field.set_int en_key blk slot k;
+    if build_us > 0 then spin_us build_us;
+    Smc.Field.set_int en_check blk slot ((3 * k) + 1)
+  in
+  let n = en_slots * Smc_util.Prng.int_in prng 6 14 in
+  let live0 = Hashtbl.create n in
+  for k = 1 to n do
+    Hashtbl.replace live0 k (Smc.Collection.add coll ~init:(init k))
+  done;
+  (* Thin about half the blocks to 2-4 rows and sprinkle holes elsewhere.
+     Half the trials then compact and thin again, so the walk's view holds
+     former targets and the mid-walk pass compacts some of them again. *)
+  let thin () =
+    let plan = Hashtbl.create 16 and kept = Hashtbl.create 16 in
+    let rows = Hashtbl.fold (fun k r acc -> (k, r) :: acc) live0 [] |> List.sort compare in
+    List.iter
+      (fun (k, r) ->
+        let id = (fst (Smc.Collection.deref coll r)).Block.id in
+        let keep =
+          match Hashtbl.find_opt plan id with
+          | Some keep -> keep
+          | None ->
+            let keep =
+              if Smc_util.Prng.bool prng then Smc_util.Prng.int_in prng 2 4 else en_slots
+            in
+            Hashtbl.replace plan id keep;
+            keep
+        in
+        let seen = Option.value ~default:0 (Hashtbl.find_opt kept id) in
+        if seen >= keep || (keep = en_slots && Smc_util.Prng.int prng 8 = 0) then begin
+          ignore (Smc.Collection.remove coll r : bool);
+          Hashtbl.remove live0 k
+        end
+        else Hashtbl.replace kept id (seen + 1))
+      rows
+  in
+  thin ();
+  if Smc_util.Prng.bool prng then begin
+    ignore (Compaction.run ctx () : Compaction.report);
+    thin ()
+  end;
+  let progress = Atomic.make 0 and walking = Atomic.make true and hooked = Atomic.make false in
+  let target = Smc_util.Prng.int_in prng 1 4 in
+  let moved_on () = Atomic.get progress >= target || not (Atomic.get walking) in
+  let compact_during () =
+    let rec go tries =
+      if tries > 0 && Atomic.get walking then begin
+        let r = Compaction.run ctx ~max_wait_spins:200_000 () in
+        if r.Compaction.aborted || r.Compaction.groups_formed = 0 then go (tries - 1)
+      end
+    in
+    go 20;
+    Epoch.release_current_domain ()
+  in
+  let disturbance = Smc_util.Prng.int prng 3 in
+  let phase_name, phase = Smc_util.Prng.pick prng en_phases in
+  (* Paused passes: half the walks take their view only once the pass is
+     paused, so the view holds the pass's groups (targets and sources). *)
+  let late = disturbance = 0 && enum <> View_iter && Smc_util.Prng.bool prng in
+  let next_key = ref (n + 1) in
+  let victims = Array.of_list (Hashtbl.fold (fun k r acc -> (k, r) :: acc) live0 []) in
+  Smc_util.Prng.shuffle prng victims;
+  let mutator_seed = Smc_util.Prng.next_int64 prng in
+  (* The view, if any, is opened before anything races it: its frontier
+     holds exactly [live0]. *)
+  let view = match enum with View_iter -> Some (Smc.Collection.snapshot_view coll) | _ -> None in
+  let disturber =
+    Domain.spawn (fun () ->
+        match disturbance with
+        | 0 ->
+          Chaos.with_compaction_hook rt
+            ~hook:(fun p ->
+              if p = phase then begin
+                Atomic.set hooked true;
+                await ~ms:50 moved_on
+              end)
+            compact_during;
+          ([], [])
+        | 1 ->
+          Chaos.with_epoch_gate rt ~gate:moved_on compact_during;
+          ([], [])
+        | _ ->
+          let mp = Smc_util.Prng.create ~seed:mutator_seed () in
+          let added = ref [] and removed = ref [] and v = ref 0 in
+          while Atomic.get walking && !v < Array.length victims do
+            if Smc_util.Prng.bool mp then begin
+              let k = !next_key in
+              incr next_key;
+              added := k :: !added;
+              ignore (Smc.Collection.add coll ~init:(init ~build_us:30 k) : Smc.Ref.t)
+            end
+            else begin
+              let k, r = victims.(!v) in
+              incr v;
+              removed := k :: !removed;
+              ignore (Smc.Collection.remove coll r : bool)
+            end;
+            spin_us 20
+          done;
+          Epoch.release_current_domain ();
+          (!added, !removed))
+  in
+  let emitted = ref [] in
+  let bad = ref [] in
+  let see acc k c =
+    if k <= 0 || c <> (3 * k) + 1 then bad := (k, c) :: !bad else acc := k :: !acc
+  in
+  let scan acc blk lo hi =
+    Atomic.incr progress;
+    Context.scan_slots blk ~lo ~hi ~f:(fun blk slot ->
+        see acc (Smc.Field.get_int en_key blk slot) (Smc.Field.get_int en_check blk slot))
+  in
+  let dawdle () = spin_us 100 in
+  if late then await ~ms:50 (fun () -> Atomic.get hooked);
+  (match enum with
+  | Walk (g, 1) ->
+    let run () =
+      Context.walk (Context.walk_start ctx) g ~scan:(fun blk lo hi ->
+          dawdle ();
+          scan emitted blk lo hi)
+    in
+    if g = Context.Whole_walk then Smc.Collection.with_read coll run else run ()
+  | Walk (g, workers) ->
+    let w = Context.walk_start ctx in
+    let per = Array.init workers (fun _ -> ref []) in
+    Smc_parallel.Pool.run pool ~workers (fun i ->
+        let run () = Context.walk w g ~scan:(scan per.(i)) in
+        if g = Context.Whole_walk then Smc.Collection.with_read coll run else run ());
+    Array.iter (fun r -> emitted := !r @ !emitted) per
+  | Batches _ ->
+    let par = Smc_util.Prng.bool prng in
+    let src =
+      Q.Source.of_smc
+        ?pool:(if par then Some pool else None)
+        ?domains:(if par then Some 2 else None)
+        coll
+        ~columns:[ ("key", Q.Source.C_int en_key); ("check", Q.Source.C_int en_check) ]
+    in
+    Q.Source.batches src ~rows:8 (fun b ->
+        Atomic.incr progress;
+        if not par then dawdle ();
+        match (b.Q.Batch.cols.(0), b.Q.Batch.cols.(1)) with
+        | Q.Batch.V_int ks, Q.Batch.V_int cs ->
+          for i = 0 to b.Q.Batch.len - 1 do
+            let r = Bigarray.Array1.get b.Q.Batch.sel i in
+            see emitted ks.(r) cs.(r)
+          done
+        | _ -> Alcotest.fail "batch columns are not int vectors")
+  | View_iter ->
+    let v = Option.get view in
+    Fun.protect
+      ~finally:(fun () -> Smc.Collection.close_view v)
+      (fun () ->
+        Smc.Collection.view_iter v ~f:(fun blk slot ->
+            if slot mod 8 = 0 then begin
+              Atomic.incr progress;
+              dawdle ()
+            end;
+            see emitted (Smc.Field.get_int en_key blk slot)
+              (Smc.Field.get_int en_check blk slot))));
+  Atomic.set walking false;
+  let added, removed = Domain.join disturber in
+  let what =
+    Printf.sprintf "trial %d, %s, disturbance %d%s (SMC_STRESS_SEED=%Ld)" trial
+      (enumerator_name enum) disturbance
+      (if disturbance = 0 then " at " ^ phase_name ^ if late then ", late view" else "" else "")
+      seed
+  in
+  List.iter
+    (fun (k, c) -> Alcotest.failf "%s: zeroed or half-built row (key %d, check %d)" what k c)
+    !bad;
+  let count = Hashtbl.create n in
+  List.iter
+    (fun k -> Hashtbl.replace count k (1 + Option.value ~default:0 (Hashtbl.find_opt count k)))
+    !emitted;
+  Hashtbl.iter
+    (fun k c -> if c > 1 then Alcotest.failf "%s: row %d emitted %d times" what k c)
+    count;
+  let is_view = Option.is_some view in
+  let added = if is_view then [] else added in
+  let removed = if is_view then [] else removed in
+  Hashtbl.iter
+    (fun k _ ->
+      if not (Hashtbl.mem live0 k || List.mem k added) then
+        Alcotest.failf "%s: row %d was never live during the walk" what k)
+    count;
+  Hashtbl.iter
+    (fun k _ ->
+      if not (Hashtbl.mem count k || List.mem k removed) then
+        Alcotest.failf "%s: row %d, live for the whole walk, was not emitted" what k)
+    live0;
+  audit_quiescent what (Audit.create rt) rt ctx;
+  moved := !moved + Smc_obs.get (Smc_obs.snapshot rt.Runtime.obs) Smc_obs.c_walk_moved_ranges
+
+let test_enumeration_property () =
+  let pool = Smc_parallel.Pool.create ~size:1 () in
+  Fun.protect
+    ~finally:(fun () -> Smc_parallel.Pool.shutdown pool)
+    (fun () ->
+      let moved = ref 0 in
+      for trial = 0 to max 16 (iters / 100) - 1 do
+        enumeration_trial pool trial moved
+      done;
+      Alcotest.(check bool) "some walk read moved rows through a target" true (!moved > 0))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   (* The balance checks and queue-race assertions need counting on. *)
@@ -1555,5 +1859,10 @@ let () =
           qc "transactions: pair atomicity vs snapshot readers + compactor" test_txn_churn;
           qc "vectorized scans: writers + batch queries + compactor" test_vector_churn;
           qc "materialized views: writers + view reader + compactor" test_matview_churn;
+        ] );
+      ( "enum",
+        [
+          qc "every enumerator is linearizable under compaction and churn"
+            test_enumeration_property;
         ] );
     ]

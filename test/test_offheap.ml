@@ -905,12 +905,16 @@ let test_compact_cycle_pins_counters () =
 (* ------------------------------------------------------------------ *)
 (* Per-block critical sections *)
 
+let iter_per_block ctx ~f =
+  Context.walk (Context.walk_start ctx) Context.Per_element ~scan:(fun blk lo hi ->
+      Context.scan_slots blk ~lo ~hi ~f)
+
 let test_iter_per_block_counts () =
   let _rt, ctx = make_ctx ~slots_per_block:8 () in
   let refs = List.init 50 (fun _ -> Context.alloc ctx) in
   List.iteri (fun i r -> if i mod 5 = 0 then ignore (Context.free ctx r : bool)) refs;
   let seen = ref 0 in
-  Context.iter_valid_per_block ctx ~f:(fun _ _ -> incr seen);
+  iter_per_block ctx ~f:(fun _ _ -> incr seen);
   check Alcotest.int "per-block enumeration sees all live" 40 !seen
 
 let test_iter_per_block_allows_epoch_advance () =
@@ -920,7 +924,7 @@ let test_iter_per_block_allows_epoch_advance () =
   ignore (List.init 64 (fun _ -> Context.alloc ctx) : int list);
   let advanced_during_scan = ref false in
   let e0 = Epoch.global rt.Runtime.epoch in
-  Context.iter_valid_per_block ctx ~f:(fun _ _ ->
+  iter_per_block ctx ~f:(fun _ _ ->
       (* Outside any long-lived section between blocks; inside one here —
          but earlier blocks' exits let advances through. *)
       if Epoch.try_advance rt.Runtime.epoch then advanced_during_scan := true);

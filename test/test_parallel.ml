@@ -1,8 +1,8 @@
 (* Tests for the parallel query-execution layer: the reusable domain pool,
    block-partitioned parallel enumeration (equivalence with the sequential
-   enumerators on every placement/mode configuration, exactly-once
-   compaction-group claiming), the parallel TPC-H kernels, and the query
-   engine's parallel source knob. *)
+   enumerators on every placement/mode configuration, a completed
+   compaction group met by racing workers), the parallel TPC-H kernels,
+   and the query engine's parallel source knob. *)
 
 open Smc_offheap
 module Pool = Smc_parallel.Pool
@@ -188,9 +188,12 @@ let test_par_equivalence (name, placement, mode) () =
       check pair (name ^ ": fold domains=4") expected (fold 4);
       check pair (name ^ ": fold sequential fast path") expected (fold 1);
       let sum = Atomic.make 0 and count = Atomic.make 0 in
-      Par_scan.iter_valid_par ~pool ~domains:4 ctx ~f:(fun blk slot ->
-          ignore (Atomic.fetch_and_add sum (Smc.Field.get_int fv blk slot) : int);
-          Atomic.incr count);
+      let w = Context.walk_start ctx in
+      Pool.run pool ~workers:4 (fun _ ->
+          Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
+              Context.scan_slots blk ~lo ~hi ~f:(fun blk slot ->
+                  ignore (Atomic.fetch_and_add sum (Smc.Field.get_int fv blk slot) : int);
+                  Atomic.incr count)));
       check pair (name ^ ": iter domains=4") expected (Atomic.get sum, Atomic.get count);
       let v_word = (Layout.field kv_layout "v").Layout.word
       and sw = kv_layout.Layout.slot_words in
@@ -217,50 +220,85 @@ let test_par_equivalence (name, placement, mode) () =
       check pair (name ^ ": hoisted domains=4") expected (!(fst hoisted), !(snd hoisted)))
 
 (* ------------------------------------------------------------------ *)
-(* Compaction-group claiming                                           *)
+(* A completed compaction group under a shared walk                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Fabricate a completed compaction group (two sources, one target) and let
-   several domains race over the sources: the group must be scanned exactly
-   once per enumeration, always through the target. *)
-let test_group_claim_exactly_once () =
-  let rt = Runtime.create () in
-  let ctx = Context.create rt ~layout:kv_layout ~slots_per_block:16 () in
-  let srcs = [| Context.fresh_block ctx; Context.fresh_block ctx |] in
-  let target = Context.new_block_unpublished ctx in
-  let g =
-    {
-      Block.sources = srcs;
-      g_target = target;
-      g_state = Atomic.make Block.group_done;
-      g_queries = Atomic.make 0;
-    }
-  in
-  Array.iter (fun b -> b.Block.group <- Some g) srcs;
+(* A compaction group that completes after an enumeration took its view
+   snapshot: the sources are still in the walk's view, dead, and their rows
+   sit in a target the view does not hold. Four workers race over the
+   shared walk: every row must be scanned exactly once, the moved ones
+   through the target — each source's own range of it, never a dead
+   block. *)
+let test_done_group_scanned_once () =
   let pool = Pool.create ~size:3 () in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
-      for _trial = 1 to 100 do
-        let claims = Context.no_claims () in
-        let scans = Atomic.make 0 in
+      for _trial = 1 to 20 do
+        let rt = Runtime.create () in
+        let coll =
+          Smc.Collection.create rt ~name:"groups" ~layout:kv_layout ~slots_per_block:16 ()
+        in
+        let ctx = coll.Smc.Collection.ctx in
+        let refs =
+          Array.init (16 * 6) (fun i ->
+              Smc.Collection.add coll ~init:(fun blk slot -> Smc.Field.set_int fk blk slot i))
+        in
+        (* Thin blocks 0-3 to three rows each: one group of three sources
+           and one of one. Blocks 4 and 5 (the allocating one) stay full. *)
+        Array.iteri
+          (fun i r ->
+            if i < 64 && i mod 16 >= 3 then ignore (Smc.Collection.remove coll r : bool))
+          refs;
+        let live = Smc.Collection.count coll in
+        let w = Context.walk_start ctx in
+        let report = Compaction.run ctx () in
+        check Alcotest.bool "groups completed" true
+          (report.Compaction.groups_formed >= 1 && not report.Compaction.aborted);
+        let seen = Array.init (Array.length refs) (fun _ -> Atomic.make 0) in
+        let ranges = Atomic.make [] in
+        let dead_scans = Atomic.make 0 in
         Pool.run pool ~workers:4 (fun _ ->
-            Array.iter
-              (fun b ->
-                Context.scan_view_element ~claims b ~scan:(fun scanned ->
-                    if scanned != target then
-                      Alcotest.fail "a done group must be scanned through its target";
-                    Atomic.incr scans))
-              srcs);
-        check Alcotest.int "exactly one scan per enumeration" 1 (Atomic.get scans)
-      done;
-      (* The raw ticket: one winner per group no matter how many racers. *)
-      for _trial = 1 to 100 do
-        let claims = Context.no_claims () in
-        let wins = Atomic.make 0 in
-        Pool.run pool ~workers:4 (fun _ ->
-            if Context.claim_group claims g then Atomic.incr wins);
-        check Alcotest.int "exactly one claim winner" 1 (Atomic.get wins)
+            Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
+                if blk.Block.dead then Atomic.incr dead_scans;
+                if blk.Block.moved_in > 0 then begin
+                  let rec push () =
+                    let l = Atomic.get ranges in
+                    if not (Atomic.compare_and_set ranges l ((blk.Block.id, lo, hi) :: l))
+                    then push ()
+                  in
+                  push ()
+                end;
+                Context.scan_slots blk ~lo ~hi ~f:(fun blk slot ->
+                    Atomic.incr seen.(Smc.Field.get_int fk blk slot))));
+        check Alcotest.int "no dead block scanned" 0 (Atomic.get dead_scans);
+        check Alcotest.int "every live row scanned"
+          live
+          (Array.fold_left (fun acc c -> acc + Atomic.get c) 0 seen);
+        Array.iteri
+          (fun i c ->
+            if Atomic.get c > 1 then Alcotest.failf "row %d scanned %d times" i (Atomic.get c))
+          seen;
+        (* The targets' ranges tile each target's moved-in prefix. *)
+        let by_target = Hashtbl.create 4 in
+        List.iter
+          (fun (id, lo, hi) ->
+            Hashtbl.replace by_target id
+              ((lo, hi) :: Option.value ~default:[] (Hashtbl.find_opt by_target id)))
+          (Atomic.get ranges);
+        check Alcotest.bool "moved rows reached through a target" true
+          (Hashtbl.length by_target >= 1);
+        Hashtbl.iter
+          (fun _ rs ->
+            let rs = List.sort compare rs in
+            ignore
+              (List.fold_left
+                 (fun expect (lo, hi) ->
+                   check Alcotest.int "ranges are disjoint and contiguous" expect lo;
+                   hi)
+                 0 rs
+                : int))
+          by_target
       done)
 
 (* ------------------------------------------------------------------ *)
@@ -335,7 +373,7 @@ let () =
         ] );
       ( "par_scan",
         List.map (fun (name, p, m) -> qc name (test_par_equivalence (name, p, m))) configs );
-      ( "groups", [ qc "claimed exactly once" test_group_claim_exactly_once ] );
+      ( "groups", [ qc "done group scanned once by four workers" test_done_group_scanned_once ] );
       ( "queries",
         [
           qc "q1/q6 parallel = sequential" test_q1_q6_parity;

@@ -421,13 +421,19 @@ let test_parallel_batch_scan () =
    lose them), or count the rows of the source it already scanned a second
    time through the target. *)
 
+let counter rt c = Smc_obs.get (Smc_obs.snapshot rt.Smc_offheap.Runtime.obs) c
+
 let wait_until ~ms cond =
   let deadline = Int64.add (Smc_util.Timing.now_ns ()) (Int64.of_int (ms * 1_000_000)) in
   while (not (cond ())) && Int64.compare (Smc_util.Timing.now_ns ()) deadline < 0 do
     Domain.cpu_relax ()
   done
 
-let test_midwalk_compaction () =
+(* Eight 16-slot blocks. Compaction groups its candidates three at a time
+   in snapshot order; thinning blocks 0, 4 and 5 makes one group of
+   exactly those: formed while a walk is inside block 0, with two members
+   still ahead. *)
+let midwalk_fixture () =
   let rt = Smc_offheap.Runtime.create () in
   let coll =
     Smc.Collection.create rt ~name:"walk" ~layout ~placement:Block.Row ~mode:Context.Indirect
@@ -443,9 +449,6 @@ let test_midwalk_compaction () =
     |> List.rev |> Array.of_list
   in
   check Alcotest.int "eight blocks" 8 (Array.length blocks);
-  (* Compaction groups its candidates three at a time in snapshot order.
-     Thinning blocks 0, 4 and 5 makes one group of exactly those: formed
-     while the walk is inside block 0, with two members still ahead. *)
   List.iter
     (fun b ->
       let kept = ref 0 in
@@ -455,6 +458,10 @@ let test_midwalk_compaction () =
             if !kept < 3 then incr kept else ignore (Smc.Collection.remove coll r : bool))
         refs)
     [ 0; 4; 5 ];
+  (rt, coll)
+
+let test_midwalk_compaction () =
+  let rt, coll = midwalk_fixture () in
   let expected = Smc.Collection.count coll in
   let completed = Atomic.make false in
   let src = Source.of_smc coll ~columns:[ ("k", Source.C_int fk) ] in
@@ -480,6 +487,101 @@ let test_midwalk_compaction () =
   check Alcotest.int "walk counted every live row once" expected !counted;
   let rows = Vector.collect (Plan.scan src) in
   check Alcotest.int "a walk after the compaction agrees" expected (List.length rows)
+
+(* The same group at §4's other granularity: one critical section per
+   block and none around the walk, so the group forms in block 0 and
+   completes while the walk crosses blocks 1-3 (each boundary lets the
+   pass take one epoch step). Blocks 4 and 5 are then dead sources whose
+   rows sit in a target the walk's view does not hold; the walk must find
+   them there, and must not count block 0's rows a second time. *)
+let test_midwalk_compaction_per_block () =
+  let rt, coll = midwalk_fixture () in
+  let ctx = coll.Smc.Collection.ctx in
+  let expected = Smc.Collection.count coll in
+  let waiting = Atomic.make false and completed = Atomic.make false in
+  let chunk =
+    {
+      Context.slots = Context.make_sel 64;
+      words = [| fk.Smc_offheap.Layout.word |];
+      masks = [| -1 |];
+      dsts = [| Array.make 64 0 |];
+    }
+  in
+  let counted = ref 0 and chunks = ref 0 and compactor = ref None in
+  let moved0 = counter rt Smc_obs.c_walk_moved_ranges in
+  Smc_check.Chaos.with_compaction_hook rt
+    ~hook:(fun phase ->
+      if phase = Smc_offheap.Runtime.Phase_waiting then Atomic.set waiting true;
+      if phase = Smc_offheap.Runtime.Phase_completed then Atomic.set completed true)
+    (fun () ->
+      Context.walk (Context.walk_start ctx) Context.Per_element ~scan:(fun blk lo hi ->
+          Context.fill_block ctx blk ~lo ~hi chunk ~on_batch:(fun _ n ->
+              counted := !counted + n;
+              incr chunks;
+              if !chunks = 1 then begin
+                compactor := Some (Domain.spawn (fun () -> Smc.Collection.compact coll ()));
+                wait_until ~ms:300 (fun () -> Atomic.get waiting)
+              end
+              else if !chunks <= 4 then wait_until ~ms:100 (fun () -> Atomic.get completed))));
+  let report = Option.map Domain.join !compactor in
+  check Alcotest.bool "compaction completed the group" true
+    (match report with
+    | Some r -> r.Smc_offheap.Compaction.groups_formed >= 1 && not r.Smc_offheap.Compaction.aborted
+    | None -> false);
+  check Alcotest.int "walk counted every live row once" expected !counted;
+  check Alcotest.bool "moved rows were read through the target" true
+    (counter rt Smc_obs.c_walk_moved_ranges > moved0)
+
+(* [Collection.add] builds the row before the slot turns valid: while an
+   [init] is parked on another domain, neither the row scan, the batch scan
+   nor a snapshot view may emit the row. An [init] that raises leaves no
+   row behind. *)
+let test_init_before_valid () =
+  let rt, coll = midwalk_fixture () in
+  let ctx = coll.Smc.Collection.ctx in
+  let live = Smc.Collection.count coll in
+  let entered = Atomic.make false and release = Atomic.make false in
+  let adder =
+    Domain.spawn (fun () ->
+        Smc.Collection.add coll ~init:(fun blk slot ->
+            Smc.Field.set_int fk blk slot (-7);
+            Atomic.set entered true;
+            wait_until ~ms:5000 (fun () -> Atomic.get release)))
+  in
+  wait_until ~ms:5000 (fun () -> Atomic.get entered);
+  let seen = ref [] in
+  let note what k = seen := (what, k) :: !seen in
+  Smc.Collection.iter coll ~f:(fun blk slot -> note "iter" (Smc.Field.get_int fk blk slot));
+  Source.batches (Source.of_smc coll ~columns:[ ("k", Source.C_int fk) ]) ~rows:64 (fun b ->
+      match b.Batch.cols.(0) with
+      | Batch.V_int a ->
+        for i = 0 to b.Batch.len - 1 do
+          note "batches" a.(Bigarray.Array1.get b.Batch.sel i)
+        done
+      | _ -> assert false);
+  Smc.Collection.with_view coll (fun v ->
+      Smc.Collection.view_iter v ~f:(fun blk slot ->
+          note "view_iter" (Smc.Field.get_int fk blk slot)));
+  Atomic.set release true;
+  ignore (Domain.join adder : Smc.Ref.t);
+  List.iter
+    (fun what ->
+      let ks = List.filter_map (fun (w, k) -> if w = what then Some k else None) !seen in
+      check Alcotest.int (what ^ " emits the rows built before the add") live (List.length ks);
+      check Alcotest.bool (what ^ " never emits the row under construction") false
+        (List.mem (-7) ks))
+    [ "iter"; "batches"; "view_iter" ];
+  check Alcotest.int "the row is there once built" (live + 1) (Smc.Collection.count coll);
+  (match Smc.Collection.add coll ~init:(fun _ _ -> failwith "init") with
+  | _ -> Alcotest.fail "a raising init must propagate"
+  | exception Failure _ -> ());
+  check Alcotest.int "a failed init leaves no row" (live + 1) (Smc.Collection.count coll);
+  check (Alcotest.list Alcotest.string) "runtime consistent after a failed init" []
+    (List.map
+       (fun (v : Smc_check.Audit.violation) -> Smc_check.Audit.report [ v ])
+       (Smc_check.Audit.check_once rt ~contexts:[ ctx ]));
+  check (Alcotest.list Alcotest.string) "counters balance after a failed init" []
+    (Smc_check.Obs_check.check rt ~contexts:[ ctx ])
 
 (* ------------------------------------------------------------------ *)
 (* The batch scan's chunk fill against the row path: every chunk must hold
@@ -572,8 +674,6 @@ let fill_configs ~holed f =
       let rt, coll, refs = build_fill ~placement ~mode ~holed () in
       f (Printf.sprintf "%s%s" cname (if holed then " holed" else " full")) rt coll refs)
     configs
-
-let counter rt c = Smc_obs.get (Smc_obs.snapshot rt.Smc_offheap.Runtime.obs) c
 
 (* Chunks of 1 and 7 rows, one larger than a block, and the default. *)
 let check_fills name ~expected src =
@@ -1163,6 +1263,9 @@ let () =
       ( "walk",
         [
           qc "compaction formed mid-walk" test_midwalk_compaction;
+          qc "compaction completed mid-walk, per-block sections"
+            test_midwalk_compaction_per_block;
+          qc "a row is not emitted before its init returns" test_init_before_valid;
           qc "removals in full blocks mid-walk" test_midwalk_removals;
         ] );
       ( "compiled",
