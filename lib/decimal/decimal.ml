@@ -14,8 +14,9 @@ let sub = ( - )
 let neg x = -x
 
 (* Round half away from zero, like C# decimal's default midpoint rounding
-   direction for these workloads. *)
-let round_div num den =
+   direction for these workloads. Inlined, so [mul]'s division by the
+   constant [scale] compiles to a multiply instead of two [idiv]s. *)
+let[@inline] round_div num den =
   let q = num / den and r = num mod den in
   if abs (2 * r) >= den then q + (if (num >= 0) = (den >= 0) then 1 else -1)
   else q

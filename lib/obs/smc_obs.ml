@@ -113,6 +113,7 @@ let c_mv_rescans = 92 (* reads that re-derived dirty groups by bounded re-scan *
 let c_mv_invalidations = 93 (* whole-view invalidations (non-incrementalizable delta) *)
 let c_vec_full_batches = 94 (* vec_batches chunks of full blocks, read without the directory *)
 let c_walk_moved_ranges = 95 (* target ranges enumerations scanned for completed sources *)
+let c_vec_agg_chunk_rows = 96 (* rows Vector's group-bys aggregated a whole chunk at a time *)
 
 let all =
   [|
@@ -178,6 +179,7 @@ let all =
     ("vec_filter_rows_in", c_vec_filter_rows_in);
     ("vec_filter_rows_kept", c_vec_filter_rows_kept);
     ("vec_filter_rows_dropped", c_vec_filter_rows_dropped);
+    ("vec_agg_chunk_rows", c_vec_agg_chunk_rows);
     ("cg_requests", c_cg_requests);
     ("cg_compiles", c_cg_compiles);
     ("cg_cache_hits", c_cg_cache_hits);

@@ -71,6 +71,7 @@ val c_vec_full_batches : int
 val c_vec_filter_rows_in : int
 val c_vec_filter_rows_kept : int
 val c_vec_filter_rows_dropped : int
+val c_vec_agg_chunk_rows : int
 val c_cg_requests : int
 val c_cg_compiles : int
 val c_cg_cache_hits : int

@@ -126,6 +126,14 @@ let form_groups (ctx : Context.t) candidates group_size =
   go candidates;
   List.rev !groups
 
+(* Under [entry]'s lock: the relocation's source slot still holds the
+   entry's row. The back-pointer was read before the lock, and
+   [Context.store_versioned] may have swung the entry to a fresh copy of
+   the row since; freezing or relocating then would act on that copy. *)
+let still_here ind entry (src : Block.t) (r : Block.relocation) =
+  Block.slot_state src r.Block.from_slot = state_valid
+  && Indirection.ptr ind entry = pack_ptr ~block:src.Block.id ~slot:r.Block.from_slot
+
 let freeze_group (ctx : Context.t) (g : Block.group) =
   let rt = ctx.rt in
   let ind = rt.Runtime.ind in
@@ -139,7 +147,7 @@ let freeze_group (ctx : Context.t) (g : Block.group) =
             let entry = Bigarray.Array1.unsafe_get src.Block.backptr r.Block.from_slot in
             if entry >= 0 then
               Runtime.with_entry_lock rt entry (fun () ->
-                  if Block.slot_state src r.Block.from_slot = state_valid then begin
+                  if still_here ind entry src r then begin
                     let w = Indirection.inc_word ind entry in
                     Indirection.set_inc_word ind entry (w lor frozen_bit);
                     (match ctx.mode with
@@ -214,7 +222,7 @@ let sweep_group (ctx : Context.t) (g : Block.group) =
                   match r.Block.status with
                   | Block.Moved -> incr moved
                   | Block.Pending | Block.Failed ->
-                    if Block.slot_state src r.Block.from_slot = state_valid then begin
+                    if still_here ind entry src r then begin
                       (* Re-freeze bailed-out objects and move them now; we
                          hold the entry lock, so no reader interleaves a
                          read-modify-write. *)

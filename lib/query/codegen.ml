@@ -79,6 +79,8 @@ let boxed_row var n =
   let col j = boxed (Printf.sprintf "(Array.get %s %d)" var j) in
   { cols = Array.init n col; var = Some var }
 
+let kind_ctor k = "B.K_" ^ match k with Batch.K_any -> "any" | k -> kind_name k
+
 let int_like = function
   | Batch.K_int | Batch.K_dec | Batch.K_date | Batch.K_char -> true
   | Batch.K_bool | Batch.K_str | Batch.K_any -> false
@@ -362,68 +364,51 @@ let render plan =
       raise (Unsupported "IndexJoin is not compiled; executed by Fuse")
     | Plan.GroupBy { keys; aggs; input } ->
       let schema = Plan.schema input in
-      let na = List.length aggs in
-      let ns = fresh "ns" and ws = fresh "ws" and accs = fresh "accs" in
-      let groups = fresh "groups" and order = fresh "order" in
-      (* Per group: [ns] counts, [ws] the typed cells' words, [accs]
-         Aggregate's boxed cells for the rest. A typed cell never sees
-         Null, so Aggregate's first-value transition is a plain word sum,
-         and Min/Max only need to know whether a value came. *)
-      let cell arr j = Printf.sprintf "(Array.unsafe_get %s %d)" arr j in
-      let typed_cells = Array.make na None in
-      let update d row j (_, agg) =
-        let count d = line d "Array.unsafe_set %s %d (%s + 1);" ns j (cell ns j) in
+      let tbl = fresh "groups" in
+      (* Groups live in a {!Kernel} table: it picks the key's shape, hands
+         out dense ids in first-seen order and finishes the rows; the
+         plugin keeps only the typed updates. A word cell never sees Null,
+         so Aggregate's first-value step is a plain word sum, and an
+         extremum starts at the far end so the first value replaces it. *)
+      let shape = ref Kernel.No_key in
+      let cells = Array.make (List.length aggs) "K.Count" in
+      let update d row g j (_, agg) =
+        let arr field = Printf.sprintf "(Array.unsafe_get %s.K.%s %d)" tbl field j in
         (* binds the operand as [v]: its word when [ok] admits its kind *)
         let value e ok =
           let t = gx schema row e in
           let typed = if ok t.k then Some t.k else None in
-          typed_cells.(j) <- typed;
           line d "(let v = %s in" (if typed = None then box t else code t);
           typed
         in
+        let set_cell fmt = Printf.ksprintf (fun c -> cells.(j) <- c) fmt in
+        let word_update stmt =
+          line (d + 1) "let w = %s in let cur = Array.unsafe_get w %s in" (arr "words") g;
+          line (d + 1) "%s);" stmt
+        in
         match agg with
-        | Plan.Count -> count d
-        | Plan.Sum e | Plan.Avg e ->
-          let typed = value e (fun k -> k = Batch.K_int || k = Batch.K_dec) in
-          (match agg with Plan.Avg _ -> count (d + 1) | _ -> ());
-          (match typed with
+        | Plan.Count -> ()
+        | Plan.Sum e | Plan.Avg e -> (
+          let avg = match agg with Plan.Avg _ -> true | _ -> false in
+          match value e (fun k -> k = Batch.K_int || k = Batch.K_dec) with
           | Some k ->
-            line (d + 1) "Array.unsafe_set %s %d (%s %s v));" ws j
-              (if k = Batch.K_dec then "D.add" else "Int.add")
-              (cell ws j)
+            set_cell "(K.%s %s)" (if avg then "Avg_word" else "Sum_word") (kind_ctor k);
+            word_update (Printf.sprintf "Array.unsafe_set w %s (cur + (v : int))" g)
           | None ->
-            line (d + 1) "Array.unsafe_set %s %d (if %s = V.Null then v else V.add %s v));" accs
-              j (cell accs j) (cell accs j))
-        | Plan.Min e | Plan.Max e ->
-          let op = match agg with Plan.Min _ -> "<" | _ -> ">" in
-          if value e int_like <> None then begin
-            line (d + 1) "if %s = 0 || v %s %s then Array.unsafe_set %s %d v;" (cell ns j) op
-              (cell ws j) ws j;
-            line (d + 1) "Array.unsafe_set %s %d 1);" ns j
-          end
-          else
-            line (d + 1) "if %s = V.Null || V.compare v %s %s 0 then Array.unsafe_set %s %d v);"
-              (cell accs j) (cell accs j) op accs j
+            set_cell "K.%s" (if avg then "Avg_val" else "Sum_val");
+            line (d + 1) "let a = %s in let acc = Array.unsafe_get a %s in" (arr "vals") g;
+            line (d + 1) "Array.unsafe_set a %s (if acc = V.Null then v else V.add acc v));" g)
+        | Plan.Min e | Plan.Max e -> (
+          let op, name = match agg with Plan.Min _ -> ("<", "Min_word") | _ -> (">", "Max_word") in
+          match value e int_like with
+          | Some k ->
+            set_cell "(K.%s %s)" name (kind_ctor k);
+            word_update (Printf.sprintf "if (v : int) %s cur then Array.unsafe_set w %s v" op g)
+          | None ->
+            set_cell "K.Ext_val";
+            line (d + 1) "let a = %s in let acc = Array.unsafe_get a %s in" (arr "vals") g;
+            line (d + 1) "if acc = V.Null || V.compare v acc %s 0 then Array.unsafe_set a %s v);" op g)
       in
-      let finish j (_, agg) =
-        let n = cell ns j and w = cell ws j and acc = cell accs j in
-        match (agg, typed_cells.(j)) with
-        | Plan.Count, _ -> Printf.sprintf "(V.Int %s)" n
-        | Plan.Sum _, Some k -> box_code k w
-        | (Plan.Min _ | Plan.Max _), Some k ->
-          Printf.sprintf "(if %s = 0 then V.Null else %s)" n (box_code k w)
-        | (Plan.Sum _ | Plan.Min _ | Plan.Max _), None -> acc
-        | Plan.Avg _, typed ->
-          Printf.sprintf "(if %s = 0 then V.Null else V.div (promote_dec %s) (V.Int %s))" n
-            (match typed with Some k -> box_code k w | None -> acc)
-            n
-      in
-      (* The group table: none for a global aggregate, an unboxed int key
-         for int-like keys (each position's kind is fixed and boxing is
-         injective per kind, so equal words mean equal boxed keys; up to
-         eight char keys pack into one int), Fuse's boxed key list
-         otherwise. Its module is known once the keys are rendered. *)
-      let create = ref "ref None" in
       let loop =
         capture (fun () ->
             emit input depth (fun d row ->
@@ -436,52 +421,41 @@ let render plan =
                       word t.k v)
                     keys
                 in
-                let boxed_key = Printf.sprintf "[%s]" (String.concat "; " (List.map box kts)) in
+                shape := Kernel.key_shape (List.map (fun t -> t.k) kts);
+                let g = fresh "g" in
                 let words = List.map code kts in
-                let table, unboxed =
-                  match words with
-                  | [] -> (None, None)
-                  | _ when not (List.for_all (fun t -> int_like t.k) kts) -> (Some "Hashtbl", None)
-                  | [ w ] -> (Some "IH", Some w)
-                  | w :: rest
-                    when List.for_all (fun t -> t.k = Batch.K_char) kts && List.length kts <= 7 ->
-                    (Some "IH", Some (List.fold_left (Printf.sprintf "((%s lsl 8) lor %s)") w rest))
-                  | _ ->
-                    (Some "Hashtbl", Some (Printf.sprintf "[| %s |]" (String.concat "; " words)))
-                in
-                let kvar = fresh "key" in
-                line d "let %s = %s in" kvar (Option.value unboxed ~default:boxed_key);
-                line d "let (%s, %s, %s) =" ns ws accs;
-                (match table with
-                | None -> line (d + 1) "match !%s with" groups
-                | Some m ->
-                  create := m ^ ".create 256";
-                  line (d + 1) "match %s.find_opt %s %s with" m groups kvar);
-                line (d + 1) "| Some (_, c) -> c";
-                line (d + 1) "| None ->";
-                line (d + 2)
-                  "let g = (%s, (Array.make %d 0, Array.make %d 0, Array.make %d V.Null)) in"
-                  (if unboxed = None then kvar else boxed_key)
-                  na na na;
-                (match table with
-                | None -> line (d + 2) "%s := Some g;" groups
-                | Some m -> line (d + 2) "%s.add %s %s g;" m groups kvar);
-                line (d + 2) "%s := g :: !%s;" order order;
-                line (d + 2) "snd g";
-                line d "in";
-                List.iteri (update d row) aggs))
+                (match !shape with
+                | Kernel.No_key -> line d "let %s = K.id_of_none %s in" g tbl
+                | Kernel.Word _ -> line d "let %s = K.id_of_word %s %s in" g tbl (List.hd words)
+                | Kernel.Chars _ ->
+                  line d "let %s = K.id_of_word %s %s in" g tbl
+                    (List.fold_left (Printf.sprintf "(K.pack_char %s %s)") "0" words)
+                | Kernel.Words _ ->
+                  line d "let %s = K.id_of_words %s [| %s |] in" g tbl (String.concat "; " words)
+                | Kernel.Boxed ->
+                  line d "let %s = K.id_of_boxed %s [%s] in" g tbl
+                    (String.concat "; " (List.map box kts)));
+                line d "let rows = %s.K.rows in" tbl;
+                line d "Array.unsafe_set rows %s (Array.unsafe_get rows %s + 1);" g g;
+                List.iteri (update d row g) aggs))
       in
-      line depth "let %s = %s in" groups !create;
-      line depth "let %s = ref [] in" order;
+      let shape_code =
+        match !shape with
+        | Kernel.No_key -> "K.No_key"
+        | Kernel.Word k -> Printf.sprintf "(K.Word %s)" (kind_ctor k)
+        | Kernel.Chars n -> Printf.sprintf "(K.Chars %d)" n
+        | Kernel.Words ks ->
+          Printf.sprintf "(K.Words [| %s |])"
+            (String.concat "; " (Array.to_list (Array.map kind_ctor ks)))
+        | Kernel.Boxed -> "K.Boxed"
+      in
+      line depth "let %s = K.create_table %s [| %s |] in" tbl shape_code
+        (String.concat "; " (Array.to_list cells));
       Buffer.add_string !buf loop;
-      let key = fresh "key" and out = fresh "row" in
-      line depth "List.iter";
-      line (depth + 1) "(fun (%s, (%s, %s, %s)) ->" key ns ws accs;
-      line (depth + 2) "let %s = Array.of_list (%s @ [ %s ]) in" out key
-        (String.concat "; " (List.mapi finish aggs));
-      k (depth + 2) (boxed_row out (List.length keys + na));
-      line (depth + 2) "())";
-      line (depth + 1) "(List.rev !%s);" order
+      let out = fresh "row" in
+      line depth "K.iter_groups %s (fun %s ->" tbl out;
+      k (depth + 1) (boxed_row out (List.length keys + List.length aggs));
+      line (depth + 1) "());"
     | Plan.OrderBy (specs, input) ->
       let schema = Plan.schema input in
       let n = Array.length schema in
@@ -565,9 +539,8 @@ let assemble ~digest ~limit_exns body =
   add "module B = Smc_query__Batch";
   add "module E = Smc_query__Expr";
   add "module D = Smc_decimal__Decimal";
-  add "module IH = Hashtbl.Make (struct type t = int let equal = Int.equal let hash = Hashtbl.hash end)";
+  add "module K = Smc_query__Kernel";
   add "";
-  add "let promote_dec = function V.Int x -> V.Dec (D.of_int x) | v -> v";
   add "let str_of = function V.Str s -> s | v -> V.to_string v";
   add "";
   List.iter (fun e -> add (Printf.sprintf "exception %s" e)) limit_exns;

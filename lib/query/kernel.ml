@@ -1,6 +1,7 @@
 (* Typed evaluation over column chunks, shared by the vectorized engine
    ({!Vector}, which runs it over a chunk at a time) and the fused pipeline
-   ({!Fuse}, which runs it one row at a time through a closure chain).
+   ({!Fuse}, which runs it one row at a time through a closure chain). The
+   group-id table is also what compiled plans ({!Codegen}) call.
 
    Every compiled piece has the same two-step shape: bind a chunk once
    (fetch its typed arrays and selection vector), then evaluate by
@@ -422,210 +423,574 @@ let rec compile_test ~schema ~kinds pred : Batch.t -> int -> bool =
       | Expr.StartsWith (Expr.Col col, needle) -> text col needle ~is_prefix:true
       | _ -> ( match cmp_parts pred with Some parts -> cmp parts | None -> boxed pred)))
 
-(* ---- aggregation ----------------------------------------------------- *)
+(* ---- chunk expressions ------------------------------------------------ *)
 
-(* Typed cells where the update provably matches [Aggregate]'s boxed cell,
-   generic cells (the scalar code itself) everywhere else. *)
-type gen_cell = { mutable count : int; mutable acc : Value.t }
+(* [compile_value]'s typed arithmetic as data, evaluated a whole chunk at a
+   time into word arrays: the same domain (Int/Dec operands, Int→Dec
+   promotion through [D.of_int], Int op Int staying Int) and the same word
+   operations, so every position gets the word [compile_value] computes
+   for it. A Date or Char column or constant is a word only where no
+   arithmetic touches it (a key or an extremum). [None] = the expression
+   has no chunk form. *)
+type wop = W_add | W_sub | W_imul | W_idiv | W_dmul | W_ddiv
 
-type vcell =
-  | VC_num of { mutable n : int; mutable s : int }  (* Count/Sum/Avg over Int or Dec *)
-  | VC_ext of { mutable n : int; mutable m : int }  (* Min/Max over int-like *)
-  | VC_gen of gen_cell  (* the scalar Aggregate cell, verbatim *)
+type wx =
+  | X_const of Batch.kind * int
+  | X_col of Batch.kind * int
+  | X_promote of wx  (* Int words → Dec words *)
+  | X_neg of Batch.kind * wx
+  | X_bin of Batch.kind * wop * wx * wx
 
-type agg_kernel = {
-  ak_fresh : unit -> vcell;
-  ak_prep : Batch.t -> vcell -> int -> unit;
-  ak_finish : vcell -> Value.t;
+let wx_kind = function
+  | X_const (k, _) | X_col (k, _) | X_neg (k, _) | X_bin (k, _, _, _) -> k
+  | X_promote _ -> Batch.K_dec
+
+let rec chunk_expr ~schema ~kinds e =
+  let num x = match wx_kind x with Batch.K_int | Batch.K_dec -> true | _ -> false in
+  let promote = function
+    | X_const (Batch.K_int, n) -> X_const (Batch.K_dec, D.of_int n)
+    | x when wx_kind x = Batch.K_int -> X_promote x
+    | x -> x
+  in
+  let arith iop dop a b =
+    match (chunk_expr ~schema ~kinds a, chunk_expr ~schema ~kinds b) with
+    | Some xa, Some xb when num xa && num xb ->
+      if wx_kind xa = Batch.K_int && wx_kind xb = Batch.K_int then
+        Some (X_bin (Batch.K_int, iop, xa, xb))
+      else Some (X_bin (Batch.K_dec, dop, promote xa, promote xb))
+    | _ -> None
+  in
+  match e with
+  | Expr.Col name ->
+    let ci = resolve schema name in
+    if int_like kinds.(ci) then Some (X_col (kinds.(ci), ci)) else None
+  | Expr.Const (Value.Int n) -> Some (X_const (Batch.K_int, n))
+  | Expr.Const (Value.Dec d) -> Some (X_const (Batch.K_dec, d))
+  | Expr.Const (Value.Date d) -> Some (X_const (Batch.K_date, d))
+  | Expr.Add (a, b) -> arith W_add W_add a b
+  | Expr.Sub (a, b) -> arith W_sub W_sub a b
+  | Expr.Mul (a, b) -> arith W_imul W_dmul a b
+  | Expr.Div (a, b) -> arith W_idiv W_ddiv a b
+  | Expr.Neg a -> (
+    (* [compile_value] folds a negated constant; Decimal negation is [-] *)
+    match chunk_expr ~schema ~kinds a with
+    | Some (X_const (((Batch.K_int | Batch.K_dec) as k), n)) -> Some (X_const (k, -n))
+    | Some x when num x -> Some (X_neg (wx_kind x, x))
+    | _ -> None)
+  | _ -> None
+
+let[@inline] wapply op a b =
+  match op with
+  | W_add -> a + b
+  | W_sub -> a - b
+  | W_imul -> a * b
+  | W_idiv -> a / b
+  | W_dmul -> D.mul a b
+  | W_ddiv -> D.div a b
+
+(* Chunks are aggregated in slices of at most [slice] positions, so every
+   scratch array is a minor-heap block ([Max_young_wosize] words): a
+   chunk-sized one would go straight to the major heap on every run and
+   add major-GC work that later queries pay for. *)
+let slice = 256
+
+(* Per run: how to read the words of positions [lo .. lo + n - 1] of a
+   chunk ([fetch bt lo n]). [direct] words are a column's own array, read
+   at [sel.(lo + i)] (no gather); the others are the node's scratch array,
+   holding position [lo + i] at [i]. *)
+type words = { direct : bool; fetch : Batch.t -> int -> int -> int array }
+
+let[@inline] word_at direct (a : int array) (sel : Batch.sel) lo i =
+  if direct then Array.unsafe_get a (Bigarray.Array1.unsafe_get sel (lo + i))
+  else Array.unsafe_get a i
+
+let rec instantiate x : words =
+  let computed fill = { direct = false; fetch = fill (Array.make slice 0) } in
+  match x with
+  | X_col (_, ci) -> { direct = true; fetch = (fun bt _ _ -> int_array_of_vec bt.Batch.cols.(ci)) }
+  | X_const (_, c) ->
+    computed (fun d ->
+        Array.fill d 0 slice c;
+        fun _ _ _ -> d)
+  | X_promote x ->
+    let { direct; fetch } = instantiate x in
+    computed (fun d bt lo n ->
+        let a = fetch bt lo n and sel = bt.Batch.sel in
+        for i = 0 to n - 1 do
+          Array.unsafe_set d i (D.of_int (word_at direct a sel lo i))
+        done;
+        d)
+  | X_neg (_, x) ->
+    let { direct; fetch } = instantiate x in
+    computed (fun d bt lo n ->
+        let a = fetch bt lo n and sel = bt.Batch.sel in
+        for i = 0 to n - 1 do
+          Array.unsafe_set d i (-word_at direct a sel lo i)
+        done;
+        d)
+  | X_bin (_, op, xa, X_const (_, c)) ->
+    let { direct; fetch } = instantiate xa in
+    computed (fun d bt lo n ->
+        let a = fetch bt lo n and sel = bt.Batch.sel in
+        for i = 0 to n - 1 do
+          Array.unsafe_set d i (wapply op (word_at direct a sel lo i) c)
+        done;
+        d)
+  | X_bin (_, op, X_const (_, c), xb) ->
+    let { direct; fetch } = instantiate xb in
+    computed (fun d bt lo n ->
+        let b = fetch bt lo n and sel = bt.Batch.sel in
+        for i = 0 to n - 1 do
+          Array.unsafe_set d i (wapply op c (word_at direct b sel lo i))
+        done;
+        d)
+  | X_bin (_, op, xa, xb) ->
+    let wa = instantiate xa and wb = instantiate xb in
+    let da = wa.direct and db = wb.direct in
+    computed (fun d bt lo n ->
+        let a = wa.fetch bt lo n in
+        let b = wb.fetch bt lo n in
+        let sel = bt.Batch.sel in
+        for i = 0 to n - 1 do
+          Array.unsafe_set d i (wapply op (word_at da a sel lo i) (word_at db b sel lo i))
+        done;
+        d)
+
+(* ---- group-id tables -------------------------------------------------- *)
+
+(* How a group's key is held. Int-like keys are words: equal words mean
+   equal boxed key lists, because each position's kind is fixed and boxing
+   is injective per kind. One key is its word; up to seven Char keys pack
+   8 bits each into one int (TPC-H Q1; seven fit OCaml's 63 bits); other
+   int-like keys are an int array; everything else (strings, bools, Null,
+   boxed columns) is the boxed key list itself. *)
+type key_shape = No_key | Word of Batch.kind | Chars of int | Words of Batch.kind array | Boxed
+
+let key_shape kinds =
+  let n = List.length kinds in
+  if n = 0 then No_key
+  else if not (List.for_all int_like kinds) then Boxed
+  else if n = 1 then Word (List.hd kinds)
+  else if n <= 7 && List.for_all (fun k -> k = Batch.K_char) kinds then Chars n
+  else Words (Array.of_list kinds)
+
+let pack_char key w = (key lsl 8) lor (w land 0xFF)
+
+(* What one aggregate keeps per group. A word cell starts at its fold's
+   identity (0, or the far extreme, which the first value always
+   replaces); a value cell is [Aggregate]'s accumulator verbatim, starting
+   at Null. A group exists only once a row made it, so no cell needs
+   [Aggregate]'s empty case, and the row count is kept once per group. *)
+type cell =
+  | Count
+  | Sum_word of Batch.kind
+  | Avg_word of Batch.kind
+  | Min_word of Batch.kind
+  | Max_word of Batch.kind
+  | Sum_val
+  | Avg_val
+  | Ext_val
+
+let cell_init = function Min_word _ -> max_int | Max_word _ -> min_int | _ -> 0
+
+type open_ix = { mutable slots : int array; mutable shift : int }
+
+type index =
+  | Single
+  | Open of open_ix  (* slot → group id, or -1 *)
+  | By_words of (int array, int) Hashtbl.t
+  | By_boxed of (Value.t list, int) Hashtbl.t
+
+type table = {
+  shape : key_shape;
+  cells : cell array;
+  index : index;
+  mutable groups : int;
+  mutable rows : int array;
+  words : int array array;
+  vals : Value.t array array;
+  mutable keys : int array;
+  mutable boxed_keys : Value.t list array;
 }
+
+let create_table shape cells =
+  let cap = 8 in
+  let word_cell = function Sum_word _ | Avg_word _ | Min_word _ | Max_word _ -> true | _ -> false in
+  let val_cell = function Sum_val | Avg_val | Ext_val -> true | _ -> false in
+  let word_key = match shape with Word _ | Chars _ -> true | _ -> false in
+  let list_key = match shape with Words _ | Boxed -> true | _ -> false in
+  {
+    shape;
+    cells;
+    index =
+      (match shape with
+      | No_key -> Single
+      | Word _ | Chars _ -> Open { slots = Array.make 16 (-1); shift = Sys.int_size - 4 }
+      | Words _ -> By_words (Hashtbl.create 64)
+      | Boxed -> By_boxed (Hashtbl.create 64));
+    groups = 0;
+    rows = Array.make cap 0;
+    words = Array.map (fun c -> if word_cell c then Array.make cap (cell_init c) else [||]) cells;
+    vals = Array.map (fun c -> if val_cell c then Array.make cap Value.Null else [||]) cells;
+    keys = (if word_key then Array.make cap 0 else [||]);
+    boxed_keys = (if list_key then Array.make cap [] else [||]);
+  }
+
+(* Double a per-group array that is in use (non-empty), keeping [n]. *)
+let extend a n fill =
+  if Array.length a = 0 then a
+  else begin
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+let new_group t =
+  let id = t.groups in
+  if id = Array.length t.rows then begin
+    t.rows <- extend t.rows id 0;
+    Array.iteri (fun j a -> t.words.(j) <- extend a id (cell_init t.cells.(j))) t.words;
+    Array.iteri (fun j a -> t.vals.(j) <- extend a id Value.Null) t.vals;
+    t.keys <- extend t.keys id 0;
+    t.boxed_keys <- extend t.boxed_keys id []
+  end;
+  t.groups <- id + 1;
+  id
+
+(* Fibonacci hashing: the top bits of the key times 2^62/φ (odd). *)
+let[@inline] slot_of key shift = (key * 0x278DDE6E5FD29F05) lsr shift
+
+let rehash t o =
+  let size = 2 * Array.length o.slots in
+  let slots = Array.make size (-1) in
+  o.shift <- o.shift - 1;
+  for id = 0 to t.groups - 1 do
+    let h = ref (slot_of t.keys.(id) o.shift) in
+    while slots.(!h) >= 0 do
+      h := (!h + 1) land (size - 1)
+    done;
+    slots.(!h) <- id
+  done;
+  o.slots <- slots
+
+(* A miss from [id_of_word]: probe on from slot [h]; make the group if the
+   key is new. *)
+let id_of_word_probe t o key h =
+  let slots = o.slots in
+  let mask = Array.length slots - 1 in
+  let h = ref h in
+  let id = ref (Array.unsafe_get slots !h) in
+  while !id >= 0 && Array.unsafe_get t.keys !id <> key do
+    h := (!h + 1) land mask;
+    id := Array.unsafe_get slots !h
+  done;
+  if !id >= 0 then !id
+  else begin
+    let id = new_group t in
+    Array.unsafe_set t.keys id key;
+    Array.unsafe_set slots !h id;
+    if 2 * t.groups > Array.length slots then rehash t o;
+    id
+  end
+
+(* The hit at the key's own slot is inlined into callers (compiled plans
+   included); everything else takes [id_of_word_probe]. *)
+let[@inline] id_of_word t key =
+  match t.index with
+  | Open o ->
+    let h = slot_of key o.shift in
+    let id = Array.unsafe_get o.slots h in
+    if id >= 0 && Array.unsafe_get t.keys id = key then id else id_of_word_probe t o key h
+  | _ -> invalid_arg "Kernel.id_of_word: the key is not one word"
+
+let id_of_none t = if t.groups = 0 then new_group t else 0
+
+let id_of_words t key =
+  match (t.index, t.shape) with
+  | By_words h, Words kinds -> (
+    match Hashtbl.find_opt h key with
+    | Some id -> id
+    | None ->
+      let id = new_group t in
+      t.boxed_keys.(id) <- List.init (Array.length kinds) (fun j -> box_of_kind kinds.(j) key.(j));
+      Hashtbl.add h key id;
+      id)
+  | _ -> invalid_arg "Kernel.id_of_words: the key is not an int array"
+
+let id_of_boxed t key =
+  match t.index with
+  | By_boxed h -> (
+    match Hashtbl.find_opt h key with
+    | Some id -> id
+    | None ->
+      let id = new_group t in
+      t.boxed_keys.(id) <- key;
+      Hashtbl.add h key id;
+      id)
+  | _ -> invalid_arg "Kernel.id_of_boxed: the key is not boxed"
 
 let promote_dec = function Value.Int x -> Value.Dec (D.of_int x) | v -> v
 
-let generic_kernel update finish prep_g =
-  {
-    ak_fresh = (fun () -> VC_gen { count = 0; acc = Value.Null });
-    ak_prep =
-      (fun bt ->
-        let g = prep_g bt in
-        fun cell i -> match cell with VC_gen c -> update c (g i) | _ -> assert false);
-    ak_finish = (function VC_gen c -> finish c | _ -> assert false);
-  }
+let group_key t id =
+  match t.shape with
+  | No_key -> []
+  | Word k -> [ box_of_kind k t.keys.(id) ]
+  | Chars n ->
+    let w = t.keys.(id) in
+    List.init n (fun j -> Value.Str (Batch.char_str ((w lsr (8 * (n - 1 - j))) land 0xFF)))
+  | Words _ | Boxed -> t.boxed_keys.(id)
 
-let compile_agg ~schema ~kinds agg : agg_kernel =
+let finish_cell t j id =
+  let n = t.rows.(id) in
+  match t.cells.(j) with
+  | Count -> Value.Int n
+  | Sum_word k | Min_word k | Max_word k -> box_of_kind k t.words.(j).(id)
+  | Avg_word k -> Value.div (promote_dec (box_of_kind k t.words.(j).(id))) (Value.Int n)
+  | Sum_val | Ext_val -> t.vals.(j).(id)
+  | Avg_val -> Value.div (promote_dec t.vals.(j).(id)) (Value.Int n)
+
+let iter_groups t push =
+  for id = 0 to t.groups - 1 do
+    push
+      (Array.append
+         (Array.of_list (group_key t id))
+         (Array.init (Array.length t.cells) (fun j -> finish_cell t j id)))
+  done
+
+(* ---- aggregation ------------------------------------------------------ *)
+
+(* One aggregate over a table: its cell, its per-row update (per chunk,
+   then per group id and position; [None] for Count, which the row count
+   already is) and, for a word cell, its operand as a chunk expression. *)
+type agg = {
+  cell : cell;
+  update : (table -> Batch.t -> int -> int -> unit) option;
+  operand : wx option;
+}
+
+let compile_agg ~schema ~kinds j agg =
   let value e = compile_value ~schema ~kinds e in
+  let word_cell cell e p =
+    let update : table -> Batch.t -> int -> int -> unit =
+      match cell with
+      | Sum_word _ | Avg_word _ ->
+        (* Null never enters a typed column, so the scalar cell's
+           Null-to-first-value step is a plain running sum; Int overflow
+           wraps exactly like [( + )] in [Value.add]. *)
+        fun t bt ->
+          let g = p bt in
+          fun id i ->
+            let v = g i in
+            let w = Array.unsafe_get t.words j in
+            Array.unsafe_set w id (Array.unsafe_get w id + v)
+      | Min_word _ ->
+        fun t bt ->
+          let g = p bt in
+          fun id i ->
+            let v = g i in
+            let w = Array.unsafe_get t.words j in
+            if v < Array.unsafe_get w id then Array.unsafe_set w id v
+      | _ ->
+        fun t bt ->
+          let g = p bt in
+          fun id i ->
+            let v = g i in
+            let w = Array.unsafe_get t.words j in
+            if v > Array.unsafe_get w id then Array.unsafe_set w id v
+    in
+    { cell; update = Some update; operand = chunk_expr ~schema ~kinds e }
+  in
+  (* [Aggregate]'s cell verbatim: Sum over a Date column is legal for a
+     single row and raises on the second, which this keeps bit-exact. *)
+  let val_cell cell step ev =
+    let prep = boxed_of_ev ev in
+    let update t bt =
+      let g = prep bt in
+      fun id i ->
+        let v = g i in
+        let a = Array.unsafe_get t.vals j in
+        step a id v
+    in
+    { cell; update = Some update; operand = None }
+  in
+  let sum a id v =
+    let acc = Array.unsafe_get a id in
+    Array.unsafe_set a id (if acc = Value.Null then v else Value.add acc v)
+  in
+  let ext better a id v =
+    let acc = Array.unsafe_get a id in
+    if acc = Value.Null || better (Value.compare v acc) then Array.unsafe_set a id v
+  in
   match agg with
-  | Plan.Count ->
-    {
-      ak_fresh = (fun () -> VC_num { n = 0; s = 0 });
-      ak_prep =
-        (fun _ cell _ -> match cell with VC_num c -> c.n <- c.n + 1 | _ -> assert false);
-      ak_finish = (function VC_num c -> Value.Int c.n | _ -> assert false);
-    }
+  | Plan.Count -> { cell = Count; update = None; operand = None }
   | Plan.Sum e | Plan.Avg e -> (
-    let is_avg = match agg with Plan.Avg _ -> true | _ -> false in
-    match value e with
-    | E_ints ((Batch.K_int | Batch.K_dec) as k, prep) ->
-      (* Null never enters a typed column, so the scalar cell's
-         Null-to-first-value transition collapses to a plain running sum;
-         Int overflow wraps exactly like [( + )] in [Value.add]. *)
-      let box = if k = Batch.K_int then fun s -> Value.Int s else fun s -> Value.Dec s in
-      {
-        ak_fresh = (fun () -> VC_num { n = 0; s = 0 });
-        ak_prep =
-          (fun bt ->
-            let g = prep bt in
-            fun cell i ->
-              match cell with
-              | VC_num c ->
-                c.n <- c.n + 1;
-                c.s <- c.s + g i
-              | _ -> assert false);
-        ak_finish =
-          (function
-          | VC_num c ->
-            if c.n = 0 then Value.Null
-            else if is_avg then Value.div (promote_dec (box c.s)) (Value.Int c.n)
-            else box c.s
-          | _ -> assert false);
-      }
-    | ev ->
-      (* [Aggregate]'s cell verbatim: Sum over a Date column is legal for a
-         single row and raises on the second — the generic path keeps that
-         quirk bit-exact. *)
-      generic_kernel
-        (fun c v ->
-          c.count <- c.count + 1;
-          c.acc <- (if c.acc = Value.Null then v else Value.add c.acc v))
-        (fun c ->
-          if not is_avg then c.acc
-          else if c.count = 0 then Value.Null
-          else Value.div (promote_dec c.acc) (Value.Int c.count))
-        (boxed_of_ev ev))
+    let avg = match agg with Plan.Avg _ -> true | _ -> false in
+    let ev = value e in
+    match num_side ~dates:false ev with
+    | Some (k, p) -> word_cell (if avg then Avg_word k else Sum_word k) e p
+    | None -> val_cell (if avg then Avg_val else Sum_val) sum ev)
   | Plan.Min e | Plan.Max e -> (
-    let want = match agg with Plan.Min _ -> -1 | _ -> 1 in
-    match value e with
-    | E_ints (k, prep) when int_like k ->
-      let box = box_of_kind k in
-      {
-        ak_fresh = (fun () -> VC_ext { n = 0; m = 0 });
-        ak_prep =
-          (fun bt ->
-            let g = prep bt in
-            fun cell i ->
-              match cell with
-              | VC_ext c ->
-                let v = g i in
-                if c.n = 0 || Int.compare v c.m = want then c.m <- v;
-                c.n <- c.n + 1
-              | _ -> assert false);
-        ak_finish =
-          (function VC_ext c -> if c.n = 0 then Value.Null else box c.m | _ -> assert false);
-      }
-    | ev ->
-      generic_kernel
-        (fun c v -> if c.acc = Value.Null || Value.compare v c.acc = want then c.acc <- v)
-        (fun c -> c.acc)
-        (boxed_of_ev ev))
+    let min = match agg with Plan.Min _ -> true | _ -> false in
+    let ev = value e in
+    match num_side ~dates:true ev with
+    | Some (k, p) -> word_cell (if min then Min_word k else Max_word k) e p
+    | None -> val_cell Ext_val (ext (if min then fun c -> c < 0 else fun c -> c > 0)) ev)
 
-(* ---- group tables ----------------------------------------------------- *)
+(* One slice of a word cell's updates: position [lo + i] adds (or
+   offers) its operand word to group [ids.(i)]. *)
+let chunk_update t j cell { direct; fetch } bt lo n (ids : int array) =
+  let w = t.words.(j) and vs = fetch bt lo n and sel = bt.Batch.sel in
+  match cell with
+  | Sum_word _ | Avg_word _ ->
+    for i = 0 to n - 1 do
+      let g = Array.unsafe_get ids i in
+      Array.unsafe_set w g (Array.unsafe_get w g + word_at direct vs sel lo i)
+    done
+  | Min_word _ ->
+    for i = 0 to n - 1 do
+      let g = Array.unsafe_get ids i and v = word_at direct vs sel lo i in
+      if v < Array.unsafe_get w g then Array.unsafe_set w g v
+    done
+  | Max_word _ ->
+    for i = 0 to n - 1 do
+      let g = Array.unsafe_get ids i and v = word_at direct vs sel lo i in
+      if v > Array.unsafe_get w g then Array.unsafe_set w g v
+    done
+  | Count | Sum_val | Avg_val | Ext_val -> ()
 
-type groups = { add : Batch.t -> int -> unit; iter : (Value.t array -> unit) -> unit }
-
-module IH = Hashtbl.Make (Int)
+type groups = {
+  add : Batch.t -> int -> unit;
+  add_chunk : (Batch.t -> unit) option;
+  iter : (Value.t array -> unit) -> unit;
+}
 
 let group_table ~schema ~kinds ~keys ~aggs =
   let key_evs = Array.of_list (List.map (compile_value ~schema ~kinds) keys) in
-  let kernels = Array.of_list (List.map (compile_agg ~schema ~kinds) aggs) in
-  let nkeys = Array.length key_evs and naggs = Array.length kernels in
-  (* A table is a [lookup]: given the list that records new groups, it
-     makes a fresh table and returns the per-chunk key binding that maps a
-     position to its group's cells. Per row the key is read first, then
-     every aggregate cell updates in aggregate order. *)
-  let make lookup () =
-    let entries = ref [] in
-    let find = lookup entries in
-    let add bt =
-      let find = find bt in
-      let upds = Array.map (fun k -> k.ak_prep bt) kernels in
-      fun i ->
-        let cells = find i in
-        for a = 0 to naggs - 1 do
-          (Array.unsafe_get upds a) (Array.unsafe_get cells a) i
-        done
-    in
-    let iter push =
-      List.iter
-        (fun (boxed_key, cells) ->
-          push
-            (Array.append (Array.of_list boxed_key)
-               (Array.init naggs (fun a -> kernels.(a).ak_finish cells.(a)))))
-        (List.rev !entries)
-    in
-    { add; iter }
+  let nkeys = Array.length key_evs in
+  let shape = key_shape (Array.to_list (Array.map kind_of_ev key_evs)) in
+  let aggs = Array.of_list (List.mapi (compile_agg ~schema ~kinds) aggs) in
+  let cells = Array.map (fun a -> a.cell) aggs in
+  let updates = Array.of_list (List.filter_map (fun a -> a.update) (Array.to_list aggs)) in
+  let word_keys () =
+    Array.map
+      (fun ev -> match num_side ~dates:true ev with Some (_, p) -> p | None -> assert false)
+      key_evs
   in
-  let new_group entries boxed_key =
-    let cells = Array.map (fun k -> k.ak_fresh ()) kernels in
-    entries := (boxed_key, cells) :: !entries;
-    cells
+  (* Per row: the key is read first, then every aggregate updates in
+     aggregate order. *)
+  let find : table -> Batch.t -> int -> int =
+    match shape with
+    | No_key -> fun t _ _ -> id_of_none t
+    | Word _ ->
+      let p = (word_keys ()).(0) in
+      fun t bt ->
+        let g = p bt in
+        fun i -> id_of_word t (g i)
+    | Chars _ ->
+      let ps = word_keys () in
+      fun t bt ->
+        let gs = Array.map (fun p -> p bt) ps in
+        fun i ->
+          let key = ref 0 in
+          for j = 0 to nkeys - 1 do
+            key := pack_char !key ((Array.unsafe_get gs j) i)
+          done;
+          id_of_word t !key
+    | Words _ ->
+      let ps = word_keys () in
+      fun t bt ->
+        let gs = Array.map (fun p -> p bt) ps in
+        fun i -> id_of_words t (Array.init nkeys (fun j -> gs.(j) i))
+    | Boxed ->
+      let gs = Array.map boxed_of_ev key_evs in
+      fun t bt ->
+        let gs = Array.map (fun g -> g bt) gs in
+        fun i -> id_of_boxed t (Array.to_list (Array.map (fun g -> g i) gs))
   in
-  (* Unboxed grouping when every key is int-like: structural equality of
-     the packed int key coincides with structural equality of the boxed key
-     list, because each position's kind is fixed and boxing is injective per
-     kind. Char-only keys (TPC-H Q1) pack 8 bits each into a single int —
-     zero allocation per row; seven fit OCaml's 63-bit int. *)
-  let int_key_sides =
-    let sides = Array.map (num_side ~dates:true) key_evs in
-    if nkeys > 0 && Array.for_all Option.is_some sides then Some (Array.map Option.get sides)
-    else None
+  let add t bt =
+    let find = find t bt in
+    let upds = Array.map (fun u -> u t bt) updates in
+    fun i ->
+      let id = find i in
+      let rows = t.rows in
+      Array.unsafe_set rows id (Array.unsafe_get rows id + 1);
+      for a = 0 to Array.length upds - 1 do
+        (Array.unsafe_get upds a) id i
+      done
   in
-  match int_key_sides with
-  | Some sides when nkeys <= 7 && Array.for_all (fun (k, _) -> k = Batch.K_char) sides ->
-    make (fun entries ->
-        let groups = IH.create 64 in
-        fun bt ->
-          let gs = Array.map (fun (_, p) -> p bt) sides in
-          fun i ->
-            let key = ref 0 in
-            for j = 0 to nkeys - 1 do
-              key := (!key lsl 8) lor ((Array.unsafe_get gs j) i land 0xFF)
+  (* A whole chunk at a time when the key is a word (or absent) and every
+     cell is Count or a word cell with a chunk operand: one pass assigns
+     each position its group id, in position order (so ids stay
+     first-seen), then each aggregate runs one loop over its operand's
+     words. The only raise a chunk expression has is Division_by_zero,
+     so evaluating keys and aggregates column by column instead of row by
+     row raises exactly when, and what, the row order would. *)
+  let chunk_keys =
+    match shape with
+    | No_key | Word _ | Chars _ ->
+      let xs = List.filter_map (chunk_expr ~schema ~kinds) keys in
+      if List.length xs = nkeys then Some (Array.of_list xs) else None
+    | Words _ | Boxed -> None
+  in
+  let chunk_ops =
+    List.fold_right
+      (fun (j, a) acc ->
+        match (acc, a.cell, a.operand) with
+        | Some ops, Count, _ -> Some ops
+        | Some ops, _, Some x -> Some ((j, x) :: ops)
+        | _ -> None)
+      (List.mapi (fun j a -> (j, a)) (Array.to_list aggs))
+      (Some [])
+  in
+  let add_chunk =
+    match (chunk_keys, chunk_ops) with
+    | Some kxs, Some oxs ->
+      Some
+        (fun t ->
+          let kfs = Array.map instantiate kxs in
+          let ofs = List.map (fun (j, x) -> (j, instantiate x)) oxs in
+          let ids = Array.make slice 0 in
+          let add_slice bt lo n =
+            let sel = bt.Batch.sel in
+            (match shape with
+            | Word _ ->
+              let { direct; fetch } = kfs.(0) in
+              let ks = fetch bt lo n in
+              for i = 0 to n - 1 do
+                Array.unsafe_set ids i (id_of_word t (word_at direct ks sel lo i))
+              done
+            | Chars _ ->
+              let ks = Array.map (fun w -> w.fetch bt lo n) kfs in
+              for i = 0 to n - 1 do
+                let key = ref 0 in
+                for j = 0 to nkeys - 1 do
+                  let w = Array.unsafe_get kfs j in
+                  key := pack_char !key (word_at w.direct (Array.unsafe_get ks j) sel lo i)
+                done;
+                Array.unsafe_set ids i (id_of_word t !key)
+              done
+            | _ ->
+              ignore (id_of_none t : int);
+              Array.fill ids 0 n 0);
+            let rows = t.rows in
+            for i = 0 to n - 1 do
+              let g = Array.unsafe_get ids i in
+              Array.unsafe_set rows g (Array.unsafe_get rows g + 1)
             done;
-            match IH.find_opt groups !key with
-            | Some cells -> cells
-            | None ->
-              let boxed = List.init nkeys (fun j -> Value.Str (Batch.char_str (gs.(j) i))) in
-              let cells = new_group entries boxed in
-              IH.add groups !key cells;
-              cells)
-  | Some sides ->
-    let boxers = Array.map (fun (k, _) -> box_of_kind k) sides in
-    make (fun entries ->
-        let groups : (int array, vcell array) Hashtbl.t = Hashtbl.create 256 in
-        fun bt ->
-          let gs = Array.map (fun (_, p) -> p bt) sides in
-          fun i ->
-            let key = Array.init nkeys (fun j -> gs.(j) i) in
-            match Hashtbl.find_opt groups key with
-            | Some cells -> cells
-            | None ->
-              let cells = new_group entries (List.init nkeys (fun j -> boxers.(j) key.(j))) in
-              Hashtbl.add groups key cells;
-              cells)
-  | None ->
-    (* Boxed keys — exactly the row engines' key list, covering Null,
-       strings, mixed kinds and the zero-key aggregate. *)
-    let key_gs = Array.map boxed_of_ev key_evs in
-    make (fun entries ->
-        let groups : (Value.t list, vcell array) Hashtbl.t = Hashtbl.create 256 in
-        fun bt ->
-          let gs = Array.map (fun g -> g bt) key_gs in
-          fun i ->
-            let key = Array.to_list (Array.map (fun g -> g i) gs) in
-            match Hashtbl.find_opt groups key with
-            | Some cells -> cells
-            | None ->
-              let cells = new_group entries key in
-              Hashtbl.add groups key cells;
-              cells)
+            List.iter (fun (j, w) -> chunk_update t j cells.(j) w bt lo n ids) ofs
+          in
+          fun bt ->
+            let lo = ref 0 in
+            while !lo < bt.Batch.len do
+              let n = min slice (bt.Batch.len - !lo) in
+              add_slice bt !lo n;
+              lo := !lo + n
+            done)
+    | _ -> None
+  in
+  fun () ->
+    let t = create_table shape cells in
+    { add = add t; add_chunk = Option.map (fun mk -> mk t) add_chunk; iter = iter_groups t }
 
 (* ---- column needs ----------------------------------------------------- *)
 

@@ -1,5 +1,6 @@
 (** Typed evaluation over column chunks, shared by {!Vector} (a chunk at a
-    time) and {!Fuse} (one row at a time).
+    time) and {!Fuse} (one row at a time); compiled plans ({!Codegen}) call
+    its group-id table.
 
     Every compiled piece binds a chunk once — its typed arrays and
     selection vector — and then evaluates by selection {e position}
@@ -43,10 +44,80 @@ val compile_test :
 (** Per-row predicate test. [And] and [Between] evaluate their right side
     only on rows the left side keeps, like the scalar [&&]. *)
 
+(** {2 Group-id tables}
+
+    One table serves every engine's group-by: Vector and Fuse through
+    {!group_table}, compiled plans by calling it from the generated code.
+    Groups get dense ids in first-seen order; each aggregate keeps a flat
+    array indexed by id. *)
+
+type key_shape =
+  | No_key  (** a global aggregate: group 0, no table *)
+  | Word of Batch.kind  (** one int-like key: its word *)
+  | Chars of int  (** 2–7 Char keys, 8 bits each in one word ({!pack_char}) *)
+  | Words of Batch.kind array  (** other int-like keys: an int array *)
+  | Boxed  (** anything else: the boxed key list *)
+
+val key_shape : Batch.kind list -> key_shape
+(** The shape of a key with these kinds; the one place the rule lives. *)
+
+val pack_char : int -> int -> int
+(** [pack_char key w] appends Char word [w] to a packed key (start at 0). *)
+
+(** Per-group state of one aggregate. Word cells hold an Int/Dec sum or an
+    int-like extremum (starting at the far extreme); value cells hold
+    {!Aggregate}'s boxed accumulator, starting at [Null]. Every group has
+    a row count. *)
+type cell =
+  | Count
+  | Sum_word of Batch.kind
+  | Avg_word of Batch.kind
+  | Min_word of Batch.kind
+  | Max_word of Batch.kind
+  | Sum_val
+  | Avg_val
+  | Ext_val  (** Min or Max *)
+
+type index
+
+type table = private {
+  shape : key_shape;
+  cells : cell array;
+  index : index;
+  mutable groups : int;  (** ids are [0 .. groups - 1] *)
+  mutable rows : int array;  (** rows per group id *)
+  words : int array array;  (** per aggregate: its word per group id *)
+  vals : Value.t array array;  (** per aggregate: its accumulator per group id *)
+  mutable keys : int array;
+  mutable boxed_keys : Value.t list array;
+}
+(** Read the per-group arrays through the record after each [id_of_*]
+    call: a new group may replace them with larger ones. *)
+
+val create_table : key_shape -> cell array -> table
+
+val id_of_word : table -> int -> int
+(** The group id of a [Word] or [Chars] key, made on first sight:
+    open addressing with an inline multiplicative hash. *)
+
+val id_of_none : table -> int
+(** Group 0 of a [No_key] table, made by the first row. *)
+
+val id_of_words : table -> int array -> int
+val id_of_boxed : table -> Value.t list -> int
+
+val iter_groups : table -> (Value.t array -> unit) -> unit
+(** One finished row per group (keys, then aggregates), in id order. *)
+
 type groups = {
   add : Batch.t -> int -> unit;
       (** per chunk, then per row: evaluate the keys, then update every
           aggregate in order *)
+  add_chunk : (Batch.t -> unit) option;
+      (** the whole chunk at once, when the key is absent or a word and
+          every aggregate is Count or a typed Sum/Avg/Min/Max whose operand
+          is typed arithmetic over columns and constants; [None]
+          otherwise *)
   iter : (Value.t array -> unit) -> unit;
       (** one finished row per group (keys then aggregates), in first-seen
           order *)
@@ -60,9 +131,7 @@ val group_table :
   unit ->
   groups
 (** Compiles the keys and aggregates once; each call of the unit makes an
-    empty table. Char-only keys (up to seven) pack into one int, other
-    int-like keys into an int array, everything else into the boxed key
-    list. *)
+    empty table. *)
 
 (** {2 Column needs}
 

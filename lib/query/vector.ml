@@ -6,7 +6,9 @@
    place with branchless write-then-conditionally-advance loops; the typed
    expression, predicate, aggregate and group-table code is [Kernel]'s,
    which Fuse runs one row at a time, so here it runs as "bind the chunk,
-   then loop over its positions".
+   then loop over its positions" — except a typed group-by, which
+   aggregates the whole chunk one loop per aggregate ([Kernel]'s
+   [add_chunk]).
 
    Exactness contract: every result row is bit-identical to Volcano's, in
    the same order. Typed kernels exist only where they provably reproduce
@@ -195,11 +197,19 @@ let rec compile ~batch_rows ~need plan : pipe =
     let ncols = List.length keys + List.length aggs in
     let run emit =
       let groups = table () in
-      up.run (fun bt ->
-          let add = groups.K.add bt in
-          for i = 0 to bt.Batch.len - 1 do
-            add i
-          done);
+      (match groups.K.add_chunk with
+      | Some add_chunk ->
+        up.run (fun bt ->
+            add_chunk bt;
+            match up.obs with
+            | Some o -> Smc_obs.add o Smc_obs.c_vec_agg_chunk_rows bt.Batch.len
+            | None -> ())
+      | None ->
+        up.run (fun bt ->
+            let add = groups.K.add bt in
+            for i = 0 to bt.Batch.len - 1 do
+              add i
+            done));
       batches_of ~ncols ~rows:batch_rows groups.K.iter emit
     in
     { schema = Plan.schema plan; kinds = all_any ncols; run; obs = up.obs }

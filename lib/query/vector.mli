@@ -21,7 +21,8 @@
     evaluate chunk by chunk.
 
     Filter selectivity is observable via the [vec_filter_rows_*] counters;
-    batch production via [vec_batches]/[vec_batch_rows] (see
+    batch production via [vec_batches]/[vec_batch_rows]; rows a group-by
+    aggregated a chunk at a time via [vec_agg_chunk_rows] (see
     docs/observability.md). *)
 
 val run : ?batch_rows:int -> Plan.t -> f:(Value.t array -> unit) -> unit

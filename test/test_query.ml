@@ -481,7 +481,7 @@ let test_codegen_renders () =
   check Alcotest.bool "emits a loadable plugin" true
     (String.length src > 0 && contains "let query" && contains "Codegen_abi.register");
   check Alcotest.bool "predicate is inlined, not a closure chain" true
-    (contains "V.compare" && contains "Hashtbl.find_opt");
+    (contains "V.compare" && contains "K.id_of_boxed");
   check Alcotest.int "operator count" 3 (Codegen.operator_count plan);
   (* on a native host the compiled path must execute — not just render —
      and agree with the interpreter bit for bit; a native host that cannot

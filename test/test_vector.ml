@@ -50,6 +50,9 @@ let check_parity name plan =
   check rows_testable (name ^ ": compiled = volcano") reference (Codegen.collect plan);
   reference
 
+let outcome collect plan =
+  match collect plan with rows -> Ok rows | exception e -> Error (Printexc.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* A collection with every column kind, plus a Null-bearing computed
    column; a third of the rows removed so selection vectors have holes. *)
@@ -283,6 +286,132 @@ let test_group_by_shapes () =
                   [ ("mns", Min (Expr.Col "s")); ("mxs", Max (Expr.Col "s")) ]
                 (scan src)) );
         ])
+
+(* Vector aggregates a typed group-by a whole chunk at a time: one pass
+   assigns group ids, then one loop per aggregate over its operand's
+   words. These shapes take that path, so ids must stay first-seen across
+   chunk boundaries, promotion must match [Value]'s, and the group-id
+   table must grow without losing or reordering groups. *)
+let q1_aggs =
+  Plan.
+    [
+      ("sum_d", Sum (Expr.Col "d"));
+      ("sum_k", Sum (Expr.Col "k"));
+      ("disc", Sum Expr.(Mul (Col "d", Sub (dec "1.00", Col "d"))));
+      ("disc_int", Sum Expr.(Mul (Col "d", Sub (int 1, Col "d"))));
+      ("k_plus_d", Sum Expr.(Add (Col "k", Col "d")));
+      ("avg_d", Avg (Expr.Col "d"));
+      ("avg_k", Avg Expr.(Neg (Col "k")));
+      ("n", Count);
+    ]
+
+let test_group_kernels () =
+  List.iter
+    (fun (cname, placement, mode) ->
+      let _rt, coll = build ~placement ~mode ~n:100 () in
+      let src = Source.of_smc coll ~columns:(columns @ [ ("kc", Source.C_char fk) ]) in
+      let col c = (c, Expr.Col c) in
+      let plans =
+        Plan.
+          [
+            ( "q1 shape",
+              group_by ~keys:[ col "c"; col "kc" ] ~aggs:q1_aggs
+                (where Expr.(Le (Col "dt", Const (Value.Date 10060))) (scan src)) );
+            ("date key", group_by ~keys:[ col "dt" ] ~aggs:q1_aggs (scan src));
+            ("typed zero-key", group_by ~keys:[] ~aggs:q1_aggs (scan src));
+            ( "min/max under char keys",
+              group_by
+                ~keys:[ col "c"; col "kc" ]
+                ~aggs:
+                  [
+                    ("mn_d", Min (Expr.Col "d"));
+                    ("mx_d", Max (Expr.Col "d"));
+                    ("mn_k", Min Expr.(Sub (Col "k", int 50)));
+                    ("mx_k", Max (Expr.Col "k"));
+                    ("mn_dt", Min (Expr.Col "dt"));
+                    ("mx_dt", Max (Expr.Col "dt"));
+                    ("mn_c", Min (Expr.Col "c"));
+                    ("mx_kc", Max (Expr.Col "kc"));
+                  ]
+                (scan src) );
+          ]
+      in
+      List.iter
+        (fun (n, plan) ->
+          let name = cname ^ " " ^ n in
+          let reference = check_parity name plan in
+          check rows_testable (name ^ ": vector[7] = volcano") reference
+            (Vector.collect ~batch_rows:7 plan))
+        plans)
+    configs;
+  (* one int key per row: the table grows from 16 slots past 5,000 groups *)
+  let _rt, coll = build ~placement:Block.Columnar ~mode:Context.Indirect ~n:7600 () in
+  let src = Source.of_smc coll ~columns in
+  let plan =
+    Plan.(
+      group_by
+        ~keys:[ ("k", Expr.Col "k") ]
+        ~aggs:
+          [
+            ("n", Count);
+            ("sum_d", Sum (Expr.Col "d"));
+            ("mn_dt", Min (Expr.Col "dt"));
+            ("mx_c", Max (Expr.Col "c"));
+          ]
+        (scan src))
+  in
+  let reference = check_parity "many groups" plan in
+  check Alcotest.bool "many groups: more than 5,000" true (List.length reference > 5000);
+  check rows_testable "many groups: vector[7] = volcano" reference
+    (Vector.collect ~batch_rows:7 plan)
+
+(* A grouped division by a zero column raises Division_by_zero on every
+   engine, through the chunk loops too. *)
+let test_group_div_by_zero () =
+  let dz =
+    Smc_offheap.Layout.create ~name:"dz"
+      [ ("k", Smc_offheap.Layout.Int); ("zero", Smc_offheap.Layout.Int); ("c", Smc_offheap.Layout.Int) ]
+  in
+  let zk = Smc.Field.int dz "k" and zz = Smc.Field.int dz "zero" and zc = Smc.Field.int dz "c" in
+  let rt = Smc_offheap.Runtime.create () in
+  let coll = Smc.Collection.create rt ~name:"dz" ~layout:dz ~slots_per_block:16 () in
+  for i = 0 to 39 do
+    ignore
+      (Smc.Collection.add coll ~init:(fun blk slot ->
+           Smc.Field.set_int zk blk slot (i + 1);
+           Smc.Field.set_int zz blk slot 0;
+           Smc.Field.set_int zc blk slot (Char.code 'a' + (i mod 4)))
+        : Smc.Ref.t)
+  done;
+  let src =
+    Source.of_smc coll
+      ~columns:[ ("k", Source.C_int zk); ("zero", Source.C_int zz); ("c", Source.C_char zc) ]
+  in
+  let by_zero =
+    [
+      ("int", Expr.(Div (Col "k", Col "zero")));
+      ("dec", Expr.(Div (Mul (Col "k", dec "1.50"), Col "zero")));
+    ]
+  in
+  List.iter
+    (fun (n, e) ->
+      let plan =
+        Plan.(group_by ~keys:[ ("c", Expr.Col "c") ] ~aggs:[ ("n", Count); ("s", Sum e) ] (scan src))
+      in
+      List.iter
+        (fun (engine, collect) ->
+          check
+            (Alcotest.result rows_testable Alcotest.string)
+            (Printf.sprintf "%s division by zero: %s" n engine)
+            (Error "Division_by_zero") (outcome collect plan))
+        [
+          ("volcano", Interp.collect);
+          ("fuse", Fuse.collect);
+          ("vector", fun p -> Vector.collect p);
+          ("vector[7]", Vector.collect ~batch_rows:7);
+          ("compiled", Codegen.collect);
+        ])
+    by_zero
 
 let test_row_operators () =
   with_configs (fun cname src ->
@@ -825,15 +954,32 @@ let test_vec_counters () =
     (g Smc_obs.c_vec_filter_rows_in)
     (g Smc_obs.c_vec_filter_rows_kept + g Smc_obs.c_vec_filter_rows_dropped);
   check (Alcotest.list Alcotest.string) "obs invariants hold" []
-    (Smc_check.Obs_check.check rt ~contexts:[ coll.Smc.Collection.ctx ])
+    (Smc_check.Obs_check.check rt ~contexts:[ coll.Smc.Collection.ctx ]);
+  (* Which group-by path ran: every row Q1's shape keeps goes through the
+     chunk kernels, and a boxed key sends none there. *)
+  let src = Source.of_smc coll ~columns:(columns @ [ ("kc", Source.C_char fk) ]) in
+  let grouped keys =
+    let snap0 = Smc_obs.snapshot obs in
+    ignore
+      (Vector.collect
+         Plan.(
+           group_by ~keys ~aggs:q1_aggs
+             (where Expr.(Le (Col "dt", Const (Value.Date 10060))) (scan src))));
+    Smc_obs.get (Smc_obs.diff (Smc_obs.snapshot obs) snap0)
+  in
+  let g = grouped [ ("c", Expr.Col "c"); ("kc", Expr.Col "kc") ] in
+  check Alcotest.bool "q1 shape keeps rows" true (g Smc_obs.c_vec_filter_rows_kept > 0);
+  check Alcotest.int "q1 shape: every kept row aggregated by the chunk kernels"
+    (g Smc_obs.c_vec_filter_rows_kept)
+    (g Smc_obs.c_vec_agg_chunk_rows);
+  let g = grouped [ ("s", Expr.Col "s") ] in
+  check Alcotest.int "boxed key: no row through the chunk kernels" 0
+    (g Smc_obs.c_vec_agg_chunk_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled plans: Scan leaves enter the plugin as typed column chunks,
    and every result must equal Fuse's (same rows, same order, the same
    exception when Fuse raises). *)
-
-let outcome collect plan =
-  match collect plan with rows -> Ok rows | exception e -> Error (Printexc.to_string e)
 
 let check_compiled name plan =
   require_native plan;
@@ -867,6 +1013,13 @@ let compiled_plans src =
           ]
           (w Expr.(Le (Col "dt", Const (Value.Date 10060)))) );
       ("date key", gb [ col "dt" ] [ ("n", Count); ("mx", Max (Expr.Col "k")) ] (scan src));
+      ("q1 aggregates, packed char keys", gb [ col "c"; col "kc" ] q1_aggs (scan src));
+      ( "min/max under char keys",
+        gb [ col "c"; col "kc" ]
+          [ ("mn_d", Min (Expr.Col "d")); ("mx_k", Max (Expr.Col "k")); ("mn_c", Min (Expr.Col "c")) ]
+          (scan src) );
+      ( "grouped division by zero",
+        gb [ col "c" ] [ ("s", Sum Expr.(Div (Col "k", Sub (Col "k", Col "k")))) ] (scan src) );
       ( "boxed cells",
         gb [ col "opt" ] [ ("so", Sum (Expr.Col "opt")); ("ao", Avg (Expr.Col "opt")) ] (scan src) );
       ("bool key", gb [ col "b" ] [ ("n", Count); ("mn", Min (Expr.Col "b")) ] (scan src));
@@ -1007,6 +1160,13 @@ let fuse_plans src =
       ("date sum, one row", gb [] [ ("s", Sum (Expr.Col "dt")) ] (w Expr.(Eq (Col "k", int 1))));
       ("date sum raises", gb [] [ ("s", Sum (Expr.Col "dt")) ] (scan src));
       ("char-packed keys", gb [ col "c"; col "kc" ] aggs (w Expr.(Ne (Col "opt", int 0))));
+      ("q1 aggregates, packed char keys", gb [ col "c"; col "kc" ] q1_aggs (scan src));
+      ( "min/max under char keys",
+        gb [ col "c"; col "kc" ]
+          [ ("mn_d", Min (Expr.Col "d")); ("mx_k", Max (Expr.Col "k")); ("mn_c", Min (Expr.Col "c")) ]
+          (scan src) );
+      ( "grouped division by zero",
+        gb [ col "c" ] [ ("s", Sum Expr.(Div (Col "k", Sub (Col "k", Col "k")))) ] (scan src) );
       ("int-array keys", gb [ col "c"; col "dt" ] aggs (scan src));
       ("boxed keys", gb [ col "s"; col "opt" ] aggs (scan src));
       ("zero-key aggregate", gb [] aggs (scan src));
@@ -1243,6 +1403,8 @@ let () =
           qc "fallback predicates" test_fallback_predicates;
           qc "select arithmetic" test_select_arithmetic;
           qc "group-by shapes" test_group_by_shapes;
+          qc "typed group-by kernels" test_group_kernels;
+          qc "grouped division by zero" test_group_div_by_zero;
           qc "row operators" test_row_operators;
           qc "of_array sources" test_of_array_sources;
           qc "error parity" test_error_parity;
