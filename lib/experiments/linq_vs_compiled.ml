@@ -6,9 +6,9 @@ type point = { query : string; engine : string; ms : float; vs_compiled_pct : fl
 
 let median_ms f = Stats.median (Timing.repeat ~warmup:1 3 (fun () -> ignore (Sys.opaque_identity (f ()))))
 
-let lineitem_source (db : Smc_tpch.Db_smc.t) =
+let lineitem_source ?pool ?domains (db : Smc_tpch.Db_smc.t) =
   let lf = db.Smc_tpch.Db_smc.lf in
-  Q.Source.of_smc db.Smc_tpch.Db_smc.lineitems
+  Q.Source.of_smc ?pool ?domains db.Smc_tpch.Db_smc.lineitems
     ~columns:
       Q.Source.
         [

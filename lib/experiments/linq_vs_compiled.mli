@@ -16,6 +16,9 @@ val table : point list -> Smc_util.Table.t
 (** The lineitem column bindings and Q1/Q6 plan shapes, shared with
     {!Vector_bench} so every engine comparison measures the same plans. *)
 
-val lineitem_source : Smc_tpch.Db_smc.t -> Smc_query.Source.t
+val lineitem_source :
+  ?pool:Smc_parallel.Pool.t -> ?domains:int -> Smc_tpch.Db_smc.t -> Smc_query.Source.t
+(** [?pool] and [?domains] as in {!Smc_query.Source.of_smc}. *)
+
 val q1_plan : Smc_query.Source.t -> Smc_query.Plan.t
 val q6_plan : Smc_query.Source.t -> Smc_query.Plan.t

@@ -5,8 +5,14 @@
     run as block-partitioned parallel scans ({!Smc_tpch.Q_smc.q1_par} /
     {!Smc_tpch.Q_smc.q6_par}) at each requested domain count, all drawing
     workers from one reusable pool so no run pays [Domain.spawn]. Speedup
-    is relative to the sequential baseline of the same query. Note the
-    parallel points can only scale up to the machine's core count
+    is relative to the sequential baseline of the same query. Then the
+    same queries as plans, through the planner on Vector, Fuse and
+    Compiled over a source whose group-bys run on that many workers
+    ({!Smc_query.Kernel.run_groups}): the median of five samples (each
+    point's {!Smc_util.Stats.summarize} line is printed as it is
+    measured), with the speedup over the same engine at the first domain
+    count. Note
+    the parallel points can only scale up to the machine's core count
     regardless of the requested domains. *)
 
 type point = { query : string; variant : string; domains : int; ms : float; speedup : float }

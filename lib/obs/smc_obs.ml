@@ -114,6 +114,7 @@ let c_mv_invalidations = 93 (* whole-view invalidations (non-incrementalizable d
 let c_vec_full_batches = 94 (* vec_batches chunks of full blocks, read without the directory *)
 let c_walk_moved_ranges = 95 (* target ranges enumerations scanned for completed sources *)
 let c_vec_agg_chunk_rows = 96 (* rows Vector's group-bys aggregated a whole chunk at a time *)
+let c_par_group_merges = 97 (* group-bys merged from two or more worker tables *)
 
 let all =
   [|
@@ -150,6 +151,7 @@ let all =
     ("pool_tasks", c_pool_tasks);
     ("par_scans", c_par_scans);
     ("par_workers", c_par_workers);
+    ("par_group_merges", c_par_group_merges);
     ("idx_inserts", c_idx_inserts);
     ("idx_probes", c_idx_probes);
     ("idx_hits", c_idx_hits);

@@ -42,6 +42,7 @@ val c_reloc_bails : int
 val c_pool_tasks : int
 val c_par_scans : int
 val c_par_workers : int
+val c_par_group_merges : int
 val c_idx_inserts : int
 val c_idx_probes : int
 val c_idx_hits : int

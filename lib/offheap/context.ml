@@ -701,7 +701,7 @@ let rec scan_range t blk lo hi ~scan =
     else scan blk lo hi (* aborted: the source kept its rows *)
   | _ -> if lo < hi && not blk.Block.dead then scan blk lo hi
 
-let walk w granularity ~scan =
+let walk_at w granularity ~scan =
   let t = w.w_ctx and { v_blocks; v_n; v_gen } = w.w_view in
   let epoch = t.rt.Runtime.epoch in
   let rec go () =
@@ -709,6 +709,7 @@ let walk w granularity ~scan =
     if i < v_n then begin
       let blk = v_blocks.(i) in
       let lo = if v_gen < blk.Block.sources_gone then blk.Block.moved_in else 0 in
+      let scan = scan i in
       (match granularity with
       | Whole_walk -> scan_range t blk lo blk.Block.nslots ~scan
       | Per_element ->
@@ -720,6 +721,8 @@ let walk w granularity ~scan =
     end
   in
   go ()
+
+let walk w granularity ~scan = walk_at w granularity ~scan:(fun _ -> scan)
 
 let iter_valid t ~f =
   walk (walk_start t) Whole_walk ~scan:(fun blk lo hi -> scan_slots blk ~lo ~hi ~f)
@@ -769,7 +772,7 @@ type chunk = {
   slots : sel;
   words : int array;
   masks : int array;
-  mutable dsts : int array array;
+  dsts : int array array;
 }
 
 let fill_chunk ?csn t blk ~start ~hi c =

@@ -197,6 +197,13 @@ val walk : walk -> granularity -> scan:(Block.t -> int -> int -> unit) -> unit
     semantics). [scan] filters the range's slots itself ({!scan_slots},
     {!fill_block}). *)
 
+val walk_at : walk -> granularity -> scan:(int -> Block.t -> int -> int -> unit) -> unit
+(** {!walk} that also names each range's view position: [scan i blk lo hi]
+    for the ranges of position [i]. A sequential walk visits positions in
+    increasing order and each range's slots in increasing order, so
+    (position, slot) orders the rows of any walk the way the sequential
+    walk would meet them. *)
+
 val scan_slots :
   ?csn:int -> Block.t -> lo:int -> hi:int -> f:(Block.t -> int -> unit) -> unit
 (** Applies [f] to every valid slot in [\[lo, hi)], or with [?csn] to every
@@ -220,9 +227,7 @@ type chunk = {
   slots : sel;  (** receives the slot index of each filled row; its [dim] is the chunk size *)
   words : int array;  (** word offset (in the layout) of each wanted word column *)
   masks : int array;  (** per word column: [0xFF] for a 1-byte char field, [-1] otherwise *)
-  mutable dsts : int array array;
-      (** per word column: destination, at least [dim slots] long; may be
-          swapped between batches *)
+  dsts : int array array;  (** per word column: destination, at least [dim slots] long *)
 }
 (** What one chunk fill writes: row [i] of a filled chunk is slot
     [slots.{i}], and [dsts.(w).(i)] is its word [words.(w)] [land]
@@ -240,8 +245,7 @@ val fill_block :
 (** Reads slots [\[lo, hi)] of one block as chunks: for each chunk with [count] > 0 surviving
     rows, fills the first [count] entries of [chunk.slots] and of every
     [chunk.dsts] column and calls [on_batch blk count], which must consume
-    them before returning (the buffers are reused unless it swaps
-    [chunk.dsts]). Survival means directory state [valid], or visibility
+    them before returning (the buffers are reused). Survival means directory state [valid], or visibility
     at the [?csn] frontier when given (same semantics as {!scan_slots}).
 
     Each chunk is one branchless pass that writes every slot's index and

@@ -15,41 +15,37 @@
 
 open Smc_offheap
 
-(* The shared worker skeleton: every worker runs the same walk; [scan acc]
-   receives the slot ranges of the positions the worker draws. *)
-let drive ?pool ?(domains = 0) (ctx : Context.t) ~init ~scan ~combine =
+(* The shared worker skeleton: every worker runs [work] on the same walk
+   and returns its private result; the results come back in worker
+   order. *)
+let run_workers ?pool ?(domains = 0) (ctx : Context.t) work =
   let w = Context.walk_start ctx in
   let obs = ctx.Context.rt.Runtime.obs in
   Smc_obs.incr obs Smc_obs.c_par_scans;
-  let run_worker acc =
+  let run_worker () =
     Smc_obs.incr obs Smc_obs.c_par_workers;
-    Context.walk w Context.Per_element ~scan:(scan acc)
+    work w
   in
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let workers = if domains <= 0 then Pool.size pool + 1 else Pool.effective_workers pool ~requested:domains in
-  if workers <= 1 || ctx.Context.view.Context.v_n <= 1 then begin
+  if workers <= 1 || ctx.Context.view.Context.v_n <= 1 then
     (* Sequential fast path: no pool round-trip. *)
-    let acc = init () in
-    run_worker acc;
-    acc
-  end
+    [ run_worker () ]
   else begin
     let results = Array.make workers None in
-    Pool.run pool ~workers (fun i ->
-        let acc = init () in
-        run_worker acc;
-        results.(i) <- Some acc);
-    let acc = ref None in
-    Array.iter
-      (function
-        | None -> ()
-        | Some r -> (
-          match !acc with
-          | None -> acc := Some r
-          | Some a -> acc := Some (combine a r)))
-      results;
-    match !acc with Some a -> a | None -> init ()
+    Pool.run pool ~workers (fun i -> results.(i) <- Some (run_worker ()));
+    List.filter_map Fun.id (Array.to_list results)
   end
+
+let drive ?pool ?domains ctx ~init ~scan ~combine =
+  match
+    run_workers ?pool ?domains ctx (fun w ->
+        let acc = init () in
+        Context.walk w Context.Per_element ~scan:(scan acc);
+        acc)
+  with
+  | [] -> init ()
+  | a :: rest -> List.fold_left combine a rest
 
 (* With [?csn], slots are filtered by snapshot visibility at that frontier
    instead of current directory state — the parallel read path of a
@@ -88,11 +84,22 @@ let fold_hoisted_par ?pool ?domains ?csn ctx ~init ~on_block ~combine =
         done)
     ~combine
 
-(* Batched parallel enumeration: each worker fills its own
-   [Context.chunk] ([chunk acc]) with [Context.fill_block] over the ranges
-   it draws — the parallel form of the sequential batch walk. *)
-let fold_batches_par ?pool ?domains ?csn ctx ~init ~chunk ~on_batch ~combine =
-  drive ?pool ?domains ctx ~init
-    ~scan:(fun acc blk lo hi ->
-      Context.fill_block ?csn ctx blk ~lo ~hi (chunk acc) ~on_batch:(on_batch acc))
-    ~combine
+(* Batched parallel enumeration, driven by the workers: each runs
+   [work share] once, and [share ~chunk ~on_batch] fills the worker's own
+   chunk with [Context.fill_block] over the positions it draws. A chunk's
+   stamp is its view position in the high bits and its index among the
+   position's chunks in the low 32, so stamps follow the sequential walk's
+   order. *)
+let batch_workers ?pool ?domains ?csn ctx work =
+  run_workers ?pool ?domains ctx (fun w ->
+      work (fun ~chunk ~on_batch ->
+          let pos = ref (-1) and k = ref 0 in
+          Context.walk_at w Context.Per_element ~scan:(fun i blk lo hi ->
+              if i <> !pos then begin
+                pos := i;
+                k := 0
+              end;
+              Context.fill_block ?csn ctx blk ~lo ~hi chunk ~on_batch:(fun blk n ->
+                  let stamp = (i lsl 32) lor !k in
+                  incr k;
+                  on_batch stamp blk n))))

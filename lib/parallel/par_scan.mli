@@ -53,20 +53,20 @@ val fold_hoisted_par :
     block) in the worker that drew it and returns the per-slot body, closed over the worker's private
     accumulator and the block's hoisted raw state. *)
 
-val fold_batches_par :
+val batch_workers :
   ?pool:Pool.t ->
   ?domains:int ->
   ?csn:int ->
   Context.t ->
-  init:(unit -> 'acc) ->
-  chunk:('acc -> Context.chunk) ->
-  on_batch:('acc -> Block.t -> int -> unit) ->
-  combine:('acc -> 'acc -> 'acc) ->
-  'acc
-(** The parallel batch walk: each worker runs
-    {!Smc_offheap.Context.fill_block} into its own chunk ([chunk acc],
-    which must not be shared between accumulators) over the slot ranges it
-    draws, inside that position's critical section, and
-    calls [on_batch acc blk count] for every filled chunk. [on_batch] must
-    consume the chunk's first [count] rows before returning, or swap the
-    chunk's [dsts] for fresh arrays. *)
+  ((chunk:Context.chunk -> on_batch:(int -> Block.t -> int -> unit) -> unit) -> 'a) ->
+  'a list
+(** The parallel batch walk, driven by its workers: every worker runs
+    [work share] once and the results come back in worker order (one
+    result when the walk runs sequentially). [share ~chunk ~on_batch] runs
+    {!Smc_offheap.Context.fill_block} into [chunk] (the worker's own) over
+    the slot ranges the worker draws, inside each position's critical
+    section, and calls [on_batch stamp blk count] for every filled chunk;
+    [on_batch] must consume the chunk's first [count] rows before
+    returning. Stamps are distinct across the whole walk and increase in
+    the order the sequential walk meets the chunks' rows: the view
+    position, then the chunk's index within it. *)

@@ -140,14 +140,25 @@ let await p =
   Mutex.unlock p.p_lock;
   match outcome with Done v -> v | Failed e -> raise e
 
+(* Each helper index is claimed once, by a worker that starts its task or
+   by the caller once [f 0] returned: a helper no worker has started yet
+   runs on the caller, so a [run] issued from inside one of the pool's own
+   tasks never waits for a worker that is busy running it. *)
 let run t ~workers f =
   let workers = max 1 workers in
   let extra = min (workers - 1) t.size in
-  let promises = List.init extra (fun i -> submit t (fun () -> f (i + 1))) in
-  let mine = try Done (f 0) with e -> Failed e in
+  let claimed = Array.init extra (fun _ -> Atomic.make false) in
+  let claim i = Atomic.compare_and_set claimed.(i) false true in
+  let promises = List.init extra (fun i -> submit t (fun () -> if claim i then f (i + 1))) in
+  let attempt g = try Done (g ()) with e -> Failed e in
+  let mine = attempt (fun () -> f 0) in
   (* Await every helper even when one failed, so no worker is still touching
      shared state when [run] returns; then re-raise the first failure. *)
-  let outcomes = List.map (fun p -> try Done (await p) with e -> Failed e) promises in
+  let outcomes =
+    List.mapi
+      (fun i p -> if claim i then attempt (fun () -> f (i + 1)) else attempt (fun () -> await p))
+      promises
+  in
   List.iter (function Done () -> () | Failed e -> raise e) (mine :: outcomes)
 
 let effective_workers t ~requested = 1 + min (max 1 requested - 1) t.size

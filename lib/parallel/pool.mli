@@ -42,7 +42,9 @@ val run : t -> workers:int -> (int -> unit) -> unit
 (** [run t ~workers f] executes [f w] for [w = 0 .. n-1] concurrently,
     where [n = min workers (size t + 1)]; [f 0] runs on the calling domain.
     Returns once {e all} calls finished, then re-raises the first
-    exception, if any. *)
+    exception, if any. A call no worker has started by the time [f 0]
+    returns runs on the caller instead, so [run] may be issued from inside
+    one of the pool's own tasks without waiting on a busy worker. *)
 
 val effective_workers : t -> requested:int -> int
 (** The [n] that {!run} would use for [~workers:requested]. *)

@@ -63,9 +63,10 @@ let make_vec kind cap =
   | K_str -> V_str (Array.make cap "")
   | K_any -> V_val (Array.make cap Value.Null)
 
-let create ~kinds ~cap =
+let create ?cols ~kinds ~cap () =
   let cap = max cap 1 in
-  { cols = Array.map (fun k -> make_vec k cap) kinds; sel = Context.make_sel cap; len = 0 }
+  let len c = match cols with Some m when not m.(c) -> 0 | _ -> cap in
+  { cols = Array.mapi (fun c k -> make_vec k (len c)) kinds; sel = Context.make_sel cap; len = 0 }
 
 let set_identity t n =
   for i = 0 to n - 1 do

@@ -40,8 +40,10 @@ val char_str : int -> string
 val box_vec : vec -> int -> Value.t
 (** Boxed value at a {e physical} row index of a column vector. *)
 
-val create : kinds:kind array -> cap:int -> t
-(** Fresh batch with per-kind column storage and an empty selection. *)
+val create : ?cols:bool array -> kinds:kind array -> cap:int -> unit -> t
+(** Fresh batch with per-kind column storage and an empty selection. With
+    [cols] (indexed like [kinds]), unmarked columns get zero-length
+    storage: a scan that never fills them allocates nothing for them. *)
 
 val set_identity : t -> int -> unit
 (** Make the first [n] selection entries the identity and set [len := n] —

@@ -20,10 +20,13 @@
    projections are let-bound left to right, since OCaml literals evaluate
    right to left).
 
-   Sharing: leaves enter as closure arrays and constants (needles
-   included) as a [Value.t array]. The source holds column and constant
-   kinds but not collection identity or constant values, and plugins are
-   cached by its digest.
+   Sharing: leaves and group-by runners enter as closure arrays and
+   constants (needles included) as a [Value.t array]. The source holds
+   column and constant kinds but not collection identity or constant
+   values, and plugins are cached by its digest. A group-by's aggregation
+   phase is rendered as a function of its table and one chunk producer,
+   so the host's runner can run it on every worker of a parallel scan
+   ({!Kernel.run_groups}).
 
    Fallback rules (docs/vectorized.md): bytecode hosts, a missing
    toolchain, unlocatable .cmi directories, compile or load failures, and
@@ -31,9 +34,20 @@
    {!Fuse}, reported in [prepare]'s outcome and counted under
    [cg_fallbacks]. *)
 
+(* A group-by's host runner: given the table's shape and cells, it runs
+   the plugin's aggregation phase ([table -> chunk producer -> unit]) and
+   returns the filled table — over {!Kernel.run_groups} when the group-by
+   reads a Where/Select chain over a Scan. *)
+type group_runner =
+  Kernel.key_shape ->
+  Kernel.cell array ->
+  (Kernel.table -> ((Batch.t -> unit) -> unit) -> unit) ->
+  Kernel.table
+
 type compiled_fn =
   ((Batch.t -> unit) -> unit) array ->
   ((Value.t array -> unit) -> unit) array ->
+  group_runner array ->
   Value.t array ->
   (Value.t array -> unit) ->
   unit
@@ -135,6 +149,11 @@ let render plan =
   in
   let add_scan, scans = collector () in
   let add_probe, probes = collector () in
+  let add_group, groups = collector () in
+  (* Set while a group-by renders a chain over a Scan: the Scan's chunks
+     then come from the aggregation phase's [scan] argument, and the cell
+     receives the Scan's source and column mask. *)
+  let phase_leaf = ref None in
   let add_const, consts = collector () in
   let add_bind, binds = collector () in
   let limit_exns = ref [] in
@@ -279,7 +298,6 @@ let render plan =
     | Plan.Scan src ->
       let kinds = src.Source.kinds in
       let used = Array.make (Array.length kinds) false in
-      let i = add_scan (src, used) in
       let bt = fresh "bt" and r = fresh "i" in
       let var c = Printf.sprintf "%s_c%d" bt c in
       let cols =
@@ -295,7 +313,15 @@ let render plan =
         (String.concat ", "
            (Array.to_list
               (Array.mapi (fun c name -> name ^ ":" ^ kind_name kinds.(c)) src.Source.schema)));
-      line depth "Array.get scans %d (fun %s ->" i bt;
+      let producer =
+        match !phase_leaf with
+        | Some cell ->
+          phase_leaf := None;
+          cell := Some (src, used);
+          "scan"
+        | None -> Printf.sprintf "Array.get scans %d" (add_scan (src, used))
+      in
+      line depth "%s (fun %s ->" producer bt;
       let body = capture (fun () -> k (depth + 2) { cols; var = None }) in
       Array.iteri
         (fun c read ->
@@ -409,9 +435,16 @@ let render plan =
             line (d + 1) "let a = %s in let acc = Array.unsafe_get a %s in" (arr "vals") g;
             line (d + 1) "if acc = V.Null || V.compare v acc %s 0 then Array.unsafe_set a %s v);" op g)
       in
+      let leaf = ref None in
+      let rec chain = function
+        | Plan.Scan _ -> true
+        | Plan.Where (_, p) | Plan.Select (_, p) -> chain p
+        | _ -> false
+      in
+      if chain input then phase_leaf := Some leaf;
       let loop =
         capture (fun () ->
-            emit input depth (fun d row ->
+            emit input (depth + 1) (fun d row ->
                 let kts =
                   List.map
                     (fun (_, e) ->
@@ -449,9 +482,15 @@ let render plan =
             (String.concat "; " (Array.to_list (Array.map kind_ctor ks)))
         | Kernel.Boxed -> "K.Boxed"
       in
-      line depth "let %s = K.create_table %s [| %s |] in" tbl shape_code
-        (String.concat "; " (Array.to_list cells));
+      (* The aggregation phase is a function of the table and of one chunk
+         producer, so the host can run it on every worker of a parallel
+         scan; the runner returns the filled (merged) table. *)
+      line depth "let %s = Array.get groupbys %d %s [| %s |] (fun %s scan ->" tbl
+        (add_group !leaf) shape_code
+        (String.concat "; " (Array.to_list cells))
+        tbl;
       Buffer.add_string !buf loop;
+      line (depth + 1) "()) in";
       let out = fresh "row" in
       line depth "K.iter_groups %s (fun %s ->" tbl out;
       k (depth + 1) (boxed_row out (List.length keys + List.length aggs));
@@ -518,6 +557,7 @@ let render plan =
   ( entry ^ body ^ indent 1 ^ "()\n",
     scans (),
     probes (),
+    groups (),
     Array.of_list (consts ()),
     List.rev !limit_exns )
 
@@ -547,6 +587,8 @@ let assemble ~digest ~limit_exns body =
   if limit_exns <> [] then add "";
   add "let query (scans : ((B.t -> unit) -> unit) array)";
   add "    (probes : ((V.t array -> unit) -> unit) array)";
+  add "    (groupbys : (K.key_shape -> K.cell array ->";
+  add "                 (K.table -> ((B.t -> unit) -> unit) -> unit) -> K.table) array)";
   add "    (consts : V.t array) (__emit : V.t array -> unit) : unit =";
   Buffer.add_string b body;
   add "";
@@ -554,7 +596,7 @@ let assemble ~digest ~limit_exns body =
   Buffer.contents b
 
 let to_ocaml_source plan =
-  let body, _, _, _, limit_exns = render plan in
+  let body, _, _, _, _, limit_exns = render plan in
   let digest = Digest.to_hex (Digest.string body) in
   assemble ~digest ~limit_exns body
 
@@ -702,7 +744,7 @@ let prepare plan =
   | exception Unsupported reason ->
     bump Smc_obs.c_cg_fallbacks;
     ((fun f -> Fuse.run plan ~f), Fallback reason)
-  | body, scans, probes, consts, limit_exns ->
+  | body, scans, probes, groups, consts, limit_exns ->
     let digest = Digest.to_hex (Digest.string body) in
     let fetch () =
       Mutex.lock cache_lock;
@@ -729,7 +771,22 @@ let prepare plan =
               scans)
        in
        let probes = Array.of_list probes in
-       ((fun f -> fn scans probes consts f), Native digest)
+       let groups =
+         Array.of_list
+           (List.map
+              (fun leaf shape cells phase ->
+                let create () = Kernel.create_table shape cells in
+                match leaf with
+                | Some (src, used) ->
+                  Kernel.run_groups ~create src ~rows:Batch.default_rows ~cols:used phase
+                | None ->
+                  (* the phase reads its input through [scans]/[probes] *)
+                  let t = create () in
+                  phase t (fun _ -> invalid_arg "Codegen: this aggregation phase reads no chunks");
+                  t)
+              groups)
+       in
+       ((fun f -> fn scans probes groups consts f), Native digest)
      | Error reason ->
        bump Smc_obs.c_cg_fallbacks;
        ((fun f -> Fuse.run plan ~f), Fallback reason))

@@ -1,33 +1,50 @@
 module K = Kernel
 
 (* A compiled subplan, in the form its producer makes: column chunks read
-   one position at a time, or boxed rows. [Chunks (kinds, run)]: [run push]
-   calls [push bt] once per chunk and the function it returns once per
-   position of the chunk, in order — one closure chain per row, with no
-   selection vector and no column-at-a-time pass. A scan makes chunks, and
-   filters, projections and limits keep the form of their input; probe
-   leaves, joins, sorts, distinct and group-by make rows. *)
+   one position at a time, or boxed rows. [Chunks (kinds, run, chain)]:
+   [run push] calls [push bt] once per chunk and the function it returns
+   once per position of the chunk, in order — one closure chain per row,
+   with no selection vector and no column-at-a-time pass. A scan makes
+   chunks, and filters, projections and limits keep the form of their
+   input; probe leaves, joins, sorts, distinct and group-by make rows. *)
 type stage =
-  | Chunks of Batch.kind array * ((Batch.t -> int -> unit) -> unit)
+  | Chunks of Batch.kind array * ((Batch.t -> int -> unit) -> unit) * chain option
   | Rows of ((Value.t array -> unit) -> unit)
 
+(* A Where/Select chain over a Scan: the scan's source and column mask,
+   and the chain as a function of its consumer. Each call of [through]
+   makes a fresh instance (with its own Select output chunk), so a
+   parallel group-by runs one per worker. *)
+and chain = {
+  src : Source.t;
+  cols : bool array option;
+  through : (Batch.t -> int -> unit) -> Batch.t -> int -> unit;
+}
+
 let group_key key_fns row = List.map (fun f -> f row) key_fns
+
+(* Run a per-position consumer over every position of a chunk. *)
+let each push bt =
+  let push = push bt in
+  for i = 0 to bt.Batch.len - 1 do
+    push i
+  done
 
 (* Boxing happens here only: at the inputs of joins, sorts and distinct,
    and at the final emit. *)
 let rows = function
   | Rows produce -> produce
-  | Chunks (_, run) -> fun emit -> run (fun bt i -> emit (Batch.row bt i))
+  | Chunks (_, run, _) -> fun emit -> run (fun bt i -> emit (Batch.row bt i))
 
 (* A row producer under a GroupBy: each row becomes a one-row chunk of
    boxed columns, which the group table reads through its scalar
    fallback. *)
 let chunks ncols = function
-  | Chunks (kinds, run) -> (kinds, run)
+  | Chunks (kinds, run, chain) -> (kinds, run, chain)
   | Rows produce ->
     let kinds = Array.make ncols Batch.K_any in
     let run push =
-      let b = Batch.create ~kinds ~cap:1 in
+      let b = Batch.create ~kinds ~cap:1 () in
       Batch.set_identity b 1;
       let cells =
         Array.map (function Batch.V_val a -> a | _ -> assert false) b.Batch.cols
@@ -36,7 +53,15 @@ let chunks ncols = function
           Array.iteri (fun c a -> a.(0) <- row.(c)) cells;
           push b 0)
     in
-    (kinds, run)
+    (kinds, run, None)
+
+(* A position-to-position operator over a chunk stage: [xf push] makes one
+   instance that consumes the input's positions and pushes its own. *)
+let extend kinds run chain xf =
+  Chunks
+    ( kinds,
+      (fun push -> run (xf push)),
+      Option.map (fun c -> { c with through = (fun push -> c.through (xf push)) }) chain )
 
 (* Compile the plan to a function that pushes every result row into [emit].
    Compilation happens once; running the returned closure executes the
@@ -49,12 +74,8 @@ let rec compile ~need plan =
     let cols = K.scan_mask src need in
     Chunks
       ( src.Source.kinds,
-        fun push ->
-          Source.batches src ~rows:Batch.default_rows ?cols (fun bt ->
-              let push = push bt in
-              for i = 0 to bt.Batch.len - 1 do
-                push i
-              done) )
+        (fun push -> Source.batches src ~rows:Batch.default_rows ?cols (each push)),
+        Some { src; cols; through = Fun.id } )
   | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ -> Rows (Plan.leaf_rows plan)
   | Plan.Where (pred, input) -> (
     let schema = Plan.schema input in
@@ -62,33 +83,28 @@ let rec compile ~need plan =
     | Rows upstream ->
       let test = Expr.compile_pred ~schema pred in
       Rows (fun emit -> upstream (fun row -> if test row then emit row))
-    | Chunks (kinds, run) ->
+    | Chunks (kinds, run, chain) ->
       let test = K.compile_test ~schema ~kinds pred in
-      Chunks
-        ( kinds,
-          fun push ->
-            run (fun bt ->
-                let test = test bt and push = push bt in
-                fun i -> if test i then push i) ))
+      extend kinds run chain (fun push bt ->
+          let test = test bt and push = push bt in
+          fun i -> if test i then push i))
   | Plan.Select (cols, input) -> (
     let schema = Plan.schema input in
     match compile ~need:(K.select_need cols) input with
     | Rows upstream ->
       let fns = Array.of_list (List.map (fun (_, e) -> Expr.compile ~schema e) cols) in
       Rows (fun emit -> upstream (fun row -> emit (Array.map (fun f -> f row) fns)))
-    | Chunks (kinds, run) ->
+    | Chunks (kinds, run, chain) ->
       let out_kinds, write = K.compile_select ~schema ~kinds (List.map snd cols) in
-      Chunks
-        ( out_kinds,
-          fun push ->
-            let out = Batch.create ~kinds:out_kinds ~cap:Batch.default_rows in
-            Batch.set_identity out Batch.default_rows;
-            let write = write out in
-            run (fun bt ->
-                let write = write bt and push = push out in
-                fun i ->
-                  write i;
-                  push i) ))
+      extend out_kinds run chain (fun push ->
+          let out = Batch.create ~kinds:out_kinds ~cap:Batch.default_rows () in
+          Batch.set_identity out Batch.default_rows;
+          let write = write out in
+          fun bt ->
+            let write = write bt and push = push out in
+            fun i ->
+              write i;
+              push i))
   | Plan.HashJoin { left; right; on } ->
     let lschema = Plan.schema left and rschema = Plan.schema right in
     let lkeys = List.map (fun (lc, _) -> Expr.compile ~schema:lschema (Expr.Col lc)) on in
@@ -117,16 +133,24 @@ let rec compile ~need plan =
         probe (fun l -> keyed (lkey l) (fun r -> emit (Array.append l r))))
   | Plan.GroupBy { keys; aggs; input } ->
     let ncols = Array.length (Plan.schema input) in
-    let kinds, run = chunks ncols (compile ~need:(K.group_need keys aggs) input) in
-    let table =
+    let kinds, run, chain = chunks ncols (compile ~need:(K.group_need keys aggs) input) in
+    let g =
       K.group_table ~schema:(Plan.schema input) ~kinds ~keys:(List.map snd keys)
         ~aggs:(List.map snd aggs)
     in
     Rows
       (fun emit ->
-        let groups = table () in
-        run groups.K.add;
-        groups.K.iter emit)
+        let t =
+          match chain with
+          | Some c ->
+            K.run_groups ~create:g.K.create c.src ~rows:Batch.default_rows ?cols:c.cols
+              (fun t produce -> produce (each (c.through (g.K.add t))))
+          | None ->
+            let t = g.K.create () in
+            run (g.K.add t);
+            t
+        in
+        K.iter_groups t emit)
   | Plan.OrderBy (specs, input) ->
     let schema = Plan.schema input in
     let fns = List.map (fun (e, d) -> (Expr.compile ~schema e, d)) specs in
@@ -175,14 +199,15 @@ let rec compile ~need plan =
     match compile ~need input with
     | Rows upstream ->
       Rows (fun emit -> limited (fun take -> upstream (fun row -> take (fun () -> emit row))))
-    | Chunks (kinds, run) ->
+    | Chunks (kinds, run, _) ->
       Chunks
         ( kinds,
-          fun push ->
+          (fun push ->
             limited (fun take ->
                 run (fun bt ->
                     let push = push bt in
-                    fun i -> take (fun () -> push i))) ))
+                    fun i -> take (fun () -> push i)))),
+          None ))
 
 let run plan ~f = rows (compile ~need:K.All plan) f
 

@@ -601,6 +601,11 @@ type index =
   | By_words of (int array, int) Hashtbl.t
   | By_boxed of (Value.t list, int) Hashtbl.t
 
+(* [stamp] is the stamp of the chunk being aggregated (a parallel scan's
+   chunks carry one, {!Source.par_batches}) and [first] records it for each
+   group when the group is made: with the group ids, it orders a worker's
+   groups among every other worker's by where the sequential scan first
+   meets them. *)
 type table = {
   shape : key_shape;
   cells : cell array;
@@ -611,6 +616,8 @@ type table = {
   vals : Value.t array array;
   mutable keys : int array;
   mutable boxed_keys : Value.t list array;
+  mutable stamp : int;
+  mutable first : int array;
 }
 
 let create_table shape cells =
@@ -634,6 +641,8 @@ let create_table shape cells =
     vals = Array.map (fun c -> if val_cell c then Array.make cap Value.Null else [||]) cells;
     keys = (if word_key then Array.make cap 0 else [||]);
     boxed_keys = (if list_key then Array.make cap [] else [||]);
+    stamp = 0;
+    first = Array.make cap 0;
   }
 
 (* Double a per-group array that is in use (non-empty), keeping [n]. *)
@@ -652,8 +661,10 @@ let new_group t =
     Array.iteri (fun j a -> t.words.(j) <- extend a id (cell_init t.cells.(j))) t.words;
     Array.iteri (fun j a -> t.vals.(j) <- extend a id Value.Null) t.vals;
     t.keys <- extend t.keys id 0;
-    t.boxed_keys <- extend t.boxed_keys id []
+    t.boxed_keys <- extend t.boxed_keys id [];
+    t.first <- extend t.first id 0
   end;
+  Array.unsafe_set t.first id t.stamp;
   t.groups <- id + 1;
   id
 
@@ -859,9 +870,9 @@ let chunk_update t j cell { direct; fetch } bt lo n (ids : int array) =
   | Count | Sum_val | Avg_val | Ext_val -> ()
 
 type groups = {
-  add : Batch.t -> int -> unit;
-  add_chunk : (Batch.t -> unit) option;
-  iter : (Value.t array -> unit) -> unit;
+  create : unit -> table;
+  add : table -> Batch.t -> int -> unit;
+  add_chunk : (table -> Batch.t -> unit) option;
 }
 
 let group_table ~schema ~kinds ~keys ~aggs =
@@ -988,9 +999,76 @@ let group_table ~schema ~kinds ~keys ~aggs =
             done)
     | _ -> None
   in
-  fun () ->
-    let t = create_table shape cells in
-    { add = add t; add_chunk = Option.map (fun mk -> mk t) add_chunk; iter = iter_groups t }
+  { create = (fun () -> create_table shape cells); add; add_chunk }
+
+(* ---- parallel group-by ------------------------------------------------ *)
+
+(* Tables that merge exactly: a word key (or none) and word cells, whose
+   per-worker partial states combine by [+], [min] and [max] — Int
+   overflow wraps the same in any order, and Avg divides the merged sum
+   once, in [finish_cell]. *)
+let mergeable t =
+  (match t.shape with No_key | Word _ | Chars _ -> true | Words _ | Boxed -> false)
+  && Array.for_all
+       (function
+         | Count | Sum_word _ | Avg_word _ | Min_word _ | Max_word _ -> true
+         | Sum_val | Avg_val | Ext_val -> false)
+       t.cells
+
+(* Every worker's groups, in the order the sequential scan first meets
+   them: by the stamp of the chunk a group was made in, then by id (a
+   chunk belongs to one worker, whose ids are first-seen). Inserting them
+   in that order into a fresh table gives each key its sequential id. *)
+let merge tables =
+  let t0 = List.hd tables in
+  let firsts =
+    List.concat_map (fun t -> List.init t.groups (fun id -> (t.first.(id), id, t))) tables
+  in
+  let m = create_table t0.shape t0.cells in
+  List.iter
+    (fun (_, id, t) ->
+      let g = match t.shape with No_key -> id_of_none m | _ -> id_of_word m t.keys.(id) in
+      m.rows.(g) <- m.rows.(g) + t.rows.(id);
+      Array.iteri
+        (fun j w ->
+          if Array.length w > 0 then begin
+            let v = t.words.(j).(id) in
+            w.(g) <-
+              (match m.cells.(j) with
+              | Min_word _ -> min w.(g) v
+              | Max_word _ -> max w.(g) v
+              | _ -> w.(g) + v)
+          end)
+        m.words)
+    (List.sort (fun (sa, ia, _) (sb, ib, _) -> compare (sa, ia) (sb, ib)) firsts);
+  m
+
+(* A group-by consumes each chunk before the next is filled, so it reads
+   chunks of at most [slice] rows: each reader's columns are then
+   minor-heap blocks, and a scan adds no major-heap work for later queries
+   to pay, however many workers read it. *)
+let run_groups ~create src ~rows ?cols phase =
+  let rows = min rows slice in
+  match src.Source.par_batches with
+  | Some par when mergeable (create ()) -> (
+    let tables =
+      par.Source.run ~rows ?cols (fun produce ->
+          let t = create () in
+          phase t (fun consume ->
+              produce (fun stamp bt ->
+                  t.stamp <- stamp;
+                  consume bt));
+          t)
+    in
+    match tables with
+    | [ t ] -> t
+    | ts ->
+      Option.iter (fun o -> Smc_obs.incr o Smc_obs.c_par_group_merges) src.Source.obs;
+      merge ts)
+  | _ ->
+    let t = create () in
+    phase t (Source.batches src ~rows ?cols);
+    t
 
 (* ---- column needs ----------------------------------------------------- *)
 

@@ -90,6 +90,8 @@ type table = private {
   vals : Value.t array array;  (** per aggregate: its accumulator per group id *)
   mutable keys : int array;
   mutable boxed_keys : Value.t list array;
+  mutable stamp : int;  (** stamp of the chunk being aggregated ({!run_groups}) *)
+  mutable first : int array;  (** per group id: [stamp] when the group was made *)
 }
 (** Read the per-group arrays through the record after each [id_of_*]
     call: a new group may replace them with larger ones. *)
@@ -110,28 +112,52 @@ val iter_groups : table -> (Value.t array -> unit) -> unit
 (** One finished row per group (keys, then aggregates), in id order. *)
 
 type groups = {
-  add : Batch.t -> int -> unit;
-      (** per chunk, then per row: evaluate the keys, then update every
-          aggregate in order *)
-  add_chunk : (Batch.t -> unit) option;
-      (** the whole chunk at once, when the key is absent or a word and
-          every aggregate is Count or a typed Sum/Avg/Min/Max whose operand
-          is typed arithmetic over columns and constants; [None]
-          otherwise *)
-  iter : (Value.t array -> unit) -> unit;
-      (** one finished row per group (keys then aggregates), in first-seen
-          order *)
+  create : unit -> table;  (** an empty table for these keys and aggregates *)
+  add : table -> Batch.t -> int -> unit;
+      (** per table, then chunk, then row: evaluate the keys, then update
+          every aggregate in order *)
+  add_chunk : (table -> Batch.t -> unit) option;
+      (** per table (it makes the table's scratch), then the whole chunk at
+          once, when the key is absent or a word and every aggregate is
+          Count or a typed Sum/Avg/Min/Max whose operand is typed
+          arithmetic over columns and constants; [None] otherwise *)
 }
 
 val group_table :
-  schema:string array ->
-  kinds:Batch.kind array ->
-  keys:Expr.t list ->
-  aggs:Plan.agg list ->
-  unit ->
-  groups
-(** Compiles the keys and aggregates once; each call of the unit makes an
-    empty table. *)
+  schema:string array -> kinds:Batch.kind array -> keys:Expr.t list -> aggs:Plan.agg list -> groups
+(** Compiles the keys and aggregates once. *)
+
+(** {2 Parallel group-by}
+
+    One driver runs a group-by whose input is a Where/Select chain over a
+    [Scan], for Vector, Fuse and compiled plans alike. *)
+
+val mergeable : table -> bool
+(** Whether worker tables of this shape merge exactly: no key or a [Word]
+    or [Chars] key, and every aggregate Count or a word cell. *)
+
+val run_groups :
+  create:(unit -> table) ->
+  Source.t ->
+  rows:int ->
+  ?cols:bool array ->
+  (table -> ((Batch.t -> unit) -> unit) -> unit) ->
+  table
+(** [run_groups ~create src ~rows ?cols phase] aggregates [src]'s scan
+    into a table and returns it. [phase t produce] is the aggregation
+    phase: it must feed every chunk [produce] pushes, through the chain's
+    operators, into [t]. When the source has a parallel batch walk
+    ({!Source.par_batches}) and [create ()] is {!mergeable}, every worker
+    of that walk runs [phase] on its own table and its own chunks, and
+    the tables are merged: rows, sums and averages add, extrema compare,
+    and the groups come out in the order the sequential scan first meets
+    them, so {!iter_groups} emits exactly the sequential result (merges of
+    two or more tables are counted in [par_group_merges]; one worker's
+    table is returned as it is). Otherwise [phase] runs once over the
+    sequential scan ({!Source.batches}). Either way the chunks hold at most
+    [min rows 256] rows, so their columns are minor-heap blocks. An
+    exception raised in any worker is re-raised once every worker
+    stopped. *)
 
 (** {2 Column needs}
 

@@ -53,12 +53,18 @@ type column =
   | C_str of Layout.field
   | C_fn of (Block.t -> int -> Value.t)
 
+type par_batches = {
+  run :
+    'a. rows:int -> ?cols:bool array -> (((int -> Batch.t -> unit) -> unit) -> 'a) -> 'a list;
+}
+
 type t = {
   name : string;
   schema : string array;
   kinds : Batch.kind array;
   scan : (Value.t array -> unit) -> unit;
   scan_batches : (rows:int -> ?cols:bool array -> (Batch.t -> unit) -> unit) option;
+  par_batches : par_batches option;
   obs : Smc_obs.t option;
   indexes : index_info list;
   texts : text_info list;
@@ -133,11 +139,10 @@ let column_index schema col =
   in
   go 0
 
-(* The parallel knob: [domains] ≥ 2 extracts rows with a block-partitioned
-   parallel scan (each worker builds a private row list, lists are spliced
-   on the caller) and pushes them to [emit] sequentially — consumers stay
-   single-threaded. Absent, or ≤ 1, the source scans exactly as before.
-   Row order across blocks is unspecified in the parallel case.
+(* [pool] and [domains] size the parallel batch walk ([par_batches]),
+   which the engines run a typed group-by on: [domains] caps the workers
+   and defaults to the pool's width (the default pool's, without [pool]).
+   Every other scan is sequential.
 
    [view] runs every scan against an open snapshot view instead of current
    state: the plan reads one stable CSN frontier regardless of concurrent
@@ -171,37 +176,22 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
   let kinds = Array.map kind_of_column cols in
   let extractors = Array.map extractor_of_column cols in
   let extract blk slot = Array.map (fun e -> e blk slot) extractors in
-  let parallel = match domains with Some d when d > 1 -> true | _ -> false in
   let csn = Option.map Smc.Collection.view_csn view in
   let ctx = coll.Smc.Collection.ctx in
   let obs = ctx.Context.rt.Runtime.obs in
   let scan emit =
-    if parallel then
-      List.iter emit
-        (Smc_parallel.Par_scan.fold_valid_par ?pool ?domains ?csn ctx
-           ~init:(fun () -> [])
-           ~f:(fun acc blk slot -> extract blk slot :: acc)
-           ~combine:(fun a b -> List.rev_append b a))
-    else
-      match view with
-      | Some v -> Smc.Collection.view_iter v ~f:(fun blk slot -> emit (extract blk slot))
-      | None -> Smc.Collection.iter coll ~f:(fun blk slot -> emit (extract blk slot))
+    match view with
+    | Some v -> Smc.Collection.view_iter v ~f:(fun blk slot -> emit (extract blk slot))
+    | None -> Smc.Collection.iter coll ~f:(fun blk slot -> emit (extract blk slot))
   in
-  (* Batch scan: one [Context.fill_block] pass per chunk writes the slot
-     indices and every wanted word-backed column (Int/Dec/Date, Char
+  (* A batch reader: one [Context.fill_block] pass per chunk writes the
+     slot indices and every wanted word-backed column (Int/Dec/Date, Char
      masked to its byte); Bool/Str/[C_fn] columns are then gathered through
      the slot indices that pass recorded. [mask] (from the consumer's
-     [?cols]) drops the columns the plan never reads — unfilled columns
-     keep their storage but their contents are unspecified.
-
-     The sequential batch walk is [Context.walk] at the same §4
-     whole-query granularity as the row scan: one epoch critical section
-     ([Smc.Collection.with_read]) around the whole walk, [fill_block] over
-     each slot range it hands over. The emitted batch is reused (loan
-     contract). The parallel path fills a fresh batch per chunk in each
-     worker and hands the batches to [emit] sequentially, in unspecified
-     order. *)
-  let scan_batches ~rows ?cols:mask emit =
+     [?cols]) drops the columns the plan never reads, and the batch gives
+     them no storage. Each scan makes one reader, and a parallel scan one
+     per worker: the batch is reused for every chunk (loan contract). *)
+  let reader ~rows mask =
     let cap = max rows 1 in
     let want c = match mask with None -> true | Some m -> m.(c) in
     let word_cols = ref [] and others = ref [] in
@@ -214,56 +204,54 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
           | C_bool _ | C_str _ | C_fn _ -> others := c :: !others)
       cols;
     let word_cols = Array.of_list (List.rev !word_cols) and others = List.rev !others in
-    let dsts b =
-      Array.map
-        (fun (c, _, _) ->
-          match b.Batch.cols.(c) with
-          | Batch.V_int a | Batch.V_dec a | Batch.V_date a | Batch.V_char a -> a
-          | _ -> assert false)
-        word_cols
-    in
-    let new_chunk b =
+    let b = Batch.create ?cols:mask ~kinds ~cap () in
+    let chunk =
       {
         Context.slots = Context.make_sel cap;
         words = Array.map (fun (_, w, _) -> w) word_cols;
         masks = Array.map (fun (_, _, m) -> m) word_cols;
-        dsts = dsts b;
+        dsts =
+          Array.map
+            (fun (c, _, _) ->
+              match b.Batch.cols.(c) with
+              | Batch.V_int a | Batch.V_dec a | Batch.V_date a | Batch.V_char a -> a
+              | _ -> assert false)
+            word_cols;
       }
     in
-    let finish b chunk blk n =
+    let finish blk n =
       List.iter (fun c -> fill_column cols.(c) b.Batch.cols.(c) blk chunk.Context.slots n) others;
       Batch.set_identity b n
     in
-    if parallel then begin
-      let per_worker =
-        Smc_parallel.Par_scan.fold_batches_par ?pool ?domains ?csn ctx
-          ~init:(fun () ->
-            let b = Batch.create ~kinds ~cap in
-            (ref [], ref b, new_chunk b))
-          ~chunk:(fun (_, _, chunk) -> chunk)
-          ~on_batch:(fun (out, cur, chunk) blk n ->
-            finish !cur chunk blk n;
-            out := !cur :: !out;
-            cur := Batch.create ~kinds ~cap;
-            chunk.Context.dsts <- dsts !cur)
-          ~combine:(fun (a, cur, chunk) (b, _, _) ->
-            a := List.rev_append !b !a;
-            (a, cur, chunk))
-      in
-      let out, _, _ = per_worker in
-      List.iter emit !out
-    end
-    else begin
-      let b = Batch.create ~kinds ~cap in
-      let chunk = new_chunk b in
-      let on_batch blk n =
-        finish b chunk blk n;
-        emit b
-      in
-      Smc.Collection.with_read coll (fun () ->
-          Context.walk (Context.walk_start ctx) Context.Whole_walk ~scan:(fun blk lo hi ->
-              Context.fill_block ?csn ctx blk ~lo ~hi chunk ~on_batch))
-    end
+    (b, chunk, finish)
+  in
+  (* The sequential batch walk is [Context.walk] at the same §4
+     whole-query granularity as the row scan: one epoch critical section
+     ([Smc.Collection.with_read]) around the whole walk, [fill_block] over
+     each slot range it hands over. *)
+  let scan_batches ~rows ?cols:mask emit =
+    let b, chunk, finish = reader ~rows mask in
+    let on_batch blk n =
+      finish blk n;
+      emit b
+    in
+    Smc.Collection.with_read coll (fun () ->
+        Context.walk (Context.walk_start ctx) Context.Whole_walk ~scan:(fun blk lo hi ->
+            Context.fill_block ?csn ctx blk ~lo ~hi chunk ~on_batch))
+  in
+  (* The parallel batch walk: one [Par_scan] walk shared by the workers,
+     one reader per worker, each chunk handed over with its stamp. *)
+  let par_batches =
+    {
+      run =
+        (fun ~rows ?cols:mask work ->
+          Smc_parallel.Par_scan.batch_workers ?pool ?domains ?csn ctx (fun share ->
+              let b, chunk, finish = reader ~rows mask in
+              work (fun consume ->
+                  share ~chunk ~on_batch:(fun stamp blk n ->
+                      finish blk n;
+                      consume stamp b))));
+    }
   in
   (* Claims are checked where they are made: an index attached to another
      collection would make IndexScan/IndexJoin/TextScan silently answer
@@ -351,6 +339,7 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
     kinds;
     scan;
     scan_batches = Some scan_batches;
+    par_batches = Some par_batches;
     obs = Some obs;
     indexes;
     texts;
@@ -365,6 +354,7 @@ let of_array ~name ~schema rows =
     kinds = Array.map (fun _ -> Batch.K_any) schema;
     scan = (fun emit -> Array.iter emit rows);
     scan_batches = None;
+    par_batches = None;
     obs = None;
     indexes = [];
     texts = [];

@@ -55,6 +55,21 @@ type matview_info = {
   mv_collection : Smc.Collection.t;  (** backing collection (identity check) *)
 }
 
+(** A source's parallel batch walk: one block walk shared by several
+    workers, each reading its own column chunks. *)
+type par_batches = {
+  run :
+    'a. rows:int -> ?cols:bool array -> (((int -> Batch.t -> unit) -> unit) -> 'a) -> 'a list;
+      (** [run ~rows ?cols work] runs [work produce] once per worker and
+          returns the results (one when the walk runs sequentially).
+          [produce consume] pushes the worker's share of the scan, as
+          chunks like [scan_batches]'s, each with its {e stamp}
+          ([consume stamp bt]): stamps are distinct across the whole scan
+          and increase in the order the sequential scan emits the chunks'
+          rows. Each position is read inside its own epoch critical
+          section ({!Smc_offheap.Context.Per_element}). *)
+}
+
 type t = {
   name : string;
   schema : string array;
@@ -66,8 +81,12 @@ type t = {
           when the source has no batch path and consumers re-batch the row
           scan ({!batches}). [cols]
           (indexed like [schema]) marks the columns the consumer will read:
-          unmarked columns keep their storage in the batch but are not
-          filled — their contents are unspecified. Omitted = fill all. *)
+          unmarked columns are not filled and have zero-length storage.
+          Omitted = fill all. *)
+  par_batches : par_batches option;
+      (** the parallel form of [scan_batches], when the source has one; a
+          source that rebuilds another's record must reset it unless its
+          rows are exactly the other's *)
   obs : Smc_obs.t option;  (** counter instance of the backing runtime *)
   indexes : index_info list;  (** access paths advertised to the planner *)
   texts : text_info list;  (** substring/prefix access paths *)
@@ -104,11 +123,16 @@ val of_smc :
     chunk that tests each slot and copies its Int/Dec/Date/Char words
     (Bool, string and [C_fn] columns are then gathered through the slot
     indices that pass wrote), inside one epoch critical section for the
-    whole walk. With [?domains] ≥ 2 the extraction runs
-    as a block-partitioned parallel scan ({!Smc_parallel.Par_scan}) and the
-    rows are pushed to the consumer sequentially afterwards — downstream
-    operators never see concurrency, but row order across blocks becomes
-    unspecified. Default is the sequential scan, unchanged.
+    whole walk.
+
+    [par_batches] is the same fill as a block-partitioned walk shared by
+    several workers ({!Smc_parallel.Par_scan.batch_workers}), each with
+    its own chunk and one epoch critical section per view position. The
+    engines run a typed group-by over it (see {!Kernel.run_groups}); every
+    other scan, the row scan included, is sequential. [?pool] (default
+    {!Smc_parallel.Pool.default}) supplies the workers and [?domains] caps
+    them: absent, the walk uses the pool's full width. On a 1-core host,
+    or with [~domains:1], that is one worker, running on the caller.
 
     [?view] pins every scan (sequential or parallel) to an open snapshot
     view's CSN frontier ({!Smc.Collection.snapshot_view}): queries over the

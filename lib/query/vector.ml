@@ -25,7 +25,18 @@ type pipe = {
   schema : string array;
   kinds : Batch.kind array;
   run : (Batch.t -> unit) -> unit;
+  chain : chain option;
   obs : Smc_obs.t option;
+}
+
+(* A Where/Select chain over a Scan: the scan's source and column mask,
+   and the chain as a function of its consumer. Each call of [through]
+   makes a fresh instance (with its own Select output chunks), so a
+   parallel group-by runs one per worker. *)
+and chain = {
+  src : Source.t;
+  cols : bool array option;
+  through : (Batch.t -> unit) -> Batch.t -> unit;
 }
 
 (* ---- filters (predicate context) ------------------------------------ *)
@@ -136,11 +147,26 @@ let batches_of ~ncols ~rows produce emit =
 
 let first_obs a b = match a with Some _ -> a | None -> b
 
+(* A chunk-to-chunk operator over [up]: [xform emit] makes one instance
+   that consumes [up]'s chunks and emits its own. *)
+let extend up xform =
+  {
+    up with
+    run = (fun emit -> up.run (xform emit));
+    chain = Option.map (fun c -> { c with through = (fun emit -> c.through (xform emit)) }) up.chain;
+  }
+
 let rec compile ~batch_rows ~need plan : pipe =
   match plan with
   | Plan.Scan src ->
-    let run emit = Source.batches src ~rows:batch_rows ?cols:(K.scan_mask src need) emit in
-    { schema = src.Source.schema; kinds = src.Source.kinds; run; obs = src.Source.obs }
+    let cols = K.scan_mask src need in
+    {
+      schema = src.Source.schema;
+      kinds = src.Source.kinds;
+      run = (fun emit -> Source.batches src ~rows:batch_rows ?cols emit);
+      chain = Some { src; cols; through = Fun.id };
+      obs = src.Source.obs;
+    }
   | Plan.IndexScan { src; _ } | Plan.TextScan { src; _ } | Plan.ViewRead { src; _ } ->
     (* Probe hits and view groups arrive as boxed rows, so the batch is
        all [K_any] and residual predicates above this node route through
@@ -152,67 +178,81 @@ let rec compile ~batch_rows ~need plan : pipe =
       schema;
       kinds = all_any ncols;
       run = (fun emit -> batches_of ~ncols ~rows:batch_rows rows emit);
+      chain = None;
       obs = src.Source.obs;
     }
   | Plan.Where (pred, input) ->
     let up = compile ~batch_rows ~need:(K.need_union need (Expr.columns pred)) input in
     let filt = compile_filter ~schema:up.schema ~kinds:up.kinds pred in
-    let run emit =
-      up.run (fun bt ->
-          let before = bt.Batch.len in
-          filt bt;
-          (match up.obs with
-          | Some o ->
-            Smc_obs.add o Smc_obs.c_vec_filter_rows_in before;
-            Smc_obs.add o Smc_obs.c_vec_filter_rows_kept bt.Batch.len;
-            Smc_obs.add o Smc_obs.c_vec_filter_rows_dropped (before - bt.Batch.len)
-          | None -> ());
-          if bt.Batch.len > 0 then emit bt)
-    in
-    { up with run }
+    extend up (fun emit bt ->
+        let before = bt.Batch.len in
+        filt bt;
+        (match up.obs with
+        | Some o ->
+          Smc_obs.add o Smc_obs.c_vec_filter_rows_in before;
+          Smc_obs.add o Smc_obs.c_vec_filter_rows_kept bt.Batch.len;
+          Smc_obs.add o Smc_obs.c_vec_filter_rows_dropped (before - bt.Batch.len)
+        | None -> ());
+        if bt.Batch.len > 0 then emit bt)
   | Plan.Select (cols, input) ->
     let up = compile ~batch_rows ~need:(K.select_need cols) input in
     let kinds, write =
       K.compile_select ~schema:up.schema ~kinds:up.kinds (List.map snd cols)
     in
-    let out = Batch.create ~kinds ~cap:batch_rows in
-    let write = write out in
-    let run emit =
-      up.run (fun bt ->
-          let n = bt.Batch.len in
-          let w = write bt in
-          for i = 0 to n - 1 do
-            w i
-          done;
-          Batch.set_identity out n;
-          emit out)
+    let p =
+      extend up (fun emit ->
+          let out = Batch.create ~kinds ~cap:batch_rows () in
+          let write = write out in
+          fun bt ->
+            let n = bt.Batch.len in
+            let w = write bt in
+            for i = 0 to n - 1 do
+              w i
+            done;
+            Batch.set_identity out n;
+            emit out)
     in
-    { schema = Array.of_list (List.map fst cols); kinds; run; obs = up.obs }
+    { p with schema = Array.of_list (List.map fst cols); kinds }
   | Plan.GroupBy { keys; aggs; input } ->
     let up = compile ~batch_rows ~need:(K.group_need keys aggs) input in
-    let table =
+    let g =
       K.group_table ~schema:up.schema ~kinds:up.kinds ~keys:(List.map snd keys)
         ~aggs:(List.map snd aggs)
     in
     let ncols = List.length keys + List.length aggs in
-    let run emit =
-      let groups = table () in
-      (match groups.K.add_chunk with
+    (* The aggregation phase into one table, a whole chunk at a time when
+       the table allows it. *)
+    let phase t produce =
+      match g.K.add_chunk with
       | Some add_chunk ->
-        up.run (fun bt ->
+        let add_chunk = add_chunk t in
+        produce (fun bt ->
             add_chunk bt;
             match up.obs with
             | Some o -> Smc_obs.add o Smc_obs.c_vec_agg_chunk_rows bt.Batch.len
             | None -> ())
       | None ->
-        up.run (fun bt ->
-            let add = groups.K.add bt in
+        let add = g.K.add t in
+        produce (fun bt ->
+            let add = add bt in
             for i = 0 to bt.Batch.len - 1 do
               add i
-            done));
-      batches_of ~ncols ~rows:batch_rows groups.K.iter emit
+            done)
     in
-    { schema = Plan.schema plan; kinds = all_any ncols; run; obs = up.obs }
+    let run emit =
+      let t =
+        match up.chain with
+        | Some c ->
+          K.run_groups ~create:g.K.create c.src ~rows:batch_rows ?cols:c.cols (fun t produce ->
+              phase t (fun consume -> produce (c.through consume)))
+        | None ->
+          let t = g.K.create () in
+          phase t up.run;
+          t
+      in
+      batches_of ~ncols ~rows:batch_rows (K.iter_groups t) emit
+    in
+    { schema = Plan.schema plan; kinds = all_any ncols; run; chain = None; obs = up.obs }
   | Plan.HashJoin { left; right; on } ->
     let lp = compile ~batch_rows ~need:K.All left
     and rp = compile ~batch_rows ~need:K.All right in
@@ -232,7 +272,7 @@ let rec compile ~batch_rows ~need plan : pipe =
                 (Hashtbl.find_all table (List.map (fun ci -> l.(ci)) lkeys))))
         emit
     in
-    { schema; kinds = all_any ncols; run; obs = first_obs lp.obs rp.obs }
+    { schema; kinds = all_any ncols; run; chain = None; obs = first_obs lp.obs rp.obs }
   | Plan.IndexJoin { left; src; index; left_col } ->
     let lp = compile ~batch_rows ~need:K.All left in
     let li = K.resolve lp.schema left_col in
@@ -246,7 +286,7 @@ let rec compile ~batch_rows ~need plan : pipe =
           rows_of lp (fun l -> keyed l.(li) (fun r -> push (Array.append l r))))
         emit
     in
-    { schema; kinds = all_any ncols; run; obs = first_obs lp.obs src.Source.obs }
+    { schema; kinds = all_any ncols; run; chain = None; obs = first_obs lp.obs src.Source.obs }
   | Plan.OrderBy (specs, input) ->
     let up = compile ~batch_rows ~need:K.All input in
     let fns = List.map (fun (e, d) -> (Expr.compile ~schema:up.schema e, d)) specs in
@@ -269,7 +309,7 @@ let rec compile ~batch_rows ~need plan : pipe =
           List.iter push (List.stable_sort compare_rows (List.rev !rows)))
         emit
     in
-    { up with kinds = all_any ncols; run }
+    { up with kinds = all_any ncols; run; chain = None }
   | Plan.Distinct input ->
     let up = compile ~batch_rows ~need:K.All input in
     let ncols = Array.length up.schema in
@@ -285,7 +325,7 @@ let rec compile ~batch_rows ~need plan : pipe =
               end))
         emit
     in
-    { up with kinds = all_any ncols; run }
+    { up with kinds = all_any ncols; run; chain = None }
   | Plan.Limit (n, input) ->
     let up = compile ~batch_rows ~need input in
     let run emit =
@@ -303,7 +343,7 @@ let rec compile ~batch_rows ~need plan : pipe =
             if !taken >= n then raise Done)
       with Done -> ()
     in
-    { up with run }
+    { up with run; chain = None }
 
 let run ?(batch_rows = Batch.default_rows) plan ~f =
   let p = compile ~batch_rows:(max batch_rows 1) ~need:K.All plan in

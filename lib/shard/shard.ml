@@ -285,7 +285,9 @@ let source ?pool ?domains ?view t ~columns =
             per)
     else None
   in
-  { s0 with Source.name = t.name; scan; scan_batches; indexes = [] }
+  (* [par_batches] walks one shard; the merged source has none, so its
+     group-bys run over the merged sequential stream. *)
+  { s0 with Source.name = t.name; scan; scan_batches; par_batches = None; indexes = [] }
 
 (* ---- Per-shard persistence --------------------------------------------
    One WAL and one snapshot file per shard, so group commit, snapshot

@@ -1526,14 +1526,16 @@ let test_matview_churn () =
    - a domain making bare adds or removes.
    The enumerators take turns: the walk at both granularities, alone and
    shared by 2 workers; Source.batches on Row, Columnar and Direct
-   collections, sequential or on 2 workers; and a snapshot view's
-   view_iter. Each must emit every row live for the whole walk exactly
-   once, no row that was never live during it, and no zeroed or half-built
-   row; a view emits exactly the rows at its frontier. The sequential
-   enumerators dawdle a little per range so disturbances land mid-walk.
+   collections; a Vector group-by keyed on the row key, run on 2 workers
+   whose tables are merged; and a snapshot view's view_iter. Each must
+   emit every row live for the whole walk exactly once (the group-by: one
+   group per key, each of count 1), no row that was never live during it,
+   and no zeroed or half-built row; a view emits exactly the rows at its
+   frontier. The enumerators dawdle a little per range or chunk so
+   disturbances land mid-walk.
    Over the run, walks must have read moved rows through a target
-   ([walk_moved_ranges]) — the range path is exercised, not just
-   compiled. *)
+   ([walk_moved_ranges]) and group-bys must have merged worker tables
+   ([par_group_merges]) — both paths are exercised, not just compiled. *)
 (* ------------------------------------------------------------------ *)
 
 let en_layout = Layout.create ~name:"stress_enum" [ ("key", Layout.Int); ("check", Layout.Int) ]
@@ -1544,6 +1546,7 @@ let en_slots = 16
 type enumerator =
   | Walk of Context.granularity * int (* workers *)
   | Batches of Block.placement * Context.mode
+  | Par_group
   | View_iter
 
 let enumerators =
@@ -1555,6 +1558,7 @@ let enumerators =
     Batches (Block.Row, Context.Indirect);
     Batches (Block.Columnar, Context.Indirect);
     Batches (Block.Row, Context.Direct);
+    Par_group;
     View_iter;
   |]
 
@@ -1565,6 +1569,7 @@ let enumerator_name = function
     Printf.sprintf "batches %s/%s"
       (if p = Block.Row then "row" else "columnar")
       (if m = Context.Indirect then "indirect" else "direct")
+  | Par_group -> "parallel vector group-by"
   | View_iter -> "view_iter"
 
 let spin_us us =
@@ -1591,13 +1596,13 @@ let en_phases =
       ("completed", Phase_completed);
     |]
 
-let enumeration_trial pool trial moved =
+let enumeration_trial pool trial moved merged =
   let prng = Smc_util.Prng.create ~seed:(subseed (20_000 + trial)) () in
   let enum = enumerators.(trial mod Array.length enumerators) in
   let placement, mode =
     match enum with
     | Batches (p, m) -> (p, m)
-    | Walk _ | View_iter ->
+    | Walk _ | Par_group | View_iter ->
       Smc_util.Prng.pick prng
         [|
           (Block.Row, Context.Indirect);
@@ -1742,17 +1747,13 @@ let enumeration_trial pool trial moved =
         if g = Context.Whole_walk then Smc.Collection.with_read coll run else run ());
     Array.iter (fun r -> emitted := !r @ !emitted) per
   | Batches _ ->
-    let par = Smc_util.Prng.bool prng in
     let src =
-      Q.Source.of_smc
-        ?pool:(if par then Some pool else None)
-        ?domains:(if par then Some 2 else None)
-        coll
+      Q.Source.of_smc coll
         ~columns:[ ("key", Q.Source.C_int en_key); ("check", Q.Source.C_int en_check) ]
     in
     Q.Source.batches src ~rows:8 (fun b ->
         Atomic.incr progress;
-        if not par then dawdle ();
+        dawdle ();
         match (b.Q.Batch.cols.(0), b.Q.Batch.cols.(1)) with
         | Q.Batch.V_int ks, Q.Batch.V_int cs ->
           for i = 0 to b.Q.Batch.len - 1 do
@@ -1760,6 +1761,38 @@ let enumeration_trial pool trial moved =
             see emitted ks.(r) cs.(r)
           done
         | _ -> Alcotest.fail "batch columns are not int vectors")
+  | Par_group ->
+    (* The source's parallel walk, with each worker's chunks counted as
+       progress and slowed like the other enumerators'. *)
+    let src =
+      Q.Source.of_smc ~pool ~domains:2 coll
+        ~columns:[ ("key", Q.Source.C_int en_key); ("check", Q.Source.C_int en_check) ]
+    in
+    let par = Option.get src.Q.Source.par_batches in
+    let run ~rows ?cols work =
+      par.Q.Source.run ~rows ?cols (fun produce ->
+          work (fun consume ->
+              produce (fun stamp b ->
+                  Atomic.incr progress;
+                  dawdle ();
+                  consume stamp b)))
+    in
+    let src = { src with Q.Source.par_batches = Some { Q.Source.run } } in
+    let groups =
+      Q.Vector.collect ~batch_rows:8
+        Q.Plan.(
+          group_by
+            ~keys:[ ("key", Q.Expr.Col "key") ]
+            ~aggs:[ ("n", Count); ("check", Max (Q.Expr.Col "check")) ]
+            (scan src))
+    in
+    List.iter
+      (function
+        | [| Q.Value.Int k; Q.Value.Int 1; Q.Value.Int c |] -> see emitted k c
+        | [| Q.Value.Int k; Q.Value.Int n; _ |] ->
+          Alcotest.failf "parallel group-by: key %d counted %d times" k n
+        | _ -> Alcotest.fail "parallel group-by: unexpected row shape")
+      groups
   | View_iter ->
     let v = Option.get view in
     Fun.protect
@@ -1804,18 +1837,21 @@ let enumeration_trial pool trial moved =
         Alcotest.failf "%s: row %d, live for the whole walk, was not emitted" what k)
     live0;
   audit_quiescent what (Audit.create rt) rt ctx;
-  moved := !moved + Smc_obs.get (Smc_obs.snapshot rt.Runtime.obs) Smc_obs.c_walk_moved_ranges
+  let counters = Smc_obs.snapshot rt.Runtime.obs in
+  moved := !moved + Smc_obs.get counters Smc_obs.c_walk_moved_ranges;
+  merged := !merged + Smc_obs.get counters Smc_obs.c_par_group_merges
 
 let test_enumeration_property () =
   let pool = Smc_parallel.Pool.create ~size:1 () in
   Fun.protect
     ~finally:(fun () -> Smc_parallel.Pool.shutdown pool)
     (fun () ->
-      let moved = ref 0 in
+      let moved = ref 0 and merged = ref 0 in
       for trial = 0 to max 16 (iters / 100) - 1 do
-        enumeration_trial pool trial moved
+        enumeration_trial pool trial moved merged
       done;
-      Alcotest.(check bool) "some walk read moved rows through a target" true (!moved > 0))
+      Alcotest.(check bool) "some walk read moved rows through a target" true (!moved > 0);
+      Alcotest.(check bool) "some group-by merged worker tables" true (!merged > 0))
 
 (* ------------------------------------------------------------------ *)
 

@@ -50,6 +50,21 @@ let test_pool_run () =
   Pool.shutdown seq;
   Pool.shutdown pool
 
+(* A [run] issued from inside one of the pool's own tasks, while every
+   worker is busy with that task: the helper no worker can start runs on
+   the caller instead of being waited for (a hang here is the failure). *)
+let test_pool_run_nested () =
+  let pool = Pool.create ~size:1 () in
+  let hits =
+    Pool.await
+      (Pool.submit pool (fun () ->
+           let hits = Array.make 2 0 in
+           Pool.run pool ~workers:2 (fun w -> hits.(w) <- hits.(w) + 1);
+           hits))
+  in
+  check (Alcotest.list Alcotest.int) "each index ran once" [ 1; 1 ] (Array.to_list hits);
+  Pool.shutdown pool
+
 (* Regression: pool workers register epoch thread slots when they touch a
    runtime; shutting a pool down must hand those slots back. Before slot
    recycling, ~128 create/use/shutdown cycles against one runtime exhausted
@@ -365,6 +380,7 @@ let () =
         [
           qc "submit/await + reuse + shutdown" test_pool_submit_await;
           qc "run partitions worker indices" test_pool_run;
+          qc "run nested in its own task" test_pool_run_nested;
           qc "exception propagation" test_pool_exceptions;
           qc "cycles recycle epoch slots" test_pool_cycles_recycle_epoch_slots;
           qc "serial submits spawn one domain" test_pool_serial_submits_spawn_one_domain;

@@ -305,61 +305,61 @@ let q1_aggs =
       ("n", Count);
     ]
 
+let many_groups src =
+  Plan.(
+    group_by
+      ~keys:[ ("k", Expr.Col "k") ]
+      ~aggs:
+        [
+          ("n", Count);
+          ("sum_d", Sum (Expr.Col "d"));
+          ("mn_dt", Min (Expr.Col "dt"));
+          ("mx_c", Max (Expr.Col "c"));
+        ]
+      (scan src))
+
+let kernel_plans src =
+  let col c = (c, Expr.Col c) in
+  Plan.
+    [
+      ( "q1 shape",
+        group_by ~keys:[ col "c"; col "kc" ] ~aggs:q1_aggs
+          (where Expr.(Le (Col "dt", Const (Value.Date 10060))) (scan src)) );
+      ("date key", group_by ~keys:[ col "dt" ] ~aggs:q1_aggs (scan src));
+      ("typed zero-key", group_by ~keys:[] ~aggs:q1_aggs (scan src));
+      ( "min/max under char keys",
+        group_by
+          ~keys:[ col "c"; col "kc" ]
+          ~aggs:
+            [
+              ("mn_d", Min (Expr.Col "d"));
+              ("mx_d", Max (Expr.Col "d"));
+              ("mn_k", Min Expr.(Sub (Col "k", int 50)));
+              ("mx_k", Max (Expr.Col "k"));
+              ("mn_dt", Min (Expr.Col "dt"));
+              ("mx_dt", Max (Expr.Col "dt"));
+              ("mn_c", Min (Expr.Col "c"));
+              ("mx_kc", Max (Expr.Col "kc"));
+            ]
+          (scan src) );
+    ]
+
 let test_group_kernels () =
   List.iter
     (fun (cname, placement, mode) ->
       let _rt, coll = build ~placement ~mode ~n:100 () in
       let src = Source.of_smc coll ~columns:(columns @ [ ("kc", Source.C_char fk) ]) in
-      let col c = (c, Expr.Col c) in
-      let plans =
-        Plan.
-          [
-            ( "q1 shape",
-              group_by ~keys:[ col "c"; col "kc" ] ~aggs:q1_aggs
-                (where Expr.(Le (Col "dt", Const (Value.Date 10060))) (scan src)) );
-            ("date key", group_by ~keys:[ col "dt" ] ~aggs:q1_aggs (scan src));
-            ("typed zero-key", group_by ~keys:[] ~aggs:q1_aggs (scan src));
-            ( "min/max under char keys",
-              group_by
-                ~keys:[ col "c"; col "kc" ]
-                ~aggs:
-                  [
-                    ("mn_d", Min (Expr.Col "d"));
-                    ("mx_d", Max (Expr.Col "d"));
-                    ("mn_k", Min Expr.(Sub (Col "k", int 50)));
-                    ("mx_k", Max (Expr.Col "k"));
-                    ("mn_dt", Min (Expr.Col "dt"));
-                    ("mx_dt", Max (Expr.Col "dt"));
-                    ("mn_c", Min (Expr.Col "c"));
-                    ("mx_kc", Max (Expr.Col "kc"));
-                  ]
-                (scan src) );
-          ]
-      in
       List.iter
         (fun (n, plan) ->
           let name = cname ^ " " ^ n in
           let reference = check_parity name plan in
           check rows_testable (name ^ ": vector[7] = volcano") reference
             (Vector.collect ~batch_rows:7 plan))
-        plans)
+        (kernel_plans src))
     configs;
   (* one int key per row: the table grows from 16 slots past 5,000 groups *)
   let _rt, coll = build ~placement:Block.Columnar ~mode:Context.Indirect ~n:7600 () in
-  let src = Source.of_smc coll ~columns in
-  let plan =
-    Plan.(
-      group_by
-        ~keys:[ ("k", Expr.Col "k") ]
-        ~aggs:
-          [
-            ("n", Count);
-            ("sum_d", Sum (Expr.Col "d"));
-            ("mn_dt", Min (Expr.Col "dt"));
-            ("mx_c", Max (Expr.Col "c"));
-          ]
-        (scan src))
-  in
+  let plan = many_groups (Source.of_smc coll ~columns) in
   let reference = check_parity "many groups" plan in
   check Alcotest.bool "many groups: more than 5,000" true (List.length reference > 5000);
   check rows_testable "many groups: vector[7] = volcano" reference
@@ -367,7 +367,7 @@ let test_group_kernels () =
 
 (* A grouped division by a zero column raises Division_by_zero on every
    engine, through the chunk loops too. *)
-let test_group_div_by_zero () =
+let group_div_by_zero ?pool ?(label = "") () =
   let dz =
     Smc_offheap.Layout.create ~name:"dz"
       [ ("k", Smc_offheap.Layout.Int); ("zero", Smc_offheap.Layout.Int); ("c", Smc_offheap.Layout.Int) ]
@@ -384,7 +384,7 @@ let test_group_div_by_zero () =
         : Smc.Ref.t)
   done;
   let src =
-    Source.of_smc coll
+    Source.of_smc ?pool coll
       ~columns:[ ("k", Source.C_int zk); ("zero", Source.C_int zz); ("c", Source.C_char zc) ]
   in
   let by_zero =
@@ -402,7 +402,7 @@ let test_group_div_by_zero () =
         (fun (engine, collect) ->
           check
             (Alcotest.result rows_testable Alcotest.string)
-            (Printf.sprintf "%s division by zero: %s" n engine)
+            (Printf.sprintf "%s%s division by zero: %s" label n engine)
             (Error "Division_by_zero") (outcome collect plan))
         [
           ("volcano", Interp.collect);
@@ -412,6 +412,8 @@ let test_group_div_by_zero () =
           ("compiled", Codegen.collect);
         ])
     by_zero
+
+let test_group_div_by_zero () = group_div_by_zero ()
 
 let test_row_operators () =
   with_configs (fun cname src ->
@@ -1391,6 +1393,134 @@ let test_probe_leaves () =
         leaves)
     [ 0; 1; 17; n - 18 ]
 
+(* ------------------------------------------------------------------ *)
+(* Parallel group-bys: a group-by over a Where/Select chain over a Scan
+   runs on the pool's workers when its table is typed, and the worker
+   tables merge in the order the sequential scan first meets each group,
+   so every engine still equals Volcano row for row. Pools of size 1 and
+   3 (2 and 4 workers); the collections have holed 16-slot blocks. *)
+
+let with_pool size f =
+  let pool = Smc_parallel.Pool.create ~size () in
+  Fun.protect ~finally:(fun () -> Smc_parallel.Pool.shutdown pool) (fun () -> f pool)
+
+let par_configs = [ ("row", Block.Row); ("columnar", Block.Columnar) ]
+
+let group_plans plans =
+  List.filter (fun (_, p) -> match p with Plan.GroupBy _ -> true | _ -> false) plans
+
+(* Every engine's outcome against Volcano's: rows in order, or the same
+   exception. Vector may meet a raising row at another point of the scan,
+   so when Volcano raises it need only raise too. *)
+let check_par name plan =
+  let reference = outcome Interp.collect plan in
+  let same what got =
+    check (Alcotest.result rows_testable Alcotest.string) (name ^ ": " ^ what ^ " = volcano")
+      reference got
+  in
+  same "fuse" (outcome Fuse.collect plan);
+  require_native plan;
+  same "compiled" (outcome Codegen.collect plan);
+  List.iter
+    (fun rows ->
+      let what = Printf.sprintf "vector[%d]" rows in
+      match (reference, outcome (Vector.collect ~batch_rows:rows) plan) with
+      | Error _, Error _ -> ()
+      | _, got -> same what got)
+    [ 1; 7; 1024 ]
+
+let test_par_parity () =
+  List.iter
+    (fun size ->
+      with_pool size (fun pool ->
+          List.iter
+            (fun (cname, placement) ->
+              let rt, coll = build ~placement ~mode:Context.Indirect ~n:100 () in
+              let src =
+                Source.of_smc ~pool coll ~columns:(columns @ [ ("kc", Source.C_char fk) ])
+              in
+              let merges0 = counter rt Smc_obs.c_par_group_merges in
+              List.iter
+                (fun (n, plan) -> check_par (Printf.sprintf "pool %d %s %s" size cname n) plan)
+                (kernel_plans src @ group_plans (fuse_plans src @ compiled_plans src));
+              check Alcotest.bool
+                (Printf.sprintf "pool %d %s: worker tables were merged" size cname)
+                true
+                (counter rt Smc_obs.c_par_group_merges > merges0))
+            par_configs;
+          (* more than 5,000 groups: every worker's table grows, and the
+             merged order must still be first-seen *)
+          let _rt, coll = build ~placement:Block.Columnar ~mode:Context.Indirect ~n:7600 () in
+          check_par
+            (Printf.sprintf "pool %d many groups" size)
+            (many_groups (Source.of_smc ~pool coll ~columns))))
+    [ 1; 3 ]
+
+let test_par_div_by_zero () =
+  List.iter
+    (fun size ->
+      with_pool size (fun pool ->
+          group_div_by_zero ~pool ~label:(Printf.sprintf "pool %d " size) ()))
+    [ 1; 3 ]
+
+(* A boxed key, or a Limit in the chain, keeps the sequential path: no
+   parallel walk starts and no table is merged, and the rows still equal
+   Volcano's. *)
+let test_par_stays_sequential () =
+  with_pool 3 (fun pool ->
+      let rt, coll = build ~placement:Block.Row ~mode:Context.Indirect ~n:100 () in
+      let src = Source.of_smc ~pool coll ~columns in
+      let gb keys input =
+        Plan.group_by ~keys ~aggs:[ ("n", Plan.Count); ("s", Plan.Sum (Expr.Col "d")) ] input
+      in
+      List.iter
+        (fun (n, plan) ->
+          let scans0 = counter rt Smc_obs.c_par_scans
+          and merges0 = counter rt Smc_obs.c_par_group_merges in
+          check_par n plan;
+          check Alcotest.int (n ^ ": no parallel walk") scans0 (counter rt Smc_obs.c_par_scans);
+          check Alcotest.int (n ^ ": no merge") merges0 (counter rt Smc_obs.c_par_group_merges))
+        Plan.
+          [
+            ("boxed key", gb [ ("s", Expr.Col "s") ] (where Expr.(Gt (Col "k", int 3)) (scan src)));
+            ( "limit in the chain",
+              gb [ ("c", Expr.Col "c") ] (where Expr.(Gt (Col "k", int 3)) (limit 40 (scan src))) );
+          ])
+
+(* TPC-H Q1 and Q6 through the planner on every batch engine: one merge
+   per query on a 2-worker pool, none with [~domains:1]. *)
+let test_par_merge_counter () =
+  let ds = Smc_tpch.Dbgen.generate ~seed:11L ~sf:0.005 () in
+  let db = Smc_tpch.Db_smc.load ds in
+  let rt = db.Smc_tpch.Db_smc.rt in
+  let queries src =
+    List.map
+      (fun mk -> Planner.choose_access_paths (mk src))
+      Smc_experiments.Linq_vs_compiled.[ q1_plan; q6_plan ]
+  in
+  let engines =
+    [ ("vector", fun p -> Vector.collect p); ("fuse", Fuse.collect); ("compiled", Codegen.collect) ]
+  in
+  with_pool 1 (fun pool ->
+      List.iter
+        (fun (domains, merged) ->
+          let src = Smc_experiments.Linq_vs_compiled.lineitem_source ~pool ?domains db in
+          List.iter
+            (fun (engine, collect) ->
+              let m0 = counter rt Smc_obs.c_par_group_merges in
+              List.iter
+                (fun plan ->
+                  require_native plan;
+                  check rows_testable (engine ^ " = volcano") (Interp.collect plan) (collect plan))
+                (queries src);
+              check Alcotest.int
+                (Printf.sprintf "%s, domains %s: merges" engine
+                   (match domains with Some d -> string_of_int d | None -> "default"))
+                merged
+                (counter rt Smc_obs.c_par_group_merges - m0))
+            engines)
+        [ (None, 2); (Some 1, 0) ])
+
 let () =
   let qc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vector"
@@ -1416,6 +1546,13 @@ let () =
           qc "filter counters balance" test_vec_counters;
         ] );
       ("fuse", [ qc "fuse = volcano on typed shapes" test_fuse_parity ]);
+      ( "parallel",
+        [
+          qc "typed group-bys = volcano, in order" test_par_parity;
+          qc "grouped division by zero" test_par_div_by_zero;
+          qc "boxed key and limit stay sequential" test_par_stays_sequential;
+          qc "merges counted for Q1/Q6" test_par_merge_counter;
+        ] );
       ( "fill",
         [
           qc "chunks = row path" test_fill_parity;
