@@ -71,7 +71,9 @@ let check_block ~out ~(ctx : Context.t) (blk : Block.t) =
     end
     else if state = Constants.state_limbo then begin
       incr limbo;
-      check_backptr ();
+      (* A copy a transactional store superseded names the live row's
+         entry, which points at the live copy. *)
+      if Context.live_entry bp = bp then check_backptr ();
       let stamp = Constants.dir_stamp e in
       if stamp > global then
         vf out "block %d slot %d: limbo removal stamp %d is ahead of global epoch %d"

@@ -235,7 +235,8 @@ let op_stale_lookup t =
 let check_agreement t =
   let seen = Hashtbl.create (max 16 t.n_live) in
   in_critical t (fun () ->
-      Context.iter_valid t.ctx ~f:(fun blk slot ->
+      Context.with_walk t.ctx @@ fun w ->
+      Context.iter w Context.Whole_walk ~on_block:(fun blk slot ->
           let k = Block.get_word blk ~slot ~word:t.key_word in
           let p = Block.get_word blk ~slot ~word:t.payload_word in
           match Hashtbl.find_opt t.live k with

@@ -133,13 +133,12 @@ let with_read t f =
   Epoch.enter_critical t.rt.Runtime.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit_critical t.rt.Runtime.epoch) f
 
-let iter t ~f = with_read t (fun () -> Context.iter_valid t.ctx ~f)
+let walk_all t granularity ~on_block =
+  Context.with_walk t.ctx (fun w -> Context.iter w granularity ~on_block)
 
-let iter_per_block t ~f =
-  Context.walk (Context.walk_start t.ctx) Context.Per_element ~scan:(fun blk lo hi ->
-      Context.scan_slots blk ~lo ~hi ~f)
-
-let iter_scan t ~on_block = with_read t (fun () -> Context.iter_valid_hoisted t.ctx ~on_block)
+let iter_scan t ~on_block = with_read t (fun () -> walk_all t Context.Whole_walk ~on_block)
+let iter t ~f = iter_scan t ~on_block:f
+let iter_per_block t ~f = walk_all t Context.Per_element ~on_block:f
 
 let loc_block t loc = Context.block_of_loc t.ctx loc
 let loc_slot loc = Constants.ptr_slot loc
@@ -176,7 +175,7 @@ let limbo_count t = Context.stats_limbo t.ctx
    mutexes are not reentrant. Bare [add]/[remove] calls do not take the
    transaction lock — they stay lock-free as before. The cost is that a
    bare mutation is a single-op unit with its own CSN: it can land between
-   a view's frontier and a transaction's commit CSN. Bare [store]s stamp
+   a walk's frontier and a transaction's commit CSN. Bare [store]s stamp
    their CSN under the transaction lock, so validation sees them; only raw
    [Field.set_*] pokes stay invisible. Use transactions for multi-op
    consistency. *)
@@ -360,10 +359,12 @@ let commit_prepared pr =
   check_prepared pr "commit_prepared";
   let tx = pr.pr_tx in
   let t = tx.tx_coll in
+  let csn = Context.begin_commit t.ctx in
   Fun.protect
-    ~finally:(fun () -> finish_prepared pr)
+    ~finally:(fun () ->
+      Context.end_commit t.ctx;
+      finish_prepared pr)
     (fun () ->
-      let csn = Context.next_csn t.ctx in
       let adds, ops = apply_locked tx ~csn in
       Runtime.fire_txn_hook t.rt Runtime.Txn_applied;
       List.iter
@@ -397,64 +398,29 @@ let transact t f =
   else commit tx
 
 (* ---- Snapshot views ---------------------------------------------------
-   A view pins (a) the current epoch, by holding a critical section for the
-   view's lifetime — so limbo rows it can still see are never recycled or
-   compacted away — and (b) a CSN frontier read under the transaction lock,
-   so the frontier never splits a committed batch. Row visibility is then
-   pure stamp arithmetic ({!Context.slot_visible_at}). Views are bound to
-   the opening domain (the critical section is thread-local) and must be
-   closed; [with_view] brackets the common case. *)
+   A view holds (a) an epoch critical section for its lifetime, and (b) a
+   registered CSN frontier read while holding the transaction lock of every
+   collection in the vector, so it never splits a committed batch —
+   including a coordinated one that spans the collections. Every walk
+   reads the same way; a view only keeps its frontier open for longer, and
+   the registry keeps every row it can see from being recycled or dropped
+   by compaction. Views are bound to the opening domain (the critical
+   section and the registry cell are per domain) and must be closed;
+   [with_view] brackets the common case. *)
 
 type view = { vw_coll : t; vw_csn : int; mutable vw_open : bool }
 
-let snapshot_view t =
-  let rt = t.rt in
-  Epoch.enter_critical rt.Runtime.epoch;
-  (* Store-load pairing with the compactor (see {!Runtime.t.active_views}):
-     publish the view before checking for a moving phase, and wait out any
-     pass already moving — its group completion drops limbo rows wholesale,
-     with no per-row stamp to test against. *)
-  ignore (Atomic.fetch_and_add rt.Runtime.active_views 1 : int);
-  while Atomic.get rt.Runtime.in_moving_phase do
-    Domain.cpu_relax ()
-  done;
-  Mutex.lock t.txn_lock;
-  let csn = Context.csn_now t.ctx in
-  Mutex.unlock t.txn_lock;
-  obs_incr t Smc_obs.c_txn_views;
-  { vw_coll = t; vw_csn = csn; vw_open = true }
-
-let close_view v =
-  if v.vw_open then begin
-    v.vw_open <- false;
-    ignore (Atomic.fetch_and_add v.vw_coll.rt.Runtime.active_views (-1) : int);
-    Epoch.exit_critical v.vw_coll.rt.Runtime.epoch;
-    obs_incr v.vw_coll Smc_obs.c_txn_view_closes
-  end
-
-(* A frontier vector over several collections, read while holding ALL their
-   transaction locks (in list order — callers coordinating with a
-   multi-collection [prepare] sequence must pass the same global order). A
-   coordinated commit holds every participating lock from prepare through
-   apply, so the vector cannot land between two halves of it: the views see
-   all of a cross-collection transaction or none of it. Locking one
-   collection at a time would not give that — the vector could straddle a
-   commit that published on a later collection first. *)
 let snapshot_views ts =
   List.iter
     (fun t ->
-      let rt = t.rt in
-      Epoch.enter_critical rt.Runtime.epoch;
-      ignore (Atomic.fetch_and_add rt.Runtime.active_views 1 : int);
-      while Atomic.get rt.Runtime.in_moving_phase do
-        Domain.cpu_relax ()
-      done)
+      Epoch.enter_critical t.rt.Runtime.epoch;
+      ignore (Atomic.fetch_and_add t.rt.Runtime.active_views 1 : int))
     ts;
   List.iter (fun t -> Mutex.lock t.txn_lock) ts;
   let views =
     List.map
       (fun t ->
-        let csn = Context.csn_now t.ctx in
+        let csn = Context.open_frontier t.ctx in
         obs_incr t Smc_obs.c_txn_views;
         { vw_coll = t; vw_csn = csn; vw_open = true })
       ts
@@ -462,14 +428,25 @@ let snapshot_views ts =
   List.iter (fun t -> Mutex.unlock t.txn_lock) ts;
   views
 
+let snapshot_view t = List.hd (snapshot_views [ t ])
+
+let close_view v =
+  if v.vw_open then begin
+    let t = v.vw_coll in
+    v.vw_open <- false;
+    Context.close_frontier t.ctx;
+    ignore (Atomic.fetch_and_add t.rt.Runtime.active_views (-1) : int);
+    Epoch.exit_critical t.rt.Runtime.epoch;
+    obs_incr t Smc_obs.c_txn_view_closes
+  end
+
 let view_csn v = v.vw_csn
 
-let check_view v what =
-  if not v.vw_open then invalid_arg (Printf.sprintf "Collection.%s: view already closed" what)
+let view_walk v =
+  if not v.vw_open then invalid_arg "Collection.view_walk: view already closed";
+  Context.walk_from v.vw_coll.ctx ~csn:v.vw_csn
 
-let view_iter v ~f =
-  check_view v "view_iter";
-  Context.iter_visible v.vw_coll.ctx ~csn:v.vw_csn ~f
+let view_iter v ~f = Context.iter (view_walk v) Context.Whole_walk ~on_block:f
 
 let view_fold v ~init ~f =
   let acc = ref init in

@@ -6,6 +6,12 @@
     bag semantics and are enumerated in memory (block) order inside epoch
     critical sections, which is what compiled queries exploit.
 
+    Every enumeration reads at a CSN frontier it takes when it starts: it
+    emits exactly the rows visible there (live, or removed after it), each
+    once, even when a transaction commits or compaction moves rows
+    mid-walk; rows added after it started are not emitted. While the walk
+    runs, nothing it can still see is recycled.
+
     Storage knobs mirror the paper's variants: row vs columnar placement
     (§4.1) and indirect vs direct reference mode (§6). *)
 
@@ -55,8 +61,9 @@ type t = {
   rt : Smc_offheap.Runtime.t;
   mutable subs : subscriber list;  (** in attachment order *)
   txn_lock : Mutex.t;
-      (** serialises transaction commits and view-frontier reads; never
-          held together with the context lock *)
+      (** serialises transaction commits and bare stores, and the frontier
+          vector of {!snapshot_views}; never held together with the context
+          lock *)
 }
 
 val create :
@@ -136,19 +143,20 @@ val with_read : t -> (unit -> 'a) -> 'a
     queries (§4): one enter/exit per query, not per object. Nestable. *)
 
 val iter : t -> f:(Smc_offheap.Block.t -> int -> unit) -> unit
-(** Enumerates valid slots in block order within one critical section. *)
+(** Enumerates the rows visible at the current frontier in block order,
+    within one critical section. *)
 
 val iter_per_block : t -> f:(Smc_offheap.Block.t -> int -> unit) -> unit
 (** Like {!iter} but with one critical section per memory block instead of
     one for the whole enumeration — §4's alternative granularity, keeping
     grace periods short so reclamation can progress during long scans. The
-    same rows are visited: a row live for the whole enumeration is visited
-    exactly once even when compaction moves it mid-scan. *)
+    same rows are visited, each once, even when compaction moves them
+    mid-scan. *)
 
 val iter_scan : t -> on_block:(Smc_offheap.Block.t -> int -> unit) -> unit
 (** Block-hoisted enumeration: [on_block blk] is evaluated once per
     scanned slot range (a whole block, or a compaction source's range of
-    its target), and the resulting closure runs for each valid slot. Compiled queries use
+    its target), and the resulting closure runs for each visible slot. Compiled queries use
     this to hoist the block's raw arrays and field offsets out of the slot
     loop — the paper's direct pointer access to the collection's memory
     blocks. *)
@@ -169,12 +177,14 @@ val count : t -> int
 (** Live objects (O(blocks), from the per-block counters). *)
 
 val ref_of_slot : t -> Smc_offheap.Block.t -> int -> Ref.t
-(** Reference for an enumerated slot. *)
+(** Reference for an enumerated slot — the row's live reference also for
+    the pre-commit copy a walk below a transactional store emits. *)
 
 val compact : t -> ?occupancy_threshold:float -> unit -> Smc_offheap.Compaction.report
 (** Runs a §5 compaction pass over the collection's context. A pass aborts
-    (without moving anything) while snapshot views are open — their limbo
-    rows must survive; retry after the views close. *)
+    (without moving anything) while snapshot views are open — their
+    critical sections would stall its epoch waits; retry after the views
+    close. *)
 
 (** {2 Atomic multi-op transactions}
 
@@ -223,8 +233,9 @@ val stage_store : txn -> Ref.t -> word:int -> value:int -> unit
 (** Stages a word store (the transactional counterpart of a direct field
     store; pair with [Layout] word offsets). Applied copy-on-write at
     commit ({!Smc_offheap.Context.store_versioned}): the reference keeps
-    its identity but the row moves to a fresh slot, while open snapshot
-    views keep reading the pre-commit payload from the retired copy. Do
+    its identity but the row moves to a fresh slot, while walks and views
+    that started before the commit keep reading the pre-commit payload
+    from the retired copy. Do
     not store to indexed key fields — index entries are keyed at add
     time. *)
 
@@ -280,13 +291,13 @@ val abort_prepared : prepared -> unit
 
 (** {2 Snapshot views}
 
-    A view pins the current epoch (it holds a critical section for its
-    lifetime, so rows it can still see are never recycled or compacted
-    away) and a CSN frontier read under the transaction lock (so the
-    frontier never splits a committed batch). Reads against the view are
-    stable: concurrent commits and bare mutations do not change what it
-    yields. Views are bound to the opening domain and block the compactor's
-    moving phase while open — close them promptly. *)
+    A view keeps one CSN frontier open for its lifetime: reads against it
+    are stable — concurrent commits and bare mutations do not change what
+    it yields, and the rows it can see are neither recycled nor dropped by
+    compaction. It also pins the current epoch (a critical section held
+    for its lifetime), so a compaction pass started while a view is open
+    aborts at once. Views are bound to the opening domain — close them
+    promptly. *)
 
 type view
 
@@ -310,6 +321,11 @@ val snapshot_views : t list -> view list
 
 val view_csn : view -> int
 (** The view's CSN frontier. *)
+
+val view_walk : view -> Smc_offheap.Context.walk
+(** A walk at the view's frontier, for engines that drive
+    {!Smc_offheap.Context.walk} themselves. Raises [Invalid_argument] once
+    the view is closed. *)
 
 val view_iter : view -> f:(Smc_offheap.Block.t -> int -> unit) -> unit
 (** Enumerates the rows visible at the view's frontier, in block order. *)

@@ -31,6 +31,7 @@ and t = {
   slot_inc : int_ba;
   csn_born : int_ba;
   csn_write : int_ba;
+  born_max : int Atomic.t;
   valid_count : int Atomic.t;
   limbo_count : int Atomic.t;
   mutable scan_pos : int;
@@ -70,6 +71,7 @@ let create ~id ~layout ~placement ~nslots =
     slot_inc = int_ba nslots;
     csn_born = int_ba nslots;
     csn_write = int_ba nslots;
+    born_max = Atomic.make 0;
     valid_count = Atomic.make 0;
     limbo_count = Atomic.make 0;
     scan_pos = 0;

@@ -54,8 +54,12 @@ and t = {
           visible; 0 for rows that predate CSN stamping (always visible) *)
   csn_write : int_ba;
       (** commit sequence number of the last write (store or removal) to
-          the slot's current row; doubles as the removal stamp read by
-          snapshot views *)
+          the slot's current row; doubles as the removal stamp every walk
+          reads *)
+  born_max : int Atomic.t;
+      (** the newest birth CSN any row of the block ever carried, raised
+          before the row is counted valid: a full block whose [born_max] is
+          at or below a frontier is visible there in full *)
   valid_count : int Atomic.t;
   limbo_count : int Atomic.t;
   mutable scan_pos : int;  (** allocator's next slot to examine (§3.5) *)

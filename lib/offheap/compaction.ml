@@ -56,8 +56,11 @@ let select_candidates (ctx : Context.t) threshold =
   !result
 
 (* Partition candidates into groups whose total live objects fit one target
-   block, build per-block relocation lists, and publish the group. *)
+   block, build per-block relocation lists, and publish the group. A limbo
+   row an open frontier can still see gets a target slot too, so the sweep
+   can carry it over ([keep_dead]). *)
 let form_groups (ctx : Context.t) candidates group_size =
+  let seen = Context.oldest_frontier ctx in
   let groups = ref [] in
   let rec take n acc = function
     | [] -> (List.rev acc, [])
@@ -78,7 +81,12 @@ let form_groups (ctx : Context.t) candidates group_size =
           let nrelocs = ref 0 in
           let by_slot = Array.make src.Block.nslots (-1) in
           for slot = 0 to src.Block.nslots - 1 do
-            if (not !overflow) && Block.slot_state src slot = state_valid then begin
+            let st = Block.slot_state src slot in
+            if
+              (not !overflow)
+              && (st = state_valid
+                 || (st = state_limbo && Bigarray.Array1.get src.Block.csn_write slot > seen))
+            then begin
               if !next_slot >= target.Block.nslots then overflow := true
               else begin
                 let r =
@@ -205,9 +213,31 @@ let skip_group (ctx : Context.t) (g : Block.group) =
   g.Block.g_target.Block.dead <- true;
   Registry.retire ctx.rt.Runtime.registry g.Block.g_target.Block.id
 
+(* A row that died after a frontier still open now moves as it is — a
+   limbo row with its stamps, words and back-pointer — into its reserved
+   target slot, where the walks that can see it look. The source slot
+   becomes free, so [complete_group] drops only rows no walk can see.
+   Limbo rows of a compactor-owned source never change. *)
+let keep_dead ind (src : Block.t) (r : Block.relocation) =
+  let tgt = r.Block.target and s = r.Block.from_slot and d = r.Block.to_slot in
+  let bp = Bigarray.Array1.get src.Block.backptr s in
+  if bp >= 0 then Indirection.set_ptr ind bp (pack_ptr ~block:tgt.Block.id ~slot:d);
+  let move (plane : Block.t -> Block.int_ba) =
+    Bigarray.Array1.set (plane tgt) d (Bigarray.Array1.get (plane src) s)
+  in
+  Block.copy_slot ~src ~src_slot:s ~dst:tgt ~dst_slot:d;
+  List.iter move
+    [ (fun b -> b.Block.backptr); (fun b -> b.Block.slot_inc); (fun b -> b.Block.csn_born);
+      (fun b -> b.Block.csn_write); (fun b -> b.Block.dir) ];
+  Atomic.incr tgt.Block.limbo_count;
+  Bigarray.Array1.set src.Block.backptr s Constants.null_ref;
+  Block.set_dir_entry src s (dir_entry ~state:state_free ~stamp:0);
+  Atomic.decr src.Block.limbo_count
+
 let sweep_group (ctx : Context.t) (g : Block.group) =
   let rt = ctx.rt in
   let ind = rt.Runtime.ind in
+  let seen = Context.oldest_frontier ctx in
   let moved = ref 0 in
   Array.iter
     (fun (src : Block.t) ->
@@ -216,7 +246,8 @@ let sweep_group (ctx : Context.t) (g : Block.group) =
       | Some rl ->
         Array.iter
           (fun (r : Block.relocation) ->
-            let entry = Bigarray.Array1.unsafe_get src.Block.backptr r.Block.from_slot in
+            let s = r.Block.from_slot in
+            let entry = Context.live_entry (Bigarray.Array1.get src.Block.backptr s) in
             if entry >= 0 then
               Runtime.with_entry_lock rt entry (fun () ->
                   match r.Block.status with
@@ -232,7 +263,13 @@ let sweep_group (ctx : Context.t) (g : Block.group) =
                       Context.perform_relocation ctx entry r src;
                       incr moved
                     end
-                    else r.Block.status <- Block.Failed))
+                    else begin
+                      r.Block.status <- Block.Failed;
+                      if
+                        Block.slot_state src s = state_limbo
+                        && Bigarray.Array1.get src.Block.csn_write s > seen
+                      then keep_dead ind src r
+                    end))
           rl.Block.relocs)
     g.Block.sources;
   !moved
@@ -273,7 +310,8 @@ let fixup_direct_pointers (ctx : Context.t) compacted =
       Fun.protect
         ~finally:(fun () -> Epoch.exit_critical referrer.Context.rt.Runtime.epoch)
         (fun () ->
-          Context.iter_valid referrer ~f:(fun blk slot ->
+          Context.with_walk referrer @@ fun walk ->
+          Context.iter walk Context.Whole_walk ~on_block:(fun blk slot ->
               let w = Block.get_word blk ~slot ~word:field.Layout.word in
               if w >= 0 && Hashtbl.mem compacted (direct_block w) then begin
                 let fresh =
@@ -319,9 +357,9 @@ let run_pass (ctx : Context.t) ?(occupancy_threshold = 0.3) ?(max_wait_spins = 5
     invalid_arg "Compaction.run: must not run inside a critical section";
   let tid = Runtime.tid rt in
   if Atomic.get rt.Runtime.active_views > 0 then
-    (* An open snapshot view still reads limbo rows the moving phase would
-       destroy; don't even reserve candidates — the pass would abort at the
-       epoch wait anyway (the view holds a critical section). *)
+    (* An open snapshot view holds a critical section for its lifetime, so
+       the pass would only spin out its epoch waits and abort; don't even
+       reserve candidates. *)
     { empty_report with aborted = true }
   else begin
   let candidates = select_candidates ctx occupancy_threshold in
@@ -371,16 +409,9 @@ let run_pass (ctx : Context.t) ?(occupancy_threshold = 0.3) ?(max_wait_spins = 5
             && Epoch.wait_all_reached em ~except:tid ~epoch:(e0 + 2) ~max_spins:max_wait_spins ())
         then abort ()
         else begin
-          (* Moving phase. The store of [in_moving_phase] followed by the
-             load of [active_views] pairs with the snapshot-view side (incr
-             [active_views], then spin while [in_moving_phase]): whichever
-             order the two races resolve in, either the view spins until
-             this pass finishes or aborts, or we see its count and abort —
-             limbo rows the view still reads are never destroyed. Views
-             that predate the pass already failed the epoch waits above. *)
+          (* Moving phase. Walks and views opened meanwhile are safe: the
+             sweep carries over every limbo row an open frontier can see. *)
           Atomic.set rt.Runtime.in_moving_phase true;
-          if Atomic.get rt.Runtime.active_views > 0 then abort ()
-          else begin
           Runtime.fire_compaction_hook rt Runtime.Phase_moving;
           let moved = ref 0 and skipped = ref 0 and retired = ref 0 in
           let completed = ref [] in
@@ -458,7 +489,6 @@ let run_pass (ctx : Context.t) ?(occupancy_threshold = 0.3) ?(max_wait_spins = 5
             fixed_pointers = fixed;
             aborted = false;
           }
-          end
         end
       end
     end

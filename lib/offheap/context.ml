@@ -25,11 +25,16 @@ type t = {
   local_block : Block.t option array;
   mutable direct_referrers : (t * Layout.field) list;
   compaction_requested : bool Atomic.t;
-  (* Commit sequence number: the logical clock snapshot views read against.
-     Bare (non-transactional) mutations take a fresh CSN per operation;
-     [Collection.transact] stamps a whole batch with one CSN so a view
-     frontier can never split it. *)
+  (* The commit clock every walk reads against: CSN [n] is [csn lsr 1], and
+     the low bit is set while a transaction commit applies the batch it
+     stamped with CSN [committing]. Bare mutations take a fresh CSN each. *)
   csn : int Atomic.t;
+  committing : int Atomic.t;
+  (* The open-frontier registry, one cell per epoch thread slot: a lower
+     bound on the frontiers that thread's open walks and views read at
+     ([max_int] when none), and how many it holds. *)
+  frontiers : int Atomic.t array;
+  frontier_depth : int array;
 }
 
 let max_threads = 128
@@ -54,14 +59,62 @@ let create rt ~layout ?(placement = Block.Row) ?(mode = Indirect) ?(slots_per_bl
     direct_referrers = [];
     compaction_requested = Atomic.make false;
     csn = Atomic.make 0;
+    committing = Atomic.make 0;
+    frontiers = Array.init max_threads (fun _ -> Atomic.make max_int);
+    frontier_depth = Array.make max_threads 0;
   }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let csn_now t = Atomic.get t.csn
-let next_csn t = Atomic.fetch_and_add t.csn 1 + 1
+(* The frontier: every CSN at or below it belongs to a finished unit. An
+   applying commit pins it just below its own CSN, and it never moves
+   backwards: [begin_commit] publishes [committing] before the CAS that
+   sets the low bit, and the CAS fails if any CSN was minted meanwhile. *)
+let csn_now t =
+  let w = Atomic.get t.csn in
+  if w land 1 = 0 then w lsr 1 else Atomic.get t.committing - 1
+
+let next_csn t = (Atomic.fetch_and_add t.csn 2 lsr 1) + 1
+
+let rec begin_commit t =
+  let w = Atomic.get t.csn in
+  let c = (w lsr 1) + 1 in
+  Atomic.set t.committing c;
+  if Atomic.compare_and_set t.csn w ((c lsl 1) lor 1) then c else begin_commit t
+
+let end_commit t = ignore (Atomic.fetch_and_add t.csn (-1) : int)
+
+(* Register, then read: a reclaimer that missed this cell read the clock
+   before it, so it tested against a frontier no newer than ours. *)
+let open_frontier t =
+  let tid = Runtime.tid t.rt in
+  let d = t.frontier_depth.(tid) in
+  if d = 0 then Atomic.set t.frontiers.(tid) (csn_now t);
+  t.frontier_depth.(tid) <- d + 1;
+  csn_now t
+
+let close_frontier t =
+  let tid = Runtime.tid t.rt in
+  let d = t.frontier_depth.(tid) - 1 in
+  t.frontier_depth.(tid) <- d;
+  if d = 0 then Atomic.set t.frontiers.(tid) max_int
+
+(* No open or future frontier can see a row that died at or below this. *)
+let oldest_frontier t =
+  let m = ref (csn_now t) in
+  for i = 0 to Epoch.registered_threads t.rt.Runtime.epoch - 1 do
+    m := min !m (Atomic.get t.frontiers.(i))
+  done;
+  !m
+
+let note_birth blk c =
+  let rec go () =
+    let m = Atomic.get blk.Block.born_max in
+    if c > m && not (Atomic.compare_and_set blk.Block.born_max m c) then go ()
+  in
+  go ()
 
 let stamp_write blk slot ~csn =
   Bigarray.Array1.unsafe_set blk.Block.csn_write slot csn
@@ -87,11 +140,6 @@ let new_block_unpublished t =
       Block.create ~id ~layout:t.layout ~placement:t.placement ~nslots:t.slots_per_block)
 
 let publish_block t blk = with_lock t (fun () -> append_block_locked t blk)
-
-let fresh_block t =
-  let blk = new_block_unpublished t in
-  publish_block t blk;
-  blk
 
 (* The reclamation queue is a two-list FIFO under the context lock: pushes
    prepend to [rq_back], pops take from [rq_front], reversing the back list
@@ -198,7 +246,8 @@ let release_local t tid blk =
   maybe_queue t blk
 
 (* Scan the slot directory from the last allocation position for a free slot
-   or a reclaimable limbo slot (§3.5). A completely full block (every slot
+   or a reclaimable limbo slot (§3.5): its grace period passed, and no open
+   frontier can still see its row. A completely full block (every slot
    valid, so no free and no limbo slot to recycle) is rejected without
    touching the directory at all. *)
 let scan_for_slot t tid blk =
@@ -207,6 +256,11 @@ let scan_for_slot t tid blk =
   let epoch = t.rt.Runtime.epoch in
   let ind = t.rt.Runtime.ind in
   let n = blk.Block.nslots in
+  let oldest = ref (-1) in
+  let unseen pos =
+    if !oldest < 0 then oldest := oldest_frontier t;
+    Bigarray.Array1.unsafe_get blk.Block.csn_write pos <= !oldest
+  in
   let rec go remaining pos =
     if remaining = 0 then None
     else begin
@@ -217,9 +271,11 @@ let scan_for_slot t tid blk =
         blk.Block.scan_pos <- pos + 1;
         Some pos
       end
-      else if state = state_limbo && Epoch.can_reclaim epoch ~stamp:(dir_stamp entry) then begin
-        (* Grace period passed: recycle the slot and its indirection entry.
-           Stale references already fail the incarnation check. *)
+      else if
+        state = state_limbo && Epoch.can_reclaim epoch ~stamp:(dir_stamp entry) && unseen pos
+      then begin
+        (* Recycle the slot and its indirection entry. Stale references
+           already fail the incarnation check. *)
         let old_entry = Bigarray.Array1.unsafe_get blk.Block.backptr pos in
         if old_entry >= 0 then Indirection.free ind ~tid old_entry;
         Bigarray.Array1.unsafe_set blk.Block.backptr pos Constants.null_ref;
@@ -252,12 +308,12 @@ let rec alloc ?csn ?init t =
   | Some slot ->
     let ind = t.rt.Runtime.ind in
     Block.clear_slot_words blk ~slot;
-    (* Stamp the row's CSN before the directory flips the slot valid: a
-       snapshot view that sees [state_valid] must also see a birth stamp,
-       never a stale one left by the slot's previous incarnation. *)
+    (* Stamp the row's CSN before the directory flips the slot valid, and
+       birth before write ([slot_visible_at] reads them in reverse). *)
     let c = match csn with Some c -> c | None -> next_csn t in
     Bigarray.Array1.unsafe_set blk.Block.csn_born slot c;
     Bigarray.Array1.unsafe_set blk.Block.csn_write slot c;
+    note_birth blk c;
     let entry = Indirection.alloc ind ~tid in
     Indirection.set_ptr ind entry (pack_ptr ~block:blk.Block.id ~slot);
     Bigarray.Array1.unsafe_set blk.Block.backptr slot entry;
@@ -360,69 +416,68 @@ let free ?csn t packed =
         end)
   end
 
-(* Copy-on-write store for transactional commits: re-point the reference's
-   indirection entry at a fresh copy of the row carrying the updated word,
-   and retire the old copy to limbo with death stamp [csn]. Open snapshot
-   views at frontiers below [csn] keep reading the old copy through the
-   ordinary limbo-visibility rule; the reference (same entry, same
-   incarnation) reaches the new copy, so live and stored refs are
-   unaffected. Indirect mode only — there is no entry to swing in direct
-   mode. Returns false when the reference no longer resolves. *)
+(* The back-pointer of a copy [store_versioned] superseded names the row's
+   live entry as [-2 - entry]: a walk below the commit still emits that
+   copy and must name the live row, while recycling it frees no entry. *)
+let live_entry bp = if bp >= -1 then bp else -2 - bp
+
+(* Copy-on-write store for transactional commits. [alloc]'s [init] builds
+   the copy, born at [csn] (above every frontier while the commit
+   applies), under the row's entry lock, so no walk sees it half built.
+   The swing waits until [alloc] has counted the copy: a bare [free] that
+   took the lock in between killed the row, and a row relocated in
+   between is copied again. The old copy retires with death stamp [csn]. *)
 let store_versioned t packed ~csn ~word ~value =
   if t.mode <> Indirect then invalid_arg "Context.store_versioned: indirect mode only";
-  if packed < 0 then false
-  else begin
-    (* The fresh slot first, outside any entry lock: [alloc] may take the
-       context lock or create blocks. Its private entry [e2] is published
-       to no one; we own both the slot and the entry outright. *)
-    let fresh = alloc ~csn t in
-    let ind = t.rt.Runtime.ind in
-    let e1 = ref_entry packed and inc = ref_inc packed in
-    let e2 = ref_entry fresh in
-    let swapped =
+  let ind = t.rt.Runtime.ind and registry = t.rt.Runtime.registry in
+  let e1 = ref_entry packed and inc = ref_inc packed in
+  let live () = Indirection.inc_word ind e1 land inc_mask = inc in
+  let copied = ref (-1) in
+  let copy_live dst dst_slot =
+    let p1 = Indirection.ptr ind e1 in
+    if p1 <> !copied then begin
+      Block.copy_slot ~src:(Registry.get registry (ptr_block p1)) ~src_slot:(ptr_slot p1) ~dst
+        ~dst_slot;
+      Block.set_word dst ~slot:dst_slot ~word value;
+      copied := p1
+    end
+  in
+  let init dst dst_slot =
+    Runtime.with_entry_lock t.rt e1 (fun () ->
+        if not (live ()) then raise_notrace Exit;
+        copy_live dst dst_slot)
+  in
+  packed >= 0
+  &&
+  match alloc ~csn ~init t with
+  | exception Exit -> false
+  | fresh ->
+    let p2 = Indirection.ptr ind (ref_entry fresh) in
+    let dst = Registry.get registry (ptr_block p2) and dst_slot = ptr_slot p2 in
+    let swung =
       Runtime.with_entry_lock t.rt e1 (fun () ->
-          let w = Indirection.inc_word ind e1 in
-          if w land inc_mask <> inc then false
-          else begin
-            let p1 = Indirection.ptr ind e1 in
-            let src_blk = Registry.get t.rt.Runtime.registry (ptr_block p1) in
-            let src_slot = ptr_slot p1 in
-            let p2 = Indirection.ptr ind e2 in
-            let dst_blk = Registry.get t.rt.Runtime.registry (ptr_block p2) in
-            let dst_slot = ptr_slot p2 in
-            (* A pending relocation of the old copy is cancelled exactly as
-               [free] cancels one for a dying frozen object: the compactor
-               re-checks the status and bails. *)
-            if w land frozen_bit <> 0 then begin
-              mark_reloc_failed src_blk src_slot;
-              Indirection.set_inc_word ind e1 (w land lnot frozen_bit)
-            end;
-            Block.copy_slot ~src:src_blk ~src_slot ~dst:dst_blk ~dst_slot;
-            Block.set_word dst_blk ~slot:dst_slot ~word value;
-            (* [alloc ~csn] already stamped the new copy born = write = csn:
-               the version interval starts at this commit, so frontiers
-               below [csn] see only the limbo original. Swap the pointers
-               and back-pointers — [packed] now reaches the updated copy,
-               the private entry owns the old one. *)
+          live ()
+          && begin
+            copy_live dst dst_slot;
+            let w = Indirection.inc_word ind e1 and p1 = Indirection.ptr ind e1 in
+            let src = Registry.get registry (ptr_block p1) and src_slot = ptr_slot p1 in
+            (* Cancel a pending relocation of the old copy, as [free] does. *)
+            if w land frozen_bit <> 0 then mark_reloc_failed src src_slot;
+            Indirection.set_inc_word ind e1 (w land lnot frozen_bit);
             Indirection.set_ptr ind e1 p2;
-            Indirection.set_ptr ind e2 p1;
-            Bigarray.Array1.unsafe_set dst_blk.Block.backptr dst_slot e1;
-            Bigarray.Array1.unsafe_set src_blk.Block.backptr src_slot e2;
+            Bigarray.Array1.unsafe_set dst.Block.backptr dst_slot e1;
+            stamp_write src src_slot ~csn;
+            Bigarray.Array1.unsafe_set src.Block.backptr src_slot (-2 - e1);
+            retire_slot t src src_slot ~new_inc:0;
+            obs_incr t Smc_obs.c_frees;
             true
           end)
     in
-    if swapped then begin
-      (* Retire the old copy through the ordinary free path (limbo, death
-         stamp [csn], grace period). [e2]'s incarnation bump is harmless —
-         the reference never escaped. *)
-      ignore (free ~csn t fresh : bool);
-      true
-    end
-    else begin
-      ignore (free t fresh : bool);
-      false
-    end
-  end
+    (* Swung: [alloc]'s entry was never handed out. Not swung: the copy is
+       born and dead at [csn], so no frontier ever sees it. *)
+    if swung then Indirection.free ind ~tid:(Runtime.tid t.rt) (ref_entry fresh)
+    else ignore (free ~csn t fresh : bool);
+    swung
 
 (* Perform one relocation under the entry stripe lock: copy the object
    words, publish the target slot, switch the indirection pointer, tombstone
@@ -450,6 +505,7 @@ let perform_relocation t entry (r : Block.relocation) src =
       (Bigarray.Array1.unsafe_get src.Block.csn_born r.Block.from_slot);
     Bigarray.Array1.unsafe_set tgt.Block.csn_write dst_slot
       (Bigarray.Array1.unsafe_get src.Block.csn_write r.Block.from_slot);
+    note_birth tgt (Bigarray.Array1.unsafe_get tgt.Block.csn_born dst_slot);
     Block.set_dir_entry tgt dst_slot (dir_entry ~state:state_valid ~stamp:0);
     ignore (Atomic.fetch_and_add tgt.Block.valid_count 1 : int);
     Indirection.set_ptr ind entry (pack_ptr ~block:tgt.Block.id ~slot:dst_slot);
@@ -597,39 +653,36 @@ let direct_ref_of t packed =
     pack_direct ~block:blk.Block.id ~slot ~inc
 
 let indirect_ref_of_slot t blk slot =
-  let entry = Bigarray.Array1.unsafe_get blk.Block.backptr slot in
+  let entry = live_entry (Bigarray.Array1.unsafe_get blk.Block.backptr slot) in
   if entry < 0 then Constants.null_ref
   else begin
     let inc = Indirection.inc_word t.rt.Runtime.ind entry land inc_mask in
     pack_ref ~entry ~inc
   end
 
-(* Snapshot visibility at CSN frontier [csn]: a valid row is visible when it
-   was born at or before the frontier; a limbo/quarantined row is still
-   visible when it was born before and died after — removal stamps
-   ([stamp_write]/[free]) are written before the directory flip, so a state
-   observed as dead always comes with its death CSN. Free slots carry no
-   row. Epoch pinning (the view holds a critical section opened before the
-   frontier was read) keeps visible limbo rows from being recycled. *)
+(* The one visibility rule every walk applies at its frontier [csn]: a row
+   born at or before it, valid or dead after it. Removal stamps are written
+   before the directory flip, and the walk's registered frontier keeps a
+   row it sees from being recycled or dropped by compaction. A dead row it
+   does not see may be recycled mid-test: [alloc] stamps birth, then write,
+   so reading write first never pairs the old birth with the new write. *)
 let slot_visible_at blk slot ~csn =
   let state = Constants.dir_state (Bigarray.Array1.unsafe_get blk.Block.dir slot) in
   if state = state_valid then Bigarray.Array1.unsafe_get blk.Block.csn_born slot <= csn
-  else if state = state_limbo || state = state_quarantined then
-    Bigarray.Array1.unsafe_get blk.Block.csn_born slot <= csn
+  else
+    state <> state_free
     && Bigarray.Array1.unsafe_get blk.Block.csn_write slot > csn
-  else false
+    && Bigarray.Array1.unsafe_get blk.Block.csn_born slot <= csn
 
-let scan_slots ?csn blk ~lo ~hi ~f =
-  match csn with
-  | None ->
-    let dir = blk.Block.dir in
-    for slot = lo to hi - 1 do
-      if Constants.dir_state (Bigarray.Array1.unsafe_get dir slot) = state_valid then f blk slot
-    done
-  | Some csn ->
-    for slot = lo to hi - 1 do
-      if slot_visible_at blk slot ~csn then f blk slot
-    done
+(* Every slot holds a row visible at [csn]: [alloc] raises [born_max]
+   before it counts a row valid, and [retire_slot] uncounts a row before it
+   retires it, so a full count means every slot held a built row born at
+   or below [born_max]. A removal that completes after that instant is
+   concurrent with the walk; its row stays in limbo, words intact, until
+   the caller's critical section ends. *)
+let settled blk ~csn =
+  Atomic.get blk.Block.valid_count = blk.Block.nslots
+  && Atomic.get blk.Block.born_max <= csn
 
 (* The §5.2 block walk. Every enumerator — sequential or parallel, whole
    walk or one critical section per element, row, hoisted, batch or
@@ -654,9 +707,15 @@ let scan_slots ?csn blk ~lo ~hi ~f =
    its moving state (§5.2); a moving group is waited out. *)
 type granularity = Whole_walk | Per_element
 
-type walk = { w_ctx : t; w_view : view; w_next : int Atomic.t }
+type walk = { w_ctx : t; w_view : view; w_next : int Atomic.t; w_csn : int }
 
-let walk_start t = { w_ctx = t; w_view = t.view; w_next = Atomic.make 0 }
+let walk_from t ~csn = { w_ctx = t; w_view = t.view; w_next = Atomic.make 0; w_csn = csn }
+
+(* The frontier is read before the view: a row born at or below it lives
+   in a block published before it was stamped. *)
+let with_walk t f =
+  let w = walk_from t ~csn:(open_frontier t) in
+  Fun.protect ~finally:(fun () -> close_frontier t) (fun () -> f w)
 
 (* Relocations of [rl] whose source slot is below [slot]; relocation lists
    are in source-slot order. *)
@@ -724,46 +783,34 @@ let walk_at w granularity ~scan =
 
 let walk w granularity ~scan = walk_at w granularity ~scan:(fun _ -> scan)
 
-let iter_valid t ~f =
-  walk (walk_start t) Whole_walk ~scan:(fun blk lo hi -> scan_slots blk ~lo ~hi ~f)
+let scan_slots w blk ~lo ~hi ~f =
+  let csn = w.w_csn in
+  if settled blk ~csn then
+    for slot = lo to hi - 1 do
+      f slot
+    done
+  else
+    for slot = lo to hi - 1 do
+      if slot_visible_at blk slot ~csn then f slot
+    done
 
-let iter_visible t ~csn ~f =
-  walk (walk_start t) Whole_walk ~scan:(fun blk lo hi -> scan_slots ~csn blk ~lo ~hi ~f)
-
-(* Block-hoisted enumeration: [on_block] runs once per scanned range and
-   returns the per-slot body, so generated-style query code can hoist the
-   block's raw data array, placement arithmetic and field offsets out of
-   the loop — direct pointer access into the block, as in the paper's §4
-   listing. *)
-let iter_valid_hoisted t ~on_block =
-  walk (walk_start t) Whole_walk ~scan:(fun blk lo hi ->
-      let body = on_block blk in
-      let dir = blk.Block.dir in
-      for slot = lo to hi - 1 do
-        if Constants.dir_state (Bigarray.Array1.unsafe_get dir slot) = state_valid then
-          body slot
-      done)
+(* Row-at-a-time enumeration: [on_block] runs once per scanned range and
+   returns the per-slot body, so query code can hoist the block's raw state
+   out of the loop — direct block access, as in the paper's §4 listing. *)
+let iter w granularity ~on_block =
+  walk w granularity ~scan:(fun blk lo hi -> scan_slots w blk ~lo ~hi ~f:(on_block blk))
 
 (* Batch-at-a-time enumeration: one pass per column chunk. [fill_block]
    walks a slot range in chunks of at most [dim slots] rows; each chunk is
    one loop that tests a slot and copies the wanted words of that slot at
-   the output cursor, which advances only when the slot survives the
-   directory (or CSN-visibility) test — branchless, so a cut slot is
-   simply overwritten by the next one. Row and Columnar blocks share the
-   loop through one address form: word [w] of slot [s] sits at
-   [s * stride + w * wstride], with (stride, wstride) = (slot_words, 1)
-   for Row and (1, nslots) for Columnar; [offs] holds each wanted word's
-   [w * wstride], hoisted out of the loop.
-
-   A block whose [valid_count] equals [nslots] at chunk entry skips the
-   directory: its chunk is a plain column-strided copy of the slot range.
-   That is safe because [alloc] flips the directory (after [init] built
-   the row) before it increments the count and [retire_slot] decrements
-   the count before it retires the slot, so a full count means every slot
-   held a built row at that instant. A row removed after it stays in
-   limbo, words intact, until the caller's critical section ends — the
-   same guarantee the per-slot directory read gives. Snapshot reads
-   ([?csn]) always test visibility per slot. *)
+   the output cursor, which advances only when the slot is visible at the
+   walk's frontier — so a cut slot is simply overwritten by the next one.
+   Row and Columnar blocks share the loop through one address form: word
+   [w] of slot [s] sits at [s * stride + w * wstride], with (stride,
+   wstride) = (slot_words, 1) for Row and (1, nslots) for Columnar; [offs]
+   holds each wanted word's [w * wstride], hoisted out of the loop. A block
+   [settled] at chunk entry skips the test: its chunk is a plain
+   column-strided copy of the slot range. *)
 type sel = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let make_sel cap = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 cap)
@@ -775,7 +822,8 @@ type chunk = {
   dsts : int array array;
 }
 
-let fill_chunk ?csn t blk ~start ~hi c =
+let fill_chunk w blk ~start ~hi c =
+  let t = w.w_ctx and csn = w.w_csn in
   let cap = Bigarray.Array1.dim c.slots in
   let n = blk.Block.nslots in
   let data = blk.Block.data in
@@ -786,7 +834,7 @@ let fill_chunk ?csn t blk ~start ~hi c =
     | Block.Row -> (blk.Block.layout.Layout.slot_words, c.words)
     | Block.Columnar -> (1, Array.map (fun w -> w * n) c.words)
   in
-  if Option.is_none csn && Atomic.get blk.Block.valid_count = n then begin
+  if settled blk ~csn then begin
     let m = min cap (hi - start) in
     for i = 0 to m - 1 do
       Bigarray.Array1.unsafe_set slots i (start + i)
@@ -802,7 +850,6 @@ let fill_chunk ?csn t blk ~start ~hi c =
     (m, start + m)
   end
   else begin
-    let dir = blk.Block.dir in
     let k = ref 0 and s = ref start in
     while !k < cap && !s < hi do
       let i = !s and kk = !k in
@@ -813,21 +860,17 @@ let fill_chunk ?csn t blk ~start ~hi c =
           (Bigarray.Array1.unsafe_get data (base + Array.unsafe_get offs w)
           land Array.unsafe_get masks w)
       done;
-      let live =
-        match csn with
-        | None -> Constants.dir_state (Bigarray.Array1.unsafe_get dir i) = state_valid
-        | Some csn -> slot_visible_at blk i ~csn
-      in
-      k := kk + Bool.to_int live;
+      k := kk + Bool.to_int (slot_visible_at blk i ~csn);
       s := i + 1
     done;
     (!k, !s)
   end
 
-let fill_block ?csn t blk ~lo ~hi c ~on_batch =
+let fill_block w blk ~lo ~hi c ~on_batch =
+  let t = w.w_ctx in
   let start = ref lo in
   while !start < hi do
-    let count, next = fill_chunk ?csn t blk ~start:!start ~hi c in
+    let count, next = fill_chunk w blk ~start:!start ~hi c in
     if count > 0 then begin
       obs_incr t Smc_obs.c_vec_batches;
       Smc_obs.add t.rt.Runtime.obs Smc_obs.c_vec_batch_rows count;

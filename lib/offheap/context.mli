@@ -28,8 +28,9 @@
     range of the target its rows were moved to, followed through later
     compactions of that target. A target in the same view accounts only
     for the slots its sources do not own. The positions' shares partition
-    the rows, so a row live for the whole walk is emitted exactly once even
-    when a group forms and completes mid-walk. *)
+    the rows, and the walk reads at one registered CSN frontier, so a row
+    visible there is emitted exactly once even when a group forms and
+    completes or a transaction commits mid-walk. *)
 
 type mode = Indirect | Direct
 
@@ -58,8 +59,12 @@ type t = {
       (** contexts holding direct references into this one (§6 fixup) *)
   compaction_requested : bool Atomic.t;
   csn : int Atomic.t;
-      (** commit sequence number — the logical clock snapshot views read
-          against; see {!csn_now}/{!next_csn} *)
+      (** the commit clock every walk reads against: CSN [csn lsr 1], low
+          bit set while a commit applies; see {!csn_now} *)
+  committing : int Atomic.t;  (** the applying commit's CSN *)
+  frontiers : int Atomic.t array;
+      (** the open-frontier registry, one cell per epoch thread slot *)
+  frontier_depth : int array;  (** open frontiers per thread slot *)
 }
 
 val create :
@@ -93,46 +98,71 @@ val free : ?csn:int -> t -> int -> bool
     {!next_csn} — stamped before the slot leaves the valid state. Safe
     concurrently with enumeration and allocation. *)
 
-(** {2 Commit sequence numbers and snapshot visibility}
+(** {2 Commit sequence numbers and the visibility rule}
 
     Every row carries a birth CSN and a last-write CSN in its block's stamp
-    planes. A snapshot view reads at frontier [v]: valid rows born at or
-    before [v] plus limbo/quarantined rows born at or before and dead after
-    [v]. Stamps are always written before the directory state flips, so an
-    observed state change comes with its CSN; the view's epoch critical
-    section keeps visible limbo rows from being recycled underneath it. *)
+    planes. Every walk reads at a CSN frontier [v] and emits valid rows
+    born at or before [v] plus limbo/quarantined rows born at or before and
+    dead after [v] ({!slot_visible_at}). Stamps are always written before
+    the directory state flips, so an observed state change comes with its
+    CSN. Open frontiers are registered per context: no slot is recycled and
+    no compaction drops a row that an open frontier can still see. *)
 
 val csn_now : t -> int
-(** Current commit frontier: every CSN ≤ this has been assigned. *)
+(** Current frontier: every CSN at or below it belongs to a finished unit.
+    A transaction commit that is still applying its batch holds the
+    frontier just below its CSN, so a frontier never splits a batch. *)
 
 val next_csn : t -> int
-(** Mint the next CSN (atomic increment). *)
+(** Mint the next CSN for a single-op unit (atomic increment). *)
+
+val begin_commit : t -> int
+(** Mint a transaction commit's CSN and hold the frontier below it until
+    {!end_commit}. Commits on one context must not overlap (the
+    collection's transaction lock serialises them). *)
+
+val end_commit : t -> unit
+(** Release the frontier held by {!begin_commit}: the batch is visible. *)
+
+val open_frontier : t -> int
+(** Registers an open frontier on the calling domain and returns it. No
+    row it can see is recycled or dropped by compaction until it is
+    closed. Nestable per domain; a snapshot view holds one for its
+    lifetime. *)
+
+val close_frontier : t -> unit
+(** Closes one of the calling domain's {!open_frontier}s. *)
+
+val oldest_frontier : t -> int
+(** No open or future frontier can see a row whose death stamp is at or
+    below this value: the minimum of the current frontier and every
+    registered one. *)
 
 val stamp_write : Block.t -> int -> csn:int -> unit
 (** Record a write CSN on a slot (in-place [store] path); call before the
-    stored words change so a view frontier between stamp and store reads
-    either version but never attributes the new words to the old CSN. *)
+    stored words change so a validator comparing against the old stamp can
+    only have read the old word. *)
 
 val store_versioned : t -> int -> csn:int -> word:int -> value:int -> bool
 (** Copy-on-write store for transactional commits: copies the row behind
     the packed reference into a fresh slot stamped born = write = [csn],
     applies the word update to the copy, swings the reference's
     indirection entry to it, and retires the old copy to limbo with death
-    stamp [csn]. The reference keeps its identity (same entry, same
-    incarnation), current readers see the new payload, and snapshot views
-    at frontiers below [csn] keep reading the old copy through the limbo
-    visibility rule. A pending relocation of the old copy is cancelled the
-    way {!free} cancels one. Returns false when the reference no longer
-    resolves. Indirect mode only — raises [Invalid_argument] in direct
-    mode. *)
+    stamp [csn] — all before the fresh slot turns valid, so no walk sees
+    it unbuilt. The reference keeps its identity (same entry, same
+    incarnation); walks below [csn] keep reading the old copy, and
+    {!indirect_ref_of_slot} on it still yields the live reference. A
+    pending relocation of the old copy is cancelled the way {!free}
+    cancels one. Returns false when the reference no longer resolves.
+    Indirect mode only — raises [Invalid_argument] in direct mode. *)
+
+val live_entry : int -> int
+(** The indirection entry a back-pointer word names: itself, or for a copy
+    {!store_versioned} superseded (stored as [-2 - entry]), the live row's
+    entry; -1 for none. *)
 
 val slot_visible_at : Block.t -> int -> csn:int -> bool
 (** Whether the slot holds a row visible at frontier [csn]. *)
-
-val iter_visible : t -> csn:int -> f:(Block.t -> int -> unit) -> unit
-(** Enumerates every slot visible at frontier [csn]: a {!Whole_walk}
-    {!walk}. Call inside a critical section that was entered before the
-    frontier was read. *)
 
 val resolve : t -> int -> (Block.t * int) option
 (** Current (block, slot) behind a packed indirect reference, or [None] if
@@ -151,19 +181,8 @@ val direct_ref_of : t -> int -> int
 val indirect_ref_of_slot : t -> Block.t -> int -> int
 (** Builds the application-level reference for a slot reached by block
     enumeration (via the back-pointer, as the paper's generated query code
-    does when yielding [ObjRef]s). *)
-
-val iter_valid : t -> f:(Block.t -> int -> unit) -> unit
-(** Enumerates every valid slot block-by-block: a {!Whole_walk} {!walk}.
-    Call inside a critical section. Bag semantics: objects added or removed
-    concurrently may or may not be observed; every other one is visited
-    exactly once. *)
-
-val iter_valid_hoisted : t -> on_block:(Block.t -> int -> unit) -> unit
-(** Like {!iter_valid}, but [on_block] runs once per scanned slot range
-    (usually a whole block) and returns the per-slot body — query code
-    hoists raw block state out of the slot loop (the paper's direct block
-    access). *)
+    does when yielding [ObjRef]s). For a copy a transactional store
+    superseded, the reference of the live row. *)
 
 (** {2 The block walk} *)
 
@@ -176,12 +195,24 @@ type granularity =
           per-block granularity, which keeps grace periods short during long
           enumerations (call it outside any critical section to get them) *)
 
-type walk
-(** One enumeration: a view snapshot and an atomic position dispenser. *)
+type walk = private {
+  w_ctx : t;
+  w_view : view;
+  w_next : int Atomic.t;
+  w_csn : int;  (** the frontier every range of the walk is read at *)
+}
+(** One enumeration: a frontier, a view snapshot and an atomic position
+    dispenser. *)
 
-val walk_start : t -> walk
-(** Snapshots the published view. Share the result across workers to
-    partition one enumeration among them. *)
+val with_walk : t -> (walk -> 'a) -> 'a
+(** [with_walk t f] registers and reads the current frontier
+    ({!open_frontier}), snapshots the published view, runs [f] on the walk
+    and closes the frontier when [f] returns or raises. Share the walk
+    across workers inside [f] to partition one enumeration among them. *)
+
+val walk_from : t -> csn:int -> walk
+(** A walk at an older frontier that the caller keeps registered (a
+    snapshot view's). *)
 
 val walk : walk -> granularity -> scan:(Block.t -> int -> int -> unit) -> unit
 (** Draws view positions from the dispenser until none is left and calls
@@ -191,11 +222,10 @@ val walk : walk -> granularity -> scan:(Block.t -> int -> int -> unit) -> unit
     range of a compaction target its rows were moved to (counted in
     [walk_moved_ranges]). Several domains may run [walk] on one {!walk};
     each position is drawn by exactly one of them. Whatever the
-    granularity and however many workers share the walk, a row live for
-    the whole enumeration is passed to exactly one [scan] call, once, and
-    [scan] sees no other rows but ones added or removed concurrently (bag
-    semantics). [scan] filters the range's slots itself ({!scan_slots},
-    {!fill_block}). *)
+    granularity and however many workers share the walk, every row is
+    passed to at most one [scan] call, once, and a row visible at the
+    walk's frontier to exactly one. [scan] filters the range's slots
+    itself by that frontier ({!scan_slots}, {!fill_block}). *)
 
 val walk_at : walk -> granularity -> scan:(int -> Block.t -> int -> int -> unit) -> unit
 (** {!walk} that also names each range's view position: [scan i blk lo hi]
@@ -204,10 +234,17 @@ val walk_at : walk -> granularity -> scan:(int -> Block.t -> int -> int -> unit)
     (position, slot) orders the rows of any walk the way the sequential
     walk would meet them. *)
 
-val scan_slots :
-  ?csn:int -> Block.t -> lo:int -> hi:int -> f:(Block.t -> int -> unit) -> unit
-(** Applies [f] to every valid slot in [\[lo, hi)], or with [?csn] to every
-    slot visible at that frontier ({!slot_visible_at}). *)
+val scan_slots : walk -> Block.t -> lo:int -> hi:int -> f:(int -> unit) -> unit
+(** Applies [f] to every slot of [blk] in [\[lo, hi)] visible at the
+    walk's frontier. A full block whose newest birth is at or below the frontier
+    ([Block.born_max]) skips the per-slot test. *)
+
+val iter : walk -> granularity -> on_block:(Block.t -> int -> unit) -> unit
+(** The one row-at-a-time enumeration: {!walk} with {!scan_slots}'s test,
+    where [on_block blk] runs once per scanned slot range and returns the
+    per-slot body — pass [f] itself for a plain per-row callback, or hoist
+    raw block state out of the slot loop (the paper's direct block
+    access). Snapshot views pass a {!walk_from} walk. *)
 
 (** {2 Batch-at-a-time enumeration}
 
@@ -234,30 +271,21 @@ type chunk = {
     [masks.(w)]. *)
 
 val fill_block :
-  ?csn:int ->
-  t ->
-  Block.t ->
-  lo:int ->
-  hi:int ->
-  chunk ->
-  on_batch:(Block.t -> int -> unit) ->
-  unit
-(** Reads slots [\[lo, hi)] of one block as chunks: for each chunk with [count] > 0 surviving
-    rows, fills the first [count] entries of [chunk.slots] and of every
-    [chunk.dsts] column and calls [on_batch blk count], which must consume
-    them before returning (the buffers are reused). Survival means directory state [valid], or visibility
-    at the [?csn] frontier when given (same semantics as {!scan_slots}).
+  walk -> Block.t -> lo:int -> hi:int -> chunk -> on_batch:(Block.t -> int -> unit) -> unit
+(** Reads slots [\[lo, hi)] of one block as chunks: for each chunk with
+    [count] > 0 rows visible at the walk's frontier, fills the first
+    [count] entries of [chunk.slots] and of every [chunk.dsts] column and
+    calls [on_batch blk count], which must consume them before returning
+    (the buffers are reused).
 
     Each chunk is one branchless pass that writes every slot's index and
-    words at the output cursor and advances the cursor by the survival
-    test. Without [?csn], a chunk of a block whose [valid_count] is
-    [nslots] at chunk entry skips the directory and copies the slot range
-    column by column ([alloc] flips the directory before counting a slot,
-    [free] uncounts it before retiring it, so a full count means every
-    slot was valid at that instant; counted in [vec_full_batches]). Counts
-    [vec_batches] and [vec_batch_rows]. No group handling — pass it as a
-    {!walk}'s [scan]; call inside a critical section, which keeps a row
-    removed mid-chunk in limbo with its words intact. *)
+    words at the output cursor and advances the cursor by the visibility
+    test. A chunk of a full block whose newest birth is at or below the
+    frontier skips the test and copies the slot range column by column
+    (counted in [vec_full_batches]). Counts [vec_batches] and
+    [vec_batch_rows]. No group handling — pass it as a {!walk}'s [scan];
+    call inside a critical section, which keeps a row removed mid-chunk in
+    limbo with its words intact. *)
 
 val reclaim_queue_blocks : t -> Block.t list
 (** Snapshot of the reclamation queue, oldest first. Callers must hold the
@@ -296,9 +324,6 @@ val off_heap_words : t -> int
 val stats_limbo : t -> int
 
 val request_compaction : t -> unit
-
-val fresh_block : t -> Block.t
-(** Creates and publishes a block (visible to enumerators immediately). *)
 
 val new_block_unpublished : t -> Block.t
 (** Creates a block registered globally but not yet visible to enumeration;

@@ -23,11 +23,9 @@ type t = {
   next_relocation_epoch : int Atomic.t;
   in_moving_phase : bool Atomic.t;
   active_views : int Atomic.t;
-  (* Open snapshot views across the runtime. A non-zero count vetoes the
-     compactor's moving phase (which destroys limbo rows a view may still
-     read); the view side increments and then spins while [in_moving_phase]
-     is set, the compactor sets [in_moving_phase] and then checks this —
-     the store-load pairing means one of them always sees the other. *)
+  (* Open snapshot views across the runtime. Each holds a critical section
+     for its lifetime, which would stall a compaction pass's epoch waits,
+     so a pass that starts while this is non-zero aborts at once. *)
   next_context_id : int Atomic.t;
   mutable inc_quarantine_limit : int;
   quarantined_slots : int Atomic.t;

@@ -31,11 +31,9 @@ type t = {
   next_relocation_epoch : int Atomic.t;  (** -1 when no compaction pending *)
   in_moving_phase : bool Atomic.t;
   active_views : int Atomic.t;
-      (** open snapshot views; non-zero vetoes the compactor's moving phase
-          (limbo rows a view still reads must not be destroyed). The view
-          increments then spins while [in_moving_phase]; the compactor sets
-          [in_moving_phase] then checks this — the store-load pairing means
-          one side always observes the other. *)
+      (** open snapshot views; each holds a critical section for its
+          lifetime, so a compaction pass started while this is non-zero
+          aborts at once instead of spinning out its epoch waits *)
   next_context_id : int Atomic.t;
   mutable inc_quarantine_limit : int;
       (** incarnation value beyond which a slot is quarantined instead of

@@ -404,12 +404,13 @@ let write ?wal ?(indexes = []) ~path (coll : Smc.Collection.t) =
      target and its sources' ranges of it); each block is written once,
      holding the rows of its ranges. *)
   let ranges = Hashtbl.create 64 and order = ref [] in
-  Context.walk (Context.walk_start ctx) Context.Whole_walk ~scan:(fun blk lo hi ->
-      match Hashtbl.find_opt ranges blk.Block.id with
-      | Some r -> r := (lo, hi) :: !r
-      | None ->
-        Hashtbl.add ranges blk.Block.id (ref [ (lo, hi) ]);
-        order := blk :: !order);
+  Context.with_walk ctx (fun w ->
+      Context.walk w Context.Whole_walk ~scan:(fun blk lo hi ->
+          match Hashtbl.find_opt ranges blk.Block.id with
+          | Some r -> r := (lo, hi) :: !r
+          | None ->
+            Hashtbl.add ranges blk.Block.id (ref [ (lo, hi) ]);
+            order := blk :: !order));
   List.iter
     (fun blk ->
       let rs = !(Hashtbl.find ranges blk.Block.id) in

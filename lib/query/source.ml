@@ -144,16 +144,16 @@ let column_index schema col =
    and defaults to the pool's width (the default pool's, without [pool]).
    Every other scan is sequential.
 
-   [view] runs every scan against an open snapshot view instead of current
-   state: the plan reads one stable CSN frontier regardless of concurrent
-   committers. The view must stay open while the source is consumed, and
-   index access paths are rejected — index probes validate against current
-   state and would disagree with the frozen frontier. *)
+   Every scan reads at the frontier it takes when it starts; [view] hands
+   it the open snapshot view's older one instead, so every scan of the
+   plan reads one stable frontier regardless of concurrent committers. The
+   view must stay open while the source is consumed, and index access
+   paths are rejected — index probes validate against current state and
+   would disagree with the frozen frontier. *)
 let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews = []) coll
     ~columns =
   (match view with
-  | Some v when indexes <> [] || text_indexes <> [] || matviews <> [] ->
-    ignore (Smc.Collection.view_csn v : int);
+  | Some _ when indexes <> [] || text_indexes <> [] || matviews <> [] ->
     invalid_arg
       (Printf.sprintf
          "Source.of_smc: collection %S: snapshot views and index access paths are \
@@ -176,13 +176,20 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
   let kinds = Array.map kind_of_column cols in
   let extractors = Array.map extractor_of_column cols in
   let extract blk slot = Array.map (fun e -> e blk slot) extractors in
-  let csn = Option.map Smc.Collection.view_csn view in
   let ctx = coll.Smc.Collection.ctx in
   let obs = ctx.Context.rt.Runtime.obs in
+  let with_walk f =
+    match view with Some v -> f (Smc.Collection.view_walk v) | None -> Context.with_walk ctx f
+  in
+  (* The sequential walks run at the same §4 whole-query granularity: one
+     epoch critical section ([Smc.Collection.with_read]) around the walk. *)
+  let walk_whole ~scan =
+    with_walk (fun w ->
+        Smc.Collection.with_read coll (fun () -> Context.walk w Context.Whole_walk ~scan:(scan w)))
+  in
   let scan emit =
-    match view with
-    | Some v -> Smc.Collection.view_iter v ~f:(fun blk slot -> emit (extract blk slot))
-    | None -> Smc.Collection.iter coll ~f:(fun blk slot -> emit (extract blk slot))
+    walk_whole ~scan:(fun w blk lo hi ->
+        Context.scan_slots w blk ~lo ~hi ~f:(fun slot -> emit (extract blk slot)))
   in
   (* A batch reader: one [Context.fill_block] pass per chunk writes the
      slot indices and every wanted word-backed column (Int/Dec/Date, Char
@@ -225,19 +232,13 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
     in
     (b, chunk, finish)
   in
-  (* The sequential batch walk is [Context.walk] at the same §4
-     whole-query granularity as the row scan: one epoch critical section
-     ([Smc.Collection.with_read]) around the whole walk, [fill_block] over
-     each slot range it hands over. *)
   let scan_batches ~rows ?cols:mask emit =
     let b, chunk, finish = reader ~rows mask in
     let on_batch blk n =
       finish blk n;
       emit b
     in
-    Smc.Collection.with_read coll (fun () ->
-        Context.walk (Context.walk_start ctx) Context.Whole_walk ~scan:(fun blk lo hi ->
-            Context.fill_block ?csn ctx blk ~lo ~hi chunk ~on_batch))
+    walk_whole ~scan:(fun w blk lo hi -> Context.fill_block w blk ~lo ~hi chunk ~on_batch)
   in
   (* The parallel batch walk: one [Par_scan] walk shared by the workers,
      one reader per worker, each chunk handed over with its stamp. *)
@@ -245,12 +246,13 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
     {
       run =
         (fun ~rows ?cols:mask work ->
-          Smc_parallel.Par_scan.batch_workers ?pool ?domains ?csn ctx (fun share ->
-              let b, chunk, finish = reader ~rows mask in
-              work (fun consume ->
-                  share ~chunk ~on_batch:(fun stamp blk n ->
-                      finish blk n;
-                      consume stamp b))));
+          with_walk (fun w ->
+              Smc_parallel.Par_scan.batch_workers ?pool ?domains w (fun share ->
+                  let b, chunk, finish = reader ~rows mask in
+                  work (fun consume ->
+                      share ~chunk ~on_batch:(fun stamp blk n ->
+                          finish blk n;
+                          consume stamp b)))));
     }
   in
   (* Claims are checked where they are made: an index attached to another

@@ -118,7 +118,8 @@ val of_smc :
   columns:(string * column) list ->
   t
 (** Scans the collection inside one critical section, extracting the named
-    columns from each valid slot. The batch path ([scan_batches]) fills
+    columns from each row visible at the frontier the scan takes when it
+    starts ({!Smc_offheap.Context.with_walk}). The batch path ([scan_batches]) fills
     column chunks with {!Smc_offheap.Context.fill_block}, one pass per
     chunk that tests each slot and copies its Int/Dec/Date/Char words
     (Bool, string and [C_fn] columns are then gathered through the slot
@@ -134,8 +135,8 @@ val of_smc :
     them: absent, the walk uses the pool's full width. On a 1-core host,
     or with [~domains:1], that is one worker, running on the caller.
 
-    [?view] pins every scan (sequential or parallel) to an open snapshot
-    view's CSN frontier ({!Smc.Collection.snapshot_view}): queries over the
+    [?view] hands every scan (sequential or parallel) an open snapshot
+    view's older CSN frontier ({!Smc.Collection.snapshot_view}): queries over the
     source read one commit boundary, stable under concurrent committers.
     The view must stay open while the source is consumed. Mutually
     exclusive with [?indexes] (probes validate against current state, which

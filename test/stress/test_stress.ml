@@ -28,6 +28,10 @@
 open Smc_offheap
 open Smc_check
 
+(* Every row visible at the current frontier, in one whole walk. *)
+let iter_valid ctx ~f =
+  Context.with_walk ctx (fun w -> Context.iter w Context.Whole_walk ~on_block:f)
+
 let iters =
   match Sys.getenv_opt "SMC_STRESS_ITERS" with
   | Some s -> ( try max 100 (int_of_string (String.trim s)) with _ -> 3000)
@@ -50,7 +54,11 @@ let assert_clean what = function
    balances. Only sound once every spawned domain has been joined. *)
 let audit_quiescent what auditor rt ctx =
   assert_clean (what ^ " audit") (Audit.check_runtime auditor ~contexts:[ ctx ]);
-  assert_clean (what ^ " obs") (Obs_check.check rt ~contexts:[ ctx ])
+  assert_clean (what ^ " obs") (Obs_check.check rt ~contexts:[ ctx ]);
+  (* No walk or view is open at a quiescent point: a frontier left
+     registered would stop recycling and compaction for good. *)
+  Alcotest.(check int) (what ^ ": no frontier left open") (Context.csn_now ctx)
+    (Context.oldest_frontier ctx)
 
 (* ------------------------------------------------------------------ *)
 (* Model-based single-domain runs                                      *)
@@ -255,7 +263,7 @@ let reader_round (ctx : Context.t) sweeps errs =
   let em = ctx.Context.rt.Runtime.epoch in
   for _ = 1 to sweeps do
     Epoch.enter_critical em;
-    Context.iter_valid ctx ~f:(fun blk slot ->
+    iter_valid ctx ~f:(fun blk slot ->
         let k = Block.get_word blk ~slot ~word:key_word in
         let p = Block.get_word blk ~slot ~word:payload_word in
         (* k = 0 or p = 0: object caught between allocation and its field
@@ -298,7 +306,7 @@ let check_merged ctx (writers : wstate array) errs =
   Array.iter (fun st -> Hashtbl.iter (fun h _ -> Hashtbl.replace expected h ()) st.w_live) writers;
   let seen = Hashtbl.create 1024 in
   Epoch.enter_critical em;
-  Context.iter_valid ctx ~f:(fun blk slot ->
+  iter_valid ctx ~f:(fun blk slot ->
       let k = Block.get_word blk ~slot ~word:key_word in
       let p = Block.get_word blk ~slot ~word:payload_word in
       if not (Hashtbl.mem expected k) then
@@ -418,7 +426,7 @@ let test_multi_domain_parallel mode () =
         in
         let seq_keys = ref [] in
         Epoch.enter_critical rt.Runtime.epoch;
-        Context.iter_valid ctx ~f:(fun blk slot ->
+        iter_valid ctx ~f:(fun blk slot ->
             seq_keys := Block.get_word blk ~slot ~word:key_word :: !seq_keys);
         Epoch.exit_critical rt.Runtime.epoch;
         if List.sort compare par_keys <> List.sort compare !seq_keys then
@@ -1523,7 +1531,10 @@ let test_matview_churn () =
      made some progress;
    - compaction passes under an epoch gate that refuses every advance
      until the walk has made some progress;
-   - a domain making bare adds or removes.
+   - a domain making bare adds or removes;
+   - on indirect collections, a domain committing copy-on-write
+     [stage_store] batches over live rows (a third word, [note], that is
+     neither key nor check), with a compaction pass now and then.
    The enumerators take turns: the walk at both granularities, alone and
    shared by 2 workers; Source.batches on Row, Columnar and Direct
    collections; a Vector group-by keyed on the row key, run on 2 workers
@@ -1535,12 +1546,17 @@ let test_matview_churn () =
    disturbances land mid-walk.
    Over the run, walks must have read moved rows through a target
    ([walk_moved_ranges]) and group-bys must have merged worker tables
-   ([par_group_merges]) — both paths are exercised, not just compiled. *)
+   ([par_group_merges]) — both paths are exercised, not just compiled. One
+   latch-driven trial reads moved rows by construction. *)
 (* ------------------------------------------------------------------ *)
 
-let en_layout = Layout.create ~name:"stress_enum" [ ("key", Layout.Int); ("check", Layout.Int) ]
+let en_layout =
+  Layout.create ~name:"stress_enum"
+    [ ("key", Layout.Int); ("check", Layout.Int); ("note", Layout.Int) ]
+
 let en_key = Smc.Field.int en_layout "key"
 let en_check = Smc.Field.int en_layout "check"
+let en_note = Smc.Field.int en_layout "note"
 let en_slots = 16
 
 type enumerator =
@@ -1671,7 +1687,9 @@ let enumeration_trial pool trial moved merged =
     go 20;
     Epoch.release_current_domain ()
   in
-  let disturbance = Smc_util.Prng.int prng 3 in
+  let disturbance =
+    match Smc_util.Prng.int prng 4 with 3 when mode = Context.Direct -> 2 | d -> d
+  in
   let phase_name, phase = Smc_util.Prng.pick prng en_phases in
   (* Paused passes: half the walks take their view only once the pass is
      paused, so the view holds the pass's groups (targets and sources). *)
@@ -1697,6 +1715,26 @@ let enumeration_trial pool trial moved merged =
           ([], [])
         | 1 ->
           Chaos.with_epoch_gate rt ~gate:moved_on compact_during;
+          ([], [])
+        | 3 ->
+          let mp = Smc_util.Prng.create ~seed:mutator_seed () in
+          let v = ref 0 in
+          while Atomic.get walking do
+            (match
+               Smc.Collection.transact coll (fun tx ->
+                   for _ = 0 to Smc_util.Prng.int mp 4 do
+                     let _, r = victims.(!v mod Array.length victims) in
+                     incr v;
+                     Smc.Collection.stage_store tx r ~word:en_note.Layout.word ~value:!v
+                   done)
+             with
+            | Smc.Collection.Committed _ -> ()
+            | Smc.Collection.Conflict -> Alcotest.fail "uncontended store batch conflicted");
+            if Smc_util.Prng.int mp 4 = 0 then
+              ignore (Compaction.run ctx ~max_wait_spins:200_000 () : Compaction.report);
+            spin_us 20
+          done;
+          Epoch.release_current_domain ();
           ([], [])
         | _ ->
           let mp = Smc_util.Prng.create ~seed:mutator_seed () in
@@ -1724,9 +1762,9 @@ let enumeration_trial pool trial moved merged =
   let see acc k c =
     if k <= 0 || c <> (3 * k) + 1 then bad := (k, c) :: !bad else acc := k :: !acc
   in
-  let scan acc blk lo hi =
+  let scan w acc blk lo hi =
     Atomic.incr progress;
-    Context.scan_slots blk ~lo ~hi ~f:(fun blk slot ->
+    Context.scan_slots w blk ~lo ~hi ~f:(fun slot ->
         see acc (Smc.Field.get_int en_key blk slot) (Smc.Field.get_int en_check blk slot))
   in
   let dawdle () = spin_us 100 in
@@ -1734,17 +1772,18 @@ let enumeration_trial pool trial moved merged =
   (match enum with
   | Walk (g, 1) ->
     let run () =
-      Context.walk (Context.walk_start ctx) g ~scan:(fun blk lo hi ->
-          dawdle ();
-          scan emitted blk lo hi)
+      Context.with_walk ctx (fun w ->
+          Context.walk w g ~scan:(fun blk lo hi ->
+              dawdle ();
+              scan w emitted blk lo hi))
     in
     if g = Context.Whole_walk then Smc.Collection.with_read coll run else run ()
   | Walk (g, workers) ->
-    let w = Context.walk_start ctx in
     let per = Array.init workers (fun _ -> ref []) in
-    Smc_parallel.Pool.run pool ~workers (fun i ->
-        let run () = Context.walk w g ~scan:(scan per.(i)) in
-        if g = Context.Whole_walk then Smc.Collection.with_read coll run else run ());
+    Context.with_walk ctx (fun w ->
+        Smc_parallel.Pool.run pool ~workers (fun i ->
+            let run () = Context.walk w g ~scan:(scan w per.(i)) in
+            if g = Context.Whole_walk then Smc.Collection.with_read coll run else run ()));
     Array.iter (fun r -> emitted := !r @ !emitted) per
   | Batches _ ->
     let src =
@@ -1841,12 +1880,79 @@ let enumeration_trial pool trial moved merged =
   moved := !moved + Smc_obs.get counters Smc_obs.c_walk_moved_ranges;
   merged := !merged + Smc_obs.get counters Smc_obs.c_par_group_merges
 
+(* The moved-rows path by construction: the walk takes its view while a
+   pass is paused before moving, and draws its first position only once
+   the pass completed — so it meets every source of the pass with its
+   group done and reads the source's rows through the target. *)
+let latched_moved_trial moved =
+  let rt = Runtime.create () in
+  let coll =
+    Smc.Collection.create rt ~name:"stress_enum_latched" ~layout:en_layout
+      ~slots_per_block:en_slots ()
+  in
+  let ctx = coll.Smc.Collection.ctx in
+  let n = en_slots * 8 in
+  let refs =
+    Array.init n (fun i ->
+        Smc.Collection.add coll ~init:(fun blk slot ->
+            Smc.Field.set_int en_key blk slot (i + 1);
+            Smc.Field.set_int en_check blk slot ((3 * (i + 1)) + 1)))
+  in
+  (* Thin the first four blocks to two rows each. *)
+  let live = Hashtbl.create n in
+  Array.iteri
+    (fun i r ->
+      if i < 4 * en_slots && i mod en_slots >= 2 then
+        ignore (Smc.Collection.remove coll r : bool)
+      else Hashtbl.replace live (i + 1) ())
+    refs;
+  let paused = Atomic.make false and viewed = Atomic.make false in
+  let compactor =
+    Domain.spawn (fun () ->
+        let report =
+          Chaos.with_compaction_hook rt
+            ~hook:(fun p ->
+              if p = Runtime.Phase_waiting then begin
+                Atomic.set paused true;
+                await ~ms:5_000 (fun () -> Atomic.get viewed)
+              end)
+            (fun () -> Compaction.run ctx ())
+        in
+        Epoch.release_current_domain ();
+        report)
+  in
+  await ~ms:5_000 (fun () -> Atomic.get paused);
+  let seen = Hashtbl.create n in
+  Context.with_walk ctx (fun w ->
+      Atomic.set viewed true;
+      let report = Domain.join compactor in
+      if report.Compaction.aborted || report.Compaction.groups_formed = 0 then
+        Alcotest.fail "latched trial: the paused pass did not complete a group";
+      Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
+          Context.scan_slots w blk ~lo ~hi ~f:(fun slot ->
+              let k = Smc.Field.get_int en_key blk slot in
+              if Smc.Field.get_int en_check blk slot <> (3 * k) + 1 then
+                Alcotest.failf "latched trial: zeroed or half-built row (key %d)" k;
+              if Hashtbl.mem seen k then Alcotest.failf "latched trial: row %d emitted twice" k;
+              Hashtbl.replace seen k ())));
+  Hashtbl.iter
+    (fun k () ->
+      if not (Hashtbl.mem seen k) then Alcotest.failf "latched trial: row %d not emitted" k)
+    live;
+  if Hashtbl.length seen <> Hashtbl.length live then
+    Alcotest.fail "latched trial: a removed row was emitted";
+  audit_quiescent "latched trial" (Audit.create rt) rt ctx;
+  let m = Smc_obs.get (Smc_obs.snapshot rt.Runtime.obs) Smc_obs.c_walk_moved_ranges in
+  if m = 0 then Alcotest.fail "latched trial: the walk read no moved range";
+  moved := !moved + m
+
 let test_enumeration_property () =
   let pool = Smc_parallel.Pool.create ~size:1 () in
   Fun.protect
     ~finally:(fun () -> Smc_parallel.Pool.shutdown pool)
     (fun () ->
       let moved = ref 0 and merged = ref 0 in
+      latched_moved_trial moved;
       for trial = 0 to max 16 (iters / 100) - 1 do
         enumeration_trial pool trial moved merged
       done;

@@ -2,6 +2,10 @@
 
 open Smc_offheap
 
+(* Every row visible at the current frontier, in one whole walk. *)
+let iter_valid ctx ~f =
+  Context.with_walk ctx (fun w -> Context.iter w Context.Whole_walk ~on_block:f)
+
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
@@ -327,7 +331,7 @@ let test_iter_valid_counts () =
   List.iteri (fun i r -> if i mod 3 = 0 then ignore (Context.free ctx r : bool)) refs;
   let seen = ref 0 in
   Epoch.enter_critical ctx.Context.rt.Runtime.epoch;
-  Context.iter_valid ctx ~f:(fun _ _ -> incr seen);
+  iter_valid ctx ~f:(fun _ _ -> incr seen);
   Epoch.exit_critical ctx.Context.rt.Runtime.epoch;
   check Alcotest.int "enumerates exactly the live objects" 20 !seen
 
@@ -337,7 +341,7 @@ let test_indirect_ref_of_slot () =
   set_person ctx r ~name:"Eve" ~age:31;
   let rebuilt = ref Constants.null_ref in
   Epoch.enter_critical ctx.Context.rt.Runtime.epoch;
-  Context.iter_valid ctx ~f:(fun blk slot -> rebuilt := Context.indirect_ref_of_slot ctx blk slot);
+  iter_valid ctx ~f:(fun blk slot -> rebuilt := Context.indirect_ref_of_slot ctx blk slot);
   Epoch.exit_critical ctx.Context.rt.Runtime.epoch;
   check Alcotest.int "rebuilt ref equals original" r !rebuilt
 
@@ -418,7 +422,7 @@ let test_concurrent_churn_with_enumeration () =
   for _ = 1 to 200 do
     let seen = ref 0 in
     Epoch.enter_critical rt.Runtime.epoch;
-    Context.iter_valid ctx ~f:(fun _ _ -> incr seen);
+    iter_valid ctx ~f:(fun _ _ -> incr seen);
     Epoch.exit_critical rt.Runtime.epoch;
     ignore (Epoch.try_advance rt.Runtime.epoch : bool)
   done;
@@ -462,7 +466,7 @@ let test_compaction_enumeration_no_duplicates () =
   ignore (Compaction.run ctx ~occupancy_threshold:0.3 () : Compaction.report);
   let seen = Hashtbl.create 64 in
   Epoch.enter_critical ctx.Context.rt.Runtime.epoch;
-  Context.iter_valid ctx ~f:(fun blk slot ->
+  iter_valid ctx ~f:(fun blk slot ->
       let age = Block.get_word blk ~slot ~word:(Layout.field ctx.Context.layout "age").Layout.word in
       if Hashtbl.mem seen age then Alcotest.failf "duplicate object age=%d" age;
       Hashtbl.add seen age ());
@@ -508,7 +512,7 @@ let test_compaction_concurrent_enumeration () =
         while not (Atomic.get stop) do
           let seen = ref 0 in
           Epoch.enter_critical rt.Runtime.epoch;
-          Context.iter_valid ctx ~f:(fun _ _ -> incr seen);
+          iter_valid ctx ~f:(fun _ _ -> incr seen);
           Epoch.exit_critical rt.Runtime.epoch;
           if !seen <> List.length kept then Atomic.incr failures
         done)
@@ -757,7 +761,7 @@ let test_concurrent_churn_and_compaction () =
         while not (Atomic.get stop) do
           let stable_seen = ref 0 in
           Epoch.enter_critical rt.Runtime.epoch;
-          Context.iter_valid ctx ~f:(fun blk slot ->
+          iter_valid ctx ~f:(fun blk slot ->
               let age =
                 Block.get_word blk ~slot
                   ~word:(Layout.field ctx.Context.layout "age").Layout.word
@@ -819,7 +823,7 @@ let test_quarantined_slots_not_enumerated () =
   set_person ctx live ~name:"x" ~age:7;
   let seen = ref 0 in
   Epoch.enter_critical rt.Runtime.epoch;
-  Context.iter_valid ctx ~f:(fun _ _ -> incr seen);
+  iter_valid ctx ~f:(fun _ _ -> incr seen);
   Epoch.exit_critical rt.Runtime.epoch;
   check Alcotest.int "only the live object enumerated" 1 !seen
 
@@ -906,8 +910,7 @@ let test_compact_cycle_pins_counters () =
 (* Per-block critical sections *)
 
 let iter_per_block ctx ~f =
-  Context.walk (Context.walk_start ctx) Context.Per_element ~scan:(fun blk lo hi ->
-      Context.scan_slots blk ~lo ~hi ~f)
+  Context.with_walk ctx (fun w -> Context.iter w Context.Per_element ~on_block:f)
 
 let test_iter_per_block_counts () =
   let _rt, ctx = make_ctx ~slots_per_block:8 () in

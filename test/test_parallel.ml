@@ -203,10 +203,9 @@ let test_par_equivalence (name, placement, mode) () =
       check pair (name ^ ": fold domains=4") expected (fold 4);
       check pair (name ^ ": fold sequential fast path") expected (fold 1);
       let sum = Atomic.make 0 and count = Atomic.make 0 in
-      let w = Context.walk_start ctx in
-      Pool.run pool ~workers:4 (fun _ ->
-          Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
-              Context.scan_slots blk ~lo ~hi ~f:(fun blk slot ->
+      Context.with_walk ctx (fun w ->
+          Pool.run pool ~workers:4 (fun _ ->
+              Context.iter w Context.Per_element ~on_block:(fun blk slot ->
                   ignore (Atomic.fetch_and_add sum (Smc.Field.get_int fv blk slot) : int);
                   Atomic.incr count)));
       check pair (name ^ ": iter domains=4") expected (Atomic.get sum, Atomic.get count);
@@ -266,26 +265,26 @@ let test_done_group_scanned_once () =
             if i < 64 && i mod 16 >= 3 then ignore (Smc.Collection.remove coll r : bool))
           refs;
         let live = Smc.Collection.count coll in
-        let w = Context.walk_start ctx in
-        let report = Compaction.run ctx () in
-        check Alcotest.bool "groups completed" true
-          (report.Compaction.groups_formed >= 1 && not report.Compaction.aborted);
         let seen = Array.init (Array.length refs) (fun _ -> Atomic.make 0) in
         let ranges = Atomic.make [] in
         let dead_scans = Atomic.make 0 in
-        Pool.run pool ~workers:4 (fun _ ->
-            Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
-                if blk.Block.dead then Atomic.incr dead_scans;
-                if blk.Block.moved_in > 0 then begin
-                  let rec push () =
-                    let l = Atomic.get ranges in
-                    if not (Atomic.compare_and_set ranges l ((blk.Block.id, lo, hi) :: l))
-                    then push ()
-                  in
-                  push ()
-                end;
-                Context.scan_slots blk ~lo ~hi ~f:(fun blk slot ->
-                    Atomic.incr seen.(Smc.Field.get_int fk blk slot))));
+        Context.with_walk ctx (fun w ->
+            let report = Compaction.run ctx () in
+            check Alcotest.bool "groups completed" true
+              (report.Compaction.groups_formed >= 1 && not report.Compaction.aborted);
+            Pool.run pool ~workers:4 (fun _ ->
+                Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
+                    if blk.Block.dead then Atomic.incr dead_scans;
+                    if blk.Block.moved_in > 0 then begin
+                      let rec push () =
+                        let l = Atomic.get ranges in
+                        if not (Atomic.compare_and_set ranges l ((blk.Block.id, lo, hi) :: l))
+                        then push ()
+                      in
+                      push ()
+                    end;
+                    Context.scan_slots w blk ~lo ~hi ~f:(fun slot ->
+                        Atomic.incr seen.(Smc.Field.get_int fk blk slot)))));
         check Alcotest.int "no dead block scanned" 0 (Atomic.get dead_scans);
         check Alcotest.int "every live row scanned"
           live

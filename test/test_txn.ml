@@ -589,6 +589,238 @@ let test_view_vs_compaction () =
   check (Alcotest.list Alcotest.string) "audit clean" []
     (Smc_check.Audit.check_once rt ~contexts:[ coll.C.ctx ])
 
+(* A plain walk reads at the frontier it took when it started. The walk
+   runs on its own domain and parks on a latch halfway; the main domain
+   then commits copy-on-write stores over rows behind and ahead of the
+   cursor and releases the latch. The fresh copies fill the main domain's
+   half-full allocation block, the last of the walk's view, so that block
+   is full when the walk reaches it, but born after the walk's frontier.
+   The walk must still emit every row once, built, with its pre-commit
+   payload, and every slot it emits must name the row's live
+   reference. *)
+let test_walk_vs_commit () =
+  let n = 112 in
+  let paused_walk name walk =
+    let _rt, coll = make_kv () in
+    let refs =
+      Array.init (n + 1) (fun k -> if k = 0 then Smc.Ref.null else add_kv coll k (k * 10))
+    in
+    let paused = Atomic.make false and resumed = Atomic.make false in
+    let pause () =
+      if not (Atomic.get paused) then begin
+        Atomic.set paused true;
+        while not (Atomic.get resumed) do
+          Domain.cpu_relax ()
+        done
+      end
+    in
+    let walker =
+      Domain.spawn (fun () ->
+          let seen = ref [] in
+          walk coll pause (fun k v r -> seen := (k, v, r) :: !seen);
+          Epoch.release_current_domain ();
+          !seen)
+    in
+    while not (Atomic.get paused) do
+      Domain.cpu_relax ()
+    done;
+    (match
+       C.transact coll (fun tx ->
+           Array.iteri
+             (fun k r ->
+               if k <= 96 && k mod 6 = 1 then C.stage_store tx r ~word:fv.Layout.word ~value:(-k))
+             refs)
+     with
+    | C.Committed _ -> ()
+    | C.Conflict -> Alcotest.fail "uncontended commit conflicted");
+    Atomic.set resumed true;
+    let seen = Domain.join walker in
+    let count = Array.make (n + 1) 0 in
+    List.iter
+      (fun (k, v, r) ->
+        if k <= 0 || k > n then Alcotest.failf "%s: zeroed or unknown row (key %d)" name k;
+        count.(k) <- count.(k) + 1;
+        if v <> k * 10 then
+          Alcotest.failf "%s: key %d read %d, not its pre-commit payload %d" name k v (k * 10);
+        if not (Smc.Ref.equal r refs.(k)) then
+          Alcotest.failf "%s: key %d's slot names another reference" name k)
+      seen;
+    Array.iteri
+      (fun k c -> if k > 0 && c <> 1 then Alcotest.failf "%s: key %d emitted %d times" name k c)
+      count
+  in
+  paused_walk "Collection.iter" (fun coll pause emit ->
+      let rows = ref 0 in
+      C.iter coll ~f:(fun blk slot ->
+          incr rows;
+          if !rows = n / 2 then pause ();
+          emit (Smc.Field.get_int fk blk slot) (Smc.Field.get_int fv blk slot)
+            (C.ref_of_slot coll blk slot)));
+  paused_walk "Source.batches" (fun coll pause emit ->
+      let module S = Smc_query.Source in
+      let module B = Smc_query.Batch in
+      let ref_col blk slot =
+        Smc_query.Value.Int (Smc.Ref.to_packed (C.ref_of_slot coll blk slot))
+      in
+      let src =
+        S.of_smc coll ~columns:[ ("k", S.C_int fk); ("v", S.C_int fv); ("r", S.C_fn ref_col) ]
+      in
+      let rows = ref 0 in
+      S.batches src ~rows:8 (fun b ->
+          match b.B.cols with
+          | [| B.V_int ks; B.V_int vs; B.V_val rs |] ->
+            for i = 0 to b.B.len - 1 do
+              let j = Bigarray.Array1.get b.B.sel i in
+              let r =
+                match rs.(j) with
+                | Smc_query.Value.Int p -> Smc.Ref.of_packed p
+                | _ -> Smc.Ref.null
+              in
+              emit ks.(j) vs.(j) r
+            done;
+            rows := !rows + b.B.len;
+            if !rows >= n / 2 then pause ()
+          | _ -> Alcotest.fail "unexpected batch columns"))
+
+(* The same frontier across a commit and a compaction pass: a walk started
+   before a commit stores over the survivors of two thinned blocks, then a
+   pass compacts those blocks before the walk draws them. The old copies
+   are limbo rows the walk can still see, so the pass carries them into
+   its target, where the walk reads them. *)
+let test_walk_vs_commit_and_compaction () =
+  let rt = Runtime.create () in
+  (* A high reclamation threshold keeps the thinned blocks out of the
+     allocator's hands: they stay compaction candidates. *)
+  let coll =
+    C.create rt ~name:"kv" ~layout:kv_layout ~slots_per_block:32 ~reclaim_threshold:0.99 ()
+  in
+  let refs = Array.init 128 (fun k -> add_kv coll k (k * 10)) in
+  let thinned k = k < 64 && k mod 32 >= 4 in
+  Array.iteri (fun k r -> if thinned k then ignore (C.remove coll r : bool)) refs;
+  let count = Array.make 128 0 in
+  Context.with_walk coll.C.ctx (fun w ->
+    (match
+       C.transact coll (fun tx ->
+           Array.iteri
+             (fun k r -> if k < 64 && not (thinned k) then C.stage_store tx r ~word:fv.Layout.word ~value:(-k))
+             refs)
+     with
+    | C.Committed _ -> ()
+    | C.Conflict -> Alcotest.fail "uncontended commit conflicted");
+    let report = C.compact coll () in
+    check Alcotest.bool "the pass completed a group" true
+      (report.Compaction.groups_formed >= 1 && not report.Compaction.aborted);
+    Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
+        Context.scan_slots w blk ~lo ~hi ~f:(fun slot ->
+            let k = Smc.Field.get_int fk blk slot in
+            count.(k) <- count.(k) + 1;
+            check Alcotest.int "pre-commit payload" (k * 10) (Smc.Field.get_int fv blk slot);
+            check Alcotest.bool "live reference" true
+              (Smc.Ref.equal (C.ref_of_slot coll blk slot) refs.(k)))));
+  Array.iteri
+    (fun k c -> check Alcotest.int (Printf.sprintf "key %d emitted" k) (if thinned k then 0 else 1) c)
+    count;
+  check (Alcotest.list Alcotest.string) "audit clean" []
+    (Smc_check.Audit.check_once rt ~contexts:[ coll.C.ctx ])
+
+(* A walk never splits an applying commit: a per-op subscriber parks the
+   commit after its first store has landed, and a plain walk taken then
+   must see none of the batch. *)
+let test_walk_vs_applying_commit () =
+  let _rt, coll = make_kv () in
+  let a = add_kv coll 1 10 and b = add_kv coll 2 20 in
+  let parked = Atomic.make false and release = Atomic.make false in
+  C.subscribe coll
+    {
+      C.name = "park";
+      on_op =
+        (fun _ ->
+          if not (Atomic.get parked) then begin
+            Atomic.set parked true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done
+          end);
+      on_commit = None;
+    };
+  let committer =
+    Domain.spawn (fun () ->
+        let r =
+          C.transact coll (fun tx ->
+              C.stage_store tx a ~word:fv.Layout.word ~value:11;
+              C.stage_store tx b ~word:fv.Layout.word ~value:21)
+        in
+        Epoch.release_current_domain ();
+        r)
+  in
+  while not (Atomic.get parked) do
+    Domain.cpu_relax ()
+  done;
+  let during = dump coll in
+  Atomic.set release true;
+  (match Domain.join committer with
+  | C.Committed _ -> ()
+  | C.Conflict -> Alcotest.fail "uncontended commit conflicted");
+  check pairs "a walk during the apply sees none of the batch" [ (1, 10); (2, 20) ] during;
+  check pairs "a walk after the commit sees all of it" [ (1, 11); (2, 21) ] (dump coll)
+
+(* A snapshot's walk closes its frontier: the registry holds nothing
+   once [Snapshot.write] returns, so a row removed afterwards is recycled
+   as soon as its grace period has passed. *)
+let test_snapshot_closes_frontier () =
+  let rt, coll = make_kv () in
+  let refs = Array.init 32 (fun k -> add_kv coll k k) in
+  let (_ : Snapshot.manifest * int) = Snapshot.write ~path:(tmp ".smcsnap") coll in
+  let ctx = coll.C.ctx in
+  check Alcotest.int "no frontier left open" (Context.csn_now ctx) (Context.oldest_frontier ctx);
+  let loc r =
+    match Context.resolve ctx (Smc.Ref.to_packed r) with
+    | Some (blk, slot) -> (blk.Block.id, slot)
+    | None -> Alcotest.fail "live reference did not resolve"
+  in
+  let before = loc refs.(5) in
+  ignore (C.remove coll refs.(5) : bool);
+  for _ = 1 to 3 do
+    ignore (Epoch.try_advance rt.Runtime.epoch : bool)
+  done;
+  let r = add_kv coll 99 99 in
+  check (Alcotest.pair Alcotest.int Alcotest.int) "the removed row's slot is recycled" before
+    (loc r)
+
+(* A bare remove racing transactional stores of the same row: whichever
+   wins the row's entry lock, the row ends up dead in one slot and the
+   block counters match the directory. *)
+let test_remove_races_store () =
+  let rt, coll = make_kv () in
+  let cur = Atomic.make (add_kv coll 0 0) and stop = Atomic.make false in
+  let committer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          let r = Atomic.get cur in
+          match C.transact coll (fun tx -> C.stage_store tx r ~word:fv.Layout.word ~value:1) with
+          | C.Committed _ | C.Conflict -> ()
+          | exception Failure _ -> () (* the remove landed mid-apply *)
+        done;
+        Epoch.release_current_domain ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join committer)
+    (fun () ->
+      for round = 1 to 2_000 do
+        for _ = 1 to round mod 64 do
+          Domain.cpu_relax ()
+        done;
+        let r = Atomic.get cur in
+        Atomic.set cur (add_kv coll round 0);
+        ignore (C.remove coll r : bool)
+      done);
+  ignore (C.remove coll (Atomic.get cur) : bool);
+  check Alcotest.int "no row survives" 0 (C.count coll);
+  check (Alcotest.list Alcotest.string) "audit clean" []
+    (Smc_check.Audit.check_once rt ~contexts:[ coll.C.ctx ])
+
 let test_view_query_integration () =
   (* A Volcano aggregate over a view-pinned source reads one commit
      boundary even when a transaction lands between plan build and
@@ -742,6 +974,12 @@ let () =
         [
           qc "stability across commits and bare ops" test_view_stability;
           qc "open views abort compaction" test_view_vs_compaction;
+          qc "a paused walk reads its own frontier across a commit" test_walk_vs_commit;
+          qc "a walk keeps its frontier across a commit and compaction"
+            test_walk_vs_commit_and_compaction;
+          qc "a walk never splits an applying commit" test_walk_vs_applying_commit;
+          qc "a snapshot closes its frontier" test_snapshot_closes_frontier;
+          qc "bare remove racing transactional stores" test_remove_races_store;
           qc "query engines read one frontier" test_view_query_integration;
         ] );
       ( "observability", [ qc "txn counters and balances" test_txn_counters ] );

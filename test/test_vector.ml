@@ -645,8 +645,9 @@ let test_midwalk_compaction_per_block () =
       if phase = Smc_offheap.Runtime.Phase_waiting then Atomic.set waiting true;
       if phase = Smc_offheap.Runtime.Phase_completed then Atomic.set completed true)
     (fun () ->
-      Context.walk (Context.walk_start ctx) Context.Per_element ~scan:(fun blk lo hi ->
-          Context.fill_block ctx blk ~lo ~hi chunk ~on_batch:(fun _ n ->
+      Context.with_walk ctx @@ fun w ->
+      Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
+          Context.fill_block w blk ~lo ~hi chunk ~on_batch:(fun _ n ->
               counted := !counted + n;
               incr chunks;
               if !chunks = 1 then begin
