@@ -150,10 +150,7 @@ let pick_live t = t.handles.(Smc_util.Prng.int t.prng t.n_live)
 
 (* ---- operations ---- *)
 
-let in_critical t f =
-  let em = t.rt.Runtime.epoch in
-  Epoch.enter_critical em;
-  Fun.protect ~finally:(fun () -> Epoch.exit_critical em) f
+let in_critical t f = Epoch.critical t.rt.Runtime.epoch f
 
 let write_payload t blk slot payload = Block.set_word blk ~slot ~word:t.payload_word payload
 
@@ -236,7 +233,7 @@ let check_agreement t =
   let seen = Hashtbl.create (max 16 t.n_live) in
   in_critical t (fun () ->
       Context.with_walk t.ctx @@ fun w ->
-      Context.iter w Context.Whole_walk ~on_block:(fun blk slot ->
+      Context.iter w ~on_block:(fun blk slot ->
           let k = Block.get_word blk ~slot ~word:t.key_word in
           let p = Block.get_word blk ~slot ~word:t.payload_word in
           match Hashtbl.find_opt t.live k with

@@ -73,10 +73,7 @@ let store t r ~word ~value =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.txn_lock)
     (fun () ->
-      Epoch.enter_critical em;
-      Fun.protect
-        ~finally:(fun () -> Epoch.exit_critical em)
-        (fun () ->
+      Epoch.critical em (fun () ->
           match Context.resolve t.ctx (Ref.to_packed r) with
           | None -> raise Constants.Null_reference
           | Some (blk, slot) ->
@@ -129,16 +126,9 @@ let deref t r =
 
 let mem t r = deref_opt t r <> None
 
-let with_read t f =
-  Epoch.enter_critical t.rt.Runtime.epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit_critical t.rt.Runtime.epoch) f
+let with_read t f = Epoch.critical t.rt.Runtime.epoch f
 
-let walk_all t granularity ~on_block =
-  Context.with_walk t.ctx (fun w -> Context.iter w granularity ~on_block)
-
-let iter_scan t ~on_block = with_read t (fun () -> walk_all t Context.Whole_walk ~on_block)
-let iter t ~f = iter_scan t ~on_block:f
-let iter_per_block t ~f = walk_all t Context.Per_element ~on_block:f
+let iter t ~f = Context.with_walk t.ctx (fun w -> Context.iter w ~on_block:f)
 
 let loc_block t loc = Context.block_of_loc t.ctx loc
 let loc_slot loc = Constants.ptr_slot loc
@@ -446,7 +436,7 @@ let view_walk v =
   if not v.vw_open then invalid_arg "Collection.view_walk: view already closed";
   Context.walk_from v.vw_coll.ctx ~csn:v.vw_csn
 
-let view_iter v ~f = Context.iter (view_walk v) Context.Whole_walk ~on_block:f
+let view_iter v ~f = Context.iter (view_walk v) ~on_block:f
 
 let view_fold v ~init ~f =
   let acc = ref init in

@@ -131,7 +131,8 @@ val publish_replay : t -> op -> unit
 val deref : t -> Ref.t -> Smc_offheap.Block.t * int
 (** Current location of the object. Raises
     {!Smc_offheap.Constants.Null_reference} when the object is gone. Use
-    inside {!with_read} if the location must stay stable while reading. *)
+    inside {!with_read}, or inside an {!iter} callback, if the location
+    must stay stable while reading. *)
 
 val deref_opt : t -> Ref.t -> (Smc_offheap.Block.t * int) option
 
@@ -139,27 +140,20 @@ val mem : t -> Ref.t -> bool
 (** Whether the reference still names a live object. *)
 
 val with_read : t -> (unit -> 'a) -> 'a
-(** Runs [f] inside an epoch critical section — the amortisation unit for
-    queries (§4): one enter/exit per query, not per object. Nestable. *)
+(** Runs [f] inside an epoch critical section, for point reads (probes,
+    {!deref}) whose locations must stay stable, and around an {!iter}
+    whose callback keeps block locations across blocks. Nestable. *)
 
 val iter : t -> f:(Smc_offheap.Block.t -> int -> unit) -> unit
 (** Enumerates the rows visible at the current frontier in block order,
-    within one critical section. *)
-
-val iter_per_block : t -> f:(Smc_offheap.Block.t -> int -> unit) -> unit
-(** Like {!iter} but with one critical section per memory block instead of
-    one for the whole enumeration — §4's alternative granularity, keeping
-    grace periods short so reclamation can progress during long scans. The
-    same rows are visited, each once, even when compaction moves them
-    mid-scan. *)
-
-val iter_scan : t -> on_block:(Smc_offheap.Block.t -> int -> unit) -> unit
-(** Block-hoisted enumeration: [on_block blk] is evaluated once per
-    scanned slot range (a whole block, or a compaction source's range of
-    its target), and the resulting closure runs for each visible slot. Compiled queries use
-    this to hoist the block's raw arrays and field offsets out of the slot
-    loop — the paper's direct pointer access to the collection's memory
-    blocks. *)
+    each memory block inside its own critical section (§4's per-block
+    granularity: grace periods stay short, so reclamation can progress
+    during long scans). The same rows are visited, each once, even when
+    compaction moves them mid-scan. [f blk] is evaluated once per scanned
+    slot range (a whole block, or a compaction source's range of its
+    target), so compiled queries can hoist the block's raw arrays and
+    field offsets out of the slot loop — the paper's direct pointer access
+    to the collection's memory blocks. *)
 
 val loc_block : t -> int -> Smc_offheap.Block.t
 (** Block for a packed location from {!Field.follow_loc}. *)

@@ -96,20 +96,14 @@ let granularity_table ~sf =
     Table.create ~title:"Ablation: critical-section granularity (full enumeration)"
       ~columns:[ "granularity"; "ms" ]
   in
-  let whole =
-    best_ms (fun () ->
-        let acc = ref 0 in
-        C.iter db.Smc_tpch.Db_smc.lineitems ~f:(fun blk slot ->
-            acc := !acc + F.get_int f_qty blk slot);
-        ignore (Sys.opaque_identity !acc))
+  let li = db.Smc_tpch.Db_smc.lineitems in
+  let sum_qty () =
+    let acc = ref 0 in
+    C.iter li ~f:(fun blk slot -> acc := !acc + F.get_int f_qty blk slot);
+    ignore (Sys.opaque_identity !acc)
   in
-  let per_block =
-    best_ms (fun () ->
-        let acc = ref 0 in
-        C.iter_per_block db.Smc_tpch.Db_smc.lineitems ~f:(fun blk slot ->
-            acc := !acc + F.get_int f_qty blk slot);
-        ignore (Sys.opaque_identity !acc))
-  in
+  let whole = best_ms (fun () -> C.with_read li sum_qty) in
+  let per_block = best_ms sum_qty in
   Table.add_row t [ "whole query (one section)"; Printf.sprintf "%.2f" whole ];
   Table.add_row t [ "per memory block"; Printf.sprintf "%.2f" per_block ];
   t

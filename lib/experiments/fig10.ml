@@ -58,7 +58,7 @@ let smc_times (db : Smc_tpch.Db_smc.t) =
   let enumeration =
     median_ms (fun () ->
         let acc = ref 0 in
-        C.iter_scan db.Smc_tpch.Db_smc.lineitems ~on_block:(fun blk ->
+        C.iter db.Smc_tpch.Db_smc.lineitems ~f:(fun blk ->
             let data = blk.Block.data in
             let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
             fun slot -> acc := !acc + BA1.unsafe_get data ((slot * sw) + o_qty));
@@ -67,7 +67,7 @@ let smc_times (db : Smc_tpch.Db_smc.t) =
   let nested =
     median_ms (fun () ->
         let acc = ref 0 in
-        C.iter_scan db.Smc_tpch.Db_smc.lineitems ~on_block:(fun blk ->
+        C.iter db.Smc_tpch.Db_smc.lineitems ~f:(fun blk ->
             let data = blk.Block.data in
             let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
             fun slot ->

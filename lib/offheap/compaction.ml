@@ -306,26 +306,21 @@ let fixup_direct_pointers (ctx : Context.t) compacted =
   let fixed = ref 0 in
   List.iter
     (fun ((referrer : Context.t), (field : Layout.field)) ->
-      Epoch.enter_critical referrer.Context.rt.Runtime.epoch;
-      Fun.protect
-        ~finally:(fun () -> Epoch.exit_critical referrer.Context.rt.Runtime.epoch)
-        (fun () ->
-          Context.with_walk referrer @@ fun walk ->
-          Context.iter walk Context.Whole_walk ~on_block:(fun blk slot ->
-              let w = Block.get_word blk ~slot ~word:field.Layout.word in
-              if w >= 0 && Hashtbl.mem compacted (direct_block w) then begin
-                let fresh =
-                  match Context.resolve_direct ctx w with
-                  | None -> Constants.null_ref
-                  | Some (tb, ts) ->
-                    let inc =
-                      Bigarray.Array1.unsafe_get tb.Block.slot_inc ts land direct_inc_mask
-                    in
-                    pack_direct ~block:tb.Block.id ~slot:ts ~inc
-                in
-                Block.set_word blk ~slot ~word:field.Layout.word fresh;
-                incr fixed
-              end)))
+      Epoch.critical referrer.Context.rt.Runtime.epoch @@ fun () ->
+      Context.with_walk referrer @@ fun walk ->
+      Context.iter walk ~on_block:(fun blk slot ->
+          let w = Block.get_word blk ~slot ~word:field.Layout.word in
+          if w >= 0 && Hashtbl.mem compacted (direct_block w) then begin
+            let fresh =
+              match Context.resolve_direct ctx w with
+              | None -> Constants.null_ref
+              | Some (tb, ts) ->
+                let inc = Bigarray.Array1.unsafe_get tb.Block.slot_inc ts land direct_inc_mask in
+                pack_direct ~block:tb.Block.id ~slot:ts ~inc
+            in
+            Block.set_word blk ~slot ~word:field.Layout.word fresh;
+            incr fixed
+          end))
     ctx.direct_referrers;
   !fixed
 

@@ -679,14 +679,17 @@ let slot_visible_at blk slot ~csn =
    retires it, so a full count means every slot held a built row born at
    or below [born_max]. A removal that completes after that instant is
    concurrent with the walk; its row stays in limbo, words intact, until
-   the caller's critical section ends. *)
+   the position's critical section ends. *)
 let settled blk ~csn =
   Atomic.get blk.Block.valid_count = blk.Block.nslots
   && Atomic.get blk.Block.born_max <= csn
 
-(* The §5.2 block walk. Every enumerator — sequential or parallel, whole
-   walk or one critical section per element, row, hoisted, batch or
-   snapshot-file — is this one loop over one view snapshot.
+(* The §5.2 block walk. Every enumerator — sequential or parallel, row,
+   hoisted, batch or snapshot-file — is this one loop over one view
+   snapshot, and each view position is read inside its own epoch critical
+   section (§4's per-block granularity), so grace periods stay as short as
+   one block. A caller that needs blocks stable across positions holds an
+   outer section; the walk's own then only counts depth.
 
    Compaction moves a source's rows into one contiguous slot range of its
    target ([form_groups]), and a completed source keeps its group and
@@ -697,16 +700,14 @@ let settled blk ~csn =
    view accounts only for the slots its sources do not own, while those
    sources are still in the view ([moved_in], [sources_gone]). The
    positions' shares partition the rows, so a row live for the whole walk
-   is emitted exactly once at either granularity and with any number of
-   workers, with nothing shared between positions but the dispenser.
+   is emitted exactly once with any number of workers, with nothing shared
+   between positions but the dispenser.
 
    A block without a group (or whose group aborted) is scanned in place:
-   a group formed after the caller's critical section began cannot move
+   a group formed after the position's critical section began cannot move
    rows until that section ends. A source of a pending group is scanned
    in place under the group's query counter, which holds the group out of
    its moving state (§5.2); a moving group is waited out. *)
-type granularity = Whole_walk | Per_element
-
 type walk = { w_ctx : t; w_view : view; w_next : int Atomic.t; w_csn : int }
 
 let walk_from t ~csn = { w_ctx = t; w_view = t.view; w_next = Atomic.make 0; w_csn = csn }
@@ -760,7 +761,7 @@ let rec scan_range t blk lo hi ~scan =
     else scan blk lo hi (* aborted: the source kept its rows *)
   | _ -> if lo < hi && not blk.Block.dead then scan blk lo hi
 
-let walk_at w granularity ~scan =
+let walk_at w ~scan =
   let t = w.w_ctx and { v_blocks; v_n; v_gen } = w.w_view in
   let epoch = t.rt.Runtime.epoch in
   let rec go () =
@@ -768,20 +769,13 @@ let walk_at w granularity ~scan =
     if i < v_n then begin
       let blk = v_blocks.(i) in
       let lo = if v_gen < blk.Block.sources_gone then blk.Block.moved_in else 0 in
-      let scan = scan i in
-      (match granularity with
-      | Whole_walk -> scan_range t blk lo blk.Block.nslots ~scan
-      | Per_element ->
-        Epoch.enter_critical epoch;
-        Fun.protect
-          ~finally:(fun () -> Epoch.exit_critical epoch)
-          (fun () -> scan_range t blk lo blk.Block.nslots ~scan));
+      Epoch.critical epoch (fun () -> scan_range t blk lo blk.Block.nslots ~scan:(scan i));
       go ()
     end
   in
   go ()
 
-let walk w granularity ~scan = walk_at w granularity ~scan:(fun _ -> scan)
+let walk w ~scan = walk_at w ~scan:(fun _ -> scan)
 
 let scan_slots w blk ~lo ~hi ~f =
   let csn = w.w_csn in
@@ -797,8 +791,8 @@ let scan_slots w blk ~lo ~hi ~f =
 (* Row-at-a-time enumeration: [on_block] runs once per scanned range and
    returns the per-slot body, so query code can hoist the block's raw state
    out of the loop — direct block access, as in the paper's §4 listing. *)
-let iter w granularity ~on_block =
-  walk w granularity ~scan:(fun blk lo hi -> scan_slots w blk ~lo ~hi ~f:(on_block blk))
+let iter w ~on_block =
+  walk w ~scan:(fun blk lo hi -> scan_slots w blk ~lo ~hi ~f:(on_block blk))
 
 (* Batch-at-a-time enumeration: one pass per column chunk. [fill_block]
    walks a slot range in chunks of at most [dim slots] rows; each chunk is

@@ -20,7 +20,7 @@
 
     The context also implements the block-access side of compaction (§5.2)
     in one block walk ({!walk}) that every enumerator runs, sequential or
-    parallel, at either of §4's critical-section granularities. Each
+    parallel, with one critical section per view position (§4). Each
     position of the walk's view snapshot accounts for its own block's rows
     wherever they are now: in place (a source of a pending group under the
     group's query counter, which holds the group out of its moving state),
@@ -186,15 +186,6 @@ val indirect_ref_of_slot : t -> Block.t -> int -> int
 
 (** {2 The block walk} *)
 
-type granularity =
-  | Whole_walk
-      (** the caller holds one critical section across the whole walk; the
-          walk opens none *)
-  | Per_element
-      (** the walk opens one critical section per view element — §4's
-          per-block granularity, which keeps grace periods short during long
-          enumerations (call it outside any critical section to get them) *)
-
 type walk = private {
   w_ctx : t;
   w_view : view;
@@ -214,20 +205,24 @@ val walk_from : t -> csn:int -> walk
 (** A walk at an older frontier that the caller keeps registered (a
     snapshot view's). *)
 
-val walk : walk -> granularity -> scan:(Block.t -> int -> int -> unit) -> unit
+val walk : walk -> scan:(Block.t -> int -> int -> unit) -> unit
 (** Draws view positions from the dispenser until none is left and calls
     [scan blk lo hi] for every slot range [\[lo, hi)] that holds the drawn
     blocks' rows: the block itself ([0, nslots), or for a compaction target
     whose sources are in the same view, the slots they do not own), or the
     range of a compaction target its rows were moved to (counted in
-    [walk_moved_ranges]). Several domains may run [walk] on one {!walk};
-    each position is drawn by exactly one of them. Whatever the
-    granularity and however many workers share the walk, every row is
-    passed to at most one [scan] call, once, and a row visible at the
-    walk's frontier to exactly one. [scan] filters the range's slots
-    itself by that frontier ({!scan_slots}, {!fill_block}). *)
+    [walk_moved_ranges]). Each position's ranges are scanned inside one
+    epoch critical section of their own — §4's per-block granularity, so
+    grace periods stay short during long enumerations; a caller that
+    needs blocks to stay put across positions holds an outer section
+    ({!Epoch.critical}), and the walk's own sections then only count
+    depth. Several domains may run [walk] on one {!walk}; each position is
+    drawn by exactly one of them. However many workers share the walk,
+    every row is passed to at most one [scan] call, once, and a row
+    visible at the walk's frontier to exactly one. [scan] filters the
+    range's slots itself by that frontier ({!scan_slots}, {!fill_block}). *)
 
-val walk_at : walk -> granularity -> scan:(int -> Block.t -> int -> int -> unit) -> unit
+val walk_at : walk -> scan:(int -> Block.t -> int -> int -> unit) -> unit
 (** {!walk} that also names each range's view position: [scan i blk lo hi]
     for the ranges of position [i]. A sequential walk visits positions in
     increasing order and each range's slots in increasing order, so
@@ -239,7 +234,7 @@ val scan_slots : walk -> Block.t -> lo:int -> hi:int -> f:(int -> unit) -> unit
     walk's frontier. A full block whose newest birth is at or below the frontier
     ([Block.born_max]) skips the per-slot test. *)
 
-val iter : walk -> granularity -> on_block:(Block.t -> int -> unit) -> unit
+val iter : walk -> on_block:(Block.t -> int -> unit) -> unit
 (** The one row-at-a-time enumeration: {!walk} with {!scan_slots}'s test,
     where [on_block blk] runs once per scanned slot range and returns the
     per-slot body — pass [f] itself for a plain per-row callback, or hoist
@@ -283,9 +278,9 @@ val fill_block :
     test. A chunk of a full block whose newest birth is at or below the
     frontier skips the test and copies the slot range column by column
     (counted in [vec_full_batches]). Counts [vec_batches] and
-    [vec_batch_rows]. No group handling — pass it as a {!walk}'s [scan];
-    call inside a critical section, which keeps a row removed mid-chunk in
-    limbo with its words intact. *)
+    [vec_batch_rows]. No group handling — pass it as a {!walk}'s [scan],
+    whose critical section keeps a row removed mid-chunk in limbo with its
+    words intact. *)
 
 val reclaim_queue_blocks : t -> Block.t list
 (** Snapshot of the reclamation queue, oldest first. Callers must hold the

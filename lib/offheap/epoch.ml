@@ -172,6 +172,10 @@ let exit_critical t =
   s.depth <- s.depth - 1;
   if s.depth = 0 then Atomic.set s.in_critical false
 
+let critical t f =
+  enter_critical t;
+  Fun.protect ~finally:(fun () -> exit_critical t) f
+
 let in_critical t = (my_slot t).depth > 0
 
 let local_epoch t = Atomic.get (my_slot t).epoch

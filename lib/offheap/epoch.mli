@@ -48,6 +48,10 @@ val live_threads : t -> int
 val enter_critical : t -> unit
 val exit_critical : t -> unit
 
+val critical : t -> (unit -> 'a) -> 'a
+(** [critical t f] runs [f] inside a critical section, left when [f]
+    returns or raises. Nested inside another section it only counts depth. *)
+
 val in_critical : t -> bool
 (** Whether the calling domain currently holds a critical section. *)
 

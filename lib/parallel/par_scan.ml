@@ -4,11 +4,9 @@
    worker reads at, and a single snapshot of the context's published block
    view, drawn position by position from an
    atomic dispenser — dynamic assignment, so a worker that drew dense
-   blocks does not stall the others. Every position is processed inside
-   its own epoch critical section (the paper's per-block critical-section
-   granularity from §4: grace periods stay short, so the memory manager can
-   advance epochs and reclaim concurrently with a long parallel scan). The
-   walk itself keeps compaction consistent; see [Context.walk].
+   blocks does not stall the others. The walk reads every position inside
+   its own epoch critical section and keeps compaction consistent; see
+   [Context.walk].
 
    Results combine per-worker: each worker folds into a private accumulator
    made by [init ()], and the caller combines them once every worker is
@@ -46,7 +44,7 @@ let fold_hoisted_par ?pool ?domains ctx ~init ~on_block ~combine =
     Context.with_walk ctx (fun w ->
         run_workers ?pool ?domains w (fun w ->
             let acc = init () in
-            Context.iter w Context.Per_element ~on_block:(on_block acc);
+            Context.iter w ~on_block:(on_block acc);
             acc))
   with
   | [] -> init ()
@@ -70,7 +68,7 @@ let batch_workers ?pool ?domains w work =
   run_workers ?pool ?domains w (fun w ->
       work (fun ~chunk ~on_batch ->
           let pos = ref (-1) and k = ref 0 in
-          Context.walk_at w Context.Per_element ~scan:(fun i blk lo hi ->
+          Context.walk_at w ~scan:(fun i blk lo hi ->
               if i <> !pos then begin
                 pos := i;
                 k := 0

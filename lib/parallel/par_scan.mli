@@ -3,10 +3,10 @@
     One call is one {!Smc_offheap.Context.walk} shared by the pool's worker
     domains (plus the caller): one registered CSN frontier every worker
     reads at, and a single snapshot of the context's published block view,
-    partitioned through the walk's atomic position dispenser. Each position
-    is processed inside its own epoch critical section — §4's per-block
-    granularity ({!Smc_offheap.Context.Per_element}), so grace periods stay
-    short while the scan runs. Every row visible at the frontier is counted
+    partitioned through the walk's atomic position dispenser. Like every
+    walk, each position is processed inside its own epoch critical section
+    (§4's per-block granularity), so grace periods stay short while the
+    scan runs. Every row visible at the frontier is counted
     exactly once, even when a compaction group forms and completes or a
     transaction commits mid-scan; the frontier registry keeps its limbo
     rows from being recycled between the workers' critical sections.

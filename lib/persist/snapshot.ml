@@ -330,8 +330,7 @@ let write ?wal ?(indexes = []) ~path (coll : Smc.Collection.t) =
   let schema_hash = Crc32.digest_string spec in
   let timestamp = Unix.gettimeofday () in
   let epoch = rt.Runtime.epoch in
-  Epoch.enter_critical epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit_critical epoch) @@ fun () ->
+  Epoch.critical epoch @@ fun () ->
   (* Epoch barrier: wait (bounded) for every other in-critical thread to
      reach the current global epoch, so critical sections that began before
      the snapshot point have drained. Mutators on this collection must be
@@ -402,10 +401,11 @@ let write ?wal ?(indexes = []) ~path (coll : Smc.Collection.t) =
   let bbuf = Buffer.create (1 lsl 16) in
   (* The walk can hand a block over in several slot ranges (a compaction
      target and its sources' ranges of it); each block is written once,
-     holding the rows of its ranges. *)
+     holding the rows of its ranges, after the walk — the section opened
+     above keeps the walked blocks from being reclaimed until then. *)
   let ranges = Hashtbl.create 64 and order = ref [] in
   Context.with_walk ctx (fun w ->
-      Context.walk w Context.Whole_walk ~scan:(fun blk lo hi ->
+      Context.walk w ~scan:(fun blk lo hi ->
           match Hashtbl.find_opt ranges blk.Block.id with
           | Some r -> r := (lo, hi) :: !r
           | None ->

@@ -181,15 +181,10 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
   let with_walk f =
     match view with Some v -> f (Smc.Collection.view_walk v) | None -> Context.with_walk ctx f
   in
-  (* The sequential walks run at the same §4 whole-query granularity: one
-     epoch critical section ([Smc.Collection.with_read]) around the walk. *)
-  let walk_whole ~scan =
-    with_walk (fun w ->
-        Smc.Collection.with_read coll (fun () -> Context.walk w Context.Whole_walk ~scan:(scan w)))
-  in
   let scan emit =
-    walk_whole ~scan:(fun w blk lo hi ->
-        Context.scan_slots w blk ~lo ~hi ~f:(fun slot -> emit (extract blk slot)))
+    with_walk (fun w ->
+        Context.walk w ~scan:(fun blk lo hi ->
+            Context.scan_slots w blk ~lo ~hi ~f:(fun slot -> emit (extract blk slot))))
   in
   (* A batch reader: one [Context.fill_block] pass per chunk writes the
      slot indices and every wanted word-backed column (Int/Dec/Date, Char
@@ -238,7 +233,8 @@ let of_smc ?pool ?domains ?view ?(indexes = []) ?(text_indexes = []) ?(matviews 
       finish blk n;
       emit b
     in
-    walk_whole ~scan:(fun w blk lo hi -> Context.fill_block w blk ~lo ~hi chunk ~on_batch)
+    with_walk (fun w ->
+        Context.walk w ~scan:(fun blk lo hi -> Context.fill_block w blk ~lo ~hi chunk ~on_batch))
   in
   (* The parallel batch walk: one [Par_scan] walk shared by the workers,
      one reader per worker, each chunk handed over with its stamp. *)

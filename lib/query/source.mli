@@ -1,8 +1,8 @@
 (** Query sources: anything that can produce rows of tagged values.
 
-    A source wraps a scan over an SMC collection (inside a critical section,
-    in block order) or over any in-memory sequence — the query engine is
-    agnostic, like LINQ-to-objects. A source over an SMC collection can also
+    A source wraps a scan over an SMC collection (in block order, one
+    critical section per block) or over any in-memory sequence — the query
+    engine is agnostic, like LINQ-to-objects. A source over an SMC collection can also
     advertise attached {!Smc_index.Hash_index}es as alternative access
     paths; {!Planner} uses them to lower equality predicates and join build
     sides to index probes. *)
@@ -66,8 +66,7 @@ type par_batches = {
           chunks like [scan_batches]'s, each with its {e stamp}
           ([consume stamp bt]): stamps are distinct across the whole scan
           and increase in the order the sequential scan emits the chunks'
-          rows. Each position is read inside its own epoch critical
-          section ({!Smc_offheap.Context.Per_element}). *)
+          rows. *)
 }
 
 type t = {
@@ -117,18 +116,18 @@ val of_smc :
   Smc.Collection.t ->
   columns:(string * column) list ->
   t
-(** Scans the collection inside one critical section, extracting the named
-    columns from each row visible at the frontier the scan takes when it
-    starts ({!Smc_offheap.Context.with_walk}). The batch path ([scan_batches]) fills
-    column chunks with {!Smc_offheap.Context.fill_block}, one pass per
-    chunk that tests each slot and copies its Int/Dec/Date/Char words
-    (Bool, string and [C_fn] columns are then gathered through the slot
-    indices that pass wrote), inside one epoch critical section for the
-    whole walk.
+(** Scans the collection with one {!Smc_offheap.Context.walk}, extracting
+    the named columns from each row visible at the frontier the scan takes
+    when it starts ({!Smc_offheap.Context.with_walk}); like every walk, it
+    reads each view position inside its own epoch critical section. The
+    batch path ([scan_batches]) fills column chunks with
+    {!Smc_offheap.Context.fill_block}, one pass per chunk that tests each
+    slot and copies its Int/Dec/Date/Char words (Bool, string and [C_fn]
+    columns are then gathered through the slot indices that pass wrote).
 
     [par_batches] is the same fill as a block-partitioned walk shared by
     several workers ({!Smc_parallel.Par_scan.batch_workers}), each with
-    its own chunk and one epoch critical section per view position. The
+    its own chunk. The
     engines run a typed group-by over it (see {!Kernel.run_groups}); every
     other scan, the row scan included, is sequential. [?pool] (default
     {!Smc_parallel.Pool.default}) supplies the workers and [?domains] caps

@@ -4,8 +4,8 @@
     (Volcano), {!Fuse} and {!Codegen}: operators process column chunks
     ({!Batch.t}, default 1024 rows) instead of a per-row closure chain.
     Sources with a batch path ({!Source.t.scan_batches}) fill unboxed
-    column chunks straight from the off-heap blocks — inside one epoch
-    critical section for the whole walk — and filters refine the chunk's
+    column chunks straight from the off-heap blocks — one epoch critical
+    section per block — and filters refine the chunk's
     selection vector with branchless loops; row-only sources and
     row-at-a-time operators (joins, sorts, distinct, index probes) are
     bridged through a re-batcher, so every plan the other engines accept

@@ -149,7 +149,7 @@ let q1_unsafe (db : Db_smc.t) cutoff =
     disc.(g) <- disc.(g) + d;
     count.(g) <- count.(g) + 1
   in
-  C.iter_scan db.Db_smc.lineitems ~on_block:(fun blk ->
+  C.iter db.Db_smc.lineitems ~f:(fun blk ->
       let data = blk.Block.data in
       match blk.Block.placement with
       | Block.Row ->
@@ -465,7 +465,7 @@ let q3_unsafe (db : Db_smc.t) =
   let t_ord = target orders and t_cust = target customers in
   let groups : (int, q3_acc) Hashtbl.t = Hashtbl.create 1024 in
   C.with_read db.Db_smc.lineitems (fun () ->
-      C.iter_scan db.Db_smc.lineitems ~on_block:(fun blk ->
+      C.iter db.Db_smc.lineitems ~f:(fun blk ->
           let data = blk.Block.data in
           let row = blk.Block.placement = Block.Row in
           let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
@@ -556,7 +556,7 @@ let q4 ?(unsafe = false) (db : Db_smc.t) =
         let o_odate = word_offset orf.Db_smc.o_orderdate
         and o_okey = word_offset orf.Db_smc.o_orderkey in
         let t_ord = target orders in
-        C.iter_scan db.Db_smc.lineitems ~on_block:(fun blk ->
+        C.iter db.Db_smc.lineitems ~f:(fun blk ->
             let data = blk.Block.data in
             let row = blk.Block.placement = Block.Row in
             let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
@@ -638,7 +638,7 @@ let q5 ?(unsafe = false) (db : Db_smc.t) =
         and t_nat = target nations
         and t_reg = target regions in
         let region_eq = F.string_eq rf.Db_smc.r_name Results.q5_region in
-        C.iter_scan db.Db_smc.lineitems ~on_block:(fun blk ->
+        C.iter db.Db_smc.lineitems ~f:(fun blk ->
             let data = blk.Block.data in
             let row = blk.Block.placement = Block.Row in
             let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
@@ -985,7 +985,7 @@ let q6 ?(unsafe = false) (db : Db_smc.t) =
     and o_price = word_offset lf.Db_smc.l_extendedprice in
     let acc = D.Acc.make () in
     let d_lo = Results.q6_disc_lo and d_hi = Results.q6_disc_hi and q_max = Results.q6_qty in
-    C.iter_scan db.Db_smc.lineitems ~on_block:(fun blk ->
+    C.iter db.Db_smc.lineitems ~f:(fun blk ->
         let data = blk.Block.data in
         match blk.Block.placement with
         | Block.Row ->

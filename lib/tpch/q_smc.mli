@@ -13,7 +13,9 @@
       regions instead of per-row managed intermediates (the paper's memory
       regions [16]).
 
-    All variants run inside one epoch critical section per query (§4). *)
+    The joining variants run inside one epoch critical section per query
+    (§4); the single-table scans (Q1, Q6) read each block inside its own
+    section, like every walk. *)
 
 val q1 : ?unsafe:bool -> Db_smc.t -> Results.q1
 val q2 : ?unsafe:bool -> Db_smc.t -> Results.q2

@@ -28,9 +28,9 @@
 open Smc_offheap
 open Smc_check
 
-(* Every row visible at the current frontier, in one whole walk. *)
+(* Every row visible at the current frontier, in one walk. *)
 let iter_valid ctx ~f =
-  Context.with_walk ctx (fun w -> Context.iter w Context.Whole_walk ~on_block:f)
+  Context.with_walk ctx (fun w -> Context.iter w ~on_block:f)
 
 let iters =
   match Sys.getenv_opt "SMC_STRESS_ITERS" with
@@ -1535,8 +1535,8 @@ let test_matview_churn () =
    - on indirect collections, a domain committing copy-on-write
      [stage_store] batches over live rows (a third word, [note], that is
      neither key nor check), with a compaction pass now and then.
-   The enumerators take turns: the walk at both granularities, alone and
-   shared by 2 workers; Source.batches on Row, Columnar and Direct
+   The enumerators take turns: the walk with and without an outer
+   [with_read] section, alone and shared by 2 workers; Source.batches on Row, Columnar and Direct
    collections; a Vector group-by keyed on the row key, run on 2 workers
    whose tables are merged; and a snapshot view's view_iter. Each must
    emit every row live for the whole walk exactly once (the group-by: one
@@ -1560,17 +1560,17 @@ let en_note = Smc.Field.int en_layout "note"
 let en_slots = 16
 
 type enumerator =
-  | Walk of Context.granularity * int (* workers *)
+  | Walk of bool * int (* inside an outer [with_read] section, workers *)
   | Batches of Block.placement * Context.mode
   | Par_group
   | View_iter
 
 let enumerators =
   [|
-    Walk (Context.Per_element, 1);
-    Walk (Context.Whole_walk, 1);
-    Walk (Context.Per_element, 2);
-    Walk (Context.Whole_walk, 2);
+    Walk (false, 1);
+    Walk (true, 1);
+    Walk (false, 2);
+    Walk (true, 2);
     Batches (Block.Row, Context.Indirect);
     Batches (Block.Columnar, Context.Indirect);
     Batches (Block.Row, Context.Direct);
@@ -1579,8 +1579,8 @@ let enumerators =
   |]
 
 let enumerator_name = function
-  | Walk (g, w) ->
-    Printf.sprintf "walk %s x%d" (if g = Context.Whole_walk then "whole" else "per-element") w
+  | Walk (outer, w) ->
+    Printf.sprintf "walk %s x%d" (if outer then "in with_read" else "per-block") w
   | Batches (p, m) ->
     Printf.sprintf "batches %s/%s"
       (if p = Block.Row then "row" else "columnar")
@@ -1770,20 +1770,20 @@ let enumeration_trial pool trial moved merged =
   let dawdle () = spin_us 100 in
   if late then await ~ms:50 (fun () -> Atomic.get hooked);
   (match enum with
-  | Walk (g, 1) ->
+  | Walk (outer, 1) ->
     let run () =
       Context.with_walk ctx (fun w ->
-          Context.walk w g ~scan:(fun blk lo hi ->
+          Context.walk w ~scan:(fun blk lo hi ->
               dawdle ();
               scan w emitted blk lo hi))
     in
-    if g = Context.Whole_walk then Smc.Collection.with_read coll run else run ()
-  | Walk (g, workers) ->
+    if outer then Smc.Collection.with_read coll run else run ()
+  | Walk (outer, workers) ->
     let per = Array.init workers (fun _ -> ref []) in
     Context.with_walk ctx (fun w ->
         Smc_parallel.Pool.run pool ~workers (fun i ->
-            let run () = Context.walk w g ~scan:(scan w per.(i)) in
-            if g = Context.Whole_walk then Smc.Collection.with_read coll run else run ()));
+            let run () = Context.walk w ~scan:(scan w per.(i)) in
+            if outer then Smc.Collection.with_read coll run else run ()));
     Array.iter (fun r -> emitted := !r @ !emitted) per
   | Batches _ ->
     let src =
@@ -1928,7 +1928,7 @@ let latched_moved_trial moved =
       let report = Domain.join compactor in
       if report.Compaction.aborted || report.Compaction.groups_formed = 0 then
         Alcotest.fail "latched trial: the paused pass did not complete a group";
-      Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
+      Context.walk w ~scan:(fun blk lo hi ->
           Context.scan_slots w blk ~lo ~hi ~f:(fun slot ->
               let k = Smc.Field.get_int en_key blk slot in
               if Smc.Field.get_int en_check blk slot <> (3 * k) + 1 then

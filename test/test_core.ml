@@ -191,19 +191,21 @@ let test_get_char () =
   let blk, slot = Smc.Collection.deref persons r in
   check Alcotest.char "first char" 'Z' (Smc.Field.get_char f_name blk slot)
 
-let test_iter_scan_matches_iter () =
+let test_iter_variants_agree () =
   let _rt, persons = make_persons () in
   let refs = List.init 100 (fun i -> add_person persons ~name:"x" ~age:i) in
   List.iteri (fun i r -> if i mod 7 = 0 then ignore (Smc.Collection.remove persons r : bool)) refs;
-  let via_iter = ref 0 and via_scan = ref 0 and via_per_block = ref 0 in
+  let via_iter = ref 0 and via_read = ref 0 and via_view = ref 0 in
   Smc.Collection.iter persons ~f:(fun blk slot ->
       via_iter := !via_iter + Smc.Field.get_int f_age blk slot);
-  Smc.Collection.iter_scan persons ~on_block:(fun blk ->
-      fun slot -> via_scan := !via_scan + Smc.Field.get_int f_age blk slot);
-  Smc.Collection.iter_per_block persons ~f:(fun blk slot ->
-      via_per_block := !via_per_block + Smc.Field.get_int f_age blk slot);
-  check Alcotest.int "iter_scan agrees" !via_iter !via_scan;
-  check Alcotest.int "iter_per_block agrees" !via_iter !via_per_block
+  Smc.Collection.with_read persons (fun () ->
+      Smc.Collection.iter persons ~f:(fun blk ->
+          fun slot -> via_read := !via_read + Smc.Field.get_int f_age blk slot));
+  Smc.Collection.with_view persons (fun v ->
+      Smc.Collection.view_iter v ~f:(fun blk slot ->
+          via_view := !via_view + Smc.Field.get_int f_age blk slot));
+  check Alcotest.int "iter under with_read agrees" !via_iter !via_read;
+  check Alcotest.int "view_iter agrees" !via_iter !via_view
 
 let test_string_eq_matcher () =
   let _rt, persons = make_persons () in
@@ -299,7 +301,7 @@ let () =
           Alcotest.test_case "fold and iter_refs" `Quick test_fold_and_iter_refs;
           Alcotest.test_case "ref equality and hash" `Quick test_ref_equality_and_hash;
           Alcotest.test_case "with_read nesting" `Quick test_with_read_nesting;
-          Alcotest.test_case "iter variants agree" `Quick test_iter_scan_matches_iter;
+          Alcotest.test_case "iter variants agree" `Quick test_iter_variants_agree;
           Alcotest.test_case "string_eq matcher" `Quick test_string_eq_matcher;
           Alcotest.test_case "follow_loc agrees with follow" `Quick
             test_follow_loc_agrees_with_follow;

@@ -2,9 +2,9 @@
 
 open Smc_offheap
 
-(* Every row visible at the current frontier, in one whole walk. *)
+(* Every row visible at the current frontier, in one walk. *)
 let iter_valid ctx ~f =
-  Context.with_walk ctx (fun w -> Context.iter w Context.Whole_walk ~on_block:f)
+  Context.with_walk ctx (fun w -> Context.iter w ~on_block:f)
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
@@ -909,30 +909,52 @@ let test_compact_cycle_pins_counters () =
 (* ------------------------------------------------------------------ *)
 (* Per-block critical sections *)
 
-let iter_per_block ctx ~f =
-  Context.with_walk ctx (fun w -> Context.iter w Context.Per_element ~on_block:f)
-
-let test_iter_per_block_counts () =
+let test_per_block_counts () =
   let _rt, ctx = make_ctx ~slots_per_block:8 () in
   let refs = List.init 50 (fun _ -> Context.alloc ctx) in
   List.iteri (fun i r -> if i mod 5 = 0 then ignore (Context.free ctx r : bool)) refs;
   let seen = ref 0 in
-  iter_per_block ctx ~f:(fun _ _ -> incr seen);
+  iter_valid ctx ~f:(fun _ _ -> incr seen);
   check Alcotest.int "per-block enumeration sees all live" 40 !seen
 
-let test_iter_per_block_allows_epoch_advance () =
-  (* With per-block granularity the global epoch can advance mid-scan;
-     with whole-query granularity it cannot. *)
-  let rt, ctx = make_ctx ~slots_per_block:8 () in
-  ignore (List.init 64 (fun _ -> Context.alloc ctx) : int list);
-  let advanced_during_scan = ref false in
-  let e0 = Epoch.global rt.Runtime.epoch in
-  iter_per_block ctx ~f:(fun _ _ ->
-      (* Outside any long-lived section between blocks; inside one here —
-         but earlier blocks' exits let advances through. *)
-      if Epoch.try_advance rt.Runtime.epoch then advanced_during_scan := true);
-  check Alcotest.bool "epoch advanced during per-block scan" true
-    (!advanced_during_scan || Epoch.global rt.Runtime.epoch > e0)
+(* A walk over 8-slot blocks whose callback tries to advance the epoch.
+   From inside the walker's own section an advance succeeds once per
+   section (the walker has then not observed the new epoch), so a walk
+   with one section per block lets at least (blocks - 1) advances through,
+   and one held across the whole walk only one. [walk coll ~on_row]
+   runs the enumeration under test over 64 rows in 8 blocks. *)
+let check_epoch_advances walk () =
+  let rt = Runtime.create () in
+  let coll =
+    Smc.Collection.create rt ~name:"person" ~layout:(person_layout ()) ~slots_per_block:8 ()
+  in
+  for _ = 1 to 64 do
+    ignore (Smc.Collection.add coll ~init:(fun _ _ -> ()) : Smc.Ref.t)
+  done;
+  let blocks = Smc.Collection.block_count coll in
+  let advances = ref 0 in
+  walk coll ~on_row:(fun () -> if Epoch.try_advance rt.Runtime.epoch then incr advances);
+  check Alcotest.bool
+    (Printf.sprintf "%d advances over %d blocks" !advances blocks)
+    true
+    (blocks = 8 && !advances >= blocks - 1)
+
+let age_source coll =
+  let age = Layout.field coll.Smc.Collection.layout "age" in
+  Smc_query.Source.of_smc coll ~columns:[ ("age", Smc_query.Source.C_int age) ]
+
+let epoch_walks =
+  [
+    ( "per-block lets epoch advance",
+      fun coll ~on_row -> iter_valid coll.Smc.Collection.ctx ~f:(fun _ _ -> on_row ()) );
+    ( "Collection.iter lets epoch advance",
+      fun coll ~on_row -> Smc.Collection.iter coll ~f:(fun _ _ -> on_row ()) );
+    ( "Source.scan lets epoch advance",
+      fun coll ~on_row -> (age_source coll).Smc_query.Source.scan (fun _ -> on_row ()) );
+    ( "Source.batches lets epoch advance",
+      fun coll ~on_row ->
+        Smc_query.Source.batches (age_source coll) ~rows:1024 (fun _ -> on_row ()) );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Compaction daemon *)
@@ -1168,10 +1190,11 @@ let () =
         ] );
       ( "granularity",
         [
-          Alcotest.test_case "per-block counts" `Quick test_iter_per_block_counts;
-          Alcotest.test_case "per-block lets epoch advance" `Quick
-            test_iter_per_block_allows_epoch_advance;
-        ] );
+          Alcotest.test_case "per-block counts" `Quick test_per_block_counts;
+        ]
+        @ List.map
+            (fun (name, walk) -> Alcotest.test_case name `Quick (check_epoch_advances walk))
+            epoch_walks );
       ( "daemon",
         [ Alcotest.test_case "background compaction" `Quick test_compaction_daemon ] );
       ( "lifecycle",

@@ -205,7 +205,7 @@ let test_par_equivalence (name, placement, mode) () =
       let sum = Atomic.make 0 and count = Atomic.make 0 in
       Context.with_walk ctx (fun w ->
           Pool.run pool ~workers:4 (fun _ ->
-              Context.iter w Context.Per_element ~on_block:(fun blk slot ->
+              Context.iter w ~on_block:(fun blk slot ->
                   ignore (Atomic.fetch_and_add sum (Smc.Field.get_int fv blk slot) : int);
                   Atomic.incr count)));
       check pair (name ^ ": iter domains=4") expected (Atomic.get sum, Atomic.get count);
@@ -273,7 +273,7 @@ let test_done_group_scanned_once () =
             check Alcotest.bool "groups completed" true
               (report.Compaction.groups_formed >= 1 && not report.Compaction.aborted);
             Pool.run pool ~workers:4 (fun _ ->
-                Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
+                Context.walk w ~scan:(fun blk lo hi ->
                     if blk.Block.dead then Atomic.incr dead_scans;
                     if blk.Block.moved_in > 0 then begin
                       let rec push () =

@@ -710,7 +710,7 @@ let test_walk_vs_commit_and_compaction () =
     let report = C.compact coll () in
     check Alcotest.bool "the pass completed a group" true
       (report.Compaction.groups_formed >= 1 && not report.Compaction.aborted);
-    Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
+    Context.walk w ~scan:(fun blk lo hi ->
         Context.scan_slots w blk ~lo ~hi ~f:(fun slot ->
             let k = Smc.Field.get_int fk blk slot in
             count.(k) <- count.(k) + 1;

@@ -545,12 +545,11 @@ let test_parallel_batch_scan () =
       check rows_testable "parallel aggregate agrees" (agg seq) (agg par))
 
 (* ------------------------------------------------------------------ *)
-(* A sequential batch walk is one critical section: a compaction group
-   formed while the walk is inside its first block cannot complete before
-   the walk ends. If it could, the walk would reach the group's remaining
-   sources after their rows moved to a target outside its snapshot (and
-   lose them), or count the rows of the source it already scanned a second
-   time through the target. *)
+(* A batch walk inside an outer critical section ([Collection.with_read])
+   holds that section across all its blocks: a compaction group formed
+   while the walk is inside its first block cannot complete before the
+   walk ends, so the walk reads the group's remaining sources in place
+   while the group is pending. It must still count every live row once. *)
 
 let counter rt c = Smc_obs.get (Smc_obs.snapshot rt.Smc_offheap.Runtime.obs) c
 
@@ -600,6 +599,7 @@ let test_midwalk_compaction () =
   Smc_check.Chaos.with_compaction_hook rt
     ~hook:(fun phase -> if phase = Smc_offheap.Runtime.Phase_completed then Atomic.set completed true)
     (fun () ->
+      Smc.Collection.with_read coll @@ fun () ->
       Source.batches src ~rows:Batch.default_rows (fun bt ->
           counted := !counted + bt.Batch.len;
           incr chunks;
@@ -619,25 +619,17 @@ let test_midwalk_compaction () =
   let rows = Vector.collect (Plan.scan src) in
   check Alcotest.int "a walk after the compaction agrees" expected (List.length rows)
 
-(* The same group at §4's other granularity: one critical section per
-   block and none around the walk, so the group forms in block 0 and
+(* The same group without the outer section: the walk's own critical
+   section per block is all there is, so the group forms in block 0 and
    completes while the walk crosses blocks 1-3 (each boundary lets the
    pass take one epoch step). Blocks 4 and 5 are then dead sources whose
    rows sit in a target the walk's view does not hold; the walk must find
    them there, and must not count block 0's rows a second time. *)
 let test_midwalk_compaction_per_block () =
   let rt, coll = midwalk_fixture () in
-  let ctx = coll.Smc.Collection.ctx in
   let expected = Smc.Collection.count coll in
   let waiting = Atomic.make false and completed = Atomic.make false in
-  let chunk =
-    {
-      Context.slots = Context.make_sel 64;
-      words = [| fk.Smc_offheap.Layout.word |];
-      masks = [| -1 |];
-      dsts = [| Array.make 64 0 |];
-    }
-  in
+  let src = Source.of_smc coll ~columns:[ ("k", Source.C_int fk) ] in
   let counted = ref 0 and chunks = ref 0 and compactor = ref None in
   let moved0 = counter rt Smc_obs.c_walk_moved_ranges in
   Smc_check.Chaos.with_compaction_hook rt
@@ -645,16 +637,14 @@ let test_midwalk_compaction_per_block () =
       if phase = Smc_offheap.Runtime.Phase_waiting then Atomic.set waiting true;
       if phase = Smc_offheap.Runtime.Phase_completed then Atomic.set completed true)
     (fun () ->
-      Context.with_walk ctx @@ fun w ->
-      Context.walk w Context.Per_element ~scan:(fun blk lo hi ->
-          Context.fill_block w blk ~lo ~hi chunk ~on_batch:(fun _ n ->
-              counted := !counted + n;
-              incr chunks;
-              if !chunks = 1 then begin
-                compactor := Some (Domain.spawn (fun () -> Smc.Collection.compact coll ()));
-                wait_until ~ms:300 (fun () -> Atomic.get waiting)
-              end
-              else if !chunks <= 4 then wait_until ~ms:100 (fun () -> Atomic.get completed))));
+      Source.batches src ~rows:64 (fun bt ->
+          counted := !counted + bt.Batch.len;
+          incr chunks;
+          if !chunks = 1 then begin
+            compactor := Some (Domain.spawn (fun () -> Smc.Collection.compact coll ()));
+            wait_until ~ms:300 (fun () -> Atomic.get waiting)
+          end
+          else if !chunks <= 4 then wait_until ~ms:100 (fun () -> Atomic.get completed)));
   let report = Option.map Domain.join !compactor in
   check Alcotest.bool "compaction completed the group" true
     (match report with
@@ -876,7 +866,7 @@ let test_fill_parallel () =
 
 (* ------------------------------------------------------------------ *)
 (* A full block's chunks skip the directory, so they rely on the walk's
-   critical section: a row removed after the walk began stays in limbo,
+   registered frontier: a row removed after the walk began stays in limbo,
    words intact, until the walk ends. Pause a walk in its first chunk,
    remove rows from the full blocks ahead of it on another domain and add
    new ones, then let it finish: it may or may not see each removed row,
