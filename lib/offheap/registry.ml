@@ -32,26 +32,28 @@ let create () =
     lock = Mutex.create ();
   }
 
-let ensure t id =
-  if id >= Array.length t.blocks then begin
-    Mutex.lock t.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () ->
-        if id >= Array.length t.blocks then begin
-          let next = Array.make (max (2 * Array.length t.blocks) (id + 1)) t.sentinel in
-          Array.blit t.blocks 0 next 0 (Array.length t.blocks);
-          t.blocks <- next
-        end)
-  end
+(* Stores into the table happen under [lock], like the copy that grows
+   it: a store into the old array that landed after another domain's copy
+   would be lost, and its id would resolve to the sentinel. Block creation
+   is rare, so the lock costs nothing that matters. *)
+let store t id block =
+  Mutex.lock t.lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.lock)
+    (fun () ->
+      if id >= Array.length t.blocks then begin
+        let next = Array.make (max (2 * Array.length t.blocks) (id + 1)) t.sentinel in
+        Array.blit t.blocks 0 next 0 (Array.length t.blocks);
+        t.blocks <- next
+      end;
+      t.blocks.(id) <- block)
 
 let register t build =
   let id = Atomic.fetch_and_add t.next 1 in
-  ensure t id;
   let block = build ~id in
   (* Publication: the array cell write is the linearisation point; readers
      resolve ids only from references created after this store. *)
-  t.blocks.(id) <- block;
+  store t id block;
   block
 
 let get_fast t id = Array.unsafe_get t.blocks id
@@ -64,7 +66,7 @@ let get t id =
     invalid_arg (Printf.sprintf "Registry.get: unknown block %d" id);
   b
 
-let retire t id = if id < Array.length t.blocks then t.blocks.(id) <- t.sentinel
+let retire t id = if id < Array.length t.blocks then store t id t.sentinel
 
 let count t = Atomic.get t.next
 

@@ -8,17 +8,22 @@
    ({!Source.batches}): it binds the typed arrays of the columns its body
    reads (which is the scan's column mask) and runs the body over row
    [i]. A fresh chunk's selection is the identity, so there is no
-   selection vector. Expressions render as [tx], a kind plus unboxed and
-   boxed code, so Int/Dec/Date/Char operands stay words and a [Value.t]
-   is built only where the plan needs one or an operand has no typed
-   form. Probe leaves push boxed rows ([Plan.leaf_rows]).
+   selection vector. Expressions are lowered by {!Kernel.lower} against
+   the kinds of the row they read and render as [tx], a kind plus unboxed
+   and boxed code, so Int/Dec/Date/Char operands stay words and a
+   [Value.t] is built only where the plan needs one or a node is [K_any].
+   Probe leaves push boxed rows ([Plan.leaf_rows]).
 
-   Exactness: bit-identical to Fuse, raises included. Typed code is
-   emitted only where it computes what [Value] would; everything else
-   transliterates {!Expr.compile}, {!Aggregate.compile} and
-   {!Fuse.compile} case by case, in the same evaluation order (keys and
+   Exactness: bit-identical to Fuse, raises included, because both run
+   the same typed form. Every kind decision (promotion, a compare's
+   domain, coercions, [Between]'s order, the key shape and the aggregate
+   cells) is made by {!Kernel.lower} and {!Kernel.lower_group}; this file
+   only prints each node as the inline OCaml that computes what
+   [Kernel]'s interpreter computes for it, [K_any] nodes through [Value]'s
+   own operations. Operands are printed in the application shape
+   {!Expr.compile} uses, so they evaluate in the same order, and keys and
    projections are let-bound left to right, since OCaml literals evaluate
-   right to left).
+   right to left.
 
    Sharing: leaves and group-by runners enter as closure arrays and
    constants (needles included) as a [Value.t array]. The source holds
@@ -95,17 +100,34 @@ let boxed_row var n =
 
 let kind_ctor k = "B.K_" ^ match k with Batch.K_any -> "any" | k -> kind_name k
 
-let int_like = function
-  | Batch.K_int | Batch.K_dec | Batch.K_date | Batch.K_char -> true
-  | Batch.K_bool | Batch.K_str | Batch.K_any -> false
+let cell_code = function
+  | Kernel.Count -> "K.Count"
+  | Kernel.Sum_word k -> "(K.Sum_word " ^ kind_ctor k ^ ")"
+  | Kernel.Avg_word k -> "(K.Avg_word " ^ kind_ctor k ^ ")"
+  | Kernel.Min_word k -> "(K.Min_word " ^ kind_ctor k ^ ")"
+  | Kernel.Max_word k -> "(K.Max_word " ^ kind_ctor k ^ ")"
+  | Kernel.Sum_val -> "K.Sum_val"
+  | Kernel.Avg_val -> "K.Avg_val"
+  | Kernel.Min_val -> "K.Min_val"
+  | Kernel.Max_val -> "K.Max_val"
 
-let kind_of_value = function
-  | Value.Int _ -> Batch.K_int
-  | Value.Dec _ -> Batch.K_dec
-  | Value.Date _ -> Batch.K_date
-  | Value.Bool _ -> Batch.K_bool
-  | Value.Str _ -> Batch.K_str
-  | Value.Null -> Batch.K_any
+let shape_code = function
+  | Kernel.No_key -> "K.No_key"
+  | Kernel.Word k -> Printf.sprintf "(K.Word %s)" (kind_ctor k)
+  | Kernel.Chars n -> Printf.sprintf "(K.Chars %d)" n
+  | Kernel.Words ks ->
+    Printf.sprintf "(K.Words [| %s |])" (String.concat "; " (Array.to_list (Array.map kind_ctor ks)))
+  | Kernel.Boxed -> "K.Boxed"
+
+let op_code = function
+  | Kernel.O_eq -> "="
+  | Kernel.O_ne -> "<>"
+  | Kernel.O_lt -> "<"
+  | Kernel.O_le -> "<="
+  | Kernel.O_gt -> ">"
+  | Kernel.O_ge -> ">="
+
+let kinds row = Array.map (fun t -> t.k) row.cols
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
@@ -160,11 +182,11 @@ let render plan =
   (* A constant is read from [consts]; its unboxed form, when typed code
      asks for it, is bound once at entry — so the constant's kind is in
      the source, and its value is not. *)
-  let const v =
+  let const k v =
     let i = add_const v in
     let boxed = Lazy.from_val (Printf.sprintf "(Array.get consts %d)" i) in
-    match kind_of_value v with
-    | Batch.K_any -> { k = Batch.K_any; code = boxed; boxed }
+    match k with
+    | Batch.K_any -> { k; code = boxed; boxed }
     | k ->
       let code =
         lazy
@@ -179,107 +201,78 @@ let render plan =
       in
       { k; code; boxed }
   in
-  let dec t = if t.k = Batch.K_int then Printf.sprintf "(D.of_int %s)" (code t) else code t in
   let truth t =
     if t.k = Batch.K_bool then code t else Printf.sprintf "(V.to_bool %s)" (box t)
   in
-  let str t =
-    match t.k with
-    | Batch.K_str -> code t
-    | Batch.K_char -> Printf.sprintf "(B.char_str %s)" (code t)
-    | _ -> Printf.sprintf "(str_of %s)" (box t)
-  in
   let bool fmt = Printf.ksprintf (word Batch.K_bool) fmt in
-  (* [Value.compare a b op 0], on words where both kinds have one order:
-     same-kind Int/Dec/Date/Char (byte order = 1-char [String.compare]),
-     Int against Dec through [D.of_int], strings and chars through
-     [String.compare], bools. Any other pair boxes, so it raises when
-     [Value.compare] would. *)
-  let compare_tx op a b =
-    let gen f ca cb = bool "(%s %s %s %s 0)" f ca cb op in
-    match (a.k, b.k) with
-    | Batch.K_int, Batch.K_int
-    | Batch.K_dec, Batch.K_dec
-    | Batch.K_date, Batch.K_date
-    | Batch.K_char, Batch.K_char ->
-      bool "((%s : int) %s %s)" (code a) op (code b)
-    | (Batch.K_int | Batch.K_dec), (Batch.K_int | Batch.K_dec) ->
-      bool "((%s : int) %s %s)" (dec a) op (dec b)
-    | (Batch.K_str | Batch.K_char), (Batch.K_str | Batch.K_char) ->
-      gen "String.compare" (str a) (str b)
-    | Batch.K_bool, Batch.K_bool -> gen "Bool.compare" (code a) (code b)
-    | _ -> gen "V.compare" (box a) (box b)
-  in
-  let rec gx schema row e =
-    let g e = gx schema row e in
-    let resolve name =
-      let rec go i =
-        if i >= Array.length schema then
-          invalid_arg ("Expr.compile: unknown column " ^ name)
-        else if String.equal schema.(i) name then i
-        else go (i + 1)
+  (* A {!Kernel.form} printed over a row: the code of every node is what
+     [Kernel]'s interpreters compute for it, inlined. *)
+  let rec form ?subj row (f : Kernel.form) =
+    let g = form ?subj row in
+    let fmt k = Printf.ksprintf (word k) in
+    match f.node with
+    | Kernel.Col ci -> row.cols.(ci)
+    | Kernel.Const v -> const f.kind v
+    | Kernel.Subj -> Option.get subj
+    | Kernel.Promote a -> fmt Batch.K_dec "(D.of_int %s)" (code (g a))
+    | Kernel.Chr a -> fmt Batch.K_str "(B.char_str %s)" (code (g a))
+    | Kernel.Show a -> fmt Batch.K_str "(V.to_string %s)" (box (g a))
+    | Kernel.Neg a -> (
+      match f.kind with
+      | Batch.K_int -> fmt f.kind "(- %s)" (code (g a))
+      | Batch.K_dec -> fmt f.kind "(D.neg %s)" (code (g a))
+      | _ -> boxed (Printf.sprintf "(V.neg %s)" (box (g a))))
+    | Kernel.Arith (op, a, b) -> (
+      let name, sym =
+        match op with
+        | Kernel.A_add -> ("add", "+")
+        | Kernel.A_sub -> ("sub", "-")
+        | Kernel.A_mul -> ("mul", "*")
+        | Kernel.A_div -> ("div", "/")
       in
-      go 0
-    in
-    (* [Value.arith]'s domain: Int op Int stays Int, any Dec makes it Dec *)
-    let arith name op a b =
-      let ta = g a and tb = g b in
-      match (ta.k, tb.k) with
-      | Batch.K_int, Batch.K_int ->
-        word Batch.K_int (Printf.sprintf "(%s %s %s)" (code ta) op (code tb))
-      | (Batch.K_int | Batch.K_dec), (Batch.K_int | Batch.K_dec) ->
-        word Batch.K_dec (Printf.sprintf "(D.%s %s %s)" name (dec ta) (dec tb))
-      | _ -> boxed (Printf.sprintf "(V.%s %s %s)" name (box ta) (box tb))
-    in
-    let cmp op a b = compare_tx op (g a) (g b) in
-    let text f arg a needle =
       let ta = g a in
-      bool "(E.%s ~%s:%s %s)" f arg (code (const (Value.Str needle))) (str ta)
-    in
-    match e with
-    | Expr.Col name -> row.cols.(resolve name)
-    | Expr.Const v -> const v
-    | Expr.Add (a, b) -> arith "add" "+" a b
-    | Expr.Sub (a, b) -> arith "sub" "-" a b
-    | Expr.Mul (a, b) -> arith "mul" "*" a b
-    | Expr.Div (a, b) -> arith "div" "/" a b
-    | Expr.Neg a ->
+      let tb = g b in
+      match f.kind with
+      | Batch.K_int -> fmt f.kind "(%s %s %s)" (code ta) sym (code tb)
+      | Batch.K_dec -> fmt f.kind "(D.%s %s %s)" name (code ta) (code tb)
+      | _ -> boxed (Printf.sprintf "(V.%s %s %s)" name (box ta) (box tb)))
+    | Kernel.Cmp (op, dom, a, b) -> (
       let ta = g a in
-      (match ta.k with
-      | Batch.K_int -> word Batch.K_int (Printf.sprintf "(- %s)" (code ta))
-      | Batch.K_dec -> word Batch.K_dec (Printf.sprintf "(D.neg %s)" (code ta))
-      | _ -> boxed (Printf.sprintf "(V.neg %s)" (box ta)))
-    | Expr.Eq (a, b) -> cmp "=" a b
-    | Expr.Ne (a, b) -> cmp "<>" a b
-    | Expr.Lt (a, b) -> cmp "<" a b
-    | Expr.Le (a, b) -> cmp "<=" a b
-    | Expr.Gt (a, b) -> cmp ">" a b
-    | Expr.Ge (a, b) -> cmp ">=" a b
-    | Expr.And (a, b) ->
-      let ta = g a and tb = g b in
-      bool "(%s && %s)" (truth ta) (truth tb)
-    | Expr.Or (a, b) ->
-      let ta = g a and tb = g b in
-      bool "(%s || %s)" (truth ta) (truth tb)
-    | Expr.Not a -> bool "(not %s)" (truth (g a))
-    | Expr.Between (x, lo, hi) ->
-      let tx = g x and tlo = g lo and thi = g hi in
+      let tb = g b and op = op_code op in
+      match dom with
+      | Kernel.On_words -> bool "((%s : int) %s %s)" (code ta) op (code tb)
+      | Kernel.On_strings -> bool "(String.compare %s %s %s 0)" (code ta) (code tb) op
+      | Kernel.On_bools -> bool "(Bool.compare %s %s %s 0)" (code ta) (code tb) op
+      | Kernel.On_values -> bool "(V.compare %s %s %s 0)" (box ta) (box tb) op)
+    | Kernel.And (a, b) ->
+      let ta = truth (g a) in
+      bool "(%s && %s)" ta (truth (g b))
+    | Kernel.Or (a, b) ->
+      let ta = truth (g a) in
+      bool "(%s || %s)" ta (truth (g b))
+    | Kernel.Not a -> bool "(not %s)" (truth (g a))
+    | Kernel.Between (s, lo, hi) ->
       let v = fresh "bv" in
-      let tv = word tx.k v in
-      bool "(let %s = %s in %s && %s)" v (code tx)
-        (code (compare_tx ">=" tv tlo))
-        (code (compare_tx "<=" tv thi))
-    | Expr.Contains (a, needle) -> text "string_contains" "needle" a needle
-    | Expr.ContainsCI (a, needle) -> text "string_contains_ci" "needle" a needle
-    | Expr.StartsWith (a, prefix) -> text "string_starts_with" "prefix" a prefix
+      let subj = word s.kind v and ts = code (g s) in
+      let tlo = code (form ~subj row lo) in
+      bool "(let %s = %s in %s && %s)" v ts tlo (code (form ~subj row hi))
+    | Kernel.Text (op, needle, a) ->
+      let fn, arg =
+        match op with
+        | Kernel.T_contains -> ("string_contains", "needle")
+        | Kernel.T_contains_ci -> ("string_contains_ci", "needle")
+        | Kernel.T_starts_with -> ("string_starts_with", "prefix")
+      in
+      bool "(E.%s ~%s:%s %s)" fn arg (code (const Batch.K_str (Value.Str needle))) (code (g a))
   in
+  let expr schema row e = form row (Kernel.lower ~schema ~kinds:(kinds row) e) in
   (* Ordered [Value.t list] literal: let-bound so effects (raises) run
      left-to-right like List.map over compiled key functions. *)
   let glist schema row exprs =
     match exprs with
     | [] -> "[]"
     | _ ->
-      let bound = List.map (fun e -> (fresh "kv", box (gx schema row e))) exprs in
+      let bound = List.map (fun e -> (fresh "kv", box (expr schema row e))) exprs in
       Printf.sprintf "(%s[%s])"
         (String.concat "" (List.map (fun (v, src) -> Printf.sprintf "let %s = %s in " v src) bound))
         (String.concat "; " (List.map fst bound))
@@ -349,7 +342,7 @@ let render plan =
     | Plan.Where (pred, input) ->
       let schema = Plan.schema input in
       emit input depth (fun d row ->
-          line d "if %s then begin" (truth (gx schema row pred));
+          line d "if %s then begin" (truth (expr schema row pred));
           k (d + 1) row;
           line (d + 1) "()";
           line d "end;")
@@ -359,7 +352,7 @@ let render plan =
           let cols =
             List.map
               (fun (_, e) ->
-                let t = gx schema row e in
+                let t = expr schema row e in
                 let v = fresh "pv" in
                 line d "let %s = %s in" v (code t);
                 word t.k v)
@@ -391,49 +384,37 @@ let render plan =
     | Plan.GroupBy { keys; aggs; input } ->
       let schema = Plan.schema input in
       let tbl = fresh "groups" in
-      (* Groups live in a {!Kernel} table: it picks the key's shape, hands
-         out dense ids in first-seen order and finishes the rows; the
-         plugin keeps only the typed updates. A word cell never sees Null,
-         so Aggregate's first-value step is a plain word sum, and an
-         extremum starts at the far end so the first value replaces it. *)
-      let shape = ref Kernel.No_key in
-      let cells = Array.make (List.length aggs) "K.Count" in
-      let update d row g j (_, agg) =
+      (* Groups live in a {!Kernel} table: the lowering picks the key's
+         shape and each aggregate's cell, the table hands out dense ids in
+         first-seen order and finishes the rows; the plugin keeps only the
+         updates. A word cell never sees Null, so Aggregate's first-value
+         step is a plain word sum, and an extremum starts at the far end so
+         the first value replaces it. *)
+      let lowered = ref None in
+      let update d row g j (cell, f) =
         let arr field = Printf.sprintf "(Array.unsafe_get %s.K.%s %d)" tbl field j in
-        (* binds the operand as [v]: its word when [ok] admits its kind *)
-        let value e ok =
-          let t = gx schema row e in
-          let typed = if ok t.k then Some t.k else None in
-          line d "(let v = %s in" (if typed = None then box t else code t);
-          typed
-        in
-        let set_cell fmt = Printf.ksprintf (fun c -> cells.(j) <- c) fmt in
+        let bind v = line d "(let v = %s in" v in
         let word_update stmt =
+          bind (code (form row (Option.get f)));
           line (d + 1) "let w = %s in let cur = Array.unsafe_get w %s in" (arr "words") g;
           line (d + 1) "%s);" stmt
         in
-        match agg with
-        | Plan.Count -> ()
-        | Plan.Sum e | Plan.Avg e -> (
-          let avg = match agg with Plan.Avg _ -> true | _ -> false in
-          match value e (fun k -> k = Batch.K_int || k = Batch.K_dec) with
-          | Some k ->
-            set_cell "(K.%s %s)" (if avg then "Avg_word" else "Sum_word") (kind_ctor k);
-            word_update (Printf.sprintf "Array.unsafe_set w %s (cur + (v : int))" g)
-          | None ->
-            set_cell "K.%s" (if avg then "Avg_val" else "Sum_val");
-            line (d + 1) "let a = %s in let acc = Array.unsafe_get a %s in" (arr "vals") g;
-            line (d + 1) "Array.unsafe_set a %s (if acc = V.Null then v else V.add acc v));" g)
-        | Plan.Min e | Plan.Max e -> (
-          let op, name = match agg with Plan.Min _ -> ("<", "Min_word") | _ -> (">", "Max_word") in
-          match value e int_like with
-          | Some k ->
-            set_cell "(K.%s %s)" name (kind_ctor k);
-            word_update (Printf.sprintf "if (v : int) %s cur then Array.unsafe_set w %s v" op g)
-          | None ->
-            set_cell "K.Ext_val";
-            line (d + 1) "let a = %s in let acc = Array.unsafe_get a %s in" (arr "vals") g;
-            line (d + 1) "if acc = V.Null || V.compare v acc %s 0 then Array.unsafe_set a %s v);" op g)
+        let val_update stmt =
+          bind (box (form row (Option.get f)));
+          line (d + 1) "let a = %s in let acc = Array.unsafe_get a %s in" (arr "vals") g;
+          line (d + 1) "%s);" stmt
+        in
+        let ext op = Printf.sprintf "if acc = V.Null || V.compare v acc %s 0 then Array.unsafe_set a %s v" op g in
+        match cell with
+        | Kernel.Count -> ()
+        | Kernel.Sum_word _ | Kernel.Avg_word _ ->
+          word_update (Printf.sprintf "Array.unsafe_set w %s (cur + (v : int))" g)
+        | Kernel.Min_word _ -> word_update (Printf.sprintf "if (v : int) < cur then Array.unsafe_set w %s v" g)
+        | Kernel.Max_word _ -> word_update (Printf.sprintf "if (v : int) > cur then Array.unsafe_set w %s v" g)
+        | Kernel.Sum_val | Kernel.Avg_val ->
+          val_update (Printf.sprintf "Array.unsafe_set a %s (if acc = V.Null then v else V.add acc v)" g)
+        | Kernel.Min_val -> val_update (ext "<")
+        | Kernel.Max_val -> val_update (ext ">")
       in
       let leaf = ref None in
       let rec chain = function
@@ -445,49 +426,43 @@ let render plan =
       let loop =
         capture (fun () ->
             emit input (depth + 1) (fun d row ->
-                let kts =
+                let lg =
+                  Kernel.lower_group ~schema ~kinds:(kinds row) ~keys:(List.map snd keys)
+                    ~aggs:(List.map snd aggs)
+                in
+                lowered := Some lg;
+                let words =
                   List.map
-                    (fun (_, e) ->
-                      let t = gx schema row e in
+                    (fun f ->
+                      let t = form row f in
                       let v = fresh "kv" in
                       line d "let %s = %s in" v (code t);
                       word t.k v)
-                    keys
+                    lg.Kernel.key_forms
                 in
-                shape := Kernel.key_shape (List.map (fun t -> t.k) kts);
                 let g = fresh "g" in
-                let words = List.map code kts in
-                (match !shape with
+                (match lg.Kernel.key with
                 | Kernel.No_key -> line d "let %s = K.id_of_none %s in" g tbl
-                | Kernel.Word _ -> line d "let %s = K.id_of_word %s %s in" g tbl (List.hd words)
+                | Kernel.Word _ -> line d "let %s = K.id_of_word %s %s in" g tbl (code (List.hd words))
                 | Kernel.Chars _ ->
                   line d "let %s = K.id_of_word %s %s in" g tbl
-                    (List.fold_left (Printf.sprintf "(K.pack_char %s %s)") "0" words)
+                    (List.fold_left (fun acc t -> Printf.sprintf "(K.pack_char %s %s)" acc (code t)) "0" words)
                 | Kernel.Words _ ->
-                  line d "let %s = K.id_of_words %s [| %s |] in" g tbl (String.concat "; " words)
+                  line d "let %s = K.id_of_words %s [| %s |] in" g tbl
+                    (String.concat "; " (List.map code words))
                 | Kernel.Boxed ->
-                  line d "let %s = K.id_of_boxed %s [%s] in" g tbl
-                    (String.concat "; " (List.map box kts)));
+                  line d "let %s = K.id_of_boxed %s [%s] in" g tbl (String.concat "; " (List.map box words)));
                 line d "let rows = %s.K.rows in" tbl;
                 line d "Array.unsafe_set rows %s (Array.unsafe_get rows %s + 1);" g g;
-                List.iteri (update d row g) aggs))
+                List.iteri (update d row g) lg.Kernel.agg_forms))
       in
-      let shape_code =
-        match !shape with
-        | Kernel.No_key -> "K.No_key"
-        | Kernel.Word k -> Printf.sprintf "(K.Word %s)" (kind_ctor k)
-        | Kernel.Chars n -> Printf.sprintf "(K.Chars %d)" n
-        | Kernel.Words ks ->
-          Printf.sprintf "(K.Words [| %s |])"
-            (String.concat "; " (Array.to_list (Array.map kind_ctor ks)))
-        | Kernel.Boxed -> "K.Boxed"
-      in
+      let lg = Option.get !lowered in
       (* The aggregation phase is a function of the table and of one chunk
          producer, so the host can run it on every worker of a parallel
          scan; the runner returns the filled (merged) table. *)
       line depth "let %s = Array.get groupbys %d %s [| %s |] (fun %s scan ->" tbl
-        (add_group !leaf) shape_code
-        (String.concat "; " (Array.to_list cells))
+        (add_group !leaf) (shape_code lg.Kernel.key)
+        (String.concat "; " (List.map (fun (c, _) -> cell_code c) lg.Kernel.agg_forms))
         tbl;
       Buffer.add_string !buf loop;
       line (depth + 1) "()) in";
@@ -507,8 +482,8 @@ let render plan =
         | [] -> line d "0"
         | (e, dir) :: rest ->
           line d "let c = V.compare %s %s in"
-            (box (gx schema (boxed_row "a" n) e))
-            (box (gx schema (boxed_row "b" n) e));
+            (box (expr schema (boxed_row "a" n) e))
+            (box (expr schema (boxed_row "b" n) e));
           (match dir with Plan.Asc -> () | Plan.Desc -> line d "let c = -c in");
           line d "if c <> 0 then c";
           line d "else begin";
@@ -561,9 +536,8 @@ let render plan =
     Array.of_list (consts ()),
     List.rev !limit_exns )
 
-(* Full plugin module around a rendered body. The two prelude helpers are
-   Aggregate's Avg promotion and Expr's string coercion; everything else
-   resolves against the host's own units through their .cmi files. *)
+(* Full plugin module around a rendered body; everything in it resolves
+   against the host's own units through their .cmi files. *)
 let assemble ~digest ~limit_exns body =
   let b = Buffer.create 8192 in
   let add s = Buffer.add_string b (s ^ "\n") in
@@ -580,8 +554,6 @@ let assemble ~digest ~limit_exns body =
   add "module E = Smc_query__Expr";
   add "module D = Smc_decimal__Decimal";
   add "module K = Smc_query__Kernel";
-  add "";
-  add "let str_of = function V.Str s -> s | v -> V.to_string v";
   add "";
   List.iter (fun e -> add (Printf.sprintf "exception %s" e)) limit_exns;
   if limit_exns <> [] then add "";

@@ -22,11 +22,10 @@
     keys — so re-running a plan shape over another collection with the
     same column kinds, or with other constants, reuses the plugin.
 
-    Results are bit-identical to {!Fuse.collect}, raises included: typed
-    code is emitted only where it computes exactly what {!Value} would,
-    and everything else transliterates {!Expr.compile},
-    {!Aggregate.compile} and {!Fuse}'s operator loops case by case, in
-    the same evaluation order. When compilation is impossible — bytecode
+    Results are bit-identical to {!Fuse.collect}, raises included: the
+    plugin prints the typed form {!Kernel.lower} and {!Kernel.lower_group}
+    make, the same form Fuse and {!Vector} interpret, and transliterates
+    {!Fuse}'s operator loops case by case, in the same evaluation order. When compilation is impossible — bytecode
     host, no [ocamlopt] on PATH, unlocatable .cmi directories, a
     compile/load failure, or an [IndexJoin] in the plan (its keyed per-row
     probe does not fit the leaf ABI) — execution falls back to {!Fuse} and

@@ -21,8 +21,6 @@ and chain = {
   through : (Batch.t -> int -> unit) -> Batch.t -> int -> unit;
 }
 
-let group_key key_fns row = List.map (fun f -> f row) key_fns
-
 (* Run a per-position consumer over every position of a chunk. *)
 let each push bt =
   let push = push bt in
@@ -63,6 +61,66 @@ let extend kinds run chain xf =
       (fun push -> run (xf push)),
       Option.map (fun c -> { c with through = (fun push -> c.through (xf push)) }) chain )
 
+(* The push form of the operators that consume whole boxed rows, shared
+   by Fuse and {!Vector}: [input] compiles a child into its row producer,
+   once, and each run of the result re-runs it. *)
+let row_operator plan (input : Plan.t -> (Value.t array -> unit) -> unit) :
+    (Value.t array -> unit) -> unit =
+  let key schema cols =
+    let fns = List.map (fun c -> Expr.compile ~schema (Expr.Col c)) cols in
+    fun row -> List.map (fun f -> f row) fns
+  in
+  match plan with
+  | Plan.HashJoin { left; right; on } ->
+    let lkey = key (Plan.schema left) (List.map fst on) in
+    let rkey = key (Plan.schema right) (List.map snd on) in
+    let build = input right and probe = input left in
+    fun emit ->
+      let table = Hashtbl.create 1024 in
+      build (fun row -> Hashtbl.add table (rkey row) row);
+      probe (fun l ->
+          List.iter (fun r -> emit (Array.append l r)) (Hashtbl.find_all table (lkey l)))
+  | Plan.IndexJoin { left; src; index; left_col } ->
+    (* Index nested-loop join: the probe side fuses straight into the
+       keyed probe; there is no build phase to pipeline-break on. The
+       probe is made per run, since the compiled pipeline may execute
+       more than once. *)
+    let lkey = Expr.compile ~schema:(Plan.schema left) (Expr.Col left_col) in
+    let keyed = Source.keyed_probe src index in
+    let probe = input left in
+    fun emit ->
+      let keyed = keyed () in
+      probe (fun l -> keyed (lkey l) (fun r -> emit (Array.append l r)))
+  | Plan.OrderBy (specs, up) ->
+    let schema = Plan.schema up in
+    let fns = List.map (fun (e, d) -> (Expr.compile ~schema e, d)) specs in
+    let compare_rows a b =
+      let rec go = function
+        | [] -> 0
+        | (f, d) :: rest ->
+          let c = Value.compare (f a) (f b) in
+          let c = match d with Plan.Asc -> c | Plan.Desc -> -c in
+          if c <> 0 then c else go rest
+      in
+      go fns
+    in
+    let upstream = input up in
+    fun emit ->
+      let rows = ref [] in
+      upstream (fun row -> rows := row :: !rows);
+      List.iter emit (List.stable_sort compare_rows (List.rev !rows))
+  | Plan.Distinct up ->
+    let upstream = input up in
+    fun emit ->
+      let seen = Hashtbl.create 256 in
+      upstream (fun row ->
+          let key = Array.to_list row in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.add seen key ();
+            emit row
+          end)
+  | _ -> invalid_arg "Fuse.row_operator: not a row operator"
+
 (* Compile the plan to a function that pushes every result row into [emit].
    Compilation happens once; running the returned closure executes the
    fused pipeline. [need] is the set of columns the operators above read,
@@ -84,7 +142,7 @@ let rec compile ~need plan =
       let test = Expr.compile_pred ~schema pred in
       Rows (fun emit -> upstream (fun row -> if test row then emit row))
     | Chunks (kinds, run, chain) ->
-      let test = K.compile_test ~schema ~kinds pred in
+      let test = K.test (K.lower ~schema ~kinds pred) in
       extend kinds run chain (fun push bt ->
           let test = test bt and push = push bt in
           fun i -> if test i then push i))
@@ -105,32 +163,8 @@ let rec compile ~need plan =
             fun i ->
               write i;
               push i))
-  | Plan.HashJoin { left; right; on } ->
-    let lschema = Plan.schema left and rschema = Plan.schema right in
-    let lkeys = List.map (fun (lc, _) -> Expr.compile ~schema:lschema (Expr.Col lc)) on in
-    let rkeys = List.map (fun (_, rc) -> Expr.compile ~schema:rschema (Expr.Col rc)) on in
-    let build = input_rows right in
-    let probe = input_rows left in
-    Rows
-      (fun emit ->
-        let table = Hashtbl.create 1024 in
-        build (fun row -> Hashtbl.add table (group_key rkeys row) row);
-        probe (fun l ->
-            List.iter
-              (fun r -> emit (Array.append l r))
-              (Hashtbl.find_all table (group_key lkeys l))))
-  | Plan.IndexJoin { left; src; index; left_col } ->
-    (* Index nested-loop join: the probe side fuses straight into the
-       keyed probe; there is no build phase to pipeline-break on. The
-       probe is made per run, since the compiled pipeline may execute
-       more than once. *)
-    let lkey = Expr.compile ~schema:(Plan.schema left) (Expr.Col left_col) in
-    let keyed = Source.keyed_probe src index in
-    let probe = input_rows left in
-    Rows
-      (fun emit ->
-        let keyed = keyed () in
-        probe (fun l -> keyed (lkey l) (fun r -> emit (Array.append l r))))
+  | Plan.HashJoin _ | Plan.IndexJoin _ | Plan.OrderBy _ | Plan.Distinct _ ->
+    Rows (row_operator plan input_rows)
   | Plan.GroupBy { keys; aggs; input } ->
     let ncols = Array.length (Plan.schema input) in
     let kinds, run, chain = chunks ncols (compile ~need:(K.group_need keys aggs) input) in
@@ -151,36 +185,6 @@ let rec compile ~need plan =
             t
         in
         K.iter_groups t emit)
-  | Plan.OrderBy (specs, input) ->
-    let schema = Plan.schema input in
-    let fns = List.map (fun (e, d) -> (Expr.compile ~schema e, d)) specs in
-    let upstream = input_rows input in
-    let compare_rows a b =
-      let rec go = function
-        | [] -> 0
-        | (f, d) :: rest ->
-          let c = Value.compare (f a) (f b) in
-          let c = match d with Plan.Asc -> c | Plan.Desc -> -c in
-          if c <> 0 then c else go rest
-      in
-      go fns
-    in
-    Rows
-      (fun emit ->
-        let rows = ref [] in
-        upstream (fun row -> rows := row :: !rows);
-        List.iter emit (List.stable_sort compare_rows (List.rev !rows)))
-  | Plan.Distinct input ->
-    let upstream = input_rows input in
-    Rows
-      (fun emit ->
-        let seen = Hashtbl.create 256 in
-        upstream (fun row ->
-            let key = Array.to_list row in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.add seen key ();
-              emit row
-            end))
   | Plan.Limit (n, input) -> (
     (* No early termination in a push pipeline without exceptions; use one
        locally, which is how push engines implement LIMIT. *)

@@ -22,5 +22,13 @@
     expression evaluates on the same rows, in the same order, as in
     {!Interp}, so a plan raises at the same row with the same exception. *)
 
+val row_operator :
+  Plan.t -> (Plan.t -> (Value.t array -> unit) -> unit) -> (Value.t array -> unit) -> unit
+(** [row_operator plan input] is the push form of a [HashJoin],
+    [IndexJoin], [OrderBy] or [Distinct] node, given [input], which
+    compiles a child plan into its row producer; {!Vector} runs these
+    operators through it too. Raises [Invalid_argument] on any other
+    node. *)
+
 val run : Plan.t -> f:(Value.t array -> unit) -> unit
 val collect : Plan.t -> Value.t array list

@@ -1,19 +1,24 @@
 (* Typed evaluation over column chunks, shared by the vectorized engine
-   ({!Vector}, which runs it over a chunk at a time) and the fused pipeline
-   ({!Fuse}, which runs it one row at a time through a closure chain). The
-   group-id table is also what compiled plans ({!Codegen}) call.
+   ({!Vector}, which runs it over a chunk at a time), the fused pipeline
+   ({!Fuse}, one row at a time through a closure chain) and compiled plans
+   ({!Codegen}, which prints the same form as OCaml source and calls the
+   group-id table from it).
 
-   Every compiled piece has the same two-step shape: bind a chunk once
-   (fetch its typed arrays and selection vector), then evaluate by
-   selection *position* (0 ≤ i < len). Arithmetic and compares run over
-   unboxed int words (Dec fixed-point, Date epoch days, Char byte codes
-   share the int representation the blocks store).
+   [lower] resolves an expression against its input's column kinds once,
+   into a small typed form. Every node carries the kind of its value, and
+   the lowering is the one place that decides Int→Dec promotion, the
+   domain a compare runs in, [Between]'s evaluation order, char and
+   string coercion, how a group key is held and which cell an aggregate
+   keeps. Word nodes (Int, Dec, Date, Char) compute unboxed ints, the
+   representation the blocks store; [K_any] nodes run [Value]'s own
+   operations on boxed values. Typed nodes exist only where they provably
+   reproduce the scalar [Value]/[Expr]/[Aggregate] semantics (including
+   raises), so the typed tier can never change what a plan means, only
+   what it costs.
 
-   Typed code exists only where it provably reproduces the scalar
-   [Value]/[Expr]/[Aggregate] semantics (including raises); every other
-   expression falls back to [Expr.compile] itself over a small boxed row
-   gathered from the chunk, so the typed tier can never change what a plan
-   means, only what it costs. *)
+   The interpreters below bind a chunk once (fetch its typed arrays and
+   selection vector), then evaluate by selection *position*
+   (0 ≤ i < len). *)
 
 module D = Smc_decimal.Decimal
 
@@ -29,6 +34,8 @@ let int_like = function
   | Batch.K_int | Batch.K_dec | Batch.K_date | Batch.K_char -> true
   | _ -> false
 
+let num k = k = Batch.K_int || k = Batch.K_dec
+
 let int_array_of_vec = function
   | Batch.V_int a | Batch.V_dec a | Batch.V_date a | Batch.V_char a -> a
   | _ -> assert false
@@ -40,169 +47,161 @@ let box_of_kind = function
   | Batch.K_char -> fun n -> Value.Str (Batch.char_str n)
   | _ -> assert false
 
-(* ---- expression compilation (value context) ------------------------- *)
-
-(* Positions stay stable while a filter compacts [sel] in place (the write
-   cursor never passes the read cursor), so the same accessor shape serves
-   filters and materializers. *)
-type ev =
-  | E_scalar of Value.t
-  | E_ints of Batch.kind * (Batch.t -> int -> int)  (* unboxed int-like *)
-  | E_boxed of (Batch.t -> int -> Value.t)  (* scalar-code fallback *)
-
-let boxed_col_prep ci bt =
-  let v = bt.Batch.cols.(ci) in
-  let sel = bt.Batch.sel in
-  fun i -> Batch.box_vec v (Bigarray.Array1.unsafe_get sel i)
-
-(* Row-at-a-time fallback: gather only the referenced columns into a small
-   boxed row and run [Expr.compile] itself — semantics (and raises) are the
-   scalar engine's by construction. *)
-let fallback_ev ~schema e =
-  let cols =
-    List.fold_left (fun acc c -> if List.mem c acc then acc else c :: acc) [] (Expr.columns e)
-    |> List.rev
-  in
-  let sub_schema = Array.of_list cols in
-  let f = Expr.compile ~schema:sub_schema e in
-  let accs = Array.of_list (List.map (fun c -> boxed_col_prep (resolve schema c)) cols) in
-  E_boxed
-    (fun bt ->
-      let gs = Array.map (fun a -> a bt) accs in
-      fun i -> f (Array.map (fun g -> g i) gs))
-
-let boxed_of_ev = function
-  | E_scalar v -> fun _ _ -> v
-  | E_boxed g -> g
-  | E_ints (k, prep) ->
-    let box = box_of_kind k in
-    fun bt ->
-      let g = prep bt in
-      fun i -> box (g i)
-
-(* An int-like side for a typed comparison/grouping kernel: the kind plus
-   an unboxed accessor. [None] = this operand cannot enter a typed kernel.
-   [dates] admits Date/Char sides (valid for compares and keys, not for
-   arithmetic — [Value.arith] only accepts Int/Dec). *)
-let num_side ~dates = function
-  | E_ints (k, p)
-    when k = Batch.K_int || k = Batch.K_dec
-         || (dates && (k = Batch.K_date || k = Batch.K_char)) ->
-    Some (k, p)
-  | E_scalar (Value.Int n) -> Some (Batch.K_int, fun _ _ -> n)
-  | E_scalar (Value.Dec d) -> Some (Batch.K_dec, fun _ _ -> d)
-  | E_scalar (Value.Date d) when dates -> Some (Batch.K_date, fun _ _ -> d)
-  | _ -> None
-
-(* Int→Dec promotion, exactly [Value]'s [D.of_int] scaling. *)
-let promote_side k p =
-  if k = Batch.K_int then fun bt ->
-    let g = p bt in
-    fun i -> D.of_int (g i)
-  else p
-
-let rec compile_value ~schema ~kinds e : ev =
-  (* Typed arithmetic exists only for Int/Dec operands — exactly the domain
-     of [Value.arith]; everything else (Dates, Strs, Null…) must raise
-     through the scalar code, so it falls back. *)
-  let arith int_op dec_op a b =
-    let ea = compile_value ~schema ~kinds a and eb = compile_value ~schema ~kinds b in
-    match (num_side ~dates:false ea, num_side ~dates:false eb) with
-    | Some (Batch.K_int, pa), Some (Batch.K_int, pb) ->
-      E_ints
-        ( Batch.K_int,
-          fun bt ->
-            let ga = pa bt and gb = pb bt in
-            fun i -> int_op (ga i) (gb i) )
-    | Some (ka, pa), Some (kb, pb) ->
-      let pa = promote_side ka pa and pb = promote_side kb pb in
-      E_ints
-        ( Batch.K_dec,
-          fun bt ->
-            let ga = pa bt and gb = pb bt in
-            fun i -> dec_op (ga i) (gb i) )
-    | _ -> fallback_ev ~schema e
-  in
-  match e with
-  | Expr.Col name ->
-    let ci = resolve schema name in
-    (match kinds.(ci) with
-    | (Batch.K_int | Batch.K_dec | Batch.K_date | Batch.K_char) as k ->
-      E_ints
-        ( k,
-          fun bt ->
-            let arr = int_array_of_vec bt.Batch.cols.(ci) in
-            let sel = bt.Batch.sel in
-            fun i -> Array.unsafe_get arr (Bigarray.Array1.unsafe_get sel i) )
-    | _ -> E_boxed (boxed_col_prep ci))
-  | Expr.Const v -> E_scalar v
-  | Expr.Add (a, b) -> arith ( + ) D.add a b
-  | Expr.Sub (a, b) -> arith ( - ) D.sub a b
-  | Expr.Mul (a, b) -> arith ( * ) D.mul a b
-  | Expr.Div (a, b) -> arith ( / ) D.div a b
-  | Expr.Neg a -> (
-    match compile_value ~schema ~kinds a with
-    | E_ints ((Batch.K_int | Batch.K_dec) as k, prep) ->
-      E_ints
-        ( k,
-          fun bt ->
-            let g = prep bt in
-            fun i -> -g i )
-    | E_scalar (Value.Int n) -> E_scalar (Value.Int (-n))
-    | E_scalar (Value.Dec d) -> E_scalar (Value.Dec (D.neg d))
-    | _ -> fallback_ev ~schema e)
-  | _ -> fallback_ev ~schema e
-
-let kind_of_ev = function
-  | E_scalar (Value.Int _) -> Batch.K_int
-  | E_scalar (Value.Dec _) -> Batch.K_dec
-  | E_scalar (Value.Date _) -> Batch.K_date
-  | E_scalar (Value.Bool _) -> Batch.K_bool
-  | E_scalar (Value.Str _) -> Batch.K_str
-  | E_scalar Value.Null -> Batch.K_any
-  | E_ints (k, _) -> k
-  | E_boxed _ -> Batch.K_any
-
-(* ---- projections ------------------------------------------------------ *)
-
-(* Select writes position i's outputs at position i of its output chunk,
-   every expression in column order — the order the row engines evaluate a
-   projection in, so the same row raises first. *)
-let compile_select ~schema ~kinds exprs =
-  let evs = Array.of_list (List.map (compile_value ~schema ~kinds) exprs) in
-  let writer ev vec : Batch.t -> int -> unit =
-    match (ev, vec) with
-    | E_ints (_, prep), (Batch.V_int a | Batch.V_dec a | Batch.V_date a | Batch.V_char a) ->
-      fun bt ->
-        let g = prep bt in
-        fun i -> Array.unsafe_set a i (g i)
-    | E_boxed prep, Batch.V_val a ->
-      fun bt ->
-        let g = prep bt in
-        fun i -> Array.unsafe_set a i (g i)
-    | E_scalar (Value.Int v), Batch.V_int a
-    | E_scalar (Value.Dec v), Batch.V_dec a
-    | E_scalar (Value.Date v), Batch.V_date a ->
-      fun _ i -> Array.unsafe_set a i v
-    | E_scalar (Value.Bool v), Batch.V_bool a -> fun _ i -> Array.unsafe_set a i v
-    | E_scalar (Value.Str v), Batch.V_str a -> fun _ i -> Array.unsafe_set a i v
-    | E_scalar Value.Null, Batch.V_val a -> fun _ i -> Array.unsafe_set a i Value.Null
-    | _ -> assert false
-  in
-  let write out =
-    let ws = Array.mapi (fun c ev -> writer ev out.Batch.cols.(c)) evs in
-    fun bt ->
-      let ws = Array.map (fun w -> w bt) ws in
-      fun i ->
-        for c = 0 to Array.length ws - 1 do
-          (Array.unsafe_get ws c) i
-        done
-  in
-  (Array.map kind_of_ev evs, write)
-
-(* ---- predicates ------------------------------------------------------- *)
+(* ---- the typed form --------------------------------------------------- *)
 
 type cmp_op = O_eq | O_ne | O_lt | O_le | O_gt | O_ge
+type arith = A_add | A_sub | A_mul | A_div
+type dom = On_words | On_strings | On_bools | On_values
+type text_op = T_contains | T_contains_ci | T_starts_with
+
+type form = { kind : Batch.kind; node : node }
+
+and node =
+  | Col of int
+  | Const of Value.t
+  | Subj
+  | Promote of form
+  | Chr of form
+  | Show of form
+  | Neg of form
+  | Arith of arith * form * form
+  | Cmp of cmp_op * dom * form * form
+  | And of form * form
+  | Or of form * form
+  | Not of form
+  | Between of form * form * form
+  | Text of text_op * string * form
+
+let const v =
+  let kind =
+    match v with
+    | Value.Int _ -> Batch.K_int
+    | Value.Dec _ -> Batch.K_dec
+    | Value.Date _ -> Batch.K_date
+    | Value.Bool _ -> Batch.K_bool
+    | Value.Str _ -> Batch.K_str
+    | Value.Null -> Batch.K_any
+  in
+  { kind; node = Const v }
+
+let bool_node node = { kind = Batch.K_bool; node }
+let str_node node = { kind = Batch.K_str; node }
+
+(* Int→Dec promotion, exactly [Value]'s [D.of_int] scaling; a constant is
+   promoted here, once. *)
+let promote f =
+  match f.node with
+  | Const (Value.Int n) -> const (Value.Dec (D.of_int n))
+  | _ -> { kind = Batch.K_dec; node = Promote f }
+
+(* Two Int/Dec words meeting in arithmetic or a compare: Int with Int
+   stays Int, and any Dec promotes the Int side — [Value.arith]'s and
+   [Value.compare]'s rule. *)
+let meet a b =
+  if a.kind = Batch.K_int && b.kind = Batch.K_int then (Batch.K_int, a, b)
+  else
+    let up f = if f.kind = Batch.K_int then promote f else f in
+    (Batch.K_dec, up a, up b)
+
+(* A value read as a string, with [Expr]'s coercion: a string as it is, a
+   char as its 1-char string, anything else through [Value.to_string]. *)
+let as_string f =
+  match f.kind with
+  | Batch.K_str -> f
+  | Batch.K_char -> str_node (Chr f)
+  | _ -> str_node (Show f)
+
+(* A compare's domain. [On_words]: the same int-like kind on both sides
+   (epoch days; byte codes, whose order is 1-char [String.compare]'s), or
+   Int against Dec, promoted. [On_strings]: strings and chars, read as
+   strings. [On_bools]. [On_values]: every other pair, boxed through
+   [Value.compare], which raises where the scalar code does. *)
+let comparison op a b =
+  let cmp dom a b = bool_node (Cmp (op, dom, a, b)) in
+  match (a.kind, b.kind) with
+  | ka, kb when ka = kb && int_like ka -> cmp On_words a b
+  | (Batch.K_int | Batch.K_dec), (Batch.K_int | Batch.K_dec) ->
+    let _, a, b = meet a b in
+    cmp On_words a b
+  | (Batch.K_str | Batch.K_char), (Batch.K_str | Batch.K_char) ->
+    cmp On_strings (as_string a) (as_string b)
+  | Batch.K_bool, Batch.K_bool -> cmp On_bools a b
+  | _ -> cmp On_values a b
+
+let lower ~schema ~kinds e =
+  let rec go e =
+    let arith op a b =
+      let a = go a and b = go b in
+      if num a.kind && num b.kind then
+        let kind, a, b = meet a b in
+        { kind; node = Arith (op, a, b) }
+      else { kind = Batch.K_any; node = Arith (op, a, b) }
+    in
+    match e with
+    | Expr.Col name ->
+      let ci = resolve schema name in
+      { kind = kinds.(ci); node = Col ci }
+    | Expr.Const v -> const v
+    | Expr.Add (a, b) -> arith A_add a b
+    | Expr.Sub (a, b) -> arith A_sub a b
+    | Expr.Mul (a, b) -> arith A_mul a b
+    | Expr.Div (a, b) -> arith A_div a b
+    | Expr.Neg a -> (
+      let a = go a in
+      match a.node with
+      | Const (Value.Int n) -> const (Value.Int (-n))
+      | Const (Value.Dec d) -> const (Value.Dec (D.neg d))
+      | _ -> { kind = (if num a.kind then a.kind else Batch.K_any); node = Neg a })
+    | Expr.Eq (a, b) -> comparison O_eq (go a) (go b)
+    | Expr.Ne (a, b) -> comparison O_ne (go a) (go b)
+    | Expr.Lt (a, b) -> comparison O_lt (go a) (go b)
+    | Expr.Le (a, b) -> comparison O_le (go a) (go b)
+    | Expr.Gt (a, b) -> comparison O_gt (go a) (go b)
+    | Expr.Ge (a, b) -> comparison O_ge (go a) (go b)
+    | Expr.And (a, b) -> bool_node (And (go a, go b))
+    | Expr.Or (a, b) -> bool_node (Or (go a, go b))
+    | Expr.Not a -> bool_node (Not (go a))
+    | Expr.Between (x, lo, hi) ->
+      (* [Expr.compile]'s order: the subject, then the lower bound, and the
+         upper bound only on rows that pass the lower one. Each bound
+         compares against [Subj], the subject's value. *)
+      let s = go x in
+      let subj = { kind = s.kind; node = Subj } in
+      bool_node (Between (s, comparison O_ge subj (go lo), comparison O_le subj (go hi)))
+    | Expr.Contains (a, needle) -> bool_node (Text (T_contains, needle, as_string (go a)))
+    | Expr.ContainsCI (a, needle) -> bool_node (Text (T_contains_ci, needle, as_string (go a)))
+    | Expr.StartsWith (a, prefix) -> bool_node (Text (T_starts_with, prefix, as_string (go a)))
+  in
+  go e
+
+(* ---- interpreting the form over a chunk ------------------------------- *)
+
+let word_of = function
+  | Value.Int n | Value.Dec n | Value.Date n -> n
+  | _ -> invalid_arg "Kernel.word_of: not a word constant"
+
+let[@inline] word_op kind op a b =
+  match (op, kind) with
+  | A_add, Batch.K_int -> a + b
+  | A_sub, Batch.K_int -> a - b
+  | A_mul, Batch.K_int -> a * b
+  | A_div, Batch.K_int -> a / b
+  | A_add, _ -> D.add a b
+  | A_sub, _ -> D.sub a b
+  | A_mul, _ -> D.mul a b
+  | A_div, _ -> D.div a b
+
+let value_op = function
+  | A_add -> Value.add
+  | A_sub -> Value.sub
+  | A_mul -> Value.mul
+  | A_div -> Value.div
+
+let text_test op needle =
+  match op with
+  | T_contains -> Expr.string_contains ~needle
+  | T_contains_ci -> Expr.string_contains_ci ~needle
+  | T_starts_with -> Expr.string_starts_with ~prefix:needle
 
 let op_test = function
   | O_eq -> fun c -> c = 0
@@ -212,281 +211,189 @@ let op_test = function
   | O_gt -> fun c -> c > 0
   | O_ge -> fun c -> c >= 0
 
-(* Mirror the operator across operand swap: [compare a b ⊛ 0] ⇔
-   [compare b a ⊛' 0]. Exact because [Value.compare] is antisymmetric on
-   every non-raising pair — and swapped operands only ever enter typed
-   kernels, which never raise. *)
-let flip_op = function
-  | O_eq -> O_eq
-  | O_ne -> O_ne
-  | O_lt -> O_gt
-  | O_le -> O_ge
-  | O_gt -> O_lt
-  | O_ge -> O_le
-
-let cmp_parts = function
-  | Expr.Eq (a, b) -> Some (O_eq, a, b)
-  | Expr.Ne (a, b) -> Some (O_ne, a, b)
-  | Expr.Lt (a, b) -> Some (O_lt, a, b)
-  | Expr.Le (a, b) -> Some (O_le, a, b)
-  | Expr.Gt (a, b) -> Some (O_gt, a, b)
-  | Expr.Ge (a, b) -> Some (O_ge, a, b)
-  | _ -> None
-
-(* Put the column on the left. *)
-let col_left (op, a, b) =
-  match (a, b) with Expr.Const _, Expr.Col _ -> (flip_op op, b, a) | _ -> (op, a, b)
-
-(* Constant word for comparing a typed int-like column against a constant,
-   under [Value.compare]'s Int/Dec promotion. None = the scalar comparison
-   would not be a same-representation int compare, so the word kernels do
-   not apply (it may be the char/Null special case, or a type error that
-   must raise through the fallback). *)
-let const_word col_kind v =
-  match (col_kind, v) with
-  | Batch.K_int, Value.Int n -> Some n
-  | Batch.K_dec, Value.Dec d -> Some d
-  | Batch.K_dec, Value.Int n -> Some (D.of_int n)
-  | Batch.K_date, Value.Date d -> Some d
-  | _ -> None
-
-let typed_col ~schema ~kinds = function
-  | Expr.Col name ->
-    let ci = resolve schema name in
-    if int_like kinds.(ci) then Some (ci, kinds.(ci)) else None
-  | _ -> None
-
-let col_const ~schema ~kinds pred =
-  match cmp_parts pred with
-  | None -> None
-  | Some parts -> (
-    match col_left parts with
-    | op, a, Expr.Const v -> (
-      match typed_col ~schema ~kinds a with
-      | Some (ci, k) -> Option.map (fun w -> (ci, op, w)) (const_word k v)
-      | None -> None)
-    | _ -> None)
-
-let col_between ~schema ~kinds = function
-  | Expr.Between (x, Expr.Const lo, Expr.Const hi) -> (
-    match typed_col ~schema ~kinds x with
-    | Some (ci, k) -> (
-      match (const_word k lo, const_word k hi) with
-      | Some wlo, Some whi -> Some (ci, wlo, whi)
-      | _ -> None)
-    | None -> None)
-  | _ -> None
-
-(* [Value.compare] of a 1-char string (Char column) against a string
-   constant, on byte codes: first-byte order, then length as the
-   tiebreak — exactly [String.compare] on a 1-char left operand. *)
-let char_cmp_const s =
-  if String.length s = 0 then fun _ -> 1
-  else begin
-    let c0 = Char.code s.[0] in
-    let tail = if String.length s = 1 then 0 else -1 in
-    fun c ->
-      let d = Int.compare c c0 in
-      if d <> 0 then d else tail
-  end
-
-(* Per-position word accessor of a typed column. *)
-let words ci bt =
-  let arr = int_array_of_vec bt.Batch.cols.(ci) in
-  let sel = bt.Batch.sel in
-  fun i -> Array.unsafe_get arr (Bigarray.Array1.unsafe_get sel i)
-
-let word_test ci op w : Batch.t -> int -> bool =
+(* A word against a constant word, the operator inlined. *)
+let word_vs op (w : int) g : Batch.t -> int -> bool =
   match op with
-  | O_eq -> fun bt -> let g = words ci bt in fun i -> g i = w
-  | O_ne -> fun bt -> let g = words ci bt in fun i -> g i <> w
-  | O_lt -> fun bt -> let g = words ci bt in fun i -> g i < w
-  | O_le -> fun bt -> let g = words ci bt in fun i -> g i <= w
-  | O_gt -> fun bt -> let g = words ci bt in fun i -> g i > w
-  | O_ge -> fun bt -> let g = words ci bt in fun i -> g i >= w
+  | O_eq -> fun bt -> let g = g bt in fun i -> g i = w
+  | O_ne -> fun bt -> let g = g bt in fun i -> g i <> w
+  | O_lt -> fun bt -> let g = g bt in fun i -> g i < w
+  | O_le -> fun bt -> let g = g bt in fun i -> g i <= w
+  | O_gt -> fun bt -> let g = g bt in fun i -> g i > w
+  | O_ge -> fun bt -> let g = g bt in fun i -> g i >= w
 
-(* Generic unboxed compare tier: two int-like sides as words that compare
-   like [Value.compare], with Int→Dec promotion. Same-kind Date/Char
-   compares are raw int compares too ([Int.compare] epoch days; byte order
-   = 1-char [String.compare]). [None] = the compare must run the scalar
-   code (it may raise). *)
-let comparable ea eb =
-  match (num_side ~dates:true ea, num_side ~dates:true eb) with
-  | Some (ka, pa), Some (kb, pb) when ka = kb -> Some (pa, pb)
-  | Some (ka, pa), Some (kb, pb)
-    when (ka = Batch.K_int && kb = Batch.K_dec) || (ka = Batch.K_dec && kb = Batch.K_int) ->
-    Some (promote_side ka pa, promote_side kb pb)
-  | _ -> None
+let map1 f g bt =
+  let g = g bt in
+  fun i -> f (g i)
 
-let rec compile_test ~schema ~kinds pred : Batch.t -> int -> bool =
-  let value e = compile_value ~schema ~kinds e in
-  (* Scalar fallback: [Expr.compile]'s own evaluation, on the rows that
-     reach the test — the rows the row engines would evaluate it on. *)
-  let boxed e =
-    let g = boxed_of_ev (value e) in
+(* [f (ga i) (gb i)]: the application shape [Expr.compile] uses, so both
+   evaluate their operands in the same order. *)
+let map2 f ga gb bt =
+  let ga = ga bt and gb = gb bt in
+  fun i -> f (ga i) (gb i)
+
+(* Column readers, one per array type: a polymorphic one would test every
+   element for a float array. *)
+let col_words ci bt =
+  let a = int_array_of_vec bt.Batch.cols.(ci) and sel = bt.Batch.sel in
+  fun i -> Array.unsafe_get a (Bigarray.Array1.unsafe_get sel i)
+
+let col_bools ci bt =
+  let a = match bt.Batch.cols.(ci) with Batch.V_bool a -> a | _ -> assert false in
+  let sel = bt.Batch.sel in
+  fun i -> Array.unsafe_get a (Bigarray.Array1.unsafe_get sel i)
+
+let col_strs ci bt =
+  let a = match bt.Batch.cols.(ci) with Batch.V_str a -> a | _ -> assert false in
+  let sel = bt.Batch.sel in
+  fun i -> Array.unsafe_get a (Bigarray.Array1.unsafe_get sel i)
+
+let col_boxed ci bt =
+  let v = bt.Batch.cols.(ci) and sel = bt.Batch.sel in
+  fun i -> Batch.box_vec v (Bigarray.Array1.unsafe_get sel i)
+
+let rec words f : Batch.t -> int -> int =
+  match f.node with
+  | Col ci -> col_words ci
+  | Const v ->
+    let w = word_of v in
+    fun _ _ -> w
+  | Promote a -> map1 D.of_int (words a)
+  | Neg a -> map1 Int.neg (words a)
+  | Arith (op, a, b) ->
+    let kind = f.kind in
+    map2 (fun x y -> word_op kind op x y) (words a) (words b)
+  | _ -> invalid_arg "Kernel.words: not a word form"
+
+(* A condition's truth: a bool node typed, anything else through
+   [Value.to_bool] of its boxed value (Null is false; other kinds raise). *)
+and bools f : Batch.t -> int -> bool =
+  match f.node with
+  | Col ci when f.kind = Batch.K_bool -> col_bools ci
+  | Const (Value.Bool b) -> fun _ _ -> b
+  | Cmp (op, On_words, a, { node = Const v; _ }) -> word_vs op (word_of v) (words a)
+  | Cmp (op, dom, a, b) -> (
+    let t = op_test op in
+    match dom with
+    | On_words -> map2 (fun x y -> t (Int.compare x y)) (words a) (words b)
+    | On_strings -> map2 (fun x y -> t (String.compare x y)) (strs a) (strs b)
+    | On_bools -> map2 (fun x y -> t (Bool.compare x y)) (bools a) (bools b)
+    | On_values -> map2 (fun x y -> t (Value.compare x y)) (boxed a) (boxed b))
+  | And (a, b) ->
+    let ga = bools a and gb = bools b in
     fun bt ->
-      let gv = g bt in
-      fun i -> Value.to_bool (gv i)
-  in
-  let cmp parts =
-    (* Fall back with the ORIGINAL operands so type-error messages keep
-       their operand order. *)
-    let op, a, b = col_left parts in
-    match (typed_col ~schema ~kinds a, b) with
-    | Some (ci, k), Expr.Const v -> (
-      match (k, v) with
-      | Batch.K_char, Value.Str s ->
-        let cmp_c = char_cmp_const s in
-        let test = op_test op in
-        fun bt ->
-          let g = words ci bt in
-          fun i -> test (cmp_c (g i))
-      | _, Value.Null ->
-        (* A typed column is never Null, so [Value.compare v Null] = 1 for
-           every row. *)
-        let keep = op_test op 1 in
-        fun _ _ -> keep
-      | _ -> boxed pred)
-    | _ -> (
-      match comparable (value a) (value b) with
-      | Some (pa, pb) ->
-        let test = op_test op in
-        fun bt ->
-          let ga = pa bt and gb = pb bt in
-          fun i -> test (Int.compare (ga i) (gb i))
-      | None -> boxed pred)
-  in
-  (* Typed substring/prefix tests over string and char columns. A K_str
-     column's vec is always [V_str] and never holds Null, so the scalar
-     Contains/StartsWith semantics collapse to the allocation-free byte
-     loops from [Expr]. A K_char column boxes as a 1-char [Str]: the empty
-     needle matches everything, a 1-byte needle is byte equality, anything
-     longer matches nothing. Other kinds keep the boxed fallback (its
-     [Value.to_string] coercions, verbatim). *)
-  let text col needle ~is_prefix =
-    let ci = resolve schema col in
-    match kinds.(ci) with
-    | Batch.K_str ->
-      let test =
-        if is_prefix then Expr.string_starts_with ~prefix:needle
-        else Expr.string_contains ~needle
-      in
+      let ga = ga bt and gb = gb bt in
+      fun i -> ga i && gb i
+  | Or (a, b) ->
+    let ga = bools a and gb = bools b in
+    fun bt ->
+      let ga = ga bt and gb = gb bt in
+      fun i -> ga i || gb i
+  | Not a -> map1 not (bools a)
+  | Between (s, lo, hi) -> between s lo hi
+  | Text (op, needle, a) -> map1 (text_test op needle) (strs a)
+  | _ -> map1 Value.to_bool (boxed f)
+
+(* The subject is read once. A word subject takes the word kernels (the
+   Int side promoted where the lowering says so); any other domain boxes,
+   and [Value.compare] of the boxed subject with each boxed bound is the
+   scalar compare by definition. *)
+and between s lo hi =
+  match (lo.node, hi.node) with
+  | ( Cmp (O_ge, On_words, { node = Subj; _ }, { node = Const l; _ }),
+      Cmp (O_le, On_words, { node = Subj; _ }, { node = Const h; _ }) ) ->
+    let l = word_of l and h = word_of h and g = words s in
+    fun bt ->
+      let g = g bt in
+      fun i ->
+        let v = g i in
+        v >= l && v <= h
+  | Cmp (op1, On_words, l1, r1), Cmp (op2, On_words, l2, r2) ->
+    let bound op l r =
+      let t = op_test op and gr = words r in
+      let lift = match l.node with Promote _ -> D.of_int | _ -> Fun.id in
       fun bt ->
-        let arr = match bt.Batch.cols.(ci) with Batch.V_str a -> a | _ -> assert false in
-        let sel = bt.Batch.sel in
-        fun i -> test (Array.unsafe_get arr (Bigarray.Array1.unsafe_get sel i))
-    | Batch.K_char ->
-      let n = String.length needle in
-      if n <> 1 then fun _ _ -> n = 0
-      else begin
-        let c0 = Char.code needle.[0] in
-        fun bt ->
-          let g = words ci bt in
-          fun i -> g i = c0
-      end
-    | _ -> boxed pred
-  in
-  match col_const ~schema ~kinds pred with
-  | Some (ci, op, w) -> word_test ci op w
-  | None -> (
-    match col_between ~schema ~kinds pred with
-    | Some (ci, lo, hi) ->
+        let gr = gr bt in
+        fun i v -> t (Int.compare (lift v) (gr i))
+    in
+    let g = words s and b1 = bound op1 l1 r1 and b2 = bound op2 l2 r2 in
+    fun bt ->
+      let g = g bt and b1 = b1 bt and b2 = b2 bt in
+      fun i ->
+        let v = g i in
+        b1 i v && b2 i v
+  | Cmp (op1, _, _, r1), Cmp (op2, _, _, r2) ->
+    let t1 = op_test op1 and t2 = op_test op2 in
+    let g = boxed s and g1 = boxed r1 and g2 = boxed r2 in
+    fun bt ->
+      let g = g bt and g1 = g1 bt and g2 = g2 bt in
+      fun i ->
+        let v = g i in
+        t1 (Value.compare v (g1 i)) && t2 (Value.compare v (g2 i))
+  | _ -> invalid_arg "Kernel.between: bounds are not compares"
+
+and strs f : Batch.t -> int -> string =
+  match f.node with
+  | Col ci -> col_strs ci
+  | Const (Value.Str s) -> fun _ _ -> s
+  | Chr a -> map1 Batch.char_str (words a)
+  | Show a -> map1 Value.to_string (boxed a)
+  | _ -> invalid_arg "Kernel.strs: not a string form"
+
+and boxed f : Batch.t -> int -> Value.t =
+  match (f.kind, f.node) with
+  | _, Const v -> fun _ _ -> v
+  | Batch.K_any, Col ci -> col_boxed ci
+  | Batch.K_any, Arith (op, a, b) -> map2 (value_op op) (boxed a) (boxed b)
+  | Batch.K_any, Neg a -> map1 Value.neg (boxed a)
+  | Batch.K_any, _ -> invalid_arg "Kernel.boxed: no boxed form"
+  | Batch.K_bool, _ -> map1 (fun b -> Value.Bool b) (bools f)
+  | Batch.K_str, _ -> map1 (fun s -> Value.Str s) (strs f)
+  | k, _ -> map1 (box_of_kind k) (words f)
+
+let test = bools
+
+(* ---- projections ------------------------------------------------------ *)
+
+(* Select writes position i's outputs at position i of its output chunk,
+   every expression in column order — the order the row engines evaluate a
+   projection in, so the same row raises first. *)
+let compile_select ~schema ~kinds exprs =
+  let forms = Array.of_list (List.map (lower ~schema ~kinds) exprs) in
+  (* one store per array type, like the column readers *)
+  let writer f : Batch.vec -> Batch.t -> int -> unit = function
+    | Batch.V_int a | Batch.V_dec a | Batch.V_date a | Batch.V_char a ->
+      let g = words f in
       fun bt ->
-        let g = words ci bt in
-        fun i ->
-          let v = g i in
-          v >= lo && v <= hi
-    | None -> (
-      match pred with
-      | Expr.And (a, b) ->
-        let ta = compile_test ~schema ~kinds a and tb = compile_test ~schema ~kinds b in
-        fun bt ->
-          let ta = ta bt and tb = tb bt in
-          fun i -> ta i && tb i
-      | Expr.Between (x, lo, hi) -> (
-        (* [Expr.compile]'s order: x, then lo, and hi only on rows that
-           pass the lower bound. x is pure, so reading it again for the
-           upper bound changes nothing. *)
-        let ex = value x in
-        match (comparable ex (value lo), comparable ex (value hi)) with
-        | Some (px1, plo), Some (px2, phi) ->
-          fun bt ->
-            let gx1 = px1 bt and glo = plo bt and gx2 = px2 bt and ghi = phi bt in
-            fun i ->
-              let v = gx1 i in
-              Int.compare v (glo i) >= 0
-              &&
-              let v = gx2 i in
-              Int.compare v (ghi i) <= 0
-        | _ -> boxed pred)
-      | Expr.Contains (Expr.Col col, needle) -> text col needle ~is_prefix:false
-      | Expr.StartsWith (Expr.Col col, needle) -> text col needle ~is_prefix:true
-      | _ -> ( match cmp_parts pred with Some parts -> cmp parts | None -> boxed pred)))
+        let g = g bt in
+        fun i -> Array.unsafe_set a i (g i)
+    | Batch.V_bool a ->
+      let g = bools f in
+      fun bt ->
+        let g = g bt in
+        fun i -> Array.unsafe_set a i (g i)
+    | Batch.V_str a ->
+      let g = strs f in
+      fun bt ->
+        let g = g bt in
+        fun i -> Array.unsafe_set a i (g i)
+    | Batch.V_val a ->
+      let g = boxed f in
+      fun bt ->
+        let g = g bt in
+        fun i -> Array.unsafe_set a i (g i)
+  in
+  let write out =
+    let ws = Array.mapi (fun c f -> writer f out.Batch.cols.(c)) forms in
+    fun bt ->
+      let ws = Array.map (fun w -> w bt) ws in
+      fun i ->
+        for c = 0 to Array.length ws - 1 do
+          (Array.unsafe_get ws c) i
+        done
+  in
+  (Array.map (fun f -> f.kind) forms, write)
 
 (* ---- chunk expressions ------------------------------------------------ *)
-
-(* [compile_value]'s typed arithmetic as data, evaluated a whole chunk at a
-   time into word arrays: the same domain (Int/Dec operands, Int→Dec
-   promotion through [D.of_int], Int op Int staying Int) and the same word
-   operations, so every position gets the word [compile_value] computes
-   for it. A Date or Char column or constant is a word only where no
-   arithmetic touches it (a key or an extremum). [None] = the expression
-   has no chunk form. *)
-type wop = W_add | W_sub | W_imul | W_idiv | W_dmul | W_ddiv
-
-type wx =
-  | X_const of Batch.kind * int
-  | X_col of Batch.kind * int
-  | X_promote of wx  (* Int words → Dec words *)
-  | X_neg of Batch.kind * wx
-  | X_bin of Batch.kind * wop * wx * wx
-
-let wx_kind = function
-  | X_const (k, _) | X_col (k, _) | X_neg (k, _) | X_bin (k, _, _, _) -> k
-  | X_promote _ -> Batch.K_dec
-
-let rec chunk_expr ~schema ~kinds e =
-  let num x = match wx_kind x with Batch.K_int | Batch.K_dec -> true | _ -> false in
-  let promote = function
-    | X_const (Batch.K_int, n) -> X_const (Batch.K_dec, D.of_int n)
-    | x when wx_kind x = Batch.K_int -> X_promote x
-    | x -> x
-  in
-  let arith iop dop a b =
-    match (chunk_expr ~schema ~kinds a, chunk_expr ~schema ~kinds b) with
-    | Some xa, Some xb when num xa && num xb ->
-      if wx_kind xa = Batch.K_int && wx_kind xb = Batch.K_int then
-        Some (X_bin (Batch.K_int, iop, xa, xb))
-      else Some (X_bin (Batch.K_dec, dop, promote xa, promote xb))
-    | _ -> None
-  in
-  match e with
-  | Expr.Col name ->
-    let ci = resolve schema name in
-    if int_like kinds.(ci) then Some (X_col (kinds.(ci), ci)) else None
-  | Expr.Const (Value.Int n) -> Some (X_const (Batch.K_int, n))
-  | Expr.Const (Value.Dec d) -> Some (X_const (Batch.K_dec, d))
-  | Expr.Const (Value.Date d) -> Some (X_const (Batch.K_date, d))
-  | Expr.Add (a, b) -> arith W_add W_add a b
-  | Expr.Sub (a, b) -> arith W_sub W_sub a b
-  | Expr.Mul (a, b) -> arith W_imul W_dmul a b
-  | Expr.Div (a, b) -> arith W_idiv W_ddiv a b
-  | Expr.Neg a -> (
-    (* [compile_value] folds a negated constant; Decimal negation is [-] *)
-    match chunk_expr ~schema ~kinds a with
-    | Some (X_const (((Batch.K_int | Batch.K_dec) as k), n)) -> Some (X_const (k, -n))
-    | Some x when num x -> Some (X_neg (wx_kind x, x))
-    | _ -> None)
-  | _ -> None
-
-let[@inline] wapply op a b =
-  match op with
-  | W_add -> a + b
-  | W_sub -> a - b
-  | W_imul -> a * b
-  | W_idiv -> a / b
-  | W_dmul -> D.mul a b
-  | W_ddiv -> D.div a b
 
 (* Chunks are aggregated in slices of at most [slice] positions, so every
    scratch array is a minor-heap block ([Max_young_wosize] words): a
@@ -504,57 +411,62 @@ let[@inline] word_at direct (a : int array) (sel : Batch.sel) lo i =
   if direct then Array.unsafe_get a (Bigarray.Array1.unsafe_get sel (lo + i))
   else Array.unsafe_get a i
 
-let rec instantiate x : words =
+(* A word form evaluated a slice at a time into scratch arrays: the same
+   word operations [words] applies per position, one loop per node. *)
+let rec instantiate f : words =
   let computed fill = { direct = false; fetch = fill (Array.make slice 0) } in
-  match x with
-  | X_col (_, ci) -> { direct = true; fetch = (fun bt _ _ -> int_array_of_vec bt.Batch.cols.(ci)) }
-  | X_const (_, c) ->
+  match f.node with
+  | Col ci -> { direct = true; fetch = (fun bt _ _ -> int_array_of_vec bt.Batch.cols.(ci)) }
+  | Const v ->
+    let c = word_of v in
     computed (fun d ->
         Array.fill d 0 slice c;
         fun _ _ _ -> d)
-  | X_promote x ->
-    let { direct; fetch } = instantiate x in
+  | Promote a ->
+    let { direct; fetch } = instantiate a in
     computed (fun d bt lo n ->
         let a = fetch bt lo n and sel = bt.Batch.sel in
         for i = 0 to n - 1 do
           Array.unsafe_set d i (D.of_int (word_at direct a sel lo i))
         done;
         d)
-  | X_neg (_, x) ->
-    let { direct; fetch } = instantiate x in
+  | Neg a ->
+    (* Decimal negation is [-] on the word, like Int's *)
+    let { direct; fetch } = instantiate a in
     computed (fun d bt lo n ->
         let a = fetch bt lo n and sel = bt.Batch.sel in
         for i = 0 to n - 1 do
           Array.unsafe_set d i (-word_at direct a sel lo i)
         done;
         d)
-  | X_bin (_, op, xa, X_const (_, c)) ->
-    let { direct; fetch } = instantiate xa in
+  | Arith (op, a, { node = Const c; _ }) ->
+    let { direct; fetch } = instantiate a and c = word_of c and kind = f.kind in
     computed (fun d bt lo n ->
         let a = fetch bt lo n and sel = bt.Batch.sel in
         for i = 0 to n - 1 do
-          Array.unsafe_set d i (wapply op (word_at direct a sel lo i) c)
+          Array.unsafe_set d i (word_op kind op (word_at direct a sel lo i) c)
         done;
         d)
-  | X_bin (_, op, X_const (_, c), xb) ->
-    let { direct; fetch } = instantiate xb in
+  | Arith (op, { node = Const c; _ }, b) ->
+    let { direct; fetch } = instantiate b and c = word_of c and kind = f.kind in
     computed (fun d bt lo n ->
         let b = fetch bt lo n and sel = bt.Batch.sel in
         for i = 0 to n - 1 do
-          Array.unsafe_set d i (wapply op c (word_at direct b sel lo i))
+          Array.unsafe_set d i (word_op kind op c (word_at direct b sel lo i))
         done;
         d)
-  | X_bin (_, op, xa, xb) ->
-    let wa = instantiate xa and wb = instantiate xb in
+  | Arith (op, a, b) ->
+    let wa = instantiate a and wb = instantiate b and kind = f.kind in
     let da = wa.direct and db = wb.direct in
     computed (fun d bt lo n ->
         let a = wa.fetch bt lo n in
         let b = wb.fetch bt lo n in
         let sel = bt.Batch.sel in
         for i = 0 to n - 1 do
-          Array.unsafe_set d i (wapply op (word_at da a sel lo i) (word_at db b sel lo i))
+          Array.unsafe_set d i (word_op kind op (word_at da a sel lo i) (word_at db b sel lo i))
         done;
         d)
+  | _ -> invalid_arg "Kernel.instantiate: not a word form"
 
 (* ---- group-id tables -------------------------------------------------- *)
 
@@ -589,8 +501,10 @@ type cell =
   | Max_word of Batch.kind
   | Sum_val
   | Avg_val
-  | Ext_val
+  | Min_val
+  | Max_val
 
+let word_cell = function Sum_word _ | Avg_word _ | Min_word _ | Max_word _ -> true | _ -> false
 let cell_init = function Min_word _ -> max_int | Max_word _ -> min_int | _ -> 0
 
 type open_ix = { mutable slots : int array; mutable shift : int }
@@ -622,8 +536,7 @@ type table = {
 
 let create_table shape cells =
   let cap = 8 in
-  let word_cell = function Sum_word _ | Avg_word _ | Min_word _ | Max_word _ -> true | _ -> false in
-  let val_cell = function Sum_val | Avg_val | Ext_val -> true | _ -> false in
+  let val_cell c = c <> Count && not (word_cell c) in
   let word_key = match shape with Word _ | Chars _ -> true | _ -> false in
   let list_key = match shape with Words _ | Boxed -> true | _ -> false in
   {
@@ -757,7 +670,7 @@ let finish_cell t j id =
   | Count -> Value.Int n
   | Sum_word k | Min_word k | Max_word k -> box_of_kind k t.words.(j).(id)
   | Avg_word k -> Value.div (promote_dec (box_of_kind k t.words.(j).(id))) (Value.Int n)
-  | Sum_val | Ext_val -> t.vals.(j).(id)
+  | Sum_val | Min_val | Max_val -> t.vals.(j).(id)
   | Avg_val -> Value.div (promote_dec t.vals.(j).(id)) (Value.Int n)
 
 let iter_groups t push =
@@ -768,84 +681,100 @@ let iter_groups t push =
          (Array.init (Array.length t.cells) (fun j -> finish_cell t j id)))
   done
 
+
+(* ---- lowering a group-by ---------------------------------------------- *)
+
+(* A group-by against its input's kinds: the key forms, how the key is
+   held, and each aggregate's cell with its operand ([None] for Count,
+   which the row count already is). A sum or average keeps a word when
+   its operand is Int or Dec ([Value.arith]'s domain), an extremum when
+   its operand is any int-like kind; every other operand keeps
+   [Aggregate]'s accumulator verbatim — Sum over a Date column is legal
+   for one row and raises on the second, which that keeps bit-exact. *)
+type group_form = { key_forms : form list; key : key_shape; agg_forms : (cell * form option) list }
+
+let lower_group ~schema ~kinds ~keys ~aggs =
+  let keys = List.map (lower ~schema ~kinds) keys in
+  let agg a =
+    let operand e = lower ~schema ~kinds e in
+    match a with
+    | Plan.Count -> (Count, None)
+    | Plan.Sum e ->
+      let f = operand e in
+      ((if num f.kind then Sum_word f.kind else Sum_val), Some f)
+    | Plan.Avg e ->
+      let f = operand e in
+      ((if num f.kind then Avg_word f.kind else Avg_val), Some f)
+    | Plan.Min e ->
+      let f = operand e in
+      ((if int_like f.kind then Min_word f.kind else Min_val), Some f)
+    | Plan.Max e ->
+      let f = operand e in
+      ((if int_like f.kind then Max_word f.kind else Max_val), Some f)
+  in
+  { key_forms = keys; key = key_shape (List.map (fun f -> f.kind) keys); agg_forms = List.map agg aggs }
+
+(* Tables whose key is absent or one word and whose cells are all Count
+   or words: they aggregate a chunk at a time, and worker tables of them
+   merge exactly. *)
+let typed shape cells =
+  (match shape with No_key | Word _ | Chars _ -> true | Words _ | Boxed -> false)
+  && Array.for_all (fun c -> c = Count || word_cell c) cells
+
 (* ---- aggregation ------------------------------------------------------ *)
 
-(* One aggregate over a table: its cell, its per-row update (per chunk,
-   then per group id and position; [None] for Count, which the row count
-   already is) and, for a word cell, its operand as a chunk expression. *)
-type agg = {
-  cell : cell;
-  update : (table -> Batch.t -> int -> int -> unit) option;
-  operand : wx option;
-}
-
-let compile_agg ~schema ~kinds j agg =
-  let value e = compile_value ~schema ~kinds e in
-  let word_cell cell e p =
-    let update : table -> Batch.t -> int -> int -> unit =
-      match cell with
-      | Sum_word _ | Avg_word _ ->
-        (* Null never enters a typed column, so the scalar cell's
-           Null-to-first-value step is a plain running sum; Int overflow
-           wraps exactly like [( + )] in [Value.add]. *)
-        fun t bt ->
-          let g = p bt in
-          fun id i ->
-            let v = g i in
-            let w = Array.unsafe_get t.words j in
-            Array.unsafe_set w id (Array.unsafe_get w id + v)
-      | Min_word _ ->
-        fun t bt ->
-          let g = p bt in
-          fun id i ->
-            let v = g i in
-            let w = Array.unsafe_get t.words j in
-            if v < Array.unsafe_get w id then Array.unsafe_set w id v
-      | _ ->
-        fun t bt ->
-          let g = p bt in
-          fun id i ->
-            let v = g i in
-            let w = Array.unsafe_get t.words j in
-            if v > Array.unsafe_get w id then Array.unsafe_set w id v
-    in
-    { cell; update = Some update; operand = chunk_expr ~schema ~kinds e }
-  in
-  (* [Aggregate]'s cell verbatim: Sum over a Date column is legal for a
-     single row and raises on the second, which this keeps bit-exact. *)
-  let val_cell cell step ev =
-    let prep = boxed_of_ev ev in
-    let update t bt =
-      let g = prep bt in
+(* One aggregate's per-row update into cell [j]: per table and chunk, then
+   per group id and position. Null never enters a word, so the scalar
+   cell's Null-to-first-value step is a plain running sum there, and Int
+   overflow wraps exactly like [( + )] in [Value.add]. *)
+let update j cell f : table -> Batch.t -> int -> int -> unit =
+  let ext better =
+    let g = boxed f in
+    fun t bt ->
+      let g = g bt in
       fun id i ->
         let v = g i in
         let a = Array.unsafe_get t.vals j in
-        step a id v
-    in
-    { cell; update = Some update; operand = None }
+        let acc = Array.unsafe_get a id in
+        if acc = Value.Null || better (Value.compare v acc) then Array.unsafe_set a id v
   in
-  let sum a id v =
-    let acc = Array.unsafe_get a id in
-    Array.unsafe_set a id (if acc = Value.Null then v else Value.add acc v)
-  in
-  let ext better a id v =
-    let acc = Array.unsafe_get a id in
-    if acc = Value.Null || better (Value.compare v acc) then Array.unsafe_set a id v
-  in
-  match agg with
-  | Plan.Count -> { cell = Count; update = None; operand = None }
-  | Plan.Sum e | Plan.Avg e -> (
-    let avg = match agg with Plan.Avg _ -> true | _ -> false in
-    let ev = value e in
-    match num_side ~dates:false ev with
-    | Some (k, p) -> word_cell (if avg then Avg_word k else Sum_word k) e p
-    | None -> val_cell (if avg then Avg_val else Sum_val) sum ev)
-  | Plan.Min e | Plan.Max e -> (
-    let min = match agg with Plan.Min _ -> true | _ -> false in
-    let ev = value e in
-    match num_side ~dates:true ev with
-    | Some (k, p) -> word_cell (if min then Min_word k else Max_word k) e p
-    | None -> val_cell Ext_val (ext (if min then fun c -> c < 0 else fun c -> c > 0)) ev)
+  match cell with
+  | Sum_word _ | Avg_word _ ->
+    let g = words f in
+    fun t bt ->
+      let g = g bt in
+      fun id i ->
+        let v = g i in
+        let w = Array.unsafe_get t.words j in
+        Array.unsafe_set w id (Array.unsafe_get w id + v)
+  | Min_word _ ->
+    let g = words f in
+    fun t bt ->
+      let g = g bt in
+      fun id i ->
+        let v = g i in
+        let w = Array.unsafe_get t.words j in
+        if v < Array.unsafe_get w id then Array.unsafe_set w id v
+  | Max_word _ ->
+    let g = words f in
+    fun t bt ->
+      let g = g bt in
+      fun id i ->
+        let v = g i in
+        let w = Array.unsafe_get t.words j in
+        if v > Array.unsafe_get w id then Array.unsafe_set w id v
+  | Sum_val | Avg_val ->
+    let g = boxed f in
+    fun t bt ->
+      let g = g bt in
+      fun id i ->
+        let v = g i in
+        let a = Array.unsafe_get t.vals j in
+        let acc = Array.unsafe_get a id in
+        Array.unsafe_set a id (if acc = Value.Null then v else Value.add acc v)
+  | Min_val -> ext (fun c -> c < 0)
+  | Max_val -> ext (fun c -> c > 0)
+  | Count -> invalid_arg "Kernel.update: Count has no operand"
 
 (* One slice of a word cell's updates: position [lo + i] adds (or
    offers) its operand word to group [ids.(i)]. *)
@@ -867,7 +796,7 @@ let chunk_update t j cell { direct; fetch } bt lo n (ids : int array) =
       let g = Array.unsafe_get ids i and v = word_at direct vs sel lo i in
       if v > Array.unsafe_get w g then Array.unsafe_set w g v
     done
-  | Count | Sum_val | Avg_val | Ext_val -> ()
+  | Count | Sum_val | Avg_val | Min_val | Max_val -> ()
 
 type groups = {
   create : unit -> table;
@@ -876,17 +805,15 @@ type groups = {
 }
 
 let group_table ~schema ~kinds ~keys ~aggs =
-  let key_evs = Array.of_list (List.map (compile_value ~schema ~kinds) keys) in
-  let nkeys = Array.length key_evs in
-  let shape = key_shape (Array.to_list (Array.map kind_of_ev key_evs)) in
-  let aggs = Array.of_list (List.mapi (compile_agg ~schema ~kinds) aggs) in
-  let cells = Array.map (fun a -> a.cell) aggs in
-  let updates = Array.of_list (List.filter_map (fun a -> a.update) (Array.to_list aggs)) in
-  let word_keys () =
-    Array.map
-      (fun ev -> match num_side ~dates:true ev with Some (_, p) -> p | None -> assert false)
-      key_evs
+  let g = lower_group ~schema ~kinds ~keys ~aggs in
+  let shape = g.key in
+  let cells = Array.of_list (List.map fst g.agg_forms) in
+  let nkeys = List.length g.key_forms in
+  let updates =
+    Array.of_list
+      (List.concat (List.mapi (fun j (cell, f) -> Option.to_list (Option.map (update j cell) f)) g.agg_forms))
   in
+  let word_keys () = Array.of_list (List.map words g.key_forms) in
   (* Per row: the key is read first, then every aggregate updates in
      aggregate order. *)
   let find : table -> Batch.t -> int -> int =
@@ -913,7 +840,7 @@ let group_table ~schema ~kinds ~keys ~aggs =
         let gs = Array.map (fun p -> p bt) ps in
         fun i -> id_of_words t (Array.init nkeys (fun j -> gs.(j) i))
     | Boxed ->
-      let gs = Array.map boxed_of_ev key_evs in
+      let gs = Array.of_list (List.map boxed g.key_forms) in
       fun t bt ->
         let gs = Array.map (fun g -> g bt) gs in
         fun i -> id_of_boxed t (Array.to_list (Array.map (fun g -> g i) gs))
@@ -929,91 +856,68 @@ let group_table ~schema ~kinds ~keys ~aggs =
         (Array.unsafe_get upds a) id i
       done
   in
-  (* A whole chunk at a time when the key is a word (or absent) and every
-     cell is Count or a word cell with a chunk operand: one pass assigns
-     each position its group id, in position order (so ids stay
-     first-seen), then each aggregate runs one loop over its operand's
-     words. The only raise a chunk expression has is Division_by_zero,
-     so evaluating keys and aggregates column by column instead of row by
-     row raises exactly when, and what, the row order would. *)
-  let chunk_keys =
-    match shape with
-    | No_key | Word _ | Chars _ ->
-      let xs = List.filter_map (chunk_expr ~schema ~kinds) keys in
-      if List.length xs = nkeys then Some (Array.of_list xs) else None
-    | Words _ | Boxed -> None
+  (* A typed table takes a whole chunk at a time: one pass assigns each
+     position its group id, in position order (so ids stay first-seen),
+     then each aggregate runs one loop over its operand's words. The only
+     raise a word form has is Division_by_zero, so evaluating keys and
+     aggregates column by column instead of row by row raises exactly
+     when, and what, the row order would. *)
+  let add_chunk t =
+    let kfs = Array.of_list (List.map instantiate g.key_forms) in
+    let ofs =
+      List.concat
+        (List.mapi (fun j (_, f) -> Option.to_list (Option.map (fun f -> (j, instantiate f)) f)) g.agg_forms)
+    in
+    let ids = Array.make slice 0 in
+    let add_slice bt lo n =
+      let sel = bt.Batch.sel in
+      (match shape with
+      | Word _ ->
+        let { direct; fetch } = kfs.(0) in
+        let ks = fetch bt lo n in
+        for i = 0 to n - 1 do
+          Array.unsafe_set ids i (id_of_word t (word_at direct ks sel lo i))
+        done
+      | Chars _ ->
+        let ks = Array.map (fun w -> w.fetch bt lo n) kfs in
+        for i = 0 to n - 1 do
+          let key = ref 0 in
+          for j = 0 to nkeys - 1 do
+            let w = Array.unsafe_get kfs j in
+            key := pack_char !key (word_at w.direct (Array.unsafe_get ks j) sel lo i)
+          done;
+          Array.unsafe_set ids i (id_of_word t !key)
+        done
+      | _ ->
+        ignore (id_of_none t : int);
+        Array.fill ids 0 n 0);
+      let rows = t.rows in
+      for i = 0 to n - 1 do
+        let g = Array.unsafe_get ids i in
+        Array.unsafe_set rows g (Array.unsafe_get rows g + 1)
+      done;
+      List.iter (fun (j, w) -> chunk_update t j cells.(j) w bt lo n ids) ofs
+    in
+    fun bt ->
+      let lo = ref 0 in
+      while !lo < bt.Batch.len do
+        let n = min slice (bt.Batch.len - !lo) in
+        add_slice bt !lo n;
+        lo := !lo + n
+      done
   in
-  let chunk_ops =
-    List.fold_right
-      (fun (j, a) acc ->
-        match (acc, a.cell, a.operand) with
-        | Some ops, Count, _ -> Some ops
-        | Some ops, _, Some x -> Some ((j, x) :: ops)
-        | _ -> None)
-      (List.mapi (fun j a -> (j, a)) (Array.to_list aggs))
-      (Some [])
-  in
-  let add_chunk =
-    match (chunk_keys, chunk_ops) with
-    | Some kxs, Some oxs ->
-      Some
-        (fun t ->
-          let kfs = Array.map instantiate kxs in
-          let ofs = List.map (fun (j, x) -> (j, instantiate x)) oxs in
-          let ids = Array.make slice 0 in
-          let add_slice bt lo n =
-            let sel = bt.Batch.sel in
-            (match shape with
-            | Word _ ->
-              let { direct; fetch } = kfs.(0) in
-              let ks = fetch bt lo n in
-              for i = 0 to n - 1 do
-                Array.unsafe_set ids i (id_of_word t (word_at direct ks sel lo i))
-              done
-            | Chars _ ->
-              let ks = Array.map (fun w -> w.fetch bt lo n) kfs in
-              for i = 0 to n - 1 do
-                let key = ref 0 in
-                for j = 0 to nkeys - 1 do
-                  let w = Array.unsafe_get kfs j in
-                  key := pack_char !key (word_at w.direct (Array.unsafe_get ks j) sel lo i)
-                done;
-                Array.unsafe_set ids i (id_of_word t !key)
-              done
-            | _ ->
-              ignore (id_of_none t : int);
-              Array.fill ids 0 n 0);
-            let rows = t.rows in
-            for i = 0 to n - 1 do
-              let g = Array.unsafe_get ids i in
-              Array.unsafe_set rows g (Array.unsafe_get rows g + 1)
-            done;
-            List.iter (fun (j, w) -> chunk_update t j cells.(j) w bt lo n ids) ofs
-          in
-          fun bt ->
-            let lo = ref 0 in
-            while !lo < bt.Batch.len do
-              let n = min slice (bt.Batch.len - !lo) in
-              add_slice bt !lo n;
-              lo := !lo + n
-            done)
-    | _ -> None
-  in
-  { create = (fun () -> create_table shape cells); add; add_chunk }
+  {
+    create = (fun () -> create_table shape cells);
+    add;
+    add_chunk = (if typed shape cells then Some add_chunk else None);
+  }
 
 (* ---- parallel group-by ------------------------------------------------ *)
 
-(* Tables that merge exactly: a word key (or none) and word cells, whose
-   per-worker partial states combine by [+], [min] and [max] — Int
-   overflow wraps the same in any order, and Avg divides the merged sum
-   once, in [finish_cell]. *)
-let mergeable t =
-  (match t.shape with No_key | Word _ | Chars _ -> true | Words _ | Boxed -> false)
-  && Array.for_all
-       (function
-         | Count | Sum_word _ | Avg_word _ | Min_word _ | Max_word _ -> true
-         | Sum_val | Avg_val | Ext_val -> false)
-       t.cells
+(* Typed tables merge exactly: their per-worker partial states combine
+   by [+], [min] and [max] — Int overflow wraps the same in any order, and
+   Avg divides the merged sum once, in [finish_cell]. *)
+let mergeable t = typed t.shape t.cells
 
 (* Every worker's groups, in the order the sequential scan first meets
    them: by the stamp of the chunk a group was made in, then by id (a
@@ -1080,16 +984,12 @@ let need_union need cols =
   | Only have ->
     Only (List.fold_left (fun acc c -> if List.mem c acc then acc else c :: acc) have cols)
 
-let agg_columns = function
-  | Plan.Count -> []
-  | Plan.Sum e | Plan.Avg e | Plan.Min e | Plan.Max e -> Expr.columns e
-
 let select_need cols = need_union (Only []) (List.concat_map (fun (_, e) -> Expr.columns e) cols)
 
 let group_need keys aggs =
   need_union (Only [])
     (List.concat_map (fun (_, e) -> Expr.columns e) keys
-    @ List.concat_map (fun (_, a) -> agg_columns a) aggs)
+    @ List.concat_map (fun (_, a) -> Plan.agg_columns a) aggs)
 
 let scan_mask src = function
   | All -> None

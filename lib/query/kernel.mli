@@ -1,21 +1,75 @@
 (** Typed evaluation over column chunks, shared by {!Vector} (a chunk at a
-    time) and {!Fuse} (one row at a time); compiled plans ({!Codegen}) call
-    its group-id table.
+    time) and {!Fuse} (one row at a time), and printed by {!Codegen}.
 
-    Every compiled piece binds a chunk once — its typed arrays and
-    selection vector — and then evaluates by selection {e position}
-    ([0 ≤ i < len]): [f bt] per chunk, then [(f bt) i] per row. Int, Dec,
-    Date and Char columns are read as unboxed words; typed code exists only
-    where it provably reproduces the scalar {!Value}/{!Expr}/{!Aggregate}
-    semantics (including raises), and everything else runs
-    {!Expr.compile} itself over a small boxed row gathered from the
-    chunk. *)
-
-val resolve : string array -> string -> int
-(** Column position; raises [Invalid_argument] like {!Expr.compile}. *)
+    {!lower} resolves an expression against its input's column kinds once,
+    into a typed {!form}; every engine consumes that form, so each kind
+    rule (Int→Dec promotion, a compare's domain, [Between]'s order, char
+    and string coercion, a key's shape, an aggregate's cell) lives in one
+    function here. The interpreters bind a chunk once — its typed arrays
+    and selection vector — and then evaluate by selection {e position}
+    ([0 ≤ i < len]): [f bt] per chunk, then [(f bt) i] per row. Typed
+    nodes exist only where they provably reproduce the scalar
+    {!Value}/{!Expr}/{!Aggregate} semantics (including raises); [K_any]
+    nodes run {!Value}'s own operations on boxed values. *)
 
 val int_array_of_vec : Batch.vec -> int array
 (** The word array of an Int/Dec/Date/Char column. *)
+
+(** {2 The typed form} *)
+
+type cmp_op = O_eq | O_ne | O_lt | O_le | O_gt | O_ge
+type arith = A_add | A_sub | A_mul | A_div
+
+(** The domain a compare runs in. *)
+type dom =
+  | On_words
+      (** int words of one kind: two sides of the same int-like kind, or
+          Int against Dec with the Int side under [Promote] *)
+  | On_strings  (** [String.compare]; a Char side under [Chr] *)
+  | On_bools  (** [Bool.compare] *)
+  | On_values  (** {!Value.compare} of the boxed sides, raises included *)
+
+type text_op = T_contains | T_contains_ci | T_starts_with
+
+type form = { kind : Batch.kind; node : node }
+(** A node and the kind of its value. Int/Dec/Date/Char nodes are
+    unboxed words, [K_bool] nodes bools, [K_str] nodes strings; a [K_any]
+    node is a boxed {!Value.t}. *)
+
+and node =
+  | Col of int  (** a column of the input, read in its kind *)
+  | Const of Value.t
+  | Subj  (** inside a [Between] bound: the subject's value *)
+  | Promote of form  (** an Int word as a Dec word ([Decimal.of_int]) *)
+  | Chr of form  (** a Char word as its 1-char string *)
+  | Show of form  (** any value as a string, through {!Value.to_string} *)
+  | Neg of form  (** a word, or {!Value.neg} when [K_any] *)
+  | Arith of arith * form * form
+      (** Int or Dec words (both sides already the result kind), or the
+          {!Value} operation when [K_any] *)
+  | Cmp of cmp_op * dom * form * form
+  | And of form * form
+  | Or of form * form
+  | Not of form
+  | Between of form * form * form
+      (** [Between (subject, first, second)]: the subject is read once,
+          then the first bound's compare, and the second only when the
+          first held; each bound is a [Cmp] whose left side is [Subj]
+          (under [Promote] or [Chr] when its domain asks) *)
+  | Text of text_op * string * form  (** a substring or prefix test of a [K_str] form *)
+
+val lower : schema:string array -> kinds:Batch.kind array -> Expr.t -> form
+(** The typed form of an expression over an input with these column names
+    and kinds. Raises [Invalid_argument] for an unknown column, like
+    {!Expr.compile}. *)
+
+val word_of : Value.t -> int
+(** The word of an Int, Dec or Date constant. *)
+
+val test : form -> Batch.t -> int -> bool
+(** Per-row truth of a form: a [K_bool] form typed, anything else through
+    {!Value.to_bool}. [And], [Or] and [Between] evaluate their later parts
+    only where the scalar short-circuit does. *)
 
 val compile_select :
   schema:string array ->
@@ -25,24 +79,6 @@ val compile_select :
 (** [(out_kinds, write)] for a projection. [write out bt i] evaluates every
     expression, in order, on position [i] of [bt] and stores the results at
     position [i] of [out], a chunk created with [out_kinds]. *)
-
-type cmp_op = O_eq | O_ne | O_lt | O_le | O_gt | O_ge
-
-val col_const :
-  schema:string array -> kinds:Batch.kind array -> Expr.t -> (int * cmp_op * int) option
-(** [Some (column, op, word)] when the predicate compares a typed int-like
-    column with a constant whose comparison is a plain word compare (column
-    on the left, the operator mirrored if it was on the right). *)
-
-val col_between :
-  schema:string array -> kinds:Batch.kind array -> Expr.t -> (int * int * int) option
-(** [Some (column, lo, hi)] for [Between] of a typed int-like column and two
-    constants that compare as words. *)
-
-val compile_test :
-  schema:string array -> kinds:Batch.kind array -> Expr.t -> Batch.t -> int -> bool
-(** Per-row predicate test. [And] and [Between] evaluate their right side
-    only on rows the left side keeps, like the scalar [&&]. *)
 
 (** {2 Group-id tables}
 
@@ -57,9 +93,6 @@ type key_shape =
   | Chars of int  (** 2–7 Char keys, 8 bits each in one word ({!pack_char}) *)
   | Words of Batch.kind array  (** other int-like keys: an int array *)
   | Boxed  (** anything else: the boxed key list *)
-
-val key_shape : Batch.kind list -> key_shape
-(** The shape of a key with these kinds; the one place the rule lives. *)
 
 val pack_char : int -> int -> int
 (** [pack_char key w] appends Char word [w] to a packed key (start at 0). *)
@@ -76,7 +109,22 @@ type cell =
   | Max_word of Batch.kind
   | Sum_val
   | Avg_val
-  | Ext_val  (** Min or Max *)
+  | Min_val
+  | Max_val
+
+type group_form = { key_forms : form list; key : key_shape; agg_forms : (cell * form option) list }
+(** A lowered group-by: its key forms, how its key is held, and each
+    aggregate's cell with its operand ([None] for [Count]). *)
+
+val lower_group :
+  schema:string array ->
+  kinds:Batch.kind array ->
+  keys:Expr.t list ->
+  aggs:Plan.agg list ->
+  group_form
+(** Sums and averages keep a word cell over an Int or Dec operand, and
+    extrema over any int-like operand; every other operand keeps
+    {!Aggregate}'s boxed accumulator. *)
 
 type index
 
@@ -118,9 +166,8 @@ type groups = {
           every aggregate in order *)
   add_chunk : (table -> Batch.t -> unit) option;
       (** per table (it makes the table's scratch), then the whole chunk at
-          once, when the key is absent or a word and every aggregate is
-          Count or a typed Sum/Avg/Min/Max whose operand is typed
-          arithmetic over columns and constants; [None] otherwise *)
+          once, when the key is absent or a word and every cell is Count
+          or a word ({!mergeable} tables); [None] otherwise *)
 }
 
 val group_table :

@@ -68,6 +68,9 @@ type t =
   | Limit of int * t
   | Distinct of t  (** duplicate elimination over whole rows *)
 
+val agg_columns : agg -> string list
+(** The columns an aggregate's operand reads ([Count] reads none). *)
+
 val schema : t -> string array
 (** Output column names. Raises [Invalid_argument] on name collisions in a
     join's combined schema. *)

@@ -16,8 +16,11 @@
    every other expression or operator falls back to the scalar code
    itself, evaluated row-at-a-time over the batch — so vectorization can
    never change what a plan means, only what it costs. The one visible
-   difference: a plan that raises mid-scan may raise at a different row,
-   because a filter's conjuncts refine the chunk one after another. *)
+   difference: a plan that raises mid-scan may raise at a different row
+   when two stacked operators (say a [Where] over a [Where]) both raise,
+   because each refines a whole chunk before the next sees it. Within one
+   predicate, row order holds: conjuncts refine one after another only
+   when the first cannot raise. *)
 
 module K = Kernel
 
@@ -115,21 +118,52 @@ let filter_col_between ci lo hi bt =
   done;
   bt.Batch.len <- !k
 
-(* The chunk kernels take a typed column against constant words; [And]
-   refines sequentially, which preserves &&'s short-circuit ([b] only ever
-   evaluates on rows where [a] held); every other predicate refines by the
-   shared per-row test. *)
-let rec compile_filter ~schema ~kinds pred : Batch.t -> unit =
-  match (K.col_const ~schema ~kinds pred, K.col_between ~schema ~kinds pred, pred) with
-  | Some (ci, op, w), _, _ -> filter_col_const ci op w
-  | None, Some (ci, lo, hi), _ -> filter_col_between ci lo hi
-  | None, None, Expr.And (a, b) ->
-    let fa = compile_filter ~schema ~kinds a and fb = compile_filter ~schema ~kinds b in
+let flip_op : K.cmp_op -> K.cmp_op = function
+  | O_eq -> O_eq
+  | O_ne -> O_ne
+  | O_lt -> O_gt
+  | O_le -> O_ge
+  | O_gt -> O_lt
+  | O_ge -> O_le
+
+(* Whether evaluating a form can raise: boxed operations, [Value.compare]
+   across domains, a non-bool truth, and division. *)
+let rec may_raise (f : K.form) =
+  match f.node with
+  | Col _ | Const _ | Subj -> false
+  | Promote a | Chr a | Show a | Text (_, _, a) -> may_raise a
+  | Neg a -> f.kind = Batch.K_any || may_raise a
+  | Arith (op, a, b) -> f.kind = Batch.K_any || op = A_div || may_raise a || may_raise b
+  | Cmp (_, dom, a, b) -> dom = On_values || may_raise a || may_raise b
+  | And (a, b) | Or (a, b) ->
+    a.kind <> Batch.K_bool || b.kind <> Batch.K_bool || may_raise a || may_raise b
+  | Not a -> a.kind <> Batch.K_bool || may_raise a
+  | Between (s, lo, hi) -> may_raise s || may_raise lo || may_raise hi
+
+(* The chunk kernels take a typed column against constant words. [And]
+   refines with its left side and then its right, which keeps &&'s
+   short-circuit ([b] only ever evaluates on rows where [a] held), when
+   the left side cannot raise: otherwise a row late in the chunk could
+   raise before an earlier row's right side does. Every other predicate
+   refines by the shared per-row test. *)
+let rec compile_filter (f : K.form) : Batch.t -> unit =
+  match f.node with
+  | Cmp (op, On_words, { node = Col ci; _ }, { node = Const v; _ }) ->
+    filter_col_const ci op (K.word_of v)
+  | Cmp (op, On_words, { node = Const v; _ }, { node = Col ci; _ }) ->
+    filter_col_const ci (flip_op op) (K.word_of v)
+  | Between
+      ( { node = Col ci; _ },
+        { node = Cmp (O_ge, On_words, { node = Subj; _ }, { node = Const lo; _ }); _ },
+        { node = Cmp (O_le, On_words, { node = Subj; _ }, { node = Const hi; _ }); _ } ) ->
+    filter_col_between ci (K.word_of lo) (K.word_of hi)
+  | And (a, b) when not (may_raise a) ->
+    let fa = compile_filter a and fb = compile_filter b in
     fun bt ->
       fa bt;
       if bt.Batch.len > 0 then fb bt
-  | None, None, _ ->
-    let test = K.compile_test ~schema ~kinds pred in
+  | _ ->
+    let test = K.test f in
     fun bt -> refine bt (test bt)
 
 (* ---- operators -------------------------------------------------------- *)
@@ -144,8 +178,6 @@ let batches_of ~ncols ~rows produce emit =
   let push, flush = Batch.rebatcher ~ncols ~rows ~emit in
   produce push;
   flush ()
-
-let first_obs a b = match a with Some _ -> a | None -> b
 
 (* A chunk-to-chunk operator over [up]: [xform emit] makes one instance
    that consumes [up]'s chunks and emits its own. *)
@@ -183,7 +215,7 @@ let rec compile ~batch_rows ~need plan : pipe =
     }
   | Plan.Where (pred, input) ->
     let up = compile ~batch_rows ~need:(K.need_union need (Expr.columns pred)) input in
-    let filt = compile_filter ~schema:up.schema ~kinds:up.kinds pred in
+    let filt = compile_filter (K.lower ~schema:up.schema ~kinds:up.kinds pred) in
     extend up (fun emit bt ->
         let before = bt.Batch.len in
         filt bt;
@@ -253,79 +285,16 @@ let rec compile ~batch_rows ~need plan : pipe =
       batches_of ~ncols ~rows:batch_rows (K.iter_groups t) emit
     in
     { schema = Plan.schema plan; kinds = all_any ncols; run; chain = None; obs = up.obs }
-  | Plan.HashJoin { left; right; on } ->
-    let lp = compile ~batch_rows ~need:K.All left
-    and rp = compile ~batch_rows ~need:K.All right in
-    let lkeys = List.map (fun (lc, _) -> K.resolve lp.schema lc) on in
-    let rkeys = List.map (fun (_, rc) -> K.resolve rp.schema rc) on in
-    let schema = Plan.schema plan in
-    let ncols = Array.length schema in
-    let run emit =
-      batches_of ~ncols ~rows:batch_rows
-        (fun push ->
-          let table = Hashtbl.create 1024 in
-          rows_of rp (fun row ->
-              Hashtbl.add table (List.map (fun ci -> row.(ci)) rkeys) row);
-          rows_of lp (fun l ->
-              List.iter
-                (fun r -> push (Array.append l r))
-                (Hashtbl.find_all table (List.map (fun ci -> l.(ci)) lkeys))))
-        emit
-    in
-    { schema; kinds = all_any ncols; run; chain = None; obs = first_obs lp.obs rp.obs }
-  | Plan.IndexJoin { left; src; index; left_col } ->
-    let lp = compile ~batch_rows ~need:K.All left in
-    let li = K.resolve lp.schema left_col in
-    let keyed = Source.keyed_probe src index in
-    let schema = Plan.schema plan in
-    let ncols = Array.length schema in
-    let run emit =
-      batches_of ~ncols ~rows:batch_rows
-        (fun push ->
-          let keyed = keyed () in
-          rows_of lp (fun l -> keyed l.(li) (fun r -> push (Array.append l r))))
-        emit
-    in
-    { schema; kinds = all_any ncols; run; chain = None; obs = first_obs lp.obs src.Source.obs }
-  | Plan.OrderBy (specs, input) ->
-    let up = compile ~batch_rows ~need:K.All input in
-    let fns = List.map (fun (e, d) -> (Expr.compile ~schema:up.schema e, d)) specs in
-    let compare_rows a b =
-      let rec go = function
-        | [] -> 0
-        | (f, d) :: rest ->
-          let c = Value.compare (f a) (f b) in
-          let c = match d with Plan.Asc -> c | Plan.Desc -> -c in
-          if c <> 0 then c else go rest
-      in
-      go fns
-    in
-    let ncols = Array.length up.schema in
-    let run emit =
-      batches_of ~ncols ~rows:batch_rows
-        (fun push ->
-          let rows = ref [] in
-          rows_of up (fun row -> rows := row :: !rows);
-          List.iter push (List.stable_sort compare_rows (List.rev !rows)))
-        emit
-    in
-    { up with kinds = all_any ncols; run; chain = None }
-  | Plan.Distinct input ->
-    let up = compile ~batch_rows ~need:K.All input in
-    let ncols = Array.length up.schema in
-    let run emit =
-      batches_of ~ncols ~rows:batch_rows
-        (fun push ->
-          let seen = Hashtbl.create 256 in
-          rows_of up (fun row ->
-              let key = Array.to_list row in
-              if not (Hashtbl.mem seen key) then begin
-                Hashtbl.add seen key ();
-                push row
-              end))
-        emit
-    in
-    { up with kinds = all_any ncols; run; chain = None }
+  | Plan.HashJoin _ | Plan.IndexJoin _ | Plan.OrderBy _ | Plan.Distinct _ ->
+    let ncols = Array.length (Plan.schema plan) in
+    let rows = Fuse.row_operator plan (fun p -> rows_of (compile ~batch_rows ~need:K.All p)) in
+    {
+      schema = Plan.schema plan;
+      kinds = all_any ncols;
+      run = batches_of ~ncols ~rows:batch_rows rows;
+      chain = None;
+      obs = List.find_map (fun s -> s.Source.obs) (Plan.sources plan);
+    }
   | Plan.Limit (n, input) ->
     let up = compile ~batch_rows ~need input in
     let run emit =

@@ -17,8 +17,8 @@
     {!Value}/{!Expr}/{!Aggregate} semantics (including raises), and
     everything else falls back to the scalar code evaluated over the
     batch. The only visible difference: a plan that raises mid-scan may
-    raise at a different row of a chunk, because a filter's conjuncts
-    evaluate chunk by chunk.
+    raise at a different row of a chunk when two stacked operators both
+    raise, because each evaluates a whole chunk before the next.
 
     Filter selectivity is observable via the [vec_filter_rows_*] counters;
     batch production via [vec_batches]/[vec_batch_rows]; rows a group-by

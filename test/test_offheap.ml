@@ -392,6 +392,55 @@ let test_concurrent_alloc_distinct () =
          Hashtbl.add seen r ()))
     results
 
+(* Two domains register blocks on a fresh registry across its growth
+   points (1,024 ids, then every doubling up to 32,768), round after
+   round, each block built between taking its id and storing it: a block stored into the old table after the other domain copied
+   it would be lost, and its id would resolve to the retired sentinel. *)
+let test_registry_growth () =
+  let layout = Layout.create ~name:"reg" [ ("x", Layout.Int) ] in
+  let per = 20_000 and distinct = 64 in
+  let pool =
+    Array.init 2 (fun _ ->
+        Array.init distinct (fun _ -> Block.create ~id:0 ~layout ~placement:Block.Row ~nslots:1))
+  in
+  for round = 1 to 80 do
+    let reg = Registry.create () in
+    let ready = Atomic.make 0 in
+    let ids = Array.make_matrix 2 per (-1) in
+    let domains =
+      List.init 2 (fun d ->
+          Domain.spawn (fun () ->
+              Atomic.incr ready;
+              while Atomic.get ready < 2 do
+                Domain.cpu_relax ()
+              done;
+              for j = 0 to per - 1 do
+                let blk = pool.(d).(j mod distinct) in
+                ignore
+                  (Registry.register reg (fun ~id ->
+                       (* a build of uneven length, so stores land anywhere
+                          in the other domain's copy *)
+                       for _ = 1 to (j * 37) mod 97 do
+                         Domain.cpu_relax ()
+                       done;
+                       ids.(d).(j) <- id;
+                       blk)
+                    : Block.t)
+              done))
+    in
+    List.iter Domain.join domains;
+    Array.iteri
+      (fun d row ->
+        Array.iteri
+          (fun j id ->
+            match Registry.get reg id with
+            | b when b == pool.(d).(j mod distinct) -> ()
+            | _ -> Alcotest.failf "round %d: id %d resolves to another block" round id
+            | exception Invalid_argument m -> Alcotest.failf "round %d: id %d lost (%s)" round id m)
+          row)
+      ids
+  done
+
 let test_concurrent_churn_with_enumeration () =
   let rt = Runtime.create () in
   let ctx = Context.create rt ~layout:(person_layout ()) ~slots_per_block:64 () in
@@ -1155,6 +1204,7 @@ let () =
           Alcotest.test_case "churn + compaction stress" `Quick
             test_concurrent_churn_and_compaction;
         ] );
+      ("registry", [ Alcotest.test_case "register across table growth" `Quick test_registry_growth ]);
       ( "compaction",
         [
           Alcotest.test_case "preserves objects" `Quick test_compaction_preserves_objects;

@@ -1512,6 +1512,157 @@ let test_par_merge_counter () =
             engines)
         [ (None, 2); (Some 1, 0) ])
 
+(* ------------------------------------------------------------------ *)
+(* Expression differential: random expressions over every column kind,
+   with edge constants (Null, Int against Dec, chars at and above 0x80,
+   zero divisors, empty and 1-byte needles), as a [Where], a [Select] and
+   a [GroupBy] key and aggregate over a [Scan]. Vector at three chunk
+   sizes, Fuse and Compiled must each give Volcano's rows in order, or
+   the same exception. This is the parity net of {!Kernel.lower}. *)
+
+let expr_consts =
+  Value.
+    [
+      Null; Int 0; Int 1; Int 5; Int (-7); Int 40;
+      Dec (D.of_string "0.00"); Dec (D.of_string "5.00"); Dec (D.of_string "-1.50");
+      Dec (D.of_string "40.50"); Date 10030; Str ""; Str "A"; Str "B"; Str "\x80"; Str "\xff";
+      Str "n01"; Bool true; Bool false;
+    ]
+
+let gen_expr =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun c -> Expr.Col c) (oneofl [ "k"; "d"; "dt"; "c"; "b"; "s"; "opt" ]);
+        map (fun v -> Expr.Const v) (oneofl expr_consts);
+      ]
+  in
+  let needle = oneofl [ ""; "A"; "B"; "\x80"; "n0"; "1" ] in
+  sized_size (int_bound 3)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           let bin f = map2 f sub sub in
+           frequency
+             [
+               (3, leaf);
+               (1, bin (fun a b -> Expr.Add (a, b)));
+               (1, bin (fun a b -> Expr.Sub (a, b)));
+               (1, bin (fun a b -> Expr.Mul (a, b)));
+               (1, bin (fun a b -> Expr.Div (a, b)));
+               (1, map (fun a -> Expr.Neg a) sub);
+               (2, bin (fun a b -> Expr.Eq (a, b)));
+               (1, bin (fun a b -> Expr.Ne (a, b)));
+               (2, bin (fun a b -> Expr.Lt (a, b)));
+               (1, bin (fun a b -> Expr.Le (a, b)));
+               (1, bin (fun a b -> Expr.Gt (a, b)));
+               (1, bin (fun a b -> Expr.Ge (a, b)));
+               (2, bin (fun a b -> Expr.And (a, b)));
+               (1, bin (fun a b -> Expr.Or (a, b)));
+               (1, map (fun a -> Expr.Not a) sub);
+               (2, map3 (fun x lo hi -> Expr.Between (x, lo, hi)) sub sub sub);
+               (1, map2 (fun a n -> Expr.Contains (a, n)) sub needle);
+               (1, map2 (fun a n -> Expr.ContainsCI (a, n)) sub needle);
+               (1, map2 (fun a n -> Expr.StartsWith (a, n)) sub needle);
+             ])
+
+let expr_plans src e =
+  let col c = (c, Expr.Col c) in
+  Plan.
+    [
+      ("where", Where (e, Scan src));
+      ("select", Select ([ ("x", e); col "k" ], Scan src));
+      ("group key", GroupBy { keys = [ ("g", e) ]; aggs = [ ("n", Count) ]; input = Scan src });
+      ( "group aggregates",
+        GroupBy
+          {
+            keys = [ col "c" ];
+            aggs = [ ("mn", Min e); ("mx", Max e); ("s", Sum e); ("a", Avg e) ];
+            input = Scan src;
+          } );
+    ]
+
+(* Each distinct plugin costs an ocamlopt run: Compiled runs a plan whose
+   source it has compiled before, any plan while fewer than
+   [compile_budget] sources have been compiled, and any plan another
+   engine already disagrees on, which keeps the group near 15 s on two
+   cores and still names every engine a failure reaches. *)
+let compile_budget = 250
+let compiled_sources = Hashtbl.create 64
+
+let compiled_outcome ~force plan =
+  let source = Codegen.to_ocaml_source plan in
+  if force || Hashtbl.mem compiled_sources source || Hashtbl.length compiled_sources < compile_budget
+  then begin
+    Hashtbl.replace compiled_sources source ();
+    match Codegen.prepare plan with
+    | runner, Codegen.Native _ ->
+      let out = ref [] in
+      Some
+        (match runner (fun row -> out := row :: !out) with
+        | () -> Ok (List.rev !out)
+        | exception e -> Error (Printexc.to_string e))
+    | _, Codegen.Fallback reason -> Some (Error ("fell back to Fuse: " ^ reason))
+  end
+  else None
+
+let expr_sources =
+  lazy
+    (List.map
+       (fun (placement, mode) ->
+         let _rt, coll = build ~placement ~mode ~n:30 () in
+         Source.of_smc coll ~columns)
+       [ (Block.Row, Context.Indirect); (Block.Columnar, Context.Direct) ])
+
+let prop_expr_parity (which, e) =
+  let src = List.nth (Lazy.force expr_sources) which in
+  List.for_all
+    (fun (use, plan) ->
+      let reference = outcome Interp.collect plan in
+      let same a b =
+        match (a, b) with
+        | Ok a, Ok b -> List.equal (fun x y -> Array.for_all2 Value.equal x y) a b
+        | Error a, Error b -> String.equal a b
+        | _ -> false
+      in
+      let show = function
+        | Ok rows -> Printf.sprintf "%d rows" (List.length rows)
+        | Error m -> "raised " ^ m
+      in
+      let differ (name, got) =
+        if same reference got then None else Some (name ^ ": " ^ show got)
+      in
+      let bad =
+        List.filter_map differ
+          [
+            ("vector[1]", outcome (Vector.collect ~batch_rows:1) plan);
+            ("vector[7]", outcome (Vector.collect ~batch_rows:7) plan);
+            ("vector[1024]", outcome (Vector.collect ~batch_rows:1024) plan);
+            ("fuse", outcome Fuse.collect plan);
+          ]
+      in
+      let compiled =
+        if Dynlink.is_native then compiled_outcome ~force:(bad <> []) plan else None
+      in
+      let bad = bad @ Option.to_list (Option.bind compiled (fun got -> differ ("compiled", got))) in
+      match bad with
+      | [] -> true
+      | bad ->
+        QCheck.Test.fail_reportf "%s of %s: volcano %s; %s" use (Expr.to_string e)
+          (show reference) (String.concat "; " bad))
+    (expr_plans src e)
+
+let test_expr_parity =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 28 |])
+    (QCheck.Test.make ~count:600 ~name:"random expressions = volcano on every engine"
+       (QCheck.make
+          ~print:(fun (w, e) -> Printf.sprintf "source %d: %s" w (Expr.to_string e))
+          QCheck.Gen.(pair (int_bound 1) gen_expr))
+       prop_expr_parity)
+
 let () =
   let qc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "vector"
@@ -1558,6 +1709,7 @@ let () =
           qc "a row is not emitted before its init returns" test_init_before_valid;
           qc "removals in full blocks mid-walk" test_midwalk_removals;
         ] );
+      ("expressions", [ test_expr_parity ]);
       ( "compiled",
         [
           qc "compiled = fuse on typed shapes" test_compiled_parity;
