@@ -39,7 +39,7 @@ let rec scan_mask need = function
   | Q.Plan.GroupBy { keys; aggs; input } -> scan_mask (Q.Kernel.group_need keys aggs) input
   | Q.Plan.Where (pred, input) ->
     scan_mask (Q.Kernel.need_union need (Q.Expr.columns pred)) input
-  | Q.Plan.Scan src -> Q.Kernel.scan_mask src need
+  | Q.Plan.Scan src -> Q.Kernel.scan_mask src.Q.Source.schema need
   | _ -> None
 
 let rows_equal a b =

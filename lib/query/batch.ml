@@ -85,55 +85,63 @@ let iter_rows t ~f =
   done
 
 (* Re-batcher: pack boxed rows back into [V_val] batches so row-at-a-time
-   operators (joins, sorts, index probes) can keep feeding vectorized
-   consumers. The store starts at 16 rows and doubles up to [rows], so a
-   probe that yields a handful of rows allocates a handful of minor-heap
-   slots, not [ncols * rows] on the major heap. The batch wrapping the
-   store is built at the first emit and reused across emits — same loan
-   contract as every other producer. *)
+   operators (joins, sorts, index probes) can keep feeding chunk
+   consumers. [push] keeps the row itself, in a buffer that starts at 16
+   rows and doubles up to [rows]; [flush] copies the buffered rows into
+   the columns, which are sized to the rows they hold and reused while
+   they are large enough. A probe that yields a handful of rows so
+   allocates a few words per row on the minor heap, not [ncols * rows] on
+   the major heap, and no column storage is copied as the buffer grows.
+   The batch is reused across emits — same loan contract as every other
+   producer. *)
 let rebatcher ~ncols ~rows ~emit =
   let rows = max rows 1 in
-  let cap = ref (min rows 16) in
-  let store = ref (Array.init ncols (fun _ -> Array.make !cap Value.Null)) in
-  let batch = ref None in
+  let buf = ref (Array.make (min rows 16) [||]) in
   let n = ref 0 in
+  let batch = ref None in
   let flush () =
-    if !n > 0 then begin
+    let k = !n in
+    if k > 0 then begin
       let b =
         match !batch with
-        | Some b -> b
-        | None ->
-          let cols = Array.map (fun a -> V_val a) !store in
-          let b = { cols; sel = Context.make_sel !cap; len = 0 } in
+        | Some b when Bigarray.Array1.dim b.sel >= k -> b
+        | _ ->
+          let b = create ~kinds:(Array.make ncols K_any) ~cap:k () in
           batch := Some b;
           b
       in
+      let buf = !buf in
+      Array.iteri
+        (fun c v ->
+          match v with
+          | V_val a ->
+            for i = 0 to k - 1 do
+              Array.unsafe_set a i (Array.unsafe_get (Array.unsafe_get buf i) c)
+            done
+          | _ -> assert false)
+        b.cols;
       (* re-identity every emit: a downstream filter may have compacted
          [sel] in place on the previous loan of this same batch *)
-      set_identity b !n;
-      emit b;
-      n := 0
+      set_identity b k;
+      n := 0;
+      emit b
     end
   in
   let push (row : Value.t array) =
     let i = !n in
-    if i = !cap then begin
-      (* only below [rows]: a full store at [rows] was flushed *)
-      let c = min rows (2 * i) in
-      let grow a =
-        let a' = Array.make c Value.Null in
-        Array.blit a 0 a' 0 i;
-        a'
-      in
-      store := Array.map grow !store;
-      cap := c;
-      batch := None
+    if i = Array.length !buf then begin
+      (* only below [rows]: a full buffer at [rows] was flushed *)
+      let a = Array.make (min rows (2 * i)) [||] in
+      Array.blit !buf 0 a 0 i;
+      buf := a
     end;
-    let store = !store in
-    for c = 0 to ncols - 1 do
-      Array.unsafe_set (Array.unsafe_get store c) i (Array.unsafe_get row c)
-    done;
+    Array.unsafe_set !buf i row;
     n := i + 1;
     if !n = rows then flush ()
   in
   (push, flush)
+
+let of_rows ~ncols ~rows produce emit =
+  let push, flush = rebatcher ~ncols ~rows ~emit in
+  produce push;
+  flush ()

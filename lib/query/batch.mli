@@ -59,6 +59,15 @@ val rebatcher :
   ncols:int -> rows:int -> emit:(t -> unit) -> (Value.t array -> unit) * (unit -> unit)
 (** [rebatcher ~ncols ~rows ~emit] returns [(push, flush)]: [push] packs
     boxed rows into a reused [V_val] batch, emitting each chunk of [rows]
-    rows; [flush] emits the final partial chunk. The storage starts at 16
-    rows and doubles up to [rows], so a short stream allocates little.
-    How row-at-a-time operators keep feeding vectorized consumers. *)
+    rows; [flush] emits the final partial chunk. [push] keeps the row
+    array until its chunk is emitted, so the caller must not change it.
+    The row buffer starts at 16 rows and doubles up to [rows], and the
+    columns are sized to the rows of the chunk, so a short stream
+    allocates little. How row-at-a-time operators keep feeding
+    vectorized consumers. *)
+
+val of_rows :
+  ncols:int -> rows:int -> ((Value.t array -> unit) -> unit) -> (t -> unit) -> unit
+(** [of_rows ~ncols ~rows produce emit] runs [produce] into a
+    {!rebatcher} and flushes it: the row producer as [V_val] chunks of
+    at most [rows] rows, each emitted as soon as it fills. *)

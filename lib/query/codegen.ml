@@ -4,15 +4,14 @@
 
    Rendering passes continuations over the plan: each operator emits its
    code inside its upstream loop body, and blocking operators split the
-   nest into phases. A [Scan] leaf emits one loop per column chunk
-   ({!Source.batches}): it binds the typed arrays of the columns its body
-   reads (which is the scan's column mask) and runs the body over row
-   [i]. A fresh chunk's selection is the identity, so there is no
-   selection vector. Expressions are lowered by {!Kernel.lower} against
+   nest into phases. Every leaf emits one loop per column chunk
+   ({!Plan.leaf_batches}): it binds the arrays of the columns its body
+   reads (a [Scan]'s column mask; a probe's boxed [V_val] columns) and
+   runs the body over row [i]. A fresh chunk's selection is the
+   identity, so there is no selection vector. Expressions are lowered by {!Kernel.lower} against
    the kinds of the row they read and render as [tx], a kind plus unboxed
    and boxed code, so Int/Dec/Date/Char operands stay words and a
    [Value.t] is built only where the plan needs one or a node is [K_any].
-   Probe leaves push boxed rows ([Plan.leaf_rows]).
 
    Exactness: bit-identical to Fuse, raises included, because both run
    the same typed form. Every kind decision (promotion, a compare's
@@ -25,17 +24,18 @@
    projections are let-bound left to right, since OCaml literals evaluate
    right to left.
 
-   Sharing: leaves and group-by runners enter as closure arrays and
-   constants (needles included) as a [Value.t array]. The source holds
-   column and constant kinds but not collection identity or constant
-   values, and plugins are cached by its digest. A group-by's aggregation
+   Sharing: leaves (probe keys bound in them) and group-by runners enter
+   as closure arrays, and constants (needles included) as a
+   [Value.t array]. The source holds column and constant kinds but not
+   collection identity or constant values, and plugins are cached by its
+   digest. A group-by's aggregation
    phase is rendered as a function of its table and one chunk producer,
    so the host's runner can run it on every worker of a parallel scan
    ({!Kernel.run_groups}).
 
    Fallback rules (docs/vectorized.md): bytecode hosts, a missing
    toolchain, unlocatable .cmi directories, compile or load failures, and
-   IndexJoin (its per-row probe does not fit the leaf ABI) fall back to
+   IndexJoin (its per-row probe is not a leaf) fall back to
    {!Fuse}, reported in [prepare]'s outcome and counted under
    [cg_fallbacks]. *)
 
@@ -51,7 +51,6 @@ type group_runner =
 
 type compiled_fn =
   ((Batch.t -> unit) -> unit) array ->
-  ((Value.t array -> unit) -> unit) array ->
   group_runner array ->
   Value.t array ->
   (Value.t array -> unit) ->
@@ -169,8 +168,7 @@ let render plan =
         i),
       fun () -> List.rev !items )
   in
-  let add_scan, scans = collector () in
-  let add_probe, probes = collector () in
+  let add_leaf, leaves = collector () in
   let add_group, groups = collector () in
   (* Set while a group-by renders a chain over a Scan: the Scan's chunks
      then come from the aggregation phase's [scan] argument, and the cell
@@ -288,57 +286,6 @@ let render plan =
   in
   let rec emit plan depth k =
     match plan with
-    | Plan.Scan src ->
-      let kinds = src.Source.kinds in
-      let used = Array.make (Array.length kinds) false in
-      let bt = fresh "bt" and r = fresh "i" in
-      let var c = Printf.sprintf "%s_c%d" bt c in
-      let cols =
-        Array.mapi
-          (fun c kind ->
-            typed kind
-              (lazy
-                (used.(c) <- true;
-                 Printf.sprintf "(Array.unsafe_get %s %s)" (var c) r)))
-          kinds
-      in
-      line depth "(* leaf: column chunks of (%s) *)"
-        (String.concat ", "
-           (Array.to_list
-              (Array.mapi (fun c name -> name ^ ":" ^ kind_name kinds.(c)) src.Source.schema)));
-      let producer =
-        match !phase_leaf with
-        | Some cell ->
-          phase_leaf := None;
-          cell := Some (src, used);
-          "scan"
-        | None -> Printf.sprintf "Array.get scans %d" (add_scan (src, used))
-      in
-      line depth "%s (fun %s ->" producer bt;
-      let body = capture (fun () -> k (depth + 2) { cols; var = None }) in
-      Array.iteri
-        (fun c read ->
-          if read then
-            line (depth + 1)
-              "let %s = (match Array.unsafe_get %s.B.cols %d with B.V_%s a -> a | _ -> assert false) in"
-              (var c) bt c (kind_name kinds.(c)))
-        used;
-      line (depth + 1) "for %s = 0 to %s.B.len - 1 do" r bt;
-      Buffer.add_string !buf body;
-      line (depth + 2) "()";
-      line (depth + 1) "done);"
-    | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ ->
-      (* A probe enters as a host closure ([Plan.leaf_rows]) with its key,
-         needle or view already bound, so plans differing only in probe
-         constants share one compiled plugin. *)
-      let schema = Plan.schema plan in
-      let i = add_probe (Plan.leaf_rows plan) in
-      let row = fresh "row" in
-      line depth "(* leaf: rows of (%s) pushed by the host *)"
-        (String.concat ", " (Array.to_list schema));
-      line depth "Array.get probes %d (fun %s ->" i row;
-      k (depth + 1) (boxed_row row (Array.length schema));
-      line (depth + 1) "());"
     | Plan.Where (pred, input) ->
       let schema = Plan.schema input in
       emit input depth (fun d row ->
@@ -379,7 +326,7 @@ let render plan =
           line (d + 1) "(Hashtbl.find_all %s %s);" table (glist lschema lrow lkeys))
     | Plan.IndexJoin _ ->
       (* The per-left-row keyed probe (with its ix_accepts split and lazy
-         hash fallback) does not fit the leaf closure ABI. *)
+         hash fallback) is not a leaf the plugin can read as chunks. *)
       raise (Unsupported "IndexJoin is not compiled; executed by Fuse")
     | Plan.GroupBy { keys; aggs; input } ->
       let schema = Plan.schema input in
@@ -524,14 +471,52 @@ let render plan =
           line d "end;");
       line (depth + 1) "()";
       line depth "with %s -> ());" exn
+    | leaf ->
+      let kinds = Plan.leaf_kinds leaf in
+      let used = Array.make (Array.length kinds) false in
+      let bt = fresh "bt" and r = fresh "i" in
+      let var c = Printf.sprintf "%s_c%d" bt c in
+      let cols =
+        Array.mapi
+          (fun c kind ->
+            typed kind
+              (lazy
+                (used.(c) <- true;
+                 Printf.sprintf "(Array.unsafe_get %s %s)" (var c) r)))
+          kinds
+      in
+      line depth "(* leaf: column chunks of (%s) *)"
+        (String.concat ", "
+           (Array.to_list
+              (Array.mapi (fun c name -> name ^ ":" ^ kind_name kinds.(c)) (Plan.schema leaf))));
+      let producer =
+        match (!phase_leaf, leaf) with
+        | Some cell, Plan.Scan src ->
+          phase_leaf := None;
+          cell := Some (src, used);
+          "scan"
+        | _ -> Printf.sprintf "Array.get leaves %d" (add_leaf (leaf, used))
+      in
+      line depth "%s (fun %s ->" producer bt;
+      let body = capture (fun () -> k (depth + 2) { cols; var = None }) in
+      Array.iteri
+        (fun c read ->
+          if read then
+            line (depth + 1)
+              "let %s = (match Array.unsafe_get %s.B.cols %d with B.V_%s a -> a | _ -> assert false) in"
+              (var c) bt c (kind_name kinds.(c)))
+        used;
+      line (depth + 1) "for %s = 0 to %s.B.len - 1 do" r bt;
+      Buffer.add_string !buf body;
+      line (depth + 2) "()";
+      line (depth + 1) "done);"
   in
   let body =
     capture (fun () -> emit plan 1 (fun d row -> line d "__emit %s;" (materialize d row)))
   in
   let entry = String.concat "" (List.map (fun b -> indent 1 ^ b ^ "\n") (binds ())) in
   ( entry ^ body ^ indent 1 ^ "()\n",
-    scans (),
-    probes (),
+    leaves (),
     groups (),
     Array.of_list (consts ()),
     List.rev !limit_exns )
@@ -557,8 +542,7 @@ let assemble ~digest ~limit_exns body =
   add "";
   List.iter (fun e -> add (Printf.sprintf "exception %s" e)) limit_exns;
   if limit_exns <> [] then add "";
-  add "let query (scans : ((B.t -> unit) -> unit) array)";
-  add "    (probes : ((V.t array -> unit) -> unit) array)";
+  add "let query (leaves : ((B.t -> unit) -> unit) array)";
   add "    (groupbys : (K.key_shape -> K.cell array ->";
   add "                 (K.table -> ((B.t -> unit) -> unit) -> unit) -> K.table) array)";
   add "    (consts : V.t array) (__emit : V.t array -> unit) : unit =";
@@ -568,7 +552,7 @@ let assemble ~digest ~limit_exns body =
   Buffer.contents b
 
 let to_ocaml_source plan =
-  let body, _, _, _, _, limit_exns = render plan in
+  let body, _, _, _, limit_exns = render plan in
   let digest = Digest.to_hex (Digest.string body) in
   assemble ~digest ~limit_exns body
 
@@ -716,7 +700,7 @@ let prepare plan =
   | exception Unsupported reason ->
     bump Smc_obs.c_cg_fallbacks;
     ((fun f -> Fuse.run plan ~f), Fallback reason)
-  | body, scans, probes, groups, consts, limit_exns ->
+  | body, leaves, groups, consts, limit_exns ->
     let digest = Digest.to_hex (Digest.string body) in
     let fetch () =
       Mutex.lock cache_lock;
@@ -735,14 +719,13 @@ let prepare plan =
     (match fetch () with
      | Ok (fn, hit) ->
        bump (if hit then Smc_obs.c_cg_cache_hits else Smc_obs.c_cg_compiles);
-       (* each scan fills only the columns its chunk loop reads *)
-       let scans =
+       (* a Scan fills only the columns its chunk loop reads *)
+       let leaves =
          Array.of_list
            (List.map
-              (fun (src, used) -> Source.batches src ~rows:Batch.default_rows ~cols:used)
-              scans)
+              (fun (leaf, used) -> Plan.leaf_batches leaf ~rows:Batch.default_rows ~cols:used)
+              leaves)
        in
-       let probes = Array.of_list probes in
        let groups =
          Array.of_list
            (List.map
@@ -752,13 +735,13 @@ let prepare plan =
                 | Some (src, used) ->
                   Kernel.run_groups ~create src ~rows:Batch.default_rows ~cols:used phase
                 | None ->
-                  (* the phase reads its input through [scans]/[probes] *)
+                  (* the phase reads its input through [leaves] *)
                   let t = create () in
                   phase t (fun _ -> invalid_arg "Codegen: this aggregation phase reads no chunks");
                   t)
               groups)
        in
-       ((fun f -> fn scans probes groups consts f), Native digest)
+       ((fun f -> fn leaves groups consts f), Native digest)
      | Error reason ->
        bump Smc_obs.c_cg_fallbacks;
        ((fun f -> Fuse.run plan ~f), Fallback reason))

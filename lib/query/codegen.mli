@@ -8,18 +8,17 @@
     build's .cmi files, loads it with [Dynlink.loadfile_private], and
     receives the query function back through {!Codegen_abi}.
 
-    A [Scan] leaf enters the plugin as a batch source ({!Source.batches},
-    filling only the columns the plan reads), and the emitted code is one
-    fused loop per column chunk: filters, projections, group keys and
+    Every leaf enters the plugin as a batch source ({!Plan.leaf_batches}:
+    a [Scan] fills only the columns the plan reads, a probe leaf's rows
+    arrive as boxed chunks), and the emitted code is one fused loop per
+    column chunk: filters, projections, group keys and
     aggregate updates run as straight-line code over unboxed Int, Dec,
     Date and Char words, int-like group keys hash as one unboxed key, and
     a [Value.t] is built only for output rows, new groups' keys, join and
-    sort inputs, and operands with no typed form. Probe leaves
-    ([IndexScan]/[TextScan]/[ViewRead]) enter as their {!Plan.leaf_rows}
-    row pushes. Compiled plans are cached by the digest of their source,
-    which holds the scanned columns' kinds and the kinds of constants but
-    not collection identity, constant values, substring needles or probe
-    keys — so re-running a plan shape over another collection with the
+    sort inputs, and operands with no typed form. Compiled plans are
+    cached by the digest of their source, which holds the leaves' column
+    kinds and the kinds of constants but not collection identity,
+    constant values, substring needles or probe keys — so re-running a plan shape over another collection with the
     same column kinds, or with other constants, reuses the plugin.
 
     Results are bit-identical to {!Fuse.collect}, raises included: the
@@ -28,7 +27,7 @@
     {!Fuse}'s operator loops case by case, in the same evaluation order. When compilation is impossible — bytecode
     host, no [ocamlopt] on PATH, unlocatable .cmi directories, a
     compile/load failure, or an [IndexJoin] in the plan (its keyed per-row
-    probe does not fit the leaf ABI) — execution falls back to {!Fuse} and
+    probe is not a leaf) — execution falls back to {!Fuse} and
     the outcome says why. Requests, compiles, cache hits and fallbacks are
     counted under the plan's source runtime ([cg_*] counters; every
     request lands in exactly one of the other three buckets).
@@ -43,8 +42,8 @@ exception Unsupported of string
 
 val to_ocaml_source : Plan.t -> string
 (** The complete plugin module for the plan: a two-helper prelude, the
-    [query] function (scan leaves as an array of batch sources, probe
-    leaves as an array of row pushes, constants as a [Value.t array]),
+    [query] function (leaves as an array of batch sources, group-by
+    runners as an array, constants as a [Value.t array]),
     and the {!Codegen_abi} registration keyed by the source digest. Plans
     that differ only in constant values, probe keys or needles, or in
     collections whose scanned columns have the same kinds, render

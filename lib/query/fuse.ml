@@ -1,24 +1,14 @@
 module K = Kernel
 
-(* A compiled subplan, in the form its producer makes: column chunks read
-   one position at a time, or boxed rows. [Chunks (kinds, run, chain)]:
-   [run push] calls [push bt] once per chunk and the function it returns
-   once per position of the chunk, in order — one closure chain per row,
-   with no selection vector and no column-at-a-time pass. A scan makes
-   chunks, and filters, projections and limits keep the form of their
-   input; probe leaves, joins, sorts, distinct and group-by make rows. *)
-type stage =
-  | Chunks of Batch.kind array * ((Batch.t -> int -> unit) -> unit) * chain option
-  | Rows of ((Value.t array -> unit) -> unit)
-
-(* A Where/Select chain over a Scan: the scan's source and column mask,
-   and the chain as a function of its consumer. Each call of [through]
-   makes a fresh instance (with its own Select output chunk), so a
-   parallel group-by runs one per worker. *)
-and chain = {
-  src : Source.t;
-  cols : bool array option;
-  through : (Batch.t -> int -> unit) -> Batch.t -> int -> unit;
+(* A compiled subplan: column chunks read one position at a time. [run
+   push] calls [push bt] once per chunk and the function it returns once
+   per position of the chunk, in order — one closure chain per row, with
+   no selection vector and no column-at-a-time pass. [chain] is set while
+   the subplan is a Where/Select chain over a Scan. *)
+type stage = {
+  kinds : Batch.kind array;
+  run : (Batch.t -> int -> unit) -> unit;
+  chain : (Batch.t -> int -> unit) K.chain option;
 }
 
 (* Run a per-position consumer over every position of a chunk. *)
@@ -30,36 +20,29 @@ let each push bt =
 
 (* Boxing happens here only: at the inputs of joins, sorts and distinct,
    and at the final emit. *)
-let rows = function
-  | Rows produce -> produce
-  | Chunks (_, run, _) -> fun emit -> run (fun bt i -> emit (Batch.row bt i))
+let rows st emit = st.run (fun bt i -> emit (Batch.row bt i))
 
-(* A row producer under a GroupBy: each row becomes a one-row chunk of
-   boxed columns, which the group table reads through its scalar
-   fallback. *)
-let chunks ncols = function
-  | Chunks (kinds, run, chain) -> (kinds, run, chain)
-  | Rows produce ->
-    let kinds = Array.make ncols Batch.K_any in
-    let run push =
-      let b = Batch.create ~kinds ~cap:1 () in
-      Batch.set_identity b 1;
-      let cells =
-        Array.map (function Batch.V_val a -> a | _ -> assert false) b.Batch.cols
-      in
-      produce (fun row ->
-          Array.iteri (fun c a -> a.(0) <- row.(c)) cells;
-          push b 0)
-    in
-    (kinds, run, None)
+(* A row producer (joins, sorts, distinct, group-by output) as a stage:
+   each row becomes a one-row chunk of boxed columns as it arrives. One
+   row, not a full chunk, because the operators above must meet every row
+   when Volcano would pull it: a [Where] over a [GroupBy] raises on group
+   0 before a later group's finish can. *)
+let lift ncols produce =
+  {
+    kinds = Array.make ncols Batch.K_any;
+    run = (fun push -> Batch.of_rows ~ncols ~rows:1 produce (each push));
+    chain = None;
+  }
 
-(* A position-to-position operator over a chunk stage: [xf push] makes one
+(* A position-to-position operator over a stage: [xf push] makes one
    instance that consumes the input's positions and pushes its own. *)
-let extend kinds run chain xf =
-  Chunks
-    ( kinds,
-      (fun push -> run (xf push)),
-      Option.map (fun c -> { c with through = (fun push -> c.through (xf push)) }) chain )
+let extend kinds up xf =
+  {
+    kinds;
+    run = (fun push -> up.run (xf push));
+    chain =
+      Option.map (fun c -> { c with K.through = (fun push -> c.K.through (xf push)) }) up.chain;
+  }
 
 (* The push form of the operators that consume whole boxed rows, shared
    by Fuse and {!Vector}: [input] compiles a child into its row producer,
@@ -126,92 +109,80 @@ let row_operator plan (input : Plan.t -> (Value.t array -> unit) -> unit) :
    fused pipeline. [need] is the set of columns the operators above read,
    which is the column mask a scan fills. *)
 let rec compile ~need plan =
-  let input_rows input = rows (compile ~need:K.All input) in
   match plan with
-  | Plan.Scan src ->
-    let cols = K.scan_mask src need in
-    Chunks
-      ( src.Source.kinds,
-        (fun push -> Source.batches src ~rows:Batch.default_rows ?cols (each push)),
-        Some { src; cols; through = Fun.id } )
-  | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ -> Rows (Plan.leaf_rows plan)
-  | Plan.Where (pred, input) -> (
-    let schema = Plan.schema input in
-    match compile ~need:(K.need_union need (Expr.columns pred)) input with
-    | Rows upstream ->
-      let test = Expr.compile_pred ~schema pred in
-      Rows (fun emit -> upstream (fun row -> if test row then emit row))
-    | Chunks (kinds, run, chain) ->
-      let test = K.test (K.lower ~schema ~kinds pred) in
-      extend kinds run chain (fun push bt ->
-          let test = test bt and push = push bt in
-          fun i -> if test i then push i))
-  | Plan.Select (cols, input) -> (
-    let schema = Plan.schema input in
-    match compile ~need:(K.select_need cols) input with
-    | Rows upstream ->
-      let fns = Array.of_list (List.map (fun (_, e) -> Expr.compile ~schema e) cols) in
-      Rows (fun emit -> upstream (fun row -> emit (Array.map (fun f -> f row) fns)))
-    | Chunks (kinds, run, chain) ->
-      let out_kinds, write = K.compile_select ~schema ~kinds (List.map snd cols) in
-      extend out_kinds run chain (fun push ->
-          let out = Batch.create ~kinds:out_kinds ~cap:Batch.default_rows () in
-          Batch.set_identity out Batch.default_rows;
-          let write = write out in
-          fun bt ->
-            let write = write bt and push = push out in
-            fun i ->
-              write i;
-              push i))
+  | Plan.Where (pred, input) ->
+    let up = compile ~need:(K.need_union need (Expr.columns pred)) input in
+    let test = K.test (K.lower ~schema:(Plan.schema input) ~kinds:up.kinds pred) in
+    extend up.kinds up (fun push bt ->
+        let test = test bt and push = push bt in
+        fun i -> if test i then push i)
+  | Plan.Select (cols, input) ->
+    let up = compile ~need:(K.select_need cols) input in
+    let kinds, write =
+      K.compile_select ~schema:(Plan.schema input) ~kinds:up.kinds (List.map snd cols)
+    in
+    extend kinds up (fun push ->
+        let out = Batch.create ~kinds ~cap:Batch.default_rows () in
+        Batch.set_identity out Batch.default_rows;
+        let write = write out in
+        fun bt ->
+          let write = write bt and push = push out in
+          fun i ->
+            write i;
+            push i)
   | Plan.HashJoin _ | Plan.IndexJoin _ | Plan.OrderBy _ | Plan.Distinct _ ->
-    Rows (row_operator plan input_rows)
+    lift
+      (Array.length (Plan.schema plan))
+      (row_operator plan (fun input -> rows (compile ~need:K.All input)))
   | Plan.GroupBy { keys; aggs; input } ->
-    let ncols = Array.length (Plan.schema input) in
-    let kinds, run, chain = chunks ncols (compile ~need:(K.group_need keys aggs) input) in
+    let up = compile ~need:(K.group_need keys aggs) input in
     let g =
-      K.group_table ~schema:(Plan.schema input) ~kinds ~keys:(List.map snd keys)
+      K.group_table ~schema:(Plan.schema input) ~kinds:up.kinds ~keys:(List.map snd keys)
         ~aggs:(List.map snd aggs)
     in
-    Rows
+    lift
+      (List.length keys + List.length aggs)
       (fun emit ->
         let t =
-          match chain with
+          match up.chain with
           | Some c ->
-            K.run_groups ~create:g.K.create c.src ~rows:Batch.default_rows ?cols:c.cols
-              (fun t produce -> produce (each (c.through (g.K.add t))))
+            K.run_groups ~create:g.K.create c.K.src ~rows:Batch.default_rows ?cols:c.K.cols
+              (fun t produce -> produce (each (c.K.through (g.K.add t))))
           | None ->
             let t = g.K.create () in
-            run (g.K.add t);
+            up.run (g.K.add t);
             t
         in
         K.iter_groups t emit)
-  | Plan.Limit (n, input) -> (
+  | Plan.Limit (n, input) ->
     (* No early termination in a push pipeline without exceptions; use one
        locally, which is how push engines implement LIMIT. *)
-    let limited body =
+    let up = compile ~need input in
+    let run push =
       let taken = ref 0 in
       let exception Done in
-      let take push =
-        if !taken < n then begin
-          push ();
-          incr taken;
-          if !taken >= n then raise Done
-        end
-      in
-      try body take with Done -> ()
+      try
+        up.run (fun bt ->
+            let push = push bt in
+            fun i ->
+              if !taken < n then begin
+                push i;
+                incr taken;
+                if !taken >= n then raise Done
+              end)
+      with Done -> ()
     in
-    match compile ~need input with
-    | Rows upstream ->
-      Rows (fun emit -> limited (fun take -> upstream (fun row -> take (fun () -> emit row))))
-    | Chunks (kinds, run, _) ->
-      Chunks
-        ( kinds,
-          (fun push ->
-            limited (fun take ->
-                run (fun bt ->
-                    let push = push bt in
-                    fun i -> take (fun () -> push i)))),
-          None ))
+    { up with run; chain = None }
+  | leaf ->
+    (* A leaf's chunks: typed from a [Scan], boxed from a probe. Only a
+       [Scan] starts a chain, which a parallel group-by reads. *)
+    let cols = K.scan_mask (Plan.schema leaf) need in
+    {
+      kinds = Plan.leaf_kinds leaf;
+      run = (fun push -> Plan.leaf_batches leaf ~rows:Batch.default_rows ?cols (each push));
+      chain =
+        (match leaf with Plan.Scan src -> Some { K.src; cols; through = Fun.id } | _ -> None);
+    }
 
 let run plan ~f = rows (compile ~need:K.All plan) f
 

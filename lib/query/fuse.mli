@@ -8,19 +8,19 @@
     intermediate result objects of the Volcano/LINQ model, which is the
     essence of the code the paper's query compiler generates [12, 13].
 
-    A [Scan] leaf reads column chunks ({!Source.batches}, masked to the
-    columns the operators above it read), and the pipeline still runs one
-    closure chain per row: over a scan, [Where], [Select], [GroupBy] and
-    [Limit] bind a chunk once and then evaluate a row by its position, over
-    the unboxed Int/Dec/Date/Char words of the {!Kernel} code {!Vector}
-    also runs. A row is boxed into a [Value.t array] only where a whole row
-    is needed: at the inputs of joins, [OrderBy] and [Distinct], and at the
-    final emit. Probe leaves ([IndexScan]/[TextScan]/[ViewRead]), joins,
-    sorts, [Distinct] and [GroupBy] push boxed rows, and a [Where],
-    [Select] or [Limit] above them stays on rows ({!Expr.compile}); a
-    [GroupBy] above them reads each row as a one-row chunk. Every
+    Every stage is column chunks, and the pipeline still runs one closure
+    chain per row: [Where], [Select], [GroupBy] and [Limit] bind a chunk
+    once and then evaluate a row by its position, over the unboxed
+    Int/Dec/Date/Char words of the {!Kernel} code {!Vector} also runs. A
+    leaf reads {!Plan.leaf_batches}: a [Scan]'s typed chunks, masked to the
+    columns the operators above it read, or a probe's rows packed into
+    boxed chunks. Joins, sorts, [Distinct] and [GroupBy] output push each
+    row as a one-row boxed chunk as it arrives. A row is boxed into a
+    [Value.t array] only where a whole row is needed: at the inputs of
+    joins, [OrderBy] and [Distinct], and at the final emit. Every
     expression evaluates on the same rows, in the same order, as in
-    {!Interp}, so a plan raises at the same row with the same exception. *)
+    {!Interp}, so a plan raises at the same row with the same exception;
+    a leaf may only run up to a chunk ahead of the operators above it. *)
 
 val row_operator :
   Plan.t -> (Plan.t -> (Value.t array -> unit) -> unit) -> (Value.t array -> unit) -> unit

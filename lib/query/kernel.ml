@@ -974,6 +974,8 @@ let run_groups ~create src ~rows ?cols phase =
     phase t (Source.batches src ~rows ?cols);
     t
 
+type 'push chain = { src : Source.t; cols : bool array option; through : 'push -> 'push }
+
 (* ---- column needs ----------------------------------------------------- *)
 
 type need = All | Only of string list
@@ -991,6 +993,6 @@ let group_need keys aggs =
     (List.concat_map (fun (_, e) -> Expr.columns e) keys
     @ List.concat_map (fun (_, a) -> Plan.agg_columns a) aggs)
 
-let scan_mask src = function
+let scan_mask schema = function
   | All -> None
-  | Only cols -> Some (Array.map (fun c -> List.mem c cols) src.Source.schema)
+  | Only cols -> Some (Array.map (fun c -> List.mem c cols) schema)

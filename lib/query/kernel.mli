@@ -206,6 +206,17 @@ val run_groups :
     exception raised in any worker is re-raised once every worker
     stopped. *)
 
+type 'push chain = {
+  src : Source.t;
+  cols : bool array option;  (** the scan's column mask *)
+  through : 'push -> 'push;
+      (** the chain as a function of its consumer; each call makes a fresh
+          instance (with its own Select output chunks), so a parallel
+          group-by runs one per worker *)
+}
+(** A Where/Select chain over a [Scan], as {!Vector} and {!Fuse} compile
+    it for {!run_groups}; ['push] is the engine's chunk consumer. *)
+
 (** {2 Column needs}
 
     The columns a subtree's consumer reads, threaded down to the scan so it
@@ -219,5 +230,5 @@ val need_union : need -> string list -> need
 val select_need : (string * Expr.t) list -> need
 val group_need : (string * Expr.t) list -> (string * Plan.agg) list -> need
 
-val scan_mask : Source.t -> need -> bool array option
-(** The column mask to scan [src] with. *)
+val scan_mask : string array -> need -> bool array option
+(** The column mask to scan a leaf of this schema with. *)

@@ -50,14 +50,28 @@ let rec schema = function
   | IndexJoin { left; src; _ } -> joined_schema (schema left) src.Source.schema
 
 (* What a leaf does, in one place: the scan, or the probe bound to its
-   argument. Engines run every leaf through this push instead of knowing
-   one access path from another. *)
+   argument. Engines run every leaf through this push, or through its
+   chunk form below, instead of knowing one access path from another. *)
 let leaf_rows = function
   | Scan src -> src.Source.scan
   | IndexScan { index; value; _ } -> index.Source.ix_probe value
   | TextScan { text; op; needle; _ } -> text.Source.tx_probe op needle
   | ViewRead { matview; _ } -> matview.Source.mv_read
   | _ -> invalid_arg "Plan.leaf_rows: not a leaf"
+
+(* The chunk form of a leaf, for the chunk engines: a [Scan] fills typed
+   chunks ([Source.batches]); a probe's rows are packed into boxed ones,
+   the packing [Source.batches] does for a source without a batch path. *)
+let leaf_kinds = function
+  | Scan src -> src.Source.kinds
+  | (IndexScan _ | TextScan _ | ViewRead _) as leaf ->
+    Array.map (fun _ -> Batch.K_any) (schema leaf)
+  | _ -> invalid_arg "Plan.leaf_kinds: not a leaf"
+
+let leaf_batches leaf ~rows ?cols emit =
+  match leaf with
+  | Scan src -> Source.batches src ~rows ?cols emit
+  | _ -> Batch.of_rows ~ncols:(Array.length (schema leaf)) ~rows (leaf_rows leaf) emit
 
 let children = function
   | Scan _ | IndexScan _ | TextScan _ | ViewRead _ -> []
@@ -165,47 +179,3 @@ let order_by specs p =
 
 let limit n p = Limit (n, p)
 let distinct p = Distinct p
-
-let rec validate = function
-  | Scan _ -> ()
-  | IndexScan { src; index; _ } ->
-    check_columns "IndexScan" src.Source.schema [ index.Source.ix_column ]
-  | TextScan { src; text; _ } ->
-    check_columns "TextScan" src.Source.schema [ text.Source.tx_column ]
-  | ViewRead { src; matview } ->
-    (* the view's reified plan reads the source's columns *)
-    check_columns "ViewRead" src.Source.schema
-      (List.concat_map (fun (_, e) -> Expr.columns e) matview.Source.mv_keys
-      @ List.concat_map
-          (fun (_, a) ->
-            match a with
-            | Source.V_count -> []
-            | Source.V_sum e | Source.V_min e | Source.V_max e | Source.V_avg e ->
-              Expr.columns e)
-          matview.Source.mv_aggs
-      @
-      match matview.Source.mv_where with None -> [] | Some e -> Expr.columns e)
-  | Where (e, p) ->
-    validate p;
-    check_columns "Where" (schema p) (Expr.columns e)
-  | Select (cols, p) ->
-    validate p;
-    check_columns "Select" (schema p) (List.concat_map (fun (_, e) -> Expr.columns e) cols)
-  | HashJoin { left; right; on } ->
-    validate left;
-    validate right;
-    check_columns "HashJoin(left)" (schema left) (List.map fst on);
-    check_columns "HashJoin(right)" (schema right) (List.map snd on)
-  | IndexJoin { left; src; index; left_col } ->
-    validate left;
-    check_columns "IndexJoin(left)" (schema left) [ left_col ];
-    check_columns "IndexJoin" src.Source.schema [ index.Source.ix_column ]
-  | GroupBy { keys; aggs; input } ->
-    validate input;
-    let s = schema input in
-    check_columns "GroupBy(keys)" s (List.concat_map (fun (_, e) -> Expr.columns e) keys);
-    check_columns "GroupBy(aggs)" s (List.concat_map (fun (_, a) -> agg_columns a) aggs)
-  | OrderBy (specs, p) ->
-    validate p;
-    check_columns "OrderBy" (schema p) (List.concat_map (fun (e, _) -> Expr.columns e) specs)
-  | Limit (_, p) | Distinct p -> validate p

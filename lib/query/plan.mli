@@ -11,9 +11,9 @@
     {!Fuse} (a fused push pipeline — the query-compilation analogue) or
     {!Vector} (column batches through typed kernels), and compiled to
     native code by {!Codegen}. Engines do not tell one access path from
-    another: every leaf runs through {!leaf_rows} ({!Fuse}, {!Vector}
-    and {!Codegen} read a [Scan] as column chunks through
-    {!Source.batches} instead), and every [IndexJoin] probe through
+    another: {!Interp} runs every leaf through {!leaf_rows}, {!Fuse},
+    {!Vector} and {!Codegen} run every leaf as column chunks through
+    {!leaf_batches}, and every engine runs an [IndexJoin] probe through
     {!Source.keyed_probe}.
 
     The smart constructors validate column references eagerly: an unknown
@@ -81,6 +81,19 @@ val leaf_rows : t -> (Value.t array -> unit) -> unit
     the result re-runs the scan or probe. Raises [Invalid_argument] on a
     non-leaf node. *)
 
+val leaf_kinds : t -> Batch.kind array
+(** The column kinds of a leaf's chunks ({!leaf_batches}): a [Scan]'s
+    source kinds, [K_any] for every column of a probe leaf. Raises
+    [Invalid_argument] on a non-leaf node. *)
+
+val leaf_batches : t -> rows:int -> ?cols:bool array -> (Batch.t -> unit) -> unit
+(** A leaf as column chunks of at most [rows] rows, how {!Vector},
+    {!Fuse} and {!Codegen} read every leaf: a [Scan] through
+    {!Source.batches} (filling only the columns [cols] marks), a probe
+    leaf's {!leaf_rows} packed into boxed chunks by {!Batch.of_rows}
+    (every column). Each call re-runs the scan or probe. Raises
+    [Invalid_argument] on a non-leaf node. *)
+
 val children : t -> t list
 (** Direct sub-plans, left to right ([IndexJoin]'s right side is a source,
     not a sub-plan). Leaves have none. *)
@@ -128,8 +141,3 @@ val group_by : keys:(string * Expr.t) list -> aggs:(string * agg) list -> t -> t
 val order_by : (Expr.t * dir) list -> t -> t
 val limit : int -> t -> t
 val distinct : t -> t
-
-val validate : t -> unit
-(** Re-runs the smart constructors' column checks over a whole tree (for
-    plans built with the raw constructors). Raises [Invalid_argument] on
-    the first unknown column, naming the operator. *)

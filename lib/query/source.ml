@@ -362,10 +362,7 @@ let of_array ~name ~schema rows =
 let batches src ~rows ?cols emit =
   match src.scan_batches with
   | Some sb -> sb ~rows ?cols emit
-  | None ->
-    let push, flush = Batch.rebatcher ~ncols:(Array.length src.schema) ~rows ~emit in
-    src.scan push;
-    flush ()
+  | None -> Batch.of_rows ~ncols:(Array.length src.schema) ~rows src.scan emit
 
 let find_index t col =
   List.find_opt (fun ix -> String.equal ix.ix_column col) t.indexes

@@ -28,18 +28,8 @@ type pipe = {
   schema : string array;
   kinds : Batch.kind array;
   run : (Batch.t -> unit) -> unit;
-  chain : chain option;
+  chain : (Batch.t -> unit) K.chain option;
   obs : Smc_obs.t option;
-}
-
-(* A Where/Select chain over a Scan: the scan's source and column mask,
-   and the chain as a function of its consumer. Each call of [through]
-   makes a fresh instance (with its own Select output chunks), so a
-   parallel group-by runs one per worker. *)
-and chain = {
-  src : Source.t;
-  cols : bool array option;
-  through : (Batch.t -> unit) -> Batch.t -> unit;
 }
 
 (* ---- filters (predicate context) ------------------------------------ *)
@@ -172,12 +162,7 @@ let all_any n = Array.make n Batch.K_any
 
 let rows_of pipe emit = pipe.run (fun bt -> Batch.iter_rows bt ~f:emit)
 
-(* Bridge a row producer back into the batch stream — used below every
-   row-at-a-time operator (joins, sorts, distinct, index probes). *)
-let batches_of ~ncols ~rows produce emit =
-  let push, flush = Batch.rebatcher ~ncols ~rows ~emit in
-  produce push;
-  flush ()
+let plan_obs plan = List.find_map (fun s -> s.Source.obs) (Plan.sources plan)
 
 (* A chunk-to-chunk operator over [up]: [xform emit] makes one instance
    that consumes [up]'s chunks and emits its own. *)
@@ -185,34 +170,12 @@ let extend up xform =
   {
     up with
     run = (fun emit -> up.run (xform emit));
-    chain = Option.map (fun c -> { c with through = (fun emit -> c.through (xform emit)) }) up.chain;
+    chain =
+      Option.map (fun c -> { c with K.through = (fun emit -> c.K.through (xform emit)) }) up.chain;
   }
 
 let rec compile ~batch_rows ~need plan : pipe =
   match plan with
-  | Plan.Scan src ->
-    let cols = K.scan_mask src need in
-    {
-      schema = src.Source.schema;
-      kinds = src.Source.kinds;
-      run = (fun emit -> Source.batches src ~rows:batch_rows ?cols emit);
-      chain = Some { src; cols; through = Fun.id };
-      obs = src.Source.obs;
-    }
-  | Plan.IndexScan { src; _ } | Plan.TextScan { src; _ } | Plan.ViewRead { src; _ } ->
-    (* Probe hits and view groups arrive as boxed rows, so the batch is
-       all [K_any] and residual predicates above this node route through
-       the fallback filter — semantics-exact by construction. *)
-    let schema = Plan.schema plan in
-    let ncols = Array.length schema in
-    let rows = Plan.leaf_rows plan in
-    {
-      schema;
-      kinds = all_any ncols;
-      run = (fun emit -> batches_of ~ncols ~rows:batch_rows rows emit);
-      chain = None;
-      obs = src.Source.obs;
-    }
   | Plan.Where (pred, input) ->
     let up = compile ~batch_rows ~need:(K.need_union need (Expr.columns pred)) input in
     let filt = compile_filter (K.lower ~schema:up.schema ~kinds:up.kinds pred) in
@@ -275,14 +238,14 @@ let rec compile ~batch_rows ~need plan : pipe =
       let t =
         match up.chain with
         | Some c ->
-          K.run_groups ~create:g.K.create c.src ~rows:batch_rows ?cols:c.cols (fun t produce ->
-              phase t (fun consume -> produce (c.through consume)))
+          K.run_groups ~create:g.K.create c.K.src ~rows:batch_rows ?cols:c.K.cols (fun t produce ->
+              phase t (fun consume -> produce (c.K.through consume)))
         | None ->
           let t = g.K.create () in
           phase t up.run;
           t
       in
-      batches_of ~ncols ~rows:batch_rows (K.iter_groups t) emit
+      Batch.of_rows ~ncols ~rows:batch_rows (K.iter_groups t) emit
     in
     { schema = Plan.schema plan; kinds = all_any ncols; run; chain = None; obs = up.obs }
   | Plan.HashJoin _ | Plan.IndexJoin _ | Plan.OrderBy _ | Plan.Distinct _ ->
@@ -291,9 +254,9 @@ let rec compile ~batch_rows ~need plan : pipe =
     {
       schema = Plan.schema plan;
       kinds = all_any ncols;
-      run = batches_of ~ncols ~rows:batch_rows rows;
+      run = Batch.of_rows ~ncols ~rows:batch_rows rows;
       chain = None;
-      obs = List.find_map (fun s -> s.Source.obs) (Plan.sources plan);
+      obs = plan_obs plan;
     }
   | Plan.Limit (n, input) ->
     let up = compile ~batch_rows ~need input in
@@ -313,6 +276,18 @@ let rec compile ~batch_rows ~need plan : pipe =
       with Done -> ()
     in
     { up with run; chain = None }
+  | leaf ->
+    (* A leaf's chunks: typed from a [Scan], boxed from a probe. Only a
+       [Scan] starts a chain, which a parallel group-by reads. *)
+    let cols = K.scan_mask (Plan.schema leaf) need in
+    {
+      schema = Plan.schema leaf;
+      kinds = Plan.leaf_kinds leaf;
+      run = (fun emit -> Plan.leaf_batches leaf ~rows:batch_rows ?cols emit);
+      chain =
+        (match leaf with Plan.Scan src -> Some { K.src; cols; through = Fun.id } | _ -> None);
+      obs = plan_obs leaf;
+    }
 
 let run ?(batch_rows = Batch.default_rows) plan ~f =
   let p = compile ~batch_rows:(max batch_rows 1) ~need:K.All plan in

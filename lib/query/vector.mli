@@ -3,13 +3,14 @@
     The fourth execution engine over the same {!Plan.t} as {!Interp}
     (Volcano), {!Fuse} and {!Codegen}: operators process column chunks
     ({!Batch.t}, default 1024 rows) instead of a per-row closure chain.
-    Sources with a batch path ({!Source.t.scan_batches}) fill unboxed
-    column chunks straight from the off-heap blocks — one epoch critical
-    section per block — and filters refine the chunk's
-    selection vector with branchless loops; row-only sources and
-    row-at-a-time operators (joins, sorts, distinct, index probes) are
-    bridged through a re-batcher, so every plan the other engines accept
-    runs here too.
+    Every leaf arrives as chunks ({!Plan.leaf_batches}): sources with a
+    batch path ({!Source.t.scan_batches}) fill unboxed column chunks
+    straight from the off-heap blocks — one epoch critical section per
+    block — while row-only sources and probe leaves are packed into boxed
+    chunks. Filters refine the chunk's selection vector with branchless
+    loops, and row-at-a-time operators (joins, sorts, distinct) are
+    bridged through the same re-batcher, so every plan the other engines
+    accept runs here too.
 
     Results are bit-identical to {!Interp.collect} on the same plan, in
     the same row order: the typed code ({!Kernel}, shared with {!Fuse}) is

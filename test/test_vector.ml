@@ -493,6 +493,32 @@ let test_error_parity () =
     (exn_of (fun () -> Interp.collect dplan))
     (exn_of (fun () -> Vector.collect dplan))
 
+(* A Where over a GroupBy meets the groups in Volcano's pull order: it
+   raises on group 0 before group 1, a one-row Date group under Avg,
+   finishes (Value.div raises there). Fuse and Compiled push each group as
+   it is finished, so they raise Volcano's exception; Vector need only
+   raise. *)
+let test_group_raise_order () =
+  let src =
+    Source.of_array ~name:"ro" ~schema:[ "k"; "x" ]
+      [| [| Value.Int 0; Value.Int 5 |]; [| Value.Int 1; Value.Date 3 |] |]
+  in
+  let plan =
+    Plan.(
+      where
+        Expr.(Gt (Col "k", str "a"))
+        (group_by ~keys:[ ("k", Expr.Col "k") ] ~aggs:[ ("a", Avg (Expr.Col "x")) ] (scan src)))
+  in
+  let reference = outcome Interp.collect plan in
+  check Alcotest.bool "volcano raises" true (Result.is_error reference);
+  let same what got =
+    check (Alcotest.result rows_testable Alcotest.string) (what ^ " = volcano") reference got
+  in
+  same "fuse" (outcome Fuse.collect plan);
+  require_native plan;
+  same "compiled" (outcome Codegen.collect plan);
+  check Alcotest.bool "vector raises" true (Result.is_error (outcome Vector.collect plan))
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot views and parallel scans through the batch path *)
 
@@ -1248,8 +1274,8 @@ let test_fuse_parity () =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* The re-batcher: probe leaves and row-at-a-time operators feed batch
-   consumers through it. Its store starts small and doubles up to [rows],
+(* The re-batcher: probe leaves and row-at-a-time operators feed chunk
+   consumers through it ([Plan.leaf_batches], [Batch.of_rows]). Its store starts small and doubles up to [rows],
    so the chunk sizes, the row order and the loan contract are checked at
    every growth step and boundary. *)
 
@@ -1316,9 +1342,11 @@ let test_rebatcher_loans () =
   flush ();
   check rows_testable "rows=1024: loans across growth" rows (List.rev !got)
 
-(* Probe leaves reach Vector through the re-batcher: IndexScan, TextScan
-   and ViewRead with 0, 1, 17 and more than [Batch.default_rows] hits must
-   match Volcano on every engine, with and without a residual filter. *)
+(* Probe leaves reach Vector, Fuse and compiled plans as boxed chunks
+   packed by the re-batcher ([Plan.leaf_batches]): IndexScan, TextScan and
+   ViewRead with 0, 1, 17 and more than [Batch.default_rows] hits must
+   match Volcano on every engine, with and without a residual filter, and
+   every probe plan must compile natively. *)
 let test_probe_leaves () =
   let n = 1100 in
   let rt = Smc_offheap.Runtime.create () in
@@ -1680,6 +1708,7 @@ let () =
           qc "row operators" test_row_operators;
           qc "of_array sources" test_of_array_sources;
           qc "error parity" test_error_parity;
+          qc "group-by output raises in pull order" test_group_raise_order;
         ] );
       ( "integration",
         [
