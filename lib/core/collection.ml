@@ -222,6 +222,27 @@ let abort tx =
   tx.tx_ops <- [];
   obs_incr tx.tx_coll Smc_obs.c_txn_aborts
 
+(* Rejected before any lock is taken: two transactions on one collection
+   (its transaction lock is not reentrant) and a reference staged twice in
+   one transaction. *)
+let rec check_staging = function
+  | [] -> ()
+  | tx :: rest ->
+    if List.exists (fun o -> o.tx_coll == tx.tx_coll) rest then
+      invalid_arg
+        (Printf.sprintf "Collection.commit_all: two transactions on %S" tx.tx_coll.name);
+    let seen = Hashtbl.create 8 in
+    List.iter
+      (function
+        | S_add _ -> ()
+        | S_remove r | S_store (r, _, _) ->
+          let packed = Ref.to_packed r in
+          if Hashtbl.mem seen packed then
+            invalid_arg "Collection.commit: reference staged twice in one transaction";
+          Hashtbl.add seen packed ())
+      tx.tx_ops;
+    check_staging rest
+
 (* Write-write validation (first committer wins): every ref this
    transaction removes or stores must still resolve, and its slot's last
    write CSN must not exceed the transaction's begin frontier — a later
@@ -230,30 +251,20 @@ let abort tx =
    locations stay stable for the subsequent apply. *)
 let validate_locked tx =
   let ctx = tx.tx_coll.ctx in
-  let seen = Hashtbl.create 8 in
-  let check r what =
-    let packed = Ref.to_packed r in
-    if Hashtbl.mem seen packed then
-      invalid_arg
-        (Printf.sprintf "Collection.commit: reference staged for %s twice in one transaction"
-           what);
-    Hashtbl.add seen packed ();
-    match Context.resolve ctx packed with
-    | None -> false
-    | Some (blk, slot) ->
-      Bigarray.Array1.unsafe_get blk.Block.csn_write slot <= tx.tx_begin_csn
-  in
   List.for_all
     (fun op ->
       match op with
       | S_add _ -> true
-      | S_remove r -> check r "removal"
-      | S_store (r, _, _) -> check r "store")
+      | S_remove r | S_store (r, _, _) -> (
+        match Context.resolve ctx (Ref.to_packed r) with
+        | None -> false
+        | Some (blk, slot) ->
+          Bigarray.Array1.unsafe_get blk.Block.csn_write slot <= tx.tx_begin_csn))
     tx.tx_ops
 
 (* Applies the staged batch in staging order. Per-op subscribers hear each
    op as it lands; the ops are also collected (only when anyone listens)
-   for the batch subscribers, which [commit_prepared] calls once. *)
+   for the batch subscribers, which [publish_locked] calls once. *)
 let apply_locked tx ~csn =
   let t = tx.tx_coll in
   let ctx = t.ctx in
@@ -297,63 +308,58 @@ let apply_locked tx ~csn =
     (List.rev tx.tx_ops);
   (List.rev !adds, List.rev !ops)
 
-(* ---- Two-phase commit primitives --------------------------------------
-   [prepare] runs the first half of a commit — take the transaction lock,
-   enter the epoch critical section, validate — and then *returns with both
-   still held*, so a coordinator can prepare several collections and only
-   publish once every one of them validated. The critical section keeps the
-   validated locations stable and the lock keeps competing committers and
-   view-frontier reads out, so a prepared transaction cannot be invalidated
-   before [commit_prepared] lands it. Locks and critical sections are bound
-   to the calling domain: prepare and finish a transaction on one domain,
-   and when preparing several collections always take them in one global
-   order (ascending shard id) so concurrent coordinators cannot deadlock. *)
+(* ---- Coordinated commit ------------------------------------------------
+   [commit_all] commits one or many transactions, each on its own
+   collection, as one unit. Each is validated in list order under its
+   collection's commit locks — the transaction lock and an epoch critical
+   section — and keeps them while the rest validate, so no competing
+   committer, bare store or view-frontier read can slip in between its
+   validation and its publication. Only once every one has validated does
+   each publish and release, in list order; a conflict releases the
+   validated ones unpublished. Locks and critical sections are bound to
+   the calling domain, and callers committing several collections pass
+   them in one global order (ascending shard id), so concurrent
+   coordinators cannot deadlock. *)
 
-type prepared = { pr_tx : txn; mutable pr_open : bool }
+let unlock t =
+  Epoch.exit_critical t.rt.Runtime.epoch;
+  Mutex.unlock t.txn_lock
 
-let prepare tx =
-  check_open tx "prepare";
-  tx.tx_done <- true;
+(* Releases [tx]'s commit locks unpublished, counting it as [outcome]. *)
+let release outcome tx =
+  obs_incr tx.tx_coll outcome;
+  unlock tx.tx_coll
+
+(* Takes [tx]'s commit locks and validates; returns holding them only when
+   validation passed. *)
+let lock_and_validate tx =
   let t = tx.tx_coll in
-  let rt = t.rt in
-  Runtime.fire_txn_hook rt Runtime.Txn_staged;
+  Runtime.fire_txn_hook t.rt Runtime.Txn_staged;
   Mutex.lock t.txn_lock;
   (* One critical section around validate + apply + log: resolved
      locations stay stable, freed slots cannot clear their grace period
      before the WAL batch lands (same discipline as bare [remove]'s
      free-then-append pinning), and the commit CSN stays adjacent to
      the published stamps. *)
-  Epoch.enter_critical rt.Runtime.epoch;
+  Epoch.enter_critical t.rt.Runtime.epoch;
   if validate_locked tx then begin
-    Runtime.fire_txn_hook rt Runtime.Txn_validated;
-    Some { pr_tx = tx; pr_open = true }
+    Runtime.fire_txn_hook t.rt Runtime.Txn_validated;
+    true
   end
   else begin
-    obs_incr t Smc_obs.c_txn_conflicts;
-    Epoch.exit_critical rt.Runtime.epoch;
-    Mutex.unlock t.txn_lock;
-    None
+    release Smc_obs.c_txn_conflicts tx;
+    false
   end
 
-let finish_prepared pr =
-  pr.pr_open <- false;
-  let t = pr.pr_tx.tx_coll in
-  Epoch.exit_critical t.rt.Runtime.epoch;
-  Mutex.unlock t.txn_lock
-
-let check_prepared pr what =
-  if not pr.pr_open then
-    invalid_arg (Printf.sprintf "Collection.%s: prepared transaction already finished" what)
-
-let commit_prepared pr =
-  check_prepared pr "commit_prepared";
-  let tx = pr.pr_tx in
+(* Publishes a validated transaction (apply, then the batch subscribers),
+   releases its locks, and returns its adds' references. *)
+let publish_locked tx =
   let t = tx.tx_coll in
   let csn = Context.begin_commit t.ctx in
   Fun.protect
     ~finally:(fun () ->
       Context.end_commit t.ctx;
-      finish_prepared pr)
+      unlock t)
     (fun () ->
       let adds, ops = apply_locked tx ~csn in
       Runtime.fire_txn_hook t.rt Runtime.Txn_applied;
@@ -364,18 +370,40 @@ let commit_prepared pr =
       obs_incr t Smc_obs.c_txn_commits;
       adds)
 
-let abort_prepared pr =
-  check_prepared pr "abort_prepared";
-  (* This collection's validation passed; a sibling in the same coordinated
-     commit conflicted. Count it as a conflict so the per-runtime outcome
-     balance (begins = commits + aborts + conflicts) still partitions. *)
-  obs_incr pr.pr_tx.tx_coll Smc_obs.c_txn_conflicts;
-  finish_prepared pr
+let commit_all txs =
+  List.iter (fun tx -> check_open tx "commit") txs;
+  (match check_staging txs with
+  | () -> List.iter (fun tx -> tx.tx_done <- true) txs
+  | exception e ->
+    List.iter (fun tx -> if not tx.tx_done then abort tx) txs;
+    raise e);
+  let rec validate held = function
+    | [] -> Some (List.rev held)
+    | tx :: rest when lock_and_validate tx -> validate (tx :: held) rest
+    | _ :: rest ->
+      (* The ones already validated are released unpublished and counted as
+         conflicts, so each runtime's outcome balance still partitions its
+         begins; the ones never reached count as aborts. *)
+      List.iter (release Smc_obs.c_txn_conflicts) held;
+      List.iter (fun tx -> obs_incr tx.tx_coll Smc_obs.c_txn_aborts) rest;
+      None
+  in
+  let rec publish_all = function
+    | [] -> []
+    | tx :: rest -> (
+      match publish_locked tx with
+      | adds -> adds :: publish_all rest
+      | exception e ->
+        List.iter (release Smc_obs.c_txn_aborts) rest;
+        raise e)
+  in
+  Option.map publish_all (validate [] txs)
 
 let commit tx =
-  match prepare tx with
+  match commit_all [ tx ] with
+  | Some [ adds ] -> Committed adds
+  | Some _ -> assert false
   | None -> Conflict
-  | Some pr -> Committed (commit_prepared pr)
 
 let transact t f =
   let tx = txn t in

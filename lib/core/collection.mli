@@ -26,13 +26,13 @@
       lazy staleness); a dead remove publishes nothing;
     - a bare {!store} publishes [Store] after the stamped in-place write,
       inside its critical section;
-    - a commit ({!commit}, {!commit_prepared}) publishes its ops in staging
+    - a commit ({!commit}, {!commit_all}) publishes its ops in staging
       order. A subscriber with [on_commit = None] gets one [on_op] per op
       while the batch is applied; a subscriber with [on_commit] gets no
       [on_op] calls for it and one [on_commit] call with the whole batch
       after it is applied, inside the commit's critical section — a log
-      frames it so recovery applies all or none. Staging, {!abort},
-      {!prepare} and {!abort_prepared} publish nothing;
+      frames it so recovery applies all or none. Staging, {!abort}, and a
+      {!commit_all} that conflicts publish nothing;
     - recovery ({!publish_replay}) publishes each replayed op to [on_op].
 
     Subscribers fire in attachment order, on the mutating domain, while the
@@ -235,7 +235,26 @@ val stage_store : txn -> Ref.t -> word:int -> value:int -> unit
 
 val commit : txn -> txn_result
 (** Validates and publishes the batch (see {!subscriber} for how
-    subscribers hear of it), and closes the transaction. *)
+    subscribers hear of it), and closes the transaction: [commit_all [tx]]. *)
+
+val commit_all : txn list -> Ref.t list list option
+(** Commits transactions on several collections as one unit — e.g. a
+    sharded collection's cross-shard transaction — and closes them all.
+    Validates them in list order, each under its collection's transaction
+    lock and an epoch critical section that it keeps while the rest
+    validate, so nothing can slip in between validation and publication.
+    If every one validated, publishes each (in list order) and returns
+    each transaction's add references in staging order. On the first
+    conflict, returns [None] with nothing published anywhere: the
+    transactions already validated count as conflicts on their runtimes,
+    the ones never reached as aborts.
+
+    The list order is the lock order: callers committing overlapping sets
+    of collections concurrently must use one global order (e.g. ascending
+    shard id), or they can deadlock. Locks are bound to the calling
+    domain. Raises [Invalid_argument], with every transaction aborted,
+    when two transactions are on one collection or a reference is staged
+    twice in one transaction. *)
 
 val abort : txn -> unit
 (** Discards the staged batch and closes the transaction. *)
@@ -245,53 +264,16 @@ val transact : t -> (txn -> unit) -> txn_result
     and commits. If [f] raises, the transaction aborts and the exception
     is re-raised. *)
 
-(** {2 Two-phase commit primitives}
-
-    [commit] split at its validation boundary, for coordinators that must
-    land transactions on {e several} collections atomically (e.g. a
-    sharded collection's cross-shard transaction): prepare every
-    participant, and only if {e all} validated, publish each one.
-
-    A successful {!prepare} returns holding the collection's transaction
-    lock {e and} an epoch critical section, which is what makes the split
-    sound: no competing committer, bare store, or view-frontier read can
-    slip in between validation and publication. Both are bound to the
-    calling domain — prepare and finish on one domain, promptly. When
-    preparing several collections, always take them in one global order
-    (e.g. ascending shard id); concurrent coordinators using the same
-    order cannot deadlock. *)
-
-type prepared
-(** A validated transaction holding its collection's commit locks. Must be
-    finished with exactly one of {!commit_prepared} / {!abort_prepared}. *)
-
-val prepare : txn -> prepared option
-(** First half of {!commit}: closes the transaction, takes the commit
-    locks and validates. [None] means write-write validation failed — the
-    locks are already released, nothing was published, and the conflict is
-    counted ([commit] would have returned [Conflict]). *)
-
-val commit_prepared : prepared -> Ref.t list
-(** Publishes the prepared batch (apply, then the subscribers' per-op and
-    batch deliveries), releases the locks, and returns the staged adds'
-    references in staging order. *)
-
-val abort_prepared : prepared -> unit
-(** Releases the locks without publishing anything — the coordinator's
-    path when a {e sibling} collection failed validation. Counted as a
-    conflict on this collection's runtime, so the transaction outcome
-    balance still partitions begins. *)
-
-
 (** {2 Snapshot views}
 
     A view keeps one CSN frontier open for its lifetime: reads against it
-    are stable — concurrent commits and bare mutations do not change what
-    it yields, and the rows it can see are neither recycled nor dropped by
-    compaction. It also pins the current epoch (a critical section held
-    for its lifetime), so a compaction pass started while a view is open
-    aborts at once. Views are bound to the opening domain — close them
-    promptly. *)
+    are stable — concurrent commits and bare adds and removes do not change
+    which rows it yields, and the rows it can see are neither recycled nor
+    dropped by compaction. A bare {!store} is the exception: it writes in
+    place, so a view reading the stored row sees the new value. A view
+    also pins the current epoch (a critical section held for its
+    lifetime), so a compaction pass started while a view is open aborts
+    at once. Views are bound to the opening domain — close them promptly. *)
 
 type view
 
@@ -308,10 +290,9 @@ val with_view : t -> (view -> 'a) -> 'a
 val snapshot_views : t list -> view list
 (** Views over several collections at one consistent frontier vector: the
     CSNs are read while holding {e all} the collections' transaction locks
-    (taken in list order — use the same global order as multi-collection
-    {!prepare} sequences). A cross-collection transaction committed
-    through the prepared protocol is either visible in every returned view
-    or in none. Close each view with {!close_view} as usual. *)
+    (taken in list order — use the same global order as {!commit_all}). A
+    {!commit_all} across the collections is either visible in every
+    returned view or in none. Close each view with {!close_view} as usual. *)
 
 val view_csn : view -> int
 (** The view's CSN frontier. *)

@@ -62,6 +62,42 @@ let string_eq (f : Layout.field) literal =
 
 let bpw = Layout.str_bytes_per_word
 
+(* Byte-loop substring/prefix tests over a read string: no [String.sub]
+   per candidate position, so predicate evaluation allocates nothing per
+   row. The empty needle matches everything. *)
+let starts_with ~prefix s =
+  let n = String.length prefix in
+  String.length s >= n
+  &&
+  let rec go j = j >= n || (String.unsafe_get s j = String.unsafe_get prefix j && go (j + 1)) in
+  go 0
+
+let contains ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let at i =
+    let rec go j =
+      j >= n || (String.unsafe_get haystack (i + j) = String.unsafe_get needle j && go (j + 1))
+    in
+    go 0
+  in
+  let rec go i = i + n <= h && (at i || go (i + 1)) in
+  n = 0 || go 0
+
+let lower_byte c = if c >= 'A' && c <= 'Z' then Char.unsafe_chr (Char.code c + 32) else c
+
+let contains_ci ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let at i =
+    let rec go j =
+      j >= n
+      || lower_byte (String.unsafe_get haystack (i + j)) = lower_byte (String.unsafe_get needle j)
+         && go (j + 1)
+    in
+    go 0
+  in
+  let rec go i = i + n <= h && (at i || go (i + 1)) in
+  n = 0 || go 0
+
 let false_pred _ _ = false
 let true_pred _ _ = true
 

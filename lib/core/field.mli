@@ -42,6 +42,22 @@ val get_char : Smc_offheap.Layout.field -> Smc_offheap.Block.t -> int -> char
 (** First byte of a string field without allocating — what compiled queries
     use for one-character TPC-H attributes like returnflag. *)
 
+val starts_with : prefix:string -> string -> bool
+(** Allocation-free prefix test over a read string ([StartsWith]
+    semantics: the empty prefix matches everything). *)
+
+val contains : needle:string -> string -> bool
+(** Allocation-free substring test over a read string ([Contains]
+    semantics: the empty needle matches everything). *)
+
+val contains_ci : needle:string -> string -> bool
+(** ASCII-case-insensitive {!contains} ([ContainsCI] semantics): both
+    sides fold through {!lower_byte}, so bytes outside [A-Z] compare
+    verbatim — no locale or Unicode case folding. *)
+
+val lower_byte : char -> char
+(** [A-Z] -> [a-z]; every other byte verbatim. *)
+
 val string_eq :
   Smc_offheap.Layout.field -> string -> Smc_offheap.Block.t -> int -> bool
 (** [string_eq f lit] pre-packs [lit] into field words once; the returned

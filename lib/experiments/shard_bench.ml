@@ -164,7 +164,8 @@ let run ?(shard_counts = [ 1; 2; 4; 8 ]) ?(txns = 240) ?(ops_per_txn = 8) ?dir (
       let loaded = n * keys_needed in
       points := point ~shards:n ~stage:"txn commit" ~rows:loaded ~bytes:0 load_ms :: !points;
       (* A few cross-shard batches (not timed) so the sweep exercises the
-         two-phase path, plus one forced conflict for the outcome balance. *)
+         multi-shard commit, plus one forced conflict for the outcome
+         balance. *)
       (match
          Shard.transact sh (fun tx ->
              for k = 1_000_000 to 1_000_000 + (2 * n) - 1 do
@@ -179,8 +180,8 @@ let run ?(shard_counts = [ 1; 2; 4; 8 ]) ?(txns = 240) ?(ops_per_txn = 8) ?dir (
        with
       | Shard.Committed [ r ] ->
         (* Force a first-committer-wins loss: a chaos hook slips a bare
-           store onto the same row inside the prepare window (after the
-           sub-transaction's begin CSN, before validation). *)
+           store onto the same row as the commit starts validating (after
+           the transaction opened, before validation). *)
         let fired = ref false in
         let outcome =
           Smc_check.Chaos.with_txn_hook

@@ -25,7 +25,6 @@ module Value = Smc_query.Value
 module Expr = Smc_query.Expr
 module Source = Smc_query.Source
 module Plan = Smc_query.Plan
-module Aggregate = Smc_query.Aggregate
 module D = Smc_decimal.Decimal
 
 type sum_cell = {
@@ -62,7 +61,7 @@ type t = {
   key_fns : (Value.t array -> Value.t) array;
   agg_fns : (Value.t array -> Value.t) option array; (* None for V_count *)
   pred : (Value.t array -> bool) option;
-  schema : string array;
+  scratch : Plan.t; (* GroupBy over the optional Where over the Scan *)
   lock : Mutex.t;
   groups : (Value.t list, group) Hashtbl.t;
   contribs : (int, contribution) Hashtbl.t;
@@ -380,39 +379,11 @@ let plan_agg_of_spec = function
   | Source.V_max e -> Plan.Max e
   | Source.V_avg e -> Plan.Avg e
 
-(* From-scratch evaluation of the reified plan, sharing the engines'
-   aggregate cells verbatim — the fallback for an invalid view and the
-   parity oracle for [audit]. May raise exactly where the engines would
-   (type errors over non-invertible data). *)
-let scratch_rows_locked t =
-  let compiled =
-    List.map
-      (fun (_, spec) -> Aggregate.compile ~schema:t.schema (plan_agg_of_spec spec))
-      t.aggs
-  in
-  let gtbl = Hashtbl.create 256 in
-  let order = ref [] in
-  Smc.Collection.iter t.coll ~f:(fun blk slot ->
-      let row = extract_row t blk slot in
-      if passes t row then begin
-        let key = eval_key t row in
-        let cells =
-          match Hashtbl.find_opt gtbl key with
-          | Some cells -> cells
-          | None ->
-            let cells = List.map (fun (fresh, _, _) -> fresh ()) compiled in
-            Hashtbl.add gtbl key cells;
-            order := key :: !order;
-            cells
-        in
-        List.iter2 (fun (_, update, _) cell -> update cell row) compiled cells
-      end);
-  List.rev_map
-    (fun key ->
-      let cells = Hashtbl.find gtbl key in
-      let finished = List.map2 (fun (_, _, finish) cell -> finish cell) compiled cells in
-      Array.of_list (key @ finished))
-    !order
+(* From-scratch evaluation: the reference engine over the reified plan —
+   the fallback for an invalid view and the parity oracle for [audit]. It
+   raises exactly where the engines would (type errors over
+   non-invertible data). *)
+let scratch_rows_locked t = Smc_query.Interp.collect t.scratch
 
 let read t emit =
   let rows =
@@ -478,7 +449,11 @@ let attach ~name:vname coll ~columns ~keys ~aggs ?where () =
               Some (Expr.compile ~schema e))
           specs;
       pred = Option.map (fun e -> Expr.compile_pred ~schema e) where;
-      schema;
+      scratch =
+        (let scan = Plan.scan (Source.of_smc coll ~columns) in
+         Plan.group_by ~keys
+           ~aggs:(List.map (fun (n, spec) -> (n, plan_agg_of_spec spec)) aggs)
+           (match where with Some e -> Plan.where e scan | None -> scan));
       lock = Mutex.create ();
       groups = Hashtbl.create 256;
       contribs = Hashtbl.create 1024;

@@ -462,13 +462,12 @@ let render plan =
       let exn = String.capitalize_ascii (fresh "done_") in
       limit_exns := exn :: !limit_exns;
       line depth "let %s = ref 0 in" taken;
-      line depth "(try";
+      (* A limit of 0 or less runs nothing, as in Volcano. *)
+      line depth "(if %d > 0 then try" n;
       emit input (depth + 1) (fun d row ->
-          line d "if !%s < %d then begin" taken n;
-          k (d + 1) row;
-          line (d + 1) "incr %s;" taken;
-          line (d + 1) "if !%s >= %d then raise %s" taken n exn;
-          line d "end;");
+          k d row;
+          line d "incr %s;" taken;
+          line d "if !%s >= %d then raise %s;" taken n exn);
       line (depth + 1) "()";
       line depth "with %s -> ());" exn
     | leaf ->

@@ -26,54 +26,11 @@ let str s = Const (Value.Str s)
 let date s = Const (Value.Date (Smc_util.Date.of_string s))
 let bool b = Const (Value.Bool b)
 
-(* Byte-loop substring/prefix tests: no [String.sub] per candidate
-   position, so predicate evaluation allocates nothing per row. *)
-let string_starts_with ~prefix s =
-  let n = String.length prefix in
-  String.length s >= n
-  &&
-  let rec go j =
-    j >= n || (String.unsafe_get s j = String.unsafe_get prefix j && go (j + 1))
-  in
-  go 0
-
-let string_contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  if n = 0 then true
-  else begin
-    let at i =
-      let rec go j =
-        j >= n
-        || (String.unsafe_get haystack (i + j) = String.unsafe_get needle j && go (j + 1))
-      in
-      go 0
-    in
-    let rec go i = i + n <= h && (at i || go (i + 1)) in
-    go 0
-  end
-
-(* ASCII-case-insensitive substring test, same allocation-free shape:
-   both sides are folded byte-wise through [A-Z] -> [a-z]. Bytes outside
-   ASCII are compared verbatim (no locale/Unicode folding). *)
-let lower_byte c =
-  if c >= 'A' && c <= 'Z' then Char.unsafe_chr (Char.code c + 32) else c
-
-let string_contains_ci ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  if n = 0 then true
-  else begin
-    let at i =
-      let rec go j =
-        j >= n
-        || (lower_byte (String.unsafe_get haystack (i + j))
-              = lower_byte (String.unsafe_get needle j)
-           && go (j + 1))
-      in
-      go 0
-    in
-    let rec go i = i + n <= h && (at i || go (i + 1)) in
-    go 0
-  end
+(* The engines' scalar text predicates, shared with the text index's
+   live-row re-check. *)
+let string_starts_with = Smc.Field.starts_with
+let string_contains = Smc.Field.contains
+let string_contains_ci = Smc.Field.contains_ci
 
 let rec compile ~schema expr =
   let resolve name =

@@ -156,21 +156,21 @@ let rec compile ~need plan =
         K.iter_groups t emit)
   | Plan.Limit (n, input) ->
     (* No early termination in a push pipeline without exceptions; use one
-       locally, which is how push engines implement LIMIT. *)
+       locally, which is how push engines implement LIMIT. A limit of 0 or
+       less runs nothing, as in Volcano, which never pulls its input. *)
     let up = compile ~need input in
     let run push =
       let taken = ref 0 in
       let exception Done in
-      try
-        up.run (fun bt ->
-            let push = push bt in
-            fun i ->
-              if !taken < n then begin
+      if n > 0 then
+        try
+          up.run (fun bt ->
+              let push = push bt in
+              fun i ->
                 push i;
                 incr taken;
-                if !taken >= n then raise Done
-              end)
-      with Done -> ()
+                if !taken >= n then raise Done)
+        with Done -> ()
     in
     { up with run; chain = None }
   | leaf ->

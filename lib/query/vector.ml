@@ -260,20 +260,22 @@ let rec compile ~batch_rows ~need plan : pipe =
     }
   | Plan.Limit (n, input) ->
     let up = compile ~batch_rows ~need input in
+    (* A limit of 0 or less runs nothing, as in Volcano, which never pulls
+       its input. *)
     let run emit =
       let taken = ref 0 in
       let exception Done in
-      try
-        up.run (fun bt ->
-            let remaining = n - !taken in
-            if remaining <= 0 then raise Done;
-            if bt.Batch.len > remaining then bt.Batch.len <- remaining;
-            if bt.Batch.len > 0 then begin
-              taken := !taken + bt.Batch.len;
-              emit bt
-            end;
-            if !taken >= n then raise Done)
-      with Done -> ()
+      if n > 0 then
+        try
+          up.run (fun bt ->
+              let remaining = n - !taken in
+              if bt.Batch.len > remaining then bt.Batch.len <- remaining;
+              if bt.Batch.len > 0 then begin
+                taken := !taken + bt.Batch.len;
+                emit bt
+              end;
+              if !taken >= n then raise Done)
+        with Done -> ()
     in
     { up with run; chain = None }
   | leaf ->

@@ -3,8 +3,8 @@
    reclamation, counters), its own transaction lock, and — when persistence
    is attached — its own WAL and snapshot file. Single operations route by
    key hash; transactions spanning shards commit through the collection
-   layer's two-phase primitives (prepare everything in ascending shard
-   order, publish only if every shard validated); queries fan out one
+   layer's coordinated commit ([C.commit_all] in ascending shard order:
+   publish only if every shard validated); queries fan out one
    per-shard source and merge in shard order, so every engine sees one
    ordinary [Source.t].
 
@@ -90,12 +90,12 @@ let compact t ?occupancy_threshold () =
   Array.map (fun c -> C.compact c ?occupancy_threshold ()) t.colls
 
 (* ---- Cross-shard transactions -----------------------------------------
-   Staging routes each op to its owning shard; commit opens one collection
-   transaction per participating shard, stages the per-shard slices, then
-   runs two-phase commit over the per-shard transaction locks: prepare in
-   ascending shard order (validate holding lock + epoch pin), and only if
-   every shard validated, publish each prepared half. A conflict on any
-   shard aborts every prepared sibling before anything was published, so
+   A sharded transaction is one collection transaction per shard, all
+   opened with it, so each shard's conflict frontier is read before any op
+   is staged; staging routes each op into its owning shard's transaction.
+   Commit aborts the shards' transactions that staged nothing and hands
+   the rest, in ascending shard id (the global lock order), to
+   [C.commit_all]: a conflict on any shard publishes nothing anywhere, so
    the cross-shard batch is all-or-nothing in memory.
 
    Durability is per-shard: each shard's WAL frames its slice atomically,
@@ -103,118 +103,79 @@ let compact t ?occupancy_threshold () =
    log syncs can recover one shard's slice without the other's. See
    docs/sharding.md for the contract. *)
 
-type staged =
-  | St_add of int * (Block.t -> int -> unit)
-  | St_remove of sref
-  | St_store of sref * int * int
-
-type txn = { tx_sh : t; mutable tx_ops : staged list (* newest first *); mutable tx_done : bool }
+type txn = {
+  tx_sh : t;
+  tx_subs : C.txn array; (* one per shard *)
+  tx_staged : bool array; (* whether shard [i]'s transaction staged anything *)
+  mutable tx_adds : int list; (* the shard of each staged add, newest first *)
+  mutable tx_done : bool;
+}
 
 type txn_result = Committed of sref list | Conflict
 
-let txn t = { tx_sh = t; tx_ops = []; tx_done = false }
+let txn t =
+  {
+    tx_sh = t;
+    tx_subs = Array.map C.txn t.colls;
+    tx_staged = Array.make (n_shards t) false;
+    tx_adds = [];
+    tx_done = false;
+  }
 
 let check_open tx what =
   if tx.tx_done then
     invalid_arg (Printf.sprintf "Shard.%s: transaction already committed or aborted" what)
 
-let stage_add tx ~key ~init =
-  check_open tx "stage_add";
-  tx.tx_ops <- St_add (shard_of tx.tx_sh ~key, init) :: tx.tx_ops
+(* Stages into shard [s]'s transaction through [f], and marks it staged. *)
+let stage tx what s f =
+  check_open tx what;
+  if s < 0 || s >= Array.length tx.tx_subs then
+    invalid_arg (Printf.sprintf "Shard.%s: reference from a different sharding" what);
+  f tx.tx_subs.(s);
+  tx.tx_staged.(s) <- true
 
-let stage_remove tx r =
-  check_open tx "stage_remove";
-  tx.tx_ops <- St_remove r :: tx.tx_ops
+let stage_add tx ~key ~init =
+  let s = shard_of tx.tx_sh ~key in
+  stage tx "stage_add" s (C.stage_add ~init);
+  tx.tx_adds <- s :: tx.tx_adds
+
+let stage_remove tx r = stage tx "stage_remove" r.sr_shard (fun sub -> C.stage_remove sub r.sr_ref)
 
 let stage_store tx r ~word ~value =
-  check_open tx "stage_store";
-  tx.tx_ops <- St_store (r, word, value) :: tx.tx_ops
+  stage tx "stage_store" r.sr_shard (fun sub -> C.stage_store sub r.sr_ref ~word ~value)
 
 let abort tx =
   check_open tx "abort";
   tx.tx_done <- true;
-  tx.tx_ops <- []
+  Array.iter C.abort tx.tx_subs
 
 let commit tx =
   check_open tx "commit";
   tx.tx_done <- true;
   let t = tx.tx_sh in
+  let shards = List.filter (fun s -> tx.tx_staged.(s)) (List.init (n_shards t) Fun.id) in
+  Array.iteri (fun s sub -> if not tx.tx_staged.(s) then C.abort sub) tx.tx_subs;
+  let outcome = C.commit_all (List.map (fun s -> tx.tx_subs.(s)) shards) in
   Smc_obs.incr t.obs Smc_obs.c_shard_txns;
-  let n = Array.length t.colls in
-  let by_shard = Array.make n [] in
-  let ops = List.rev tx.tx_ops (* staging order *) in
-  List.iter
-    (fun op ->
-      let s =
-        match op with
-        | St_add (s, _) -> s
-        | St_remove r | St_store (r, _, _) -> r.sr_shard
-      in
-      if s < 0 || s >= n then invalid_arg "Shard.commit: reference from a different sharding";
-      by_shard.(s) <- op :: by_shard.(s))
-    ops;
-  let participating = ref [] in
-  for s = n - 1 downto 0 do
-    if by_shard.(s) <> [] then participating := s :: !participating
-  done;
-  match !participating with
-  | [] ->
+  match outcome with
+  | None ->
+    Smc_obs.incr t.obs Smc_obs.c_shard_txn_conflicts;
+    Conflict
+  | Some refs ->
     Smc_obs.incr t.obs Smc_obs.c_shard_txn_commits;
-    Committed []
-  | shards ->
-    let subs =
-      List.map
-        (fun s ->
-          let sub = C.txn t.colls.(s) in
-          List.iter
-            (fun op ->
-              match op with
-              | St_add (_, init) -> C.stage_add sub ~init
-              | St_remove r -> C.stage_remove sub r.sr_ref
-              | St_store (r, word, value) -> C.stage_store sub r.sr_ref ~word ~value)
-            (List.rev by_shard.(s));
-          (s, sub))
-        shards
-    in
-    (* Phase 1: validate every shard in ascending order, accumulating the
-       held locks. On the first conflict, release every prepared sibling
-       unpublished and close the sub-transactions that were never reached. *)
-    let rec prep acc = function
-      | [] -> Some (List.rev acc)
-      | (s, sub) :: rest -> (
-        match C.prepare sub with
-        | Some pr -> prep ((s, pr) :: acc) rest
-        | None ->
-          List.iter (fun (_, pr) -> C.abort_prepared pr) (List.rev acc);
-          List.iter (fun (_, sub) -> C.abort sub) rest;
-          None)
-    in
-    (match prep [] subs with
-    | None ->
-      Smc_obs.incr t.obs Smc_obs.c_shard_txn_conflicts;
-      Conflict
-    | Some prepared ->
-      (* Phase 2: publish. Every shard validated under a lock it still
-         holds, so no publish can fail validation now. *)
-      let refs_by_shard = Array.make n [] in
-      List.iter (fun (s, pr) -> refs_by_shard.(s) <- C.commit_prepared pr) prepared;
-      Smc_obs.incr t.obs Smc_obs.c_shard_txn_commits;
-      if List.length shards > 1 then Smc_obs.incr t.obs Smc_obs.c_shard_txn_multi;
-      (* Weave the per-shard add refs back into overall staging order. *)
-      let srefs =
-        List.filter_map
-          (fun op ->
-            match op with
-            | St_add (s, _) -> (
-              match refs_by_shard.(s) with
-              | r :: rest ->
-                refs_by_shard.(s) <- rest;
-                Some { sr_shard = s; sr_ref = r }
-              | [] -> assert false)
-            | St_remove _ | St_store _ -> None)
-          ops
-      in
-      Committed srefs)
+    if List.length shards > 1 then Smc_obs.incr t.obs Smc_obs.c_shard_txn_multi;
+    (* Weave the per-shard add refs back into overall staging order. *)
+    let by_shard = Array.make (n_shards t) [] in
+    List.iter2 (fun s rs -> by_shard.(s) <- rs) shards refs;
+    Committed
+      (List.map
+         (fun s ->
+           match by_shard.(s) with
+           | r :: rest ->
+             by_shard.(s) <- rest;
+             { sr_shard = s; sr_ref = r }
+           | [] -> assert false)
+         (List.rev tx.tx_adds))
 
 let transact t f =
   let tx = txn t in
@@ -229,7 +190,7 @@ let transact t f =
 (* ---- Consistent views -------------------------------------------------
    One frontier per shard, read while holding every shard's transaction
    lock in ascending order ({!C.snapshot_views}) — the same order commit
-   prepares in, so a cross-shard transaction is visible in all of the
+   validates in, so a cross-shard transaction is visible in all of the
    per-shard views or in none of them. *)
 
 type view = C.view array

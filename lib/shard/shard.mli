@@ -7,11 +7,11 @@
     hash of the routing key its writer supplies; references ({!sref})
     remember their shard, so later operations need no re-hash.
 
-    Cross-shard transactions commit through the collection layer's
-    two-phase primitives: every participating shard validates while
-    holding its commit locks (taken in ascending shard id order), and the
-    batch publishes only if all of them validated — all-or-nothing in
-    memory. Durability is per-shard: each shard's WAL frames its slice
+    A sharded transaction is one {!Smc.Collection.txn} per shard, opened
+    together, and commits through {!Smc.Collection.commit_all}: every
+    participating shard validates while holding its commit locks (taken in
+    ascending shard id order), and the batch publishes only if all of them
+    validated — all-or-nothing in memory. Durability is per-shard: each shard's WAL frames its slice
     atomically, but there is no cross-shard commit record (see
     docs/sharding.md).
 
@@ -75,7 +75,8 @@ val compact : t -> ?occupancy_threshold:float -> unit -> Compaction.report array
 (** {2 Cross-shard transactions} *)
 
 type txn
-(** Stages operations routed to their owning shards; not thread-safe. *)
+(** One open {!Smc.Collection.txn} per shard; operations are staged into
+    their owning shard's. Not thread-safe. *)
 
 type txn_result = Committed of sref list | Conflict
 (** [Committed] carries the staged adds' routed references in staging
@@ -83,16 +84,24 @@ type txn_result = Committed of sref list | Conflict
     validation — nothing was published on any shard. *)
 
 val txn : t -> txn
+(** Opens one transaction per shard, so every shard's conflict frontier is
+    read now, before anything is staged (first committer wins, as for
+    {!Smc.Collection.txn}). Raises [Invalid_argument] on direct-mode
+    shards. *)
+
 val stage_add : txn -> key:int -> init:(Block.t -> int -> unit) -> unit
 val stage_remove : txn -> sref -> unit
 val stage_store : txn -> sref -> word:int -> value:int -> unit
+(** Staging a reference from a different sharding (its shard out of
+    range) raises [Invalid_argument]. *)
 
 val commit : txn -> txn_result
-(** Two-phase commit over the participating shards' transaction locks, in
-    ascending shard id order. Single-shard batches degrade to the ordinary
-    one-collection commit path under the hood. *)
+(** Aborts the shards' transactions that staged nothing and commits the
+    rest with {!Smc.Collection.commit_all}, in ascending shard id order. *)
 
 val abort : txn -> unit
+(** Aborts every shard's transaction. *)
+
 val transact : t -> (txn -> unit) -> txn_result
 
 (** {2 Consistent views} *)

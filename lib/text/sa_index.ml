@@ -109,63 +109,22 @@ let locked t f =
 
 (* ---- scalar predicate over the live row's text --------------------- *)
 
-(* Same semantics as the query layer's Contains/StartsWith (Expr lives
-   above this library, so the byte loops are restated here): the empty
-   needle matches everything. *)
-let text_starts_with ~prefix s =
-  let n = String.length prefix in
-  String.length s >= n
-  &&
-  let rec go j = j >= n || (String.unsafe_get s j = String.unsafe_get prefix j && go (j + 1)) in
-  go 0
-
-let text_contains ~needle s =
-  let n = String.length needle and h = String.length s in
-  if n = 0 then true
-  else begin
-    let at i =
-      let rec go j =
-        j >= n || (String.unsafe_get s (i + j) = String.unsafe_get needle j && go (j + 1))
-      in
-      go 0
-    in
-    let rec go i = i + n <= h && (at i || go (i + 1)) in
-    go 0
-  end
-
-(* ASCII case folding, byte-wise: [A-Z] -> [a-z], everything else verbatim
-   (same contract as the query layer's ContainsCI). The arena stores folded
-   bytes — see [build_level] — so one suffix array serves both the
-   case-sensitive and case-insensitive operators: searching with a folded
-   needle yields every position where the folded text matches, a superset
-   of the case-sensitive matches, and the live-text re-check against the
+(* ASCII case folding, byte-wise ({!Smc.Field.lower_byte}, the query
+   layer's ContainsCI contract). The arena stores folded bytes — see
+   [build_level] — so one suffix array serves both the case-sensitive and
+   case-insensitive operators: searching with a folded needle yields every
+   position where the folded text matches, a superset of the
+   case-sensitive matches, and the live-text re-check against the
    original-case predicate decides. *)
-let lower_byte c =
-  if c >= 'A' && c <= 'Z' then Char.unsafe_chr (Char.code c + 32) else c
+let lower_byte = Smc.Field.lower_byte
 
 let lower_code c = if c >= 65 && c <= 90 then c + 32 else c
 
-let text_contains_ci ~needle s =
-  let n = String.length needle and h = String.length s in
-  if n = 0 then true
-  else begin
-    let at i =
-      let rec go j =
-        j >= n
-        || (lower_byte (String.unsafe_get s (i + j)) = lower_byte (String.unsafe_get needle j)
-           && go (j + 1))
-      in
-      go 0
-    in
-    let rec go i = i + n <= h && (at i || go (i + 1)) in
-    go 0
-  end
-
 let matches op needle s =
   match op with
-  | Prefix -> text_starts_with ~prefix:needle s
-  | Substring -> text_contains ~needle s
-  | Substring_ci -> text_contains_ci ~needle s
+  | Prefix -> Smc.Field.starts_with ~prefix:needle s
+  | Substring -> Smc.Field.contains ~needle s
+  | Substring_ci -> Smc.Field.contains_ci ~needle s
 
 (* ---- suffix comparisons ------------------------------------------- *)
 
@@ -309,7 +268,7 @@ let fragments_of query =
   end
 
 let score_of frags text =
-  List.fold_left (fun acc g -> if text_contains ~needle:g text then acc + 1 else acc) 0 frags
+  List.fold_left (fun acc g -> if Smc.Field.contains ~needle:g text then acc + 1 else acc) 0 frags
 
 let top_k_similar t ~k query =
   Smc_obs.incr t.obs Smc_obs.c_txt_probes;

@@ -1,7 +1,7 @@
 (* Tests for incremental materialized aggregate views: initial build and
    read parity against all four engines, planner rewrite of matching
    GroupBy shapes onto ViewRead, delta maintenance across every mutation
-   path (bare ops, transactional commit, two-phase commit, WAL replay),
+   path (bare ops, transactional commit, coordinated commit, WAL replay),
    Min/Max dirty-group re-scans, sum type-tag fidelity under mixed
    Int/Dec churn, loud invalidation with from-scratch fallback and
    re-validation, the exactly-once hook-firing contract per mutation
@@ -403,30 +403,49 @@ let test_txn_atomicity () =
   assert_parity "after abort" coll mv;
   check Alcotest.bool "the committed txn changed the result" true (before <> before_abort)
 
+(* A bare store slipped in through [sib_rt]'s hook as [sib]'s transaction
+   starts validating, so that member of a [commit_all] conflicts after the
+   members before it validated. *)
+let with_sibling_conflict sib_rt sib s f =
+  Smc_check.Chaos.with_txn_hook sib_rt
+    ~hook:(fun phase ->
+      if phase = Runtime.Txn_staged then C.store sib s ~word:fv.Layout.word ~value:(-1))
+    f
+
 let test_two_phase_commit () =
-  let _rt, coll = make () in
+  let rt, coll = make () in
   let r = add_row coll 1 10 in
   let mv = attach_kvd coll in
-  (* prepare + commit_prepared publishes exactly like commit. *)
+  let sib_rt, sib = make () in
+  let s = add_row sib 5 50 in
+  (* A two-collection commit_all publishes each member exactly like commit. *)
   let tx = C.txn coll in
   C.stage_store tx r ~word:fv.Layout.word ~value:42;
   C.stage_add tx ~init:(fun blk slot ->
       Smc.Field.set_int fk blk slot 2;
       Smc.Field.set_int fv blk slot 7;
       Smc.Field.set_dec fd blk slot (D.of_int 7));
-  (match C.prepare tx with
-  | None -> Alcotest.fail "prepare must validate"
-  | Some p -> ignore (C.commit_prepared p : Smc.Ref.t list));
-  assert_parity "after commit_prepared" coll mv;
-  (* prepare + abort_prepared applies nothing. *)
+  let stx = C.txn sib in
+  C.stage_store stx s ~word:fv.Layout.word ~value:51;
+  (match C.commit_all [ tx; stx ] with
+  | Some [ [ _ ]; [] ] -> ()
+  | _ -> Alcotest.fail "commit_all must validate, with one add ref on the first member");
+  assert_parity "after commit_all" coll mv;
+  (* A sibling's conflict applies nothing to the member that validated. *)
   let before = view_rows mv in
   let tx2 = C.txn coll in
   C.stage_store tx2 r ~word:fv.Layout.word ~value:500;
-  (match C.prepare tx2 with
-  | None -> Alcotest.fail "prepare must validate"
-  | Some p -> C.abort_prepared p);
-  check rows_testable "abort_prepared leaves the view unchanged" before (view_rows mv);
-  assert_parity "after abort_prepared" coll mv
+  let stx2 = C.txn sib in
+  C.stage_store stx2 s ~word:fv.Layout.word ~value:52;
+  check Alcotest.bool "the sibling conflicts" true
+    (with_sibling_conflict sib_rt sib s (fun () -> C.commit_all [ tx2; stx2 ]) = None);
+  check rows_testable "a sibling's conflict leaves the view unchanged" before (view_rows mv);
+  assert_parity "after a sibling's conflict" coll mv;
+  Alcotest.check_raises "two transactions on one collection"
+    (Invalid_argument "Collection.commit_all: two transactions on \"kvd\"") (fun () ->
+      ignore (C.commit_all [ C.txn coll; C.txn coll ] : Smc.Ref.t list list option));
+  check clean "outcome balances hold" []
+    (Smc_check.Obs_check.check rt ~contexts:[ coll.C.ctx ])
 
 (* ---- invalidation + fallback ---------------------------------------- *)
 
@@ -624,30 +643,38 @@ let test_hooks_fire_exactly_once () =
   C.abort tx2;
   check Alcotest.int "abort fires nothing" 1 cnt.stores;
   check Alcotest.int "abort hands over no batch" 1 (List.length !batches);
-  (* Two-phase path: fires at commit_prepared, never at prepare or
-     abort_prepared. *)
+  (* Coordinated path: fires once at publish, never at validation, and
+     never when a sibling conflicts. *)
   reset ();
+  let sib_rt, sib = make () in
+  let s = add_row sib 9 90 in
   let tx3 = C.txn coll in
   C.stage_store tx3 keep ~word ~value:23;
-  (match C.prepare tx3 with
-  | None -> Alcotest.fail "prepare must validate"
-  | Some p ->
-    check Alcotest.int "prepare fires nothing" 0 cnt.stores;
-    check Alcotest.int "prepare hands over no batch" 1 (List.length !batches);
-    ignore (C.commit_prepared p : Smc.Ref.t list));
-  check Alcotest.int "commit_prepared: one store firing" 1 cnt.stores;
-  check Alcotest.int "commit_prepared: no per-op calls to the batch subscriber" 0
-    bare.stores;
+  let stx = C.txn sib in
+  C.stage_store stx s ~word ~value:91;
+  let at_validation = ref None in
+  (* [coll]'s member has validated by the time the sibling's does. *)
+  Smc_check.Chaos.with_txn_hook sib_rt
+    ~hook:(fun phase ->
+      if phase = Runtime.Txn_validated then
+        at_validation := Some (cnt.stores, List.length !batches))
+    (fun () -> ignore (C.commit_all [ tx3; stx ] : Smc.Ref.t list list option));
+  check
+    Alcotest.(option (pair int int))
+    "validation fires nothing and hands over no batch" (Some (0, 1)) !at_validation;
+  check Alcotest.int "commit_all: one store firing" 1 cnt.stores;
+  check Alcotest.int "commit_all: no per-op calls to the batch subscriber" 0 bare.stores;
   (match !batches with
   | [ (id, [ C.Store (s, w, 23) ]); _ ] when same s keep && w = word && id > first_id -> ()
-  | _ -> Alcotest.fail "commit_prepared: exactly one batch, under a later txn id");
+  | _ -> Alcotest.fail "commit_all: exactly one batch, under a later txn id");
   let tx4 = C.txn coll in
   C.stage_store tx4 keep ~word ~value:24;
-  (match C.prepare tx4 with
-  | None -> Alcotest.fail "prepare must validate"
-  | Some p -> C.abort_prepared p);
-  check Alcotest.int "abort_prepared fires nothing" 1 cnt.stores;
-  check Alcotest.int "abort_prepared hands over no batch" 2 (List.length !batches)
+  let stx2 = C.txn sib in
+  C.stage_store stx2 s ~word ~value:92;
+  check Alcotest.bool "the sibling conflicts" true
+    (with_sibling_conflict sib_rt sib s (fun () -> C.commit_all [ tx4; stx2 ]) = None);
+  check Alcotest.int "a sibling's conflict fires nothing" 1 cnt.stores;
+  check Alcotest.int "a sibling's conflict hands over no batch" 2 (List.length !batches)
 
 (* ---- namespaces ------------------------------------------------------ *)
 

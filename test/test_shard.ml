@@ -1,7 +1,8 @@
 (* Tests for hash-partitioned collections and the serving front-end:
    routing, four-engine query parity against an unsharded reference across
-   storage configurations, cross-shard two-phase commit (atomicity on both
-   the commit and the abort path), consistent views, per-shard WAL crash
+   storage configurations, cross-shard coordinated commit (atomicity on
+   both the commit and the abort path, first committer wins from the
+   transaction's opening), concurrent transfers, consistent views, per-shard WAL crash
    recovery diffed against the live state, a randomized stress round, and
    the wire protocol end to end (round trips, shed, malformed frames). *)
 
@@ -169,7 +170,7 @@ let test_parity_columnar () = parity_case ~placement:Block.Columnar ()
 let test_parity_direct () = parity_case ~mode:Context.Direct ()
 
 (* ------------------------------------------------------------------ *)
-(* Cross-shard two-phase commit *)
+(* Cross-shard commit *)
 
 (* Keys guaranteed to live on distinct shards. *)
 let keys_on_distinct_shards sh n =
@@ -214,8 +215,8 @@ let test_cross_shard_conflict_aborts_all () =
   let ka, kb = (List.nth ks 0, List.nth ks 1) in
   let ra = add sh ka 1 in
   let before = dump sh in
-  (* A chaos hook on ka's shard slips a bare store onto the staged row
-     inside the prepare window, so validation fails on that shard — the
+  (* A chaos hook on ka's shard slips a bare store onto the staged row as
+     the commit starts validating, so validation fails on that shard — the
      sibling shard's staged add must then never publish. *)
   let fired = ref false in
   let outcome =
@@ -272,7 +273,23 @@ let test_txn_lifecycle () =
   Alcotest.check_raises "staging on a finished txn rejected"
     (Invalid_argument "Shard.stage_add: transaction already committed or aborted") (fun () ->
       Shard.stage_add tx ~key:2 ~init:(kv_init 2 2));
-  no_violations "lifecycle audit" sh
+  no_violations "lifecycle audit" sh;
+  (match Shard.txn (make ~mode:Context.Direct ()) with
+  | (_ : Shard.txn) -> Alcotest.fail "direct-mode shards must refuse to open a transaction"
+  | exception Invalid_argument _ -> ())
+
+(* A sharded transaction reads each shard's conflict frontier when it
+   opens, so a bare store landing after its staging wins, as it does
+   against a collection transaction. *)
+let test_stage_then_bare_store_conflicts () =
+  let sh = make ~shards:3 () in
+  let r = add sh 1 10 in
+  let tx = Shard.txn sh in
+  Shard.stage_store tx r ~word:fv.Layout.word ~value:20;
+  Shard.store sh r ~word:fv.Layout.word ~value:30;
+  check Alcotest.bool "commit conflicts" true (Shard.commit tx = Shard.Conflict);
+  check pairs "the bare store survives" [ (1, 30) ] (dump sh);
+  no_violations "isolation audit" sh
 
 (* ------------------------------------------------------------------ *)
 (* Consistent views *)
@@ -301,6 +318,72 @@ let test_view_consistency () =
       Shard.with_view sh (fun fresh ->
           check Alcotest.int "fresh view sees all of them" 4 (count_via_view sh fresh)));
   no_violations "view audit" sh
+
+(* ------------------------------------------------------------------ *)
+(* Concurrency *)
+
+let read_v sh r =
+  C.with_read (Shard.collection sh (Shard.sref_shard r)) (fun () ->
+      match Shard.deref_opt sh r with
+      | Some (blk, slot) -> Smc.Field.get_int fv blk slot
+      | None -> Alcotest.fail "transfer row vanished")
+
+(* Two domains move amounts between rows on different shards, each transfer
+   one sharded transaction that reads both rows after it opens and retries
+   on Conflict; a third checks that every consistent view sees the same
+   total. A lost update breaks the total. *)
+let test_concurrent_transfers () =
+  let sh = make ~shards:4 () in
+  let rows = Array.of_list (List.map (fun k -> add sh k 1000) (keys_on_distinct_shards sh 4)) in
+  let n = Array.length rows in
+  let total = 1000 * n in
+  let transfers = 5000 in
+  (* All three domains start together, so the writers overlap. *)
+  let waiting = Atomic.make 3 and writers_left = Atomic.make 2 in
+  let start () =
+    Atomic.decr waiting;
+    while Atomic.get waiting > 0 do
+      Domain.cpu_relax ()
+    done
+  in
+  let writer seed () =
+    let prng = Smc_util.Prng.create ~seed () in
+    start ();
+    for _ = 1 to transfers do
+      let i = Smc_util.Prng.int prng n in
+      let j = (i + 1 + Smc_util.Prng.int prng (n - 1)) mod n in
+      let amount = 1 + Smc_util.Prng.int prng 10 in
+      let rec attempt () =
+        let tx = Shard.txn sh in
+        let vi = read_v sh rows.(i) and vj = read_v sh rows.(j) in
+        Shard.stage_store tx rows.(i) ~word:fv.Layout.word ~value:(vi - amount);
+        Shard.stage_store tx rows.(j) ~word:fv.Layout.word ~value:(vj + amount);
+        match Shard.commit tx with Shard.Committed _ -> () | Shard.Conflict -> attempt ()
+      in
+      attempt ()
+    done;
+    Atomic.decr writers_left
+  in
+  let reader () =
+    let views = ref 0 and bad = ref [] in
+    start ();
+    while Atomic.get writers_left > 0 || !views = 0 do
+      Shard.with_view sh (fun view ->
+          let sum = ref 0 in
+          (Shard.source ~view sh ~columns).Q.Source.scan (fun row ->
+              match row.(1) with V.Int v -> sum := !sum + v | _ -> ());
+          if !sum <> total then bad := !sum :: !bad);
+      incr views
+    done;
+    !bad
+  in
+  let ws = [ Domain.spawn (writer 11L); Domain.spawn (writer 23L) ] in
+  let r = Domain.spawn reader in
+  List.iter Domain.join ws;
+  check Alcotest.(list int) "every view saw the same total" [] (Domain.join r);
+  check Alcotest.int "live total conserved" total
+    (List.fold_left (fun acc (_, v) -> acc + v) 0 (dump sh));
+  no_violations "transfer audit" sh
 
 (* ------------------------------------------------------------------ *)
 (* Per-shard persistence *)
@@ -582,7 +665,9 @@ let () =
           qc "cross-shard remove + store" test_cross_shard_remove_store;
           qc "empty txn, abort, finished txn rejected" test_txn_lifecycle;
         ] );
+      ("txn", [ qc "a bare store after staging conflicts" test_stage_then_bare_store_conflicts ]);
       ("views", [ qc "cross-shard commit is all-or-nothing to views" test_view_consistency ]);
+      ("domains", [ qc "transfers conserve the total" test_concurrent_transfers ]);
       ( "persist",
         [
           qc "per-shard WAL crash recovery" test_wal_crash_recovery;

@@ -227,7 +227,7 @@ let test_transact_wrapper () =
     check Alcotest.bool "misuse message" true (contains_sub ~sub:"transact" msg))
 
 let test_duplicate_ref_rejected () =
-  let _rt, coll = make_kv () in
+  let rt, coll = make_kv () in
   let r = add_kv coll 1 10 in
   let tx = C.txn coll in
   C.stage_remove tx r;
@@ -236,7 +236,15 @@ let test_duplicate_ref_rejected () =
   | (_ : C.txn_result) -> Alcotest.fail "duplicate staged ref must be rejected"
   | exception Invalid_argument msg ->
     check Alcotest.bool "dup message" true (contains_sub ~sub:"staged" msg));
-  check pairs "nothing applied" [ (1, 10) ] (dump coll)
+  check pairs "nothing applied" [ (1, 10) ] (dump coll);
+  (* The rejection happens before any commit lock is taken and closes the
+     transaction as an abort, so the collection commits again. *)
+  (match C.transact coll (fun tx -> C.stage_store tx r ~word:fv.Layout.word ~value:6) with
+  | C.Committed [] -> ()
+  | _ -> Alcotest.fail "the collection must commit after a rejected transaction");
+  check pairs "the next commit applied" [ (1, 6) ] (dump coll);
+  check (Alcotest.list Alcotest.string) "obs balances hold" []
+    (Smc_check.Obs_check.check rt ~contexts:[ coll.C.ctx ])
 
 (* ------------------------------------------------------------------ *)
 (* Write-write conflicts *)

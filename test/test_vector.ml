@@ -417,6 +417,9 @@ let test_group_div_by_zero () = group_div_by_zero ()
 
 let test_row_operators () =
   with_configs (fun cname src ->
+      let mixed =
+        Source.of_array ~name:"mixed" ~schema:[ "a" ] [| [| Value.Str "x" |]; [| Value.Int 1 |] |]
+      in
       let right =
         Source.of_array ~name:"dim" ~schema:[ "dk"; "label" ]
           (Array.init 10 (fun i -> [| Value.Int (i * 7); Value.Str (Printf.sprintf "L%d" i) |]))
@@ -432,6 +435,10 @@ let test_row_operators () =
                    (scan src))) );
           (* limit boundaries: across chunk edges, 0, and over-ask *)
           ("limit-0", Plan.(limit 0 (scan src)));
+          (* a limit of 0 or less runs nothing: its input's filter, which
+             raises on the first row, is never evaluated *)
+          ("limit-0-runs-nothing", Plan.(limit 0 (where Expr.(Gt (Col "a", int 0)) (scan mixed))));
+          ("limit-neg-runs-nothing", Plan.(limit (-1) (where Expr.(Gt (Col "a", int 0)) (scan mixed))));
           ("limit-1", Plan.(limit 1 (scan src)));
           ("limit-all", Plan.(limit 10_000 (scan src)));
           ("distinct", Plan.(distinct (select [ ("c", Expr.Col "c") ] (scan src))));
