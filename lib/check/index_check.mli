@@ -1,14 +1,6 @@
-(** Structural invariant sweep over attached hash indexes.
-
-    Runs {!Smc_index.Hash_index.audit} on each index: bucket-state counts
-    vs the maintained counters, incarnation validity and key agreement of
-    every live entry, and live-entry count == the collection's live rows
-    (nothing stale counted live, nothing lost, nothing duplicated). Same
-    quiescent-point contract as {!Audit}; the stress harness runs this at
-    every checkpoint alongside the runtime audit and {!Obs_check}. *)
+(** {!Smc_index.Hash_index.audit} over a list of indexes. Only the
+    benchmark's end-of-run gates use this list form; everything else calls
+    the audit directly. *)
 
 val check : Smc_index.Hash_index.t list -> string list
 (** Violations found, empty when every index is consistent. *)
-
-val check_exn : Smc_index.Hash_index.t list -> unit
-(** Raises {!Audit.Audit_failure} with the violations, if any. *)

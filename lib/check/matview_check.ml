@@ -1,11 +1,1 @@
-(* See matview_check.mli. The per-view sweep lives with the view
-   implementation ([Matview.audit] — it needs the internal tables); this
-   module is the aggregation point the stress/bench gates call, shaped
-   like the other checkers. *)
-
 let check views = List.concat_map Smc_matview.Matview.audit views
-
-let check_exn views =
-  match check views with
-  | [] -> ()
-  | violations -> raise (Audit.Audit_failure violations)

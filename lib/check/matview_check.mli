@@ -1,14 +1,6 @@
-(** Quiescent-point invariant audit over materialized views.
-
-    Same contract as {!Audit} and {!Index_check}: call while no other
-    domain is mutating the backing collections. Each view's contribution
-    table is cross-checked against the live filter-passing rows (catching
-    mutation paths that missed or double-fired the maintenance hooks),
-    group row counts against the contribution table, and the maintained
-    result against a from-scratch evaluation of the reified plan. *)
+(** {!Smc_matview.Matview.audit} over a list of views. Only the
+    benchmark's end-of-run gates use this list form; everything else calls
+    the audit directly. *)
 
 val check : Smc_matview.Matview.t list -> string list
 (** One message per violation across all given views; [[]] when clean. *)
-
-val check_exn : Smc_matview.Matview.t list -> unit
-(** Raises {!Audit.Audit_failure} with the violations, if any. *)

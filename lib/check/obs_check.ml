@@ -76,9 +76,16 @@ let check (rt : Runtime.t) ~(contexts : Context.t list) =
     eq "transaction outcome balance (begins = commits + aborts + conflicts)"
       (g Smc_obs.c_txn_begins)
       (g Smc_obs.c_txn_commits + g Smc_obs.c_txn_aborts + g Smc_obs.c_txn_conflicts);
-    eq "snapshot-view balance (opens - closes = runtime active_views)"
+    (* An open view is one registered frontier; with no walk in progress
+       the registry holds nothing else. *)
+    let open_frontiers =
+      List.fold_left
+        (fun acc (ctx : Context.t) -> Array.fold_left ( + ) acc ctx.Context.frontier_depth)
+        0 contexts
+    in
+    eq "snapshot-view balance (opens - closes = open frontiers in the registry)"
       (g Smc_obs.c_txn_views - g Smc_obs.c_txn_view_closes)
-      (Atomic.get rt.Runtime.active_views);
+      open_frontiers;
     (* Vectorized filters partition their input: every row entering a
        filter either survives into the output selection or is cut. *)
     eq "vectorized-filter balance (rows in = rows kept + rows dropped)"

@@ -9,8 +9,10 @@
 
 val check : Smc_offheap.Runtime.t -> contexts:Smc_offheap.Context.t list -> string list
 (** Violations found, empty when all balances hold. Call at a quiescent
-    point. [contexts] is used for the reclamation-queue balance; the
-    block-level balances sweep the runtime's registry directly. Returns []
+    point, with no walk in progress. [contexts] is used for the
+    reclamation-queue balance and the snapshot-view balance (every view
+    open on the runtime must be on one of them); the block-level balances
+    sweep the runtime's registry directly. Returns []
     when [Smc_obs.enabled] is false — the balances integrate the runtime's
     whole history and only hold if counting was never switched off. *)
 

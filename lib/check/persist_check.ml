@@ -8,7 +8,7 @@ let sweep (r : Snapshot.restored) =
   let ctx = r.Snapshot.r_coll.Smc.Collection.ctx in
   Audit.check_once rt ~contexts:[ ctx ]
   @ Obs_check.check rt ~contexts:[ ctx ]
-  @ Index_check.check (List.map snd r.Snapshot.r_indexes)
+  @ List.concat_map (fun (_, ix) -> Smc_index.Hash_index.audit ix) r.Snapshot.r_indexes
 
 let restore_verified ?wal ~path () =
   let r = Snapshot.restore ?wal ~path () in

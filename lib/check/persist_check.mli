@@ -3,7 +3,7 @@
     Two entry points. {!restore_verified} restores a snapshot (plus
     optional WAL tail) and immediately runs the full invariant sweep on
     the result — {!Audit.check_once}, {!Obs_check.check} and
-    {!Index_check.check} over the re-attached indexes — so a restored
+    {!Smc_index.Hash_index.audit} over the re-attached indexes — so a restored
     image is never trusted unaudited. {!round_trip} goes further: it
     snapshots a live collection, restores the image, and checks that the
     restored rows are {e exactly} the original ones (a multiset

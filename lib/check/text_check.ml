@@ -1,4 +1,1 @@
 let check indexes = List.concat_map Smc_text.Sa_index.audit indexes
-
-let check_exn indexes =
-  match check indexes with [] -> () | vs -> raise (Audit.Audit_failure vs)

@@ -538,7 +538,7 @@ let finish t =
     List.iter (fun v -> viol t "final obs balance: %s" v)
       (Obs_check.check t.rt ~contexts:[ t.coll.Smc.Collection.ctx ]);
     List.iter (fun v -> viol t "final index sweep: %s" v)
-      (Index_check.check [ t.index ]);
+      (Smc_index.Hash_index.audit t.index);
     List.iter (fun v -> viol t "final stamp sweep: %s" v) (check_quiescent t.coll);
     (* Whole-log recovery: the surviving state is exactly the model. *)
     Wal.flush t.wal;

@@ -65,26 +65,22 @@ let remove t r =
 let store t r ~word ~value =
   if word < 0 || word >= t.layout.Layout.slot_words then
     invalid_arg "Collection.store: word offset outside the layout";
-  let em = t.rt.Runtime.epoch in
-  (* The transaction lock serialises the stamp against commit validation;
-     the critical section keeps the resolved location stable (no concurrent
-     recycle/compaction) across stamp + write + log. *)
+  (* A one-op commit: the transaction lock serialises it against commit
+     validation, and the critical section keeps locations stable across
+     the copy-on-write store and the publish. *)
   Mutex.lock t.txn_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.txn_lock)
     (fun () ->
-      Epoch.critical em (fun () ->
-          match Context.resolve t.ctx (Ref.to_packed r) with
-          | None -> raise Constants.Null_reference
-          | Some (blk, slot) ->
-            let csn = Context.next_csn t.ctx in
-            (* stamp before the payload lands: a transaction validator that
-               reads the old write-CSN can only have read the old word, so
-               first committer still wins *)
-            Context.stamp_write blk slot ~csn;
-            Block.set_word blk ~slot ~word value;
-            if t.subs != [] then publish t (Store (r, word, value));
-            Smc_obs.incr t.rt.Runtime.obs Smc_obs.c_bare_stores))
+      Epoch.critical t.rt.Runtime.epoch (fun () ->
+          let csn = Context.begin_commit t.ctx in
+          Fun.protect
+            ~finally:(fun () -> Context.end_commit t.ctx)
+            (fun () ->
+              if not (Context.store_versioned t.ctx (Ref.to_packed r) ~csn ~word ~value) then
+                raise Constants.Null_reference;
+              if t.subs != [] then publish t (Store (r, word, value));
+              Smc_obs.incr t.rt.Runtime.obs Smc_obs.c_bare_stores)))
 
 let subscribe t (s : subscriber) =
   if t.ctx.Context.mode = Context.Direct then
@@ -165,9 +161,9 @@ let limbo_count t = Context.stats_limbo t.ctx
    mutexes are not reentrant. Bare [add]/[remove] calls do not take the
    transaction lock — they stay lock-free as before. The cost is that a
    bare mutation is a single-op unit with its own CSN: it can land between
-   a walk's frontier and a transaction's commit CSN. Bare [store]s stamp
-   their CSN under the transaction lock, so validation sees them; only raw
-   [Field.set_*] pokes stay invisible. Use transactions for multi-op
+   a walk's frontier and a transaction's commit CSN. A bare [store] is a
+   one-op commit under the transaction lock, so validation sees it; only
+   raw [Field.set_*] pokes stay invisible. Use transactions for multi-op
    consistency. *)
 
 type staged_op =
@@ -416,24 +412,19 @@ let transact t f =
   else commit tx
 
 (* ---- Snapshot views ---------------------------------------------------
-   A view holds (a) an epoch critical section for its lifetime, and (b) a
-   registered CSN frontier read while holding the transaction lock of every
-   collection in the vector, so it never splits a committed batch —
-   including a coordinated one that spans the collections. Every walk
-   reads the same way; a view only keeps its frontier open for longer, and
-   the registry keeps every row it can see from being recycled or dropped
-   by compaction. Views are bound to the opening domain (the critical
-   section and the registry cell are per domain) and must be closed;
-   [with_view] brackets the common case. *)
+   A view is one registered CSN frontier, read while holding the
+   transaction lock of every collection in the vector, so it never splits
+   a committed batch — including a coordinated one that spans the
+   collections. Every walk reads the same way; a view only keeps its
+   frontier open for longer, and the registry keeps every row it can see
+   from being recycled or dropped by compaction. A view holds no critical
+   section, so epochs advance and compaction runs while it is open. Views
+   are bound to the opening domain (the registry cell is per domain) and
+   must be closed; [with_view] brackets the common case. *)
 
 type view = { vw_coll : t; vw_csn : int; mutable vw_open : bool }
 
 let snapshot_views ts =
-  List.iter
-    (fun t ->
-      Epoch.enter_critical t.rt.Runtime.epoch;
-      ignore (Atomic.fetch_and_add t.rt.Runtime.active_views 1 : int))
-    ts;
   List.iter (fun t -> Mutex.lock t.txn_lock) ts;
   let views =
     List.map
@@ -453,8 +444,6 @@ let close_view v =
     let t = v.vw_coll in
     v.vw_open <- false;
     Context.close_frontier t.ctx;
-    ignore (Atomic.fetch_and_add t.rt.Runtime.active_views (-1) : int);
-    Epoch.exit_critical t.rt.Runtime.epoch;
     obs_incr t Smc_obs.c_txn_view_closes
   end
 

@@ -24,8 +24,9 @@
     - a bare {!remove} publishes [Remove] after a successful free (the
       reference already reads as null, so maintenance must be deferred —
       lazy staleness); a dead remove publishes nothing;
-    - a bare {!store} publishes [Store] after the stamped in-place write,
-      inside its critical section;
+    - a bare {!store} publishes [Store] after its copy-on-write commit has
+      swung the reference to the updated copy, inside its critical
+      section;
     - a commit ({!commit}, {!commit_all}) publishes its ops in staging
       order. A subscriber with [on_commit = None] gets one [on_op] per op
       while the batch is applied; a subscriber with [on_commit] gets no
@@ -91,19 +92,18 @@ val remove : t -> Ref.t -> bool
     Subscribers hear of it only on a successful free. *)
 
 val store : t -> Ref.t -> word:int -> value:int -> unit
-(** Single-word in-place store, stamped with its own fresh CSN under the
-    transaction lock — the non-transactional counterpart of {!stage_store}.
-    Unlike a raw [Field.set_*] poke, a [store] participates in
-    first-committer-wins validation: a transaction that staged against the
-    row before this store commits afterwards with [Conflict]. The write is
-    in place (same slot; no copy-on-write), so open snapshot views whose
-    frontier predates it will still read the new payload — single-word
-    writes are atomic, views stay word-consistent but not frozen, which is
-    the documented contract for all bare mutations. Publishes a [Store]
-    op. Raises {!Smc_offheap.Constants.Null_reference} if the reference
-    is null or dead, [Invalid_argument] if [word] is outside the layout.
-    Do not store to indexed key fields — index entries are keyed at add
-    time. *)
+(** Single-word store, committed as a one-op transaction: under the
+    transaction lock it takes its own commit CSN and applies the word
+    copy-on-write, as a committed {!stage_store} does. The reference keeps
+    its identity; walks and snapshot views whose frontier predates the
+    store keep reading the old payload. Unlike a raw [Field.set_*] poke, a
+    [store] participates in first-committer-wins validation: a
+    transaction that staged against the row before this store commits
+    afterwards with [Conflict]. Publishes a [Store] op. Raises
+    {!Smc_offheap.Constants.Null_reference} if the reference is null or
+    dead, [Invalid_argument] if [word] is outside the layout or the
+    collection uses direct references (as {!txn} does). Do not store to
+    indexed key fields — index entries are keyed at add time. *)
 
 val subscribe : t -> subscriber -> unit
 (** Appends a subscriber; from now on every published mutation reaches it.
@@ -175,10 +175,10 @@ val ref_of_slot : t -> Smc_offheap.Block.t -> int -> Ref.t
     the pre-commit copy a walk below a transactional store emits. *)
 
 val compact : t -> ?occupancy_threshold:float -> unit -> Smc_offheap.Compaction.report
-(** Runs a §5 compaction pass over the collection's context. A pass aborts
-    (without moving anything) while snapshot views are open — their
-    critical sections would stall its epoch waits; retry after the views
-    close. *)
+(** Runs a §5 compaction pass over the collection's context. Open
+    snapshot views do not stop it: the pass carries every row an open
+    frontier can still see into its targets. Raises [Invalid_argument]
+    inside a critical section ({!with_read}). *)
 
 (** {2 Atomic multi-op transactions}
 
@@ -190,11 +190,11 @@ val compact : t -> ?occupancy_threshold:float -> unit -> Smc_offheap.Compaction.
     batch that recovery replays atomically.
 
     Bare {!add}/{!remove} calls are their own single-op units, each with
-    its own CSN, and bypass the transaction lock. A bare {!store} also
-    commits as a single-op unit but takes the transaction lock for its
-    stamp: serialised against commits, it participates in
-    first-committer-wins validation like any other writer. Only a raw
-    [Field.set_*] poke carries no CSN stamp and stays invisible to
+    its own CSN, and bypass the transaction lock. A bare {!store} is a
+    one-op commit under the transaction lock: serialised against commits
+    and applied copy-on-write, it participates in first-committer-wins
+    validation like any other writer. Only a raw [Field.set_*] poke
+    carries no CSN stamp, writes in place and stays invisible to
     validation. Rows written by a transaction must not be concurrently
     bare-removed — that interleaving voids the atomicity contract and
     [commit] fails loudly ([Failure]) if it detects it. *)
@@ -266,14 +266,16 @@ val transact : t -> (txn -> unit) -> txn_result
 
 (** {2 Snapshot views}
 
-    A view keeps one CSN frontier open for its lifetime: reads against it
-    are stable — concurrent commits and bare adds and removes do not change
-    which rows it yields, and the rows it can see are neither recycled nor
-    dropped by compaction. A bare {!store} is the exception: it writes in
-    place, so a view reading the stored row sees the new value. A view
-    also pins the current epoch (a critical section held for its
-    lifetime), so a compaction pass started while a view is open aborts
-    at once. Views are bound to the opening domain — close them promptly. *)
+    A view is one CSN frontier, registered for its lifetime: reads against
+    it are stable — concurrent commits and bare adds, removes and stores
+    do not change which rows it yields or what they hold, and the rows it
+    can see are neither recycled nor dropped by compaction. A view holds
+    no critical section: epochs advance, other rows are reclaimed and
+    compaction runs while it is open, on any domain including its own.
+    Each read opens its own per-block critical sections. Views are bound
+    to the opening domain (the registry cell is per domain) and must be
+    closed: until then compaction carries the limbo rows the view can see
+    instead of dropping them. *)
 
 type view
 
@@ -281,8 +283,8 @@ val snapshot_view : t -> view
 (** Opens a view at the current commit frontier. *)
 
 val close_view : view -> unit
-(** Releases the epoch pin; idempotent. Reading a closed view raises
-    [Invalid_argument]. *)
+(** Closes the view's frontier; idempotent. Call on the opening domain.
+    Reading a closed view raises [Invalid_argument]. *)
 
 val with_view : t -> (view -> 'a) -> 'a
 (** Brackets {!snapshot_view}/{!close_view} around [f]. *)

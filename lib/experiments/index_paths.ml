@@ -139,7 +139,8 @@ let run_synthetic ~rows =
     (if !resurrections > 0 then
        [ Printf.sprintf "index items_by_k: %d probes of removed keys hit" !resurrections ]
      else [])
-    @ Smc_check.Index_check.check [ ix_k; ix_g ]
+    @ Smc_index.Hash_index.audit ix_k
+    @ Smc_index.Hash_index.audit ix_g
     @ Smc_check.Audit.check_once rt ~contexts:[ items.Smc.Collection.ctx ]
     @ Smc_check.Obs_check.check rt ~contexts:[ items.Smc.Collection.ctx ]
   in
@@ -216,7 +217,7 @@ let run_tpch ~sf =
       ]
   in
   let violations =
-    Smc_check.Index_check.check [ ix_ok ]
+    Smc_index.Hash_index.audit ix_ok
     @ Smc_check.Audit.check_once db.Smc_tpch.Db_smc.rt ~contexts
   in
   ([ p ], violations)

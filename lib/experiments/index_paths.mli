@@ -6,7 +6,7 @@
     written scan plan and as the {!Smc_query.Planner}-rewritten index
     plan, verifying both return the same bag of rows. A churn phase then
     removes, probes (removed keys must miss), re-adds and sweeps, and the
-    run finishes with {!Smc_check.Index_check}, {!Smc_check.Audit} and
+    run finishes with {!Smc_index.Hash_index.audit}, {!Smc_check.Audit} and
     {!Smc_check.Obs_check} sweeps: the returned violations list (parity
     mismatches included) is empty iff every invariant held. *)
 

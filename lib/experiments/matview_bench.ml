@@ -16,7 +16,7 @@
    records the whole history; a crash-recovery phase replays it into a
    fresh collection whose view is attached *before* replay, so the
    recovered view is fed purely by replay deltas and must agree with the
-   live one bit-for-bit. Matview_check, Audit and Obs_check close the
+   live one bit-for-bit. Matview.audit, Audit and Obs_check close the
    run: the returned violations list is empty iff every invariant held. *)
 
 open Smc_util
@@ -266,7 +266,8 @@ let run ?(rows = 1_000_000) ?dir () =
   end;
   let final =
     !violations
-    @ Smc_check.Matview_check.check [ mv; mv2 ]
+    @ Smc_matview.Matview.audit mv
+    @ Smc_matview.Matview.audit mv2
     @ Smc_check.Audit.check_once rt ~contexts:[ coll.Smc.Collection.ctx ]
     @ Smc_check.Obs_check.check rt ~contexts:[ coll.Smc.Collection.ctx ]
     @ Smc_check.Audit.check_once rt2 ~contexts:[ coll2.Smc.Collection.ctx ]

@@ -11,7 +11,7 @@
     phase; a crash-recovery phase replays the run's WAL into a fresh
     collection whose view is attached before replay and checks the
     recovered view bit-for-bit against the live one. Finishes with
-    {!Smc_check.Matview_check}, {!Smc_check.Audit} and
+    {!Smc_matview.Matview.audit}, {!Smc_check.Audit} and
     {!Smc_check.Obs_check} sweeps over both runtimes: the returned
     violations list (parity mismatches included) is empty iff every
     invariant held. *)

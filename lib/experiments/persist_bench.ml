@@ -134,7 +134,7 @@ let run ?(sf = 0.1) ?dir () =
     !violations
     @ Smc_check.Audit.check_once r.Snapshot.r_rt ~contexts:[ coll'.Smc.Collection.ctx ]
     @ Smc_check.Obs_check.check r.Snapshot.r_rt ~contexts:[ coll'.Smc.Collection.ctx ]
-    @ Smc_check.Index_check.check (List.map snd r.Snapshot.r_indexes);
+    @ List.concat_map (fun (_, ix) -> Smc_index.Hash_index.audit ix) r.Snapshot.r_indexes;
   Wal.close wal;
   if not keep_dir then begin
     (try Sys.remove snap_path with Sys_error _ -> ());

@@ -9,7 +9,7 @@
 
     The run is also a correctness gate: the replayed instance must pass
     {!Smc_check.Audit}, {!Smc_check.Obs_check} and
-    {!Smc_check.Index_check} (a shipdate index is re-attached from the
+    {!Smc_index.Hash_index.audit} (a shipdate index is re-attached from the
     manifest), report exactly the live row count, and answer Q1 and Q6
     bit-identically to the original collection. Violations are returned;
     empty means every gate held. *)

@@ -221,7 +221,7 @@ let run ?(rows = 1_000_000) () =
   | _ -> ());
   let final =
     !violations
-    @ Smc_check.Text_check.check [ tix ]
+    @ Smc_text.Sa_index.audit tix
     @ Smc_check.Audit.check_once rt ~contexts:[ docs.Smc.Collection.ctx ]
     @ Smc_check.Obs_check.check rt ~contexts:[ docs.Smc.Collection.ctx ]
   in

@@ -10,7 +10,7 @@
     tokens must stop matching), overwrites surviving rows through the
     store hook (old text must miss, new text must hit from the pending
     log, then survive a forced merge-rebuild), re-verifies parity, and
-    finishes with {!Smc_check.Text_check}, {!Smc_check.Audit} and
+    finishes with {!Smc_text.Sa_index.audit}, {!Smc_check.Audit} and
     {!Smc_check.Obs_check} sweeps: the returned violations list (parity
     mismatches included) is empty iff every invariant held. *)
 

@@ -71,7 +71,7 @@ let c_txn_replayed = 50 (* committed transactions re-applied at recovery *)
 let c_txn_replay_skips = 51 (* uncommitted transaction bodies discarded at recovery *)
 let c_txn_views = 52 (* snapshot views opened *)
 let c_txn_view_closes = 53 (* snapshot views closed *)
-let c_bare_stores = 54 (* CSN-stamped in-place Collection.store writes *)
+let c_bare_stores = 54 (* Collection.store one-op copy-on-write commits *)
 let c_vec_batches = 55 (* batches produced by vectorized SMC scans *)
 let c_vec_batch_rows = 56 (* rows gathered into those batches *)
 let c_vec_filter_rows_in = 57 (* rows entering vectorized filters *)

@@ -351,12 +351,6 @@ let run_pass (ctx : Context.t) ?(occupancy_threshold = 0.3) ?(max_wait_spins = 5
   if Epoch.in_critical em then
     invalid_arg "Compaction.run: must not run inside a critical section";
   let tid = Runtime.tid rt in
-  if Atomic.get rt.Runtime.active_views > 0 then
-    (* An open snapshot view holds a critical section for its lifetime, so
-       the pass would only spin out its epoch waits and abort; don't even
-       reserve candidates. *)
-    { empty_report with aborted = true }
-  else begin
   let candidates = select_candidates ctx occupancy_threshold in
   let n_candidates = List.length candidates in
   if n_candidates = 0 then { empty_report with candidates = 0 }
@@ -487,7 +481,6 @@ let run_pass (ctx : Context.t) ?(occupancy_threshold = 0.3) ?(max_wait_spins = 5
         end
       end
     end
-  end
   end
 
 let run (ctx : Context.t) ?occupancy_threshold ?max_wait_spins () =

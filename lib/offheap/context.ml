@@ -421,7 +421,7 @@ let free ?csn t packed =
    copy and must name the live row, while recycling it frees no entry. *)
 let live_entry bp = if bp >= -1 then bp else -2 - bp
 
-(* Copy-on-write store for transactional commits. [alloc]'s [init] builds
+(* Copy-on-write store for commits and bare stores. [alloc]'s [init] builds
    the copy, born at [csn] (above every frontier while the commit
    applies), under the row's entry lock, so no walk sees it half built.
    The swing waits until [alloc] has counted the copy: a bare [free] that

@@ -86,7 +86,7 @@ val alloc : ?csn:int -> ?init:(Block.t -> int -> unit) -> t -> int
     finished. If [init] raises, the slot and the entry go back as if never
     allocated and the exception propagates. Returns a packed indirect
     reference. The row's birth CSN is [csn] when given (transaction
-    commit), else a fresh {!next_csn} — stamped before the slot turns
+    commit), else a fresh one — stamped before the slot turns
     valid. *)
 
 val free : ?csn:int -> t -> int -> bool
@@ -95,7 +95,7 @@ val free : ?csn:int -> t -> int -> bool
     slot limbo with the current epoch, and queues the block for reclamation
     when it crosses the threshold. Returns [false] if the reference was
     already dead. The row's death CSN is [csn] when given, else a fresh
-    {!next_csn} — stamped before the slot leaves the valid state. Safe
+    one — stamped before the slot leaves the valid state. Safe
     concurrently with enumeration and allocation. *)
 
 (** {2 Commit sequence numbers and the visibility rule}
@@ -112,9 +112,6 @@ val csn_now : t -> int
 (** Current frontier: every CSN at or below it belongs to a finished unit.
     A transaction commit that is still applying its batch holds the
     frontier just below its CSN, so a frontier never splits a batch. *)
-
-val next_csn : t -> int
-(** Mint the next CSN for a single-op unit (atomic increment). *)
 
 val begin_commit : t -> int
 (** Mint a transaction commit's CSN and hold the frontier below it until
@@ -138,13 +135,8 @@ val oldest_frontier : t -> int
     below this value: the minimum of the current frontier and every
     registered one. *)
 
-val stamp_write : Block.t -> int -> csn:int -> unit
-(** Record a write CSN on a slot (in-place [store] path); call before the
-    stored words change so a validator comparing against the old stamp can
-    only have read the old word. *)
-
 val store_versioned : t -> int -> csn:int -> word:int -> value:int -> bool
-(** Copy-on-write store for transactional commits: copies the row behind
+(** Copy-on-write store for commits and bare stores: copies the row behind
     the packed reference into a fresh slot stamped born = write = [csn],
     applies the word update to the copy, swings the reference's
     indirection entry to it, and retires the old copy to limbo with death

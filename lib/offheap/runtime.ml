@@ -22,10 +22,6 @@ type t = {
   locks : Smc_util.Striped_lock.t;
   next_relocation_epoch : int Atomic.t;
   in_moving_phase : bool Atomic.t;
-  active_views : int Atomic.t;
-  (* Open snapshot views across the runtime. Each holds a critical section
-     for its lifetime, which would stall a compaction pass's epoch waits,
-     so a pass that starts while this is non-zero aborts at once. *)
   next_context_id : int Atomic.t;
   mutable inc_quarantine_limit : int;
   quarantined_slots : int Atomic.t;
@@ -54,7 +50,6 @@ let create ?max_threads () =
     locks = Smc_util.Striped_lock.create ~stripes:256 ();
     next_relocation_epoch = Atomic.make (-1);
     in_moving_phase = Atomic.make false;
-    active_views = Atomic.make 0;
     next_context_id = Atomic.make 0;
     inc_quarantine_limit = Constants.inc_mask;
     quarantined_slots = Atomic.make 0;

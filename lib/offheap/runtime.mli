@@ -30,10 +30,6 @@ type t = {
   locks : Smc_util.Striped_lock.t;
   next_relocation_epoch : int Atomic.t;  (** -1 when no compaction pending *)
   in_moving_phase : bool Atomic.t;
-  active_views : int Atomic.t;
-      (** open snapshot views; each holds a critical section for its
-          lifetime, so a compaction pass started while this is non-zero
-          aborts at once instead of spinning out its epoch waits *)
   next_context_id : int Atomic.t;
   mutable inc_quarantine_limit : int;
       (** incarnation value beyond which a slot is quarantined instead of

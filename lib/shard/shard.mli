@@ -109,7 +109,9 @@ val transact : t -> (txn -> unit) -> txn_result
 type view
 (** One snapshot view per shard at a consistent frontier vector: a
     cross-shard transaction is visible in all per-shard views or none
-    (frontiers are read holding every shard's transaction lock). *)
+    (frontiers are read holding every shard's transaction lock). It holds
+    only those registered frontiers, no critical section, so every shard
+    keeps reclaiming and compacting while it is open. *)
 
 val view : t -> view
 val close_view : view -> unit

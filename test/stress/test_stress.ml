@@ -652,13 +652,13 @@ let test_index_churn () =
        audit, then the model diff — both directions. *)
     audit_quiescent (Printf.sprintf "index-churn round %d" round) auditor rt
       coll.Smc.Collection.ctx;
-    assert_clean (Printf.sprintf "index audit, round %d" round) (Index_check.check [ ix ]);
+    assert_clean (Printf.sprintf "index audit, round %d" round) (H.audit ix);
     ix_check_merged coll ix writers errs;
     assert_clean (Printf.sprintf "index-churn checkpoint, round %d" round) !errs;
     H.sweep ix;
     assert_clean
       (Printf.sprintf "index audit after sweep, round %d" round)
-      (Index_check.check [ ix ])
+      (H.audit ix)
   done;
   let s = H.stats ix in
   Alcotest.(check bool) "index populated" true (s.H.occupied > 0)
@@ -843,13 +843,13 @@ let test_text_churn () =
        audit, then the model diff — both directions and both generations. *)
     audit_quiescent (Printf.sprintf "text-churn round %d" round) auditor rt
       coll.Smc.Collection.ctx;
-    assert_clean (Printf.sprintf "text audit, round %d" round) (Text_check.check [ ix ]);
+    assert_clean (Printf.sprintf "text audit, round %d" round) (TX.audit ix);
     txt_check_merged coll ix writers gens errs;
     assert_clean (Printf.sprintf "text-churn checkpoint, round %d" round) !errs;
     if round mod 2 = 0 then TX.rebuild ix else TX.maintain ix;
     assert_clean
       (Printf.sprintf "text audit after maintenance, round %d" round)
-      (Text_check.check [ ix ])
+      (TX.audit ix)
   done;
   let s = TX.stats ix in
   Alcotest.(check bool) "text index populated" true (s.TX.entries > 0)
@@ -1364,7 +1364,7 @@ let test_vector_churn () =
    min/max may transiently read [Null] or cross over, because a dirty
    re-scan races rows whose remove hooks are still waiting on the view
    lock. Every round ends at a quiescent checkpoint where the view audit
-   (Matview_check) runs on top of the structural audit and the counter
+   ([Matview.audit]) runs on top of the structural audit and the counter
    balances, and the maintained result is diffed against a from-scratch
    aggregation by the Volcano engine. *)
 (* ------------------------------------------------------------------ *)
@@ -1511,7 +1511,7 @@ let test_matview_churn () =
        mv delta/read balances), the view audit, then the engine diff. *)
     audit_quiescent (Printf.sprintf "mv-churn round %d" round) auditor rt
       coll.Smc.Collection.ctx;
-    assert_clean (Printf.sprintf "mv audit, round %d" round) (Matview_check.check [ mv ]);
+    assert_clean (Printf.sprintf "mv audit, round %d" round) (MV.audit mv);
     mv_check_parity src mv errs;
     assert_clean (Printf.sprintf "mv-churn checkpoint, round %d" round) !errs;
     let st = MV.stats mv in

@@ -5,7 +5,7 @@
    Min/Max dirty-group re-scans, sum type-tag fidelity under mixed
    Int/Dec churn, loud invalidation with from-scratch fallback and
    re-validation, the exactly-once hook-firing contract per mutation
-   path, view/index namespace separation, and the Obs_check/Matview_check
+   path, view/index namespace separation, and the Obs_check/Matview.audit
    gates. *)
 
 open Smc_offheap
@@ -714,8 +714,7 @@ let test_check_gates () =
     (fun i r -> if i mod 4 = 1 then C.store coll r ~word:fv.Layout.word ~value:(i * 3))
     !refs;
   ignore (view_rows mv);
-  check clean "Matview_check clean after churn" []
-    (Smc_check.Matview_check.check [ mv ]);
+  check clean "Matview.audit clean after churn" [] (MV.audit mv);
   check clean "Obs_check balances hold (incl. mv counters)" []
     (Smc_check.Obs_check.check rt ~contexts:[ coll.C.ctx ]);
   (* The checker surfaces a violation when the tables are stale: fire a
@@ -723,7 +722,7 @@ let test_check_gates () =
   MV.detach mv;
   ignore (add_row coll 1 1_000_000);
   check Alcotest.bool "stale view caught by the checker" true
-    (Smc_check.Matview_check.check [ mv ] <> [])
+    (MV.audit mv <> [])
 
 let () =
   Alcotest.run "smc_matview"

@@ -291,9 +291,9 @@ let test_conflict_against_bare_write () =
   check pairs "empty" [] (dump coll)
 
 let test_conflict_bare_store () =
-  (* Bare stores stamp the slot with a fresh CSN under the transaction
-     lock, so a transaction staged against the row before the store lands
-     must lose first-committer-wins validation. *)
+  (* A bare store is a one-op commit under the transaction lock, so a
+     transaction staged against the row before the store lands must lose
+     first-committer-wins validation. *)
   let rt, coll = make_kv () in
   let r = add_kv coll 1 10 in
   let snap0 = Smc_obs.snapshot rt.Runtime.obs in
@@ -318,7 +318,13 @@ let test_conflict_bare_store () =
   | exception Invalid_argument msg ->
     check Alcotest.bool "word message" true (contains_sub ~sub:"word offset" msg));
   check (Alcotest.list Alcotest.string) "stamp invariants hold" []
-    (Txn_check.check_quiescent coll)
+    (Txn_check.check_quiescent coll);
+  (* Copy-on-write needs the indirection layer, as transactions do. *)
+  let direct = C.create rt ~name:"direct" ~layout:kv_layout ~mode:Context.Direct () in
+  let rd = add_kv direct 3 30 in
+  match C.store direct rd ~word:fv.Layout.word ~value:1 with
+  | () -> Alcotest.fail "a direct-mode store must be rejected"
+  | exception Invalid_argument _ -> check pairs "direct row unchanged" [ (3, 30) ] (dump direct)
 
 let test_conflict_pairs_property () =
   (* Property: for overlapping transaction pairs staging a write to the
@@ -373,7 +379,7 @@ let test_conflict_pairs_property () =
   in
   check pairs "winners-only model agrees" want (dump coll);
   check (Alcotest.list Alcotest.string) "index exact after conflict churn" []
-    (Smc_check.Index_check.check [ ix ]);
+    (Smc_index.Hash_index.audit ix);
   check (Alcotest.list Alcotest.string) "audit clean" []
     (Smc_check.Audit.check_once rt ~contexts:[ coll.C.ctx ])
 
@@ -574,28 +580,88 @@ let test_view_stability () =
   C.with_view coll (fun v2 ->
       check Alcotest.int "fresh view sees the new frontier" 3 (C.view_count v2))
 
-let test_view_vs_compaction () =
-  (* An open view aborts compaction passes (limbo rows it can still see
-     must not be dropped); closing the view re-enables them. *)
+let view_sum v = C.view_fold v ~init:0 ~f:(fun acc blk slot -> acc + Smc.Field.get_int fv blk slot)
+
+(* A view is only its registered frontier: it holds no critical section,
+   so compaction runs under it — on another domain and on the view's own —
+   and carries the limbo rows the view still sees into its targets. *)
+let test_compaction_under_view () =
   let rt, coll = make_kv () in
-  let refs = Array.init 64 (fun i -> add_kv coll i i) in
-  Array.iteri (fun i r -> if i mod 2 = 0 then ignore (C.remove coll r : bool)) refs;
+  let refs = Array.init 640 (fun i -> add_kv coll i i) in
+  Array.iteri (fun i r -> if i mod 10 <> 0 then ignore (C.remove coll r : bool)) refs;
   C.with_view coll (fun v ->
-      for _ = 1 to 4 do
-        ignore (Epoch.try_advance rt.Runtime.epoch : bool)
-      done;
-      (* The compactor runs on its own domain — a view's critical section
-         belongs to the opening domain, which therefore cannot compact. *)
-      let report = Domain.join (Domain.spawn (fun () -> C.compact coll ())) in
-      check Alcotest.bool "pass aborts under an open view" true report.Compaction.aborted;
-      check Alcotest.int "view intact" 32 (C.view_count v));
-  for _ = 1 to 4 do
-    ignore (Epoch.try_advance rt.Runtime.epoch : bool)
-  done;
-  let report = C.compact coll () in
-  check Alcotest.bool "pass runs once the view closes" false report.Compaction.aborted;
+      (* The view still sees these as limbo rows. *)
+      Array.iteri (fun i r -> if i mod 20 = 0 then ignore (C.remove coll r : bool)) refs;
+      let reads () = (C.view_count v, view_sum v) in
+      let before = reads () in
+      check (Alcotest.pair Alcotest.int Alcotest.int) "view reads its frontier" (64, 20_160)
+        before;
+      let passed where (report : Compaction.report) =
+        check Alcotest.bool (where ^ ": pass runs") false report.Compaction.aborted;
+        check Alcotest.bool (where ^ ": rows moved") true (report.Compaction.objects_moved > 0);
+        check (Alcotest.pair Alcotest.int Alcotest.int) (where ^ ": view unchanged") before
+          (reads ())
+      in
+      passed "second domain" (Domain.join (Domain.spawn (fun () -> C.compact coll ())));
+      passed "view's domain" (C.compact coll ()));
+  check Alcotest.int "current rows" 32 (C.count coll);
   check (Alcotest.list Alcotest.string) "audit clean" []
-    (Smc_check.Audit.check_once rt ~contexts:[ coll.C.ctx ])
+    (Smc_check.Audit.check_once rt ~contexts:[ coll.C.ctx ]);
+  check (Alcotest.list Alcotest.string) "obs balances hold" []
+    (Smc_check.Obs_check.check rt ~contexts:[ coll.C.ctx ])
+
+(* A view held open on one collection, on another domain, leaves the
+   epoch free to advance, so a sibling collection of the same runtime
+   recycles the slots it frees. *)
+let test_view_does_not_stall_reclamation () =
+  let rt, coll = make_kv () in
+  let sib = C.create rt ~name:"sibling" ~layout:kv_layout ~slots_per_block:32 () in
+  ignore (add_kv coll 0 0 : Smc.Ref.t);
+  let opened = Atomic.make false and release = Atomic.make false in
+  let holder =
+    Domain.spawn (fun () ->
+        C.with_view coll (fun _ ->
+            Atomic.set opened true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Domain.join holder)
+    (fun () ->
+      while not (Atomic.get opened) do
+        Domain.cpu_relax ()
+      done;
+      let refs = Array.init 256 (fun i -> add_kv sib i i) in
+      Array.iter (fun r -> ignore (C.remove sib r : bool)) refs;
+      let advances = ref 0 in
+      for _ = 1 to 8 do
+        if Epoch.try_advance rt.Runtime.epoch then incr advances
+      done;
+      check Alcotest.int "epoch advances under the open view" 8 !advances;
+      let snap0 = Smc_obs.snapshot rt.Runtime.obs in
+      for i = 1 to 256 do
+        ignore (add_kv sib i i : Smc.Ref.t)
+      done;
+      let d = Smc_obs.diff (Smc_obs.snapshot rt.Runtime.obs) snap0 in
+      check Alcotest.int "freed slots recycled" 256 (Smc_obs.get d Smc_obs.c_slot_recycles));
+  check (Alcotest.list Alcotest.string) "obs balances hold" []
+    (Smc_check.Obs_check.check rt ~contexts:[ coll.C.ctx; sib.C.ctx ])
+
+(* A bare store is a one-op copy-on-write commit: a view opened before it
+   keeps reading the old payload. *)
+let test_bare_store_under_view () =
+  let _rt, coll = make_kv () in
+  let r = add_kv coll 1 1 in
+  C.with_view coll (fun v ->
+      check Alcotest.int "view sum before" 1 (view_sum v);
+      C.store coll r ~word:fv.Layout.word ~value:99;
+      check Alcotest.int "view sum after" 1 (view_sum v));
+  check pairs "current state has the store" [ (1, 99) ] (dump coll);
+  check (Alcotest.list Alcotest.string) "stamp invariants hold" []
+    (Txn_check.check_quiescent coll)
 
 (* A plain walk reads at the frontier it took when it started. The walk
    runs on its own domain and parks on a latch halfway; the main domain
@@ -933,7 +999,7 @@ let test_txn_check_quiescent () =
 
 let test_bare_store_wal_replay () =
   (* The bare store's WAL hook fires inside its critical section; recovery
-     must replay the in-place write. *)
+     must replay the store. *)
   let _rt, coll, wal, wal_path, snap = make_logged () in
   let r = add_kv coll 1 10 in
   let _r2 = add_kv coll 2 20 in
@@ -981,7 +1047,9 @@ let () =
       ( "views",
         [
           qc "stability across commits and bare ops" test_view_stability;
-          qc "open views abort compaction" test_view_vs_compaction;
+          qc "compaction runs under an open view" test_compaction_under_view;
+          qc "an open view does not stall reclamation" test_view_does_not_stall_reclamation;
+          qc "a bare store leaves an open view unchanged" test_bare_store_under_view;
           qc "a paused walk reads its own frontier across a commit" test_walk_vs_commit;
           qc "a walk keeps its frontier across a commit and compaction"
             test_walk_vs_commit_and_compaction;
