@@ -374,9 +374,9 @@ let drive_conflict_pair t ~txn_no =
       viol t "txn %d: index probe after conflict pair returned %d refs (want the winner's 1)"
         txn_no (List.length refs))
 
-(* A bare (non-transactional) op between transactions: single-op commit
-   units with their own CSN, logged as bare WAL records — recovery has to
-   interleave them correctly with transaction frames. *)
+(* A bare (non-transactional) op between transactions: a single-op commit
+   unit with its own CSN, logged as a one-op WAL record — recovery has to
+   interleave it correctly with the transactions' batch records. *)
 let drive_bare_op t =
   t.stats.bare_ops <- t.stats.bare_ops + 1;
   if Hashtbl.length t.live > 0 && Smc_util.Prng.bool t.prng then
@@ -404,7 +404,7 @@ let drive_txn t ~txn_no =
     drive_conflict_pair t ~txn_no
   else begin
     let pre = model_dump t in
-    (* Occasional empty transaction: commits, logs an empty frame, changes
+    (* Occasional empty transaction: commits, logs nothing, changes
        nothing. *)
     let n_ops =
       if Smc_util.Prng.int t.prng 20 = 0 then 0 else 1 + Smc_util.Prng.int t.prng cfg.max_ops

@@ -10,7 +10,7 @@ type op =
 type subscriber = {
   name : string;
   on_op : op -> unit;
-  on_commit : (txn_id:int -> op list -> unit) option;
+  on_commit : (op list -> unit) option;
 }
 
 type t = {
@@ -152,8 +152,8 @@ let limbo_count t = Context.stats_limbo t.ctx
    CSN frontier (first committer wins), the whole batch is published under
    the collection's transaction lock with a single commit CSN — so snapshot
    views observe all of it or none of it — and a subscribed WAL receives
-   the batch as one [on_commit] call, framed so recovery replays it
-   atomically.
+   the batch as one [on_commit] call and writes it as one record, which
+   recovery replays whole or not at all.
 
    The transaction lock is deliberately separate from the context lock:
    applying the batch calls [Context.alloc]/[Context.free], which take the
@@ -360,7 +360,7 @@ let publish_locked tx =
       let adds, ops = apply_locked tx ~csn in
       Runtime.fire_txn_hook t.rt Runtime.Txn_applied;
       List.iter
-        (fun s -> match s.on_commit with Some f -> f ~txn_id:csn ops | None -> ())
+        (fun s -> match s.on_commit with Some f -> f ops | None -> ())
         t.subs;
       Runtime.fire_txn_hook t.rt Runtime.Txn_logged;
       obs_incr t Smc_obs.c_txn_commits;

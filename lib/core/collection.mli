@@ -32,8 +32,8 @@
       while the batch is applied; a subscriber with [on_commit] gets no
       [on_op] calls for it and one [on_commit] call with the whole batch
       after it is applied, inside the commit's critical section — a log
-      frames it so recovery applies all or none. Staging, {!abort}, and a
-      {!commit_all} that conflicts publish nothing;
+      writes it as one record, so recovery applies all or none. Staging,
+      {!abort}, and a {!commit_all} that conflicts publish nothing;
     - recovery ({!publish_replay}) publishes each replayed op to [on_op].
 
     Subscribers fire in attachment order, on the mutating domain, while the
@@ -48,7 +48,7 @@ type op =
 type subscriber = {
   name : string;  (** unique among the collection's subscribers *)
   on_op : op -> unit;
-  on_commit : (txn_id:int -> op list -> unit) option;
+  on_commit : (op list -> unit) option;
       (** when present, a commit's ops arrive here as one batch instead of
           through [on_op]; attaching one also makes {!remove} pin the epoch
           across free + publish, so no other domain can recycle the entry
@@ -186,8 +186,8 @@ val compact : t -> ?occupancy_threshold:float -> unit -> Smc_offheap.Compaction.
     write-write conflicts are validated against the staging-time CSN
     frontier (first committer wins), the batch is published under the
     collection's transaction lock with a single commit CSN — snapshot views
-    see all of it or none of it — and a subscribed WAL logs it as one framed
-    batch that recovery replays atomically.
+    see all of it or none of it — and a subscribed WAL logs it as one
+    record that recovery replays whole or not at all.
 
     Bare {!add}/{!remove} calls are their own single-op units, each with
     its own CSN, and bypass the transaction lock. A bare {!store} is a

@@ -39,7 +39,7 @@ let clone_row (coll : Smc.Collection.t) src_blk src_slot =
           (Smc_offheap.Block.get_word src_blk ~slot:src_slot ~word:w)
       done)
 
-let churn ~wal (db : D.t) ~remove_step ~clones =
+let churn (db : D.t) ~remove_step ~clones =
   let li = db.D.lineitems in
   let removed = ref 0 in
   let i = ref 0 in
@@ -48,22 +48,17 @@ let churn ~wal (db : D.t) ~remove_step ~clones =
       incr i;
       if !i mod remove_step = 0 && Smc.Collection.remove li r then incr removed)
     db.D.lineitem_refs;
-  (* a handful of logged in-place stores on surviving rows *)
+  (* a handful of stores on surviving rows *)
   let stores = ref 0 in
-  (match wal with
-  | None -> ()
-  | Some w ->
-    Array.iter
-      (fun r ->
-        if !stores < 64 && Smc.Collection.mem li r then begin
-          let blk, slot = Smc.Collection.deref li r in
-          let word = db.D.lf.D.l_linenumber.Smc_offheap.Layout.word in
-          let v = Smc_offheap.Block.get_word blk ~slot ~word in
-          Smc_offheap.Block.set_word blk ~slot ~word v;
-          Wal.log_store w li r ~word ~value:v;
-          incr stores
-        end)
-      db.D.lineitem_refs);
+  Array.iter
+    (fun r ->
+      if !stores < 64 && Smc.Collection.mem li r then begin
+        let blk, slot = Smc.Collection.deref li r in
+        let word = db.D.lf.D.l_linenumber.Smc_offheap.Layout.word in
+        Smc.Collection.store li r ~word ~value:(Smc_offheap.Block.get_word blk ~slot ~word);
+        incr stores
+      end)
+    db.D.lineitem_refs;
   let cloned = ref 0 in
   (try
      Smc.Collection.iter li ~f:(fun blk slot ->
@@ -94,11 +89,11 @@ let run ?(sf = 0.1) ?dir () =
   Wal.attach wal li;
   (* Pre-snapshot churn lands in the image; its log records sit below the
      cut and must be skipped by replay. *)
-  let (_ : int * int * int) = churn ~wal:(Some wal) db ~remove_step:41 ~clones:512 in
+  let (_ : int * int * int) = churn db ~remove_step:41 ~clones:512 in
   let indexes = [ ("lineitem_by_shipdate", "l_shipdate") ] in
   let (m, snap_bytes), snap_ms = time (fun () -> Snapshot.write ~wal ~indexes ~path:snap_path li) in
   (* Post-cut churn lives only in the log tail. *)
-  let removed, stores, cloned = churn ~wal:(Some wal) db ~remove_step:97 ~clones:256 in
+  let removed, stores, cloned = churn db ~remove_step:97 ~clones:256 in
   Wal.flush wal;
   let live_rows = Smc.Collection.count li in
   let restored_plain, restore_ms = time (fun () -> Snapshot.restore ~path:snap_path ()) in
@@ -121,7 +116,7 @@ let run ?(sf = 0.1) ?dir () =
   if r.Snapshot.r_torn_dropped <> 0 then
     note "persist: unexpected torn-tail drop on a cleanly closed log";
   if r.Snapshot.r_replayed < removed + stores + cloned then
-    note "persist: replay applied %d records, expected at least %d" r.Snapshot.r_replayed
+    note "persist: replay applied %d ops, expected at least %d" r.Snapshot.r_replayed
       (removed + stores + cloned);
   let restored_rows = Smc.Collection.count coll' in
   if restored_rows <> live_rows then

@@ -238,7 +238,7 @@ let run ?(shard_counts = [ 1; 2; 4; 8 ]) ?(txns = 240) ?(ops_per_txn = 8) ?dir (
           ~bytes:r.Shard.r_bytes restore_ms
         :: !points;
       if r.Shard.r_replayed < 32 then
-        note "shards=%d: WAL tails replayed %d records, expected at least 32" n
+        note "shards=%d: WAL tails replayed %d ops, expected at least 32" n
           r.Shard.r_replayed;
       if r.Shard.r_torn_dropped <> 0 then
         note "shards=%d: unexpected torn-tail drop on cleanly flushed logs" n;

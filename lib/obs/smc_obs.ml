@@ -59,62 +59,60 @@ let c_persist_snapshots = 38 (* snapshot files written *)
 let c_persist_snapshot_bytes = 39 (* bytes streamed into snapshot files *)
 let c_persist_restores = 40 (* collections restored from snapshot files *)
 let c_persist_restore_bytes = 41 (* bytes read back while restoring *)
-let c_persist_wal_appends = 42 (* records appended to write-ahead logs *)
+let c_persist_wal_appends = 42 (* records (commit units) appended to write-ahead logs *)
 let c_persist_wal_syncs = 43 (* fsync batches issued by write-ahead logs *)
-let c_persist_wal_replayed = 44 (* records replayed during recovery *)
+let c_persist_wal_replayed = 44 (* WAL ops applied during recovery *)
 let c_persist_torn_drops = 45 (* torn final WAL records discarded at recovery *)
 let c_txn_begins = 46 (* transactions opened by Collection.txn *)
 let c_txn_commits = 47 (* transactions committed (validation passed) *)
 let c_txn_aborts = 48 (* transactions explicitly aborted *)
 let c_txn_conflicts = 49 (* commits refused by write-write validation *)
-let c_txn_replayed = 50 (* committed transactions re-applied at recovery *)
-let c_txn_replay_skips = 51 (* uncommitted transaction bodies discarded at recovery *)
-let c_txn_views = 52 (* snapshot views opened *)
-let c_txn_view_closes = 53 (* snapshot views closed *)
-let c_bare_stores = 54 (* Collection.store one-op copy-on-write commits *)
-let c_vec_batches = 55 (* batches produced by vectorized SMC scans *)
-let c_vec_batch_rows = 56 (* rows gathered into those batches *)
-let c_vec_filter_rows_in = 57 (* rows entering vectorized filters *)
-let c_vec_filter_rows_kept = 58 (* rows surviving vectorized filters *)
-let c_vec_filter_rows_dropped = 59 (* rows cut by vectorized filters *)
-let c_cg_requests = 60 (* compiled-plan executions requested *)
-let c_cg_compiles = 61 (* plans compiled + dynlinked *)
-let c_cg_cache_hits = 62 (* requests served from the compiled-plan cache *)
-let c_cg_fallbacks = 63 (* requests that fell back to the Fuse engine *)
-let c_shard_routes = 64 (* single operations routed to an owning shard *)
-let c_shard_txns = 65 (* sharded transactions submitted for commit *)
-let c_shard_txn_commits = 66 (* sharded transactions committed *)
-let c_shard_txn_conflicts = 67 (* sharded transactions refused by validation *)
-let c_shard_txn_multi = 68 (* committed transactions spanning > 1 shard *)
-let c_shard_fanouts = 69 (* fan-out scans merged across all shards *)
-let c_srv_conns = 70 (* connections accepted by the serving loop *)
-let c_srv_requests = 71 (* request frames decoded *)
-let c_srv_replies = 72 (* requests answered with an ok frame *)
-let c_srv_errors = 73 (* requests answered with an error frame *)
-let c_srv_shed = 74 (* requests shed by admission control *)
-let c_txt_adds = 75 (* rows appended to text-index pending tails *)
-let c_txt_removes = 76 (* row removals observed by text indexes *)
-let c_txt_probes = 77 (* text-index probe operations *)
-let c_txt_candidates = 78 (* candidate sightings surfaced by probes *)
-let c_txt_hits = 79 (* validated (live, still-matching) candidates emitted *)
-let c_txt_stale = 80 (* candidates whose ref no longer resolved *)
-let c_txt_misses = 81 (* live candidates whose current text no longer matches *)
-let c_txt_dups = 82 (* candidates suppressed by per-probe deduplication *)
-let c_txt_rebuilds = 83 (* suffix-array merge-rebuilds *)
-let c_txt_dropped = 84 (* dead refs dropped by rebuilds, seals and merges *)
-let c_mv_builds = 85 (* materialized-view full builds (attach + invalidation recovery) *)
-let c_mv_adds = 86 (* +delta applications from row adds *)
-let c_mv_removes = 87 (* -delta applications from row removes *)
-let c_mv_stores = 88 (* remove+add delta applications from in-place stores *)
-let c_mv_applied = 89 (* total deltas applied (= adds + removes + stores) *)
-let c_mv_reads = 90 (* view read operations *)
-let c_mv_hits = 91 (* reads served entirely from maintained state *)
-let c_mv_rescans = 92 (* reads that re-derived dirty groups by bounded re-scan *)
-let c_mv_invalidations = 93 (* whole-view invalidations (non-incrementalizable delta) *)
-let c_vec_full_batches = 94 (* vec_batches chunks of full blocks, read without the directory *)
-let c_walk_moved_ranges = 95 (* target ranges enumerations scanned for completed sources *)
-let c_vec_agg_chunk_rows = 96 (* rows Vector's group-bys aggregated a whole chunk at a time *)
-let c_par_group_merges = 97 (* group-bys merged from two or more worker tables *)
+let c_txn_views = 50 (* snapshot views opened *)
+let c_txn_view_closes = 51 (* snapshot views closed *)
+let c_bare_stores = 52 (* Collection.store one-op copy-on-write commits *)
+let c_vec_batches = 53 (* batches produced by vectorized SMC scans *)
+let c_vec_batch_rows = 54 (* rows gathered into those batches *)
+let c_vec_filter_rows_in = 55 (* rows entering vectorized filters *)
+let c_vec_filter_rows_kept = 56 (* rows surviving vectorized filters *)
+let c_vec_filter_rows_dropped = 57 (* rows cut by vectorized filters *)
+let c_cg_requests = 58 (* compiled-plan executions requested *)
+let c_cg_compiles = 59 (* plans compiled + dynlinked *)
+let c_cg_cache_hits = 60 (* requests served from the compiled-plan cache *)
+let c_cg_fallbacks = 61 (* requests that fell back to the Fuse engine *)
+let c_shard_routes = 62 (* single operations routed to an owning shard *)
+let c_shard_txns = 63 (* sharded transactions submitted for commit *)
+let c_shard_txn_commits = 64 (* sharded transactions committed *)
+let c_shard_txn_conflicts = 65 (* sharded transactions refused by validation *)
+let c_shard_txn_multi = 66 (* committed transactions spanning > 1 shard *)
+let c_shard_fanouts = 67 (* fan-out scans merged across all shards *)
+let c_srv_conns = 68 (* connections accepted by the serving loop *)
+let c_srv_requests = 69 (* request frames decoded *)
+let c_srv_replies = 70 (* requests answered with an ok frame *)
+let c_srv_errors = 71 (* requests answered with an error frame *)
+let c_srv_shed = 72 (* requests shed by admission control *)
+let c_txt_adds = 73 (* rows appended to text-index pending tails *)
+let c_txt_removes = 74 (* row removals observed by text indexes *)
+let c_txt_probes = 75 (* text-index probe operations *)
+let c_txt_candidates = 76 (* candidate sightings surfaced by probes *)
+let c_txt_hits = 77 (* validated (live, still-matching) candidates emitted *)
+let c_txt_stale = 78 (* candidates whose ref no longer resolved *)
+let c_txt_misses = 79 (* live candidates whose current text no longer matches *)
+let c_txt_dups = 80 (* candidates suppressed by per-probe deduplication *)
+let c_txt_rebuilds = 81 (* suffix-array merge-rebuilds *)
+let c_txt_dropped = 82 (* dead refs dropped by rebuilds, seals and merges *)
+let c_mv_builds = 83 (* materialized-view full builds (attach + invalidation recovery) *)
+let c_mv_adds = 84 (* +delta applications from row adds *)
+let c_mv_removes = 85 (* -delta applications from row removes *)
+let c_mv_stores = 86 (* remove+add delta applications from in-place stores *)
+let c_mv_applied = 87 (* total deltas applied (= adds + removes + stores) *)
+let c_mv_reads = 88 (* view read operations *)
+let c_mv_hits = 89 (* reads served entirely from maintained state *)
+let c_mv_rescans = 90 (* reads that re-derived dirty groups by bounded re-scan *)
+let c_mv_invalidations = 91 (* whole-view invalidations (non-incrementalizable delta) *)
+let c_vec_full_batches = 92 (* vec_batches chunks of full blocks, read without the directory *)
+let c_walk_moved_ranges = 93 (* target ranges enumerations scanned for completed sources *)
+let c_vec_agg_chunk_rows = 94 (* rows Vector's group-bys aggregated a whole chunk at a time *)
+let c_par_group_merges = 95 (* group-bys merged from two or more worker tables *)
 
 let all =
   [|
@@ -170,8 +168,6 @@ let all =
     ("txn_commits", c_txn_commits);
     ("txn_aborts", c_txn_aborts);
     ("txn_conflicts", c_txn_conflicts);
-    ("txn_replayed", c_txn_replayed);
-    ("txn_replay_skips", c_txn_replay_skips);
     ("txn_views", c_txn_views);
     ("txn_view_closes", c_txn_view_closes);
     ("bare_stores", c_bare_stores);

@@ -61,8 +61,6 @@ val c_txn_begins : int
 val c_txn_commits : int
 val c_txn_aborts : int
 val c_txn_conflicts : int
-val c_txn_replayed : int
-val c_txn_replay_skips : int
 val c_txn_views : int
 val c_txn_view_closes : int
 val c_bare_stores : int

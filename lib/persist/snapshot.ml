@@ -587,12 +587,12 @@ let replay_wal (coll : Smc.Collection.t) ~path ~cut =
   let what = Printf.sprintf "WAL %s" path in
   let max_entry = ref (-1) in
   let info =
-    Wal.scan ~path ~f:(fun ~lsn:_ record ->
-        match record with
-        | Wal.Add { entry; _ } | Wal.Remove { entry; _ } | Wal.Store { entry; _ } ->
-          if entry < 0 then Pio.corrupt "%s: negative indirection entry" what;
-          if entry > !max_entry then max_entry := entry
-        | Wal.Txn_begin _ | Wal.Txn_commit _ -> ())
+    Wal.scan ~path ~f:(fun ~lsn:_ ops ->
+        List.iter
+          (fun (Wal.Add { entry; _ } | Wal.Remove { entry; _ } | Wal.Store { entry; _ }) ->
+            if entry < 0 then Pio.corrupt "%s: negative indirection entry" what;
+            if entry > !max_entry then max_entry := entry)
+          ops)
   in
   let cut = if cut < 0 then info.Wal.li_base else cut in
   if info.Wal.li_base > cut then
@@ -666,79 +666,21 @@ let replay_wal (coll : Smc.Collection.t) ~path ~cut =
       Block.set_word blk ~slot ~word value;
       publish (Store (Smc.Ref.of_packed packed, word, value))
   in
+  (* Each intact record is one commit unit, applied whole; a torn final
+     record never reaches [f]. *)
   let applied = ref 0 in
-  let apply_op ~lsn record =
-    (match record with
+  let apply_op ~lsn op =
+    (match op with
     | Wal.Add { entry; inc; words } -> apply_add ~lsn entry inc words
     | Wal.Remove { entry; inc } -> apply_remove ~lsn entry inc
-    | Wal.Store { entry; inc; word; value } -> apply_store ~lsn entry inc word value
-    | Wal.Txn_begin _ | Wal.Txn_commit _ -> assert false);
+    | Wal.Store { entry; inc; word; value } -> apply_store ~lsn entry inc word value);
     incr applied
   in
-  (* Transaction frames are buffered and applied only when their commit
-     record arrives with the declared body complete — so an unterminated
-     frame (crash before the commit record reached disk) is discarded as a
-     unit, never partially applied. A frame can be left unterminated
-     mid-log too: the commit append crashed torn, was dropped at the next
-     recovery, and the reopened log appended clean records after it. Such
-     an orphan body is recognised when anything other than its own commit
-     follows a complete body, and skipped; the clean tail still replays.
-     (If the body itself was also truncated, its remainder is absorbed as
-     buffered ops and dropped with the frame — indistinguishable by
-     construction, and equally uncommitted.) A commit record that has no
-     matching open frame, or arrives before the declared body is complete,
-     cannot be produced by the single-mutex-hold append discipline and is
-     hard corruption. *)
-  let pending : (int * int * (int * Wal.record) list ref * int ref) option ref = ref None in
-  let skipped = ref 0 in
-  let skip_pending () =
-    match !pending with
-    | None -> ()
-    | Some _ ->
-      pending := None;
-      incr skipped
-  in
-  let committed = ref 0 in
   ignore
-    (Wal.scan ~path ~f:(fun ~lsn record ->
-         if lsn >= cut then begin
-           match record with
-           | Wal.Txn_begin { txn_id; n_ops } ->
-             skip_pending ();
-             pending := Some (txn_id, n_ops, ref [], ref 0)
-           | Wal.Txn_commit { txn_id } -> (
-             match !pending with
-             | Some (id, declared, ops, count) when id = txn_id && !count = declared ->
-               List.iter (fun (lsn, r) -> apply_op ~lsn r) (List.rev !ops);
-               pending := None;
-               incr committed
-             | Some (id, declared, _, count) ->
-               Pio.corrupt
-                 "%s: record %d commits transaction %d but the open frame is %d with %d of \
-                  %d body records"
-                 what lsn txn_id id !count declared
-             | None ->
-               Pio.corrupt "%s: record %d commits transaction %d with no open frame" what
-                 lsn txn_id)
-           | Wal.Add _ | Wal.Remove _ | Wal.Store _ -> (
-             match !pending with
-             | Some (_, declared, ops, count) when !count < declared ->
-               ops := (lsn, record) :: !ops;
-               incr count
-             | Some _ ->
-               (* complete body, but something other than its commit behind
-                  it: the frame is an uncommitted orphan — drop it, keep
-                  replaying the clean tail *)
-               skip_pending ();
-               apply_op ~lsn record
-             | None -> apply_op ~lsn record)
-         end)
+    (Wal.scan ~path ~f:(fun ~lsn ops -> if lsn >= cut then List.iter (apply_op ~lsn) ops)
       : Wal.log_info);
-  skip_pending ();
   Smc_obs.add rt.Runtime.obs Smc_obs.c_persist_wal_replayed !applied;
   Smc_obs.add rt.Runtime.obs Smc_obs.c_persist_torn_drops info.Wal.li_torn_dropped;
-  Smc_obs.add rt.Runtime.obs Smc_obs.c_txn_replayed !committed;
-  Smc_obs.add rt.Runtime.obs Smc_obs.c_txn_replay_skips !skipped;
   (!applied, info.Wal.li_torn_dropped)
 
 (* Every indirection entry not referenced by a live slot and not already in

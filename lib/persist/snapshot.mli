@@ -77,25 +77,25 @@ type restored = {
       (** rebuilt from live rows, in manifest order *)
   r_manifest : manifest;
   r_bytes : int;  (** snapshot bytes read *)
-  r_replayed : int;  (** WAL records applied over the image *)
+  r_replayed : int;  (** WAL ops applied over the image *)
   r_torn_dropped : int;  (** torn final WAL records discarded (0 or 1) *)
 }
 
 val replay_wal : Smc.Collection.t -> path:string -> cut:int -> int * int
 (** Replays the log tail (records at or after LSN [cut]; [cut = -1] means
-    the log's base) over the collection, applying bare records directly
-    and transaction frames atomically on their commit record — an
-    unterminated or orphaned frame is discarded as a unit. Every applied
-    op reaches each of the collection's subscribers exactly once
-    ({!Smc.Collection.publish_replay}), at the same points as the live
+    the log's base) over the collection, applying each intact record — one
+    commit unit — whole, in log order; a torn final record is dropped whole.
+    Every applied op reaches each of the collection's subscribers exactly
+    once ({!Smc.Collection.publish_replay}), at the same points as the live
     mutation paths, so maintenance structures subscribed {e before} the
     replay stay current through it; {!restore} replays before reattaching
     indexes, so its replay publishes to no one. Returns
-    [(applied, torn_dropped)]. Raises {!Pio.Corrupt} on mid-log corruption
-    or a snapshot/log gap, and [Invalid_argument] (before reading the log)
-    when a subscriber with [on_commit] — a WAL — is attached: replay does
-    not log, so that log would silently miss every replayed op. Single-threaded recovery use only: no
-    concurrent mutators, probes or compaction. *)
+    [(applied ops, torn_dropped)]. Raises {!Pio.Corrupt} on mid-log
+    corruption or a snapshot/log gap, and [Invalid_argument] (before
+    reading the log) when a subscriber with [on_commit] — a WAL — is
+    attached: replay does not log, so that log would silently miss every
+    replayed op. Single-threaded recovery use only: no concurrent mutators,
+    probes or compaction. *)
 
 val restore : ?wal:string -> path:string -> unit -> restored
 (** Reads the image back into a fresh runtime and collection: blocks are

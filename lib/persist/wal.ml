@@ -1,6 +1,6 @@
 open Smc_offheap
 
-let magic = "SMCWAL01"
+let magic = "SMCWAL02"
 
 type sync_policy = Always | Every of int | Manual
 
@@ -19,8 +19,6 @@ type t = {
 let op_add = 1
 let op_remove = 2
 let op_store = 3
-let op_txn_begin = 4
-let op_txn_commit = 5
 
 let oincr t c = match t.obs with Some o -> Smc_obs.incr o c | None -> ()
 
@@ -52,26 +50,20 @@ let sync_locked t =
     oincr t Smc_obs.c_persist_wal_syncs
   end
 
-let append_locked t payload =
-  if t.closed then invalid_arg "Wal: log is closed";
-  ignore (Pio.write_section t.oc payload : int);
-  t.next_lsn <- t.next_lsn + 1;
-  t.unsynced <- t.unsynced + 1;
-  oincr t Smc_obs.c_persist_wal_appends
-
-let apply_policy_locked t =
-  match t.sync with
-  | Always -> sync_locked t
-  | Every n -> if t.unsynced >= n then sync_locked t
-  | Manual -> ()
-
 let append t payload =
   Mutex.lock t.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
-      append_locked t payload;
-      apply_policy_locked t)
+      if t.closed then invalid_arg "Wal: log is closed";
+      ignore (Pio.write_section t.oc payload : int);
+      t.next_lsn <- t.next_lsn + 1;
+      t.unsynced <- t.unsynced + 1;
+      oincr t Smc_obs.c_persist_wal_appends;
+      match t.sync with
+      | Always -> sync_locked t
+      | Every n -> if t.unsynced >= n then sync_locked t
+      | Manual -> ())
 
 let flush t =
   Mutex.lock t.lock;
@@ -99,72 +91,48 @@ let close t =
         t.closed <- true
       end)
 
-(* One record body per op: opcode, the reference's entry and incarnation,
-   then an add's slot image (word count + words) or a store's word and
-   value. Bare records and transaction bodies share it. *)
-let payload (coll : Smc.Collection.t) (op : Smc.Collection.op) =
-  let sw = coll.Smc.Collection.layout.Layout.slot_words in
-  let code, r, size =
+(* One op in a record: opcode, the reference's entry and incarnation, then
+   an add's slot image (word count + words) or a store's word and value. *)
+let add_op buf sw (op : Smc.Collection.op) =
+  let code, r =
     match op with
-    | Add (r, _, _) -> (op_add, r, 32 + (8 * sw))
-    | Remove r -> (op_remove, r, 32)
-    | Store (r, _, _) -> (op_store, r, 48)
+    | Add (r, _, _) -> (op_add, r)
+    | Remove r -> (op_remove, r)
+    | Store (r, _, _) -> (op_store, r)
   in
   let packed = Smc.Ref.to_packed r in
-  let payload = Buffer.create size in
-  Pio.add_int payload code;
-  Pio.add_int payload (Constants.ref_entry packed);
-  Pio.add_int payload (Constants.ref_inc packed);
-  (match op with
+  Pio.add_int buf code;
+  Pio.add_int buf (Constants.ref_entry packed);
+  Pio.add_int buf (Constants.ref_inc packed);
+  match op with
   | Add (_, blk, slot) ->
-    Pio.add_int payload sw;
+    Pio.add_int buf sw;
     for w = 0 to sw - 1 do
-      Pio.add_int payload (Block.get_word blk ~slot ~word:w)
+      Pio.add_int buf (Block.get_word blk ~slot ~word:w)
     done
   | Remove _ -> ()
   | Store (_, word, value) ->
-    Pio.add_int payload word;
-    Pio.add_int payload value);
-  payload
+    Pio.add_int buf word;
+    Pio.add_int buf value
 
-let log_store t (coll : Smc.Collection.t) r ~word ~value =
-  if not (Smc.Collection.mem coll r) then
-    invalid_arg "Wal.log_store: reference is null or dead";
-  if word < 0 || word >= coll.Smc.Collection.layout.Layout.slot_words then
-    invalid_arg "Wal.log_store: word offset outside the layout";
-  append t (payload coll (Store (r, word, value)))
-
-(* A committed transaction's batch: Txn_begin (carrying the declared op
-   count), the body records, Txn_commit — appended under ONE mutex hold, so
-   no bare append and no snapshot cut ([Snapshot.write] reads the LSN under
-   this same mutex) can land inside the frame. The body reuses the bare
-   payload builders; replay distinguishes framed from bare records purely
-   by position. *)
-let log_txn t (coll : Smc.Collection.t) ~txn_id ops =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      let header = Buffer.create 32 in
-      Pio.add_int header op_txn_begin;
-      Pio.add_int header txn_id;
-      Pio.add_int header (List.length ops);
-      append_locked t header;
-      List.iter (fun op -> append_locked t (payload coll op)) ops;
-      let footer = Buffer.create 16 in
-      Pio.add_int footer op_txn_commit;
-      Pio.add_int footer txn_id;
-      append_locked t footer;
-      apply_policy_locked t)
+(* One commit unit — a bare op or a committed batch — is one record: its
+   op count, then the ops in staging order. One checksummed append is
+   atomic by itself: a torn final record is dropped whole at recovery. *)
+let log t (coll : Smc.Collection.t) ops =
+  let sw = coll.Smc.Collection.layout.Layout.slot_words in
+  let n = List.length ops in
+  let buf = Buffer.create (8 + (n * (32 + (8 * sw)))) in
+  Pio.add_int buf n;
+  List.iter (add_op buf sw) ops;
+  append t buf
 
 let attach t (coll : Smc.Collection.t) =
-  (* The collection publishes bare ops inside their critical sections with
-     the row alive, so [on_op] skips log_store's liveness precheck. *)
+  (* An empty commit has nothing to redo, so it appends nothing. *)
   Smc.Collection.subscribe coll
     {
       name = t.name;
-      on_op = (fun op -> append t (payload coll op));
-      on_commit = Some (fun ~txn_id ops -> log_txn t coll ~txn_id ops);
+      on_op = (fun op -> log t coll [ op ]);
+      on_commit = Some (fun ops -> if ops <> [] then log t coll ops);
     };
   t.obs <- Some coll.Smc.Collection.rt.Runtime.obs
 
@@ -173,12 +141,10 @@ let detach t coll = Smc.Collection.unsubscribe coll t.name
 (* ------------------------------------------------------------------ *)
 (* Recovery *)
 
-type record =
+type op =
   | Add of { entry : int; inc : int; words : int array }
   | Remove of { entry : int; inc : int }
   | Store of { entry : int; inc : int; word : int; value : int }
-  | Txn_begin of { txn_id : int; n_ops : int }
-  | Txn_commit of { txn_id : int }
 
 type log_info = {
   li_name : string;
@@ -187,44 +153,31 @@ type log_info = {
   li_torn_dropped : int;
 }
 
+let parse_op (r : Pio.reader) : op =
+  let code = Pio.get_int r in
+  let entry = Pio.get_int r in
+  let inc = Pio.get_int r in
+  if code = op_add then begin
+    let n = Pio.get_int r in
+    if n < 0 || n > 1 lsl 20 then Pio.corrupt "%s: implausible add width %d" r.Pio.what n;
+    Add { entry; inc; words = Array.init n (fun _ -> Pio.get_int r) }
+  end
+  else if code = op_remove then Remove { entry; inc }
+  else if code = op_store then begin
+    let word = Pio.get_int r in
+    let value = Pio.get_int r in
+    Store { entry; inc; word; value }
+  end
+  else Pio.corrupt "%s: unknown op code %d" r.Pio.what code
+
 let parse_record (r : Pio.reader) =
-  let op = Pio.get_int r in
-  let record =
-    if op = op_add then begin
-      let entry = Pio.get_int r in
-      let inc = Pio.get_int r in
-      let n = Pio.get_int r in
-      if n < 0 || n > 1 lsl 20 then Pio.corrupt "%s: implausible add width %d" r.Pio.what n;
-      let words = Array.init n (fun _ -> Pio.get_int r) in
-      Add { entry; inc; words }
-    end
-    else if op = op_remove then begin
-      let entry = Pio.get_int r in
-      let inc = Pio.get_int r in
-      Remove { entry; inc }
-    end
-    else if op = op_store then begin
-      let entry = Pio.get_int r in
-      let inc = Pio.get_int r in
-      let word = Pio.get_int r in
-      let value = Pio.get_int r in
-      Store { entry; inc; word; value }
-    end
-    else if op = op_txn_begin then begin
-      let txn_id = Pio.get_int r in
-      let n_ops = Pio.get_int r in
-      if n_ops < 0 || n_ops > 1 lsl 30 then
-        Pio.corrupt "%s: implausible transaction op count %d" r.Pio.what n_ops;
-      Txn_begin { txn_id; n_ops }
-    end
-    else if op = op_txn_commit then begin
-      let txn_id = Pio.get_int r in
-      Txn_commit { txn_id }
-    end
-    else Pio.corrupt "%s: unknown record op %d" r.Pio.what op
-  in
+  let n = Pio.get_int r in
+  (* every op takes at least three words *)
+  if n < 0 || n > Bytes.length r.Pio.bytes / 24 then
+    Pio.corrupt "%s: implausible op count %d" r.Pio.what n;
+  let ops = List.init n (fun _ -> parse_op r) in
   Pio.expect_end r;
-  record
+  ops
 
 (* A record that cannot be read intact *terminates* the log. If it reaches
    end-of-file it is a torn tail — the crash hit mid-append — and is

@@ -1,41 +1,40 @@
 (** Write-ahead redo log for a self-managed collection.
 
-    An append-only log of the collection's mutations between snapshots:
-    [add] records carry the new object's indirection entry, incarnation
-    and full slot image (logical field order, placement-independent);
-    [remove] records carry the entry and incarnation being freed; [store]
-    records (logged explicitly via {!log_store}) capture an in-place field
-    update. Replaying the log tail over the last snapshot reconstructs the
-    collection exactly — entry indices and incarnations are reproduced
-    verbatim, so references stored inside objects keep resolving.
-
-    Committed transactions arrive through the subscriber's [on_commit] as
-    one batch and are framed atomically: a [Txn_begin] record carrying the
-    declared op count, the body records (same wire format as bare ops), and
-    a [Txn_commit] record — all appended under one mutex hold, so neither a
-    bare record nor a snapshot cut can land inside the frame. Replay
-    ({!Snapshot.replay_wal}) buffers a frame and applies it only on its
-    commit record; an unterminated frame — crash before the commit record
-    reached disk — is discarded as a unit.
+    An append-only log of the collection's mutations between snapshots,
+    one record per {e commit unit}: a bare [add]/[remove]/[store] is a
+    one-op record, and a committed transaction's batch (the subscriber's
+    [on_commit]) is one record holding its ops in staging order. An [add]
+    op carries the new object's indirection entry, incarnation and full
+    slot image (logical field order, placement-independent); a [remove]
+    carries the entry and incarnation being freed; a [store] carries the
+    entry, incarnation, word offset and value. Replaying the log tail over
+    the last snapshot reconstructs the collection exactly — entry indices
+    and incarnations are reproduced verbatim, so references stored inside
+    objects keep resolving. An empty commit has nothing to redo and
+    appends nothing.
 
     Records are captured by subscribing to the collection
-    ({!Smc.Collection.subscribe}), so
-    they may be appended from any domain; a mutex serialises appends.
-    Group commit: records accumulate in the channel buffer and are flushed
-    and [fsync]ed in batches under the {!sync_policy} — [Every n] is the
-    classic group commit, [Always] pays one fsync per record, [Manual]
-    syncs only on {!flush}/{!close}.
+    ({!Smc.Collection.subscribe}), so they may be appended from any
+    domain; a mutex serialises appends. Group commit: records accumulate
+    in the channel buffer and are flushed and [fsync]ed in batches under
+    the {!sync_policy} — [Every n] is the classic group commit, [Always]
+    pays one fsync per record, [Manual] syncs only on {!flush}/{!close}.
 
-    On-disk format: 8 magic bytes, a checksummed header section (log name,
-    base LSN), then one checksummed record per mutation. Recovery
+    On-disk format: 8 magic bytes ([SMCWAL02]), a checksummed header
+    section (log name, base LSN), then one checksummed section per record:
+    the op count, then each op (opcode, entry, incarnation, then the slot
+    image or the word and value). A record is atomic by itself: recovery
     ({!scan}) verifies every checksum; a truncated or corrupt {e final}
-    record is a torn tail — dropped and counted — while corruption with
-    further records behind it raises {!Pio.Corrupt} (the shared corruption
-    exception of this library). *)
+    record is a torn tail — dropped whole and counted — while corruption
+    with further records behind it raises {!Pio.Corrupt} (the shared
+    corruption exception of this library), as does a log in any other
+    format (a bad magic). *)
 
 type sync_policy =
   | Always  (** flush + fsync after every record *)
-  | Every of int  (** flush + fsync once per [n] records (group commit) *)
+  | Every of int
+      (** flush + fsync once per [n] records (group commit). A record is one
+          commit unit, so [n] counts commits, whatever their op counts. *)
   | Manual  (** sync only on {!flush} and {!close} *)
 
 type t
@@ -56,16 +55,12 @@ val detach : t -> Smc.Collection.t -> unit
     other logs, stay attached. Raises [Invalid_argument] if this log is not
     attached to the collection. *)
 
-val log_store : t -> Smc.Collection.t -> Smc.Ref.t -> word:int -> value:int -> unit
-(** Logs an in-place store of logical word [word] of the object behind the
-    reference — call it after mutating a live object's scalar field.
-    Raises [Invalid_argument] on a null/dead reference. *)
-
 val flush : t -> unit
 (** Forces buffered records to disk (flush + fsync). *)
 
 val lsn : t -> int
-(** LSN of the next record to be appended (base + records written). *)
+(** LSN of the next record to be appended (base + records written; one
+    record per commit unit). *)
 
 val name : t -> string
 
@@ -76,14 +71,11 @@ val close : t -> unit
 
 (** {1 Recovery} *)
 
-type record =
+(** One logged op, as recovery reads it back. *)
+type op =
   | Add of { entry : int; inc : int; words : int array }
   | Remove of { entry : int; inc : int }
   | Store of { entry : int; inc : int; word : int; value : int }
-  | Txn_begin of { txn_id : int; n_ops : int }
-      (** opens a transaction frame declaring its body length *)
-  | Txn_commit of { txn_id : int }
-      (** seals the frame; the body is atomic from here *)
 
 type log_info = {
   li_name : string;
@@ -92,7 +84,8 @@ type log_info = {
   li_torn_dropped : int;  (** 1 if a torn final record was discarded *)
 }
 
-val scan : path:string -> f:(lsn:int -> record -> unit) -> log_info
-(** Streams every intact record in order. A truncated or checksum-failed
-    final record is discarded (torn tail); the same damage followed by
-    further bytes raises {!Pio.Corrupt}, as does a bad magic or header. *)
+val scan : path:string -> f:(lsn:int -> op list -> unit) -> log_info
+(** Streams every intact record's ops, in log order. A truncated or
+    checksum-failed final record is discarded whole (torn tail); the same
+    damage followed by further bytes raises {!Pio.Corrupt}, as does a bad
+    magic or header. *)

@@ -98,8 +98,8 @@ let compact t ?occupancy_threshold () =
    [C.commit_all]: a conflict on any shard publishes nothing anywhere, so
    the cross-shard batch is all-or-nothing in memory.
 
-   Durability is per-shard: each shard's WAL frames its slice atomically,
-   but there is no cross-shard commit record — a crash between two shards'
+   Durability is per-shard: each shard's WAL writes its slice as one
+   record, but there is no cross-shard commit record — a crash between two shards'
    log syncs can recover one shard's slice without the other's. See
    docs/sharding.md for the contract. *)
 

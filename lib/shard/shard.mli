@@ -11,9 +11,9 @@
     together, and commits through {!Smc.Collection.commit_all}: every
     participating shard validates while holding its commit locks (taken in
     ascending shard id order), and the batch publishes only if all of them
-    validated — all-or-nothing in memory. Durability is per-shard: each shard's WAL frames its slice
-    atomically, but there is no cross-shard commit record (see
-    docs/sharding.md).
+    validated — all-or-nothing in memory. Durability is per-shard: each
+    shard's WAL writes its slice as one record, but there is no
+    cross-shard commit record (see docs/sharding.md).
 
     Queries fan out one per-shard source and merge in shard order behind
     one ordinary {!Smc_query.Source.t}, so all four engines run unchanged
@@ -162,7 +162,7 @@ val snapshot :
 type restored = {
   r_shard : t;
   r_bytes : int;  (** snapshot bytes read across all shards *)
-  r_replayed : int;  (** WAL records replayed across all shards *)
+  r_replayed : int;  (** WAL ops replayed across all shards *)
   r_torn_dropped : int;  (** torn final records discarded across all shards *)
 }
 

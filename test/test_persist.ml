@@ -174,11 +174,9 @@ let test_wal_replay () =
   List.iteri
     (fun i r -> if i mod 4 = 0 then ignore (Smc.Collection.remove persons r : bool))
     !late;
-  (* An explicit in-place store, logged by hand. *)
+  (* A store, logged through the subscriber like every other op. *)
   let survivor = List.find (fun r -> Smc.Collection.mem persons r) !late in
-  let blk, slot = Smc.Collection.deref persons survivor in
-  Smc.Field.set_int f_age blk slot 77;
-  Wal.log_store wal persons survivor ~word:f_age.Layout.word ~value:77;
+  Smc.Collection.store persons survivor ~word:f_age.Layout.word ~value:77;
   Wal.flush wal;
   let r, violations = Persist_check.restore_verified ~wal:wal_path ~path:snap () in
   check (Alcotest.list Alcotest.string) "restore audits clean" [] violations;
@@ -189,7 +187,7 @@ let test_wal_replay () =
   let blk', slot' =
     Smc.Collection.deref r.Snapshot.r_coll (Smc.Ref.of_packed (Smc.Ref.to_packed survivor))
   in
-  check Alcotest.int "logged store replayed" 77 (Smc.Field.get_int f_age blk' slot');
+  check Alcotest.int "store replayed" 77 (Smc.Field.get_int f_age blk' slot');
   Wal.close wal
 
 let test_wal_replay_from_empty_snapshot () =
@@ -357,6 +355,22 @@ let test_mid_log_corruption_is_fatal () =
     check Alcotest.bool "message names the log" true
       (contains_sub ~sub:"WAL" msg || contains_sub ~sub:"checksum" msg)
 
+let test_old_wal_magic_refused () =
+  (* A log in the earlier framed layout carries the magic SMCWAL01; its
+     records would not parse as op lists, so recovery refuses the file
+     outright instead of misreading it. *)
+  let wal_path = tmp ".wal" in
+  let wal = Wal.create ~path:wal_path ~name:"persons" () in
+  Wal.close wal;
+  let fd = Unix.openfile wal_path [ Unix.O_WRONLY ] 0 in
+  ignore (Unix.write_substring fd "SMCWAL01" 0 8 : int);
+  Unix.close fd;
+  match Wal.scan ~path:wal_path ~f:(fun ~lsn:_ _ -> ()) with
+  | (_ : Wal.log_info) -> Alcotest.fail "an old-format log must be refused"
+  | exception Smc_persist.Pio.Corrupt msg ->
+    check Alcotest.bool "message names the bad magic" true
+      (contains_sub ~sub:"bad magic" msg && contains_sub ~sub:"SMCWAL01" msg)
+
 let test_corrupted_snapshot_detected () =
   (* Flip one byte anywhere past the magic: restore must raise Corrupt
      with a descriptive message, never crash or return garbage. *)
@@ -476,6 +490,7 @@ let () =
             test_fresh_wal_header_survives_crash;
           Alcotest.test_case "mid-log corruption fatal" `Quick
             test_mid_log_corruption_is_fatal;
+          Alcotest.test_case "old WAL magic refused" `Quick test_old_wal_magic_refused;
           Alcotest.test_case "corrupted snapshot detected" `Quick
             test_corrupted_snapshot_detected;
           Alcotest.test_case "truncated snapshot detected" `Quick

@@ -1,5 +1,5 @@
 (* Tests for atomic multi-op transactions and snapshot-isolation reads:
-   commit/abort/conflict semantics, WAL transaction framing, crash
+   commit/abort/conflict semantics, one WAL record per commit, crash
    recovery at and around every commit boundary (byte-level log surgery),
    view stability, query integration, and the Txn_check model checker. *)
 
@@ -75,11 +75,11 @@ let commit_refs tx =
 (* Byte-level WAL surgery.
 
    A log file is: magic (8 bytes), one header section, then one section
-   per record — each section being [len:8 LE][crc:8 LE][payload]. The
-   first payload word is the op code (add=1 remove=2 store=3 txn_begin=4
-   txn_commit=5). [wal_records] returns (offset, total_len, op) for every
-   record section, in file order, so tests can truncate at exact record
-   boundaries or splice individual records out of the middle. *)
+   per record — each section being [len:8 LE][crc:8 LE][payload]. A record
+   is one commit unit (a bare op or a committed batch); the first payload
+   word is its op count. [wal_records] returns (offset, total_len, n_ops)
+   for every record section, in file order, so tests can truncate or
+   damage exact records. *)
 
 let wal_records path =
   let ic = open_in_bin path in
@@ -101,10 +101,10 @@ let wal_records path =
           really_input ic h 0 16;
           let len = Int64.to_int (Bytes.get_int64_le h 0) in
           if off + 16 + len <= size then begin
-            let op_b = Bytes.create 8 in
-            really_input ic op_b 0 8;
-            let op = Int64.to_int (Bytes.get_int64_le op_b 0) in
-            out := (off, 16 + len, op) :: !out;
+            let n_b = Bytes.create 8 in
+            really_input ic n_b 0 8;
+            let n_ops = Int64.to_int (Bytes.get_int64_le n_b 0) in
+            out := (off, 16 + len, n_ops) :: !out;
             loop (off + 16 + len)
           end
         end
@@ -117,20 +117,29 @@ let truncate_to path off =
   Unix.ftruncate fd off;
   Unix.close fd
 
-(* Copy [path] to a temp file with the byte range [off, off+len) removed. *)
-let splice_out path ~off ~len =
+(* A temp copy of [path]'s first [n] bytes: a crash image. *)
+let copy_prefix path n =
   let out_path = tmp ".wal" in
   let ic = open_in_bin path in
-  let oc = open_out_bin out_path in
-  let size = in_channel_length ic in
-  let buf = really_input_string ic size in
-  output_string oc (String.sub buf 0 off);
-  output_string oc (String.sub buf (off + len) (size - off - len));
+  let bytes = really_input_string ic n in
   close_in ic;
+  let oc = open_out_bin out_path in
+  output_string oc bytes;
   close_out oc;
   out_path
 
-let record_ops path = List.map (fun (_, _, op) -> op) (wal_records path)
+(* Inverts every bit of the byte at [off], in place. *)
+let flip_byte path off =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET : int);
+  ignore (Unix.read fd b 0 1 : int);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
+  ignore (Unix.lseek fd off Unix.SEEK_SET : int);
+  ignore (Unix.write fd b 0 1 : int);
+  Unix.close fd
+
+let record_ops path = List.map (fun (_, _, n_ops) -> n_ops) (wal_records path)
 
 (* ------------------------------------------------------------------ *)
 (* Commit / abort semantics *)
@@ -175,17 +184,18 @@ let test_empty_txn () =
   check (Alcotest.list Alcotest.unit) "empty commit" []
     (List.map (fun (_ : Smc.Ref.t) -> ()) (commit_refs tx));
   check pairs "still empty" [] (dump coll);
-  (* The empty frame is logged and replays to nothing. *)
-  check (Alcotest.list Alcotest.int) "begin+commit frame" [ 4; 5 ] (record_ops wal_path);
+  (* Nothing to redo, so nothing is logged. *)
+  check (Alcotest.list Alcotest.int) "no record" [] (record_ops wal_path);
+  check Alcotest.int "LSN unmoved" 0 (Wal.lsn wal);
   check pairs "recovers to empty" [] (dump_restored wal_path snap);
   Wal.close wal
 
-let test_single_op_txn () =
+let test_one_op_commit () =
   let _rt, coll, wal, wal_path, snap = make_logged () in
   let tx = C.txn coll in
   stage_kv tx 7 70;
   ignore (commit_refs tx : Smc.Ref.t list);
-  check (Alcotest.list Alcotest.int) "framed single op" [ 4; 1; 5 ] (record_ops wal_path);
+  check (Alcotest.list Alcotest.int) "one one-op record" [ 1 ] (record_ops wal_path);
   check pairs "recovers the row" [ (7, 70) ] (dump_restored wal_path snap);
   Wal.close wal
 
@@ -384,10 +394,10 @@ let test_conflict_pairs_property () =
     (Smc_check.Audit.check_once rt ~contexts:[ coll.C.ctx ])
 
 (* ------------------------------------------------------------------ *)
-(* Crash recovery: torn and spliced transaction frames *)
+(* Crash recovery: torn and damaged commit records *)
 
-(* Log two transactions; return everything needed for surgery on the
-   second frame. State after txn1 only: [(1,10); (2,20)]. *)
+(* Log two transactions, one record each; return everything needed for
+   surgery on the second. State after txn1 only: [(1,10); (2,20)]. *)
 let two_txn_log () =
   let _rt, coll, wal, wal_path, snap = make_logged () in
   let tx = C.txn coll in
@@ -400,47 +410,109 @@ let two_txn_log () =
   stage_kv tx 5 50;
   ignore (commit_refs tx : Smc.Ref.t list);
   Wal.close wal;
-  check (Alcotest.list Alcotest.int) "expected frame layout" [ 4; 1; 1; 5; 4; 1; 1; 1; 5 ]
-    (record_ops wal_path);
+  check (Alcotest.list Alcotest.int) "one record per commit" [ 2; 3 ] (record_ops wal_path);
   (coll, wal_path, snap)
 
 let txn1_state = [ (1, 10); (2, 20) ]
 
+(* Recovers [wal_path] over [snap], checking the restored state is exactly
+   the first transaction's and the torn-drop count is [torn]. *)
+let check_txn1_recovered ~label ~torn wal_path snap =
+  let r, violations = Persist_check.restore_verified ~wal:wal_path ~path:snap () in
+  check (Alcotest.list Alcotest.string) (label ^ ": restore audits clean") [] violations;
+  check Alcotest.int (label ^ ": torn drops") torn r.Snapshot.r_torn_dropped;
+  check pairs (label ^ ": first transaction only") txn1_state (dump r.Snapshot.r_coll)
+
 let test_torn_inside_body () =
-  (* Truncate at every record boundary inside the second frame: the whole
-     transaction must vanish, the first must survive untouched. *)
+  (* Truncate the second transaction's record after its first byte and at
+     every 8-byte offset inside it: the record is dropped whole and
+     counted, the first transaction survives untouched. *)
+  let _coll, wal_path, snap = two_txn_log () in
+  let off, len, _ = List.nth (wal_records wal_path) 1 in
   List.iter
-    (fun drop_records ->
-      let _coll, wal_path, snap = two_txn_log () in
-      let records = Array.of_list (wal_records wal_path) in
-      let off, _, _ = records.(Array.length records - drop_records) in
-      truncate_to wal_path off;
-      check pairs
-        (Printf.sprintf "frame dropped as a unit (cut %d records back)" drop_records)
-        txn1_state (dump_restored wal_path snap))
-    [ 2; 3; 4 ]
+    (fun cut ->
+      check_txn1_recovered ~label:(Printf.sprintf "cut %d bytes in" cut) ~torn:1
+        (copy_prefix wal_path (off + cut))
+        snap)
+    (1 :: List.init ((len - 1) / 8) (fun i -> 8 * (i + 1)))
 
 let test_torn_mid_record () =
-  (* Truncate inside a body record's bytes — a torn append on top of an
-     incomplete frame. Both the torn record and the open frame go. *)
+  (* Unaligned cuts inside the last op's words, down to a record missing
+     only its final byte: still one torn record, dropped whole. *)
   let _coll, wal_path, snap = two_txn_log () in
-  let records = Array.of_list (wal_records wal_path) in
-  let off, len, _ = records.(Array.length records - 2) in
-  truncate_to wal_path (off + len - 3);
-  check pairs "torn body record drops the frame" txn1_state (dump_restored wal_path snap)
+  let off, len, _ = List.nth (wal_records wal_path) 1 in
+  List.iter
+    (fun short ->
+      check_txn1_recovered ~label:(Printf.sprintf "%d bytes short" short) ~torn:1
+        (copy_prefix wal_path (off + len - short))
+        snap)
+    [ 3; 1 ]
 
 let test_torn_at_commit_record () =
-  (* The body is fully on disk; only the commit record is missing. Still
-     all-or-nothing: the frame must not replay. *)
+  (* The log ends exactly where the second commit's record would begin:
+     nothing is torn, the second transaction is simply absent. *)
   let _coll, wal_path, snap = two_txn_log () in
-  let records = Array.of_list (wal_records wal_path) in
-  let off, _, op = records.(Array.length records - 1) in
-  check Alcotest.int "last record is the commit" 5 op;
+  let off, _, _ = List.nth (wal_records wal_path) 1 in
   truncate_to wal_path off;
-  check pairs "uncommitted frame discarded" txn1_state (dump_restored wal_path snap)
+  check_txn1_recovered ~label:"cut at the record" ~torn:0 wal_path snap
+
+let test_damaged_record_with_tail_is_fatal () =
+  (* A flipped byte in the first transaction's record, with the second
+     record intact behind it, cannot be a torn append: recovery refuses
+     the log instead of dropping a committed transaction. *)
+  let _coll, wal_path, snap = two_txn_log () in
+  let off, _, _ = List.hd (wal_records wal_path) in
+  flip_byte wal_path (off + 16 + 8);
+  match Snapshot.restore ~wal:wal_path ~path:snap () with
+  | (_ : Snapshot.restored) -> Alcotest.fail "mid-log damage must be fatal"
+  | exception Smc_persist.Pio.Corrupt msg ->
+    check Alcotest.bool "message names the checksum" true (contains_sub ~sub:"checksum" msg)
+
+let test_replay_in_log_order () =
+  (* Batch, bare add, batch: the last batch removes the bare-added row and
+     stores to the first batch's row, so replay must apply the records in
+     log order (a remove of a row not yet added would be fatal). *)
+  let _rt, coll, wal, wal_path, snap = make_logged () in
+  let tx = C.txn coll in
+  stage_kv tx 1 10;
+  stage_kv tx 2 20;
+  let r1 = List.hd (commit_refs tx) in
+  let r3 = add_kv coll 3 30 in
+  let tx = C.txn coll in
+  C.stage_remove tx r3;
+  C.stage_store tx r1 ~word:fv.Layout.word ~value:11;
+  stage_kv tx 4 40;
+  ignore (commit_refs tx : Smc.Ref.t list);
+  Wal.close wal;
+  check (Alcotest.list Alcotest.int) "batch, bare, batch" [ 2; 1; 3 ] (record_ops wal_path);
+  check pairs "recovered in log order" [ (1, 11); (2, 20); (4, 40) ]
+    (dump_restored wal_path snap);
+  check pairs "matches the live collection" (dump coll) (dump_restored wal_path snap)
+
+let test_sync_counts_commits () =
+  (* [Every 3] counts records, and a record is a commit: three commits of
+     1, 5 and 9 ops make three appends and exactly one fsync. *)
+  let rt, coll, wal, wal_path, snap = make_logged ~sync:(Wal.Every 3) () in
+  let s0 = Smc_obs.snapshot rt.Runtime.obs in
+  let next = ref 0 in
+  List.iter
+    (fun n ->
+      let tx = C.txn coll in
+      for _ = 1 to n do
+        incr next;
+        stage_kv tx !next !next
+      done;
+      ignore (commit_refs tx : Smc.Ref.t list))
+    [ 1; 5; 9 ];
+  let d = Smc_obs.diff (Smc_obs.snapshot rt.Runtime.obs) s0 in
+  check Alcotest.int "appends" 3 (Smc_obs.get d Smc_obs.c_persist_wal_appends);
+  check Alcotest.int "syncs" 1 (Smc_obs.get d Smc_obs.c_persist_wal_syncs);
+  check (Alcotest.list Alcotest.int) "records" [ 1; 5; 9 ] (record_ops wal_path);
+  check Alcotest.int "all 15 rows recover" 15 (List.length (dump_restored wal_path snap));
+  Wal.close wal
 
 let test_crash_before_fsync () =
-  (* Manual sync: the second transaction's frame sits in the writer's
+  (* Manual sync: the second transaction's record sits in the writer's
      buffer. A crash image taken before the flush has only the first
      transaction; after the flush, both. *)
   let _rt, coll, wal, wal_path, snap = make_logged ~sync:Wal.Manual () in
@@ -452,84 +524,15 @@ let test_crash_before_fsync () =
   let tx = C.txn coll in
   stage_kv tx 3 30;
   ignore (commit_refs tx : Smc.Ref.t list);
-  let crash_img = tmp ".wal" in
-  let ic = open_in_bin wal_path in
-  let img = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let oc = open_out_bin crash_img in
-  output_string oc img;
-  close_out oc;
+  let crash_img = copy_prefix wal_path (Unix.stat wal_path).Unix.st_size in
   check pairs "pre-fsync crash loses the whole txn" txn1_state (dump_restored crash_img snap);
   Wal.close wal;
   check pairs "post-flush image has it all" [ (1, 10); (2, 20); (3, 30) ]
     (dump_restored wal_path snap)
 
-let test_uncommitted_prefix_then_clean_tail () =
-  (* Regression: a complete-but-uncommitted frame in the *middle* of the
-     log, with healthy records behind it, must be skipped — not treated
-     as fatal corruption. This is the disk state after a commit-record
-     tear survives one recovery and the reopened log grows a clean tail. *)
-  let _rt, coll, wal, wal_path, snap = make_logged () in
-  let tx = C.txn coll in
-  stage_kv tx 1 10;
-  ignore (commit_refs tx : Smc.Ref.t list);
-  let tx = C.txn coll in
-  stage_kv tx 2 20;
-  stage_kv tx 3 30;
-  ignore (commit_refs tx : Smc.Ref.t list);
-  ignore (add_kv coll 4 40 : Smc.Ref.t);
-  Wal.close wal;
-  check (Alcotest.list Alcotest.int) "layout before surgery" [ 4; 1; 5; 4; 1; 1; 5; 1 ]
-    (record_ops wal_path);
-  (* Splice out the second frame's commit record; its body stays, followed
-     by the bare add. *)
-  let records = Array.of_list (wal_records wal_path) in
-  let off, len, op = records.(6) in
-  check Alcotest.int "splicing the commit record" 5 op;
-  let cut = splice_out wal_path ~off ~len in
-  check pairs "orphan frame skipped, bare tail applied" [ (1, 10); (4, 40) ]
-    (dump_restored cut snap)
-
-let test_stray_commit_is_fatal () =
-  (* A commit record with no open frame cannot be produced by any crash
-     of the writer — recovery must refuse the log. *)
-  let _rt, coll, wal, wal_path, snap = make_logged () in
-  let tx = C.txn coll in
-  stage_kv tx 1 10;
-  ignore (commit_refs tx : Smc.Ref.t list);
-  Wal.close wal;
-  let records = Array.of_list (wal_records wal_path) in
-  let off, len, op = records.(0) in
-  check Alcotest.int "splicing the begin record" 4 op;
-  let cut = splice_out wal_path ~off ~len in
-  match Snapshot.restore ~wal:cut ~path:snap () with
-  | (_ : Snapshot.restored) -> Alcotest.fail "stray commit must be fatal"
-  | exception Smc_persist.Pio.Corrupt msg ->
-    check Alcotest.bool "message names the frame" true
-      (contains_sub ~sub:"commit" msg)
-
-let test_short_frame_is_fatal () =
-  (* A commit record arriving before the declared op count is complete
-     means a record vanished from the middle — corruption, not a tear. *)
-  let _rt, coll, wal, wal_path, snap = make_logged () in
-  let tx = C.txn coll in
-  stage_kv tx 1 10;
-  stage_kv tx 2 20;
-  ignore (commit_refs tx : Smc.Ref.t list);
-  Wal.close wal;
-  let records = Array.of_list (wal_records wal_path) in
-  let off, len, op = records.(1) in
-  check Alcotest.int "splicing a body record" 1 op;
-  let cut = splice_out wal_path ~off ~len in
-  match Snapshot.restore ~wal:cut ~path:snap () with
-  | (_ : Snapshot.restored) -> Alcotest.fail "short frame must be fatal"
-  | exception Smc_persist.Pio.Corrupt msg ->
-    check Alcotest.bool "message counts the ops" true
-      (contains_sub ~sub:"op" msg)
-
 let test_torn_tail_regression_bare () =
-  (* The pre-transaction torn-tail contract still holds for bare records
-     behind a committed frame. *)
+  (* The torn-tail contract holds for a bare record behind a committed
+     batch. *)
   let _rt, coll, wal, wal_path, snap = make_logged () in
   let tx = C.txn coll in
   stage_kv tx 1 10;
@@ -541,7 +544,7 @@ let test_torn_tail_regression_bare () =
   let r, violations = Persist_check.restore_verified ~wal:wal_path ~path:snap () in
   check (Alcotest.list Alcotest.string) "restore audits clean" [] violations;
   check Alcotest.int "torn drop counted" 1 r.Snapshot.r_torn_dropped;
-  check pairs "frame survives, torn bare add dropped" [ (1, 10) ] (dump r.Snapshot.r_coll)
+  check pairs "batch survives, torn bare add dropped" [ (1, 10) ] (dump r.Snapshot.r_coll)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot views *)
@@ -1019,7 +1022,7 @@ let () =
           qc "multi-op commit, refs in stage order" test_commit_basic;
           qc "staged store + bad word offset" test_store_in_txn;
           qc "empty transaction" test_empty_txn;
-          qc "single-op transaction" test_single_op_txn;
+          qc "single-op transaction" test_one_op_commit;
           qc "abort leaves no trace, finished txn rejected" test_abort;
           qc "transact wrapper" test_transact_wrapper;
           qc "duplicate staged ref rejected" test_duplicate_ref_rejected;
@@ -1038,9 +1041,9 @@ let () =
           qc "torn mid-record" test_torn_mid_record;
           qc "torn at the commit record" test_torn_at_commit_record;
           qc "crash between append and fsync" test_crash_before_fsync;
-          qc "uncommitted frame before a clean tail" test_uncommitted_prefix_then_clean_tail;
-          qc "stray commit is fatal" test_stray_commit_is_fatal;
-          qc "short frame is fatal" test_short_frame_is_fatal;
+          qc "damaged record with a tail is fatal" test_damaged_record_with_tail_is_fatal;
+          qc "batch, bare, batch replay in log order" test_replay_in_log_order;
+          qc "Every n counts commits" test_sync_counts_commits;
           qc "bare torn tail still dropped cleanly" test_torn_tail_regression_bare;
           qc "bare store replays" test_bare_store_wal_replay;
         ] );
