@@ -7,11 +7,7 @@ type op =
   | Remove of Ref.t
   | Store of Ref.t * int * int
 
-type subscriber = {
-  name : string;
-  on_op : op -> unit;
-  on_commit : (op list -> unit) option;
-}
+type subscriber = { name : string; on_commit : op list -> unit }
 
 type t = {
   name : string;
@@ -26,40 +22,34 @@ let create rt ~name ~layout ?placement ?mode ?slots_per_block ?reclaim_threshold
   let ctx = Context.create rt ~layout ?placement ?mode ?slots_per_block ?reclaim_threshold () in
   { name; layout; ctx; rt; subs = []; txn_lock = Mutex.create () }
 
-(* The one firing path: [op] goes to every subscriber's [on_op] in
-   attachment order — inside a commit only to those without [on_commit],
-   which take the whole batch from [commit_prepared] instead. Callers test
-   [t.subs != []] first, so an unwatched mutation builds no op. *)
-let publish ?(in_commit = false) t op =
-  List.iter
-    (fun s -> if not (in_commit && Option.is_some s.on_commit) then s.on_op op)
-    t.subs
-
-let batched t = List.exists (fun s -> Option.is_some s.on_commit) t.subs
+(* The one firing path: one unit goes to every subscriber in attachment
+   order. Callers test [t.subs != []] first, so an unwatched mutation
+   builds no op. *)
+let publish t ops = List.iter (fun s -> s.on_commit ops) t.subs
 
 let add t ~init =
   let packed = Context.alloc ~init t.ctx in
   let r = Ref.of_packed packed in
   (if t.subs != [] then
      match Context.resolve t.ctx packed with
-     | Some (blk, slot) -> publish t (Add (r, blk, slot))
+     | Some (blk, slot) -> publish t [ Add (r, blk, slot) ]
      | None -> assert false (* a freshly allocated object cannot be dead *));
   r
 
 let remove t r =
-  (* With a batch subscriber (a log) attached, pin the epoch across free +
-     append: while this domain stays in a critical section the freed slot
-     cannot clear its grace period, so no other domain can recycle the
-     entry and log a later incarnation's Add before this Remove record
-     lands — replay order stays sound. *)
-  let pin = batched t in
+  (* With anyone listening, pin the epoch across free + publish: while this
+     domain stays in a critical section the freed slot cannot clear its
+     grace period, so no other domain can recycle the entry and publish a
+     later incarnation's Add before this Remove — a log's replay order
+     stays sound. *)
+  let pin = t.subs != [] in
   let em = t.rt.Runtime.epoch in
   if pin then Epoch.enter_critical em;
   Fun.protect
     ~finally:(fun () -> if pin then Epoch.exit_critical em)
     (fun () ->
       let removed = Context.free t.ctx (Ref.to_packed r) in
-      if removed && t.subs != [] then publish t (Remove r);
+      if removed && pin then publish t [ Remove r ];
       removed)
 
 let store t r ~word ~value =
@@ -79,7 +69,7 @@ let store t r ~word ~value =
             (fun () ->
               if not (Context.store_versioned t.ctx (Ref.to_packed r) ~csn ~word ~value) then
                 raise Constants.Null_reference;
-              if t.subs != [] then publish t (Store (r, word, value));
+              if t.subs != [] then publish t [ Store (r, word, value) ];
               Smc_obs.incr t.rt.Runtime.obs Smc_obs.c_bare_stores)))
 
 let subscribe t (s : subscriber) =
@@ -103,15 +93,6 @@ let unsubscribe t name =
   t.subs <- List.filter (fun s -> not (named s)) t.subs
 
 let subscribers t = List.map (fun (s : subscriber) -> s.name) t.subs
-
-let publish_replay t =
-  if batched t then
-    invalid_arg
-      (Printf.sprintf
-         "Collection.publish_replay: %S has a subscriber with on_commit attached; replayed \
-          ops would bypass its log"
-         t.name);
-  fun op -> publish t op
 
 let deref_opt t r = Context.resolve t.ctx (Ref.to_packed r)
 
@@ -151,9 +132,9 @@ let limbo_count t = Context.stats_limbo t.ctx
    one unit: write-write conflicts are validated against the staging-time
    CSN frontier (first committer wins), the whole batch is published under
    the collection's transaction lock with a single commit CSN — so snapshot
-   views observe all of it or none of it — and a subscribed WAL receives
-   the batch as one [on_commit] call and writes it as one record, which
-   recovery replays whole or not at all.
+   views observe all of it or none of it — and every subscriber receives
+   the batch as one unit after it is applied (a WAL writes it as one
+   record, which recovery replays whole or not at all).
 
    The transaction lock is deliberately separate from the context lock:
    applying the batch calls [Context.alloc]/[Context.free], which take the
@@ -258,17 +239,15 @@ let validate_locked tx =
           Bigarray.Array1.unsafe_get blk.Block.csn_write slot <= tx.tx_begin_csn))
     tx.tx_ops
 
-(* Applies the staged batch in staging order. Per-op subscribers hear each
-   op as it lands; the ops are also collected (only when anyone listens)
-   for the batch subscribers, which [publish_locked] calls once. *)
+(* Applies the staged batch in staging order and returns its adds'
+   references and, only when anyone listens, its ops for [publish_locked]
+   to publish as one unit. *)
 let apply_locked tx ~csn =
   let t = tx.tx_coll in
   let ctx = t.ctx in
+  let listening = t.subs != [] in
   let adds = ref [] and ops = ref [] in
-  let emit op =
-    publish ~in_commit:true t op;
-    ops := op :: !ops
-  in
+  let emit op = if listening then ops := op :: !ops in
   let vanished () =
     (* Validation saw the row alive moments ago inside this same critical
        section; only a concurrent bare [remove] can have killed it since.
@@ -287,20 +266,20 @@ let apply_locked tx ~csn =
         let packed = Context.alloc ~csn ~init ctx in
         let r = Ref.of_packed packed in
         adds := r :: !adds;
-        if t.subs != [] then (
+        if listening then (
           match Context.resolve ctx packed with
           | Some (blk, slot) -> emit (Add (r, blk, slot))
           | None -> assert false)
       | S_remove r ->
         if not (Context.free ~csn ctx (Ref.to_packed r)) then vanished ();
-        if t.subs != [] then emit (Remove r)
+        emit (Remove r)
       | S_store (r, word, value) ->
         (* Copy-on-write: the updated row is published in a fresh slot and
            the old copy retired to limbo with death stamp [csn], so open
            snapshot views keep reading the pre-commit payload. *)
         if not (Context.store_versioned ctx (Ref.to_packed r) ~csn ~word ~value) then
           vanished ();
-        if t.subs != [] then emit (Store (r, word, value)))
+        emit (Store (r, word, value)))
     (List.rev tx.tx_ops);
   (List.rev !adds, List.rev !ops)
 
@@ -347,8 +326,9 @@ let lock_and_validate tx =
     false
   end
 
-(* Publishes a validated transaction (apply, then the batch subscribers),
-   releases its locks, and returns its adds' references. *)
+(* Publishes a validated transaction (apply, then one unit to every
+   subscriber), releases its locks, and returns its adds' references. An
+   empty commit has nothing to publish. *)
 let publish_locked tx =
   let t = tx.tx_coll in
   let csn = Context.begin_commit t.ctx in
@@ -359,9 +339,7 @@ let publish_locked tx =
     (fun () ->
       let adds, ops = apply_locked tx ~csn in
       Runtime.fire_txn_hook t.rt Runtime.Txn_applied;
-      List.iter
-        (fun s -> match s.on_commit with Some f -> f ops | None -> ())
-        t.subs;
+      if ops <> [] then publish t ops;
       Runtime.fire_txn_hook t.rt Runtime.Txn_logged;
       obs_incr t Smc_obs.c_txn_commits;
       adds)

@@ -18,26 +18,27 @@
 (** Every structure kept in step with the collection's mutations — hash and
     text indexes, materialized views, a write-ahead log — is a
     {!subscriber}, registered in one ordered list with {!subscribe}. Each
-    published mutation reaches each subscriber exactly once, as one {!op}:
+    published unit reaches each subscriber exactly once, as one [on_commit]
+    call with the unit's ops:
 
-    - a bare {!add} publishes [Add] after [init] has set the fields;
-    - a bare {!remove} publishes [Remove] after a successful free (the
+    - a bare {!add} publishes [[Add]] after [init] has set the fields;
+    - a bare {!remove} publishes [[Remove]] after a successful free (the
       reference already reads as null, so maintenance must be deferred —
-      lazy staleness); a dead remove publishes nothing;
-    - a bare {!store} publishes [Store] after its copy-on-write commit has
-      swung the reference to the updated copy, inside its critical
-      section;
+      lazy staleness); a dead remove publishes nothing. While anyone is
+      subscribed, the remove pins the epoch across free and publish, so no
+      other domain can recycle the entry and publish a later incarnation's
+      [Add] first;
+    - a bare {!store} publishes [[Store]] after its copy-on-write commit
+      has swung the reference to the updated copy;
     - a commit ({!commit}, {!commit_all}) publishes its ops in staging
-      order. A subscriber with [on_commit = None] gets one [on_op] per op
-      while the batch is applied; a subscriber with [on_commit] gets no
-      [on_op] calls for it and one [on_commit] call with the whole batch
-      after it is applied, inside the commit's critical section — a log
-      writes it as one record, so recovery applies all or none. Staging,
-      {!abort}, and a {!commit_all} that conflicts publish nothing;
-    - recovery ({!publish_replay}) publishes each replayed op to [on_op].
+      order, once, after the whole batch is applied (a log writes it as
+      one record, so recovery applies all or none). An empty commit,
+      staging, {!abort} and a {!commit_all} that conflicts publish nothing;
+    - recovery applies each replayed log record, then hands its ops to
+      {!publish} as one unit.
 
     Subscribers fire in attachment order, on the mutating domain, while the
-    op's location is stable. *)
+    unit's locations are stable. *)
 
 type op =
   | Add of Ref.t * Smc_offheap.Block.t * int
@@ -47,12 +48,7 @@ type op =
 
 type subscriber = {
   name : string;  (** unique among the collection's subscribers *)
-  on_op : op -> unit;
-  on_commit : (op list -> unit) option;
-      (** when present, a commit's ops arrive here as one batch instead of
-          through [on_op]; attaching one also makes {!remove} pin the epoch
-          across free + publish, so no other domain can recycle the entry
-          and publish a later incarnation's [Add] first *)
+  on_commit : op list -> unit;  (** one call per published unit *)
 }
 
 type t = {
@@ -120,13 +116,11 @@ val unsubscribe : t -> string -> unit
 val subscribers : t -> string list
 (** Names of the attached subscribers, in attachment order. *)
 
-val publish_replay : t -> op -> unit
-(** [publish_replay t] is recovery's firing point: apply a replayed op to
-    the collection, then hand it to [publish_replay t], which fires every
-    subscriber's [on_op] — so structures subscribed before a replay stay
-    current through it. The partial application raises [Invalid_argument]
-    when a subscriber with [on_commit] is attached: replay does not log,
-    so that subscriber's log would silently diverge from the collection. *)
+val publish : t -> op list -> unit
+(** Hands one unit to every subscriber, in attachment order: the one
+    firing path of the live mutations, and recovery's, which applies a
+    replayed record and then publishes its ops, so structures subscribed
+    before a replay stay current through it. *)
 
 val deref : t -> Ref.t -> Smc_offheap.Block.t * int
 (** Current location of the object. Raises

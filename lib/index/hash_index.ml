@@ -274,7 +274,7 @@ let locked t f =
 
 (* ---- maintenance hooks -------------------------------------------- *)
 
-let on_op t : Smc.Collection.op -> unit = function
+let apply_op t : Smc.Collection.op -> unit = function
   | Add (r, _, _) ->
     (* Re-resolve the reference inside the critical section rather than
        trusting the published (blk, slot): the row may have been relocated
@@ -326,7 +326,7 @@ let attach ?(initial_capacity = chunk_buckets) ?(max_load = 0.7) ~name ~key coll
   (* Subscribes first (rejects direct mode / duplicate names before any
      work), then bulk-loads; attach is a quiescent-point operation so no
      add can slip between the two. *)
-  Smc.Collection.subscribe coll { name; on_op = on_op t; on_commit = None };
+  Smc.Collection.subscribe coll { name; on_commit = List.iter (apply_op t) };
   locked t (fun () ->
       Smc.Collection.iter coll ~f:(fun blk slot ->
           let r = Smc.Collection.ref_of_slot t.coll blk slot in

@@ -468,12 +468,11 @@ let attach ~name:vname coll ~columns ~keys ~aggs ?where () =
   Smc.Collection.subscribe coll
     {
       name = vname;
-      on_op =
-        (function
-        | Add (r, _, _) -> on_add t r
-        | Remove r -> on_remove t r
-        | Store (r, _, _) -> on_store t r);
-      on_commit = None;
+      on_commit =
+        List.iter (function
+          | Smc.Collection.Add (r, _, _) -> on_add t r
+          | Remove r -> on_remove t r
+          | Store (r, _, _) -> on_store t r);
     };
   locked t (fun () -> ignore (build_locked t : bool));
   t

@@ -579,20 +579,22 @@ let fixup_refs ~(ctx : Context.t) (layout : Layout.t) map =
    sitting in the free stores, which at this point only hold entries the
    replay itself minted and discarded (all above the reservation). *)
 let replay_wal (coll : Smc.Collection.t) ~path ~cut =
-  let publish = Smc.Collection.publish_replay coll in
   let rt = coll.Smc.Collection.rt in
   let ctx = coll.Smc.Collection.ctx in
   let layout = coll.Smc.Collection.layout in
   let ind = rt.Runtime.ind in
   let what = Printf.sprintf "WAL %s" path in
-  let max_entry = ref (-1) in
+  (* One pass: the largest entry over every record (the reservation covers
+     the whole log), and the records at or after the cut, newest first. *)
+  let max_entry = ref (-1) and kept = ref [] in
   let info =
-    Wal.scan ~path ~f:(fun ~lsn:_ ops ->
+    Wal.scan ~path ~f:(fun ~lsn ops ->
         List.iter
           (fun (Wal.Add { entry; _ } | Wal.Remove { entry; _ } | Wal.Store { entry; _ }) ->
             if entry < 0 then Pio.corrupt "%s: negative indirection entry" what;
             if entry > !max_entry then max_entry := entry)
-          ops)
+          ops;
+        if lsn >= cut then kept := (lsn, ops) :: !kept)
   in
   let cut = if cut < 0 then info.Wal.li_base else cut in
   if info.Wal.li_base > cut then
@@ -626,11 +628,7 @@ let replay_wal (coll : Smc.Collection.t) ~path ~cut =
       end;
       Indirection.set_ptr ind entry (Constants.pack_ptr ~block:blk.Block.id ~slot);
       Indirection.set_inc_word ind entry (inc land Constants.inc_mask);
-      (* Same firing point as the live add path: fields initialised, the
-         logged identity rewired. [restore] replays before any index is
-         reattached, so there nothing listens; a caller that subscribes
-         first (view replay-on-recovery) sees each op exactly once. *)
-      publish (Add (Smc.Ref.of_packed (Constants.pack_ref ~entry ~inc), blk, slot))
+      Smc.Collection.Add (Smc.Ref.of_packed (Constants.pack_ref ~entry ~inc), blk, slot)
   in
   let apply_remove ~lsn entry inc =
     let packed = Constants.pack_ref ~entry ~inc in
@@ -652,8 +650,7 @@ let replay_wal (coll : Smc.Collection.t) ~path ~cut =
         ignore (Atomic.fetch_and_add blk.Block.limbo_count (-1) : int);
         Smc_obs.incr rt.Runtime.obs Smc_obs.c_slot_recycles
       end;
-      (* After the free, like the live remove path (lazy staleness). *)
-      publish (Remove (Smc.Ref.of_packed packed))
+      Smc.Collection.Remove (Smc.Ref.of_packed packed)
   in
   let apply_store ~lsn entry inc word value =
     let packed = Constants.pack_ref ~entry ~inc in
@@ -664,21 +661,25 @@ let replay_wal (coll : Smc.Collection.t) ~path ~cut =
       if word < 0 || word >= sw then
         Pio.corrupt "%s: record %d stores outside the layout (word %d)" what lsn word;
       Block.set_word blk ~slot ~word value;
-      publish (Store (Smc.Ref.of_packed packed, word, value))
+      Smc.Collection.Store (Smc.Ref.of_packed packed, word, value)
   in
-  (* Each intact record is one commit unit, applied whole; a torn final
-     record never reaches [f]. *)
-  let applied = ref 0 in
-  let apply_op ~lsn op =
-    (match op with
+  let apply_op ~lsn = function
     | Wal.Add { entry; inc; words } -> apply_add ~lsn entry inc words
     | Wal.Remove { entry; inc } -> apply_remove ~lsn entry inc
-    | Wal.Store { entry; inc; word; value } -> apply_store ~lsn entry inc word value);
-    incr applied
+    | Wal.Store { entry; inc; word; value } -> apply_store ~lsn entry inc word value
   in
-  ignore
-    (Wal.scan ~path ~f:(fun ~lsn ops -> if lsn >= cut then List.iter (apply_op ~lsn) ops)
-      : Wal.log_info);
+  (* Each intact record is one commit unit: applied whole, then published
+     as one unit, like a live commit. [restore] replays before any index is
+     reattached, so there nothing listens; a caller that subscribes first
+     (view replay-on-recovery) hears each record once. A torn final record
+     never reached [kept]. *)
+  let applied = ref 0 in
+  List.iter
+    (fun (lsn, ops) ->
+      let unit_ops = List.map (apply_op ~lsn) ops in
+      applied := !applied + List.length unit_ops;
+      Smc.Collection.publish coll unit_ops)
+    (List.rev !kept);
   Smc_obs.add rt.Runtime.obs Smc_obs.c_persist_wal_replayed !applied;
   Smc_obs.add rt.Runtime.obs Smc_obs.c_persist_torn_drops info.Wal.li_torn_dropped;
   (!applied, info.Wal.li_torn_dropped)

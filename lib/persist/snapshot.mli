@@ -83,19 +83,16 @@ type restored = {
 
 val replay_wal : Smc.Collection.t -> path:string -> cut:int -> int * int
 (** Replays the log tail (records at or after LSN [cut]; [cut = -1] means
-    the log's base) over the collection, applying each intact record — one
-    commit unit — whole, in log order; a torn final record is dropped whole.
-    Every applied op reaches each of the collection's subscribers exactly
-    once ({!Smc.Collection.publish_replay}), at the same points as the live
-    mutation paths, so maintenance structures subscribed {e before} the
-    replay stay current through it; {!restore} replays before reattaching
-    indexes, so its replay publishes to no one. Returns
-    [(applied ops, torn_dropped)]. Raises {!Pio.Corrupt} on mid-log
-    corruption or a snapshot/log gap, and [Invalid_argument] (before
-    reading the log) when a subscriber with [on_commit] — a WAL — is
-    attached: replay does not log, so that log would silently miss every
-    replayed op. Single-threaded recovery use only: no concurrent mutators,
-    probes or compaction. *)
+    the log's base) over the collection in one read of the log, applying
+    each intact record — one commit unit — whole, in log order, and then
+    publishing its ops as one unit ({!Smc.Collection.publish}), like a live
+    commit: structures subscribed {e before} the replay, a log included,
+    hear each record once and stay current through it; {!restore} replays
+    before reattaching indexes, so its replay publishes to no one. A torn
+    final record is dropped whole. Returns [(applied ops, torn_dropped)].
+    Raises {!Pio.Corrupt} on mid-log corruption or a snapshot/log gap.
+    Single-threaded recovery use only: no concurrent mutators, probes or
+    compaction. *)
 
 val restore : ?wal:string -> path:string -> unit -> restored
 (** Reads the image back into a fresh runtime and collection: blocks are

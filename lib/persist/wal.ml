@@ -127,13 +127,7 @@ let log t (coll : Smc.Collection.t) ops =
   append t buf
 
 let attach t (coll : Smc.Collection.t) =
-  (* An empty commit has nothing to redo, so it appends nothing. *)
-  Smc.Collection.subscribe coll
-    {
-      name = t.name;
-      on_op = (fun op -> log t coll [ op ]);
-      on_commit = Some (fun ops -> if ops <> [] then log t coll ops);
-    };
+  Smc.Collection.subscribe coll { name = t.name; on_commit = log t coll };
   t.obs <- Some coll.Smc.Collection.rt.Runtime.obs
 
 let detach t coll = Smc.Collection.unsubscribe coll t.name

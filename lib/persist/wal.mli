@@ -2,8 +2,8 @@
 
     An append-only log of the collection's mutations between snapshots,
     one record per {e commit unit}: a bare [add]/[remove]/[store] is a
-    one-op record, and a committed transaction's batch (the subscriber's
-    [on_commit]) is one record holding its ops in staging order. An [add]
+    one-op record, and a committed transaction's batch is one record
+    holding its ops in staging order: one record per published unit. An [add]
     op carries the new object's indirection entry, incarnation and full
     slot image (logical field order, placement-independent); a [remove]
     carries the entry and incarnation being freed; a [store] carries the

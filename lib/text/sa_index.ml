@@ -457,7 +457,7 @@ let append_pending_locked t packed =
   push_pending_locked t packed;
   maintain_locked t
 
-let on_op t : Smc.Collection.op -> unit = function
+let apply_op t : Smc.Collection.op -> unit = function
   | Add (r, _, _) ->
     (* The liveness check takes its own critical section so that a seal or
        merge triggered by this append runs outside it. *)
@@ -505,7 +505,7 @@ let attach ?churn_limit ~name ~column coll =
      add can slip between the two. The load stages every live row through
      the pending tail and runs one full rebuild — the same level builder
      incremental maintenance uses. *)
-  Smc.Collection.subscribe coll { name; on_op = on_op t; on_commit = None };
+  Smc.Collection.subscribe coll { name; on_commit = List.iter (apply_op t) };
   locked t (fun () ->
       Smc.Collection.iter coll ~f:(fun blk slot ->
           let r = Smc.Collection.ref_of_slot coll blk slot in

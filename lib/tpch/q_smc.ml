@@ -123,95 +123,12 @@ let q1_safe (db : Db_smc.t) cutoff =
 
 (* Q1 — unsafe: raw block access with all offsets hoisted out of the slot
    loop, group accumulators in a pre-allocated flat region indexed by the
-   (returnflag, linestatus) byte pair, decimal math in place. *)
-let q1_unsafe (db : Db_smc.t) cutoff =
-  let lf = db.Db_smc.lf in
-  let o_ship = word_offset lf.Db_smc.l_shipdate
-  and o_rf = word_offset lf.Db_smc.l_returnflag
-  and o_ls = word_offset lf.Db_smc.l_linestatus
-  and o_qty = word_offset lf.Db_smc.l_quantity
-  and o_price = word_offset lf.Db_smc.l_extendedprice
-  and o_disc = word_offset lf.Db_smc.l_discount
-  and o_tax = word_offset lf.Db_smc.l_tax in
-  let nslots = 512 in
-  let qty = Array.make nslots 0
-  and base = Array.make nslots 0
-  and disc_price = Array.make nslots 0
-  and charge = Array.make nslots 0
-  and disc = Array.make nslots 0
-  and count = Array.make nslots 0 in
-  let consume g price d q tax =
-    let dp = D.mul price (D.sub D.one d) in
-    qty.(g) <- qty.(g) + q;
-    base.(g) <- base.(g) + price;
-    disc_price.(g) <- disc_price.(g) + dp;
-    charge.(g) <- charge.(g) + D.mul dp (D.add D.one tax);
-    disc.(g) <- disc.(g) + d;
-    count.(g) <- count.(g) + 1
-  in
-  C.iter db.Db_smc.lineitems ~f:(fun blk ->
-      let data = blk.Block.data in
-      match blk.Block.placement with
-      | Block.Row ->
-        let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
-        fun slot ->
-          let b = slot * sw in
-          if BA1.unsafe_get data (b + o_ship) <= cutoff then begin
-            let g =
-              ((BA1.unsafe_get data (b + o_rf) land 0x7F) lsl 1)
-              lor (BA1.unsafe_get data (b + o_ls) land 1)
-            in
-            consume g
-              (BA1.unsafe_get data (b + o_price))
-              (BA1.unsafe_get data (b + o_disc))
-              (BA1.unsafe_get data (b + o_qty))
-              (BA1.unsafe_get data (b + o_tax))
-          end
-      | Block.Columnar ->
-        let n = blk.Block.nslots in
-        let b_ship = o_ship * n
-        and b_rf = o_rf * n
-        and b_ls = o_ls * n
-        and b_qty = o_qty * n
-        and b_price = o_price * n
-        and b_disc = o_disc * n
-        and b_tax = o_tax * n in
-        fun slot ->
-          if BA1.unsafe_get data (b_ship + slot) <= cutoff then begin
-            let g =
-              ((BA1.unsafe_get data (b_rf + slot) land 0x7F) lsl 1)
-              lor (BA1.unsafe_get data (b_ls + slot) land 1)
-            in
-            consume g
-              (BA1.unsafe_get data (b_price + slot))
-              (BA1.unsafe_get data (b_disc + slot))
-              (BA1.unsafe_get data (b_qty + slot))
-              (BA1.unsafe_get data (b_tax + slot))
-          end);
-  let rows = ref [] in
-  for g = nslots - 1 downto 0 do
-    if count.(g) > 0 then
-      rows :=
-        q1_row (Char.chr (g lsr 1))
-          (if g land 1 = 1 then 'O' else 'F')
-          ~qty:qty.(g) ~base:base.(g) ~disc_price:disc_price.(g) ~charge:charge.(g)
-          ~disc:disc.(g) ~count:count.(g)
-        :: !rows
-  done;
-  Results.sort_q1 !rows
-
-let q1 ?(unsafe = false) db =
-  let cutoff =
-    Smc_util.Date.add_days (Smc_util.Date.of_ymd 1998 12 1) (-Results.q1_delta_days)
-  in
-  if unsafe then q1_unsafe db cutoff else q1_safe db cutoff
-
-(* Q1 — parallel: the unsafe kernel run over a block-partitioned parallel
-   scan. Every worker domain folds into its own flat accumulator region —
-   no sharing, no atomics on the hot path — and the regions are merged
-   element-wise on the calling domain once all workers finished. The
-   workers share one §5.2 block walk and scan each block inside its own
-   epoch critical section. *)
+   (returnflag, linestatus) byte pair, decimal math in place. The
+   sequential variant drives the kernel with [C.iter] over one region; the
+   parallel one gives every worker domain its own region — no sharing, no
+   atomics on the hot path — and merges them element-wise on the calling
+   domain once all workers finished. The workers share one §5.2 block
+   walk and scan each block inside its own epoch critical section. *)
 
 let q1_groups = 512
 
@@ -245,10 +162,12 @@ let q1_flat_merge a b =
   done;
   a
 
-let q1_par ?pool ?domains (db : Db_smc.t) =
-  let cutoff =
-    Smc_util.Date.add_days (Smc_util.Date.of_ymd 1998 12 1) (-Results.q1_delta_days)
-  in
+let q1_cutoff () =
+  Smc_util.Date.add_days (Smc_util.Date.of_ymd 1998 12 1) (-Results.q1_delta_days)
+
+(* The Q1 kernel: [q1_kernel db cutoff acc blk] hoists the block's raw
+   state and returns the per-slot body folding into [acc]. *)
+let q1_kernel (db : Db_smc.t) cutoff =
   let lf = db.Db_smc.lf in
   let o_ship = word_offset lf.Db_smc.l_shipdate
   and o_rf = word_offset lf.Db_smc.l_returnflag
@@ -257,58 +176,56 @@ let q1_par ?pool ?domains (db : Db_smc.t) =
   and o_price = word_offset lf.Db_smc.l_extendedprice
   and o_disc = word_offset lf.Db_smc.l_discount
   and o_tax = word_offset lf.Db_smc.l_tax in
-  let acc =
-    Par_scan.fold_hoisted_par ?pool ?domains db.Db_smc.lineitems.C.ctx ~init:q1_flat_make
-      ~on_block:(fun acc blk ->
-        let data = blk.Block.data in
-        let consume g price d q tax =
-          let dp = D.mul price (D.sub D.one d) in
-          acc.p_qty.(g) <- acc.p_qty.(g) + q;
-          acc.p_base.(g) <- acc.p_base.(g) + price;
-          acc.p_disc_price.(g) <- acc.p_disc_price.(g) + dp;
-          acc.p_charge.(g) <- acc.p_charge.(g) + D.mul dp (D.add D.one tax);
-          acc.p_disc.(g) <- acc.p_disc.(g) + d;
-          acc.p_count.(g) <- acc.p_count.(g) + 1
-        in
-        match blk.Block.placement with
-        | Block.Row ->
-          let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
-          fun slot ->
-            let b = slot * sw in
-            if BA1.unsafe_get data (b + o_ship) <= cutoff then begin
-              let g =
-                ((BA1.unsafe_get data (b + o_rf) land 0x7F) lsl 1)
-                lor (BA1.unsafe_get data (b + o_ls) land 1)
-              in
-              consume g
-                (BA1.unsafe_get data (b + o_price))
-                (BA1.unsafe_get data (b + o_disc))
-                (BA1.unsafe_get data (b + o_qty))
-                (BA1.unsafe_get data (b + o_tax))
-            end
-        | Block.Columnar ->
-          let n = blk.Block.nslots in
-          let b_ship = o_ship * n
-          and b_rf = o_rf * n
-          and b_ls = o_ls * n
-          and b_qty = o_qty * n
-          and b_price = o_price * n
-          and b_disc = o_disc * n
-          and b_tax = o_tax * n in
-          fun slot ->
-            if BA1.unsafe_get data (b_ship + slot) <= cutoff then begin
-              let g =
-                ((BA1.unsafe_get data (b_rf + slot) land 0x7F) lsl 1)
-                lor (BA1.unsafe_get data (b_ls + slot) land 1)
-              in
-              consume g
-                (BA1.unsafe_get data (b_price + slot))
-                (BA1.unsafe_get data (b_disc + slot))
-                (BA1.unsafe_get data (b_qty + slot))
-                (BA1.unsafe_get data (b_tax + slot))
-            end)
-      ~combine:q1_flat_merge
-  in
+  fun acc blk ->
+    let data = blk.Block.data in
+    let consume g price d q tax =
+      let dp = D.mul price (D.sub D.one d) in
+      acc.p_qty.(g) <- acc.p_qty.(g) + q;
+      acc.p_base.(g) <- acc.p_base.(g) + price;
+      acc.p_disc_price.(g) <- acc.p_disc_price.(g) + dp;
+      acc.p_charge.(g) <- acc.p_charge.(g) + D.mul dp (D.add D.one tax);
+      acc.p_disc.(g) <- acc.p_disc.(g) + d;
+      acc.p_count.(g) <- acc.p_count.(g) + 1
+    in
+    match blk.Block.placement with
+    | Block.Row ->
+      let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
+      fun slot ->
+        let b = slot * sw in
+        if BA1.unsafe_get data (b + o_ship) <= cutoff then begin
+          let g =
+            ((BA1.unsafe_get data (b + o_rf) land 0x7F) lsl 1)
+            lor (BA1.unsafe_get data (b + o_ls) land 1)
+          in
+          consume g
+            (BA1.unsafe_get data (b + o_price))
+            (BA1.unsafe_get data (b + o_disc))
+            (BA1.unsafe_get data (b + o_qty))
+            (BA1.unsafe_get data (b + o_tax))
+        end
+    | Block.Columnar ->
+      let n = blk.Block.nslots in
+      let b_ship = o_ship * n
+      and b_rf = o_rf * n
+      and b_ls = o_ls * n
+      and b_qty = o_qty * n
+      and b_price = o_price * n
+      and b_disc = o_disc * n
+      and b_tax = o_tax * n in
+      fun slot ->
+        if BA1.unsafe_get data (b_ship + slot) <= cutoff then begin
+          let g =
+            ((BA1.unsafe_get data (b_rf + slot) land 0x7F) lsl 1)
+            lor (BA1.unsafe_get data (b_ls + slot) land 1)
+          in
+          consume g
+            (BA1.unsafe_get data (b_price + slot))
+            (BA1.unsafe_get data (b_disc + slot))
+            (BA1.unsafe_get data (b_qty + slot))
+            (BA1.unsafe_get data (b_tax + slot))
+        end
+
+let q1_rows acc =
   let rows = ref [] in
   for g = q1_groups - 1 downto 0 do
     if acc.p_count.(g) > 0 then
@@ -320,6 +237,21 @@ let q1_par ?pool ?domains (db : Db_smc.t) =
         :: !rows
   done;
   Results.sort_q1 !rows
+
+let q1 ?(unsafe = false) db =
+  let cutoff = q1_cutoff () in
+  if unsafe then begin
+    let acc = q1_flat_make () in
+    C.iter db.Db_smc.lineitems ~f:(q1_kernel db cutoff acc);
+    q1_rows acc
+  end
+  else q1_safe db cutoff
+
+let q1_par ?pool ?domains (db : Db_smc.t) =
+  q1_rows
+    (Par_scan.fold_hoisted_par ?pool ?domains db.Db_smc.lineitems.C.ctx ~init:q1_flat_make
+       ~on_block:(q1_kernel db (q1_cutoff ()))
+       ~combine:q1_flat_merge)
 
 (* ------------------------------------------------------------------ *)
 (* Q2 — minimum-cost supplier. The scan is tiny relative to lineitem
@@ -972,52 +904,55 @@ let q19 ?(unsafe = false) (db : Db_smc.t) =
 (* ------------------------------------------------------------------ *)
 (* Q6 — forecasting revenue change *)
 
-let q6 ?(unsafe = false) (db : Db_smc.t) =
+(* The unsafe Q6 kernel: raw block access with a hoisted data pointer and
+   offsets, accumulating in place into [acc] — the paper's unsafe compiled
+   Q6. *)
+let q6_kernel (db : Db_smc.t) =
   let lf = db.Db_smc.lf in
   let lo = Results.q6_date in
   let hi = Smc_util.Date.add_months lo 12 in
+  let o_ship = word_offset lf.Db_smc.l_shipdate
+  and o_disc = word_offset lf.Db_smc.l_discount
+  and o_qty = word_offset lf.Db_smc.l_quantity
+  and o_price = word_offset lf.Db_smc.l_extendedprice in
+  let d_lo = Results.q6_disc_lo and d_hi = Results.q6_disc_hi and q_max = Results.q6_qty in
+  fun acc blk ->
+    let data = blk.Block.data in
+    match blk.Block.placement with
+    | Block.Row ->
+      let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
+      fun slot ->
+        let b = slot * sw in
+        let ship = BA1.unsafe_get data (b + o_ship) in
+        if ship >= lo && ship < hi then begin
+          let disc = BA1.unsafe_get data (b + o_disc) in
+          if disc >= d_lo && disc <= d_hi && BA1.unsafe_get data (b + o_qty) < q_max then
+            D.Acc.add_mul acc (BA1.unsafe_get data (b + o_price)) disc
+        end
+    | Block.Columnar ->
+      let n = blk.Block.nslots in
+      let b_ship = o_ship * n
+      and b_disc = o_disc * n
+      and b_qty = o_qty * n
+      and b_price = o_price * n in
+      fun slot ->
+        let ship = BA1.unsafe_get data (b_ship + slot) in
+        if ship >= lo && ship < hi then begin
+          let disc = BA1.unsafe_get data (b_disc + slot) in
+          if disc >= d_lo && disc <= d_hi && BA1.unsafe_get data (b_qty + slot) < q_max then
+            D.Acc.add_mul acc (BA1.unsafe_get data (b_price + slot)) disc
+        end
+
+let q6 ?(unsafe = false) (db : Db_smc.t) =
   if unsafe then begin
-    (* Raw block access: hoisted data pointer and offsets, in-place decimal
-       accumulation — the paper's unsafe compiled Q6. *)
-    let o_ship = word_offset lf.Db_smc.l_shipdate
-    and o_disc = word_offset lf.Db_smc.l_discount
-    and o_qty = word_offset lf.Db_smc.l_quantity
-    and o_price = word_offset lf.Db_smc.l_extendedprice in
     let acc = D.Acc.make () in
-    let d_lo = Results.q6_disc_lo and d_hi = Results.q6_disc_hi and q_max = Results.q6_qty in
-    C.iter db.Db_smc.lineitems ~f:(fun blk ->
-        let data = blk.Block.data in
-        match blk.Block.placement with
-        | Block.Row ->
-          let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
-          fun slot ->
-            let b = slot * sw in
-            let ship = BA1.unsafe_get data (b + o_ship) in
-            if ship >= lo && ship < hi then begin
-              let disc = BA1.unsafe_get data (b + o_disc) in
-              if
-                disc >= d_lo && disc <= d_hi
-                && BA1.unsafe_get data (b + o_qty) < q_max
-              then D.Acc.add_mul acc (BA1.unsafe_get data (b + o_price)) disc
-            end
-        | Block.Columnar ->
-          let n = blk.Block.nslots in
-          let b_ship = o_ship * n
-          and b_disc = o_disc * n
-          and b_qty = o_qty * n
-          and b_price = o_price * n in
-          fun slot ->
-            let ship = BA1.unsafe_get data (b_ship + slot) in
-            if ship >= lo && ship < hi then begin
-              let disc = BA1.unsafe_get data (b_disc + slot) in
-              if
-                disc >= d_lo && disc <= d_hi
-                && BA1.unsafe_get data (b_qty + slot) < q_max
-              then D.Acc.add_mul acc (BA1.unsafe_get data (b_price + slot)) disc
-            end);
+    C.iter db.Db_smc.lineitems ~f:(q6_kernel db acc);
     D.Acc.get acc
   end
   else begin
+    let lf = db.Db_smc.lf in
+    let lo = Results.q6_date in
+    let hi = Smc_util.Date.add_months lo 12 in
     let f_ship = lf.Db_smc.l_shipdate
     and f_disc = lf.Db_smc.l_discount
     and f_qty = lf.Db_smc.l_quantity
@@ -1039,48 +974,9 @@ let q6 ?(unsafe = false) (db : Db_smc.t) =
 (* Q6 — parallel: the unsafe kernel with one in-place decimal accumulator
    per worker domain, summed on the caller at the end. *)
 let q6_par ?pool ?domains (db : Db_smc.t) =
-  let lf = db.Db_smc.lf in
-  let lo = Results.q6_date in
-  let hi = Smc_util.Date.add_months lo 12 in
-  let o_ship = word_offset lf.Db_smc.l_shipdate
-  and o_disc = word_offset lf.Db_smc.l_discount
-  and o_qty = word_offset lf.Db_smc.l_quantity
-  and o_price = word_offset lf.Db_smc.l_extendedprice in
-  let d_lo = Results.q6_disc_lo and d_hi = Results.q6_disc_hi and q_max = Results.q6_qty in
-  let acc =
-    Par_scan.fold_hoisted_par ?pool ?domains db.Db_smc.lineitems.C.ctx ~init:D.Acc.make
-      ~on_block:(fun acc blk ->
-        let data = blk.Block.data in
-        match blk.Block.placement with
-        | Block.Row ->
-          let sw = blk.Block.layout.Smc_offheap.Layout.slot_words in
-          fun slot ->
-            let b = slot * sw in
-            let ship = BA1.unsafe_get data (b + o_ship) in
-            if ship >= lo && ship < hi then begin
-              let disc = BA1.unsafe_get data (b + o_disc) in
-              if
-                disc >= d_lo && disc <= d_hi
-                && BA1.unsafe_get data (b + o_qty) < q_max
-              then D.Acc.add_mul acc (BA1.unsafe_get data (b + o_price)) disc
-            end
-        | Block.Columnar ->
-          let n = blk.Block.nslots in
-          let b_ship = o_ship * n
-          and b_disc = o_disc * n
-          and b_qty = o_qty * n
-          and b_price = o_price * n in
-          fun slot ->
-            let ship = BA1.unsafe_get data (b_ship + slot) in
-            if ship >= lo && ship < hi then begin
-              let disc = BA1.unsafe_get data (b_disc + slot) in
-              if
-                disc >= d_lo && disc <= d_hi
-                && BA1.unsafe_get data (b_qty + slot) < q_max
-              then D.Acc.add_mul acc (BA1.unsafe_get data (b_price + slot)) disc
-            end)
-      ~combine:(fun a b ->
-        D.Acc.add a (D.Acc.get b);
-        a)
-  in
-  D.Acc.get acc
+  D.Acc.get
+    (Par_scan.fold_hoisted_par ?pool ?domains db.Db_smc.lineitems.C.ctx ~init:D.Acc.make
+       ~on_block:(q6_kernel db)
+       ~combine:(fun a b ->
+         D.Acc.add a (D.Acc.get b);
+         a))

@@ -306,7 +306,7 @@ let test_rescan_skips_parked_add () =
       done
     | _ -> ()
   in
-  C.subscribe coll { C.name = "latch"; on_op = latch; on_commit = None };
+  C.subscribe coll { C.name = "latch"; on_commit = List.iter latch };
   let mv = attach_kvd coll in
   ignore (C.remove coll mid);
   check Alcotest.int "unique max removal dirties the group" 1
@@ -515,7 +515,7 @@ let count cnt : C.op -> unit = function
   | C.Remove _ -> cnt.removes <- cnt.removes + 1
   | C.Store _ -> cnt.stores <- cnt.stores + 1
 
-let counting_sub cnt name = { C.name; on_op = count cnt; on_commit = None }
+let counting_sub cnt name = { C.name; on_commit = List.iter (count cnt) }
 
 let test_wal_replay_rebuilds_view () =
   (* Live collection A logs its ops; a fresh collection B attaches a view
@@ -565,51 +565,50 @@ let test_wal_replay_rebuilds_view () =
 
 (* ---- exactly-once delivery per mutation path ------------------------ *)
 
-(* The two subscriber shapes side by side: a per-op one (an index's or a
-   view's) and one with [on_commit] (a log's). Every path must reach each
-   exactly once per published op; a commit reaches the batch subscriber as
-   one batch in staging order and never through [on_op]. *)
+(* A subscriber hears every unit once, as one op list: a bare op is a
+   one-element unit, a commit one unit in staging order, and replay one
+   unit per log record. Staging, aborts, dead removes and conflicting
+   commits publish nothing. [shape] keeps what identifies an op across
+   replay (an add's location does not survive it). *)
+let shape = function
+  | C.Add (r, _, _) -> ("add", (Smc.Ref.to_packed r, 0, 0))
+  | C.Remove r -> ("remove", (Smc.Ref.to_packed r, 0, 0))
+  | C.Store (r, w, v) -> ("store", (Smc.Ref.to_packed r, w, v))
+
+let units_testable =
+  Alcotest.(list (list (pair string (triple int int int))))
+
+let recorder name =
+  let units = ref [] in
+  let on_commit ops = units := List.map shape ops :: !units in
+  ({ C.name; on_commit }, fun () -> List.rev !units)
+
 let test_hooks_fire_exactly_once () =
   let _rt, coll = make () in
-  let cnt = { adds = 0; removes = 0; stores = 0 } in
-  let bare = { adds = 0; removes = 0; stores = 0 } in
-  let batches = ref [] in
-  C.subscribe coll (counting_sub cnt "counter");
-  C.subscribe coll
-    {
-      C.name = "log";
-      on_op = count bare;
-      on_commit = Some (fun ops -> batches := ops :: !batches);
-    };
-  let both what expect f =
-    check Alcotest.int (what ^ " (per-op subscriber)") expect (f cnt);
-    check Alcotest.int (what ^ " (batch subscriber)") expect (f bare)
-  in
-  let reset () =
-    List.iter
-      (fun c ->
-        c.adds <- 0;
-        c.removes <- 0;
-        c.stores <- 0)
-      [ cnt; bare ]
-  in
+  let wal_path = tmp ".wal" in
+  let wal = Wal.create ~sync:Wal.Always ~path:wal_path ~name:"kvd" () in
+  Wal.attach wal coll;
+  let sub, units = recorder "units" in
+  C.subscribe coll sub;
   let word = fv.Layout.word in
-  (* Bare paths reach both subscribers through [on_op]. *)
+  let p = Smc.Ref.to_packed in
+  let heard what expect = check units_testable what expect (units ()) in
+  (* Each bare op is one one-element unit; a dead remove publishes nothing. *)
   let r = add_row coll 1 10 in
-  both "bare add fires once" 1 (fun c -> c.adds);
   C.store coll r ~word ~value:11;
-  both "bare store fires once" 1 (fun c -> c.stores);
-  ignore (C.remove coll r);
-  both "bare remove fires once" 1 (fun c -> c.removes);
-  (* Double remove of a dead ref fires nothing. *)
+  check Alcotest.bool "remove frees" true (C.remove coll r);
   check Alcotest.bool "second remove is a no-op" false (C.remove coll r);
-  both "dead remove fires nothing" 1 (fun c -> c.removes);
-  check Alcotest.int "bare ops hand over no batch" 0 (List.length !batches);
-  (* Transactional path: one per-op firing per staged op, none before
-     commit; the batch subscriber gets the batch instead. *)
+  heard "bare ops: one unit each, a dead remove none"
+    [
+      [ ("add", (p r, 0, 0)) ];
+      [ ("store", (p r, word, 11)) ];
+      [ ("remove", (p r, 0, 0)) ];
+    ];
+  (* A commit is exactly one unit, in staging order; staging publishes
+     nothing. *)
   let keep = add_row coll 2 20 in
   let keep2 = add_row coll 3 30 in
-  reset ();
+  let before = units () in
   let tx = C.txn coll in
   C.stage_add tx ~init:(fun blk slot ->
       Smc.Field.set_int fk blk slot 4;
@@ -617,62 +616,57 @@ let test_hooks_fire_exactly_once () =
       Smc.Field.set_dec fd blk slot D.zero);
   C.stage_store tx keep ~word ~value:21;
   C.stage_remove tx keep2;
-  both "staging fires nothing" 0 (fun c -> c.adds + c.removes + c.stores);
+  heard "staging publishes nothing" before;
   let added =
     match C.commit tx with
     | C.Committed [ a ] -> a
     | C.Committed _ -> Alcotest.fail "one staged add, one ref"
     | C.Conflict -> Alcotest.fail "unexpected Conflict"
   in
-  check Alcotest.int "txn commit: one add firing" 1 cnt.adds;
-  check Alcotest.int "txn commit: one store firing" 1 cnt.stores;
-  check Alcotest.int "txn commit: one remove firing" 1 cnt.removes;
-  check Alcotest.int "txn commit: no per-op calls to the batch subscriber" 0
-    (bare.adds + bare.removes + bare.stores);
-  let same a b = Smc.Ref.equal a b in
-  (match !batches with
-  | [ [ C.Add (a, _, _); C.Store (s, w, v); C.Remove d ] ]
-    when same a added && same s keep && w = word && v = 21 && same d keep2 ->
-    ()
-  | _ -> Alcotest.fail "txn commit: exactly one batch, in staging order");
-  (* Aborts fire nothing. *)
+  let committed =
+    before
+    @ [ [ ("add", (p added, 0, 0)); ("store", (p keep, word, 21)); ("remove", (p keep2, 0, 0)) ] ]
+  in
+  heard "a commit is one unit, in staging order" committed;
+  (* Aborts publish nothing. *)
   let tx2 = C.txn coll in
   C.stage_store tx2 keep ~word ~value:22;
   C.abort tx2;
-  check Alcotest.int "abort fires nothing" 1 cnt.stores;
-  check Alcotest.int "abort hands over no batch" 1 (List.length !batches);
-  (* Coordinated path: fires once at publish, never at validation, and
-     never when a sibling conflicts. *)
-  reset ();
+  heard "an abort publishes nothing" committed;
+  (* Coordinated path: one unit at publish, nothing at validation, and
+     nothing when a sibling conflicts. *)
   let sib_rt, sib = make () in
   let s = add_row sib 9 90 in
   let tx3 = C.txn coll in
   C.stage_store tx3 keep ~word ~value:23;
   let stx = C.txn sib in
   C.stage_store stx s ~word ~value:91;
-  let at_validation = ref None in
+  let at_validation = ref [] in
   (* [coll]'s member has validated by the time the sibling's does. *)
   Smc_check.Chaos.with_txn_hook sib_rt
-    ~hook:(fun phase ->
-      if phase = Runtime.Txn_validated then
-        at_validation := Some (cnt.stores, List.length !batches))
+    ~hook:(fun phase -> if phase = Runtime.Txn_validated then at_validation := units ())
     (fun () -> ignore (C.commit_all [ tx3; stx ] : Smc.Ref.t list list option));
-  check
-    Alcotest.(option (pair int int))
-    "validation fires nothing and hands over no batch" (Some (0, 1)) !at_validation;
-  check Alcotest.int "commit_all: one store firing" 1 cnt.stores;
-  check Alcotest.int "commit_all: no per-op calls to the batch subscriber" 0 bare.stores;
-  (match !batches with
-  | [ [ C.Store (s, w, 23) ]; _ ] when same s keep && w = word -> ()
-  | _ -> Alcotest.fail "commit_all: exactly one more batch");
+  heard "commit_all: one unit" (committed @ [ [ ("store", (p keep, word, 23)) ] ]);
+  check units_testable "validation publishes nothing" committed !at_validation;
+  let coordinated = units () in
   let tx4 = C.txn coll in
   C.stage_store tx4 keep ~word ~value:24;
   let stx2 = C.txn sib in
   C.stage_store stx2 s ~word ~value:92;
   check Alcotest.bool "the sibling conflicts" true
     (with_sibling_conflict sib_rt sib s (fun () -> C.commit_all [ tx4; stx2 ]) = None);
-  check Alcotest.int "a sibling's conflict fires nothing" 1 cnt.stores;
-  check Alcotest.int "a sibling's conflict hands over no batch" 2 (List.length !batches)
+  heard "a sibling's conflict publishes nothing" coordinated;
+  Wal.close wal;
+  (* Replay hands a subscriber attached before it one unit per logged
+     record, in log order: the units the live collection published. *)
+  let _rtB, collB = make () in
+  let subB, unitsB = recorder "units" in
+  C.subscribe collB subB;
+  let applied, torn = Snapshot.replay_wal collB ~path:wal_path ~cut:(-1) in
+  check Alcotest.int "no torn tail" 0 torn;
+  check Alcotest.int "every published op applied" (List.length (List.concat coordinated))
+    applied;
+  check units_testable "replay: one unit per record, in log order" coordinated (unitsB ())
 
 (* ---- namespaces ------------------------------------------------------ *)
 

@@ -217,30 +217,31 @@ let test_wal_rejects_direct_mode () =
       (contains_sub ~sub:"direct references" msg));
   Wal.close wal
 
-(* Replay applies ops without logging them, so a collection with a log
-   attached would end up with a log that diverges from it: refuse before
-   touching anything, and run once the log is detached. *)
-let test_replay_rejects_attached_log () =
+(* Replay publishes each record as one unit, so a log attached to the
+   target collection receives every replayed record like any live unit:
+   it ends up one record per source record, and replaying it rebuilds the
+   same rows again. *)
+let test_replay_feeds_attached_log () =
   let _rt, src = make_persons () in
   let src_path = tmp ".wal" in
   let src_wal = Wal.create ~path:src_path ~name:"src" () in
   Wal.attach src_wal src;
   ignore (churn src ~n:60 : (int * Smc.Ref.t) list);
+  let records = Wal.lsn src_wal in
   Wal.close src_wal;
   let _rt, dst = make_persons () in
-  let dst_wal = Wal.create ~path:(tmp ".wal") ~name:"dst" () in
+  let dst_path = tmp ".wal" in
+  let dst_wal = Wal.create ~path:dst_path ~name:"dst" () in
   Wal.attach dst_wal dst;
-  let lsn0 = Wal.lsn dst_wal in
-  (match Snapshot.replay_wal dst ~path:src_path ~cut:(-1) with
-  | _ -> Alcotest.fail "replay must refuse a collection with a log attached"
-  | exception Invalid_argument _ -> ());
-  check Alcotest.int "nothing applied" 0 (Smc.Collection.count dst);
-  check Alcotest.int "attached log untouched" lsn0 (Wal.lsn dst_wal);
-  Wal.detach dst_wal dst;
   let applied, _torn = Snapshot.replay_wal dst ~path:src_path ~cut:(-1) in
-  check Alcotest.bool "replay runs once the log is detached" true (applied > 0);
+  check Alcotest.bool "replay applied the log" true (applied > 0);
   check (Alcotest.list Alcotest.int) "row multiset identical" (ages src) (ages dst);
-  Wal.close dst_wal
+  check Alcotest.int "one logged record per replayed record" records (Wal.lsn dst_wal);
+  Wal.close dst_wal;
+  let _rt, again = make_persons () in
+  let applied', _torn = Snapshot.replay_wal again ~path:dst_path ~cut:(-1) in
+  check Alcotest.int "the attached log holds every replayed op" applied applied';
+  check (Alcotest.list Alcotest.int) "its replay rebuilds the rows" (ages src) (ages again)
 
 let test_wal_detach_names_its_log () =
   let _rt, persons = make_persons () in
@@ -479,8 +480,8 @@ let () =
           Alcotest.test_case "replay from empty snapshot" `Quick
             test_wal_replay_from_empty_snapshot;
           Alcotest.test_case "direct mode rejected" `Quick test_wal_rejects_direct_mode;
-          Alcotest.test_case "replay refuses an attached log" `Quick
-            test_replay_rejects_attached_log;
+          Alcotest.test_case "replay feeds an attached log" `Quick
+            test_replay_feeds_attached_log;
           Alcotest.test_case "detach names its own log" `Quick test_wal_detach_names_its_log;
         ] );
       ( "crash recovery",

@@ -800,26 +800,25 @@ let test_walk_vs_commit_and_compaction () =
   check (Alcotest.list Alcotest.string) "audit clean" []
     (Smc_check.Audit.check_once rt ~contexts:[ coll.C.ctx ])
 
-(* A walk never splits an applying commit: a per-op subscriber parks the
-   commit after its first store has landed, and a plain walk taken then
+(* A walk never splits an applying commit: the allocation hook parks the
+   committer at its second allocation — the second store's copy-on-write
+   slot — after the first store has landed, and a plain walk taken then
    must see none of the batch. *)
 let test_walk_vs_applying_commit () =
-  let _rt, coll = make_kv () in
+  let rt, coll = make_kv () in
   let a = add_kv coll 1 10 and b = add_kv coll 2 20 in
+  let main = Domain.self () in
+  let allocs = Atomic.make 0 in
   let parked = Atomic.make false and release = Atomic.make false in
-  C.subscribe coll
-    {
-      C.name = "park";
-      on_op =
-        (fun _ ->
-          if not (Atomic.get parked) then begin
-            Atomic.set parked true;
-            while not (Atomic.get release) do
-              Domain.cpu_relax ()
-            done
-          end);
-      on_commit = None;
-    };
+  let park () =
+    if Domain.self () <> main && Atomic.fetch_and_add allocs 1 = 1 then begin
+      Atomic.set parked true;
+      while not (Atomic.get release) do
+        Domain.cpu_relax ()
+      done
+    end
+  in
+  Smc_check.Chaos.with_alloc_hook rt ~hook:park @@ fun () ->
   let committer =
     Domain.spawn (fun () ->
         let r =
