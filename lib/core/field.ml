@@ -128,6 +128,21 @@ let string_prefix (f : Layout.field) needle =
       go 0
   end
 
+(* Byte [p] of the string stored from word [base]. *)
+let byte_at blk slot base p =
+  Block.get_word blk ~slot ~word:(base + (p / bpw)) lsr (p mod bpw * 8) land 0xFF
+
+let rec rest_matches blk slot base needle p j =
+  j >= String.length needle
+  || byte_at blk slot base (p + j) = Char.code (String.unsafe_get needle j)
+     && rest_matches blk slot base needle p (j + 1)
+
+(* Whether [needle] starts at some [p <= last]. Top-level and
+   tail-recursive, so a probe allocates nothing per row. *)
+let rec occurs_from blk slot base needle last p =
+  p <= last
+  && (rest_matches blk slot base needle p 0 || occurs_from blk slot base needle last (p + 1))
+
 let string_contains (f : Layout.field) needle =
   let cap = Layout.str_capacity f in
   let n = String.length needle in
@@ -135,21 +150,7 @@ let string_contains (f : Layout.field) needle =
   else if n > cap || String.contains needle '\000' then false_pred
   else begin
     let base = f.Layout.word in
-    let byte_at blk slot p =
-      Block.get_word blk ~slot ~word:(base + (p / bpw)) lsr (p mod bpw * 8) land 0xFF
-    in
-    fun blk slot ->
-      (* length of the stored string: first NUL, capacity-bounded *)
-      let hlen = ref 0 in
-      while !hlen < cap && byte_at blk slot !hlen <> 0 do
-        incr hlen
-      done;
-      let hlen = !hlen in
-      let rec at i j =
-        j >= n || (byte_at blk slot (i + j) = Char.code (String.unsafe_get needle j) && at i (j + 1))
-      in
-      let rec search i = i + n <= hlen && (at i 0 || search (i + 1)) in
-      search 0
+    fun blk slot -> occurs_from blk slot base needle (Block.string_length blk ~slot f - n) 0
   end
 
 let set_ref (f : Layout.field) ~(target : Collection.t) blk slot r =

@@ -107,28 +107,43 @@ let set_float t ~slot ~word v =
    NUL-padded to the field capacity. *)
 let bpw = Layout.str_bytes_per_word
 
+(* Index of the first NUL byte of a string word, [bpw] when it has none. *)
+let rec word_nul word b =
+  if b = bpw || (word lsr (b * 8)) land 0xFF = 0 then b else word_nul word (b + 1)
+
+(* Whether one of a word's [bpw] bytes is 0, without a byte loop: the
+   borrow of [word - 0x01..01] sets the top bit of the lowest zero byte's
+   position, and no bit is set when no byte is 0. *)
+let low_bits = 0x01_01_01_01_01_01_01
+let high_bits = 0x80_80_80_80_80_80_80
+let has_nul word = (word - low_bits) land lnot word land high_bits <> 0
+
+(* From word [w] on: the first NUL byte, bounded by the capacity. *)
+let rec stored_length t ~slot base cap w =
+  if w * bpw >= cap then cap
+  else
+    let word = get_word t ~slot ~word:(base + w) in
+    if not (has_nul word) then stored_length t ~slot base cap (w + 1)
+    else
+      let len = (w * bpw) + word_nul word 0 in
+      if len < cap then len else cap
+
+let string_length t ~slot field =
+  stored_length t ~slot field.Layout.word (Layout.str_capacity field) 0
+
 let get_string t ~slot field =
-  let cap = Layout.str_capacity field in
-  let buf = Bytes.create cap in
-  let len = ref cap in
-  (try
-     for w = 0 to field.Layout.words - 1 do
-       let word = get_word t ~slot ~word:(field.Layout.word + w) in
-       let base = w * bpw in
-       for b = 0 to bpw - 1 do
-         let pos = base + b in
-         if pos < cap then begin
-           let c = (word lsr (b * 8)) land 0xFF in
-           if c = 0 then begin
-             len := pos;
-             raise Exit
-           end;
-           Bytes.unsafe_set buf pos (Char.unsafe_chr c)
-         end
-       done
-     done
-   with Exit -> ());
-  Bytes.sub_string buf 0 !len
+  let base = field.Layout.word in
+  let len = string_length t ~slot field in
+  let buf = Bytes.create len in
+  for w = 0 to ((len + bpw - 1) / bpw) - 1 do
+    let word = get_word t ~slot ~word:(base + w) in
+    let p0 = w * bpw in
+    let n = if len - p0 < bpw then len - p0 else bpw in
+    for b = 0 to n - 1 do
+      Bytes.unsafe_set buf (p0 + b) (Char.unsafe_chr ((word lsr (b * 8)) land 0xFF))
+    done
+  done;
+  Bytes.unsafe_to_string buf
 
 (* Pack a literal into the words a [Str] field stores, for allocation-free
    equality predicates in query code. *)

@@ -97,7 +97,12 @@ val get_word : t -> slot:int -> word:int -> int
 val set_word : t -> slot:int -> word:int -> int -> unit
 
 val get_string : t -> slot:int -> Layout.field -> string
-(** Reads a NUL-padded inline string field. *)
+(** Reads a NUL-padded inline string field: the bytes before the first
+    NUL, at most the field capacity. Allocates only the result. *)
+
+val string_length : t -> slot:int -> Layout.field -> int
+(** The length {!get_string} would return, read from the words without
+    copying: the first NUL byte, or the capacity. *)
 
 val set_string : t -> slot:int -> Layout.field -> string -> unit
 (** Truncates to the field capacity; pads with NULs. *)

@@ -9,7 +9,8 @@
      ent_len  : entry text length in bytes (NUL excluded)
      sa       : [(entry lsl 32) lor arena offset] of every suffix, sorted
                 lexicographically by suffix (suffixes end at their entry's
-                NUL, so none crosses an entry boundary)
+                NUL, so none crosses an entry boundary), equal suffixes in
+                ascending position
 
    — and one published [store] value holds everything a probe needs: the
    [base] level (built by full rebuilds), the sealed [runs] (newest
@@ -33,10 +34,10 @@
    complete under bag semantics. Appending to the tail publishes a new
    record that shares the levels.
 
-   Probes never trust the arena: a candidate's text is re-extracted from
-   the live row (inside the probe's critical section, after incarnation
-   validation) and re-tested against the predicate. The arena only narrows
-   the candidate set; stale bytes can only cause a miss, never a hit. *)
+   Probes never trust the arena: a candidate is re-tested against the
+   live row's text (inside the probe's critical section, after
+   incarnation validation). The arena only narrows the candidate set;
+   stale bytes can only cause a miss, never a hit. *)
 
 open Smc_offheap
 
@@ -120,28 +121,28 @@ let lower_byte = Smc.Field.lower_byte
 
 let lower_code c = if c >= 65 && c <= 90 then c + 32 else c
 
-let matches op needle s =
+(* The probe predicate over a live row: the case-sensitive operators read
+   the field's words in place; only the case-insensitive one copies the
+   text out. *)
+let live_match field op needle =
   match op with
-  | Prefix -> Smc.Field.starts_with ~prefix:needle s
-  | Substring -> Smc.Field.contains ~needle s
-  | Substring_ci -> Smc.Field.contains_ci ~needle s
+  | Prefix -> Smc.Field.string_prefix field needle
+  | Substring -> Smc.Field.string_contains field needle
+  | Substring_ci ->
+    fun blk slot -> Smc.Field.contains_ci ~needle (Smc.Field.get_string field blk slot)
 
 (* ---- suffix comparisons ------------------------------------------- *)
 
 (* Full lexicographic order of two arena suffixes; entries are
    NUL-terminated, round-tripped column strings never contain an interior
    NUL ([Block.get_string] stops at the first), so 0 is a safe terminator
-   and the shorter suffix sorts first. *)
-let compare_suffixes (arena : byte_ba) a b =
-  if a = b then 0
-  else begin
-    let rec go i =
-      let ca = Bigarray.Array1.unsafe_get arena (a + i) in
-      let cb = Bigarray.Array1.unsafe_get arena (b + i) in
-      if ca <> cb then ca - cb else if ca = 0 then 0 else go (i + 1)
-    in
-    go 0
-  end
+   and the shorter suffix sorts first. Top-level, like [pack_key]: a local
+   [let rec] over the arena would allocate a closure per call, and the
+   sort makes millions of these calls. *)
+let rec compare_suffixes (arena : byte_ba) a b =
+  let ca = Bigarray.Array1.unsafe_get arena a in
+  let cb = Bigarray.Array1.unsafe_get arena b in
+  if ca <> cb then ca - cb else if ca = 0 then 0 else compare_suffixes arena (a + 1) (b + 1)
 
 (* Suffix vs needle, in the needle-truncated order the range search uses:
    negative when the suffix's first bytes sort below the needle (including
@@ -190,6 +191,7 @@ let probe t op needle ~f =
   Smc_obs.incr t.obs Smc_obs.c_txt_probes;
   let s = t.store in
   let obs = t.obs in
+  let matches = live_match t.field op needle in
   Smc.Collection.with_read t.coll (fun () ->
       let seen = Hashtbl.create 16 in
       (* One candidate sighting ends exactly one way — hit, stale, miss,
@@ -203,7 +205,7 @@ let probe t op needle ~f =
           match Smc.Collection.deref_opt t.coll r with
           | None -> Smc_obs.incr obs Smc_obs.c_txt_stale
           | Some (blk, slot) ->
-            if matches op needle (Smc.Field.get_string t.field blk slot) then begin
+            if matches blk slot then begin
               Smc_obs.incr obs Smc_obs.c_txt_hits;
               f r blk slot
             end
@@ -317,6 +319,122 @@ let top_k_similar t ~k query =
   in
   take k ranked
 
+(* ---- sorting a level's suffixes ------------------------------------ *)
+
+(* A radix sort on the arena bytes, in the level's own off-heap [sa] plus
+   three off-heap temporaries of its size: nothing suffix-sized is on the
+   OCaml heap.
+
+   A segment of [sa] whose suffixes share their first [depth] bytes is
+   sorted by key: the suffix's next [key_bytes] bytes from [depth],
+   big-endian in one int and zero from its NUL on, so keys order as those
+   bytes do (the NUL, 0, sorts below every byte: the shorter suffix
+   first). The sort is a stable LSD radix, one byte per pass, that skips a
+   pass where every key holds the same byte. A run of equal keys that has
+   not reached its NUL (its last key byte is not 0; texts hold no interior
+   NUL) is sorted the same way from [depth + key_bytes]; a run that has is a
+   set of equal suffixes. A segment of at most [insertion_rows] suffixes is
+   sorted by insertion, comparing bytes from [depth].
+
+   [sa] comes in ascending position and every step is stable, so equal
+   suffixes stay in ascending position: the one order that [audit]
+   accepts. *)
+let key_bytes = 7
+let insertion_rows = 32
+
+let rec pack_key (arena : byte_ba) off j k =
+  if j = key_bytes then k
+  else
+    let c = Bigarray.Array1.unsafe_get arena (off + j) in
+    if c = 0 then k lsl (8 * (key_bytes - j)) else pack_key arena off (j + 1) ((k lsl 8) lor c)
+
+let suffix_key arena off = pack_key arena off 0 0
+
+let sort_suffixes (arena : byte_ba) (sa : int_ba) =
+  let n = Bigarray.Array1.dim sa in
+  let key = int_ba n and tmp_sa = int_ba n and tmp_key = int_ba n in
+  (* one histogram per key byte, least significant first *)
+  let counts = Array.make (key_bytes * 256) 0 in
+  let insertion lo hi depth =
+    for i = lo + 1 to hi - 1 do
+      let w = Bigarray.Array1.unsafe_get sa i in
+      let o = sa_off w + depth in
+      let j = ref (i - 1) in
+      while
+        !j >= lo
+        && compare_suffixes arena (sa_off (Bigarray.Array1.unsafe_get sa !j) + depth) o > 0
+      do
+        Bigarray.Array1.unsafe_set sa (!j + 1) (Bigarray.Array1.unsafe_get sa !j);
+        decr j
+      done;
+      Bigarray.Array1.unsafe_set sa (!j + 1) w
+    done
+  in
+  (* Sorts [lo, hi) of [sa] and [key] by key; both end back in place. *)
+  let radix lo hi =
+    Array.fill counts 0 (Array.length counts) 0;
+    for i = lo to hi - 1 do
+      let k = Bigarray.Array1.unsafe_get key i in
+      for p = 0 to key_bytes - 1 do
+        let c = (p lsl 8) lor ((k lsr (8 * p)) land 0xFF) in
+        Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
+      done
+    done;
+    let src_sa = ref sa and src_key = ref key and dst_sa = ref tmp_sa and dst_key = ref tmp_key in
+    for p = 0 to key_bytes - 1 do
+      let b0 = p lsl 8 in
+      let rec uniform c = c < 256 && (counts.(b0 + c) = hi - lo || uniform (c + 1)) in
+      if not (uniform 0) then begin
+        let start = ref lo in
+        for c = b0 to b0 + 255 do
+          let k = counts.(c) in
+          counts.(c) <- !start;
+          start := !start + k
+        done;
+        let s_sa = !src_sa and s_key = !src_key and d_sa = !dst_sa and d_key = !dst_key in
+        let shift = 8 * p in
+        for i = lo to hi - 1 do
+          let k = Bigarray.Array1.unsafe_get s_key i in
+          let c = b0 lor ((k lsr shift) land 0xFF) in
+          let d = Array.unsafe_get counts c in
+          Array.unsafe_set counts c (d + 1);
+          Bigarray.Array1.unsafe_set d_sa d (Bigarray.Array1.unsafe_get s_sa i);
+          Bigarray.Array1.unsafe_set d_key d k
+        done;
+        src_sa := d_sa;
+        src_key := d_key;
+        dst_sa := s_sa;
+        dst_key := s_key
+      end
+    done;
+    if !src_sa != sa then
+      for i = lo to hi - 1 do
+        Bigarray.Array1.unsafe_set sa i (Bigarray.Array1.unsafe_get tmp_sa i);
+        Bigarray.Array1.unsafe_set key i (Bigarray.Array1.unsafe_get tmp_key i)
+      done
+  in
+  let rec sort lo hi depth =
+    if hi - lo <= insertion_rows then insertion lo hi depth
+    else begin
+      for i = lo to hi - 1 do
+        Bigarray.Array1.unsafe_set key i
+          (suffix_key arena (sa_off (Bigarray.Array1.unsafe_get sa i) + depth))
+      done;
+      radix lo hi;
+      let i = ref lo in
+      while !i < hi do
+        let k = Bigarray.Array1.unsafe_get key !i in
+        let j = ref (!i + 1) in
+        while !j < hi && Bigarray.Array1.unsafe_get key !j = k do
+          incr j
+        done;
+        if !j - !i > 1 && k land 0xFF <> 0 then sort !i !j (depth + key_bytes);
+        i := !j
+      done
+    end
+  in
+  sort 0 n 0
+
 (* ---- levels: build, rebuild, seal, merge ---------------------------- *)
 
 let churn_limit t s =
@@ -375,24 +493,18 @@ let build_level t cand =
       off := !off + len + 1)
     (List.rev !live);
   let n_sa = !bytes in
-  (* Sort a heap scratch array (Array.sort over a Bigarray would box every
-     swap through the comparator anyway), then blit into the off-heap
-     array the level publishes. Merge sort, not the stdlib's heap sort:
-     suffix comparisons are byte loops, and it makes about half as many. *)
-  let scratch = Array.make n_sa 0 in
+  (* every suffix word, in ascending position: the tie order the sort
+     keeps *)
+  let sa = int_ba n_sa in
   let si = ref 0 in
   for e = 0 to n - 1 do
     let o = Bigarray.Array1.unsafe_get ent_off e in
     for j = 0 to Bigarray.Array1.unsafe_get ent_len e - 1 do
-      scratch.(!si) <- (e lsl 32) lor (o + j);
+      Bigarray.Array1.unsafe_set sa !si ((e lsl 32) lor (o + j));
       incr si
     done
   done;
-  Array.stable_sort (fun a b -> compare_suffixes arena (sa_off a) (sa_off b)) scratch;
-  let sa = int_ba n_sa in
-  for i = 0 to n_sa - 1 do
-    Bigarray.Array1.unsafe_set sa i (Array.unsafe_get scratch i)
-  done;
+  sort_suffixes arena sa;
   Smc_obs.add t.obs Smc_obs.c_txt_dropped !dropped;
   { arena; ent_ref; ent_off; ent_len; n_entries = n; sa; n_sa }
 
@@ -590,8 +702,13 @@ let audit t =
       let o = if e < lv.n_entries then Bigarray.Array1.get lv.ent_off e else max_int in
       if off < o || off >= o + Bigarray.Array1.get lv.ent_len e then
         bad "text index %s %s sa[%d]: entry %d does not own offset %d" t.name lname i e off;
-      if i > 0 && compare_suffixes lv.arena (sa_off lv.sa.{i - 1}) off > 0 then
-        bad "text index %s %s: suffix array out of order at %d" t.name lname i
+      (* suffixes in order, equal ones in ascending position: one array *)
+      if i > 0 then begin
+        let c = compare_suffixes lv.arena (sa_off lv.sa.{i - 1}) off in
+        if c > 0 then bad "text index %s %s: suffix array out of order at %d" t.name lname i
+        else if c = 0 && lv.sa.{i - 1} > lv.sa.{i} then
+          bad "text index %s %s: equal suffixes out of position order at %d" t.name lname i
+      end
     done;
     let by_ref = Hashtbl.create (max 16 lv.n_entries) in
     for e = 0 to lv.n_entries - 1 do

@@ -75,8 +75,9 @@ val probe : t -> op -> string -> f:(Smc.Ref.t -> Smc_offheap.Block.t -> int -> u
     one epoch critical section. Candidates come from each level's
     suffix-array range and from the pending tail, deduplicated per probe (a
     row with several matching suffixes, or present in several levels and
-    the tail, is emitted once); each is incarnation-validated and its text
-    re-extracted and re-tested before emission. Bag semantics; emission
+    the tail, is emitted once); each is incarnation-validated and
+    re-tested against its live text before emission ([Prefix] and
+    [Substring] read the field's words in place). Bag semantics; emission
     order is unspecified. *)
 
 val probe_refs : t -> op -> string -> Smc.Ref.t list
@@ -118,7 +119,8 @@ val stats : t -> stats
 
 val audit : t -> string list
 (** Structural invariant sweep; call only at a quiescent point. Checks,
-    per level, that the suffix array is sorted, covers exactly the
+    per level, that the suffix array is sorted with equal suffixes in
+    ascending position (so exactly one array passes), covers exactly the
     arena's suffixes, and names in each word the entry that owns its
     offset, and that the entry tables are mutually consistent; that
     the tail is shorter than a run and run sizes grow toward the oldest;

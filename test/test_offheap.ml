@@ -75,14 +75,30 @@ let test_layout_field_lookup () =
 
 let test_block_string_roundtrip () =
   let l = person_layout () in
-  let blk = Block.create ~id:0 ~layout:l ~placement:Block.Row ~nslots:8 in
   let f = Layout.field l "name" in
+  let cap = Layout.str_capacity f in
+  let expect s =
+    let s = match String.index_opt s '\000' with Some i -> String.sub s 0 i | None -> s in
+    if String.length s > cap then String.sub s 0 cap else s
+  in
+  (* every length around the 7-byte word boundaries, up to and past the
+     capacity, then bytes >= 0x80 and an interior NUL (the read stops there) *)
+  let sized n = String.init n (fun i -> Char.chr (0x61 + (i mod 26))) in
+  let texts =
+    List.map sized [ 0; 1; 6; 7; 8; 13; 14; 15; cap - 1; cap; cap + 1 ]
+    @ [ "exactly16chars!!"; "this is a very long string that is truncated"; "tab\tchar";
+        "\xff\x80 high"; "nul\000cut" ]
+  in
   List.iter
-    (fun s ->
-      Block.set_string blk ~slot:3 f s;
-      let expect = if String.length s > 16 then String.sub s 0 16 else s in
-      check Alcotest.string "roundtrip" expect (Block.get_string blk ~slot:3 f))
-    [ ""; "a"; "exactly16chars!!"; "this is a very long string that is truncated"; "tab\tchar" ]
+    (fun placement ->
+      let blk = Block.create ~id:0 ~layout:l ~placement ~nslots:8 in
+      List.iter
+        (fun s ->
+          Block.set_string blk ~slot:3 f s;
+          check Alcotest.string (Printf.sprintf "roundtrip %S" s) (expect s)
+            (Block.get_string blk ~slot:3 f))
+        texts)
+    [ Block.Row; Block.Columnar ]
 
 let test_block_word_isolation () =
   let l = person_layout () in

@@ -223,7 +223,7 @@ let brute_top_k live ~k query =
   |> List.sort (fun (pa, sa) (pb, sb) -> if sa <> sb then compare sb sa else compare pa pb)
   |> List.filteri (fun i _ -> i < k)
 
-let check_against_model ~phase ix live =
+let check_against_model ?(needles = []) ~phase ix live =
   let expect op needle =
     Hashtbl.fold (fun p s acc -> if brute_match op needle s then p :: acc else acc) live []
     |> List.sort compare
@@ -233,7 +233,8 @@ let check_against_model ~phase ix live =
   in
   let live_texts = Hashtbl.fold (fun _ s acc -> s :: acc) live [] in
   let needles =
-    [ ""; "a"; "al"; "wolf"; "WOLF"; "ra"; "Bravo e"; "zzz"; "keep" ]
+    needles
+    @ [ ""; "a"; "al"; "wolf"; "WOLF"; "ra"; "Bravo e"; "zzz"; "keep" ]
     @ List.filteri (fun i _ -> i mod 17 = 0) live_texts
     @ List.filter_map
         (fun s -> if String.length s > 6 then Some (String.sub s 2 4) else None)
@@ -351,6 +352,63 @@ let test_seal_merge_model () =
   check Alcotest.bool (Printf.sprintf "at least 2 merges (saw %d)" w.merges) true
     (w.merges >= 2);
   check Alcotest.bool "runs still unfolded (no full rebuild)" true ((T.stats ix).T.runs > 0)
+
+(* Texts that stress the level builder's radix sort, which orders
+   suffixes 7 bytes at a time and breaks ties by position: empty texts,
+   one byte repeated to the capacity, prefixes shared for exactly 6, 7,
+   8, 13, 14 and 15 bytes (one short of, at and one past a 7-byte key),
+   whole texts repeated, bytes >= 0x80 and texts equal only under case
+   folding. Each text appears many times, so equal keys form runs longer
+   than the insertion-sorted ones and every level below holds many equal
+   suffixes. *)
+let adversarial_texts =
+  let cap = 42 in
+  let stem = "the quick brown fox jumps" in
+  let shared =
+    List.concat_map
+      (fun k ->
+        let p = String.sub stem 0 k in
+        [ p; p ^ "a"; p ^ "A"; p ^ "b"; p ^ " zz"; p ^ "\xe9t\xe9"; p ^ String.sub stem k 9 ])
+      [ 6; 7; 8; 13; 14; 15 ]
+  in
+  [ ""; String.make cap 'a'; String.make (cap - 1) 'a'; String.make cap 'z';
+    String.make 7 'a'; String.make 8 'a'; String.make cap '\xff';
+    "\x80\x80\x80\x80\x80\x80\x80\x81"; "\x80\x80\x80\x80\x80\x80\x80\x80";
+    "caf\xc3\xa9 cr\xc3\xa8me"; "ABC"; "abc"; "AbC def"; "abc DEF"; "same text"; "same text" ]
+  @ shared
+
+let test_adversarial_levels () =
+  let copies = 9 in
+  let rt = Smc_offheap.Runtime.create () in
+  let texts = List.concat (List.init copies (fun _ -> adversarial_texts)) in
+  let coll, fid, ftxt, refs = mk_coll rt texts in
+  let ix = T.attach ~churn_limit:1_000_000 ~name:"by_txt" ~column:"txt" coll in
+  let live = Hashtbl.create 1024 in
+  List.iteri (fun i s -> Hashtbl.replace live (Smc.Ref.to_packed refs.(i)) s) texts;
+  let needles =
+    [ "the qu"; "the qui"; "the quic"; "the quick bro"; "the quick brow"; "the quick brown";
+      "the quick browna"; "THE QUICK BROWN"; String.make 7 'a'; String.make 8 'a';
+      String.make 42 'a'; "\xff\xff"; "\x80\x80\x80\x80\x80\x80\x80\x81"; "\xe9t"; "abc";
+      "ABC"; "same text"; "k brown fox" ]
+  in
+  let w = watch ix in
+  check_against_model ~needles ~phase:"attach" ix live;
+  (* the same texts again, in reverse, through the tail: seals, then a merge *)
+  List.iter
+    (fun s ->
+      let r =
+        Smc.Collection.add coll ~init:(fun blk slot ->
+            Smc.Field.set_int fid blk slot 0;
+            Smc.Field.set_string ftxt blk slot s)
+      in
+      Hashtbl.replace live (Smc.Ref.to_packed r) s;
+      observe w ix)
+    (List.rev texts);
+  check Alcotest.bool (Printf.sprintf "seals and a merge (saw %d, %d)" w.seals w.merges) true
+    (w.seals >= 2 && w.merges >= 1);
+  check_against_model ~needles ~phase:"seals and merges" ix live;
+  T.rebuild ix;
+  check_against_model ~needles ~phase:"rebuild" ix live
 
 (* Probe-vs-seal race: one writer domain appends across many seal and
    merge boundaries (adding rows, rewriting and removing some of its own)
@@ -718,6 +776,7 @@ let () =
           Alcotest.test_case "seals and merges match a brute-force model" `Quick
             test_seal_merge_model;
           Alcotest.test_case "probes racing seals and merges" `Quick test_probe_seal_race;
+          Alcotest.test_case "adversarial texts at every level" `Quick test_adversarial_levels;
         ] );
       ( "planner",
         [
